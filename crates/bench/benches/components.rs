@@ -1,14 +1,13 @@
-//! Criterion microbenchmarks for the substrate components: FFT,
-//! autocorrelation, LRU cache, JSON parsing, URL clustering, n-gram
-//! prediction, and the trace codec.
+//! Criterion microbenchmarks for the substrate components: FFT, the
+//! shared periodogram + autocorrelation transform, LRU cache, JSON
+//! parsing, URL clustering, n-gram prediction, and the trace codec.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use jcdn_cdnsim::cache::LruCache;
 use jcdn_cdnsim::{run_default, FaultPlan, OriginOutage, SimConfig, Window};
 use jcdn_ngram::NgramModel;
-use jcdn_signal::acf::Autocorrelation;
-use jcdn_signal::fft::{fft_in_place, Complex};
-use jcdn_signal::spectrum::Periodogram;
+use jcdn_signal::fft::{fft_in_place, Complex, FftPlan};
+use jcdn_signal::spectrum::{analyze, padded_len, Scratch};
 use jcdn_trace::codec::{decode, encode};
 use jcdn_trace::{
     CacheStatus, ClientId, LogRecord, Method, MimeType, RecordFlags, SimDuration, SimTime, Trace,
@@ -34,16 +33,25 @@ fn bench_fft(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_acf_and_periodogram(c: &mut Criterion) {
-    let signal: Vec<f64> = (0..8192)
-        .map(|i| if i % 30 == 0 { 1.0 } else { 0.0 })
-        .collect();
-    c.bench_function("acf_8192", |b| {
-        b.iter(|| std::hint::black_box(Autocorrelation::compute(&signal).values[30]))
-    });
-    c.bench_function("periodogram_8192", |b| {
-        b.iter(|| std::hint::black_box(Periodogram::compute(&signal).peak()))
-    });
+/// The §5.1 detector's kernel: one shared periodogram + ACF transform, as
+/// it runs for the series and each of its permutations, at the study's
+/// client (4096-bin) and object (32768-bin) series lengths.
+fn bench_periodogram_acf(c: &mut Criterion) {
+    let mut group = c.benchmark_group("periodogram_acf");
+    for &bins in &[4096usize, 32768] {
+        let series: Vec<f64> = (0..bins)
+            .map(|i| if i % 30 == 0 || i % 97 == 0 { 1.0 } else { 0.0 })
+            .collect();
+        let plan = FftPlan::new(padded_len(bins));
+        let mut scratch = Scratch::default();
+        group.bench_with_input(BenchmarkId::from_parameter(bins), &bins, |b, _| {
+            b.iter(|| {
+                let (periodogram, acf) = analyze(&plan, &series, &mut scratch);
+                std::hint::black_box((periodogram.peak(), acf.max_peak()))
+            })
+        });
+    }
+    group.finish();
 }
 
 fn bench_lru(c: &mut Criterion) {
@@ -179,7 +187,7 @@ fn bench_fault_sim(c: &mut Criterion) {
 criterion_group!(
     components,
     bench_fft,
-    bench_acf_and_periodogram,
+    bench_periodogram_acf,
     bench_lru,
     bench_json,
     bench_url_cluster,

@@ -6,10 +6,13 @@
 //! periods", extending Vlachos et al. (SDM '05). This crate implements the
 //! whole stack from scratch:
 //!
-//! * [`fft`] — an iterative radix-2 Cooley–Tukey FFT over [`fft::Complex`]
-//!   (no external numeric dependency),
-//! * [`spectrum`] — periodograms and frequency/period conversion,
-//! * [`acf`] — circular autocorrelation via the Wiener–Khinchin theorem,
+//! * [`fft`] — planned radix-2 FFTs over [`fft::Complex`] (no external
+//!   numeric dependency): twiddles computed once per length, and real
+//!   transforms run as half-length complex ones,
+//! * [`spectrum`] — periodograms, frequency/period conversion, and the one
+//!   real transform per series that the periodogram and the ACF share,
+//! * [`acf`] — linear (zero-padded) autocorrelation via the
+//!   Wiener–Khinchin theorem,
 //! * [`periodicity`] — the paper's four-step detection algorithm with
 //!   permutation-derived significance thresholds (x = 100 by default) and a
 //!   1-second sampling grid, parallelized across permutations on the
@@ -20,8 +23,7 @@
 //! ```
 //! use jcdn_signal::periodicity::{detect_period, PeriodicityConfig};
 //!
-//! // A client polling every 30s for an hour, with ±1s of jitter baked in
-//! // by rounding to the sampling grid.
+//! // A client polling every 30s for an hour.
 //! let times: Vec<f64> = (0..120).map(|i| i as f64 * 30.0).collect();
 //! let cfg = PeriodicityConfig::default();
 //! let hit = detect_period(&times, &cfg).expect("planted period must be found");

@@ -37,8 +37,8 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::acf::Autocorrelation;
-use crate::spectrum::Periodogram;
+use crate::fft::FftPlan;
+use crate::spectrum::{analyze, padded_len, Scratch};
 
 /// Tuning knobs for [`detect_period`]. Defaults match the paper.
 #[derive(Clone, Debug)]
@@ -164,9 +164,12 @@ fn bin_times(times: &[f64], cfg: &PeriodicityConfig) -> Option<(Vec<f64>, f64)> 
     if span <= 0.0 {
         return None;
     }
-    // Coarsen sampling if the span would exceed the bin cap.
+    // Coarsen sampling if the span would exceed the bin cap. At the
+    // coarsened width the last event falls exactly on the far edge of bin
+    // `max_bins - 1`; capping the count keeps it in that bin, which is
+    // closed on the right.
     let sampling = cfg.sampling_seconds.max(span / cfg.max_bins as f64);
-    let bins = (span / sampling).floor() as usize + 1;
+    let bins = ((span / sampling).floor() as usize + 1).min(cfg.max_bins);
     if bins < 8 {
         return None;
     }
@@ -204,11 +207,12 @@ fn detect_in_series(
     cfg: &PeriodicityConfig,
 ) -> Option<DetectedPeriod> {
     let bins = series.len();
-    let periodogram = Periodogram::compute(series);
-    let acf = Autocorrelation::compute(series);
+    // One plan serves the series and every permutation of it.
+    let plan = FftPlan::new(padded_len(bins));
+    let (periodogram, acf) = analyze(&plan, series, &mut Scratch::default());
 
     // Null-model thresholds from permutations of the sampled series.
-    let (power_threshold, acf_threshold) = permutation_thresholds(series, cfg)?;
+    let (power_threshold, acf_threshold) = permutation_thresholds(&plan, series, cfg)?;
 
     // Step 4: line up FFT candidates with ACF peaks. Two directions:
     //
@@ -319,38 +323,46 @@ fn bin_events(sorted_times: &[f64], sampling: f64, bins: usize) -> Vec<f64> {
 }
 
 /// Runs the permutation null model and returns `(power, acf)` thresholds.
-fn permutation_thresholds(series: &[f64], cfg: &PeriodicityConfig) -> Option<(f64, f64)> {
+fn permutation_thresholds(
+    plan: &FftPlan,
+    series: &[f64],
+    cfg: &PeriodicityConfig,
+) -> Option<(f64, f64)> {
     if cfg.permutations == 0 || series.is_empty() {
         return None;
     }
 
-    let one = |i: usize| -> (f64, f64) {
-        // Per-permutation RNG derived from (seed, index) so results do not
-        // depend on thread scheduling.
-        let mut rng = StdRng::seed_from_u64(splitmix(
-            cfg.seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-        ));
-        let mut shuffled = series.to_vec();
-        shuffled.shuffle(&mut rng);
-        let max_power = Periodogram::compute(&shuffled)
-            .peak()
-            .map_or(0.0, |(_, p)| p);
-        let max_acf = Autocorrelation::compute(&shuffled)
-            .max_peak()
-            .map_or(0.0, |(_, v)| v);
-        (max_power, max_acf)
-    };
-
     let threads = if cfg.parallel && cfg.permutations >= 8 {
         std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
+            .map_or(1, |p| p.get())
+            .min(cfg.permutations)
     } else {
         1
     };
-    // Per-permutation derived RNGs make the output independent of thread
-    // count, so the pool width is purely a throughput knob.
-    let results: Vec<(f64, f64)> = jcdn_exec::scatter_gather(cfg.permutations, threads, one);
+    // Worker `w` runs every `threads`-th permutation, reusing one set of
+    // buffers. Per-permutation derived RNGs make each maximum independent
+    // of the worker that computes it, and the thresholds depend only on the
+    // sorted maxima, so the pool width is purely a throughput knob.
+    let worker = |w: usize| -> Vec<(f64, f64)> {
+        let mut scratch = Scratch::default();
+        let mut shuffled = Vec::with_capacity(series.len());
+        (w..cfg.permutations)
+            .step_by(threads)
+            .map(|i| {
+                let mut rng = StdRng::seed_from_u64(splitmix(
+                    cfg.seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
+                ));
+                shuffled.clear();
+                shuffled.extend_from_slice(series);
+                shuffled.shuffle(&mut rng);
+                let (periodogram, acf) = analyze(plan, &shuffled, &mut scratch);
+                let max_power = periodogram.peak().map_or(0.0, |(_, p)| p);
+                let max_acf = acf.max_peak().map_or(0.0, |(_, v)| v);
+                (max_power, max_acf)
+            })
+            .collect()
+    };
+    let results = jcdn_exec::scatter_gather(threads, threads, worker).concat();
 
     let mut powers: Vec<f64> = results.iter().map(|&(p, _)| p).collect();
     let mut acfs: Vec<f64> = results.iter().map(|&(_, a)| a).collect();
@@ -498,6 +510,29 @@ mod tests {
             "got {}",
             hit.period_seconds
         );
+    }
+
+    #[test]
+    fn binned_series_never_exceed_the_cap() {
+        for max_bins in [8, 1000, 1 << 12, 1 << 15, 1 << 17] {
+            let c = PeriodicityConfig { max_bins, ..cfg() };
+            let cap = max_bins as f64;
+            for span in [cap - 0.5, cap, cap + 1.0, 2.5 * cap, 100_000.0, 864_000.0] {
+                let times: Vec<f64> = (0..=50).map(|i| span * i as f64 / 50.0).collect();
+                let (series, sampling) = bin_times(&times, &c).expect("wide enough");
+                assert!(series.len() <= max_bins, "span {span}, cap {max_bins}");
+                assert_eq!(series.iter().sum::<f64>(), times.len() as f64);
+                if span < cap {
+                    assert_eq!((sampling, series.len()), (1.0, span as usize + 1));
+                }
+            }
+        }
+        let times = [0.0, 25_000.0, 50_000.0, 75_000.0, 100_000.0];
+        let c = PeriodicityConfig {
+            max_bins: 1 << 15,
+            ..cfg()
+        };
+        assert_eq!(bin_times(&times, &c).map(|(s, _)| s.len()), Some(1 << 15));
     }
 
     #[test]

@@ -1,6 +1,61 @@
-//! Periodograms.
+//! Periodograms, and the one transform the periodogram and the
+//! autocorrelation are both read off.
 
-use crate::fft::{next_pow2, rfft};
+use crate::acf::Autocorrelation;
+use crate::fft::{next_pow2, Complex, FftPlan};
+
+/// The length a series of `n` samples is zero-padded to before its one
+/// real transform: `2·next_pow2(n)`. Twice the periodogram's length, so the
+/// autocorrelation read off the same spectrum is linear, not circular, and
+/// the periodogram's bins are its even bins (`X_2N[2k] = X_N[k]` for a
+/// series that is zero beyond `N`).
+pub fn padded_len(n: usize) -> usize {
+    2 * next_pow2(n)
+}
+
+/// Reusable buffers for [`analyze`]: keep one per worker and pass it to
+/// every series it transforms.
+#[derive(Clone, Debug, Default)]
+pub struct Scratch {
+    fft: Vec<Complex>,
+    /// `|X[k]|²`, `k = 0 ..= L/2`, of the last transformed series.
+    power: Vec<f64>,
+}
+
+impl Scratch {
+    /// Fills `power` with the spectrum of the mean-removed `signal`
+    /// zero-padded to `plan.len()`.
+    fn transform(&mut self, plan: &FftPlan, signal: &[f64]) {
+        let mean = if signal.is_empty() {
+            0.0
+        } else {
+            signal.iter().sum::<f64>() / signal.len() as f64
+        };
+        plan.real_power(signal, mean, &mut self.fft, &mut self.power);
+    }
+}
+
+/// The periodogram and the autocorrelation of `signal` from one real
+/// forward transform and one real inverse: what the §5.1 detector needs of
+/// every series and every permutation of it.
+///
+/// # Panics
+/// Panics when `plan.len() != padded_len(signal.len())`.
+pub fn analyze(
+    plan: &FftPlan,
+    signal: &[f64],
+    scratch: &mut Scratch,
+) -> (Periodogram, Autocorrelation) {
+    assert_eq!(
+        plan.len(),
+        padded_len(signal.len()),
+        "plan length must be padded_len"
+    );
+    scratch.transform(plan, signal);
+    let periodogram = Periodogram::from_power(&scratch.power, signal.len());
+    let acf = Autocorrelation::from_power(plan, &scratch.power, signal.len(), &mut scratch.fft);
+    (periodogram, acf)
+}
 
 /// The one-sided periodogram of a real signal.
 ///
@@ -21,19 +76,18 @@ pub struct Periodogram {
 impl Periodogram {
     /// Computes the periodogram of `signal`.
     pub fn compute(signal: &[f64]) -> Periodogram {
-        let signal_len = signal.len();
+        let plan = FftPlan::new(padded_len(signal.len()));
+        let mut scratch = Scratch::default();
+        scratch.transform(&plan, signal);
+        Periodogram::from_power(&scratch.power, signal.len())
+    }
+
+    /// Reads the periodogram off the even bins of the `padded_len`-point
+    /// power spectrum of a `signal_len`-sample series.
+    fn from_power(power: &[f64], signal_len: usize) -> Periodogram {
         let n = next_pow2(signal_len);
-        let mean = if signal_len > 0 {
-            signal.iter().sum::<f64>() / signal_len as f64
-        } else {
-            0.0
-        };
-        let centered: Vec<f64> = signal.iter().map(|&x| x - mean).collect();
-        let spectrum = rfft(&centered);
-        let power: Vec<f64> = spectrum[..=n / 2]
-            .iter()
-            .map(|c| c.norm_sq() / n as f64)
-            .collect();
+        let scale = 1.0 / n as f64;
+        let power = power.iter().step_by(2).map(|p| p * scale).collect();
         Periodogram {
             power,
             n,
@@ -86,6 +140,64 @@ impl Periodogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::acf::tests::naive_acf;
+    use crate::fft::tests::dft;
+    use proptest::prelude::*;
+
+    /// `analyze` against the naive DFT and ACF, within 1e-9 of the
+    /// signal's energy.
+    fn check_against_naive(signal: &[f64]) {
+        let n = signal.len();
+        let plan = FftPlan::new(padded_len(n));
+        let (periodogram, acf) = analyze(&plan, signal, &mut Scratch::default());
+
+        let mean = signal.iter().sum::<f64>() / n as f64;
+        let energy: f64 = signal.iter().map(|x| (x - mean) * (x - mean)).sum();
+        let tol = 1e-9 * energy.max(1.0);
+        let len = next_pow2(n);
+        let padded: Vec<Complex> = (0..len)
+            .map(|t| Complex::real(signal.get(t).map_or(0.0, |x| x - mean)))
+            .collect();
+        let expected = dft(&padded);
+        assert_eq!((periodogram.n, periodogram.power.len()), (len, len / 2 + 1));
+        for (k, (p, x)) in periodogram.power.iter().zip(&expected).enumerate() {
+            let want = x.norm_sq() / len as f64;
+            assert!((p - want).abs() <= tol, "n {n} bin {k}: {p} vs {want}");
+        }
+        for (lag, (a, b)) in acf.values.iter().zip(naive_acf(signal)).enumerate() {
+            assert!((a - b).abs() <= 1e-9, "n {n} lag {lag}: {a} vs {b}");
+        }
+        assert_eq!(acf.len(), n);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+        #[test]
+        fn shared_transform_matches_naive_on_counts(
+            draws in prop::collection::vec(0u8..8, 1..701),
+        ) {
+            // Mostly-empty bins holding 1–3 events, like a binned flow.
+            let signal: Vec<f64> = draws
+                .iter()
+                .map(|&d| f64::from(d.saturating_sub(4)))
+                .collect();
+            check_against_naive(&signal);
+        }
+
+        #[test]
+        fn shared_transform_matches_naive_on_reals(
+            signal in prop::collection::vec(-100.0f64..100.0, 1..701),
+        ) {
+            check_against_naive(&signal);
+        }
+    }
+
+    #[test]
+    fn shared_transform_matches_naive_at_tiny_lengths() {
+        for signal in [vec![2.0], vec![1.0, 3.0], vec![0.0, 5.0, 1.0], vec![4.0; 3]] {
+            check_against_naive(&signal);
+        }
+    }
 
     fn tone(n: usize, period: f64) -> Vec<f64> {
         (0..n)

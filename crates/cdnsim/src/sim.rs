@@ -19,8 +19,8 @@ use jcdn_obs::metrics::{key, MetricsSnapshot};
 use jcdn_obs::timeseries::{WindowSpec, WindowedCounters};
 use jcdn_stats::Summary;
 use jcdn_trace::{
-    CacheStatus, ClientId, LogRecord, MimeType, RecordFlags, SimDuration, SimTime, Trace, UaId,
-    UrlId,
+    CacheStatus, ClientId, Interner, LogRecord, MimeType, RecordFlags, SimDuration, SimTime, Trace,
+    UaId, UrlId,
 };
 use jcdn_workload::{ClientInfo, ObjectInfo, Workload};
 use rand::rngs::StdRng;
@@ -530,7 +530,38 @@ fn next_epoch_boundary(t: SimTime, interval: SimDuration) -> SimTime {
 
 /// Runs the workload through the simulated CDN with the given policy.
 pub fn run(workload: &Workload, config: &SimConfig, policy: &mut dyn Policy) -> SimOutput {
-    run_inner(workload, config, policy, None)
+    run_inner(workload, config, policy, &Strings::intern(workload), None)
+}
+
+/// A run's string tables: every object URL and client UA interned once, in
+/// workload order, before any request is simulated. Ids are therefore
+/// independent of policy decisions and the same in every per-edge machine
+/// of a run, whose logs then share one interner.
+struct Strings {
+    interner: Interner,
+    url_ids: Vec<UrlId>,
+    ua_ids: Vec<Option<UaId>>,
+}
+
+impl Strings {
+    fn intern(workload: &Workload) -> Strings {
+        let mut interner = Interner::new();
+        let url_ids = workload
+            .objects
+            .iter()
+            .map(|o| interner.intern_url(&o.url))
+            .collect();
+        let ua_ids = workload
+            .clients
+            .iter()
+            .map(|c| c.ua.as_deref().map(|ua| interner.intern_ua(ua)))
+            .collect();
+        Strings {
+            interner,
+            url_ids,
+            ua_ids,
+        }
+    }
 }
 
 /// The per-run simulation state: every edge's caches, queues and RNG
@@ -554,8 +585,7 @@ struct Machine<'w> {
     stats: SimStats,
     edges: Vec<Edge>,
     trace: Trace,
-    url_ids: Vec<UrlId>,
-    ua_ids: Vec<Option<UaId>>,
+    strings: &'w Strings,
     heap: BinaryHeap<Reverse<(SimTime, u64, InternalEvent)>>,
     seq: u64,
     next_arrival: usize,
@@ -570,6 +600,7 @@ impl<'w> Machine<'w> {
         workload: &'w Workload,
         config: &'w SimConfig,
         hierarchy: &CacheHierarchy,
+        strings: &'w Strings,
         only_edge: Option<usize>,
     ) -> Machine<'w> {
         assert!(config.edges > 0, "need at least one edge");
@@ -579,19 +610,10 @@ impl<'w> Machine<'w> {
             tier_misses: vec![0; shared],
             ..SimStats::default()
         };
-        // Pre-intern all strings so ids are stable and independent of
-        // policy decisions.
-        let mut trace = Trace::with_capacity(workload.events.len());
-        let url_ids: Vec<UrlId> = workload
-            .objects
-            .iter()
-            .map(|o| trace.intern_url(&o.url))
-            .collect();
-        let ua_ids: Vec<Option<UaId>> = workload
-            .clients
-            .iter()
-            .map(|c| c.ua.as_deref().map(|ua| trace.intern_ua(ua)))
-            .collect();
+        let trace = Trace::from_parts(
+            strings.interner.clone(),
+            Vec::with_capacity(workload.events.len()),
+        );
         Machine {
             workload,
             config,
@@ -625,8 +647,7 @@ impl<'w> Machine<'w> {
                 })
                 .collect(),
             trace,
-            url_ids,
-            ua_ids,
+            strings,
             heap: BinaryHeap::new(),
             seq: 0,
             next_arrival: 0,
@@ -828,8 +849,7 @@ impl<'w> Machine<'w> {
                                 &mut tc,
                                 &mut self.stats,
                                 &mut self.trace,
-                                &self.url_ids,
-                                &self.ua_ids,
+                                self.strings,
                                 &mut self.rngs[edge],
                                 &mut self.fault_states[edge],
                                 &mut self.heap,
@@ -871,7 +891,7 @@ impl<'w> Machine<'w> {
 
         // Canonical total-order sort: the log is time-sorted and the order
         // of equal-time records never depends on edge interleaving, so
-        // per-edge subset runs concatenate to exactly this log.
+        // per-edge subset runs merge to exactly this log.
         self.trace.sort_canonical();
         let mut metrics = MetricsSnapshot::default();
         for (e, counters) in self.edge_counters.iter().enumerate() {
@@ -940,6 +960,7 @@ fn run_inner(
     workload: &Workload,
     config: &SimConfig,
     policy: &mut dyn Policy,
+    strings: &Strings,
     only_edge: Option<usize>,
 ) -> SimOutput {
     let _span = match only_edge {
@@ -952,7 +973,7 @@ fn run_inner(
         validation.is_ok(),
         "invalid cache hierarchy: {validation:?}"
     );
-    let mut machine = Machine::new(workload, config, &hierarchy, only_edge);
+    let mut machine = Machine::new(workload, config, &hierarchy, strings, only_edge);
     if hierarchy.shared.is_empty() {
         machine.run_until(policy, &[], None);
         return machine.finish();
@@ -988,22 +1009,26 @@ pub fn run_default(workload: &Workload, config: &SimConfig) -> SimOutput {
 /// integer counters as [`run_default`] (latency summaries match to float
 /// merge precision).
 ///
-/// Without shared tiers the per-edge subsets are fully independent and
-/// run to completion concurrently. With shared tiers the per-edge
-/// machines run in epoch lockstep against snapshot tiers (see
-/// [`crate::hierarchy`]) — still byte-identical to the sequential run at
-/// any thread count. Only edge flaps (dynamic routing) force the
+/// The run's strings are interned once and every per-edge machine starts
+/// from a copy of those tables. Without shared tiers the per-edge subsets
+/// are fully independent and run to completion concurrently. With shared
+/// tiers — a parent cache included — the per-edge machines run in epoch
+/// lockstep against snapshot tiers (see [`crate::hierarchy`]), still
+/// byte-identical to the sequential run at any thread count. Either way
+/// each edge's log comes out canonically sorted and the logs merge (see
+/// `merge_outputs`). Only edge flaps (dynamic routing) force the
 /// sequential path, as do single-edge or single-thread runs.
 pub fn run_sharded(workload: &Workload, config: &SimConfig, threads: usize) -> SimOutput {
     if threads <= 1 || config.edges <= 1 || !config.fault.flaps.is_empty() {
         return run_default(workload, config);
     }
+    let strings = Strings::intern(workload);
     let hierarchy = config.resolved_hierarchy();
     if !hierarchy.shared.is_empty() {
-        return run_sharded_hierarchy(workload, config, &hierarchy, threads);
+        return run_sharded_hierarchy(workload, config, &hierarchy, &strings, threads);
     }
     let outputs = jcdn_exec::scatter_gather_labeled("sim.edges", config.edges, threads, |e| {
-        run_inner(workload, config, &mut NoopPolicy, Some(e))
+        run_inner(workload, config, &mut NoopPolicy, &strings, Some(e))
     });
     match merge_outputs(outputs) {
         Some(out) => out,
@@ -1011,17 +1036,19 @@ pub fn run_sharded(workload: &Workload, config: &SimConfig, threads: usize) -> S
     }
 }
 
-/// Merges per-edge outputs: stats and metrics add, records concatenate
-/// and re-sort canonically. Every per-edge run pre-interns the full
-/// object and client tables, so the interners are identical and records
-/// concatenate directly.
+/// Merges per-edge outputs: stats and metrics add, and the per-edge logs,
+/// each already in canonical order, merge into one canonical log of
+/// exactly their total length. Every per-edge machine starts from the
+/// same interned tables, so the first output's interner resolves every
+/// record.
 fn merge_outputs(outputs: Vec<SimOutput>) -> Option<SimOutput> {
     let mut outputs = outputs.into_iter();
     let first = outputs.next()?;
     let mut stats = first.stats;
     let mut metrics = first.metrics;
     let mut series = first.series;
-    let (interner, mut records) = first.trace.into_parts();
+    let (interner, records) = first.trace.into_parts();
+    let mut runs = vec![records];
     for out in outputs {
         stats.merge(&out.stats);
         metrics.merge(&out.metrics);
@@ -1030,12 +1057,10 @@ fn merge_outputs(outputs: Vec<SimOutput>) -> Option<SimOutput> {
             (slot @ None, theirs @ Some(_)) => *slot = theirs,
             _ => {}
         }
-        records.extend(out.trace.into_parts().1);
+        runs.push(out.trace.into_parts().1);
     }
-    let mut trace = Trace::from_parts(interner, records);
-    trace.sort_canonical();
     Some(SimOutput {
-        trace,
+        trace: Trace::from_parts(interner, jcdn_exec::merge_sorted(runs)),
         stats,
         metrics,
         series,
@@ -1058,11 +1083,12 @@ fn run_sharded_hierarchy(
     workload: &Workload,
     config: &SimConfig,
     hierarchy: &CacheHierarchy,
+    strings: &Strings,
     threads: usize,
 ) -> SimOutput {
     let _span = jcdn_obs::span!("simulate.hierarchy");
     let machines: Vec<Mutex<Machine<'_>>> = (0..config.edges)
-        .map(|e| Mutex::new(Machine::new(workload, config, hierarchy, Some(e))))
+        .map(|e| Mutex::new(Machine::new(workload, config, hierarchy, strings, Some(e))))
         .collect();
     let mut tiers = SharedTier::build_all(hierarchy, config.seed);
     let interval = hierarchy.sync_interval;
@@ -1227,8 +1253,7 @@ fn complete_request(
     tc: &mut TierCtx<'_>,
     stats: &mut SimStats,
     trace: &mut Trace,
-    url_ids: &[UrlId],
-    ua_ids: &[Option<UaId>],
+    strings: &Strings,
     rng: &mut StdRng,
     fault_state: &mut FaultState,
     heap: &mut BinaryHeap<Reverse<(SimTime, u64, InternalEvent)>>,
@@ -1539,8 +1564,8 @@ fn complete_request(
     trace.push(LogRecord {
         time: arrival,
         client: ClientId(workload.clients[event.client as usize].ip_hash),
-        ua: ua_ids[event.client as usize],
-        url: url_ids[event.object as usize],
+        ua: strings.ua_ids[event.client as usize],
+        url: strings.url_ids[event.object as usize],
         method: event.method,
         mime: object.mime,
         status,
@@ -1693,6 +1718,26 @@ mod tests {
                 sharded.metrics.counters_json(),
                 "{threads} threads"
             );
+        }
+    }
+
+    #[test]
+    fn sharded_run_log_holds_exactly_its_records() {
+        let w = build(&WorkloadConfig::tiny(21));
+        // With and without a shared tier: both parallel paths merge per-edge logs.
+        for parent_cache in [None, Some(64 << 20)] {
+            let config = SimConfig {
+                edges: 4,
+                error_fraction: 0.02,
+                parent_cache,
+                ..SimConfig::default()
+            };
+            let out = run_sharded(&w, &config, 2);
+            let retries = out.stats.retries_issued;
+            assert!(retries > 0, "retried attempts outnumber the events");
+            let records = out.trace.into_parts().1;
+            assert_eq!(records.len() as u64, w.events.len() as u64 + retries);
+            assert_eq!(records.capacity(), records.len(), "{parent_cache:?}");
         }
     }
 

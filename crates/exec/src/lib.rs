@@ -447,9 +447,54 @@ pub fn partition(len: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
     ranges
 }
 
+/// Merges runs that are each sorted ascending into one sorted vector of
+/// exactly their total length — the gather step for fan-outs whose items
+/// return sorted partials, in place of concatenating and sorting again.
+/// Equal elements leave in run order, so the merge is stable.
+pub fn merge_sorted<T: Ord + Copy>(runs: Vec<Vec<T>>) -> Vec<T> {
+    let mut out = Vec::with_capacity(runs.iter().map(Vec::len).sum());
+    // `next[r]` indexes run `r`'s head. The heap holds the indices of the
+    // runs not yet drained, least (head, run) first: only indices move,
+    // and the run index breaks ties.
+    let mut next = vec![0usize; runs.len()];
+    let head = |run: usize, next: &[usize]| (runs[run][next[run]], run);
+    let sift_down = |heap: &mut [usize], next: &[usize], mut i: usize| loop {
+        let mut least = i;
+        for child in [2 * i + 1, 2 * i + 2] {
+            if child < heap.len() && head(heap[child], next) < head(heap[least], next) {
+                least = child;
+            }
+        }
+        if least == i {
+            return;
+        }
+        heap.swap(i, least);
+        i = least;
+    };
+    let mut heap: Vec<usize> = (0..runs.len()).filter(|&r| !runs[r].is_empty()).collect();
+    for i in (0..heap.len() / 2).rev() {
+        sift_down(&mut heap, &next, i);
+    }
+    while heap.len() > 1 {
+        let run = heap[0];
+        out.push(runs[run][next[run]]);
+        next[run] += 1;
+        if next[run] == runs[run].len() {
+            heap.swap_remove(0);
+        }
+        sift_down(&mut heap, &next, 0);
+    }
+    // The last run standing needs no more comparisons.
+    if let Some(&run) = heap.first() {
+        out.extend_from_slice(&runs[run][next[run]..]);
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -503,6 +548,59 @@ mod tests {
         // Near-equal sizes: 10 into 3 → 4,3,3.
         let sizes: Vec<usize> = partition(10, 3).iter().map(|r| r.len()).collect();
         assert_eq!(sizes, vec![4, 3, 3]);
+    }
+
+    proptest! {
+        // Small values over few runs: empty runs, a single run, no runs
+        // and duplicates across runs all come up.
+        #[test]
+        fn merge_sorted_matches_a_full_sort(
+            runs in prop::collection::vec(prop::collection::vec(0u8..16, 0..40), 0..6),
+        ) {
+            let runs: Vec<Vec<u8>> = runs
+                .into_iter()
+                .map(|mut run| {
+                    run.sort_unstable();
+                    run
+                })
+                .collect();
+            let mut expected: Vec<u8> = runs.concat();
+            expected.sort_unstable();
+            let merged = merge_sorted(runs);
+            prop_assert_eq!(merged.capacity(), merged.len());
+            prop_assert_eq!(merged, expected);
+        }
+    }
+
+    #[test]
+    fn merge_sorted_keeps_run_order_among_equals() {
+        /// Ordered by `key` alone, so equal elements can still differ.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        struct Tagged {
+            key: u8,
+            run: u8,
+        }
+        impl PartialOrd for Tagged {
+            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+        impl Ord for Tagged {
+            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+                self.key.cmp(&other.key)
+            }
+        }
+        let runs: Vec<Vec<Tagged>> = (0..3)
+            .map(|run| (0..4).map(|key| Tagged { key, run }).collect())
+            .collect();
+        let merged: Vec<(u8, u8)> = merge_sorted(runs)
+            .into_iter()
+            .map(|t| (t.key, t.run))
+            .collect();
+        let expected: Vec<(u8, u8)> = (0..4)
+            .flat_map(|key| (0..3).map(move |run| (key, run)))
+            .collect();
+        assert_eq!(merged, expected);
     }
 
     #[test]

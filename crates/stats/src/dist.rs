@@ -319,7 +319,43 @@ pub fn probit(p: f64) -> f64 {
 /// Handy for categorical draws (device mix, industry mix). Zero total weight
 /// returns `None`.
 pub fn weighted_index<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> Option<usize> {
-    let total: f64 = weights.iter().filter(|w| w.is_finite() && **w > 0.0).sum();
+    pick_weighted(rng, weights, positive_total(weights))
+}
+
+/// [`weighted_index`] over a fixed table, for many draws from the same
+/// weights: the total is summed once instead of on every draw. Each draw
+/// returns exactly what `weighted_index` would for the same weights and
+/// RNG state.
+#[derive(Clone, Debug)]
+pub struct WeightedIndex {
+    weights: Vec<f64>,
+    total: f64,
+}
+
+impl WeightedIndex {
+    /// A table over `weights`; non-finite and non-positive weights are
+    /// never drawn.
+    pub fn new(weights: Vec<f64>) -> Self {
+        let total = positive_total(&weights);
+        WeightedIndex { weights, total }
+    }
+}
+
+impl Sample for WeightedIndex {
+    type Output = Option<usize>;
+
+    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<usize> {
+        pick_weighted(rng, &self.weights, self.total)
+    }
+}
+
+/// Sum of the finite, positive weights.
+fn positive_total(weights: &[f64]) -> f64 {
+    weights.iter().filter(|w| w.is_finite() && **w > 0.0).sum()
+}
+
+/// One draw of one uniform, scaled by `total` and walked down `weights`.
+fn pick_weighted<R: Rng + ?Sized>(rng: &mut R, weights: &[f64], total: f64) -> Option<usize> {
     if total <= 0.0 {
         return None;
     }

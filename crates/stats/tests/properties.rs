@@ -1,6 +1,8 @@
 //! Property tests for the statistics substrate.
 
-use jcdn_stats::dist::{weighted_index, Exponential, LogNormal, Poisson, Sample, Zipf};
+use jcdn_stats::dist::{
+    weighted_index, Exponential, LogNormal, Poisson, Sample, WeightedIndex, Zipf,
+};
 use jcdn_stats::{Ecdf, ExactQuantiles, Histogram, Summary, TimeSeries};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -121,6 +123,19 @@ proptest! {
         match weighted_index(&mut rng, &weights) {
             Some(i) => prop_assert!(weights[i] > 0.0),
             None => prop_assert!(weights.iter().all(|&w| w <= 0.0)),
+        }
+    }
+
+    #[test]
+    fn weighted_table_draws_what_weighted_index_draws(
+        weights in prop::collection::vec(0.0f64..10.0, 1..700),
+        seed in any::<u64>(),
+    ) {
+        let table = WeightedIndex::new(weights.clone());
+        let mut a = StdRng::seed_from_u64(seed);
+        let mut b = StdRng::seed_from_u64(seed);
+        for _ in 0..40 {
+            prop_assert_eq!(table.sample(&mut a), weighted_index(&mut b, &weights));
         }
     }
 }

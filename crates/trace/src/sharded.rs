@@ -28,23 +28,22 @@ impl ShardedTrace {
     }
 
     /// Splits a trace into `shard_count` contiguous, near-equal-size time
-    /// partitions. Records are canonically sorted first, so the result is
-    /// the same for any prior record order of the same multiset.
-    /// `shard_count` is clamped to at least 1.
+    /// partitions. Records are canonically sorted first (linear when they
+    /// already are), so the result is the same for any prior record order
+    /// of the same multiset. Each record is copied once, into a shard
+    /// allocated to exactly its length. `shard_count` is clamped to at
+    /// least 1; an empty trace gives one empty shard.
     pub fn from_trace(trace: Trace, shard_count: usize) -> Self {
-        let shard_count = shard_count.max(1);
         let (interner, mut records) = trace.into_parts();
         records.sort_unstable();
-        let total = records.len();
-        let per_shard = total.div_ceil(shard_count.min(total.max(1)));
-        let mut shards = Vec::with_capacity(shard_count);
-        let mut rest = records;
-        while rest.len() > per_shard {
-            let tail = rest.split_off(per_shard);
-            shards.push(rest);
-            rest = tail;
+        let per_shard = records.len().div_ceil(shard_count.max(1)).max(1);
+        let mut shards: Vec<Vec<LogRecord>> = records
+            .chunks(per_shard)
+            .map(<[LogRecord]>::to_vec)
+            .collect();
+        if shards.is_empty() {
+            shards.push(Vec::new());
         }
-        shards.push(rest);
         ShardedTrace { interner, shards }
     }
 
@@ -167,6 +166,20 @@ mod tests {
         assert_eq!(b.url(first_b.url), sharded.interner().url(first_b.url));
         assert_eq!(a.len() + b.len(), sharded.len());
         assert_eq!(sharded.stream().len(), sharded.len());
+    }
+
+    #[test]
+    fn shards_hold_exactly_their_records() {
+        for (records, shards) in [(103, 8), (100, 4), (3, 8), (1, 1), (0, 8)] {
+            let sharded = ShardedTrace::from_trace(trace(records), shards);
+            for (i, shard) in sharded.shards.iter().enumerate() {
+                assert_eq!(
+                    shard.capacity(),
+                    shard.len(),
+                    "{records} records into {shards}: shard {i}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 
 use jcdn_obs::timeseries::WindowedCounters;
-use jcdn_stats::dist::{weighted_index, Pareto, Sample};
+use jcdn_stats::dist::{weighted_index, Pareto, Sample, WeightedIndex};
 use jcdn_trace::{Method, MimeType, SimDuration, SimTime};
 use jcdn_ua::DeviceType;
 use rand::rngs::StdRng;
@@ -18,7 +18,11 @@ use crate::industry::{CachePolicy, IndustryCategory};
 use crate::objects::{DomainInfo, ObjectInfo};
 
 /// One scheduled request (indices into the workload's tables).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+///
+/// The derived order compares every field, `(time, client, object,
+/// method)`: it is the total order [`Workload::events`] is sorted by, and
+/// events that compare equal are identical.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct RequestEvent {
     /// Arrival time at the CDN edge.
     pub time: SimTime,
@@ -155,8 +159,10 @@ pub fn build(config: &WorkloadConfig) -> Workload {
 /// periodic planting, and a per-client *planning* pass that fixes each
 /// client's app parameters and draws it a private event seed — runs
 /// sequentially; only the event generation itself (the bulk of the work,
-/// driven entirely by the private per-client RNGs) is parallel, gathered
-/// in client order, and finished with a total-order sort.
+/// driven entirely by the private per-client RNGs) is parallel. The plans
+/// split into `threads` contiguous ranges; each task generates its range
+/// and sorts its own events, and the sorted runs merge with the sorted
+/// periodic events in the total order of [`RequestEvent`].
 pub fn build_parallel(config: &WorkloadConfig, threads: usize) -> Workload {
     // Phase spans: planning (sequential, main RNG) vs generation (parallel,
     // private RNGs). Wall-time only — neither affects the output.
@@ -180,22 +186,20 @@ pub fn build_parallel(config: &WorkloadConfig, threads: usize) -> Workload {
         }
     }
 
-    let mut events: Vec<RequestEvent> =
-        Vec::with_capacity(config.target_events + config.target_events / 4);
-
     // ---- Periodic traffic (§5.1) -------------------------------------
     // Overplant by 1.4x: the significance filters and the conservative
     // permutation thresholds recover roughly 70% of planted periodic
     // traffic, so the detected share lands near the configured target
     // (calibrated against the full-scale long-term dataset).
     let periodic_budget = 1.4 * config.targets.periodic_share * config.target_events as f64;
+    let mut periodic: Vec<RequestEvent> = Vec::new();
     plant_periodic_flows(
         config,
         &clients,
         &mut universe,
         periodic_budget,
         &mut truth,
-        &mut events,
+        &mut periodic,
         &mut rng,
     );
 
@@ -204,6 +208,8 @@ pub fn build_parallel(config: &WorkloadConfig, threads: usize) -> Workload {
     // generate each client's events in parallel from its private seed.
     let remaining = (config.target_events as f64 - truth.expected_periodic_events).max(0.0);
     let total_activity: f64 = clients.iter().map(|c| c.activity).sum();
+    // Home domains are drawn popularity-weighted, from one table.
+    let domain_weights = WeightedIndex::new(domains.iter().map(|d| d.popularity).collect());
     let plans: Vec<ClientPlan> = clients
         .iter()
         .enumerate()
@@ -215,6 +221,7 @@ pub fn build_parallel(config: &WorkloadConfig, threads: usize) -> Workload {
                 client,
                 budget,
                 &domains,
+                &domain_weights,
                 &mut universe,
                 &mut rng,
             )
@@ -222,17 +229,21 @@ pub fn build_parallel(config: &WorkloadConfig, threads: usize) -> Workload {
         .collect();
     drop(plan_span);
     let _generate_span = jcdn_obs::span!("workload.generate");
-    let per_client =
-        jcdn_exec::scatter_gather_labeled("workload.generate", plans.len(), threads, |i| {
-            generate_planned(&plans[i], config.duration)
+    let ranges = jcdn_exec::partition(plans.len(), threads);
+    let mut runs =
+        jcdn_exec::scatter_gather_labeled("workload.generate", ranges.len(), threads, |i| {
+            let mut run = Vec::new();
+            for plan in &plans[ranges[i].clone()] {
+                generate_planned(plan, config.duration, &mut run);
+            }
+            run.sort_unstable();
+            run
         });
-    for client_events in per_client {
-        events.extend(client_events);
-    }
-
-    // Total-order key: ties on (time, client, object) are broken by method
-    // so the final order never depends on the append order above.
-    events.sort_by_key(|e| (e.time, e.client, e.object, e.method));
+    periodic.sort_unstable();
+    runs.push(periodic);
+    // The order is total over every field, so the merged events never
+    // depend on how the plans were split.
+    let events = jcdn_exec::merge_sorted(runs);
 
     Workload {
         config: config.clone(),
@@ -740,11 +751,10 @@ struct ClientPlan {
     seed: u64,
 }
 
-/// Generates one planned client's events from its private RNG.
-fn generate_planned(plan: &ClientPlan, duration: SimDuration) -> Vec<RequestEvent> {
+/// Appends one planned client's events, generated from its private RNG.
+fn generate_planned(plan: &ClientPlan, duration: SimDuration, events: &mut Vec<RequestEvent>) {
     let mut rng = StdRng::seed_from_u64(plan.seed);
     let mut buffer: Vec<AppRequest> = Vec::new();
-    let mut events = Vec::new();
     if let Some(app) = &plan.manifest {
         app.generate(&mut rng, duration, &mut buffer);
         events.extend(buffer.iter().map(|r| to_event(plan.client, r)));
@@ -754,7 +764,6 @@ fn generate_planned(plan: &ClientPlan, duration: SimDuration) -> Vec<RequestEven
         api.generate(&mut rng, duration, &mut buffer);
         events.extend(buffer.iter().map(|r| to_event(plan.client, r)));
     }
-    events
 }
 
 /// Decides a client's apps on the main RNG stream (including creating its
@@ -767,6 +776,7 @@ fn plan_client_traffic(
     client: &ClientInfo,
     budget: f64,
     domains: &[DomainInfo],
+    domain_weights: &WeightedIndex,
     universe: &mut UniverseBuilder,
     rng: &mut StdRng,
 ) -> Option<ClientPlan> {
@@ -775,9 +785,6 @@ fn plan_client_traffic(
     }
     let duration = config.duration;
     let hours = duration.as_secs_f64() / 3600.0;
-
-    // Pick this client's home domains, popularity-weighted.
-    let domain_weights: Vec<f64> = domains.iter().map(|d| d.popularity).collect();
 
     let manifest_budget_share = match client.device {
         _ if client.is_browser => 0.75,
@@ -799,7 +806,7 @@ fn plan_client_traffic(
         // Find a content domain that has templates (popularity-weighted).
         let mut chosen: Option<(usize, usize)> = None;
         for _ in 0..32 {
-            let d = weighted_index(rng, &domain_weights).unwrap_or(0);
+            let d = domain_weights.sample(rng).unwrap_or(0);
             if !templates[d].is_empty() {
                 chosen = Some((d, rng.gen_range(0..templates[d].len())));
                 break;
@@ -875,7 +882,7 @@ fn plan_client_traffic(
             // client's whole traffic mix.
             let mut pool = Vec::new();
             for _ in 0..2 {
-                let d = weighted_index(rng, &domain_weights).unwrap_or(0);
+                let d = domain_weights.sample(rng).unwrap_or(0);
                 pool.extend_from_slice(&universe.api_pools[d]);
             }
             pool
@@ -978,11 +985,18 @@ mod tests {
 
     #[test]
     fn parallel_build_is_thread_count_invariant() {
-        let sequential = build(&WorkloadConfig::tiny(7));
-        for threads in [2, 4, 8] {
-            let parallel = build_parallel(&WorkloadConfig::tiny(7), threads);
-            assert_eq!(sequential.events, parallel.events, "{threads} threads");
-            assert_eq!(sequential.objects.len(), parallel.objects.len());
+        // Ten clients: the widest pools get more threads than plans.
+        let few = WorkloadConfig::tiny(7).scaled(0.01);
+        assert_eq!(few.clients, 10);
+        for config in [WorkloadConfig::tiny(7), few] {
+            let sequential = build(&config);
+            assert!(!sequential.is_empty());
+            for threads in [2, 3, 5, 64] {
+                let parallel = build_parallel(&config, threads);
+                let ctx = format!("{} clients, {threads} threads", config.clients);
+                assert_eq!(sequential.events, parallel.events, "{ctx}");
+                assert_eq!(sequential.objects.len(), parallel.objects.len(), "{ctx}");
+            }
         }
     }
 

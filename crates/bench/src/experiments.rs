@@ -801,13 +801,16 @@ pub fn abl_history(ctx: &Context) -> ExperimentResult {
 
 /// X6: ablation — a parent cache tier between edges and origin.
 pub fn abl_parent_tier(ctx: &Context) -> ExperimentResult {
-    use jcdn_cdnsim::run_default;
+    use jcdn_cdnsim::{run_default, CacheHierarchy};
     let workload = &ctx.short_term.workload;
     let flat = run_default(workload, &SimConfig::default()).stats;
     let tiered = run_default(
         workload,
         &SimConfig {
-            parent_cache: Some(1 << 30),
+            hierarchy: Some(CacheHierarchy::with_parent(
+                SimConfig::default().cache_capacity,
+                1 << 30,
+            )),
             ..SimConfig::default()
         },
     )

@@ -3,8 +3,8 @@
 //!
 //! [`PolicyCache`] owns residency — the key→slot map, sizes, expiry, the
 //! byte budget — and delegates *ordering* to an
-//! [`EvictionPolicy`](crate::policy::EvictionPolicy). [`LruCache`] is the
-//! LRU-defaulted alias; with the [`Lru`](crate::policy::Lru) policy the
+//! [`EvictionPolicy`](crate::policy::EvictionPolicy). [`PolicyCache::new`]
+//! builds an LRU cache; with the [`Lru`](crate::policy::Lru) policy the
 //! cache behaves byte-identically to the original intrusive-list
 //! implementation (locked in by the property suite in
 //! `tests/lru_properties.rs`).
@@ -103,11 +103,6 @@ pub struct PolicyCache<K: Eq + Hash + Copy + StableKey> {
     stats: CacheStats,
     policy: Box<dyn EvictionPolicy>,
 }
-
-/// The LRU-defaulted cache alias: `LruCache::new` builds a
-/// [`PolicyCache`] running the reference [`Lru`](crate::policy::Lru)
-/// policy, preserving the original type's name and behavior.
-pub type LruCache<K> = PolicyCache<K>;
 
 impl<K: Eq + Hash + Copy + StableKey> PolicyCache<K> {
     /// Creates an LRU cache bounded by `capacity` bytes.
@@ -320,7 +315,7 @@ mod tests {
 
     #[test]
     fn basic_hit_and_miss() {
-        let mut c: LruCache<u32> = LruCache::new(1000);
+        let mut c: PolicyCache<u32> = PolicyCache::new(1000);
         assert!(!c.get(1, t(0)));
         assert!(c.insert(1, 100, TTL, t(0), false));
         assert!(c.get(1, t(1)));
@@ -331,7 +326,7 @@ mod tests {
 
     #[test]
     fn lru_eviction_order() {
-        let mut c: LruCache<u32> = LruCache::new(300);
+        let mut c: PolicyCache<u32> = PolicyCache::new(300);
         c.insert(1, 100, TTL, t(0), false);
         c.insert(2, 100, TTL, t(1), false);
         c.insert(3, 100, TTL, t(2), false);
@@ -348,7 +343,7 @@ mod tests {
 
     #[test]
     fn ttl_expiry_counts_as_miss() {
-        let mut c: LruCache<u32> = LruCache::new(1000);
+        let mut c: PolicyCache<u32> = PolicyCache::new(1000);
         c.insert(1, 10, SimDuration::from_secs(30), t(0), false);
         assert!(c.get(1, t(29)));
         assert!(!c.get(1, t(30)), "expires at exactly t+ttl");
@@ -358,7 +353,7 @@ mod tests {
 
     #[test]
     fn refresh_updates_size_and_expiry() {
-        let mut c: LruCache<u32> = LruCache::new(1000);
+        let mut c: PolicyCache<u32> = PolicyCache::new(1000);
         c.insert(1, 100, SimDuration::from_secs(10), t(0), false);
         c.insert(1, 250, SimDuration::from_secs(100), t(5), false);
         assert_eq!(c.len(), 1);
@@ -368,7 +363,7 @@ mod tests {
 
     #[test]
     fn oversized_entries_rejected() {
-        let mut c: LruCache<u32> = LruCache::new(100);
+        let mut c: PolicyCache<u32> = PolicyCache::new(100);
         assert!(!c.insert(1, 101, TTL, t(0), false));
         assert!(c.is_empty());
         assert!(c.insert(2, 100, TTL, t(0), false));
@@ -376,7 +371,7 @@ mod tests {
 
     #[test]
     fn eviction_cascades_for_large_inserts() {
-        let mut c: LruCache<u32> = LruCache::new(100);
+        let mut c: PolicyCache<u32> = PolicyCache::new(100);
         for k in 0..10 {
             c.insert(k, 10, TTL, t(0), false);
         }
@@ -389,7 +384,7 @@ mod tests {
 
     #[test]
     fn remove_and_reuse_slots() {
-        let mut c: LruCache<u32> = LruCache::new(1000);
+        let mut c: PolicyCache<u32> = PolicyCache::new(1000);
         c.insert(1, 10, TTL, t(0), false);
         assert!(c.remove(1));
         assert!(!c.remove(1));
@@ -402,7 +397,7 @@ mod tests {
 
     #[test]
     fn prefetch_hit_accounting() {
-        let mut c: LruCache<u32> = LruCache::new(1000);
+        let mut c: PolicyCache<u32> = PolicyCache::new(1000);
         c.insert(1, 10, TTL, t(0), true);
         assert!(c.get(1, t(1)));
         assert_eq!(c.stats().prefetch_hits, 1);
@@ -414,7 +409,7 @@ mod tests {
 
     #[test]
     fn grace_window_serves_stale_then_expires() {
-        let mut c: LruCache<u32> = LruCache::new(1000);
+        let mut c: PolicyCache<u32> = PolicyCache::new(1000);
         c.insert(1, 10, SimDuration::from_secs(30), t(0), false);
         let grace = SimDuration::from_secs(60);
         assert_eq!(c.get_with_grace(1, t(29), grace), Lookup::Fresh);
@@ -431,7 +426,7 @@ mod tests {
 
     #[test]
     fn zero_grace_matches_plain_get() {
-        let mut c: LruCache<u32> = LruCache::new(1000);
+        let mut c: PolicyCache<u32> = PolicyCache::new(1000);
         c.insert(1, 10, SimDuration::from_secs(30), t(0), false);
         assert_eq!(
             c.get_with_grace(1, t(30), SimDuration::ZERO),
@@ -444,7 +439,7 @@ mod tests {
 
     #[test]
     fn peek_has_no_side_effects() {
-        let mut c: LruCache<u32> = LruCache::new(200);
+        let mut c: PolicyCache<u32> = PolicyCache::new(200);
         c.insert(1, 100, TTL, t(0), false);
         c.insert(2, 100, TTL, t(1), false);
         // Peeking 1 must NOT refresh it.
@@ -456,7 +451,7 @@ mod tests {
 
     #[test]
     fn occupancy_and_eviction_byte_gauges() {
-        let mut c: LruCache<u32> = LruCache::new(300);
+        let mut c: PolicyCache<u32> = PolicyCache::new(300);
         c.insert(1, 200, TTL, t(0), false);
         c.insert(2, 100, TTL, t(1), false);
         assert_eq!(c.stats().max_used_bytes, 300);

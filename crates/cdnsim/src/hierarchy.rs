@@ -76,8 +76,7 @@ impl TierSpec {
 pub enum Placement {
     /// Leave-copy-everywhere: an origin fetch populates the edge and every
     /// shared tier; a tier hit populates the edge and every tier closer
-    /// than the serving one. This is the classic CDN behavior and matches
-    /// the old `parent_cache` semantics.
+    /// than the serving one. This is the classic CDN behavior.
     #[default]
     CopyEverywhere,
     /// Leave-copy-down: an origin fetch populates only the deepest shared
@@ -140,8 +139,8 @@ impl CacheHierarchy {
         }
     }
 
-    /// The compat shape of the old `parent_cache` option: per-edge LRU
-    /// plus one shared LRU parent, leave-copy-everywhere.
+    /// A two-level stack: per-edge LRU plus one shared LRU parent,
+    /// leave-copy-everywhere.
     pub fn with_parent(edge_capacity: u64, parent_capacity: u64) -> CacheHierarchy {
         CacheHierarchy {
             edge: TierSpec::lru("edge", edge_capacity),

@@ -12,7 +12,7 @@
 //! logs, so their outputs are byte-identical.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Mutex;
 
 use jcdn_obs::metrics::{key, MetricsSnapshot};
@@ -31,7 +31,7 @@ use std::collections::HashMap;
 use crate::cache::{Lookup, PolicyCache};
 use crate::fault::{FaultPlan, FaultState, ResilienceConfig};
 use crate::hierarchy::{
-    flush_accesses, AccessKind, CacheHierarchy, Placement, SharedTier, TierAccess, MAX_SHARED_TIERS,
+    flush_accesses, AccessKind, CacheHierarchy, Placement, SharedTier, TierAccess,
 };
 use crate::latency::LatencyModel;
 
@@ -44,13 +44,8 @@ pub struct SimConfig {
     /// Per-edge cache capacity in bytes. Ignored when [`SimConfig::hierarchy`]
     /// is set (the hierarchy's edge tier wins).
     pub cache_capacity: u64,
-    /// Compat alias for a 2-level LRU hierarchy: when set (and
-    /// [`SimConfig::hierarchy`] is not), cacheable edge misses consult a
-    /// shared regional parent of this many bytes before the origin —
-    /// equivalent to [`CacheHierarchy::with_parent`].
-    pub parent_cache: Option<u64>,
     /// Full N-level cache hierarchy. Takes precedence over
-    /// [`SimConfig::cache_capacity`] and [`SimConfig::parent_cache`].
+    /// [`SimConfig::cache_capacity`].
     pub hierarchy: Option<CacheHierarchy>,
     /// Network delays.
     pub latency: LatencyModel,
@@ -82,7 +77,6 @@ impl Default for SimConfig {
         SimConfig {
             edges: 3,
             cache_capacity: 256 << 20,
-            parent_cache: None,
             hierarchy: None,
             latency: LatencyModel::default(),
             service_base: SimDuration::from_micros(200),
@@ -97,16 +91,12 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// The effective hierarchy: [`SimConfig::hierarchy`] when set, else the
-    /// `parent_cache` compat alias, else a single edge tier of
-    /// [`SimConfig::cache_capacity`] bytes.
+    /// The effective hierarchy: [`SimConfig::hierarchy`] when set, else a
+    /// single edge tier of [`SimConfig::cache_capacity`] bytes.
     pub fn resolved_hierarchy(&self) -> CacheHierarchy {
         match &self.hierarchy {
             Some(h) => h.clone(),
-            None => match self.parent_cache {
-                Some(cap) => CacheHierarchy::with_parent(self.cache_capacity, cap),
-                None => CacheHierarchy::single(self.cache_capacity),
-            },
+            None => CacheHierarchy::single(self.cache_capacity),
         }
     }
 }
@@ -169,7 +159,14 @@ impl Policy for NoopPolicy {
     }
 }
 
-/// Aggregate simulation statistics.
+/// Aggregate simulation statistics, and the simulator's one counter type.
+///
+/// During a run every event is counted once, where it happens, into a
+/// *tally*: the `SimStats` of one edge and one window bucket. A run's
+/// totals are the [`merge`][SimStats::merge] of its tallies, and its
+/// per-edge manifest counters and window rows are the same tallies keyed
+/// for the manifest. The latency summaries are the exception: they are
+/// recorded run-wide, in completion order.
 #[derive(Clone, Debug, Default)]
 pub struct SimStats {
     /// Requests served.
@@ -315,6 +312,49 @@ impl SimStats {
         self.coalesced_waits += other.coalesced_waits;
         self.origin_errors += other.origin_errors;
     }
+
+    /// Counts one attempt by the cache status it ended with: a hit, a
+    /// cacheable miss or an uncacheable request, plus its JSON twin.
+    fn count_outcome(&mut self, cache: CacheStatus, is_json: bool) {
+        let (all, json) = match cache {
+            CacheStatus::Hit => (&mut self.hits, &mut self.json_hits),
+            CacheStatus::Miss => (&mut self.misses, &mut self.json_misses),
+            CacheStatus::NotCacheable => (&mut self.not_cacheable, &mut self.json_not_cacheable),
+        };
+        self.requests += 1;
+        *all += 1;
+        if is_json {
+            self.json_requests += 1;
+            *json += 1;
+        }
+    }
+
+    /// Adds the manifest's counters into `snapshot`, labeled with `edge`
+    /// (`sim.hits{edge=0}`, `cache.tier_hits{edge=0,tier=1}`, …). Zero
+    /// counters create no keys, so per-edge subset runs merge to exactly
+    /// the combined run's snapshot.
+    fn record_into(&self, edge: usize, snapshot: &mut MetricsSnapshot) {
+        let e = edge as u64;
+        for (name, value) in [
+            ("sim.requests", self.requests),
+            ("sim.hits", self.hits),
+            ("sim.misses", self.misses),
+            ("sim.not_cacheable", self.not_cacheable),
+            ("sim.stale_serves", self.stale_serves),
+            ("sim.neg_cache_serves", self.neg_cache_serves),
+            ("sim.coalesced", self.coalesced_waits),
+            ("sim.retries", self.retries_issued),
+            ("sim.origin_errors", self.origin_errors),
+            ("sim.end_user_failures", self.end_user_failures),
+        ] {
+            snapshot.inc(&key(name, &[("edge", e)]), value);
+        }
+        for (t, (&hits, &misses)) in self.tier_hits.iter().zip(&self.tier_misses).enumerate() {
+            let labels = [("edge", e), ("tier", t as u64)];
+            snapshot.inc(&key("cache.tier_hits", &labels), hits);
+            snapshot.inc(&key("cache.tier_misses", &labels), misses);
+        }
+    }
 }
 
 /// Elementwise add, growing `into` to `from`'s length first.
@@ -349,121 +389,27 @@ pub struct SimOutput {
     pub series: Option<WindowedCounters>,
 }
 
-/// Per-edge counter deltas captured around one request completion, so the
-/// counters mirror `SimStats` exactly without re-instrumenting every
-/// branch of `complete_request`.
-#[derive(Clone, Copy, Default)]
-struct StatsMark {
-    hits: u64,
-    misses: u64,
-    not_cacheable: u64,
-    tier_hits: [u64; MAX_SHARED_TIERS],
-    tier_misses: [u64; MAX_SHARED_TIERS],
-    stale_serves: u64,
-    neg_cache_serves: u64,
-    coalesced_waits: u64,
-    retries_issued: u64,
-    origin_errors: u64,
-    end_user_failures: u64,
+/// A run's tallies: one [`SimStats`] per edge and window bucket.
+struct Tallies {
+    /// `per_edge[e]` maps a window bucket to edge `e`'s counters in it.
+    per_edge: Vec<BTreeMap<u64, SimStats>>,
+    window: Option<WindowSpec>,
+    /// A zeroed tally with one slot per shared tier.
+    empty: SimStats,
 }
 
-/// Copies a tier-count vector into the fixed mark array.
-fn tier_array(counts: &[u64]) -> [u64; MAX_SHARED_TIERS] {
-    let mut a = [0u64; MAX_SHARED_TIERS];
-    for (dst, src) in a.iter_mut().zip(counts) {
-        *dst = *src;
-    }
-    a
-}
-
-impl StatsMark {
-    fn capture(stats: &SimStats) -> StatsMark {
-        StatsMark {
-            hits: stats.hits,
-            misses: stats.misses,
-            not_cacheable: stats.not_cacheable,
-            tier_hits: tier_array(&stats.tier_hits),
-            tier_misses: tier_array(&stats.tier_misses),
-            stale_serves: stats.stale_serves,
-            neg_cache_serves: stats.neg_cache_serves,
-            coalesced_waits: stats.coalesced_waits,
-            retries_issued: stats.retries_issued,
-            origin_errors: stats.origin_errors,
-            end_user_failures: stats.end_user_failures,
-        }
-    }
-
-    /// Adds `stats - self` into `edge`'s counter tallies.
-    fn attribute(&self, stats: &SimStats, edge: &mut EdgeCounters) {
-        edge.requests += 1;
-        edge.hits += stats.hits - self.hits;
-        edge.misses += stats.misses - self.misses;
-        edge.not_cacheable += stats.not_cacheable - self.not_cacheable;
-        let now_hits = tier_array(&stats.tier_hits);
-        let now_misses = tier_array(&stats.tier_misses);
-        for t in 0..MAX_SHARED_TIERS {
-            edge.tier_hits[t] += now_hits[t] - self.tier_hits[t];
-            edge.tier_misses[t] += now_misses[t] - self.tier_misses[t];
-        }
-        edge.stale_serves += stats.stale_serves - self.stale_serves;
-        edge.neg_cache_serves += stats.neg_cache_serves - self.neg_cache_serves;
-        edge.coalesced_waits += stats.coalesced_waits - self.coalesced_waits;
-        edge.retries_issued += stats.retries_issued - self.retries_issued;
-        edge.origin_errors += stats.origin_errors - self.origin_errors;
-        edge.end_user_failures += stats.end_user_failures - self.end_user_failures;
-    }
-}
-
-/// One edge's observability tallies for the run manifest.
-#[derive(Clone, Copy, Default)]
-struct EdgeCounters {
-    requests: u64,
-    hits: u64,
-    misses: u64,
-    not_cacheable: u64,
-    tier_hits: [u64; MAX_SHARED_TIERS],
-    tier_misses: [u64; MAX_SHARED_TIERS],
-    stale_serves: u64,
-    neg_cache_serves: u64,
-    coalesced_waits: u64,
-    retries_issued: u64,
-    origin_errors: u64,
-    end_user_failures: u64,
-}
-
-impl EdgeCounters {
-    /// Converts the tallies into labeled snapshot counters. Zero-valued
-    /// counters create no keys, so per-edge subset runs merge to exactly
-    /// the combined run's snapshot.
-    fn record_into(&self, edge: usize, snapshot: &mut MetricsSnapshot) {
-        let e = edge as u64;
-        snapshot.inc(&key("sim.requests", &[("edge", e)]), self.requests);
-        snapshot.inc(&key("sim.hits", &[("edge", e)]), self.hits);
-        snapshot.inc(&key("sim.misses", &[("edge", e)]), self.misses);
-        snapshot.inc(
-            &key("sim.not_cacheable", &[("edge", e)]),
-            self.not_cacheable,
-        );
-        for (t, (&th, &tm)) in self.tier_hits.iter().zip(&self.tier_misses).enumerate() {
-            let t = t as u64;
-            snapshot.inc(&key("cache.tier_hits", &[("edge", e), ("tier", t)]), th);
-            snapshot.inc(&key("cache.tier_misses", &[("edge", e), ("tier", t)]), tm);
-        }
-        snapshot.inc(&key("sim.stale_serves", &[("edge", e)]), self.stale_serves);
-        snapshot.inc(
-            &key("sim.neg_cache_serves", &[("edge", e)]),
-            self.neg_cache_serves,
-        );
-        snapshot.inc(&key("sim.coalesced", &[("edge", e)]), self.coalesced_waits);
-        snapshot.inc(&key("sim.retries", &[("edge", e)]), self.retries_issued);
-        snapshot.inc(
-            &key("sim.origin_errors", &[("edge", e)]),
-            self.origin_errors,
-        );
-        snapshot.inc(
-            &key("sim.end_user_failures", &[("edge", e)]),
-            self.end_user_failures,
-        );
+impl Tallies {
+    /// The tally for an event on `edge` at simulated time `time`: the
+    /// window bucket of `time`, or bucket 0 when the run has no window.
+    /// No schedule can move a simulated time, so the tallies are the same
+    /// for any shard or thread count.
+    fn at(&mut self, edge: usize, time: SimTime) -> &mut SimStats {
+        let bucket = self
+            .window
+            .map_or(0, |spec| spec.bucket_of(time.as_micros()));
+        self.per_edge[edge]
+            .entry(bucket)
+            .or_insert_with(|| self.empty.clone())
     }
 }
 
@@ -564,25 +510,23 @@ impl Strings {
     }
 }
 
-/// The per-run simulation state: every edge's caches, queues and RNG
-/// streams, the event heap, the arrival cursor, and the shared-tier access
-/// log. Extracted from the old monolithic loop so the combined sequential
-/// run and the per-edge lockstep parallel run drive identical code.
+/// The per-run simulation state: every edge's caches, queues, RNG streams
+/// and counter tallies, the event heap, the arrival cursor, and the
+/// shared-tier access log. The combined sequential run and the per-edge
+/// lockstep parallel run drive identical code.
 struct Machine<'w> {
     workload: &'w Workload,
     config: &'w SimConfig,
     only_edge: Option<usize>,
     placement: Placement,
     edge_ttl_cap: Option<SimDuration>,
-    edge_counters: Vec<EdgeCounters>,
-    /// Per-edge, per-window tallies (bucket index → counters), filled only
-    /// when [`SimConfig::window`] is set. Buckets key off the attempt's
-    /// arrival time, so the tally is schedule-independent like
-    /// `edge_counters`.
-    window_tallies: Vec<std::collections::BTreeMap<u64, EdgeCounters>>,
+    tallies: Tallies,
+    /// End-to-end latency of `Normal` requests, in completion order.
+    latency_normal: Summary,
+    /// End-to-end latency of `Deprioritized` requests, in completion order.
+    latency_depri: Summary,
     rngs: Vec<StdRng>,
     fault_states: Vec<FaultState>,
-    stats: SimStats,
     edges: Vec<Edge>,
     trace: Trace,
     strings: &'w Strings,
@@ -605,11 +549,6 @@ impl<'w> Machine<'w> {
     ) -> Machine<'w> {
         assert!(config.edges > 0, "need at least one edge");
         let shared = hierarchy.shared.len();
-        let stats = SimStats {
-            tier_hits: vec![0; shared],
-            tier_misses: vec![0; shared],
-            ..SimStats::default()
-        };
         let trace = Trace::from_parts(
             strings.interner.clone(),
             Vec::with_capacity(workload.events.len()),
@@ -620,8 +559,17 @@ impl<'w> Machine<'w> {
             only_edge,
             placement: hierarchy.placement,
             edge_ttl_cap: hierarchy.edge.ttl_cap,
-            edge_counters: vec![EdgeCounters::default(); config.edges],
-            window_tallies: vec![std::collections::BTreeMap::new(); config.edges],
+            tallies: Tallies {
+                per_edge: vec![BTreeMap::new(); config.edges],
+                window: config.window,
+                empty: SimStats {
+                    tier_hits: vec![0; shared],
+                    tier_misses: vec![0; shared],
+                    ..SimStats::default()
+                },
+            },
+            latency_normal: Summary::default(),
+            latency_depri: Summary::default(),
             rngs: (0..config.edges)
                 .map(|e| StdRng::seed_from_u64(edge_seed(config.seed, e)))
                 .collect(),
@@ -631,7 +579,6 @@ impl<'w> Machine<'w> {
             fault_states: (0..config.edges)
                 .map(|e| FaultState::new(edge_seed(config.seed ^ 0xFAD7_5EED, e)))
                 .collect(),
-            stats,
             edges: (0..config.edges)
                 .map(|e| Edge {
                     cache: PolicyCache::with_policy(
@@ -741,10 +688,11 @@ impl<'w> Machine<'w> {
                         if !tobj.cacheable || self.edges[edge_idx].cache.peek(target, event.time) {
                             continue;
                         }
-                        self.stats.prefetch_issued += 1;
                         let size = tobj.sample_size(&mut self.rngs[edge_idx]);
-                        self.stats.bytes_origin += size;
-                        self.stats.origin_fetches += 1;
+                        let tally = self.tallies.at(edge_idx, event.time);
+                        tally.prefetch_issued += 1;
+                        tally.bytes_origin += size;
+                        tally.origin_fetches += 1;
                         let done = event.time
                             + config.latency.origin_fetch(size, &mut self.rngs[edge_idx]);
                         self.seq += 1;
@@ -783,7 +731,7 @@ impl<'w> Machine<'w> {
                     match ev {
                         InternalEvent::PrefetchDone { edge, object } => {
                             let obj = &workload.objects[object as usize];
-                            self.stats.prefetch_completed += 1;
+                            self.tallies.at(edge, now).prefetch_completed += 1;
                             // Insert only if still absent — a demand miss may
                             // have populated it meanwhile.
                             if !self.edges[edge].cache.peek(object, now) {
@@ -828,7 +776,6 @@ impl<'w> Machine<'w> {
                             else {
                                 continue;
                             };
-                            let mark = StatsMark::capture(&self.stats);
                             let mut tc = TierCtx {
                                 tiers,
                                 placement: self.placement,
@@ -837,7 +784,7 @@ impl<'w> Machine<'w> {
                                 eseq: &mut self.eseqs[edge],
                                 edge_idx: edge as u32,
                             };
-                            complete_request(
+                            let latency = complete_request(
                                 widx,
                                 attempt,
                                 arrival,
@@ -847,7 +794,7 @@ impl<'w> Machine<'w> {
                                 config,
                                 &mut self.edges[edge],
                                 &mut tc,
-                                &mut self.stats,
+                                self.tallies.at(edge, arrival),
                                 &mut self.trace,
                                 self.strings,
                                 &mut self.rngs[edge],
@@ -855,13 +802,9 @@ impl<'w> Machine<'w> {
                                 &mut self.heap,
                                 &mut self.seq,
                             );
-                            mark.attribute(&self.stats, &mut self.edge_counters[edge]);
-                            if let Some(spec) = &config.window {
-                                // Same delta, windowed: the bucket keys off
-                                // the attempt's simulated arrival time.
-                                let bucket = spec.bucket_of(arrival.as_micros());
-                                let tally = self.window_tallies[edge].entry(bucket).or_default();
-                                mark.attribute(&self.stats, tally);
+                            match priority {
+                                Priority::Normal => self.latency_normal.record(latency),
+                                Priority::Deprioritized => self.latency_depri.record(latency),
                             }
                             dispatch(
                                 &mut self.edges[edge],
@@ -879,41 +822,40 @@ impl<'w> Machine<'w> {
         }
     }
 
-    /// Folds edge-cache counters into the stats and metrics and produces
-    /// the output (trace canonically sorted). Shared-tier metrics are NOT
-    /// recorded here — the driver does that exactly once per run via
-    /// [`record_tier_metrics`].
+    /// Derives the run's outputs from its tallies: the stats are their
+    /// merge, the per-edge manifest counters and the window rows are their
+    /// [`SimStats::record_into`] keys. Adds the edge caches' prefetch hits
+    /// and telemetry, and sorts the trace canonically. Shared-tier metrics
+    /// are NOT recorded here: whichever loop owns the tiers records them
+    /// once per run via [`record_tier_metrics`].
     fn finish(mut self) -> SimOutput {
-        // Merge cache-level prefetch-hit counters.
-        for edge in &self.edges {
-            self.stats.prefetch_useful += edge.cache.stats().prefetch_hits;
-        }
-
         // Canonical total-order sort: the log is time-sorted and the order
         // of equal-time records never depends on edge interleaving, so
         // per-edge subset runs merge to exactly this log.
         self.trace.sort_canonical();
+        let mut stats = self.tallies.empty.clone();
         let mut metrics = MetricsSnapshot::default();
-        for (e, counters) in self.edge_counters.iter().enumerate() {
-            counters.record_into(e, &mut metrics);
-        }
-        for (e, edge) in self.edges.iter().enumerate() {
-            record_cache_metrics(&mut metrics, &[("edge", e as u64)], edge.cache.stats());
-        }
-        let series = self.config.window.as_ref().map(|spec| {
-            let mut series = WindowedCounters::new(*spec);
-            for (e, buckets) in self.window_tallies.iter().enumerate() {
-                for (&bucket, tally) in buckets {
-                    let mut snapshot = MetricsSnapshot::new();
-                    tally.record_into(e, &mut snapshot);
-                    series.merge_bucket(bucket, &snapshot);
+        let mut series = self.config.window.map(WindowedCounters::new);
+        for (e, buckets) in self.tallies.per_edge.iter().enumerate() {
+            for (&bucket, tally) in buckets {
+                stats.merge(tally);
+                tally.record_into(e, &mut metrics);
+                if let Some(series) = &mut series {
+                    let mut row = MetricsSnapshot::new();
+                    tally.record_into(e, &mut row);
+                    series.merge_bucket(bucket, &row);
                 }
             }
-            series
-        });
+        }
+        for (e, edge) in self.edges.iter().enumerate() {
+            stats.prefetch_useful += edge.cache.stats().prefetch_hits;
+            record_cache_metrics(&mut metrics, &[("edge", e as u64)], edge.cache.stats());
+        }
+        stats.latency_normal = self.latency_normal;
+        stats.latency_depri = self.latency_depri;
         SimOutput {
             trace: self.trace,
-            stats: self.stats,
+            stats,
             metrics,
             series,
         }
@@ -1240,6 +1182,9 @@ impl TierCtx<'_> {
     }
 }
 
+/// Serves one attempt at the end of its edge service, counting its events
+/// into `stats` (the tally of its edge and arrival bucket), and returns its
+/// end-to-end latency in seconds.
 #[allow(clippy::too_many_arguments)]
 fn complete_request(
     widx: usize,
@@ -1258,17 +1203,12 @@ fn complete_request(
     fault_state: &mut FaultState,
     heap: &mut BinaryHeap<Reverse<(SimTime, u64, InternalEvent)>>,
     seq: &mut u64,
-) {
+) -> f64 {
     let event = &workload.events[widx];
     let object = &workload.objects[event.object as usize];
     let res = &config.resilience;
     let size = object.sample_size(rng);
     let is_json = object.mime == MimeType::Json;
-
-    stats.requests += 1;
-    if is_json {
-        stats.json_requests += 1;
-    }
 
     let mut flags = RecordFlags::NONE;
     let mut response_bytes = size;
@@ -1285,10 +1225,6 @@ fn complete_request(
     };
 
     let (cache_status, network, status) = if !object.cacheable {
-        stats.not_cacheable += 1;
-        if is_json {
-            stats.json_not_cacheable += 1;
-        }
         let nominal = config.latency.miss_latency(size, rng);
         match attempt_origin(config, object.domain, now, nominal) {
             OriginAttempt::Reached { network } => {
@@ -1309,11 +1245,7 @@ fn complete_request(
             .get_with_grace(event.object, now, res.stale_grace)
         {
             Lookup::Fresh => {
-                stats.hits += 1;
                 stats.bytes_cache += size;
-                if is_json {
-                    stats.json_hits += 1;
-                }
                 let mut network = config.latency.hit_latency(size, rng);
                 if res.coalesce {
                     // The entry may have been inserted by a fetch that is
@@ -1352,19 +1284,11 @@ fn complete_request(
                     flags.insert(RecordFlags::NEG_CACHED);
                     if stale_available {
                         flags.insert(RecordFlags::SERVED_STALE);
-                        stats.hits += 1;
                         stats.stale_serves += 1;
                         stats.bytes_cache += size;
-                        if is_json {
-                            stats.json_hits += 1;
-                        }
                         let network = config.latency.hit_latency(size, rng);
                         (CacheStatus::Hit, network, 200)
                     } else {
-                        stats.misses += 1;
-                        if is_json {
-                            stats.json_misses += 1;
-                        }
                         response_bytes = 0;
                         (
                             CacheStatus::Miss,
@@ -1375,13 +1299,9 @@ fn complete_request(
                 } else if let Some(t) = served_tier {
                     // Tier hit: the origin is never involved. Misses at the
                     // tiers walked past, a hit at tier t.
-                    stats.misses += 1;
                     stats.tier_hits[t] += 1;
                     for miss in &mut stats.tier_misses[..t] {
                         *miss += 1;
-                    }
-                    if is_json {
-                        stats.json_misses += 1;
                     }
                     tc.record(now, t, event.object, AccessKind::Touch);
                     match tc.placement {
@@ -1436,12 +1356,8 @@ fn complete_request(
                     let nominal = config.latency.miss_latency(size, rng);
                     match attempt_origin(config, object.domain, now, nominal) {
                         OriginAttempt::Reached { network } => {
-                            stats.misses += 1;
                             for miss in &mut stats.tier_misses[..shared_tiers] {
                                 *miss += 1;
-                            }
-                            if is_json {
-                                stats.json_misses += 1;
                             }
                             stats.origin_fetches += 1;
                             stats.bytes_origin += size;
@@ -1506,21 +1422,13 @@ fn complete_request(
                                 // Stale-if-error: the expired copy beats a
                                 // 5xx.
                                 flags.insert(RecordFlags::SERVED_STALE);
-                                stats.hits += 1;
                                 stats.stale_serves += 1;
                                 stats.bytes_cache += size;
-                                if is_json {
-                                    stats.json_hits += 1;
-                                }
                                 let network = config.latency.hit_latency(size, rng);
                                 (CacheStatus::Hit, network, 200)
                             } else {
-                                stats.misses += 1;
                                 for miss in &mut stats.tier_misses[..shared_tiers] {
                                     *miss += 1;
-                                }
-                                if is_json {
-                                    stats.json_misses += 1;
                                 }
                                 response_bytes = 0;
                                 (CacheStatus::Miss, latency, status)
@@ -1531,13 +1439,7 @@ fn complete_request(
             }
         }
     };
-
-    // End-to-end latency: queueing + service (now - arrival) + network.
-    let latency = (now - arrival) + network;
-    match priority {
-        Priority::Normal => stats.latency_normal.record(latency.as_secs_f64()),
-        Priority::Deprioritized => stats.latency_depri.record(latency.as_secs_f64()),
-    }
+    stats.count_outcome(cache_status, is_json);
 
     // Client-side resilience: a failed attempt with retry budget left backs
     // off and re-enters the event queue as a fresh timestamped arrival.
@@ -1574,6 +1476,8 @@ fn complete_request(
         retries: attempt,
         flags,
     });
+    // End-to-end latency: queueing + service (now - arrival) + network.
+    ((now - arrival) + network).as_secs_f64()
 }
 
 #[cfg(test)]
@@ -1585,6 +1489,14 @@ mod tests {
     fn tiny_output() -> SimOutput {
         let w = build(&WorkloadConfig::tiny(0xFEED));
         run_default(&w, &SimConfig::default())
+    }
+
+    /// The default edge tier plus one shared LRU parent of `bytes`.
+    fn with_parent(bytes: u64) -> Option<CacheHierarchy> {
+        Some(CacheHierarchy::with_parent(
+            SimConfig::default().cache_capacity,
+            bytes,
+        ))
     }
 
     /// A 3-tier hierarchy (edge + regional + shield) mixing policies.
@@ -1725,11 +1637,12 @@ mod tests {
     fn sharded_run_log_holds_exactly_its_records() {
         let w = build(&WorkloadConfig::tiny(21));
         // With and without a shared tier: both parallel paths merge per-edge logs.
-        for parent_cache in [None, Some(64 << 20)] {
+        for hierarchy in [None, with_parent(64 << 20)] {
+            let shared = hierarchy.is_some();
             let config = SimConfig {
                 edges: 4,
                 error_fraction: 0.02,
-                parent_cache,
+                hierarchy,
                 ..SimConfig::default()
             };
             let out = run_sharded(&w, &config, 2);
@@ -1737,7 +1650,7 @@ mod tests {
             assert!(retries > 0, "retried attempts outnumber the events");
             let records = out.trace.into_parts().1;
             assert_eq!(records.len() as u64, w.events.len() as u64 + retries);
-            assert_eq!(records.capacity(), records.len(), "{parent_cache:?}");
+            assert_eq!(records.capacity(), records.len(), "shared tier: {shared}");
         }
     }
 
@@ -1757,7 +1670,7 @@ mod tests {
         assert_eq!(
             series.total().counters_json(),
             {
-                // Run totals restricted to the keys EdgeCounters emits
+                // Run totals restricted to the keys record_into emits
                 // (cache occupancy/eviction telemetry is not windowed).
                 let mut expected = MetricsSnapshot::new();
                 for (k, v) in sequential.metrics.counters() {
@@ -1780,23 +1693,61 @@ mod tests {
         }
     }
 
+    /// A 3-tier hierarchy (LRU edge, TinyLFU regional, S3-FIFO shield)
+    /// under an origin outage and a degradation, with serve-stale and
+    /// negative caching: every manifest counter moves.
+    fn tiered_faulted() -> SimConfig {
+        use crate::fault::{OriginDegradation, OriginOutage, Window};
+        let mut hierarchy = three_tier(PolicyKind::Lru, PolicyKind::TinyLfu);
+        hierarchy.shared[1].policy = PolicyKind::S3Fifo;
+        SimConfig {
+            hierarchy: Some(hierarchy),
+            error_fraction: 0.02,
+            fault: FaultPlan {
+                outages: vec![OriginOutage {
+                    domain: 0,
+                    window: Window::from_secs(60, 600),
+                }],
+                degradations: vec![OriginDegradation {
+                    domain: 1,
+                    window: Window::from_secs(30, 900),
+                    latency_factor: 50.0,
+                }],
+                ..FaultPlan::default()
+            },
+            resilience: ResilienceConfig {
+                stale_grace: SimDuration::from_secs(300),
+                negative_ttl: SimDuration::from_secs(30),
+                ..ResilienceConfig::default()
+            },
+            ..SimConfig::default()
+        }
+    }
+
     #[test]
     fn metrics_counters_mirror_sim_stats() {
-        let w = build(&WorkloadConfig::tiny(29));
-        let config = SimConfig {
-            edges: 3,
-            error_fraction: 0.02,
-            ..SimConfig::default()
-        };
-        let out = run_default(&w, &config);
-        let total = |name: &str| out.metrics.counter_prefix_sum(name);
-        assert_eq!(total("sim.requests{"), out.stats.requests);
-        assert_eq!(total("sim.hits{"), out.stats.hits);
-        assert_eq!(total("sim.misses{"), out.stats.misses);
-        assert_eq!(total("sim.stale_serves{"), out.stats.stale_serves);
-        assert_eq!(total("sim.coalesced{"), out.stats.coalesced_waits);
-        assert_eq!(total("sim.retries{"), out.stats.retries_issued);
-        assert_eq!(total("sim.origin_errors{"), out.stats.origin_errors);
+        let w = build(&WorkloadConfig::tiny(42));
+        let out = run_default(&w, &tiered_faulted());
+        let s = &out.stats;
+        for (name, field) in [
+            ("sim.requests", s.requests),
+            ("sim.hits", s.hits),
+            ("sim.misses", s.misses),
+            ("sim.not_cacheable", s.not_cacheable),
+            ("sim.stale_serves", s.stale_serves),
+            ("sim.neg_cache_serves", s.neg_cache_serves),
+            ("sim.coalesced", s.coalesced_waits),
+            ("sim.retries", s.retries_issued),
+            ("sim.origin_errors", s.origin_errors),
+            ("sim.end_user_failures", s.end_user_failures),
+        ] {
+            assert!(field > 0, "config leaves {name} at zero");
+            assert_eq!(
+                out.metrics.counter_prefix_sum(&format!("{name}{{")),
+                field,
+                "{name}"
+            );
+        }
         // More than one edge actually served traffic.
         let edges_hit = out
             .metrics
@@ -1809,20 +1760,29 @@ mod tests {
     #[test]
     fn tier_counters_mirror_sim_stats() {
         let w = build(&WorkloadConfig::tiny(31));
-        let config = SimConfig {
-            hierarchy: Some(three_tier(PolicyKind::Lru, PolicyKind::Lru)),
-            ..SimConfig::default()
+        let out = run_default(&w, &tiered_faulted());
+        let tier_sum = |name: &str, t: usize| {
+            let suffix = format!(",tier={t}}}");
+            out.metrics
+                .counters()
+                .filter(|(k, _)| k.starts_with(&format!("{name}{{edge=")) && k.ends_with(&suffix))
+                .map(|(_, v)| v)
+                .sum::<u64>()
         };
-        let out = run_default(&w, &config);
-        assert_eq!(
-            out.metrics.counter_prefix_sum("cache.tier_hits{"),
-            out.stats.parent_hits()
-        );
-        assert!(
-            out.metrics.counter_prefix_sum("cache.evictions{") >= out.stats.tier_hits.len() as u64
-                || out.metrics.counter_prefix_sum("cache.evictions{") == 0,
-            "eviction counters are well-formed"
-        );
+        assert_eq!(out.stats.tier_hits.len(), 2);
+        assert!(out.stats.parent_hits() > 0, "shared tiers see hits");
+        for t in 0..out.stats.tier_hits.len() {
+            assert_eq!(
+                tier_sum("cache.tier_hits", t),
+                out.stats.tier_hits[t],
+                "tier {t}"
+            );
+            assert_eq!(
+                tier_sum("cache.tier_misses", t),
+                out.stats.tier_misses[t],
+                "tier {t}"
+            );
+        }
     }
 
     #[test]
@@ -1832,7 +1792,7 @@ mod tests {
         // reproduce the sequential result byte for byte — no sequential
         // fallback anymore.
         let config = SimConfig {
-            parent_cache: Some(1 << 30),
+            hierarchy: with_parent(1 << 30),
             edges: 3,
             ..SimConfig::default()
         };
@@ -1878,26 +1838,6 @@ mod tests {
                 "{policy}"
             );
         }
-    }
-
-    #[test]
-    fn parent_alias_equals_explicit_two_level_hierarchy() {
-        let w = build(&WorkloadConfig::tiny(41));
-        let alias = SimConfig {
-            parent_cache: Some(1 << 28),
-            ..SimConfig::default()
-        };
-        let explicit = SimConfig {
-            hierarchy: Some(CacheHierarchy::with_parent(
-                SimConfig::default().cache_capacity,
-                1 << 28,
-            )),
-            ..SimConfig::default()
-        };
-        let a = run_default(&w, &alias);
-        let b = run_default(&w, &explicit);
-        assert_eq!(a.trace.records(), b.trace.records());
-        assert_eq!(a.stats.tier_hits, b.stats.tier_hits);
     }
 
     #[test]
@@ -2040,7 +1980,7 @@ mod tests {
         let tiered = run_default(
             &w,
             &SimConfig {
-                parent_cache: Some(1 << 30),
+                hierarchy: with_parent(1 << 30),
                 ..SimConfig::default()
             },
         );

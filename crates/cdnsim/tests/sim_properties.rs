@@ -2,8 +2,8 @@
 //! any seed and any topology.
 
 use jcdn_cdnsim::{
-    run_default, ErrorBursts, FaultPlan, OriginOutage, ResilienceConfig, SimConfig, SimDuration,
-    Window,
+    run_default, CacheHierarchy, ErrorBursts, FaultPlan, OriginOutage, ResilienceConfig, SimConfig,
+    SimDuration, Window,
 };
 use jcdn_trace::codec::encode;
 use jcdn_trace::{CacheStatus, RecordFlags};
@@ -36,7 +36,7 @@ proptest! {
         let workload = build(&WorkloadConfig::tiny(seed).scaled(0.2));
         let config = SimConfig {
             edges,
-            parent_cache: parent.then_some(1 << 28),
+            hierarchy: parent.then(|| CacheHierarchy::with_parent(SimConfig::default().cache_capacity, 1 << 28)),
             ..SimConfig::default()
         };
         let out = run_default(&workload, &config);

@@ -6,8 +6,8 @@
 //!
 //! * [`CharacterizationReport::compute`] — single pass over a [`Trace`],
 //! * [`CharacterizationReport::compute_sharded`] — per-shard partials of a
-//!   [`ShardedTrace`], accumulated on a [`jcdn_exec::scatter_gather`] pool
-//!   and merged in shard order,
+//!   [`ShardedTrace`], accumulated on a
+//!   [`jcdn_exec::scatter_gather_labeled`] pool and merged in shard order,
 //! * the manual route: [`CharacterizationReport::accumulate`] partials
 //!   yourself, [`merge`][CharacterizationReport::merge] them, then
 //!   [`finalize`][CharacterizationReport::finalize].
@@ -18,14 +18,12 @@
 //! count and thread count. The `shard_invariance` integration test holds
 //! the pipeline to that.
 
-use jcdn_obs::timeseries::WindowSpec;
 use jcdn_trace::{RecordStream, ShardedTrace, Trace};
 
 use crate::characterize::{
     AvailabilityBreakdown, CacheabilityHeatmap, CategoryProvider, ContentMix, DomainCacheability,
     RequestTypeBreakdown, ResponseTypeBreakdown, TrafficSourceBreakdown, UaClassTable,
 };
-use crate::series::{SeriesPartial, SeriesReport, DEFAULT_TOP_URLS};
 
 /// Default bucket count for the cacheability heatmap (Figure 4 uses ten
 /// 10%-wide cells).
@@ -125,32 +123,21 @@ impl CharacterizationReport {
     }
 
     /// Characterizes a sharded trace: one partial per shard, accumulated
-    /// on a `threads`-wide [`jcdn_exec::scatter_gather`] pool, merged in
-    /// shard order, finalized once. `threads <= 1` runs sequentially.
+    /// on a `threads`-wide [`jcdn_exec::scatter_gather_labeled`] pool,
+    /// merged in shard order, finalized once. `threads <= 1` runs
+    /// sequentially.
     pub fn compute_sharded(
         sharded: &ShardedTrace,
         provider: &(dyn CategoryProvider + Sync),
         threads: usize,
     ) -> Self {
-        let classes = UaClassTable::build(sharded.interner());
-        let accumulate_span = jcdn_obs::span!("characterize.accumulate");
-        let partials = jcdn_exec::scatter_gather_labeled(
-            "characterize.shards",
-            sharded.shard_count(),
-            threads,
-            |i| {
-                let mut partial = PartialReport::default();
-                partial.accumulate(&sharded.shard_stream(i), &classes, provider);
-                partial
-            },
-        );
-        drop(accumulate_span);
-        let _merge_span = jcdn_obs::span!("characterize.merge");
-        let mut total = PartialReport::default();
-        for partial in &partials {
-            total.merge(partial);
-        }
-        total.finalize(&classes, provider, HEATMAP_BUCKETS)
+        Self::compute_shards(sharded, provider, |accumulate| {
+            let shards = sharded.shard_count();
+            jcdn_exec::scatter_gather_labeled("characterize.shards", shards, threads, accumulate)
+                .into_iter()
+                .map(Some)
+                .collect()
+        })
     }
 
     /// Like [`compute_sharded`][Self::compute_sharded] but panic-isolated:
@@ -165,70 +152,47 @@ impl CharacterizationReport {
         provider: &(dyn CategoryProvider + Sync),
         threads: usize,
     ) -> (Self, ExecHealth) {
-        let classes = UaClassTable::build(sharded.interner());
-        let accumulate_span = jcdn_obs::span!("characterize.accumulate");
-        let gathered = jcdn_exec::scatter_gather_isolated(
-            "characterize.shards",
-            sharded.shard_count(),
-            threads,
-            |i| {
-                let mut partial = PartialReport::default();
-                partial.accumulate(&sharded.shard_stream(i), &classes, provider);
-                partial
-            },
-        );
-        drop(accumulate_span);
-        let _merge_span = jcdn_obs::span!("characterize.merge");
-        let mut total = PartialReport::default();
-        for partial in gathered.results.iter().flatten() {
-            total.merge(partial);
-        }
-        let health = ExecHealth {
-            task_panics: gathered.task_panics,
-            quarantined: gathered.quarantined,
-        };
-        (total.finalize(&classes, provider, HEATMAP_BUCKETS), health)
+        let mut health = ExecHealth::default();
+        let report = Self::compute_shards(sharded, provider, |accumulate| {
+            let shards = sharded.shard_count();
+            let gathered = jcdn_exec::scatter_gather_isolated(
+                "characterize.shards",
+                shards,
+                threads,
+                accumulate,
+            );
+            health = ExecHealth {
+                task_panics: gathered.task_panics,
+                quarantined: gathered.quarantined,
+            };
+            gathered.results
+        });
+        (report, health)
     }
 
-    /// [`compute_sharded`][Self::compute_sharded] plus the windowed §4
-    /// series: one scatter produces both a [`PartialReport`] and a
-    /// [`crate::series::SeriesPartial`] per shard, merged in shard order.
-    /// The series rows inherit the pipeline's determinism contract — they
-    /// serialize byte-identically for any shard and thread count (held by
-    /// the `obs_invariance` suite).
-    pub fn compute_sharded_with_series(
+    /// The sharded route: `gather` fans `accumulate` (one shard index to
+    /// its [`PartialReport`]) out over the shards; the partials it returns
+    /// merge in shard order, skipping `None` (quarantined) slots, and
+    /// finalize once.
+    fn compute_shards(
         sharded: &ShardedTrace,
         provider: &(dyn CategoryProvider + Sync),
-        threads: usize,
-        spec: WindowSpec,
-    ) -> (Self, SeriesReport) {
+        gather: impl FnOnce(&(dyn Fn(usize) -> PartialReport + Sync)) -> Vec<Option<PartialReport>>,
+    ) -> Self {
         let classes = UaClassTable::build(sharded.interner());
         let accumulate_span = jcdn_obs::span!("characterize.accumulate");
-        let partials = jcdn_exec::scatter_gather_labeled(
-            "characterize.shards",
-            sharded.shard_count(),
-            threads,
-            |i| {
-                let stream = sharded.shard_stream(i);
-                let mut partial = PartialReport::default();
-                partial.accumulate(&stream, &classes, provider);
-                let mut series = SeriesPartial::new(spec, DEFAULT_TOP_URLS);
-                series.accumulate(&stream);
-                (partial, series)
-            },
-        );
+        let partials = gather(&|i| {
+            let mut partial = PartialReport::default();
+            partial.accumulate(&sharded.shard_stream(i), &classes, provider);
+            partial
+        });
         drop(accumulate_span);
         let _merge_span = jcdn_obs::span!("characterize.merge");
         let mut total = PartialReport::default();
-        let mut series = SeriesPartial::new(spec, DEFAULT_TOP_URLS);
-        for (partial, shard_series) in &partials {
+        for partial in partials.iter().flatten() {
             total.merge(partial);
-            series.merge(shard_series);
         }
-        (
-            total.finalize(&classes, provider, HEATMAP_BUCKETS),
-            series.finalize(sharded.interner()),
-        )
+        total.finalize(&classes, provider, HEATMAP_BUCKETS)
     }
 
     /// The JSON:HTML request-count ratio, when the trace has HTML traffic.
@@ -317,42 +281,6 @@ mod tests {
         assert_eq!(isolated.heatmap, plain.heatmap);
         assert_eq!(isolated.availability, plain.availability);
         assert_eq!(isolated.mix, plain.mix);
-    }
-
-    #[test]
-    fn series_route_is_shard_and_thread_invariant() {
-        use crate::series::{SeriesReport, DEFAULT_TOP_URLS};
-        use jcdn_obs::timeseries::WindowSpec;
-
-        let whole = sample_trace();
-        let Ok(spec) = WindowSpec::parse("1m") else {
-            unreachable!("static spec parses");
-        };
-        let plain = CharacterizationReport::compute(&whole, &TokenCategoryProvider);
-        let single = SeriesReport::compute(&whole, spec, DEFAULT_TOP_URLS);
-        assert!(!single.rows.is_empty(), "trace spans at least one window");
-        let total_requests: u64 = single.rows.iter().map(|r| r.requests).sum();
-        assert_eq!(total_requests, whole.len() as u64);
-
-        let mut baseline = None;
-        for shard_count in [1usize, 2, 8] {
-            for threads in [1usize, 4] {
-                let sharded = ShardedTrace::from_trace(sample_trace(), shard_count);
-                let (report, series) = CharacterizationReport::compute_sharded_with_series(
-                    &sharded,
-                    &TokenCategoryProvider,
-                    threads,
-                    spec,
-                );
-                assert_eq!(report.mix, plain.mix, "{shard_count}x{threads}");
-                let rendered = series.to_jsonl();
-                assert_eq!(rendered, single.to_jsonl(), "{shard_count}x{threads}");
-                match &baseline {
-                    None => baseline = Some(rendered),
-                    Some(b) => assert_eq!(b, &rendered, "{shard_count}x{threads}"),
-                }
-            }
-        }
     }
 
     #[test]

@@ -6,11 +6,11 @@
 //! and gather the results back **in item order** so downstream merging is
 //! deterministic regardless of worker count or scheduling.
 //!
-//! [`scatter_gather`] is that shape: `std::thread::scope` for borrowing
-//! worker closures, crossbeam MPMC channels as the job queue, and an
-//! index-tagged result channel so out-of-order completion never reorders
-//! results. With `threads <= 1` it degrades to a plain sequential map —
-//! callers need no separate serial path.
+//! [`scatter_gather_labeled`] is that shape: `std::thread::scope` for
+//! borrowing worker closures, crossbeam MPMC channels as the job queue,
+//! and an index-tagged result channel so out-of-order completion never
+//! reorders results. With `threads <= 1` it degrades to a plain
+//! sequential map — callers need no separate serial path.
 //!
 //! ## Panic isolation
 //!
@@ -24,9 +24,8 @@
 //! * [`scatter_gather_isolated`] reports them explicitly — the result slot
 //!   stays `None` and the index lands in [`Gathered::quarantined`] so the
 //!   caller can finish with a partial result and say so.
-//! * [`scatter_gather`] / [`scatter_gather_labeled`] keep their historical
-//!   contract — if any item is still failing after the retry, the first
-//!   panic payload is re-raised on the calling thread.
+//! * [`scatter_gather_labeled`] re-raises the first panic payload on the
+//!   calling thread if any item is still failing after the retry.
 //!
 //! Both surface `task_panics` in the filed [`PoolReport`], so a run
 //! manifest shows every caught panic even when the retry recovered it.
@@ -41,23 +40,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use jcdn_obs::clock::Stopwatch;
 use jcdn_obs::metrics::Histogram;
 use jcdn_obs::pool::PoolReport;
-
-/// Runs `f(0..items)` on a pool of `threads` workers and returns the
-/// results indexed by item, exactly as `(0..items).map(f).collect()`
-/// would. Items are pulled from a shared queue, so uneven item costs
-/// balance across workers. A panicking item is retried once sequentially;
-/// if it panics again the original panic propagates to the caller.
-///
-/// Equivalent to [`scatter_gather_labeled`] with the label `"exec.pool"`;
-/// call sites in the pipeline pass a stage label so their pool reports
-/// are attributable.
-pub fn scatter_gather<T, F>(items: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    scatter_gather_labeled("exec.pool", items, threads, f)
-}
 
 /// Outcome of a panic-isolated fan-out ([`scatter_gather_isolated`]).
 ///
@@ -290,14 +272,43 @@ where
     run.worker_stats.push(stats);
 }
 
-/// [`scatter_gather`] with an attribution label. Every fan-out files a
-/// [`PoolReport`] (per-worker task counts, gather-queue high-water mark,
-/// task-latency histogram, caught-panic count) into the `jcdn-obs` pool
-/// sink, so a starved worker or a backed-up channel is visible in the run
-/// manifest instead of silent; with `jcdn_obs::pool::set_logging(true)`
-/// each fan-out also logs a one-line summary. The report is wall-clock
-/// perf data — the *results* stay deterministic for any thread count,
-/// exactly as before.
+/// One fan-out, shared by both panic contracts: the pool pass, the
+/// sequential retry of its failed items, and the filed [`PoolReport`].
+fn fan_out<T, F>(label: &'static str, items: usize, threads: usize, f: &F) -> PoolRun<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let wall = Stopwatch::start();
+    let mut run = pool_run(label, items, threads, f);
+    retry_quarantined(label, &mut run, f);
+    if items > 0 {
+        file_report(
+            label,
+            items,
+            &run.worker_stats,
+            run.high_water,
+            run.task_panics,
+            wall.elapsed_us(),
+        );
+    }
+    run
+}
+
+/// Runs `f(0..items)` on a pool of `threads` workers and returns the
+/// results indexed by item, exactly as `(0..items).map(f).collect()`
+/// would. Items are pulled from a shared queue, so uneven item costs
+/// balance across workers. For tasks that return `Result`, collect the
+/// output into `Result<Vec<_>, _>`: that stops at the lowest-indexed
+/// error, as a sequential loop would.
+///
+/// `label` attributes the fan-out. Every fan-out files a [`PoolReport`]
+/// (per-worker task counts, gather-queue high-water mark, task-latency
+/// histogram, caught-panic count) into the `jcdn-obs` pool sink, so a
+/// starved worker or a backed-up channel is visible in the run manifest
+/// instead of silent; with `jcdn_obs::pool::set_logging(true)` each
+/// fan-out also logs a one-line summary. The report is wall-clock perf
+/// data — the *results* stay deterministic for any thread count.
 ///
 /// Panic contract: a panicking item is retried once sequentially; if it
 /// panics both times, the first captured payload is re-raised here after
@@ -313,19 +324,7 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let wall = Stopwatch::start();
-    let mut run = pool_run(label, items, threads, &f);
-    retry_quarantined(label, &mut run, &f);
-    if items > 0 {
-        file_report(
-            label,
-            items,
-            run.worker_stats,
-            run.high_water,
-            run.task_panics,
-            wall.elapsed_us(),
-        );
-    }
+    let run = fan_out(label, items, threads, &f);
     if !run.quarantined.is_empty() {
         if let Some(payload) = run.first_panic {
             std::panic::resume_unwind(payload);
@@ -336,32 +335,6 @@ where
         // jcdn-lint: allow(D3) -- quarantined is empty here, so every slot was filled by the pool or the retry
         .map(|slot| slot.expect("every item produced a result"))
         .collect()
-}
-
-/// Fallible fan-out: [`scatter_gather_labeled`] for tasks returning
-/// `Result`. Every item runs (the pool does not cancel work in flight);
-/// if any failed, the error of the **lowest-indexed** failing item is
-/// returned — exactly what a sequential loop stopping at its first
-/// failure would report, so parallel callers keep deterministic,
-/// order-independent error behavior.
-pub fn try_scatter_gather_labeled<T, E, F>(
-    label: &'static str,
-    items: usize,
-    threads: usize,
-    f: F,
-) -> Result<Vec<T>, E>
-where
-    T: Send,
-    E: Send,
-    F: Fn(usize) -> Result<T, E> + Sync,
-{
-    let mut out = Vec::with_capacity(items);
-    // Results come back in item order, so the first `?` hit below is the
-    // lowest-indexed error.
-    for result in scatter_gather_labeled(label, items, threads, f) {
-        out.push(result?);
-    }
-    Ok(out)
 }
 
 /// Panic-isolated fan-out: like [`scatter_gather_labeled`] but instead of
@@ -378,19 +351,7 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let wall = Stopwatch::start();
-    let mut run = pool_run(label, items, threads, &f);
-    retry_quarantined(label, &mut run, &f);
-    if items > 0 {
-        file_report(
-            label,
-            items,
-            run.worker_stats,
-            run.high_water,
-            run.task_panics,
-            wall.elapsed_us(),
-        );
-    }
+    let run = fan_out(label, items, threads, &f);
     Gathered {
         results: run.results,
         task_panics: run.task_panics,
@@ -402,7 +363,7 @@ where
 fn file_report(
     label: &str,
     items: usize,
-    worker_stats: Vec<WorkerStats>,
+    worker_stats: &[WorkerStats],
     queue_high_water: u64,
     task_panics: u64,
     wall_us: u64,
@@ -501,7 +462,8 @@ mod tests {
     fn matches_sequential_map_for_any_thread_count() {
         let expected: Vec<u64> = (0..37).map(|i| (i as u64) * (i as u64)).collect();
         for threads in [0, 1, 2, 4, 16] {
-            let got = scatter_gather(37, threads, |i| (i as u64) * (i as u64));
+            let got =
+                scatter_gather_labeled("exec.test.map", 37, threads, |i| (i as u64) * (i as u64));
             assert_eq!(got, expected, "{threads} threads");
         }
     }
@@ -509,19 +471,22 @@ mod tests {
     #[test]
     fn borrows_environment() {
         let data: Vec<u64> = (0..100).collect();
-        let sums = scatter_gather(4, 2, |i| data[i * 25..(i + 1) * 25].iter().sum::<u64>());
+        let sums = scatter_gather_labeled("exec.test.borrow", 4, 2, |i| {
+            data[i * 25..(i + 1) * 25].iter().sum::<u64>()
+        });
         assert_eq!(sums.iter().sum::<u64>(), data.iter().sum::<u64>());
     }
 
     #[test]
     fn zero_items_is_empty() {
-        let out: Vec<u8> = scatter_gather(0, 4, |_| unreachable!("no items"));
+        let out: Vec<u8> =
+            scatter_gather_labeled("exec.test.empty", 0, 4, |_| unreachable!("no items"));
         assert!(out.is_empty());
     }
 
     #[test]
     fn uneven_item_costs_still_return_in_order() {
-        let got = scatter_gather(16, 4, |i| {
+        let got = scatter_gather_labeled("exec.test.uneven", 16, 4, |i| {
             // Early items sleep longest, so completion order inverts
             // submission order if the pool doesn't re-index results.
             std::thread::sleep(std::time::Duration::from_millis((16 - i) as u64));
@@ -634,23 +599,18 @@ mod tests {
     }
 
     #[test]
-    fn try_fan_out_returns_all_results_on_success() {
-        let got: Result<Vec<usize>, &str> =
-            try_scatter_gather_labeled("exec.test.try-ok", 9, 3, |i| Ok(i * 3));
-        assert_eq!(got.unwrap(), (0..9).map(|i| i * 3).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn try_fan_out_reports_the_lowest_indexed_error() {
+    fn collected_results_report_the_lowest_indexed_error() {
         for threads in [1, 4] {
             let got: Result<Vec<usize>, usize> =
-                try_scatter_gather_labeled("exec.test.try-err", 12, threads, |i| {
+                scatter_gather_labeled("exec.test.collect", 12, threads, |i| {
                     if i == 7 || i == 3 || i == 11 {
                         Err(i)
                     } else {
                         Ok(i)
                     }
-                });
+                })
+                .into_iter()
+                .collect();
             assert_eq!(got.unwrap_err(), 3, "{threads} threads");
         }
     }
@@ -658,7 +618,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn worker_panics_propagate() {
-        scatter_gather(8, 2, |i| {
+        scatter_gather_labeled("exec.test.panic", 8, 2, |i| {
             if i == 5 {
                 panic!("boom");
             }

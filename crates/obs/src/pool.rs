@@ -1,5 +1,5 @@
-//! Worker-pool observability: the reports `jcdn-exec::scatter_gather`
-//! files after every fan-out.
+//! Worker-pool observability: the reports `jcdn-exec`'s fan-outs file
+//! after every run.
 //!
 //! Before this module existed the pool was silent: a starved worker or a
 //! backed-up gather channel looked exactly like healthy parallelism. A
@@ -24,7 +24,7 @@ use crate::metrics::{Histogram, MetricsSnapshot};
 /// Maximum buffered reports; older reports are dropped (counted) past it.
 pub const SINK_CAPACITY: usize = 1024;
 
-/// What one `scatter_gather` fan-out did.
+/// What one `jcdn-exec` fan-out did.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PoolReport {
     /// Call-site label (`"workload.generate"`, `"sim.edges"`, …).

@@ -362,7 +362,7 @@ fn permutation_thresholds(
             })
             .collect()
     };
-    let results = jcdn_exec::scatter_gather(threads, threads, worker).concat();
+    let results = jcdn_exec::scatter_gather_labeled("exec.pool", threads, threads, worker).concat();
 
     let mut powers: Vec<f64> = results.iter().map(|&(p, _)| p).collect();
     let mut acfs: Vec<f64> = results.iter().map(|&(_, a)| a).collect();

@@ -800,16 +800,19 @@ pub(crate) fn shard_bases(shards: &[&[LogRecord]]) -> (Vec<usize>, Vec<Option<Si
     (bases, prevs)
 }
 
-/// Encodes one frame per record slice, fanning out on the exec pool.
+/// Encodes one frame per record slice, fanning out on the exec pool. On
+/// failure returns the lowest-indexed slice's error.
 pub(crate) fn encode_shard_frames(
     shards: &[&[LogRecord]],
     threads: usize,
 ) -> Result<Vec<EncodedFrame>, EncodeError> {
     let (bases, prevs) = shard_bases(shards);
-    jcdn_exec::try_scatter_gather_labeled("codec.encode", shards.len(), threads, |i| {
+    jcdn_exec::scatter_gather_labeled("codec.encode", shards.len(), threads, |i| {
         let mut last_time = prevs[i];
         encode_frame(shards[i], bases[i], &mut last_time, i)
     })
+    .into_iter()
+    .collect()
 }
 
 /// Encodes tables plus one frame per record slice. `shards` must together

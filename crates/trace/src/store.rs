@@ -436,13 +436,14 @@ impl<'c> StoreWriter<'c> {
         let todo: Vec<usize> = (0..shards.len())
             .filter(|&i| !self.shard_committed(i))
             .collect();
-        let frames =
-            jcdn_exec::try_scatter_gather_labeled("store.encode", todo.len(), threads, |k| {
-                let i = todo[k];
-                let mut last_time = prevs[i];
-                codec::encode_frame(shards[i], bases[i], &mut last_time, i)
-            })
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+        let frames = jcdn_exec::scatter_gather_labeled("store.encode", todo.len(), threads, |k| {
+            let i = todo[k];
+            let mut last_time = prevs[i];
+            codec::encode_frame(shards[i], bases[i], &mut last_time, i)
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
         let mut fresh = frames.into_iter();
         for i in 0..shards.len() {
             if self.shard_committed(i) {

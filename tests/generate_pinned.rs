@@ -7,11 +7,15 @@
 //! RNG draw, a different tie-break in a merge) passes them. These digests
 //! catch that: they were taken from the implementation this suite was
 //! written against, and any change to the events, the object URLs, the
-//! simulator's integer counters, its metrics snapshot or the encoded shard
-//! bytes fails here.
+//! simulator's integer counters, its metrics snapshot, its windowed series
+//! or the encoded shard bytes fails here.
 
-use jcdn::cdnsim::{SimConfig, SimStats};
+use jcdn::cdnsim::{
+    CacheHierarchy, FaultPlan, OriginDegradation, OriginOutage, PolicyKind, ResilienceConfig,
+    SimConfig, SimDuration, SimStats, TierSpec, Window,
+};
 use jcdn::core::dataset::simulate_workload_parallel;
+use jcdn::obs::timeseries::WindowSpec;
 use jcdn::trace::codec::encode_sharded_parallel;
 use jcdn::trace::ShardedTrace;
 use jcdn::workload::{build_parallel, Workload, WorkloadConfig};
@@ -36,7 +40,8 @@ impl Fnv {
 }
 
 /// Digests of one run: workload events and object URLs, the `SimStats`
-/// integer counters, the sim metrics snapshot, and the 8-shard v4 bytes.
+/// integer counters, the sim metrics snapshot (with the windowed series
+/// when the run has one), and the 8-shard v4 bytes.
 #[derive(Debug, PartialEq, Eq)]
 struct Digests {
     workload: u64,
@@ -99,15 +104,18 @@ fn stats_digest(s: &SimStats) -> u64 {
     h.0
 }
 
-fn run(config: &WorkloadConfig, threads: usize) -> Digests {
+fn run(config: &WorkloadConfig, sim: &SimConfig, threads: usize) -> Digests {
     let workload = build_parallel(config, threads);
     let workload_digest = workload_digest(&workload);
-    let data = simulate_workload_parallel(workload, &SimConfig::default(), threads);
+    let data = simulate_workload_parallel(workload, sim, threads);
     // Retried attempts add records: the log must outnumber the events.
     assert!(data.stats.retries_issued > 0, "config exercises no retries");
     let mut metrics = Fnv::new();
     metrics.bytes(data.metrics.counters_json().as_bytes());
     metrics.bytes(data.metrics.perf_json().as_bytes());
+    if let Some(series) = &data.series {
+        metrics.bytes(series.to_jsonl("sim").as_bytes());
+    }
     let stats = stats_digest(&data.stats);
     let sharded = ShardedTrace::from_trace(data.trace, 8);
     let encoded = encode_sharded_parallel(&sharded, threads).expect("own trace encodes");
@@ -121,10 +129,10 @@ fn run(config: &WorkloadConfig, threads: usize) -> Digests {
     }
 }
 
-fn assert_pinned(config: WorkloadConfig, pinned: Digests) {
+fn assert_pinned(config: WorkloadConfig, sim: &SimConfig, pinned: Digests) {
     for threads in [1, 2, 3] {
         assert_eq!(
-            run(&config, threads),
+            run(&config, sim, threads),
             pinned,
             "{} (seed {}) at {threads} thread(s)",
             config.name,
@@ -137,6 +145,7 @@ fn assert_pinned(config: WorkloadConfig, pinned: Digests) {
 fn tiny_output_is_pinned() {
     assert_pinned(
         WorkloadConfig::tiny(11),
+        &SimConfig::default(),
         Digests {
             workload: 0x0a4d_9d8c_3dff_08bf,
             stats: 0x5a0a_d831_24e5_3733,
@@ -150,6 +159,7 @@ fn tiny_output_is_pinned() {
 fn short_term_output_is_pinned() {
     assert_pinned(
         WorkloadConfig::short_term(12).scaled(0.05),
+        &SimConfig::default(),
         Digests {
             workload: 0x4d8b_38b9_66aa_1270,
             stats: 0x7e32_bc5f_0435_9b27,
@@ -163,11 +173,76 @@ fn short_term_output_is_pinned() {
 fn long_term_output_is_pinned() {
     assert_pinned(
         WorkloadConfig::long_term(13).scaled(0.05),
+        &SimConfig::default(),
         Digests {
             workload: 0x343c_1c1e_05d7_1a42,
             stats: 0xafd4_e9fe_e068_a2ea,
             metrics: 0xf090_0fb9_a852_6759,
             v4: 0xd9df_70f0_82fb_bd7f,
+        },
+    );
+}
+
+/// A three-tier hierarchy (LRU edge, TinyLFU regional, S3-FIFO shield), an
+/// origin outage and a degradation, serve-stale and negative caching, and a
+/// 60 s window: the counters the default config leaves at zero.
+fn tiered_faulted_windowed() -> SimConfig {
+    let mut hierarchy = CacheHierarchy::single(4 << 20);
+    hierarchy.shared = vec![
+        TierSpec::lru("regional", 16 << 20).with_policy(PolicyKind::TinyLfu),
+        TierSpec::lru("shield", 64 << 20).with_policy(PolicyKind::S3Fifo),
+    ];
+    SimConfig {
+        hierarchy: Some(hierarchy),
+        fault: FaultPlan {
+            outages: vec![OriginOutage {
+                domain: 0,
+                window: Window::from_secs(60, 600),
+            }],
+            degradations: vec![OriginDegradation {
+                domain: 1,
+                window: Window::from_secs(30, 900),
+                latency_factor: 50.0,
+            }],
+            ..FaultPlan::default()
+        },
+        resilience: ResilienceConfig {
+            stale_grace: SimDuration::from_secs(300),
+            negative_ttl: SimDuration::from_secs(30),
+            ..ResilienceConfig::default()
+        },
+        window: WindowSpec::parse("60s").ok(),
+        ..SimConfig::default()
+    }
+}
+
+#[test]
+fn tiered_faulted_windowed_output_is_pinned() {
+    let config = WorkloadConfig::tiny(42).scaled(0.25);
+    let sim = tiered_faulted_windowed();
+    let data = simulate_workload_parallel(build_parallel(&config, 1), &sim, 1);
+    assert!(
+        data.stats.parent_hits() > 0,
+        "config exercises no tier hits"
+    );
+    assert!(
+        data.stats.stale_serves > 0,
+        "config exercises no stale serves"
+    );
+    assert!(
+        data.stats.neg_cache_serves > 0,
+        "config exercises no negative-cache serves"
+    );
+    let windows = data.series.as_ref().map_or(0, |s| s.buckets().count());
+    assert!(windows >= 2, "config spans {windows} window(s)");
+    assert_pinned(
+        config,
+        &sim,
+        Digests {
+            workload: 0x59f0_87b4_87e4_9594,
+            stats: 0x69cc_6b19_15e6_8aed,
+            metrics: 0x7d06_ecb7_16c4_b6e0,
+            v4: 0x2a8a_41f6_4dc3_9e02,
         },
     );
 }

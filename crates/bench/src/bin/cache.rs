@@ -9,9 +9,9 @@
 //!
 //! Every policy sees the *same* access sequence (seeded Zipf over a fixed
 //! object universe, log-normal-ish mixed sizes), so hit rates are directly
-//! comparable across policies and across runs. As with the pipeline
-//! baseline, the committed artifact is a reference shape, not a CI gate:
-//! ops/sec moves with hardware, hit rates do not.
+//! comparable across policies and across runs. The committed artifact is
+//! a reference shape, not a CI gate: ops/sec moves with hardware, hit
+//! rates do not.
 
 use std::process::ExitCode;
 

@@ -1,8 +1,10 @@
-//! # jcdn-bench — reproduction experiments and benchmarks
+//! # jcdn-bench — reproduction experiments
 //!
 //! One function per table/figure of the paper (see `DESIGN.md`'s experiment
-//! index). The `repro` binary prints paper-vs-measured comparisons; the
-//! Criterion benches in `benches/` time the underlying analyses.
+//! index). The `repro` binary prints paper-vs-measured comparisons. The
+//! `cache` binary records eviction-policy hit rates and the `lint` binary
+//! the linter's time budget; speed is measured by the repository
+//! benchmark, `perfbench/` (see `BENCHMARK.json`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

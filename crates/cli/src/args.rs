@@ -61,9 +61,14 @@ commands:
                                                 deterministic-counter
                                                 divergence exits 1, perf is
                                                 reported as deltas only
-                  bench-diff <base> [<current>] compare BENCH_*.json files
-                                                direction-aware; warn-only
-                                                unless --max-regress PCT
+                  bench-diff <BENCHMARK.json> <base> <change>
+                                                compare perfbench result
+                                                lines (one run per line) by
+                                                median; exits 1 only when an
+                                                end-to-end metric is worse
+                                                beyond its bound or the
+                                                change's failed share is
+                                                higher
 
 observability (every command):
   --obs off|summary|full     stderr run summary (default off)

@@ -1,6 +1,7 @@
 //! `jcdn obs` — inspect and compare observability artifacts.
 //!
-//! Three inspection verbs over the JSON files the other commands emit:
+//! Three inspection verbs over the JSON files the program and its
+//! benchmark emit:
 //!
 //! * `jcdn obs show <manifest.json>` — pretty-print a run manifest:
 //!   params, deterministic counters, and a perf summary.
@@ -8,11 +9,13 @@
 //!   deterministic `counters` section must match exactly — any divergence
 //!   is listed and the command exits 1 (that is the CI determinism gate).
 //!   The `perf` section is reported as deltas, never gated.
-//! * `jcdn obs bench-diff <baseline.json> [<current.json>]` — compare two
-//!   `BENCH_*.json` files direction-aware (`*_us` and `peak_rss_kb`
-//!   lower-is-better, `*_per_sec` higher-is-better). Warn-only by
-//!   default; `--max-regress PCT` turns regressions beyond the threshold
-//!   into exit 1.
+//! * `jcdn obs bench-diff <BENCHMARK.json> <base> <change>` — compare two
+//!   files of perfbench result lines (one run per line), metric by metric,
+//!   median against median. `BENCHMARK.json` gives each metric's order,
+//!   direction (`better`) and, for the end-to-end ones, its `bound`. Exits
+//!   1 only when an end-to-end metric is worse beyond its bound, or when
+//!   the change's failed share of passes is higher; per-layer metrics are
+//!   printed and never gate.
 //!
 //! All parsing goes through `jcdn-json` — the workspace's own parser —
 //! so the command adds no dependency.
@@ -154,106 +157,136 @@ fn diff(argv: &[String]) -> Result<Outcome, String> {
     Ok(Outcome::Clean)
 }
 
-/// Whether a benchmark metric is better when lower (`*_us` timings,
-/// `peak_rss_kb`, `encoded_bytes`) or when higher (`*_per_sec` rates).
-/// Non-metrics (seeds, shard counts, record counts) are compared for
-/// context only.
-fn direction(key: &str) -> Option<bool> {
-    if key.ends_with("_us") || key == "peak_rss_kb" || key == "encoded_bytes" {
-        Some(true) // lower is better
-    } else if key.ends_with("_per_sec") {
-        Some(false) // higher is better
-    } else {
-        None
+/// One side's perfbench result lines, pooled: the pass counts and every
+/// line's value of each metric.
+#[derive(Default)]
+struct Runs {
+    lines: usize,
+    attempted: u64,
+    failed: u64,
+    metrics: BTreeMap<String, Vec<f64>>,
+}
+
+impl Runs {
+    fn load(path: &str) -> Result<Runs, String> {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+        let mut runs = Runs::default();
+        for (i, line) in text.lines().enumerate() {
+            let at = format!("{path}:{}", i + 1);
+            let run = parse(line).map_err(|e| format!("{at}: {e}"))?;
+            let count = |key| run.get(key).and_then(Value::as_u64);
+            let (Some(metrics), Some(attempted), Some(failed)) = (
+                run.get("metrics").and_then(Value::as_object),
+                count("attempted"),
+                count("failed"),
+            ) else {
+                return Err(format!(
+                    "{at}: no \"metrics\" object with \"attempted\" and \"failed\" counts"
+                ));
+            };
+            runs.lines += 1;
+            runs.attempted += attempted;
+            runs.failed += failed;
+            for (name, metric) in metrics.iter() {
+                let value = metric.get("value").and_then(Value::as_f64);
+                let value =
+                    value.ok_or_else(|| format!("{at}: {name} has no numeric \"value\""))?;
+                runs.metrics.entry(name.into()).or_default().push(value);
+            }
+        }
+        if runs.lines == 0 {
+            return Err(format!("{path}: no result lines"));
+        }
+        Ok(runs)
+    }
+
+    /// The median of `name` over the lines that report it.
+    fn median(&self, name: &str) -> Option<f64> {
+        let mut values = self.metrics.get(name)?.clone();
+        values.sort_by(f64::total_cmp);
+        let mid = values.len() / 2;
+        Some(if values.len() % 2 == 1 {
+            values[mid]
+        } else {
+            (values[mid - 1] + values[mid]) / 2.0
+        })
     }
 }
 
 fn bench_diff(argv: &[String]) -> Result<Outcome, String> {
-    let args = Args::parse(argv, &["max-regress"])?;
-    let max_regress: Option<f64> = match args.maybe("max-regress") {
-        Some(raw) => Some(
-            raw.parse()
-                .map_err(|_| format!("--max-regress: cannot parse {raw:?}"))?,
-        ),
-        None => None,
+    let args = Args::parse(argv, &[])?;
+    let [spec_path, base_path, change_path] = args.positionals() else {
+        return Err("usage: jcdn obs bench-diff <BENCHMARK.json> <base> <change>".into());
     };
-    let (base_path, cur_path) = match args.positionals() {
-        [base] => (base.as_str(), None),
-        [base, cur] => (base.as_str(), Some(cur.as_str())),
-        _ => {
-            return Err(
-                "usage: jcdn obs bench-diff <baseline.json> [<current.json>] \
-                 [--max-regress PCT]"
-                    .into(),
-            )
-        }
-    };
-    let base = load(base_path)?;
-    let base_metrics = top_level_u64(&base);
-
-    let Some(cur_path) = cur_path else {
-        // Single-file mode: print the baseline (the warn-only CI step runs
-        // this when no fresh benchmark is available).
-        println!("baseline: {base_path}");
-        for (key, n) in &base_metrics {
-            println!("  {key:<32} {n}");
-        }
-        return Ok(Outcome::Clean);
-    };
-    let cur = load(cur_path)?;
-    let cur_metrics = top_level_u64(&cur);
-
-    let mut worst_regress = 0.0f64;
-    let mut regressions = 0usize;
-    for (key, &base_value) in &base_metrics {
-        let Some(&cur_value) = cur_metrics.get(key) else {
-            continue;
-        };
-        let Some(lower_is_better) = direction(key) else {
-            if base_value != cur_value {
-                println!("context {key}: {base_value} -> {cur_value}");
+    let spec = load(spec_path)?;
+    let (base, change) = (Runs::load(base_path)?, Runs::load(change_path)?);
+    println!(
+        "medians: base {base_path} ({} run(s)), change {change_path} ({} run(s))",
+        base.lines, change.lines
+    );
+    println!(
+        "{:<38} {:>14} {:>14} {:>8} {:>6}  verdict",
+        "metric", "base", "change", "delta", "bound"
+    );
+    let mut problems = Vec::new();
+    for section in ["end_to_end", "per_layer"] {
+        let declared = spec.get(section).and_then(Value::as_array);
+        for metric in declared.ok_or_else(|| format!("{spec_path}: no {section:?} array"))? {
+            let field = |key| metric.get(key).and_then(Value::as_str).unwrap_or_default();
+            let name = field("name");
+            let gated = section == "end_to_end";
+            let (b, c) = match (base.median(name), change.median(name)) {
+                (Some(b), Some(c)) => (b, c),
+                // Untraced runs carry no per-layer metrics.
+                _ if !gated => continue,
+                (None, _) => return Err(format!("{base_path}: no run reports {name}")),
+                (Some(_), None) => return Err(format!("{change_path}: no run reports {name}")),
+            };
+            let worse_by = match field("better") {
+                "lower" => c - b,
+                "higher" => b - c,
+                other => return Err(format!("{spec_path}: {name} is better {other:?}")),
+            };
+            let bound = match (gated, metric.get("bound").and_then(Value::as_f64)) {
+                (false, _) => None,
+                (true, Some(bound)) => Some(bound),
+                (true, None) => return Err(format!("{spec_path}: {name} has no bound")),
+            };
+            let beyond = bound.is_some_and(|bound| worse_by > bound * b.abs());
+            if beyond {
+                problems.push(format!("{name} is worse beyond its bound"));
             }
-            continue;
-        };
-        if base_value == 0 {
-            continue;
-        }
-        // jcdn-lint: allow(D4) -- display-only percentage, not merged state
-        let change = (cur_value as f64 - base_value as f64) / base_value as f64 * 100.0;
-        let regress = if lower_is_better { change } else { -change };
-        let marker = if regress > 0.5 {
-            regressions += 1;
-            worst_regress = worst_regress.max(regress);
-            " <-- regression"
-        } else {
-            ""
-        };
-        println!("{key:<32} {base_value:>12} -> {cur_value:>12} ({change:+.1}%){marker}");
-    }
-    if regressions > 0 {
-        println!("{regressions} metric(s) regressed (worst {worst_regress:.1}%)");
-    } else {
-        println!("no regressions against {base_path}");
-    }
-    if let Some(limit) = max_regress {
-        if worst_regress > limit {
-            return Err(format!(
-                "benchmark regression {worst_regress:.1}% exceeds --max-regress {limit}%"
-            ));
+            let verdict = match worse_by {
+                _ if beyond => "WORSE BEYOND BOUND",
+                w if w > 0.0 => "worse",
+                w if w < 0.0 => "better",
+                _ => "same",
+            };
+            let delta = if b == 0.0 {
+                "n/a".to_string()
+            } else {
+                format!("{:+.1}%", (c - b) / b.abs() * 100.0)
+            };
+            let bound = bound.map_or("-".to_string(), |bound| format!("{:.0}%", bound * 100.0));
+            let name = format!("{name} ({})", field("unit"));
+            println!("{name:<38} {b:>14.4} {c:>14.4} {delta:>8} {bound:>6}  {verdict}");
         }
     }
+
+    println!(
+        "failed passes: base {}/{}, change {}/{}",
+        base.failed, base.attempted, change.failed, change.attempted
+    );
+    // change.failed / change.attempted > base.failed / base.attempted,
+    // cross-multiplied so that it stays exact.
+    if u128::from(change.failed) * u128::from(base.attempted)
+        > u128::from(base.failed) * u128::from(change.attempted)
+    {
+        problems.push("the change's failed share is higher".to_string());
+    }
+    if !problems.is_empty() {
+        return Err(problems.join("; "));
+    }
+    println!("no end-to-end metric worse beyond its bound; failed share not higher");
     Ok(Outcome::Clean)
-}
-
-/// The numeric top-level fields of a benchmark JSON file.
-fn top_level_u64(value: &Value) -> BTreeMap<String, u64> {
-    let mut out = BTreeMap::new();
-    if let Some(object) = value.as_object() {
-        for (key, entry) in object.iter() {
-            if let Some(n) = entry.as_u64() {
-                out.insert(key.to_string(), n);
-            }
-        }
-    }
-    out
 }

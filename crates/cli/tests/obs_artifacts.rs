@@ -241,69 +241,111 @@ fn obs_diff_exit_codes_follow_the_determinism_contract() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The repository's benchmark declaration, which `bench-diff` reads.
+fn benchmark_json() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCHMARK.json")
+}
+
+/// Three untraced perfbench result lines with these `wall_s` values, then
+/// one traced line with two per-layer metrics and `failed` failed passes.
+fn runs(wall_s: [f64; 3], failed: u64, build_s: f64, hit_ratio: f64) -> String {
+    let line = |failed: u64, metrics: String| {
+        format!(
+            r#"{{"correct": true, "attempted": 20, "failed": {failed}, "metrics": {{{metrics}}}}}"#
+        ) + "\n"
+    };
+    let mut text: String = wall_s
+        .iter()
+        .map(|w| line(0, format!(r#""wall_s": {{"value": {w:?}, "unit": "s"}}, "wall_t1_s": {{"value": 2.0}}, "peak_rss_mb": {{"value": 300.0}}, "setup_s": {{"value": 5.0}}"#)))
+        .collect();
+    text += &line(
+        failed,
+        format!(
+            r#""workload.build_s": {{"value": {build_s:?}}}, "cdnsim.hit_ratio": {{"value": {hit_ratio:?}}}"#
+        ),
+    );
+    text
+}
+
 #[test]
-fn obs_bench_diff_flags_direction_aware_regressions() {
+fn obs_bench_diff_gates_end_to_end_medians_on_their_bounds() {
     let dir = tempdir("bench");
-    let base = dir.join("base.json");
-    let slower = dir.join("slower.json");
-    let faster = dir.join("faster.json");
-    std::fs::write(
-        &base,
-        r#"{"benchmark":"x","seed":1,"characterize_us":100000,"characterize_records_per_sec":2000,"peak_rss_kb":1000}"#,
-    )
-    .expect("write");
-    // Slower: timing up, rate down, RSS up — all three directions regress.
-    std::fs::write(
-        &slower,
-        r#"{"benchmark":"x","seed":1,"characterize_us":150000,"characterize_records_per_sec":1500,"peak_rss_kb":1400}"#,
-    )
-    .expect("write");
-    // Faster on every axis: improvements are never regressions.
-    std::fs::write(
-        &faster,
-        r#"{"benchmark":"x","seed":1,"characterize_us":50000,"characterize_records_per_sec":4000,"peak_rss_kb":900}"#,
-    )
-    .expect("write");
+    let spec = benchmark_json();
+    let base = dir.join("base.jsonl");
+    std::fs::write(&base, runs([0.9, 1.0, 1.1], 0, 0.4, 0.5)).expect("write");
+    let diff = |name: &str, text: String| {
+        let change = dir.join(name);
+        std::fs::write(&change, text).expect("write");
+        let paths = [&spec, &base, &change].map(|p| p.to_str().unwrap().to_string());
+        let out = jcdn(&["obs", "bench-diff", &paths[0], &paths[1], &paths[2]]);
+        let text = String::from_utf8_lossy(&out.stdout) + String::from_utf8_lossy(&out.stderr);
+        (out.status.code(), text.into_owned())
+    };
 
-    // Warn-only by default, even with regressions.
-    let out = jcdn(&[
-        "obs",
-        "bench-diff",
-        base.to_str().unwrap(),
-        slower.to_str().unwrap(),
-    ]);
-    assert!(out.status.success());
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("3 metric(s) regressed"), "{stdout}");
+    // wall_s's median 1.0 -> 1.3 is 30% worse against a 25% bound.
+    let (code, out) = diff("slow.jsonl", runs([1.2, 1.3, 1.4], 0, 0.4, 0.5));
+    assert_eq!(code, Some(1), "{out}");
+    assert!(
+        out.contains("WORSE BEYOND BOUND") && out.contains("error: wall_s is worse"),
+        "{out}"
+    );
 
-    // --max-regress turns the same comparison into a gate.
-    let out = jcdn(&[
-        "obs",
-        "bench-diff",
-        base.to_str().unwrap(),
-        slower.to_str().unwrap(),
-        "--max-regress",
-        "10",
-    ]);
-    assert_eq!(out.status.code(), Some(1));
+    // 20% worse is within the bound; one slow run does not move a median;
+    // better passes.
+    for (name, wall_s) in [
+        ("within.jsonl", [1.1, 1.2, 1.3]),
+        ("outlier.jsonl", [0.9, 1.0, 9.0]),
+        ("faster.jsonl", [0.4, 0.5, 0.6]),
+    ] {
+        let (code, out) = diff(name, runs(wall_s, 0, 0.4, 0.5));
+        assert_eq!(code, Some(0), "{name}: {out}");
+    }
 
-    // Improvements pass even under a tight gate.
-    let out = jcdn(&[
-        "obs",
-        "bench-diff",
-        base.to_str().unwrap(),
-        faster.to_str().unwrap(),
-        "--max-regress",
-        "1",
-    ]);
-    assert!(out.status.success());
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("no regressions"), "{stdout}");
+    // Per-layer metrics never gate: a 10x slower build and a hit ratio
+    // cut to a fifth (higher is better) are only reported as worse.
+    let (code, out) = diff("layers.jsonl", runs([0.9, 1.0, 1.1], 0, 4.0, 0.1));
+    assert_eq!(code, Some(0), "{out}");
+    let worse = out.lines().filter(|l| l.ends_with(" worse"));
+    let worse: Vec<&str> = worse.filter_map(|l| l.split(' ').next()).collect();
+    assert_eq!(worse, ["workload.build_s", "cdnsim.hit_ratio"], "{out}");
 
-    // Single-file mode prints the baseline and exits 0 (the warn-only CI
-    // step with no fresh benchmark to compare).
-    let out = jcdn(&["obs", "bench-diff", base.to_str().unwrap()]);
-    assert!(out.status.success());
+    // A higher failed share fails, whatever the timings.
+    let (code, out) = diff("failed.jsonl", runs([0.4, 0.5, 0.6], 1, 0.4, 0.5));
+    assert_eq!(code, Some(1), "{out}");
+    assert!(out.contains("failed share is higher"), "{out}");
+
+    // A line that is not a perfbench result is an error naming its line.
+    let bad = runs([1.0; 3], 0, 0.4, 0.5).replacen('\n', "\n{\"attempted\": 20}\n", 1);
+    let (code, out) = diff("bad.jsonl", bad);
+    assert_eq!(code, Some(1), "{out}");
+    assert!(out.contains(r#"bad.jsonl:2: no "metrics" object"#), "{out}");
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The committed perfbench results stay readable against BENCHMARK.json:
+/// a renamed end-to-end metric or a malformed line fails here.
+#[test]
+fn committed_bench_results_diff_clean_against_themselves() {
+    let spec = benchmark_json();
+    let declared = jcdn_json::parse(&read(&spec)).expect("BENCHMARK.json parses");
+    let end_to_end = declared
+        .get("end_to_end")
+        .and_then(jcdn_json::Value::as_array);
+    for workload in ["pipeline-1m", "paper-analyses"] {
+        let file = spec.with_file_name(format!("BENCH_{workload}.jsonl"));
+        let (spec, file) = (spec.to_str().unwrap(), file.to_str().unwrap());
+        let out = jcdn(&["obs", "bench-diff", spec, file, file]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{file}: {stdout}{stderr}");
+        for metric in end_to_end.expect("end_to_end array") {
+            let name = metric.get("name").and_then(jcdn_json::Value::as_str);
+            let row = format!("{} (", name.expect("named"));
+            assert!(
+                stdout.lines().any(|l| l.starts_with(&row)),
+                "{file}: {row}\n{stdout}"
+            );
+        }
+    }
 }

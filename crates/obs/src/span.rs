@@ -42,6 +42,31 @@ struct Ring {
     dropped: u64,
 }
 
+impl Ring {
+    /// Appends `record`; once full, overwrites the oldest and counts it
+    /// as dropped.
+    fn push(&mut self, record: SpanRecord) {
+        if self.spans.len() < RING_CAPACITY {
+            self.spans.push(record);
+        } else {
+            self.spans[self.head] = record;
+            self.head = (self.head + 1) % RING_CAPACITY;
+            self.dropped += 1;
+        }
+    }
+
+    /// Takes every record, oldest first, and the dropped count, leaving
+    /// the ring empty.
+    fn take(&mut self) -> (Vec<SpanRecord>, u64) {
+        let mut spans = std::mem::take(&mut self.spans);
+        spans.rotate_left(self.head);
+        let dropped = self.dropped;
+        self.head = 0;
+        self.dropped = 0;
+        (spans, dropped)
+    }
+}
+
 static RING: Mutex<Option<Ring>> = Mutex::new(None);
 
 fn with_ring<R>(f: impl FnOnce(&mut Ring) -> R) -> R {
@@ -56,32 +81,18 @@ fn with_ring<R>(f: impl FnOnce(&mut Ring) -> R) -> R {
 /// directly.
 pub fn record(name: String, start_us: u64, duration_us: u64) {
     with_ring(|ring| {
-        let record = SpanRecord {
+        ring.push(SpanRecord {
             name,
             start_us,
             duration_us,
-        };
-        if ring.spans.len() < RING_CAPACITY {
-            ring.spans.push(record);
-        } else {
-            ring.spans[ring.head] = record;
-            ring.head = (ring.head + 1) % RING_CAPACITY;
-            ring.dropped += 1;
-        }
+        });
     });
 }
 
 /// Drains and returns every recorded span in record order, plus the count
 /// of spans the ring evicted. Resets the recorder.
 pub fn drain() -> (Vec<SpanRecord>, u64) {
-    with_ring(|ring| {
-        let mut spans = std::mem::take(&mut ring.spans);
-        spans.rotate_left(ring.head);
-        let dropped = ring.dropped;
-        ring.head = 0;
-        ring.dropped = 0;
-        (spans, dropped)
-    })
+    with_ring(Ring::take)
 }
 
 /// Discards all recorded spans (start-of-command hygiene, so one CLI run's
@@ -223,22 +234,22 @@ mod tests {
     fn ring_evicts_oldest_and_counts_drops() {
         let mut ring = Ring::default();
         for i in 0..(RING_CAPACITY + 10) {
-            let record = SpanRecord {
+            ring.push(SpanRecord {
                 name: format!("s{i}"),
                 start_us: i as u64,
                 duration_us: 1,
-            };
-            if ring.spans.len() < RING_CAPACITY {
-                ring.spans.push(record);
-            } else {
-                ring.spans[ring.head] = record;
-                ring.head = (ring.head + 1) % RING_CAPACITY;
-                ring.dropped += 1;
-            }
+            });
         }
         assert_eq!(ring.spans.len(), RING_CAPACITY);
         assert_eq!(ring.dropped, 10);
-        // Oldest surviving span is s10.
-        assert_eq!(ring.spans[ring.head].name, "s10");
+        // A wrapped ring drains oldest first: s10 .. s{CAP+9}, in order.
+        let (spans, dropped) = ring.take();
+        assert_eq!(dropped, 10);
+        assert_eq!(spans.len(), RING_CAPACITY);
+        for (i, span) in spans.iter().enumerate() {
+            assert_eq!(span.name, format!("s{}", i + 10));
+        }
+        // Taking resets the ring.
+        assert_eq!(ring.take(), (Vec::new(), 0));
     }
 }

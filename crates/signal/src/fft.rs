@@ -6,9 +6,7 @@
 //! rather than by a multiplicative recurrence, and is then shared read-only
 //! by every
 //! transform of that length — the §5.1 detector transforms a series and
-//! all its permutations with one plan. The forward transform is
-//! unnormalized, the inverse `1/N` normalized and computed by conjugation
-//! through the same butterflies.
+//! all its permutations with one plan.
 //!
 //! A real signal of length `L` is transformed as an `L/2`-point complex FFT
 //! of its even/odd samples packed into one complex sequence, followed by an
@@ -282,16 +280,6 @@ impl FftPlan {
         (self.bit_reverse[t] >> 1) as usize
     }
 
-    /// Permutes natural-order `data` into bit-reversed order.
-    fn permute(&self, data: &mut [Complex]) {
-        for (i, &j) in self.bit_reverse.iter().enumerate() {
-            let j = j as usize;
-            if j > i {
-                data.swap(i, j);
-            }
-        }
-    }
-
     /// Decimation-in-time butterflies over bit-reversed `data` of any
     /// power-of-two length up to the planned one, leaving the transform in
     /// natural order. The first two stages (twiddles 1 and -i) are fused
@@ -325,32 +313,6 @@ impl FftPlan {
     }
 }
 
-/// In-place forward FFT.
-///
-/// # Panics
-/// Panics when `data.len()` is not a power of two.
-pub fn fft_in_place(data: &mut [Complex]) {
-    let plan = FftPlan::new(data.len());
-    plan.permute(data);
-    plan.butterflies(data);
-}
-
-/// In-place inverse FFT (normalized by `1/N`): the forward transform of the
-/// conjugate, conjugated.
-///
-/// # Panics
-/// Panics when `data.len()` is not a power of two.
-pub fn ifft_in_place(data: &mut [Complex]) {
-    let scale = 1.0 / data.len() as f64;
-    for x in data.iter_mut() {
-        *x = x.conj();
-    }
-    fft_in_place(data);
-    for x in data.iter_mut() {
-        *x = x.conj().scale(scale);
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -370,44 +332,11 @@ pub(crate) mod tests {
             .collect()
     }
 
-    fn assert_close(a: &[Complex], b: &[Complex], tol: f64) {
-        assert_eq!(a.len(), b.len());
-        for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
-            assert!(
-                (x.re - y.re).abs() < tol && (x.im - y.im).abs() < tol,
-                "index {i}: {x:?} vs {y:?}"
-            );
-        }
-    }
-
     /// `|X[k]|²`, `k = 0..=len/2`, of `signal - offset` zero-padded to `len`.
     fn real_power(signal: &[f64], offset: f64, len: usize) -> Vec<f64> {
         let mut power = Vec::new();
         FftPlan::new(len).real_power(signal, offset, &mut Vec::new(), &mut power);
         power
-    }
-
-    #[test]
-    fn matches_naive_dft() {
-        for n in [1, 2, 4, 8, 32, 256] {
-            let signal: Vec<Complex> = (0..n)
-                .map(|i| Complex::new((i as f64 * 0.7).sin(), (i as f64 * 0.3).cos()))
-                .collect();
-            let mut fast = signal.clone();
-            fft_in_place(&mut fast);
-            assert_close(&fast, &dft(&signal), 1e-9);
-        }
-    }
-
-    #[test]
-    fn round_trip_identity() {
-        let signal: Vec<Complex> = (0..64)
-            .map(|i| Complex::new((i as f64).sqrt(), -(i as f64) * 0.1))
-            .collect();
-        let mut data = signal.clone();
-        fft_in_place(&mut data);
-        ifft_in_place(&mut data);
-        assert_close(&data, &signal, 1e-10);
     }
 
     #[test]
@@ -423,16 +352,6 @@ pub(crate) mod tests {
                 }
                 h *= 2;
             }
-        }
-    }
-
-    #[test]
-    fn impulse_has_flat_spectrum() {
-        let mut data = vec![Complex::ZERO; 16];
-        data[0] = Complex::real(1.0);
-        fft_in_place(&mut data);
-        for x in &data {
-            assert!((x.abs() - 1.0).abs() < 1e-12);
         }
     }
 
@@ -505,23 +424,13 @@ pub(crate) mod tests {
 
     #[test]
     fn trivial_sizes() {
-        let mut one = vec![Complex::real(3.0)];
-        fft_in_place(&mut one);
-        assert_eq!(one[0], Complex::real(3.0));
-
-        let mut two = vec![Complex::real(1.0), Complex::real(2.0)];
-        fft_in_place(&mut two);
-        assert!((two[0].re - 3.0).abs() < 1e-12);
-        assert!((two[1].re + 1.0).abs() < 1e-12);
-
         assert_eq!(real_power(&[1.0, 2.0], 0.0, 2), vec![9.0, 1.0]);
     }
 
     #[test]
     #[should_panic(expected = "power of two")]
     fn non_pow2_panics() {
-        let mut data = vec![Complex::ZERO; 12];
-        fft_in_place(&mut data);
+        FftPlan::new(12);
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //! a reference shape, not a CI gate: ops/sec moves with hardware, hit
 //! rates do not.
 
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
 use std::process::ExitCode;
 
 use jcdn_cdnsim::cache::PolicyCache;

@@ -1,13 +1,13 @@
 //! # jcdn-bench — reproduction experiments
 //!
 //! One function per table/figure of the paper (see `DESIGN.md`'s experiment
-//! index). The `repro` binary prints paper-vs-measured comparisons. The
-//! `cache` binary records eviction-policy hit rates and the `lint` binary
-//! the linter's time budget; speed is measured by the repository
-//! benchmark, `perfbench/` (see `BENCHMARK.json`).
+//! index). The `repro` binary prints paper-vs-measured comparisons and the
+//! `cache` binary records eviction-policy hit rates; speed is measured by
+//! the repository benchmark, `perfbench/` (see `BENCHMARK.json`).
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 pub mod experiments;
 

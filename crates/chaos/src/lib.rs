@@ -27,7 +27,9 @@
 //! thread); points keyed on a pool label and task index are order-free.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -295,17 +297,19 @@ impl Chaos for FailPlan {
         Ok(())
     }
 
+    #[expect(
+        clippy::panic,
+        reason = "panicking is this fail point's entire purpose; fires only from an installed test plan"
+    )]
     fn on_task(&self, label: &str, index: usize) {
         for planned in &self.points {
             match &planned.point {
                 FailPoint::PanicOnce { label: l, index: k }
                     if l == label && *k == index && !planned.fired.swap(true, Ordering::SeqCst) =>
                 {
-                    // jcdn-lint: allow(D3) -- panicking is this fail point's entire purpose; fires only from an installed test plan
                     panic!("chaos: injected panic in task {index} of {label}");
                 }
                 FailPoint::PanicAlways { label: l, index: k } if l == label && *k == index => {
-                    // jcdn-lint: allow(D3) -- panicking is this fail point's entire purpose; fires only from an installed test plan
                     panic!("chaos: injected persistent panic in task {index} of {label}");
                 }
                 _ => {}
@@ -400,6 +404,10 @@ mod tests {
     #[test]
     fn panic_once_fires_once_panic_always_fires_always() {
         let plan = FailPlan::parse("panic:p:3").unwrap();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test observes the injected panic itself"
+        )]
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             plan.on_task("p", 3);
         }));
@@ -409,6 +417,10 @@ mod tests {
 
         let plan = FailPlan::parse("panic-always:p:0").unwrap();
         for _ in 0..2 {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the test observes the injected panic itself"
+            )]
             let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 plan.on_task("p", 0);
             }));

@@ -18,6 +18,7 @@
 //! and can be re-analyzed without re-simulating.
 
 #![forbid(unsafe_code)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 mod args;
 mod cache_args;
@@ -76,6 +77,10 @@ fn main() -> ExitCode {
         }
         other => Err(format!("unknown command {other:?}\n\n{}", args::USAGE)),
     };
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the binary's top-level boundary: a panic that escaped the libraries becomes an error line and exit 1"
+    )]
     let result = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
         Ok(result) => result,
         Err(payload) => {

@@ -31,7 +31,9 @@
 //! manifest shows every caught panic even when the retry recovered it.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 use std::any::Any;
 use std::panic::AssertUnwindSafe;
@@ -96,15 +98,18 @@ struct PoolRun<T> {
 /// chaos plan the chance to inject a fault for this `(label, index)`.
 ///
 /// This is the single sanctioned `catch_unwind` site in the workspace
-/// (jcdn-lint D3 flags any other): the boundary exists so a panic in one
-/// shard's task is converted into a typed per-item failure instead of
-/// tearing down the whole pipeline, and every use of it funnels through
-/// the quarantine-and-retry policy above.
+/// (clippy's `disallowed_methods` flags any other): the boundary exists
+/// so a panic in one shard's task is converted into a typed per-item
+/// failure instead of tearing down the whole pipeline, and every use of
+/// it funnels through the quarantine-and-retry policy above.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one sanctioned unwind boundary: converts a task panic into a per-item failure that the quarantine/retry policy handles"
+)]
 fn run_quarantined<T, F>(label: &'static str, index: usize, f: &F) -> Result<T, Box<dyn Any + Send>>
 where
     F: Fn(usize) -> T + Sync,
 {
-    // jcdn-lint: allow(D3) -- the one sanctioned unwind boundary: converts a task panic into a per-item failure that the quarantine/retry policy handles
     std::panic::catch_unwind(AssertUnwindSafe(|| {
         jcdn_chaos::handle().on_task(label, index);
         f(index)
@@ -156,7 +161,10 @@ where
     let (job_tx, job_rx) = crossbeam::channel::unbounded::<usize>();
     let (result_tx, result_rx) = crossbeam::channel::unbounded::<(usize, TaskOutcome<T>)>();
     for i in 0..items {
-        // jcdn-lint: allow(D3) -- job_rx is dropped only after the scope below; send cannot fail yet
+        #[expect(
+            clippy::expect_used,
+            reason = "job_rx is dropped only after the scope below; send cannot fail yet"
+        )]
         job_tx.send(i).expect("job receiver alive");
     }
     drop(job_tx);
@@ -166,6 +174,10 @@ where
     // high-water mark — the "channel backing up" signal.
     let backlog = AtomicU64::new(0);
     let backlog = &backlog;
+    #[expect(
+        clippy::expect_used,
+        reason = "scope Err requires a spawned thread to panic, and every task panic is already caught inside run_quarantined"
+    )]
     let (mut run, worker_stats) = crossbeam::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(threads);
         for _ in 0..threads {
@@ -220,14 +232,16 @@ where
                 }
             }
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "task panics are caught inside run_quarantined, so a worker thread body cannot unwind"
+        )]
         let worker_stats: Vec<WorkerStats> = handles
             .into_iter()
-            // jcdn-lint: allow(D3) -- task panics are caught inside run_quarantined, so a worker thread body cannot unwind
             .map(|h| h.join().expect("worker joined"))
             .collect();
         (run, worker_stats)
     })
-    // jcdn-lint: allow(D3) -- scope Err requires a spawned thread to panic, and every task panic is already caught inside run_quarantined
     .expect("worker pool joined");
 
     // Arrival order is scheduling-dependent; sort so the retry pass and
@@ -314,6 +328,10 @@ where
 /// panics both times, the first captured payload is re-raised here after
 /// the report is filed. Use [`scatter_gather_isolated`] to receive the
 /// partial result instead.
+#[expect(
+    clippy::expect_used,
+    reason = "quarantined is empty after the re-raise, so every slot was filled by the pool or the retry"
+)]
 pub fn scatter_gather_labeled<T, F>(
     label: &'static str,
     items: usize,
@@ -332,7 +350,6 @@ where
     }
     run.results
         .into_iter()
-        // jcdn-lint: allow(D3) -- quarantined is empty here, so every slot was filled by the pool or the retry
         .map(|slot| slot.expect("every item produced a result"))
         .collect()
 }

@@ -3,20 +3,18 @@
 //! Two path mechanisms compose:
 //!
 //! * **Scopes** (inclusion) — some rules only make sense in specific
-//!   modules (D2 in output-order-sensitive code, D4 in the trace codec).
+//!   modules (D2 in output-order-sensitive code, D9 in the trace codec).
 //!   Scopes are part of the linter's contract with this workspace and are
 //!   defined here, in code.
 //! * **Allowlist** (exclusion) — `allowlist.toml` at the workspace root
-//!   exempts whole paths from specific rules (e.g. the fault-injection
-//!   module legitimately models nondeterminism). The file is a tiny TOML
+//!   exempts whole paths from specific rules (e.g. jcdn-obs's clock module
+//!   legitimately reads the wall clock). The file is a tiny TOML
 //!   subset parsed by [`parse_allowlist`]; no TOML dependency.
 
 use std::collections::BTreeMap;
 
 /// The rule ids the engine knows, in report order.
-pub const RULE_IDS: [&str; 11] = [
-    "D1", "D2", "D3", "D4", "D5", "D6", "D7", "D8", "D9", "D10", "S1",
-];
+pub const RULE_IDS: [&str; 6] = ["D2", "D5", "D7", "D8", "D9", "D10"];
 
 /// Linter configuration: per-rule scopes and allowlists.
 #[derive(Clone, Debug)]
@@ -38,7 +36,6 @@ impl Config {
     /// The scopes this workspace's determinism contract prescribes.
     pub fn workspace_default() -> Self {
         let mut scopes = BTreeMap::new();
-        // D1 (wall clock / ambient randomness): everywhere.
         // D2: output-order-sensitive modules — anything that writes
         // reports, frames bytes, or merges partials in a fixed order.
         scopes.insert(
@@ -51,32 +48,6 @@ impl Config {
                 "crates/cli/src/**".to_string(),
             ],
         );
-        // D3: library crates only (the CLI binary and bench harness may
-        // fail fast; libraries must return typed errors).
-        scopes.insert(
-            "D3".to_string(),
-            vec![
-                "crates/core/src/**".to_string(),
-                "crates/trace/src/**".to_string(),
-                "crates/stats/src/**".to_string(),
-                "crates/json/src/**".to_string(),
-                "crates/ngram/src/**".to_string(),
-                "crates/signal/src/**".to_string(),
-                "crates/url/src/**".to_string(),
-                "crates/ua/src/**".to_string(),
-                "crates/workload/src/**".to_string(),
-                "crates/prefetch/src/**".to_string(),
-                "crates/cdnsim/src/**".to_string(),
-                "crates/exec/src/**".to_string(),
-                "crates/chaos/src/**".to_string(),
-                "crates/lint/src/**".to_string(),
-                "crates/obs/src/**".to_string(),
-                "src/**".to_string(),
-            ],
-        );
-        // D4: the codec/interner surface, where a silent narrowing cast
-        // corrupts frames instead of erroring.
-        scopes.insert("D4".to_string(), vec!["crates/trace/src/**".to_string()]);
         // D5: mergeable-statistics carriers outside the stats crate (the
         // stats crate itself *is* the merge-helper implementation).
         scopes.insert(
@@ -87,25 +58,8 @@ impl Config {
                 "crates/trace/src/**".to_string(),
             ],
         );
-        // D6: the crates whose public API the paper-reproduction contract
-        // documents (obs joins them: manifests are a documented artifact;
-        // the eviction-policy and hierarchy modules joined when their
-        // types became part of the CLI's `--cache-*` surface).
-        scopes.insert(
-            "D6".to_string(),
-            vec![
-                "crates/core/src/**".to_string(),
-                "crates/trace/src/**".to_string(),
-                "crates/stats/src/**".to_string(),
-                "crates/obs/src/**".to_string(),
-                "crates/cdnsim/src/policy.rs".to_string(),
-                "crates/cdnsim/src/hierarchy.rs".to_string(),
-            ],
-        );
-
-        // D7 (cross-file determinism taint): everywhere — the rule's own
-        // source gating reuses the D1 allowlist and D2 scope, so no scope
-        // is needed here.
+        // D7 (cross-file determinism taint): everywhere — hash-order
+        // sources are gated on the D2 scope, so no scope is needed here.
         // D8: the epoch-lockstep contract is cdnsim's.
         scopes.insert("D8".to_string(), vec!["crates/cdnsim/src/**".to_string()]);
         // D9: lengths read off the wire exist only in the codec surface.
@@ -199,9 +153,9 @@ fn glob_match(pat: &[u8], path: &[u8]) -> bool {
 ///
 /// ```toml
 /// # comment
-/// [rules.D1]
+/// [rules.D7]
 /// allow = [
-///     "crates/cdnsim/src/fault.rs",
+///     "crates/obs/src/clock.rs",
 ///     "crates/bench/**",
 /// ]
 /// ```
@@ -344,36 +298,37 @@ mod tests {
     #[test]
     fn allowlist_parses_multiline_and_inline() {
         let parsed = parse_allowlist(
-            "# comment\n[rules.D1]\nallow = [\n  \"crates/x/**\",\n  \"crates/y/a.rs\",\n]\n\n[rules.D3]\nallow = [\"z.rs\"]\n",
+            "# comment\n[rules.D7]\nallow = [\n  \"crates/x/**\",\n  \"crates/y/a.rs\",\n]\n\n[rules.D9]\nallow = [\"z.rs\"]\n",
         )
         .expect("parses");
-        assert_eq!(parsed["D1"], vec!["crates/x/**", "crates/y/a.rs"]);
-        assert_eq!(parsed["D3"], vec!["z.rs"]);
+        assert_eq!(parsed["D7"], vec!["crates/x/**", "crates/y/a.rs"]);
+        assert_eq!(parsed["D9"], vec!["z.rs"]);
     }
 
     #[test]
     fn allowlist_rejects_unknown_rule() {
         assert!(parse_allowlist("[rules.D99]\nallow = [\"x\"]\n").is_err());
-        // D7–D10 joined the rule set and are accepted.
+        // Rules now checked by clippy are unknown here.
+        assert!(parse_allowlist("[rules.D1]\nallow = [\"x\"]\n").is_err());
         assert!(parse_allowlist("[rules.D9]\nallow = [\"x\"]\n").is_ok());
     }
 
     #[test]
     fn allowlist_rejects_duplicate_sections_and_patterns() {
         let err =
-            parse_allowlist("[rules.D1]\nallow = [\"a.rs\"]\n[rules.D1]\nallow = [\"b.rs\"]\n")
+            parse_allowlist("[rules.D7]\nallow = [\"a.rs\"]\n[rules.D7]\nallow = [\"b.rs\"]\n")
                 .expect_err("duplicate section must error");
         assert!(err.contains("line 3"), "{err}");
         assert!(err.contains("duplicate section"), "{err}");
 
-        let err = parse_allowlist("[rules.D1]\nallow = [\n  \"a.rs\",\n  \"a.rs\",\n]\n")
+        let err = parse_allowlist("[rules.D7]\nallow = [\n  \"a.rs\",\n  \"a.rs\",\n]\n")
             .expect_err("duplicate pattern must error");
         assert!(err.contains("line 4"), "{err}");
         assert!(err.contains("duplicate pattern"), "{err}");
 
         // The same pattern under two *different* rules is fine.
         assert!(parse_allowlist(
-            "[rules.D1]\nallow = [\"a.rs\"]\n[rules.D3]\nallow = [\"a.rs\"]\n"
+            "[rules.D7]\nallow = [\"a.rs\"]\n[rules.D9]\nallow = [\"a.rs\"]\n"
         )
         .is_ok());
     }
@@ -381,22 +336,21 @@ mod tests {
     #[test]
     fn scope_gating() {
         let cfg = Config::workspace_default();
-        assert!(cfg.applies("D4", "crates/trace/src/codec.rs"));
-        assert!(!cfg.applies("D4", "crates/core/src/report.rs"));
-        assert!(cfg.applies("D6", "crates/cdnsim/src/policy.rs"));
-        assert!(cfg.applies("D6", "crates/cdnsim/src/hierarchy.rs"));
-        assert!(!cfg.applies("D6", "crates/cdnsim/src/sim.rs"));
-        assert!(cfg.applies("D1", "crates/core/src/report.rs"));
-        assert!(cfg.applies("D1", "crates/cdnsim/src/fault.rs"));
+        assert!(cfg.applies("D9", "crates/trace/src/codec.rs"));
+        assert!(!cfg.applies("D9", "crates/core/src/report.rs"));
+        assert!(cfg.applies("D8", "crates/cdnsim/src/sim.rs"));
+        assert!(!cfg.applies("D8", "crates/core/src/pipeline.rs"));
+        assert!(cfg.applies("D7", "crates/core/src/report.rs"));
+        assert!(cfg.applies("D7", "crates/obs/src/clock.rs"));
 
         let mut allow = BTreeMap::new();
         allow.insert(
-            "D1".to_string(),
-            vec!["crates/cdnsim/src/fault.rs".to_string()],
+            "D7".to_string(),
+            vec!["crates/obs/src/clock.rs".to_string()],
         );
         let mut cfg = cfg;
         cfg.extend_allow(allow);
-        assert!(!cfg.applies("D1", "crates/cdnsim/src/fault.rs"));
-        assert!(cfg.applies("D1", "crates/core/src/report.rs"));
+        assert!(!cfg.applies("D7", "crates/obs/src/clock.rs"));
+        assert!(cfg.applies("D7", "crates/core/src/report.rs"));
     }
 }

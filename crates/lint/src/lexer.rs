@@ -41,44 +41,18 @@ pub struct Token<'a> {
     pub col: u32,
 }
 
-/// An inline `// jcdn-lint: allow(D3) -- reason` directive.
-#[derive(Clone, Debug)]
-pub struct Suppression {
-    /// Line the comment sits on.
-    pub line: u32,
-    /// True when nothing but whitespace precedes the comment on its line —
-    /// such a directive targets the *next* line; a trailing comment
-    /// targets its own line.
-    pub own_line: bool,
-    /// The rule ids listed in `allow(…)`.
-    pub rules: Vec<String>,
-    /// Whether a non-empty reason followed `--`.
-    pub has_reason: bool,
-}
-
-/// Lexer output: the token stream plus any suppression directives found
-/// in plain comments.
-#[derive(Debug, Default)]
-pub struct Lexed<'a> {
-    /// All tokens in source order.
-    pub tokens: Vec<Token<'a>>,
-    /// All suppression directives, in source order.
-    pub suppressions: Vec<Suppression>,
-}
-
-/// Lexes `src` into tokens and suppression directives. Never fails: on
-/// malformed input (unterminated string, stray byte) the lexer degrades to
-/// single-character punctuation tokens rather than erroring, which is the
-/// right behavior for a linter running over code rustc already accepted.
-pub fn lex(src: &str) -> Lexed<'_> {
+/// Lexes `src` into tokens. Never fails: on malformed input (unterminated
+/// string, stray byte) the lexer degrades to single-character punctuation
+/// tokens rather than erroring, which is the right behavior for a linter
+/// running over code rustc already accepted.
+pub fn lex(src: &str) -> Vec<Token<'_>> {
     Lexer {
         src,
         bytes: src.as_bytes(),
         pos: 0,
         line: 1,
         col: 1,
-        token_on_line: false,
-        out: Lexed::default(),
+        out: Vec::new(),
     }
     .run()
 }
@@ -89,10 +63,7 @@ struct Lexer<'a> {
     pos: usize,
     line: u32,
     col: u32,
-    /// Whether a token has been emitted on the current line (used to
-    /// classify suppression comments as own-line vs. trailing).
-    token_on_line: bool,
-    out: Lexed<'a>,
+    out: Vec<Token<'a>>,
 }
 
 fn is_ident_start(b: u8) -> bool {
@@ -121,7 +92,6 @@ impl<'a> Lexer<'a> {
         if b == b'\n' {
             self.line += 1;
             self.col = 1;
-            self.token_on_line = false;
         } else if (b & 0xC0) != 0x80 {
             self.col += 1;
         }
@@ -134,16 +104,15 @@ impl<'a> Lexer<'a> {
     }
 
     fn emit(&mut self, kind: TokKind, start: usize, line: u32, col: u32) {
-        self.out.tokens.push(Token {
+        self.out.push(Token {
             kind,
             text: &self.src[start..self.pos],
             line,
             col,
         });
-        self.token_on_line = true;
     }
 
-    fn run(mut self) -> Lexed<'a> {
+    fn run(mut self) -> Vec<Token<'a>> {
         while self.pos < self.bytes.len() {
             let (start, line, col) = (self.pos, self.line, self.col);
             let b = self.peek(0);
@@ -183,7 +152,6 @@ impl<'a> Lexer<'a> {
     }
 
     fn line_comment(&mut self, start: usize, line: u32, col: u32) {
-        let own_line = !self.token_on_line;
         while self.pos < self.bytes.len() && self.peek(0) != b'\n' {
             self.bump();
         }
@@ -192,8 +160,6 @@ impl<'a> Lexer<'a> {
             self.emit(TokKind::DocOuter, start, line, col);
         } else if text.starts_with("//!") {
             self.emit(TokKind::DocInner, start, line, col);
-        } else if let Some(sup) = parse_suppression(text, line, own_line) {
-            self.out.suppressions.push(sup);
         }
     }
 
@@ -334,41 +300,12 @@ impl<'a> Lexer<'a> {
     }
 }
 
-/// Parses `jcdn-lint: allow(D3, D4) -- reason` out of a plain line
-/// comment. Returns `None` when the comment is not a directive at all.
-/// A directive with a missing/empty reason is returned with
-/// `has_reason == false` so the engine can report it.
-fn parse_suppression(comment: &str, line: u32, own_line: bool) -> Option<Suppression> {
-    let body = comment.trim_start_matches('/').trim();
-    let rest = body.strip_prefix("jcdn-lint:")?.trim();
-    let rest = rest.strip_prefix("allow").unwrap_or(rest).trim();
-    let inner_end = rest.find(')')?;
-    let inner = rest.strip_prefix('(')?.get(..inner_end.saturating_sub(1))?;
-    let rules: Vec<String> = inner
-        .split(',')
-        .map(|r| r.trim().to_string())
-        .filter(|r| !r.is_empty())
-        .collect();
-    let after = rest.get(inner_end + 1..).unwrap_or("").trim();
-    let has_reason = after
-        .strip_prefix("--")
-        .map(|r| !r.trim().is_empty())
-        .unwrap_or(false);
-    Some(Suppression {
-        line,
-        own_line,
-        rules,
-        has_reason,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn kinds(src: &str) -> Vec<(TokKind, String)> {
         lex(src)
-            .tokens
             .iter()
             .map(|t| (t.kind, t.text.to_string()))
             .collect()
@@ -377,7 +314,7 @@ mod tests {
     #[test]
     fn idents_and_puncts_with_positions() {
         let l = lex("fn main() {\n  x.unwrap();\n}");
-        let unwrap = l.tokens.iter().find(|t| t.text == "unwrap");
+        let unwrap = l.iter().find(|t| t.text == "unwrap");
         let unwrap = unwrap.as_ref();
         assert_eq!(unwrap.map(|t| t.line), Some(2));
         assert_eq!(unwrap.map(|t| t.col), Some(5));
@@ -407,42 +344,6 @@ mod tests {
             2
         );
         assert_eq!(toks.iter().filter(|(k, _)| *k == TokKind::Char).count(), 2);
-    }
-
-    #[test]
-    fn suppression_parsing() {
-        let l = lex(
-            "let x = 1; // jcdn-lint: allow(D3, D4) -- invariant holds\n// jcdn-lint: allow(D1)\n",
-        );
-        assert_eq!(l.suppressions.len(), 2);
-        assert_eq!(l.suppressions[0].rules, vec!["D3", "D4"]);
-        assert!(l.suppressions[0].has_reason);
-        assert!(!l.suppressions[0].own_line);
-        assert!(!l.suppressions[1].has_reason);
-        assert!(l.suppressions[1].own_line);
-    }
-
-    #[test]
-    fn suppression_on_final_line_without_trailing_newline() {
-        // A directive on the file's last line must be recognized whether
-        // or not the file ends in `\n`, in both trailing and own-line
-        // positions.
-        let trailing = lex("let x = 1; // jcdn-lint: allow(D1) -- final line");
-        assert_eq!(trailing.suppressions.len(), 1);
-        assert_eq!(trailing.suppressions[0].rules, vec!["D1"]);
-        assert!(!trailing.suppressions[0].own_line);
-        assert!(trailing.suppressions[0].has_reason);
-
-        let own_line = lex("let x = 1;\n// jcdn-lint: allow(D3) -- next-line form");
-        assert_eq!(own_line.suppressions.len(), 1);
-        assert_eq!(own_line.suppressions[0].line, 2);
-        assert!(own_line.suppressions[0].own_line);
-
-        // Missing reason on a final unterminated line must still surface
-        // (the engine reports it as S1).
-        let bad = lex("let x = 1; // jcdn-lint: allow(D1)");
-        assert_eq!(bad.suppressions.len(), 1);
-        assert!(!bad.suppressions[0].has_reason);
     }
 
     #[test]

@@ -1,28 +1,25 @@
-//! # jcdn-lint — the workspace determinism & safety linter
+//! # jcdn-lint — the workspace determinism linter
 //!
 //! The paper reproduction's results are only meaningful because the
 //! pipeline is bit-deterministic for a given seed, shard count, and
 //! thread count (see `DESIGN.md` §10–§11). That contract is enforced
 //! dynamically by the `shard_invariance` property tests — and statically
-//! by this crate: a self-contained token-level pass over the workspace's
-//! Rust sources that catches the bug classes which break determinism
-//! *before* a test ever runs.
+//! by clippy plus this crate. clippy checks, with types, what it can
+//! express (the wall-clock ban, panics in libraries, lossy casts, docs;
+//! see `clippy.toml` and the crate-root attributes). This crate checks
+//! what clippy cannot: a self-contained token-level pass over the
+//! workspace's Rust sources for the workspace-specific rules below.
 //!
 //! The rules (see [`report::explain`] or `jcdn-lint --explain <rule>`):
 //!
 //! | id | guards against |
 //! |----|----------------|
-//! | D1 | wall clock / ambient randomness (`SystemTime::now`, `thread_rng`, …) |
 //! | D2 | `HashMap`/`HashSet` iteration in output-order-sensitive modules |
-//! | D3 | `unwrap`/`expect`/`panic!` in non-test library code |
-//! | D4 | lossy integer `as` casts in codec/interner code |
 //! | D5 | ad-hoc float accumulation in `merge*` functions |
-//! | D6 | missing doc comments on public items in core/trace/stats |
 //! | D7 | cross-file determinism taint on merge/finalize/encode paths |
 //! | D8 | shared-tier mutation inside the epoch peek phase |
 //! | D9 | unchecked arithmetic on untrusted decode lengths |
 //! | D10 | codec-version match exhaustiveness |
-//! | S1 | malformed inline suppressions |
 //!
 //! Two stages, no rustc integration. **Stage 1** is per-file and
 //! embarrassingly parallel (fanned out on the jcdn-exec pool): a
@@ -32,16 +29,15 @@
 //! graph from those summaries ([`graph`]) and runs the flow-aware rules
 //! D7/D8 over it ([`taint`]), attaching full call-chain evidence to each
 //! finding. Both stages are scoped and exempted by [`config`]
-//! (`allowlist.toml` at the workspace root), can be diffed against a
-//! committed [`baseline`] (`lint-baseline.json`), and render as human or
-//! JSON output ([`report`]). The two-stage full-workspace pass stays
-//! well under the 5-second CI budget (enforced by a timing test and a
-//! `jcdn-bench` case).
+//! (`allowlist.toml` at the workspace root) and render as human or JSON
+//! output ([`report`]). The full-workspace pass stays well under the
+//! 5-second budget its timing test enforces.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
-pub mod baseline;
 pub mod config;
 pub mod graph;
 pub mod lexer;
@@ -52,25 +48,15 @@ pub mod taint;
 
 use std::path::{Path, PathBuf};
 
-pub use baseline::{Baseline, BaselineDiff};
 pub use config::{parse_allowlist, Config};
-pub use rules::{ChainHop, Finding, Severity};
+pub use rules::{ChainHop, Finding};
 
 /// Lints one file's source text — stage 1 only (token-local rules).
 /// `path` is the workspace-relative path used for scope/allowlist
 /// matching and in findings. Cross-file rules need the whole file set;
 /// use [`lint_sources`] or [`lint_files`] for those.
 pub fn lint_source(path: &str, src: &str, cfg: &Config) -> Vec<Finding> {
-    rules::lint_source(path, src, cfg)
-}
-
-/// Stage-1 output for one file: its token-rule findings plus the parsed
-/// item summary stage 2 consumes.
-fn stage1(path: &str, src: &str, cfg: &Config) -> (Vec<Finding>, parser::ParsedFile) {
-    let lexed = lexer::lex(src);
-    let findings = rules::lint_source(path, src, cfg);
-    let parsed = parser::parse_file(path, &lexed);
-    (findings, parsed)
+    rules::lint_tokens(path, &lexer::lex(src), cfg)
 }
 
 /// Runs both stages over an in-memory `(path, source)` set — the
@@ -78,7 +64,12 @@ fn stage1(path: &str, src: &str, cfg: &Config) -> (Vec<Finding>, parser::ParsedF
 /// fan-out on the jcdn-exec pool (stage 2 is a single graph walk).
 pub fn lint_sources(files: &[(String, String)], cfg: &Config, threads: usize) -> Vec<Finding> {
     let per_file = jcdn_exec::scatter_gather_labeled("lint.stage1", files.len(), threads, |i| {
-        stage1(&files[i].0, &files[i].1, cfg)
+        let (path, src) = &files[i];
+        let tokens = lexer::lex(src);
+        (
+            rules::lint_tokens(path, &tokens, cfg),
+            parser::parse_file(path, &tokens),
+        )
     });
     let mut findings: Vec<Finding> = Vec::new();
     let mut parsed: Vec<parser::ParsedFile> = Vec::with_capacity(per_file.len());
@@ -87,26 +78,7 @@ pub fn lint_sources(files: &[(String, String)], cfg: &Config, threads: usize) ->
         parsed.push(p);
     }
     let graph = graph::CallGraph::build(&parsed);
-    let flow = taint::run(&graph, cfg);
-    // Cross-file findings honor the same inline directives as stage 1,
-    // keyed by the file the finding is anchored in. S1 for malformed
-    // directives was already emitted by stage 1 — only filter here.
-    let mut maps: std::collections::BTreeMap<
-        &str,
-        std::collections::BTreeMap<u32, std::collections::BTreeSet<&'static str>>,
-    > = std::collections::BTreeMap::new();
-    for p in &parsed {
-        maps.insert(p.path.as_str(), rules::suppression_map(&p.suppressions));
-    }
-    for f in flow {
-        let hit = maps
-            .get(f.path.as_str())
-            .and_then(|m| m.get(&f.line))
-            .is_some_and(|rules| rules.contains(f.rule));
-        if !hit {
-            findings.push(f);
-        }
-    }
+    findings.extend(taint::run(&graph, cfg));
     findings.sort_by(|a, b| {
         (a.path.as_str(), a.line, a.col, a.rule).cmp(&(b.path.as_str(), b.line, b.col, b.rule))
     });
@@ -116,7 +88,7 @@ pub fn lint_sources(files: &[(String, String)], cfg: &Config, threads: usize) ->
 /// Lints a set of files on disk, both stages, with the given stage-1
 /// thread count. Paths are reported relative to `root` (with forward
 /// slashes); unreadable files produce an `Err`.
-pub fn lint_files_threaded(
+pub fn lint_files(
     root: &Path,
     files: &[PathBuf],
     cfg: &Config,
@@ -132,31 +104,18 @@ pub fn lint_files_threaded(
     Ok(lint_sources(&sources, cfg, threads))
 }
 
-/// Lints a set of files on disk (both stages, single-threaded stage 1).
-pub fn lint_files(root: &Path, files: &[PathBuf], cfg: &Config) -> Result<Vec<Finding>, String> {
-    lint_files_threaded(root, files, cfg, 1)
-}
-
-/// Lints the whole workspace under `root`: every `.rs` file in
-/// `crates/*/{src,tests,benches}`, plus the root `src/`, `tests/`, and
-/// `examples/`. Skips `vendor/` (third-party stand-ins), `target/`, and
-/// any `fixtures/` directory (the lint corpus is intentionally bad).
-pub fn lint_workspace(root: &Path, cfg: &Config) -> Result<Vec<Finding>, String> {
-    lint_workspace_threaded(root, cfg, 1)
-}
-
-/// [`lint_workspace`] with a stage-1 thread count.
-pub fn lint_workspace_threaded(
-    root: &Path,
-    cfg: &Config,
-    threads: usize,
-) -> Result<Vec<Finding>, String> {
+/// Lints the whole workspace under `root` with the given stage-1 thread
+/// count: every `.rs` file in `crates/*/{src,tests,benches}`, plus the
+/// root `src/`, `tests/`, and `examples/`. Skips `vendor/` (third-party
+/// stand-ins), `target/`, and any `fixtures/` directory (the lint corpus
+/// is intentionally bad).
+pub fn lint_workspace(root: &Path, cfg: &Config, threads: usize) -> Result<Vec<Finding>, String> {
     let files = workspace_files(root)?;
-    lint_files_threaded(root, &files, cfg, threads)
+    lint_files(root, &files, cfg, threads)
 }
 
 /// Enumerates the workspace's lintable `.rs` files in sorted order.
-pub fn workspace_files(root: &Path) -> Result<Vec<PathBuf>, String> {
+fn workspace_files(root: &Path) -> Result<Vec<PathBuf>, String> {
     let mut files = Vec::new();
     let crates_dir = root.join("crates");
     if crates_dir.is_dir() {
@@ -244,33 +203,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn d1_fires_and_suppression_with_reason_silences() {
+    fn token_rules_skip_test_modules() {
         let cfg = Config::all_scopes();
-        let bad = "fn f() { let t = SystemTime::now(); }";
-        let findings = lint_source("x.rs", bad, &cfg);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].rule, "D1");
-        assert_eq!(findings[0].line, 1);
-
-        let ok = "fn f() {\n    // jcdn-lint: allow(D1) -- testing the directive\n    let t = SystemTime::now();\n}";
-        assert!(lint_source("x.rs", ok, &cfg).is_empty());
-
-        let missing_reason =
-            "fn f() {\n    // jcdn-lint: allow(D1)\n    let t = SystemTime::now();\n}";
-        let findings = lint_source("x.rs", missing_reason, &cfg);
-        let rules: Vec<&str> = findings.iter().map(|f| f.rule).collect();
-        assert!(
-            rules.contains(&"S1"),
-            "missing reason is reported: {rules:?}"
-        );
-        assert!(rules.contains(&"D1"), "and does not suppress: {rules:?}");
-    }
-
-    #[test]
-    fn d3_skips_test_modules() {
-        let cfg = Config::all_scopes();
-        let src = "fn lib() { x.unwrap(); }\n\
-                   #[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { y.unwrap(); }\n}";
+        let src = "fn lib(m: HashMap<u32, u32>) { for x in &m { use_(x); } }\n\
+                   #[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { for x in &m { use_(x); } }\n}";
         let findings = lint_source("x.rs", src, &cfg);
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!(findings[0].line, 1);
@@ -293,15 +229,6 @@ mod tests {
     }
 
     #[test]
-    fn d4_flags_int_casts_only() {
-        let cfg = Config::all_scopes();
-        let src = "fn f(x: u64) { let a = x as usize; let b = x as f64; }";
-        let findings = lint_source("x.rs", src, &cfg);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].rule, "D4");
-    }
-
-    #[test]
     fn d5_flags_float_merge_accumulation() {
         let cfg = Config::all_scopes();
         let src = "struct S { mean: f64, count: u64 }\n\
@@ -310,16 +237,6 @@ mod tests {
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!(findings[0].rule, "D5");
         assert!(findings[0].message.contains("mean"));
-    }
-
-    #[test]
-    fn d6_requires_docs_on_pub_items() {
-        let cfg = Config::all_scopes();
-        let src = "/// Documented.\npub fn a() {}\npub fn b() {}\npub(crate) fn c() {}\n";
-        let findings = lint_source("x.rs", src, &cfg);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert_eq!(findings[0].rule, "D6");
-        assert!(findings[0].message.contains('b'));
     }
 
     #[test]
@@ -336,38 +253,18 @@ mod tests {
             ),
         ];
         let findings = lint_sources(&files, &cfg, 1);
-        let d7: Vec<&Finding> = findings.iter().filter(|f| f.rule == "D7").collect();
-        assert_eq!(d7.len(), 1, "{findings:?}");
-        assert_eq!(d7[0].chain.len(), 3);
-        // Stage 1 independently reports the D1 at the source.
-        assert!(findings.iter().any(|f| f.rule == "D1"));
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].rule, "D7");
+        assert_eq!(findings[0].chain.len(), 3);
         // Thread count must not change the result.
         assert_eq!(lint_sources(&files, &cfg, 4), findings);
     }
 
     #[test]
-    fn cross_file_findings_honor_inline_directives() {
-        let cfg = Config::all_scopes();
-        let files = vec![
-            (
-                "crates/core/src/merge.rs".to_string(),
-                "fn merge_partials() { stamp(); }".to_string(),
-            ),
-            (
-                "crates/core/src/helpers.rs".to_string(),
-                "fn stamp() {\n    // jcdn-lint: allow(D1, D7) -- fixture exercises the directive\n    let _ = SystemTime::now();\n}"
-                    .to_string(),
-            ),
-        ];
-        let findings = lint_sources(&files, &cfg, 1);
-        assert!(findings.is_empty(), "{findings:?}");
-    }
-
-    #[test]
     fn scopes_gate_rules_by_path() {
         let cfg = Config::workspace_default();
-        let cast = "fn f(x: u64) { let a = x as usize; }";
-        assert!(!lint_source("crates/trace/src/codec.rs", cast, &cfg).is_empty());
-        assert!(lint_source("crates/core/src/report.rs", cast, &cfg).is_empty());
+        let unchecked = "fn f() { let len = cur.get_varint(); let end = len + 8; }";
+        assert!(!lint_source("crates/trace/src/codec.rs", unchecked, &cfg).is_empty());
+        assert!(lint_source("crates/core/src/report.rs", unchecked, &cfg).is_empty());
     }
 }

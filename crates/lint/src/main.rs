@@ -1,25 +1,24 @@
-//! `jcdn-lint` — CLI for the workspace determinism & safety linter.
+//! `jcdn-lint` — CLI for the workspace determinism linter.
 //!
 //! ```text
 //! jcdn-lint --workspace [--format text|json] [--allowlist FILE] [--threads N]
-//! jcdn-lint --workspace --baseline lint-baseline.json
-//! jcdn-lint --workspace --write-baseline lint-baseline.json
 //! jcdn-lint [--all-scopes] path/to/file.rs dir/ …
 //! jcdn-lint --explain D7
 //! ```
 //!
-//! Exit codes: 0 clean (or all findings baselined), 1 fresh findings,
-//! 2 usage or I/O error.
+//! Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
 
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use jcdn_lint::{config, report, Baseline, Config};
+use jcdn_lint::{config, report, Config};
 
 const USAGE: &str = "\
-jcdn-lint — workspace determinism & safety linter
+jcdn-lint — workspace determinism linter (the rules clippy cannot express)
 
 USAGE:
     jcdn-lint --workspace [OPTIONS]
@@ -33,11 +32,6 @@ OPTIONS:
     --format <fmt>       text (default) or json
     --allowlist <file>   allowlist file (default: <root>/allowlist.toml if present)
     --threads <n>        stage-1 parse/lint fan-out on the jcdn-exec pool (default 1)
-    --baseline <file>    diff findings against a committed baseline: exit 1 only on
-                         findings NOT in the baseline; warn on stale entries
-                         (default: <root>/lint-baseline.json if present; pass
-                         --baseline none to ignore it)
-    --write-baseline <file>  accept the current findings as the new baseline
     --all-scopes         apply every rule to every file (used by the fixture corpus)
     --explain <rule>     print the rationale and fix guidance for a rule id
     -h, --help           this help
@@ -49,8 +43,6 @@ struct Args {
     format: String,
     allowlist: Option<PathBuf>,
     threads: usize,
-    baseline: Option<String>,
-    write_baseline: Option<PathBuf>,
     all_scopes: bool,
     explain: Option<String>,
     paths: Vec<PathBuf>,
@@ -63,8 +55,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         format: "text".to_string(),
         allowlist: None,
         threads: 1,
-        baseline: None,
-        write_baseline: None,
         all_scopes: false,
         explain: None,
         paths: Vec::new(),
@@ -90,8 +80,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     .map_err(|_| "--threads must be a positive integer".to_string())?
                     .max(1)
             }
-            "--baseline" => args.baseline = Some(value(&mut i)?),
-            "--write-baseline" => args.write_baseline = Some(PathBuf::from(value(&mut i)?)),
             "--explain" => args.explain = Some(value(&mut i)?),
             "-h" | "--help" => return Err(String::new()),
             _ if arg.starts_with('-') => return Err(format!("unknown option {arg}")),
@@ -147,7 +135,7 @@ fn run(args: &Args) -> Result<bool, String> {
     }
 
     let findings = if args.workspace {
-        jcdn_lint::lint_workspace_threaded(&root, &cfg, args.threads)?
+        jcdn_lint::lint_workspace(&root, &cfg, args.threads)?
     } else if args.paths.is_empty() {
         return Err("no paths given (did you mean --workspace?)".to_string());
     } else {
@@ -165,82 +153,16 @@ fn run(args: &Args) -> Result<bool, String> {
             }
         }
         files.sort();
-        jcdn_lint::lint_files_threaded(&root, &files, &cfg, args.threads)?
+        jcdn_lint::lint_files(&root, &files, &cfg, args.threads)?
     };
-
-    if let Some(out_path) = &args.write_baseline {
-        let accepted = Baseline::from_findings(&findings);
-        std::fs::write(out_path, accepted.render())
-            .map_err(|e| format!("cannot write {}: {e}", out_path.display()))?;
-        eprintln!(
-            "jcdn-lint: wrote baseline with {} entr{} to {}",
-            accepted.len(),
-            if accepted.len() == 1 { "y" } else { "ies" },
-            out_path.display()
-        );
-    }
-
-    // Baseline: explicit `--baseline FILE` (or `none` to disable), else a
-    // committed <root>/lint-baseline.json when present and linting the
-    // workspace (ad-hoc path runs are typically fixture corpora where the
-    // workspace baseline would be meaningless).
-    let baseline_path: Option<PathBuf> = match args.baseline.as_deref() {
-        Some("none") => None,
-        Some(p) => Some(PathBuf::from(p)),
-        None if args.workspace => {
-            let default = root.join("lint-baseline.json");
-            default.is_file().then_some(default)
-        }
-        None => None,
-    };
-    let baseline = match &baseline_path {
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            Baseline::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?
-        }
-        None => Baseline::default(),
-    };
-    let diff = baseline.diff(findings);
 
     let rendered = if args.format == "json" {
-        // JSON keeps every finding (fresh first), with baseline metadata.
-        let mut all = diff.fresh.clone();
-        all.extend(diff.baselined.iter().cloned());
-        let mut doc = report::render_json(&all);
-        // Splice the baseline summary into the top-level object.
-        if doc.ends_with("}\n") {
-            doc.truncate(doc.len() - 2);
-            use std::fmt::Write as _;
-            let _ = writeln!(
-                doc,
-                ",\"fresh\":{},\"baselined\":{},\"stale_baseline_entries\":{}}}",
-                diff.fresh.len(),
-                diff.baselined.len(),
-                diff.stale.len()
-            );
-        }
-        doc
+        report::render_json(&findings)
     } else {
-        let mut out = report::render_text(&diff.fresh);
-        if !diff.baselined.is_empty() {
-            use std::fmt::Write as _;
-            let _ = writeln!(
-                out,
-                "jcdn-lint: {} finding(s) accepted by the baseline",
-                diff.baselined.len()
-            );
-        }
-        out
+        report::render_text(&findings)
     };
     print!("{rendered}");
-    for (rule, path, key, n) in &diff.stale {
-        eprintln!(
-            "jcdn-lint: warning: stale baseline entry {rule} {path} ({n}x): \
-             {key} — the finding is gone; delete the entry"
-        );
-    }
-    Ok(diff.fresh.is_empty())
+    Ok(findings.is_empty())
 }
 
 fn collect_dir(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {

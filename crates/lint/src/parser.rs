@@ -17,7 +17,7 @@
 //! a method call whose receiver type cannot be recovered resolves only if
 //! the method name is unambiguous workspace-wide (see [`crate::graph`]).
 
-use crate::lexer::{Lexed, Suppression, TokKind, Token};
+use crate::lexer::{TokKind, Token};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// How a call site names its callee.
@@ -62,7 +62,7 @@ pub struct SourceFact {
     /// Human-readable description (`` `SystemTime::now()` `` …).
     pub what: String,
     /// True for hash-iteration facts (gated on the D2 scope; clock and
-    /// randomness facts are gated on the D1 scope/allowlist instead).
+    /// randomness facts are gated on the D7 allowlist alone).
     pub hash_order: bool,
     /// 1-based line of the source expression.
     pub line: u32,
@@ -105,8 +105,6 @@ pub struct ParsedFile {
     pub fns: Vec<FnItem>,
     /// `use` aliases: simple name → full path segments.
     pub uses: BTreeMap<String, Vec<String>>,
-    /// Suppression directives (owned), for cross-file finding filtering.
-    pub suppressions: Vec<Suppression>,
 }
 
 /// Identifier tokens that look like calls but are control flow.
@@ -115,7 +113,8 @@ const NON_CALL_KEYWORDS: [&str; 14] = [
     "impl", "dyn",
 ];
 
-const HASH_ITER_METHODS: [&str; 7] = [
+/// Methods that iterate a hash container in its (per-process) order.
+pub(crate) const HASH_ITER_METHODS: [&str; 7] = [
     "iter",
     "iter_mut",
     "keys",
@@ -126,18 +125,17 @@ const HASH_ITER_METHODS: [&str; 7] = [
 ];
 
 /// Parses one lexed file into its owned item summary.
-pub fn parse_file(path: &str, lexed: &Lexed<'_>) -> ParsedFile {
+pub fn parse_file(path: &str, tokens: &[Token<'_>]) -> ParsedFile {
     let p = Parser {
-        tokens: &lexed.tokens,
-        test_ranges: locate_test_ranges(&lexed.tokens),
-        hash_names: collect_declared(&lexed.tokens, &["HashMap", "HashSet"]),
-        tier_names: collect_declared(&lexed.tokens, &["SharedTier"]),
+        tokens,
+        test_ranges: locate_test_ranges(tokens),
+        hash_names: collect_declared(tokens, &["HashMap", "HashSet"]),
+        tier_names: collect_declared(tokens, &["SharedTier"]),
         out: ParsedFile {
             path: path.to_string(),
             module: module_path(path),
             fns: Vec::new(),
             uses: BTreeMap::new(),
-            suppressions: lexed.suppressions.clone(),
         },
     };
     p.run()
@@ -780,9 +778,9 @@ fn qualify(mods: &[String], impl_ty: Option<&str>, name: &str) -> String {
     parts.join("::")
 }
 
-/// Token-index ranges covered by `#[cfg(test)]` / `#[test]` items (same
-/// algorithm as the token-rule engine).
-fn locate_test_ranges(tokens: &[Token<'_>]) -> Vec<(usize, usize)> {
+/// Token-index ranges covered by `#[cfg(test)]` / `#[test]` items, so
+/// the parser and the token rules skip the same test-only code.
+pub(crate) fn locate_test_ranges(tokens: &[Token<'_>]) -> Vec<(usize, usize)> {
     let is = |idx: usize, text: &str| {
         tokens
             .get(idx)

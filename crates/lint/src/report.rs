@@ -4,20 +4,15 @@
 use crate::rules::Finding;
 use std::fmt::Write as _;
 
-/// Renders findings in `path:line:col: severity[rule] message` form, one
+/// Renders findings in `path:line:col: error[rule] message` form, one
 /// per line, with a trailing summary.
 pub fn render_text(findings: &[Finding]) -> String {
     let mut out = String::new();
     for f in findings {
         let _ = writeln!(
             out,
-            "{}:{}:{}: {}[{}] {}",
-            f.path,
-            f.line,
-            f.col,
-            f.severity.label(),
-            f.rule,
-            f.message
+            "{}:{}:{}: error[{}] {}",
+            f.path, f.line, f.col, f.rule, f.message
         );
         // Flow rules carry their evidence: the call chain from the root
         // to the flagged site, one indented hop per line.
@@ -52,9 +47,8 @@ pub fn render_json(findings: &[Finding]) -> String {
         }
         let _ = write!(
             out,
-            "{{\"rule\":{},\"severity\":{},\"path\":{},\"line\":{},\"col\":{},\"message\":{}",
+            "{{\"rule\":{},\"severity\":\"error\",\"path\":{},\"line\":{},\"col\":{},\"message\":{}",
             json_str(f.rule),
-            json_str(f.severity.label()),
             json_str(&f.path),
             f.line,
             f.col,
@@ -83,7 +77,7 @@ pub fn render_json(findings: &[Finding]) -> String {
     out
 }
 
-pub(crate) fn json_str(s: &str) -> String {
+fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -106,25 +100,6 @@ pub(crate) fn json_str(s: &str) -> String {
 /// The long-form explanation for one rule id, or `None` for an unknown id.
 pub fn explain(rule: &str) -> Option<&'static str> {
     Some(match rule {
-        "D1" => {
-            "D1 — wall-clock and ambient-randomness APIs\n\
-             \n\
-             Bans `SystemTime::now`, `Instant::now`, `thread_rng`, and\n\
-             `RandomState`. The pipeline's contract is bit-identical output for\n\
-             a given seed, across shard counts {1,2,8} and thread counts {1,4}.\n\
-             Any read of the host clock or process-local randomness makes output\n\
-             depend on when and where the binary ran. Simulated time (`SimTime`)\n\
-             is the only clock; RNG streams are derived from the seed\n\
-             (SplitMix64) and threaded through the call graph.\n\
-             \n\
-             Allowed surfaces (allowlist.toml): the fault-injection module\n\
-             models real-world nondeterminism behind a seeded plan, and the\n\
-             bench harness times wall-clock by definition.\n\
-             \n\
-             Fix: accept a `SimTime`/RNG parameter; derive per-worker streams\n\
-             with SplitMix64. Suppress only with a written reason:\n\
-             `// jcdn-lint: allow(D1) -- <why>`"
-        }
         "D2" => {
             "D2 — hash-ordered iteration in output-order-sensitive modules\n\
              \n\
@@ -143,38 +118,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              The check is file-local: it sees bindings and fields declared with\n\
              a hash type in the same file."
         }
-        "D3" => {
-            "D3 — `unwrap`/`expect`/`panic!`/`catch_unwind` in non-test library code\n\
-             \n\
-             Library crates return typed errors (`EncodeError`, intern-overflow\n\
-             errors, …). A panic inside a shard worker aborts the whole\n\
-             scatter-gather pipeline and loses the partial results; a typed\n\
-             error propagates and reports. `catch_unwind` is flagged too: the\n\
-             one sanctioned unwind boundary lives in jcdn-exec, where a caught\n\
-             panic enters the quarantine/retry policy and is counted — an\n\
-             ad-hoc boundary elsewhere swallows panics invisibly. Test modules\n\
-             (`#[cfg(test)]`, `#[test]`) are exempt, as are the CLI binary and\n\
-             bench harness (fail-fast is correct there).\n\
-             \n\
-             Fix: restructure so the invariant needs no panic (`total_cmp`\n\
-             instead of `partial_cmp(..).expect`, `if let` instead of\n\
-             `unwrap`), or return a typed error. For genuine can't-happen\n\
-             invariants (e.g. an operator impl that cannot return `Result`),\n\
-             suppress with a reason."
-        }
-        "D4" => {
-            "D4 — lossy integer `as` casts in codec/interner code\n\
-             \n\
-             `as` silently truncates. In codec framing, a corrupt or\n\
-             adversarial length prefix cast with `as usize` wraps into a small\n\
-             number instead of failing, corrupting the decode at a distance;\n\
-             in the interner, a truncated id aliases another string. Scope:\n\
-             the trace crate (codec, interner, framing).\n\
-             \n\
-             Fix: `try_from` with a typed decode/encode error. For provably\n\
-             lossless bit-twiddling (masked bytes, zigzag reinterpretation),\n\
-             suppress with a reason stating the invariant."
-        }
         "D5" => {
             "D5 — ad-hoc float accumulation in merge functions\n\
              \n\
@@ -192,41 +135,27 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              raw float and merge through it, or compute the float at\n\
              finalize-time from exactly-merged integer counts."
         }
-        "D6" => {
-            "D6 — missing doc comments on public items\n\
-             \n\
-             Every `pub` item (fn, struct, field, enum, trait, type, mod,\n\
-             const, static) in the contract crates (core, trace, stats) must\n\
-             carry a `///` doc comment. These crates implement the paper's\n\
-             measured quantities; an undocumented public knob is how a future\n\
-             change silently diverges from the paper's definitions. This is\n\
-             the statically-checked twin of `#![warn(missing_docs)]`, and also\n\
-             covers `pub` methods on private types.\n\
-             \n\
-             Fix: document the item (what it measures, and the paper section\n\
-             if applicable)."
-        }
         "D7" => {
             "D7 — cross-file determinism taint on merge/finalize/encode paths\n\
              \n\
-             The flow-aware twin of D1/D2. Stage 2 builds a workspace call\n\
-             graph (lightweight item parser, no full AST) and walks forward\n\
-             from every *determinism root* — functions named `merge*` or\n\
-             `finalize*` anywhere, and `encode*` inside the trace codec. Any\n\
-             reachable function that observes a banned source taints the whole\n\
-             path: wall clock (`SystemTime::now`, `Instant::now`), ambient\n\
-             randomness (`thread_rng`, `RandomState`), or hash-ordered\n\
-             iteration. The finding is anchored at the observation site and\n\
-             prints the full call chain from the root as evidence.\n\
+             The flow-aware twin of clippy's clock ban (clippy.toml) and D2.\n\
+             Stage 2 builds a workspace call graph (lightweight item parser,\n\
+             no full AST) and walks forward from every *determinism root* —\n\
+             functions named `merge*` or `finalize*` anywhere, and `encode*`\n\
+             inside the trace codec. Any reachable function that observes a\n\
+             banned source taints the whole path: wall clock\n\
+             (`SystemTime::now`, `Instant::now`), ambient randomness\n\
+             (`thread_rng`, `RandomState`), or hash-ordered iteration. The\n\
+             finding is anchored at the observation site and prints the full\n\
+             call chain from the root as evidence.\n\
              \n\
-             Sanctioned sources do not taint: files the D1 allowlist blesses\n\
-             (fault injection, the bench harness, obs::clock) and hash\n\
-             iteration outside the D2 output-order scope.\n\
+             Sanctioned sources do not taint: files the D7 allowlist blesses\n\
+             (obs::clock, the one wall-clock reader) and hash iteration\n\
+             outside the D2 output-order scope.\n\
              \n\
              Resolution is conservative — ambiguous call targets drop the\n\
              edge, so a D7 finding is evidence, not speculation. Fix the\n\
-             source (SimTime, seeded streams, BTreeMap), or suppress at the\n\
-             source line with a reason."
+             source (SimTime, seeded streams, BTreeMap)."
         }
         "D8" => {
             "D8 — shared-tier mutation inside the epoch peek phase\n\
@@ -281,18 +210,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              in the same PR.\n\
              \n\
              Fix: list every version (`1 | 2 => …, 3 | 4 => …`) and keep the\n\
-             wildcard arm only for the error path, or suppress with a reason\n\
-             if a dispatch genuinely only distinguishes a subset."
-        }
-        "S1" => {
-            "S1 — malformed suppression directive\n\
-             \n\
-             Inline suppressions must name at least one known rule id and\n\
-             carry a reason: `// jcdn-lint: allow(D3) -- sort key is total by\n\
-             construction`. A suppression without a reason is itself an error:\n\
-             the reason is the review artifact that keeps exemptions honest.\n\
-             A directive on its own line suppresses the next line; a trailing\n\
-             directive suppresses its own line."
+             wildcard arm only for the error path."
         }
         _ => return None,
     })
@@ -301,12 +219,10 @@ pub fn explain(rule: &str) -> Option<&'static str> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::Severity;
 
     fn f() -> Finding {
         Finding {
-            rule: "D1",
-            severity: Severity::Error,
+            rule: "D2",
             path: "crates/x/src/lib.rs".to_string(),
             line: 3,
             col: 7,
@@ -337,7 +253,7 @@ mod tests {
     #[test]
     fn text_format() {
         let text = render_text(&[f()]);
-        assert!(text.contains("crates/x/src/lib.rs:3:7: error[D1]"));
+        assert!(text.contains("crates/x/src/lib.rs:3:7: error[D2]"));
         assert!(text.contains("1 finding(s) in 1 file(s)"));
         assert!(render_text(&[]).contains("clean"));
     }
@@ -347,6 +263,7 @@ mod tests {
         let json = render_json(&[f()]);
         assert!(json.contains("\\\"quoted\\\""));
         assert!(json.contains("\\t"));
+        assert!(json.contains("\"severity\":\"error\""));
         assert!(json.contains("\"count\":1"));
         assert!(json.ends_with("}\n"));
     }

@@ -1,9 +1,8 @@
 //! The rule engine: file context construction (function spans, test
-//! ranges) and the file-local determinism/safety rules D1–D6 and D9–D10,
-//! plus S1 for malformed suppressions. The cross-file flow rules D7/D8
-//! live in [`crate::taint`] and run over the call graph built by
-//! [`crate::graph`]; they share this module's [`Finding`] type (with a
-//! populated call [`ChainHop`] trail) and suppression machinery.
+//! ranges) and the file-local determinism/safety rules D2, D5, D9 and
+//! D10. The cross-file flow rules D7/D8 live in [`crate::taint`] and run
+//! over the call graph built by [`crate::graph`]; they share this
+//! module's [`Finding`] type (with a populated call [`ChainHop`] trail).
 //!
 //! Every rule is a token-sequence check — deliberately type-blind, so the
 //! pass stays a lexer walk (microseconds per file) rather than a rustc
@@ -14,28 +13,9 @@
 //! chosen so that limitation does not matter in this workspace.
 
 use crate::config::Config;
-use crate::lexer::{Lexed, Suppression, TokKind, Token};
-use std::collections::{BTreeMap, BTreeSet};
-
-/// How bad a finding is. Every current rule gates CI, so everything is an
-/// error; the distinction is kept for future advisory rules.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Advisory only; does not affect the exit code.
-    Warning,
-    /// Gates CI.
-    Error,
-}
-
-impl Severity {
-    /// Lowercase label used in reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            Severity::Warning => "warning",
-            Severity::Error => "error",
-        }
-    }
-}
+use crate::lexer::{TokKind, Token};
+use crate::parser::HASH_ITER_METHODS;
+use std::collections::BTreeSet;
 
 /// One hop in a cross-file call chain attached to a flow finding: the
 /// function entered and where (for the root, its definition site; for
@@ -50,13 +30,12 @@ pub struct ChainHop {
     pub line: u32,
 }
 
-/// One lint finding, anchored to a file position.
+/// One lint finding, anchored to a file position. Every finding is an
+/// error: it fails the run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule id (`D1`–`D10`, `S1`).
+    /// Rule id (`D2`, `D5`, `D7`–`D10`).
     pub rule: &'static str,
-    /// Severity (currently always [`Severity::Error`]).
-    pub severity: Severity,
     /// Workspace-relative path with forward slashes.
     pub path: String,
     /// 1-based line.
@@ -88,44 +67,17 @@ struct FileCtx<'a> {
     test_ranges: Vec<(usize, usize)>,
 }
 
-const INT_TYPES: [&str; 12] = [
-    "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize",
-];
-
-const HASH_ITER_METHODS: [&str; 7] = [
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "into_iter",
-    "drain",
-];
-
-/// Lints one file's source. `path` must be workspace-relative with
+/// Lints one file's token stream. `path` must be workspace-relative with
 /// forward slashes (it is matched against scopes and allowlists).
-pub fn lint_source(path: &str, src: &str, cfg: &Config) -> Vec<Finding> {
-    let lexed = crate::lexer::lex(src);
-    let ctx = FileCtx::build(path, &lexed.tokens);
+pub fn lint_tokens(path: &str, tokens: &[Token<'_>], cfg: &Config) -> Vec<Finding> {
+    let ctx = FileCtx::build(path, tokens);
     let mut findings = Vec::new();
 
-    if cfg.applies("D1", path) {
-        ctx.rule_d1(&mut findings);
-    }
     if cfg.applies("D2", path) {
         ctx.rule_d2(&mut findings);
     }
-    if cfg.applies("D3", path) {
-        ctx.rule_d3(&mut findings);
-    }
-    if cfg.applies("D4", path) {
-        ctx.rule_d4(&mut findings);
-    }
     if cfg.applies("D5", path) {
         ctx.rule_d5(&mut findings);
-    }
-    if cfg.applies("D6", path) {
-        ctx.rule_d6(&mut findings);
     }
     if cfg.applies("D9", path) {
         ctx.rule_d9(&mut findings);
@@ -133,94 +85,8 @@ pub fn lint_source(path: &str, src: &str, cfg: &Config) -> Vec<Finding> {
     if cfg.applies("D10", path) {
         ctx.rule_d10(&mut findings);
     }
-
-    apply_suppressions(path, &lexed, findings)
-}
-
-/// The `line → suppressed rule ids` map from the *well-formed* directives
-/// in `sups`. Malformed directives (unknown rules, missing reason) are
-/// ignored here — [`apply_suppressions`] reports them as S1; this map is
-/// also rebuilt in stage 2 to filter cross-file findings without
-/// re-emitting S1.
-pub(crate) fn suppression_map(sups: &[Suppression]) -> BTreeMap<u32, BTreeSet<&'static str>> {
-    let mut map: BTreeMap<u32, BTreeSet<&'static str>> = BTreeMap::new();
-    for sup in sups {
-        if sup.rules.is_empty() || !sup.has_reason {
-            continue;
-        }
-        if sup
-            .rules
-            .iter()
-            .any(|r| !crate::config::RULE_IDS.contains(&r.as_str()))
-        {
-            continue;
-        }
-        let target = if sup.own_line { sup.line + 1 } else { sup.line };
-        for rule in &sup.rules {
-            if let Some(&known) = crate::config::RULE_IDS.iter().find(|k| *k == rule) {
-                map.entry(target).or_default().insert(known);
-            }
-        }
-    }
-    map
-}
-
-/// Drops findings covered by a well-formed suppression directive and
-/// reports malformed directives as S1 findings.
-fn apply_suppressions(path: &str, lexed: &Lexed<'_>, findings: Vec<Finding>) -> Vec<Finding> {
-    let suppressed = suppression_map(&lexed.suppressions);
-    let mut out = Vec::new();
-    for sup in &lexed.suppressions {
-        let bad_rules: Vec<&String> = sup
-            .rules
-            .iter()
-            .filter(|r| !crate::config::RULE_IDS.contains(&r.as_str()))
-            .collect();
-        if sup.rules.is_empty() || !bad_rules.is_empty() {
-            out.push(Finding {
-                rule: "S1",
-                severity: Severity::Error,
-                path: path.to_string(),
-                line: sup.line,
-                col: 1,
-                message: malformed_rules_message(sup, &bad_rules),
-                chain: Vec::new(),
-            });
-            continue;
-        }
-        if !sup.has_reason {
-            out.push(Finding {
-                rule: "S1",
-                severity: Severity::Error,
-                path: path.to_string(),
-                line: sup.line,
-                col: 1,
-                message: "suppression is missing its reason: write \
-                          `// jcdn-lint: allow(Dx) -- <why this is sound>`"
-                    .to_string(),
-                chain: Vec::new(),
-            });
-        }
-    }
-    for f in findings {
-        let hit = suppressed
-            .get(&f.line)
-            .is_some_and(|rules| rules.contains(f.rule));
-        if !hit {
-            out.push(f);
-        }
-    }
-    out.sort_by(|a, b| (a.line, a.col, a.rule).cmp(&(b.line, b.col, b.rule)));
-    out
-}
-
-fn malformed_rules_message(sup: &Suppression, bad: &[&String]) -> String {
-    if sup.rules.is_empty() {
-        "suppression lists no rule ids: write `// jcdn-lint: allow(Dx) -- reason`".to_string()
-    } else {
-        let names: Vec<&str> = bad.iter().map(|s| s.as_str()).collect();
-        format!("suppression names unknown rule id(s): {}", names.join(", "))
-    }
+    findings.sort_by(|a, b| (a.line, a.col, a.rule).cmp(&(b.line, b.col, b.rule)));
+    findings
 }
 
 impl<'a> FileCtx<'a> {
@@ -229,9 +95,8 @@ impl<'a> FileCtx<'a> {
             path,
             tokens,
             fns: Vec::new(),
-            test_ranges: Vec::new(),
+            test_ranges: crate::parser::locate_test_ranges(tokens),
         };
-        ctx.locate_test_ranges();
         ctx.locate_fns();
         ctx
     }
@@ -267,75 +132,6 @@ impl<'a> FileCtx<'a> {
             }
         }
         self.tokens.len().saturating_sub(1)
-    }
-
-    /// Records the body ranges of items carrying `#[cfg(test)]` or
-    /// `#[test]` so rules can skip test-only code.
-    fn locate_test_ranges(&mut self) {
-        let mut i = 0;
-        while i < self.tokens.len() {
-            if self.is(i, TokKind::Punct, "#") && self.is(i + 1, TokKind::Punct, "[") {
-                // Scan the attribute tokens to its closing bracket.
-                let mut j = i + 2;
-                let mut depth = 1usize;
-                let mut is_test_attr = false;
-                let mut first = true;
-                while j < self.tokens.len() && depth > 0 {
-                    let t = &self.tokens[j];
-                    if t.kind == TokKind::Punct {
-                        match t.text {
-                            "[" => depth += 1,
-                            "]" => depth -= 1,
-                            _ => {}
-                        }
-                    } else if t.kind == TokKind::Ident {
-                        if first && t.text == "test" {
-                            is_test_attr = true;
-                        }
-                        if t.text == "cfg" || t.text == "cfg_attr" {
-                            // Look inside for a `test` ident.
-                            let mut k = j + 1;
-                            let mut cdepth = 0usize;
-                            while k < self.tokens.len() {
-                                let u = &self.tokens[k];
-                                if u.kind == TokKind::Punct {
-                                    match u.text {
-                                        "(" => cdepth += 1,
-                                        ")" => {
-                                            if cdepth <= 1 {
-                                                break;
-                                            }
-                                            cdepth -= 1;
-                                        }
-                                        _ => {}
-                                    }
-                                } else if u.kind == TokKind::Ident && u.text == "test" {
-                                    is_test_attr = true;
-                                }
-                                k += 1;
-                            }
-                        }
-                        first = false;
-                    }
-                    j += 1;
-                }
-                if is_test_attr {
-                    // The item body is the next `{` after the attribute
-                    // (skipping any further attributes and doc comments).
-                    let mut k = j;
-                    while k < self.tokens.len() && !self.is(k, TokKind::Punct, "{") {
-                        k += 1;
-                    }
-                    let close = self.matching_brace(k);
-                    self.test_ranges.push((i, close));
-                    i = close + 1;
-                    continue;
-                }
-                i = j;
-                continue;
-            }
-            i += 1;
-        }
     }
 
     fn in_test(&self, idx: usize) -> bool {
@@ -385,63 +181,12 @@ impl<'a> FileCtx<'a> {
         let t = &self.tokens[idx];
         out.push(Finding {
             rule,
-            severity: Severity::Error,
             path: self.path.to_string(),
             line: t.line,
             col: t.col,
             message,
             chain: Vec::new(),
         });
-    }
-
-    // ----------------------------------------------------------------- D1
-
-    /// D1: wall-clock and ambient-randomness APIs. Any of
-    /// `SystemTime::now`, `Instant::now`, `thread_rng`, `RandomState`
-    /// makes output depend on when/where the process ran, which breaks
-    /// bit-reproducibility. Applies to test code too: a test that reads
-    /// the clock is a flaky test.
-    fn rule_d1(&self, out: &mut Vec<Finding>) {
-        for i in 0..self.tokens.len() {
-            let Some(ident) = self.ident_at(i) else {
-                continue;
-            };
-            let path_call = |head: &str| {
-                ident == head
-                    && self.is(i + 1, TokKind::Punct, ":")
-                    && self.is(i + 2, TokKind::Punct, ":")
-                    && self.ident_at(i + 3) == Some("now")
-            };
-            if path_call("SystemTime") || path_call("Instant") {
-                self.push(
-                    out,
-                    "D1",
-                    i,
-                    format!(
-                        "`{ident}::now()` reads the wall clock; simulated time \
-                         (`SimTime`) is the only clock in deterministic code"
-                    ),
-                );
-            } else if ident == "thread_rng" {
-                self.push(
-                    out,
-                    "D1",
-                    i,
-                    "`thread_rng()` is ambient randomness; thread seeded RNGs \
-                     (e.g. SplitMix64-derived streams) through the call graph instead"
-                        .to_string(),
-                );
-            } else if ident == "RandomState" {
-                self.push(
-                    out,
-                    "D1",
-                    i,
-                    "`RandomState` randomizes hash iteration order per process; \
-                     use `BTreeMap`/`BTreeSet` or a fixed-seed hasher"
-                        .to_string(),
-                );
-            }
-        }
     }
 
     // ----------------------------------------------------------------- D2
@@ -589,99 +334,6 @@ impl<'a> FileCtx<'a> {
         }
     }
 
-    // ----------------------------------------------------------------- D3
-
-    /// D3: `unwrap`/`expect`/`panic!`/`catch_unwind` in non-test library
-    /// code. Library crates return typed errors (`EncodeError`,
-    /// `InternError`, …); a panic in a shard worker takes down the whole
-    /// pipeline, and ad-hoc unwind boundaries hide panics from the one
-    /// sanctioned quarantine/retry policy in jcdn-exec.
-    fn rule_d3(&self, out: &mut Vec<Finding>) {
-        for i in 0..self.tokens.len() {
-            if self.in_test(i) {
-                continue;
-            }
-            let Some(ident) = self.ident_at(i) else {
-                continue;
-            };
-            let method_call = |name: &str| {
-                ident == name
-                    && i >= 1
-                    && self.is(i - 1, TokKind::Punct, ".")
-                    && self.is(i + 1, TokKind::Punct, "(")
-            };
-            if method_call("unwrap") || method_call("expect") {
-                self.push(
-                    out,
-                    "D3",
-                    i,
-                    format!(
-                        "`.{ident}()` in library code; return a typed error \
-                         (or restructure so the invariant is expressed without panicking)"
-                    ),
-                );
-            } else if ident == "panic" && self.is(i + 1, TokKind::Punct, "!") {
-                self.push(
-                    out,
-                    "D3",
-                    i,
-                    "`panic!` in library code; return a typed error instead".to_string(),
-                );
-            } else if ident == "catch_unwind" && self.is(i + 1, TokKind::Punct, "(") {
-                self.push(
-                    out,
-                    "D3",
-                    i,
-                    "`catch_unwind` outside the sanctioned jcdn-exec isolation \
-                     boundary; panics must reach the quarantine/retry policy, \
-                     not be swallowed ad hoc"
-                        .to_string(),
-                );
-            }
-        }
-    }
-
-    // ----------------------------------------------------------------- D4
-
-    /// D4: integer `as` casts in codec/interner code. `as` silently
-    /// truncates; a corrupt length prefix must surface as a decode error,
-    /// not wrap into a small allocation. Use `try_from` (or a documented
-    /// suppression for bit-twiddling masks).
-    fn rule_d4(&self, out: &mut Vec<Finding>) {
-        for i in 0..self.tokens.len() {
-            if self.in_test(i) {
-                continue;
-            }
-            if self.ident_at(i) != Some("as") {
-                continue;
-            }
-            let Some(ty) = self.ident_at(i + 1) else {
-                continue;
-            };
-            if !INT_TYPES.contains(&ty) {
-                continue;
-            }
-            // Exclude `use x as y` style: the token before a cast is an
-            // expression end (ident/num/`)`/`]`), which `use … as` also
-            // is, so instead check the statement start — cheaper: `as`
-            // directly preceded by `::`-path puncts still casts. The only
-            // real exclusion needed is an import, which names a module
-            // path and ends with `;` right after the alias — but aliasing
-            // *to an integer type name* would be perverse; accept the
-            // false positive in principle, none exist in practice.
-            self.push(
-                out,
-                "D4",
-                i,
-                format!(
-                    "lossy `as {ty}` cast in codec/interner code; use \
-                     `{ty}::try_from(…)` with a typed error (suppress with a \
-                     reason only for masked bit-twiddling)"
-                ),
-            );
-        }
-    }
-
     // ----------------------------------------------------------------- D5
 
     /// D5: ad-hoc float accumulation in `merge` functions. Mergeable
@@ -729,115 +381,6 @@ impl<'a> FileCtx<'a> {
                         ),
                     );
                 }
-            }
-        }
-    }
-
-    // ----------------------------------------------------------------- D6
-
-    /// D6: every `pub` item in the contract crates carries a doc comment.
-    /// This is the statically-checked twin of `#![warn(missing_docs)]` —
-    /// it also covers `pub` methods on private types and runs without
-    /// compiling.
-    fn rule_d6(&self, out: &mut Vec<Finding>) {
-        const ITEM_KWS: [&str; 9] = [
-            "fn", "struct", "enum", "trait", "type", "mod", "static", "const", "union",
-        ];
-        const SKIP_KWS: [&str; 4] = ["unsafe", "async", "extern", "default"];
-        for i in 0..self.tokens.len() {
-            if self.in_test(i) {
-                continue;
-            }
-            if self.ident_at(i) != Some("pub") {
-                continue;
-            }
-            // `pub(crate)` / `pub(super)` are not public API.
-            if self.is(i + 1, TokKind::Punct, "(") {
-                continue;
-            }
-            // Walk forward past qualifier keywords to the item keyword.
-            let mut j = i + 1;
-            let mut kw = None;
-            for _ in 0..4 {
-                match self.ident_at(j) {
-                    Some(k) if k == "const" && self.ident_at(j + 1) == Some("fn") => {
-                        j += 1;
-                        continue;
-                    }
-                    Some(k) if SKIP_KWS.contains(&k) => {
-                        j += 1;
-                        // `extern "C"` — skip the ABI string too.
-                        if self.tokens.get(j).is_some_and(|t| t.kind == TokKind::Str) {
-                            j += 1;
-                        }
-                        continue;
-                    }
-                    Some(k) => {
-                        kw = Some(k);
-                        break;
-                    }
-                    None => break,
-                }
-            }
-            let (item_kind, name_idx) = match kw {
-                Some("use") => continue, // re-exports inherit their docs
-                Some(k) if ITEM_KWS.contains(&k) => (k, j + 1),
-                // `pub name: Type` — a struct field.
-                Some(_) if self.is(j + 1, TokKind::Punct, ":") => ("field", j),
-                _ => continue,
-            };
-            if self.has_doc(i) {
-                continue;
-            }
-            let name = self.ident_at(name_idx).unwrap_or("<unnamed>");
-            self.push(
-                out,
-                "D6",
-                i,
-                format!("public {item_kind} `{name}` is missing a doc comment"),
-            );
-        }
-    }
-
-    /// Whether the `pub` at `idx` is preceded by an outer doc comment or a
-    /// `#[doc…]` attribute, skipping over other attributes.
-    fn has_doc(&self, idx: usize) -> bool {
-        let mut i = idx;
-        loop {
-            let Some(prev) = i.checked_sub(1) else {
-                return false;
-            };
-            let t = &self.tokens[prev];
-            match t.kind {
-                TokKind::DocOuter => return true,
-                TokKind::Punct if t.text == "]" => {
-                    // Walk back over the attribute; `#[doc = "…"]` counts.
-                    let mut depth = 1usize;
-                    let mut k = prev;
-                    let mut saw_doc = false;
-                    while depth > 0 {
-                        let Some(p) = k.checked_sub(1) else {
-                            return false;
-                        };
-                        k = p;
-                        let u = &self.tokens[k];
-                        if u.kind == TokKind::Punct {
-                            match u.text {
-                                "]" => depth += 1,
-                                "[" => depth -= 1,
-                                _ => {}
-                            }
-                        } else if u.kind == TokKind::Ident && u.text == "doc" {
-                            saw_doc = true;
-                        }
-                    }
-                    if saw_doc {
-                        return true;
-                    }
-                    // Move past the `#`.
-                    i = k.saturating_sub(1);
-                }
-                _ => return false,
             }
         }
     }

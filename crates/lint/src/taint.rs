@@ -5,12 +5,12 @@
 //! * **D7 (determinism taint)** — from every *determinism root* (a
 //!   function named `merge*`/`finalize*`, or `encode*` inside the trace
 //!   codec), walk the call graph forward; any reachable function that
-//!   observes a D1-banned source (wall clock, ambient randomness, hash
+//!   observes a determinism source (wall clock, ambient randomness, hash
 //!   iteration order) taints the whole path, and the finding prints the
 //!   full call chain from the root to the observation. A source inside a
-//!   D1-allowlisted file (e.g. the fault-injection module) is sanctioned
-//!   and does not taint; hash-order sources only count where the D2
-//!   scope says output order matters.
+//!   D7-allowlisted file (jcdn-obs's clock module) is sanctioned and does
+//!   not taint; hash-order sources only count where the D2 scope says
+//!   output order matters.
 //! * **D8 (epoch-lockstep safety)** — from every peek-phase entry point
 //!   (`run_until` in `cdnsim`), any reachable call of a shared-tier
 //!   mutator (`insert`/`evict`/`touch`/`expire` on a `SharedTier`-typed
@@ -24,14 +24,13 @@
 
 use crate::config::Config;
 use crate::graph::CallGraph;
-use crate::rules::{ChainHop, Finding, Severity};
+use crate::rules::{ChainHop, Finding};
 
 /// Shared-tier mutator methods the peek phase must never call directly.
 const TIER_MUTATORS: [&str; 4] = ["insert", "evict", "touch", "expire"];
 
 /// Runs D7 and D8 over the graph, returning findings anchored at the
-/// offending site with their call chains populated. Suppression
-/// directives and baselines are applied by the caller.
+/// offending site with their call chains populated.
 pub fn run(graph: &CallGraph, cfg: &Config) -> Vec<Finding> {
     let mut out = Vec::new();
     rule_d7(graph, cfg, &mut out);
@@ -127,18 +126,16 @@ fn rule_d7(graph: &CallGraph, cfg: &Config, out: &mut Vec<Finding>) {
             continue;
         }
         for src in &n.item.sources {
-            // Sanctioned sources do not taint: hash-order facts only
-            // matter under the D2 (output-order) scope; clock/randomness
-            // facts are void where the D1 allowlist blesses them.
-            let gate = if src.hash_order { "D2" } else { "D1" };
-            if !cfg.applies(gate, &n.path) {
+            // Hash-order facts only matter under the D2 (output-order)
+            // scope; clock/randomness facts are void in the files the D7
+            // allowlist blesses, which the check above already skipped.
+            if src.hash_order && !cfg.applies("D2", &n.path) {
                 continue;
             }
             let chain = chain_to(graph, &reach, i);
             let root = chain.first().map(|h| h.func.clone()).unwrap_or_default();
             out.push(Finding {
                 rule: "D7",
-                severity: Severity::Error,
                 path: n.path.clone(),
                 line: src.line,
                 col: src.col,
@@ -187,7 +184,6 @@ fn rule_d8(graph: &CallGraph, cfg: &Config, out: &mut Vec<Finding>) {
             let root = chain.first().map(|h| h.func.clone()).unwrap_or_default();
             out.push(Finding {
                 rule: "D8",
-                severity: Severity::Error,
                 path: n.path.clone(),
                 line: call.line,
                 col: call.col,
@@ -248,11 +244,11 @@ mod tests {
     }
 
     #[test]
-    fn d7_respects_d1_allowlist_for_sources() {
+    fn d7_respects_its_allowlist_for_sources() {
         let files = [
             ("crates/core/src/a.rs", "fn merge_x() { jitter(); }"),
             (
-                "crates/cdnsim/src/fault.rs",
+                "crates/obs/src/clock.rs",
                 "fn jitter() { let _ = SystemTime::now(); }",
             ),
         ];
@@ -260,8 +256,8 @@ mod tests {
         let graph = CallGraph::build(&parsed);
         let mut cfg = Config::all_scopes();
         cfg.allow.insert(
-            "D1".to_string(),
-            vec!["crates/cdnsim/src/fault.rs".to_string()],
+            "D7".to_string(),
+            vec!["crates/obs/src/clock.rs".to_string()],
         );
         let findings = run(&graph, &cfg);
         assert!(findings.is_empty(), "{findings:?}");

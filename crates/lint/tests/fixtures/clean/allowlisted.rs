@@ -1,7 +1,10 @@
-// Fixture: contains a D1 violation that the sibling `allowlist.toml`
+// Fixture: contains a D10 violation that the sibling `allowlist.toml`
 // exempts by path — the linter must report nothing for this file when the
 // allowlist is loaded.
 
-fn wall_clock_sample() -> std::time::Instant {
-    std::time::Instant::now()
+fn dispatch(version: u16) -> u8 {
+    match version {
+        1 | 2 => 1,
+        _ => 0,
+    }
 }

@@ -15,7 +15,7 @@ pub fn render(counts: &BTreeMap<String, u64>) -> String {
     out
 }
 
-/// Widening casts and `try_from` are both fine under D4.
+/// `try_from` surfaces an out-of-range length as an error.
 pub fn lengths(n: u32) -> Result<usize, std::num::TryFromIntError> {
     usize::try_from(n)
 }

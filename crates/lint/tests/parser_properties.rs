@@ -10,7 +10,7 @@ use jcdn_lint::{taint, Config};
 use proptest::prelude::*;
 
 /// Near-Rust source soup: fragments that exercise every parser branch
-/// (items, bindings, calls, generics, strings, directives) glued in
+/// (items, bindings, calls, generics, strings, comments) glued in
 /// arbitrary order, plus raw character noise.
 fn source_fragment() -> impl Strategy<Value = String> {
     prop_oneof![
@@ -24,7 +24,7 @@ fn source_fragment() -> impl Strategy<Value = String> {
         Just("for k in map.keys() { touch(k); }\n".to_string()),
         Just("let len = cur.get_varint()?; let t = len + 8;\n".to_string()),
         Just("match version { 1 | 2 => a(), _ => b() }\n".to_string()),
-        Just("// jcdn-lint: allow(D1) -- fuzz\n".to_string()),
+        Just("// plain comment { fn\n".to_string()),
         Just("\"str with } { fn\"".to_string()),
         Just("'\\''".to_string()),
         Just("#[cfg(test)] mod tests { #[test] fn t() {} }\n".to_string()),

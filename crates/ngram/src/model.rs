@@ -17,7 +17,7 @@ pub struct Prediction {
 
 /// One exported context: `(context tokens, total, successors sorted by
 /// token)` — the serialization view of the model.
-pub type ContextExport<'m> = (&'m Vec<u32>, u64, Vec<(u32, u64)>);
+pub(crate) type ContextExport<'m> = (&'m Vec<u32>, u64, Vec<(u32, u64)>);
 
 /// Counts for one context: total and per-successor.
 #[derive(Clone, Debug, Default)]

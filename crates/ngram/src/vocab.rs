@@ -65,7 +65,10 @@ impl Vocab {
         if let Some(&tok) = self.index.get(key) {
             return tok;
         }
-        // jcdn-lint: allow(D3) -- id-space exhaustion (2^32 interned strings) has no recovery path
+        #[expect(
+            clippy::expect_used,
+            reason = "id-space exhaustion (2^32 interned strings) has no recovery path"
+        )]
         let tok = u32::try_from(self.strings.len()).expect("vocabulary overflow");
         self.index.insert(key.to_owned(), tok);
         self.strings.push(key.to_owned());
@@ -78,7 +81,10 @@ impl Vocab {
         if let Some(&tok) = self.index.get(&key) {
             return tok;
         }
-        // jcdn-lint: allow(D3) -- id-space exhaustion (2^32 interned strings) has no recovery path
+        #[expect(
+            clippy::expect_used,
+            reason = "id-space exhaustion (2^32 interned strings) has no recovery path"
+        )]
         let tok = u32::try_from(self.strings.len()).expect("vocabulary overflow");
         self.index.insert(key.clone(), tok);
         self.strings.push(key);

@@ -5,8 +5,14 @@
 //! construction** and must stay out of seed-reproducible output: timings
 //! flow into span records, pool reports, and the `"perf"` section of a
 //! [`crate::RunManifest`], never into [`crate::MetricsSnapshot`] counters.
-//! `allowlist.toml` carries the single D1 exemption for this file; any
-//! other `Instant::now` in the tree is a lint finding.
+//! `clippy.toml` bans `Instant::now` everywhere; this module's `#[expect]`
+//! is the single exemption, so any other clock read in the tree fails
+//! clippy.
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the workspace's one sanctioned wall-clock reader; its readings stay in the perf section"
+)]
 
 use std::sync::OnceLock;
 use std::time::Instant;

@@ -20,9 +20,9 @@
 //!
 //! The crate is also the **single owner of the wall clock**: `Instant::now`
 //! appears in this workspace only inside [`clock`], which carries the one
-//! D1 exemption in `allowlist.toml`. Everything else measures time through
-//! [`clock::Stopwatch`] or the [`span!`] macro, so `jcdn-lint` can continue
-//! to ban ambient time everywhere it matters.
+//! `#[expect]` for clippy's `disallowed_methods` ban (see `clippy.toml`).
+//! Everything else measures time through [`clock::Stopwatch`] or the
+//! [`span!`] macro, so the ban on ambient time holds everywhere it matters.
 //!
 //! Modules:
 //!
@@ -45,7 +45,9 @@
 //! path), so JSON emission is hand-rolled in [`json`].
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 /// The wall-clock boundary: the workspace's only `Instant::now`.
 pub mod clock;

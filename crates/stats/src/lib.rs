@@ -18,7 +18,9 @@
 //! wall clock.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 /// Sampling distributions (Zipf, Pareto, weighted choice) over a seeded RNG.
 pub mod dist;

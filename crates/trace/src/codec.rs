@@ -199,7 +199,10 @@ const fn crc_table() -> [u32; 256] {
     let mut table = [0u32; 256];
     let mut i = 0;
     while i < 256 {
-        // jcdn-lint: allow(D4) -- i ranges over 0..256; lossless by the loop bound
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "i ranges over 0..256; lossless by the loop bound"
+        )]
         let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
@@ -219,7 +222,6 @@ const fn crc_table() -> [u32; 256] {
 pub(crate) fn crc32(data: &[u8]) -> u32 {
     let mut c = !0u32;
     for &b in data {
-        // jcdn-lint: allow(D4) -- masked to 8 bits before the cast
         c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
@@ -227,7 +229,6 @@ pub(crate) fn crc32(data: &[u8]) -> u32 {
 
 pub(crate) fn put_varint(buf: &mut BytesMut, mut v: u64) {
     loop {
-        // jcdn-lint: allow(D4) -- masked to 7 bits before the cast
         let byte = (v & 0x7f) as u8;
         v >>= 7;
         if v == 0 {
@@ -307,18 +308,16 @@ impl<'a> Cursor<'a> {
 }
 
 pub(crate) fn zigzag(v: i64) -> u64 {
-    // jcdn-lint: allow(D4) -- zigzag is a bijective bit reinterpretation, not a narrowing
-    ((v << 1) ^ (v >> 63)) as u64
+    // A bijective same-width bit reinterpretation, not a narrowing.
+    ((v << 1) ^ (v >> 63)).cast_unsigned()
 }
 
 fn unzigzag(v: u64) -> i64 {
-    // jcdn-lint: allow(D4) -- inverse bijection of `zigzag`; same-width reinterpretation
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
+    (v >> 1).cast_signed() ^ -(v & 1).cast_signed()
 }
 
 /// `usize → u64`, lossless on every supported target (usize ≤ 64 bits).
 pub(crate) fn len_u64(len: usize) -> u64 {
-    // jcdn-lint: allow(D4) -- usize → u64 cannot truncate on ≤64-bit targets
     len as u64
 }
 
@@ -331,13 +330,11 @@ fn to_usize(v: u64, err: DecodeError) -> Result<usize, DecodeError> {
 
 /// `u32 → usize` table index, lossless on every supported target.
 fn index32(v: u32) -> usize {
-    // jcdn-lint: allow(D4) -- u32 → usize cannot truncate on ≥32-bit targets
     v as usize
 }
 
 /// Widens a count for the [`DecodeStats`] tallies.
 fn count_u64(n: usize) -> u64 {
-    // jcdn-lint: allow(D4) -- usize → u64 widens; it cannot truncate
     n as u64
 }
 
@@ -391,8 +388,7 @@ fn put_gv64(out: &mut BytesMut, vals: &[u64]) {
     for group in vals.chunks(4) {
         let mut ctrl = 0u8;
         for (slot, &v) in group.iter().enumerate() {
-            // jcdn-lint: allow(D4) -- slot < 4, so the shift stays in u8 range
-            ctrl |= gv64_code(v) << (2 * slot as u8);
+            ctrl |= gv64_code(v) << (2 * slot);
         }
         out.put_u8(ctrl);
         for &v in group {
@@ -406,8 +402,7 @@ fn put_gv32(out: &mut BytesMut, vals: &[u32]) {
     for group in vals.chunks(4) {
         let mut ctrl = 0u8;
         for (slot, &v) in group.iter().enumerate() {
-            // jcdn-lint: allow(D4) -- slot < 4, so the shift stays in u8 range
-            ctrl |= gv32_code(v) << (2 * slot as u8);
+            ctrl |= gv32_code(v) << (2 * slot);
         }
         out.put_u8(ctrl);
         for &v in group {
@@ -423,8 +418,7 @@ fn get_gv64(cur: &mut Cursor<'_>, n: usize) -> Result<Vec<u64>, DecodeError> {
         let ctrl = cur.get_u8()?;
         let slots = (n - out.len()).min(4);
         for slot in 0..slots {
-            // jcdn-lint: allow(D4) -- slot < 4, so the shift stays in u8 range
-            let width = GV64_WIDTHS[usize::from((ctrl >> (2 * slot as u8)) & 0b11)];
+            let width = GV64_WIDTHS[usize::from((ctrl >> (2 * slot)) & 0b11)];
             let bytes = cur.take(width)?;
             let mut le = [0u8; 8];
             le[..width].copy_from_slice(bytes);
@@ -440,8 +434,7 @@ fn get_gv32(cur: &mut Cursor<'_>, n: usize) -> Result<Vec<u32>, DecodeError> {
         let ctrl = cur.get_u8()?;
         let slots = (n - out.len()).min(4);
         for slot in 0..slots {
-            // jcdn-lint: allow(D4) -- slot < 4, so the shift stays in u8 range
-            let width = GV32_WIDTHS[usize::from((ctrl >> (2 * slot as u8)) & 0b11)];
+            let width = GV32_WIDTHS[usize::from((ctrl >> (2 * slot)) & 0b11)];
             let bytes = cur.take(width)?;
             let mut le = [0u8; 4];
             le[..width].copy_from_slice(bytes);
@@ -539,12 +532,18 @@ fn put_status_column(out: &mut BytesMut, statuses: &[u16]) {
     }
     if dict.len() <= 256 {
         for &i in &indices {
-            // jcdn-lint: allow(D4) -- the dictionary has ≤ 256 entries, so the index fits u8
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "the dictionary has ≤ 256 entries, so the index fits u8"
+            )]
             out.put_u8(i as u8);
         }
     } else {
         for &i in &indices {
-            // jcdn-lint: allow(D4) -- status codes are u16, so the dictionary fits u16 indices
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "status codes are u16, so the dictionary fits u16 indices"
+            )]
             out.put_u16_le(i as u16);
         }
     }
@@ -617,8 +616,8 @@ fn get_record(
     let status = u16::try_from(cur.get_varint()?).map_err(|_| DecodeError::StatusOverflow)?;
     let response_bytes = cur.get_varint()?;
     Ok(LogRecord {
-        // jcdn-lint: allow(D4) -- clamped non-negative, so i64 → u64 is value-preserving
-        time: SimTime::from_micros(t.max(0) as u64),
+        // Clamped non-negative, so the reinterpretation preserves the value.
+        time: SimTime::from_micros(t.max(0).cast_unsigned()),
         client,
         ua,
         url,
@@ -697,8 +696,8 @@ pub(crate) fn encode_frame(
             }
         }
         *last_time = Some(r.time);
-        // jcdn-lint: allow(D4) -- the time axis caps at 2^63 µs (~292k simulated years)
-        let t = r.time.as_micros() as i64;
+        // The time axis caps at 2^63 µs (~292k simulated years).
+        let t = r.time.as_micros().cast_signed();
         put_varint(&mut times, zigzag(t - prev));
         prev = t;
     }
@@ -1427,8 +1426,8 @@ fn decode_columns(
         let flags =
             RecordFlags::from_bits(nibble).ok_or(DecodeError::BadDiscriminant("flags", nibble))?;
         records.push(LogRecord {
-            // jcdn-lint: allow(D4) -- clamped non-negative, so i64 → u64 is value-preserving
-            time: SimTime::from_micros(times[i].max(0) as u64),
+            // Clamped non-negative, so the reinterpretation preserves the value.
+            time: SimTime::from_micros(times[i].max(0).cast_unsigned()),
             client: ClientId(clients[i]),
             ua,
             url,
@@ -2005,7 +2004,7 @@ mod tests {
         cur.get_varint().unwrap(); // record count
         let mut lens = Vec::new();
         for _ in 0..COLUMNS {
-            lens.push(cur.get_varint().unwrap() as usize);
+            lens.push(usize::try_from(cur.get_varint().unwrap()).unwrap());
             cur.get_u32_le().unwrap();
         }
         let mut at = body_at + cur.pos();
@@ -2030,7 +2029,7 @@ mod tests {
             cur.get_varint().unwrap();
             let mut fields = Vec::new(); // (crc field offset in body, column length)
             for _ in 0..COLUMNS {
-                let len = cur.get_varint().unwrap() as usize;
+                let len = usize::try_from(cur.get_varint().unwrap()).unwrap();
                 fields.push((cur.pos(), len));
                 cur.get_u32_le().unwrap();
             }
@@ -2078,7 +2077,7 @@ mod tests {
         // Append a stray byte and grow the declared body length: the
         // CRC-valid descriptor no longer accounts for every body byte.
         data.push(0x00);
-        let body_len = (data.len() - frame_at - 8) as u32;
+        let body_len = u32::try_from(data.len() - frame_at - 8).unwrap();
         data[frame_at..frame_at + 4].copy_from_slice(&body_len.to_le_bytes());
         assert_eq!(
             decode(Bytes::from(data.clone())).unwrap_err(),

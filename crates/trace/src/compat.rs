@@ -30,8 +30,8 @@ use bytes::{BufMut, Bytes, BytesMut};
 /// Writes one record in the legacy row-major layout. `version` selects
 /// whether the v2 resilience bytes (retries, flags) are present.
 fn put_record(buf: &mut BytesMut, r: &LogRecord, prev_time: &mut i64, version: u16) {
-    // jcdn-lint: allow(D4) -- the time axis caps at 2^63 µs (~292k simulated years)
-    let t = r.time.as_micros() as i64;
+    // The time axis caps at 2^63 µs (~292k simulated years).
+    let t = r.time.as_micros().cast_signed();
     put_varint(buf, zigzag(t - *prev_time));
     *prev_time = t;
     put_varint(buf, r.client.0);

@@ -81,15 +81,21 @@ impl Interner {
     /// Interns a URL. Panics only in the astronomically unlikely case of
     /// id-space exhaustion; use [`try_intern_url`][Self::try_intern_url] on
     /// untrusted input.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panicking twin of try_intern_url for trusted input"
+    )]
     pub fn intern_url(&mut self, url: &str) -> UrlId {
-        // jcdn-lint: allow(D3) -- documented panicking twin of try_intern_url for trusted input
         self.try_intern_url(url).expect("URL id space exhausted")
     }
 
     /// Interns a user agent; panicking twin of
     /// [`try_intern_ua`][Self::try_intern_ua].
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panicking twin of try_intern_ua for trusted input"
+    )]
     pub fn intern_ua(&mut self, ua: &str) -> UaId {
-        // jcdn-lint: allow(D3) -- documented panicking twin of try_intern_ua for trusted input
         self.try_intern_ua(ua).expect("UA id space exhausted")
     }
 

@@ -26,7 +26,14 @@
 //!   with the paper's ≥10-requests / ≥10-clients filters.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap
+)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 /// Trace serialization: the columnar binary format (v4) and JSONL interop.
 pub mod codec;

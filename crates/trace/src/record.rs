@@ -19,7 +19,6 @@ pub struct UaId(pub u32);
 impl UaId {
     /// The id as a table index.
     pub(crate) fn index(self) -> usize {
-        // jcdn-lint: allow(D4) -- u32 → usize cannot truncate on ≥32-bit targets
         self.0 as usize
     }
 }
@@ -31,7 +30,6 @@ pub struct UrlId(pub u32);
 impl UrlId {
     /// The id as a table index.
     pub(crate) fn index(self) -> usize {
-        // jcdn-lint: allow(D4) -- u32 → usize cannot truncate on ≥32-bit targets
         self.0 as usize
     }
 }

@@ -110,9 +110,13 @@ impl SimDuration {
     }
 
     /// Constructs from float seconds (negative or non-finite clamps to 0).
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "float → u64 saturates; input is checked finite and positive"
+    )]
     pub fn from_secs_f64(s: f64) -> Self {
         if s.is_finite() && s > 0.0 {
-            // jcdn-lint: allow(D4) -- float → u64 saturates; input is checked finite and positive
             SimDuration((s * 1e6).round() as u64)
         } else {
             SimDuration(0)
@@ -165,8 +169,11 @@ impl AddAssign<SimDuration> for SimTime {
 
 impl Sub<SimTime> for SimTime {
     type Output = SimDuration;
+    #[expect(
+        clippy::expect_used,
+        reason = "Sub cannot return Result; a backwards clock is a caller bug"
+    )]
     fn sub(self, rhs: SimTime) -> SimDuration {
-        // jcdn-lint: allow(D3) -- Sub cannot return Result; a backwards clock is a caller bug
         SimDuration(self.0.checked_sub(rhs.0).expect("time went backwards"))
     }
 }

@@ -101,7 +101,7 @@ pub fn browser_db() -> &'static [BrowserRule] {
 
 /// Looks up the browser family for a UA string, requiring the well-formed
 /// `Mozilla/` preamble.
-pub fn detect_browser(ua: &str) -> Option<BrowserFamily> {
+pub(crate) fn detect_browser(ua: &str) -> Option<BrowserFamily> {
     if !ua.starts_with("Mozilla/") {
         return None;
     }

@@ -22,7 +22,7 @@ pub struct ClientInfo {
 
 /// Mobile app product names used for native-app UA strings. Spread across
 /// several so app-family grouping in the analysis has something to group.
-pub const APP_NAMES: &[&str] = &[
+pub(crate) const APP_NAMES: &[&str] = &[
     "NewsApp",
     "SportsScores",
     "ChatNow",
@@ -42,7 +42,7 @@ pub const APP_NAMES: &[&str] = &[
 /// overwhelmingly XHR traffic); embedded and unknown clients never are —
 /// matching the paper's observation that no browser traffic appears on
 /// embedded devices.
-pub fn make_client<R: Rng + ?Sized>(
+pub(crate) fn make_client<R: Rng + ?Sized>(
     rng: &mut R,
     index: usize,
     device: DeviceType,

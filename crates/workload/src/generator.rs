@@ -455,7 +455,10 @@ fn api_section(rng: &mut StdRng) -> &'static str {
     SECTIONS[rng.gen_range(0..SECTIONS.len())]
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one argument per field of the object it appends"
+)]
 fn push_object(
     objects: &mut Vec<ObjectInfo>,
     config: &WorkloadConfig,
@@ -571,7 +574,6 @@ fn build_clients(config: &WorkloadConfig, rng: &mut StdRng) -> Vec<ClientInfo> {
         .collect()
 }
 
-#[allow(clippy::too_many_arguments)]
 fn plant_periodic_flows(
     config: &WorkloadConfig,
     clients: &[ClientInfo],
@@ -769,7 +771,10 @@ fn generate_planned(plan: &ClientPlan, duration: SimDuration, events: &mut Vec<R
 /// Decides a client's apps on the main RNG stream (including creating its
 /// personalized objects) and draws the private seed event generation will
 /// run from. Returns `None` for clients too inactive to generate traffic.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "reads the client and generator tables while borrowing the universe and RNG mutably"
+)]
 fn plan_client_traffic(
     config: &WorkloadConfig,
     client_index: u32,

@@ -5,7 +5,9 @@
 //! `examples/` and cross-crate integration tests in `tests/`.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 pub use jcdn_cdnsim as cdnsim;
 pub use jcdn_core as core;

@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 
 use jcdn_core::report::{pct, TextTable};
 use jcdn_trace::summary::DatasetSummary;
-use jcdn_trace::MimeType;
+use jcdn_trace::{HostTable, MimeType};
 
 use crate::args::Args;
 use crate::commands::{load_trace, parse_threads, Outcome};
@@ -48,11 +48,18 @@ pub fn run(argv: &[String]) -> Result<Outcome, String> {
     println!("\n{}", table.render());
 
     // Busiest domains.
-    let mut by_domain: BTreeMap<&str, u64> = BTreeMap::new();
+    let host_table = HostTable::build(trace.interner());
+    let mut by_host = vec![0u64; host_table.hosts().len()];
     for r in trace.records() {
-        *by_domain.entry(trace.host_of(r.url)).or_default() += 1;
+        by_host[host_table.host_id(r.url)] += 1;
     }
-    let mut domains: Vec<(&str, u64)> = by_domain.into_iter().collect();
+    let mut domains: Vec<(&str, u64)> = host_table
+        .hosts()
+        .iter()
+        .copied()
+        .zip(by_host)
+        .filter(|&(_, count)| count > 0)
+        .collect();
     domains.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
     let mut table = TextTable::new(&["Domain", "Requests"]);
     for (host, count) in domains.into_iter().take(top) {

@@ -1,55 +1,102 @@
 //! §4 — characterizing JSON traffic.
 //!
-//! Every breakdown here follows the sharded-pipeline accumulator shape:
-//! `accumulate` folds a [`RecordStream`] (a whole trace, one shard, or any
-//! record subset) into partial counts, `merge` combines partials exactly
-//! (associative and commutative), and the original `compute(&Trace)`
-//! constructors remain as single-shard conveniences. Per-shard results
-//! therefore equal the single-pass result bit-for-bit, which the
-//! `shard_invariance` integration tests assert.
+//! Every breakdown here is a mergeable partial. One pass over a record
+//! stream ([`PartialReport::accumulate`]) fills all of them at once,
+//! `merge` combines partials exactly (associative and commutative), and
+//! anything lossy waits for a once-per-report finalize. The
+//! `compute(&Trace)` constructors take their field from that one pass over
+//! the whole trace. Per-shard results therefore equal the single-pass
+//! result bit-for-bit, which the `shard_invariance` integration tests
+//! assert.
+//!
+//! [`PartialReport::accumulate`]: crate::pipeline::PartialReport::accumulate
 
 use std::collections::BTreeMap;
 
 use jcdn_stats::ExactQuantiles;
-use jcdn_trace::{Interner, MimeType, RecordFlags, RecordStream, Trace, UaId};
+use jcdn_trace::{HostTable, Interner, Trace, UaId, UrlId};
 use jcdn_ua::{classify, Classification, DeviceType};
 use jcdn_workload::IndustryCategory;
 
-use crate::taxonomy::RequestType;
+use crate::pipeline::CharacterizationReport;
 
 /// Pre-classified user-agent table: each distinct UA string classified
-/// once, shared by every shard's accumulation pass (records reference UAs
-/// by id, so classification cost is per-string, not per-record).
+/// once, shared by every shard's pass. Records reference UAs by id, so
+/// classification costs once per string, and a pass tallies per UA
+/// [`slot`][Self::slot] and classifies the tallies afterwards.
 #[derive(Clone, Debug)]
 pub struct UaClassTable {
-    classes: Vec<Classification>,
-    missing: Classification,
+    /// One classification per `UaId`, then the header-absent one.
+    slots: Vec<Classification>,
 }
 
 impl UaClassTable {
     /// Classifies every UA in the interner's table.
     pub fn build(interner: &Interner) -> Self {
         UaClassTable {
-            classes: interner
+            slots: interner
                 .ua_table()
                 .iter()
-                .map(|ua| classify(Some(ua.as_ref())))
+                .map(|ua| Some(ua.as_ref()))
+                .chain([None])
+                .map(classify)
                 .collect(),
-            missing: classify(None),
         }
     }
 
-    /// The classification for a record's UA id (`None` ⇒ header absent).
-    pub fn class(&self, ua: Option<UaId>) -> &Classification {
-        match ua {
-            Some(ua) => &self.classes[ua.0 as usize],
-            None => &self.missing,
-        }
+    /// A record's slot: its UA id, or the last slot when the header is
+    /// absent.
+    pub fn slot(&self, ua: Option<UaId>) -> usize {
+        ua.map_or(self.slots.len() - 1, |ua| ua.0 as usize)
+    }
+
+    /// The classification of every slot, in slot order.
+    pub fn slots(&self) -> &[Classification] {
+        &self.slots
     }
 
     /// Iterates the classifications of all distinct UA strings.
     pub fn classes(&self) -> impl Iterator<Item = &Classification> {
-        self.classes.iter()
+        self.slots[..self.slots.len() - 1].iter()
+    }
+}
+
+/// Each URL's host and each host's industry, resolved once per report and
+/// shared by every shard's pass: the host-side twin of [`UaClassTable`].
+/// The [`CategoryProvider`] runs once per distinct host, not per record.
+#[derive(Clone, Debug)]
+pub struct HostCategoryTable<'t> {
+    hosts: HostTable<'t>,
+    /// Industry per host id.
+    categories: Vec<Option<IndustryCategory>>,
+}
+
+impl<'t> HostCategoryTable<'t> {
+    /// Resolves every interned URL's host and looks up each host's
+    /// industry.
+    pub fn build(interner: &'t Interner, provider: &dyn CategoryProvider) -> Self {
+        let hosts = HostTable::build(interner);
+        let categories = hosts
+            .hosts()
+            .iter()
+            .map(|host| provider.category(host))
+            .collect();
+        HostCategoryTable { hosts, categories }
+    }
+
+    /// The host id of a URL, in `0..host_count()`.
+    pub fn host_id(&self, url: UrlId) -> usize {
+        self.hosts.host_id(url)
+    }
+
+    /// The industry of a host id, or `None` when the provider had none.
+    pub fn category(&self, host: usize) -> Option<IndustryCategory> {
+        self.categories[host]
+    }
+
+    /// Number of distinct hosts.
+    pub fn host_count(&self) -> usize {
+        self.categories.len()
     }
 }
 
@@ -62,9 +109,9 @@ pub struct TrafficSourceBreakdown {
     /// Distinct UA strings per device type (the paper's "distribution of
     /// user agent strings": 73% Mobile / 17% Embedded / 3% Desktop / 7%
     /// Unknown). Filled by [`count_ua_strings`][Self::count_ua_strings],
-    /// not by record accumulation — it is a property of the shared UA
-    /// table, so per-shard partials leave it empty and the merged result
-    /// counts it once.
+    /// not by the record pass — it is a property of the shared UA table,
+    /// so per-shard partials leave it empty and the merged result counts
+    /// it once.
     pub ua_strings_by_device: BTreeMap<DeviceType, u64>,
     /// JSON requests issued by browsers.
     pub browser_requests: u64,
@@ -79,29 +126,29 @@ pub struct TrafficSourceBreakdown {
 impl TrafficSourceBreakdown {
     /// Computes the breakdown over the trace's JSON records.
     pub fn compute(trace: &Trace) -> Self {
-        let classes = UaClassTable::build(trace.interner());
-        let mut out = TrafficSourceBreakdown::default();
-        out.accumulate(&trace.stream(), &classes);
-        out.count_ua_strings(&classes);
-        out
+        CharacterizationReport::compute(trace, &TokenCategoryProvider).sources
     }
 
-    /// Folds one record stream into the request counters.
-    pub fn accumulate(&mut self, stream: &RecordStream<'_>, classes: &UaClassTable) {
-        for r in stream.iter() {
-            if r.mime != MimeType::Json {
-                continue;
-            }
-            let c = classes.class(r.ua);
-            self.total += 1;
-            *self.requests_by_device.entry(c.device).or_default() += 1;
+    /// Adds JSON request counts per UA slot (`per_ua[classes.slot(ua)]`)
+    /// into the request counters.
+    pub fn count_requests(&mut self, per_ua: &[u64], classes: &UaClassTable) {
+        let mut by_device = [0u64; DeviceType::ALL.len()];
+        for (c, &n) in classes.slots().iter().zip(per_ua) {
+            self.total += n;
+            by_device[c.device as usize] += n;
             if c.is_browser {
-                self.browser_requests += 1;
+                self.browser_requests += n;
                 match c.device {
-                    DeviceType::Mobile => self.mobile_browser_requests += 1,
-                    DeviceType::Embedded => self.embedded_browser_requests += 1,
+                    DeviceType::Mobile => self.mobile_browser_requests += n,
+                    DeviceType::Embedded => self.embedded_browser_requests += n,
                     _ => {}
                 }
+            }
+        }
+        for device in DeviceType::ALL {
+            let n = by_device[device as usize];
+            if n > 0 {
+                *self.requests_by_device.entry(device).or_default() += n;
             }
         }
     }
@@ -171,23 +218,7 @@ pub struct RequestTypeBreakdown {
 impl RequestTypeBreakdown {
     /// Computes the split over JSON records.
     pub fn compute(trace: &Trace) -> Self {
-        let mut out = RequestTypeBreakdown::default();
-        out.accumulate(&trace.stream());
-        out
-    }
-
-    /// Folds one record stream into the counters.
-    pub fn accumulate(&mut self, stream: &RecordStream<'_>) {
-        for r in stream.iter() {
-            if r.mime != MimeType::Json {
-                continue;
-            }
-            match RequestType::from_method(r.method) {
-                RequestType::Download => self.downloads += 1,
-                RequestType::Upload => self.uploads += 1,
-                RequestType::Other => self.other += 1,
-            }
-        }
+        CharacterizationReport::compute(trace, &TokenCategoryProvider).requests
     }
 
     /// Adds `other`'s counters into `self`.
@@ -236,26 +267,7 @@ pub struct ResponseTypeBreakdown {
 impl ResponseTypeBreakdown {
     /// Computes cacheability and size distributions.
     pub fn compute(trace: &Trace) -> Self {
-        let mut out = ResponseTypeBreakdown::default();
-        out.accumulate(&trace.stream());
-        out
-    }
-
-    /// Folds one record stream into the counters and size samples.
-    pub fn accumulate(&mut self, stream: &RecordStream<'_>) {
-        for r in stream.iter() {
-            match r.mime {
-                MimeType::Json => {
-                    self.json_total += 1;
-                    if !r.cache.is_cacheable() {
-                        self.json_uncacheable += 1;
-                    }
-                    self.json_sizes.record(r.response_bytes as f64);
-                }
-                MimeType::Html => self.html_sizes.record(r.response_bytes as f64),
-                _ => {}
-            }
-        }
+        CharacterizationReport::compute(trace, &TokenCategoryProvider).responses
     }
 
     /// Absorbs `other`'s counters and size samples. Quantile queries over
@@ -298,20 +310,7 @@ pub struct ContentMix {
 impl ContentMix {
     /// Counts JSON/HTML responses over the trace.
     pub fn compute(trace: &Trace) -> Self {
-        let mut out = ContentMix::default();
-        out.accumulate(&trace.stream());
-        out
-    }
-
-    /// Folds one record stream into the counters.
-    pub fn accumulate(&mut self, stream: &RecordStream<'_>) {
-        for r in stream.iter() {
-            match r.mime {
-                MimeType::Json => self.json += 1,
-                MimeType::Html => self.html += 1,
-                _ => {}
-            }
-        }
+        CharacterizationReport::compute(trace, &TokenCategoryProvider).mix
     }
 
     /// Adds `other`'s counters into `self`.
@@ -362,49 +361,34 @@ impl CategoryProvider for TokenCategoryProvider {
 /// [`finalize`][Self::finalize].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DomainCacheability {
-    /// `host → (cacheable JSON requests, total JSON requests)`.
-    pub per_domain: BTreeMap<String, (u64, u64)>,
+    /// `(cacheable JSON requests, total JSON requests)` per host id of the
+    /// report's [`HostCategoryTable`]; hosts without JSON stay `(0, 0)`.
+    pub per_domain: Vec<(u64, u64)>,
 }
 
 impl DomainCacheability {
-    /// Folds one record stream into the per-domain counts.
-    pub fn accumulate(&mut self, stream: &RecordStream<'_>) {
-        for r in stream.iter() {
-            if r.mime != MimeType::Json {
-                continue;
-            }
-            let host = stream.host_of(r.url);
-            // Look up by &str first so only new hosts allocate a key.
-            let entry = match self.per_domain.get_mut(host) {
-                Some(entry) => entry,
-                None => self.per_domain.entry(host.to_owned()).or_default(),
-            };
-            entry.1 += 1;
-            if r.cache.is_cacheable() {
-                entry.0 += 1;
-            }
-        }
-    }
-
     /// Adds `other`'s counts into `self`, summing per-domain pairs.
     pub fn merge(&mut self, other: &DomainCacheability) {
-        for (host, &(cacheable, total)) in &other.per_domain {
-            let entry = match self.per_domain.get_mut(host.as_str()) {
-                Some(entry) => entry,
-                None => self.per_domain.entry(host.clone()).or_default(),
-            };
-            entry.0 += cacheable;
-            entry.1 += total;
+        if self.per_domain.len() < other.per_domain.len() {
+            self.per_domain.resize(other.per_domain.len(), (0, 0));
+        }
+        for (mine, theirs) in self.per_domain.iter_mut().zip(&other.per_domain) {
+            mine.0 += theirs.0;
+            mine.1 += theirs.1;
         }
     }
 
-    /// Buckets the per-domain fractions into a heatmap.
-    pub fn finalize(&self, provider: &dyn CategoryProvider, buckets: usize) -> CacheabilityHeatmap {
+    /// Buckets the fractions of the domains with JSON traffic into a
+    /// heatmap.
+    pub fn finalize(&self, hosts: &HostCategoryTable<'_>, buckets: usize) -> CacheabilityHeatmap {
         assert!(buckets >= 2, "need at least two buckets");
         let mut rows: BTreeMap<IndustryCategory, Vec<u64>> = BTreeMap::new();
         let mut uncategorized = 0;
-        for (host, &(cacheable, total)) in &self.per_domain {
-            let Some(category) = provider.category(host) else {
+        for (host, &(cacheable, total)) in self.per_domain.iter().enumerate() {
+            if total == 0 {
+                continue;
+            }
+            let Some(category) = hosts.category(host) else {
                 uncategorized += 1;
                 continue;
             };
@@ -438,9 +422,7 @@ pub struct CacheabilityHeatmap {
 impl CacheabilityHeatmap {
     /// Computes the heatmap over JSON records.
     pub fn compute(trace: &Trace, provider: &dyn CategoryProvider, buckets: usize) -> Self {
-        let mut counts = DomainCacheability::default();
-        counts.accumulate(&trace.stream());
-        counts.finalize(provider, buckets)
+        CharacterizationReport::single_pass(trace, provider, buckets).heatmap
     }
 
     /// Fraction of all categorized domains in the lowest bucket ("never
@@ -513,48 +495,24 @@ pub struct AvailabilityBreakdown {
 impl AvailabilityBreakdown {
     /// Computes the breakdown over every record in the trace.
     pub fn compute(trace: &Trace, provider: &dyn CategoryProvider) -> Self {
-        let mut out = AvailabilityBreakdown::default();
-        out.accumulate(&trace.stream(), provider);
-        out
+        CharacterizationReport::compute(trace, provider).availability
     }
 
-    /// Folds one record stream into the counters.
-    pub fn accumulate(&mut self, stream: &RecordStream<'_>, provider: &dyn CategoryProvider) {
-        for r in stream.iter() {
-            self.attempts += 1;
-            let retried = r.flags.contains(RecordFlags::RETRIED);
-            let failed = r.status >= 500;
-            if retried {
-                self.retried_attempts += 1;
+    /// Adds `(end-user failures, logical requests)` tallies per host id
+    /// into the end-user and per-industry counters.
+    pub fn count_logical(&mut self, per_host: &[(u64, u64)], hosts: &HostCategoryTable<'_>) {
+        for (host, &(failures, logical)) in per_host.iter().enumerate() {
+            if logical == 0 {
+                continue;
             }
-            if failed {
-                self.attempt_failures += 1;
-            }
-            if r.flags.contains(RecordFlags::SERVED_STALE) {
-                self.stale_serves += 1;
-            }
-            if r.flags.contains(RecordFlags::NEG_CACHED) {
-                self.neg_cached += 1;
-            }
-            if r.flags.contains(RecordFlags::COALESCED) {
-                self.coalesced += 1;
-            }
-            // Final attempts are the logical requests; a failed final
-            // attempt is an end-user failure.
-            if !retried {
-                if failed {
-                    self.end_user_failures += 1;
+            self.end_user_failures += failures;
+            match hosts.category(host) {
+                Some(category) => {
+                    let entry = self.per_industry.entry(category).or_default();
+                    entry.0 += failures;
+                    entry.1 += logical;
                 }
-                match provider.category(stream.host_of(r.url)) {
-                    Some(category) => {
-                        let entry = self.per_industry.entry(category).or_default();
-                        entry.1 += 1;
-                        if failed {
-                            entry.0 += 1;
-                        }
-                    }
-                    None => self.uncategorized += 1,
-                }
+                None => self.uncategorized += logical,
             }
         }
     }
@@ -633,8 +591,10 @@ pub fn json_html_ratio(trace: &Trace) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{PartialReport, HEATMAP_BUCKETS};
     use jcdn_trace::{
-        CacheStatus, ClientId, LogRecord, Method, RecordFlags, ShardedTrace, SimTime, UaId,
+        CacheStatus, ClientId, LogRecord, Method, MimeType, RecordFlags, ShardedTrace, SimTime,
+        UaId,
     };
 
     fn push(
@@ -1003,73 +963,37 @@ mod tests {
 
     #[test]
     fn sharded_accumulation_merges_to_the_single_pass_result() {
-        let whole = varied_trace();
-        let classes = UaClassTable::build(whole.interner());
-
-        let single_sources = TrafficSourceBreakdown::compute(&whole);
-        let single_requests = RequestTypeBreakdown::compute(&whole);
-        let mut single_responses = ResponseTypeBreakdown::compute(&whole);
-        let single_heatmap = CacheabilityHeatmap::compute(&whole, &TokenCategoryProvider, 10);
-        let single_avail = AvailabilityBreakdown::compute(&whole, &TokenCategoryProvider);
-        let single_mix = ContentMix::compute(&whole);
+        let single = CharacterizationReport::compute(&varied_trace(), &TokenCategoryProvider);
 
         for shard_count in [1usize, 2, 3, 8] {
+            // The manual route: one partial per shard, merged in shard
+            // order, finalized once against the shared tables.
             let sharded = ShardedTrace::from_trace(varied_trace(), shard_count);
-            let mut sources = TrafficSourceBreakdown::default();
-            let mut requests = RequestTypeBreakdown::default();
-            let mut responses = ResponseTypeBreakdown::default();
-            let mut domains = DomainCacheability::default();
-            let mut avail = AvailabilityBreakdown::default();
-            let mut mix = ContentMix::default();
+            let classes = UaClassTable::build(sharded.interner());
+            let hosts = HostCategoryTable::build(sharded.interner(), &TokenCategoryProvider);
+            let mut total = PartialReport::default();
             for i in 0..sharded.shard_count() {
-                let stream = sharded.shard_stream(i);
-                let mut s = TrafficSourceBreakdown::default();
-                s.accumulate(&stream, &classes);
-                sources.merge(&s);
-                let mut q = RequestTypeBreakdown::default();
-                q.accumulate(&stream);
-                requests.merge(&q);
-                let mut r = ResponseTypeBreakdown::default();
-                r.accumulate(&stream);
-                responses.merge(&r);
-                let mut d = DomainCacheability::default();
-                d.accumulate(&stream);
-                domains.merge(&d);
-                let mut a = AvailabilityBreakdown::default();
-                a.accumulate(&stream, &TokenCategoryProvider);
-                avail.merge(&a);
-                let mut m = ContentMix::default();
-                m.accumulate(&stream);
-                mix.merge(&m);
+                let mut partial = PartialReport::default();
+                partial.accumulate(&sharded.shard_stream(i), &classes, &hosts);
+                total.merge(&partial);
             }
-            sources.count_ua_strings(&classes);
+            let merged = total.finalize(&classes, &hosts, HEATMAP_BUCKETS);
 
-            assert_eq!(sources, single_sources, "{shard_count} shards");
-            assert_eq!(requests, single_requests, "{shard_count} shards");
-            assert_eq!(avail, single_avail, "{shard_count} shards");
-            assert_eq!(mix, single_mix, "{shard_count} shards");
+            assert_eq!(merged.sources, single.sources, "{shard_count} shards");
+            assert_eq!(merged.requests, single.requests, "{shard_count} shards");
             assert_eq!(
-                domains.finalize(&TokenCategoryProvider, 10),
-                single_heatmap,
+                merged.availability, single.availability,
                 "{shard_count} shards"
             );
-            assert_eq!(responses.json_total, single_responses.json_total);
+            assert_eq!(merged.mix, single.mix, "{shard_count} shards");
+            assert_eq!(merged.heatmap, single.heatmap, "{shard_count} shards");
+            // The records are already in canonical order, so even the size
+            // samples line up one for one.
             assert_eq!(
-                responses.json_uncacheable,
-                single_responses.json_uncacheable
+                format!("{:?}", merged.responses),
+                format!("{:?}", single.responses),
+                "{shard_count} shards"
             );
-            for q in [0.1, 0.5, 0.75, 0.99] {
-                assert_eq!(
-                    responses.json_sizes.quantile(q),
-                    single_responses.json_sizes.quantile(q),
-                    "{shard_count} shards, q={q}"
-                );
-                assert_eq!(
-                    responses.html_sizes.quantile(q),
-                    single_responses.html_sizes.quantile(q),
-                    "{shard_count} shards, q={q}"
-                );
-            }
         }
     }
 }

@@ -8,22 +8,29 @@
 //! * [`CharacterizationReport::compute_sharded`] — per-shard partials of a
 //!   [`ShardedTrace`], accumulated on a
 //!   [`jcdn_exec::scatter_gather_labeled`] pool and merged in shard order,
-//! * the manual route: [`CharacterizationReport::accumulate`] partials
-//!   yourself, [`merge`][CharacterizationReport::merge] them, then
-//!   [`finalize`][CharacterizationReport::finalize].
+//! * the manual route: build the tables below,
+//!   [`accumulate`](crate::pipeline::PartialReport::accumulate) partials
+//!   yourself, [`merge`](crate::pipeline::PartialReport::merge) them, then
+//!   [`finalize`](crate::pipeline::PartialReport::finalize).
 //!
-//! Because every accumulator merge is exact (integer counts, pooled order
-//! statistics, per-domain counts bucketed only at finalize), all three
-//! routes yield identical reports for the same records — for any shard
-//! count and thread count. The `shard_invariance` integration test holds
-//! the pipeline to that.
+//! Every route first builds the report's shared tables once: the
+//! [`UaClassTable`](crate::characterize::UaClassTable) and the
+//! [`HostCategoryTable`](crate::characterize::HostCategoryTable). Each
+//! partial then comes from one pass over its records that tallies per UA
+//! and per host in plain arrays. Because every accumulator merge is exact
+//! (integer counts, pooled order statistics, per-domain counts bucketed
+//! only at finalize), all three routes yield identical reports for the
+//! same records — for any shard count and thread count. The
+//! `shard_invariance` integration test holds the pipeline to that.
 
-use jcdn_trace::{RecordStream, ShardedTrace, Trace};
+use jcdn_trace::{MimeType, RecordFlags, RecordStream, ShardedTrace, Trace};
 
 use crate::characterize::{
     AvailabilityBreakdown, CacheabilityHeatmap, CategoryProvider, ContentMix, DomainCacheability,
-    RequestTypeBreakdown, ResponseTypeBreakdown, TrafficSourceBreakdown, UaClassTable,
+    HostCategoryTable, RequestTypeBreakdown, ResponseTypeBreakdown, TrafficSourceBreakdown,
+    UaClassTable,
 };
+use crate::taxonomy::RequestType;
 
 /// Default bucket count for the cacheability heatmap (Figure 4 uses ten
 /// 10%-wide cells).
@@ -49,19 +56,76 @@ pub struct PartialReport {
 }
 
 impl PartialReport {
-    /// Folds one record stream into every accumulator.
+    /// Folds one record stream into every accumulator in a single pass.
+    /// JSON requests are tallied per UA slot and logical requests per host
+    /// id in plain arrays; those tallies reach the breakdowns' maps once
+    /// per call, not once per record. Size samples are recorded in stream
+    /// order.
     pub fn accumulate(
         &mut self,
         stream: &RecordStream<'_>,
         classes: &UaClassTable,
-        provider: &dyn CategoryProvider,
+        hosts: &HostCategoryTable<'_>,
     ) {
-        self.sources.accumulate(stream, classes);
-        self.requests.accumulate(stream);
-        self.responses.accumulate(stream);
-        self.domains.accumulate(stream);
-        self.availability.accumulate(stream, provider);
-        self.mix.accumulate(stream);
+        let mut json_per_ua = vec![0u64; classes.slots().len()];
+        // (end-user failures, logical requests) per host id.
+        let mut logical_per_host = vec![(0u64, 0u64); hosts.host_count()];
+        let domains = &mut self.domains.per_domain;
+        domains.resize(hosts.host_count(), (0, 0));
+        let availability = &mut self.availability;
+        for r in stream.iter() {
+            let host = hosts.host_id(r.url);
+            let failed = r.status >= 500;
+            availability.attempts += 1;
+            if failed {
+                availability.attempt_failures += 1;
+            }
+            if r.flags.contains(RecordFlags::SERVED_STALE) {
+                availability.stale_serves += 1;
+            }
+            if r.flags.contains(RecordFlags::NEG_CACHED) {
+                availability.neg_cached += 1;
+            }
+            if r.flags.contains(RecordFlags::COALESCED) {
+                availability.coalesced += 1;
+            }
+            // Final attempts are the logical requests; a failed final
+            // attempt is an end-user failure.
+            if r.flags.contains(RecordFlags::RETRIED) {
+                availability.retried_attempts += 1;
+            } else {
+                let logical = &mut logical_per_host[host];
+                logical.0 += u64::from(failed);
+                logical.1 += 1;
+            }
+            match r.mime {
+                MimeType::Json => {
+                    json_per_ua[classes.slot(r.ua)] += 1;
+                    match RequestType::from_method(r.method) {
+                        RequestType::Download => self.requests.downloads += 1,
+                        RequestType::Upload => self.requests.uploads += 1,
+                        RequestType::Other => self.requests.other += 1,
+                    }
+                    let cacheable = r.cache.is_cacheable();
+                    self.responses.json_total += 1;
+                    if !cacheable {
+                        self.responses.json_uncacheable += 1;
+                    }
+                    self.responses.json_sizes.record(r.response_bytes as f64);
+                    let domain = &mut domains[host];
+                    domain.0 += u64::from(cacheable);
+                    domain.1 += 1;
+                    self.mix.json += 1;
+                }
+                MimeType::Html => {
+                    self.responses.html_sizes.record(r.response_bytes as f64);
+                    self.mix.html += 1;
+                }
+                _ => {}
+            }
+        }
+        self.sources.count_requests(&json_per_ua, classes);
+        self.availability.count_logical(&logical_per_host, hosts);
     }
 
     /// Adds `other`'s partial state into `self` (associative, exact).
@@ -79,11 +143,11 @@ impl PartialReport {
     pub fn finalize(
         mut self,
         classes: &UaClassTable,
-        provider: &dyn CategoryProvider,
+        hosts: &HostCategoryTable<'_>,
         heatmap_buckets: usize,
     ) -> CharacterizationReport {
         self.sources.count_ua_strings(classes);
-        let heatmap = self.domains.finalize(provider, heatmap_buckets);
+        let heatmap = self.domains.finalize(hosts, heatmap_buckets);
         CharacterizationReport {
             sources: self.sources,
             requests: self.requests,
@@ -116,10 +180,20 @@ pub struct CharacterizationReport {
 impl CharacterizationReport {
     /// Single-pass characterization of a whole trace.
     pub fn compute(trace: &Trace, provider: &dyn CategoryProvider) -> Self {
+        Self::single_pass(trace, provider, HEATMAP_BUCKETS)
+    }
+
+    /// [`compute`][Self::compute] with `heatmap_buckets` heatmap columns.
+    pub(crate) fn single_pass(
+        trace: &Trace,
+        provider: &dyn CategoryProvider,
+        heatmap_buckets: usize,
+    ) -> Self {
         let classes = UaClassTable::build(trace.interner());
+        let hosts = HostCategoryTable::build(trace.interner(), provider);
         let mut partial = PartialReport::default();
-        partial.accumulate(&trace.stream(), &classes, provider);
-        partial.finalize(&classes, provider, HEATMAP_BUCKETS)
+        partial.accumulate(&trace.stream(), &classes, &hosts);
+        partial.finalize(&classes, &hosts, heatmap_buckets)
     }
 
     /// Characterizes a sharded trace: one partial per shard, accumulated
@@ -180,10 +254,11 @@ impl CharacterizationReport {
         gather: impl FnOnce(&(dyn Fn(usize) -> PartialReport + Sync)) -> Vec<Option<PartialReport>>,
     ) -> Self {
         let classes = UaClassTable::build(sharded.interner());
+        let hosts = HostCategoryTable::build(sharded.interner(), provider);
         let accumulate_span = jcdn_obs::span!("characterize.accumulate");
         let partials = gather(&|i| {
             let mut partial = PartialReport::default();
-            partial.accumulate(&sharded.shard_stream(i), &classes, provider);
+            partial.accumulate(&sharded.shard_stream(i), &classes, &hosts);
             partial
         });
         drop(accumulate_span);
@@ -192,7 +267,7 @@ impl CharacterizationReport {
         for partial in partials.iter().flatten() {
             total.merge(partial);
         }
-        total.finalize(&classes, provider, HEATMAP_BUCKETS)
+        total.finalize(&classes, &hosts, HEATMAP_BUCKETS)
     }
 
     /// The JSON:HTML request-count ratio, when the trace has HTML traffic.

@@ -11,6 +11,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::record::{UaId, UrlId};
+use crate::trace::host_of_url;
 
 /// An interning table overflowed its 32-bit id space.
 ///
@@ -141,7 +142,48 @@ impl Interner {
 
     /// The host part of an interned URL (no allocation).
     pub fn host_of(&self, id: UrlId) -> &str {
-        crate::trace::host_of_url(self.url(id))
+        host_of_url(self.url(id))
+    }
+}
+
+/// Every interned URL's host, resolved once: a dense host id per
+/// [`UrlId`] and the host string per host id. Hosts are numbered in order
+/// of their first URL, and two URLs share a host id exactly when
+/// [`Interner::host_of`] gives them the same host, so analyses can tally
+/// per-domain counts in arrays instead of parsing URLs per record.
+#[derive(Clone, Debug)]
+pub struct HostTable<'i> {
+    url_hosts: Vec<usize>,
+    hosts: Vec<&'i str>,
+}
+
+impl<'i> HostTable<'i> {
+    /// Resolves the host of every URL in `interner`.
+    pub fn build(interner: &'i Interner) -> Self {
+        let mut ids: HashMap<&'i str, usize> = HashMap::new();
+        let mut hosts = Vec::new();
+        let url_hosts = interner
+            .url_table()
+            .iter()
+            .map(|url| {
+                let host = host_of_url(url);
+                *ids.entry(host).or_insert_with(|| {
+                    hosts.push(host);
+                    hosts.len() - 1
+                })
+            })
+            .collect();
+        HostTable { url_hosts, hosts }
+    }
+
+    /// The host id of a URL, an index into [`hosts`][Self::hosts].
+    pub fn host_id(&self, url: UrlId) -> usize {
+        self.url_hosts[url.index()]
+    }
+
+    /// The distinct hosts, indexed by host id.
+    pub fn hosts(&self) -> &[&'i str] {
+        &self.hosts
     }
 }
 

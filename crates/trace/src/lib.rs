@@ -13,9 +13,10 @@
 //! * [`LogRecord`] — one request log line; [`Trace`] — a container that
 //!   interns user-agent and URL strings so multi-million-record traces stay
 //!   compact.
-//! * [`Interner`] — the shared string tables; [`ShardedTrace`] — the same
-//!   records split into time-partitioned shards behind one interner, so
-//!   per-shard analyses run in parallel and merge without id remapping.
+//! * [`Interner`] — the shared string tables, with [`HostTable`] resolving
+//!   each URL's host once; [`ShardedTrace`] — the same records split into
+//!   time-partitioned shards behind one interner, so per-shard analyses
+//!   run in parallel and merge without id remapping.
 //! * [`RecordStream`] — a borrowed record view that lets analyses consume
 //!   a whole trace, one shard, or any record subset through one API.
 //! * [`codec`] — a versioned binary codec (via `bytes`) with per-shard
@@ -52,7 +53,7 @@ pub mod summary;
 mod time;
 mod trace;
 
-pub use interner::{InternError, Interner};
+pub use interner::{HostTable, InternError, Interner};
 pub use record::{CacheStatus, ClientId, LogRecord, Method, MimeType, RecordFlags, UaId, UrlId};
 pub use sharded::ShardedTrace;
 pub use stream::RecordStream;

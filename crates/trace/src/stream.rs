@@ -64,11 +64,6 @@ impl<'t> RecordStream<'t> {
         self.interner.ua(id)
     }
 
-    /// The host part of an interned URL (no allocation).
-    pub fn host_of(&self, id: UrlId) -> &'t str {
-        self.interner.host_of(id)
-    }
-
     /// Number of distinct URLs in the backing tables.
     pub fn url_count(&self) -> usize {
         self.interner.url_count()
@@ -119,7 +114,6 @@ mod tests {
         let urls: Vec<&str> = s.views().map(|v| v.url).collect();
         let expected: Vec<&str> = t.iter().map(|v| v.url).collect();
         assert_eq!(urls, expected);
-        assert_eq!(s.host_of(t.records()[0].url), "h0.example");
     }
 
     #[test]

@@ -2,9 +2,10 @@
 
 use std::collections::HashSet;
 
+use crate::interner::HostTable;
 use crate::record::MimeType;
 use crate::time::SimDuration;
-use crate::trace::{host_of_url, Trace};
+use crate::trace::Trace;
 
 /// The roll-up the paper reports per dataset in Table 2, plus a few extra
 /// counts the rest of the pipeline needs.
@@ -29,10 +30,6 @@ pub struct DatasetSummary {
 impl DatasetSummary {
     /// Computes the summary for a trace.
     pub fn compute(name: impl Into<String>, trace: &Trace) -> Self {
-        let mut domains: HashSet<&str> = HashSet::new();
-        for url in trace.url_table() {
-            domains.insert(host_of_url(url));
-        }
         // Unused table entries (possible after `retain`) still count as
         // objects only if referenced by a record.
         let mut objects = HashSet::new();
@@ -53,7 +50,7 @@ impl DatasetSummary {
             name: name.into(),
             logs: trace.len(),
             duration,
-            domains: domains.len(),
+            domains: HostTable::build(trace.interner()).hosts().len(),
             clients: clients.len(),
             objects: objects.len(),
             json_logs,

@@ -188,12 +188,6 @@ impl Trace {
         Some((first, last))
     }
 
-    /// The host part of an interned URL (up to the first `/`, skipping any
-    /// scheme), without allocating.
-    pub fn host_of(&self, id: UrlId) -> &str {
-        self.interner.host_of(id)
-    }
-
     /// Appends all records of `other`, re-interning its strings into this
     /// trace's tables. Used to combine captures from multiple vantage
     /// points into one dataset (the paper's long-term dataset pools three

@@ -10,8 +10,6 @@
 //!
 //! Exits non-zero when any shape check fails, so CI can gate on it.
 
-#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
-
 use std::process::ExitCode;
 
 use jcdn_bench::experiments::{self, ExperimentResult};

@@ -7,7 +7,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, unreachable_pub)]
-#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 pub mod experiments;
 

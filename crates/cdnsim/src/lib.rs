@@ -49,7 +49,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, unreachable_pub)]
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 pub mod cache;
 pub mod fault;

@@ -20,7 +20,7 @@ use jcdn_workload::IndustryCategory;
 
 use crate::args::Args;
 use crate::cache_args;
-use crate::commands::Outcome;
+use crate::commands::{load_trace_tolerant, record_decode_stats, Outcome};
 use crate::obs_args;
 
 pub fn run(argv: &[String]) -> Result<Outcome, String> {
@@ -46,18 +46,7 @@ pub fn run(argv: &[String]) -> Result<Outcome, String> {
     obs.manifest.param("shards", sharded.shard_count());
     obs.manifest.param("threads", threads);
     obs.manifest.codec_version = jcdn_trace::codec::VERSION;
-    obs.manifest
-        .metrics
-        .inc("codec.records.decoded", decode_stats.records_decoded);
-    obs.manifest
-        .metrics
-        .inc("codec.records.dropped", decode_stats.records_dropped);
-    obs.manifest
-        .metrics
-        .inc("codec.frames.crc_failed", decode_stats.frames_crc_failed);
-    obs.manifest
-        .metrics
-        .inc("codec.frames.truncated", decode_stats.frames_truncated);
+    record_decode_stats(&mut obs.manifest.metrics, &decode_stats);
     obs.manifest
         .metrics
         .inc("store.shards_missing", shards_missing);
@@ -308,8 +297,7 @@ fn read_input(
         );
         return Ok((sharded, stats.decode, stats.shards_missing));
     }
-    let (sharded, stats) = jcdn_trace::codec::read_file_sharded_tolerant_parallel(p, threads)
-        .map_err(|e| format!("{path}: {e}"))?;
+    let (sharded, stats) = load_trace_tolerant(path, threads)?;
     Ok((sharded, stats, 0))
 }
 
@@ -324,10 +312,11 @@ fn print_salvage_footer(decode: &DecodeStats, shards_missing: u64, health: &Exec
             .unwrap_or_default();
         println!(
             "\ndecode: dropped {} record(s) ({} CRC-failed frame(s), {} truncated \
-             frame(s){offset}; {} decoded)",
+             frame(s), {} header-damaged frame(s){offset}; {} decoded)",
             decode.records_dropped,
             decode.frames_crc_failed,
             decode.frames_truncated,
+            decode.frames_header_damaged,
             decode.records_decoded
         );
     }

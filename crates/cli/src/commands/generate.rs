@@ -42,10 +42,7 @@ pub fn run(argv: &[String]) -> Result<Outcome, String> {
     if shards == 0 {
         return Err("--shards must be at least 1".into());
     }
-    let threads: usize = args.number("threads", 1usize)?;
-    if threads == 0 {
-        return Err("--threads must be at least 1".into());
-    }
+    let threads = crate::commands::parse_threads(&args)?;
     let edges: usize = args.number("edges", 3usize)?;
     let resume = args.switch("resume");
 
@@ -135,32 +132,19 @@ pub fn run(argv: &[String]) -> Result<Outcome, String> {
         data.trace.ua_count(),
     );
     let summary_row = data.summary().table_row();
-    if shards > 1 {
-        let sharded = ShardedTrace::from_trace(data.trace, shards);
-        writer
-            .commit_interner(sharded.interner())
-            .map_err(|e| format!("{out}: {e}"))?;
-        let slices: Vec<&[jcdn_trace::LogRecord]> = (0..sharded.shard_count())
-            .map(|i| sharded.shard_records(i))
-            .collect();
-        writer
-            .write_shards(&slices, threads)
-            .map_err(|e| format!("{out}: {e}"))?;
-        eprintln!(
-            "wrote {records} records in {} shard frames ({urls} distinct URLs, {uas} UAs) to {out}",
-            sharded.shard_count()
-        );
+    // One frame per shard. A single shard is the trace's own record order,
+    // borrowed — byte-identical to `codec::write_file` of the trace.
+    let sharded;
+    let (stream, frames) = if shards > 1 {
+        sharded = ShardedTrace::from_trace(data.trace, shards);
+        (sharded.stream(), format!(" in {shards} shard frames"))
     } else {
-        // One frame over the trace's own record order — byte-identical to
-        // the non-store `codec::write_file` output.
-        writer
-            .commit_interner(data.trace.interner())
-            .map_err(|e| format!("{out}: {e}"))?;
-        writer
-            .write_shards(&[data.trace.records()], threads)
-            .map_err(|e| format!("{out}: {e}"))?;
-        eprintln!("wrote {records} records ({urls} distinct URLs, {uas} UAs) to {out}");
-    }
+        (data.trace.stream(), String::new())
+    };
+    writer
+        .write(&stream, threads)
+        .map_err(|e| format!("{out}: {e}"))?;
+    eprintln!("wrote {records} records{frames} ({urls} distinct URLs, {uas} UAs) to {out}");
     obs.manifest
         .metrics
         .inc("store.shards_reused", writer.shards_reused());

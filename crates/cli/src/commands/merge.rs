@@ -2,8 +2,10 @@
 
 use std::path::Path;
 
+use jcdn_trace::codec::{self, DecodeStats};
+
 use crate::args::Args;
-use crate::commands::{load_trace_tolerant, parse_threads, Outcome};
+use crate::commands::{load_trace_tolerant, parse_threads, record_decode_stats, Outcome};
 use crate::obs_args;
 
 pub fn run(argv: &[String]) -> Result<Outcome, String> {
@@ -21,8 +23,8 @@ pub fn run(argv: &[String]) -> Result<Outcome, String> {
     // not the whole merge — with the loss counted and reported below.
     // Stats are kept per input because `first_error_offset` is an offset
     // into that input's buffer; a minimum across files is meaningless.
-    let mut decode_stats = jcdn_trace::codec::DecodeStats::default();
-    let mut damaged: Vec<(&str, jcdn_trace::codec::DecodeStats)> = Vec::new();
+    let mut decode_stats = DecodeStats::default();
+    let mut damaged: Vec<(&str, DecodeStats)> = Vec::new();
     let mut merged = jcdn_trace::Trace::new();
     for path in inputs {
         let (next, stats) = load_trace_tolerant(path, threads)?;
@@ -30,10 +32,10 @@ pub fn run(argv: &[String]) -> Result<Outcome, String> {
         if !stats.is_clean() {
             damaged.push((path, stats));
         }
-        merged.merge(&next);
+        merged.merge(&next.into_trace());
     }
     merged.sort_canonical();
-    jcdn_trace::codec::write_file(&merged, Path::new(out)).map_err(|e| format!("{out}: {e}"))?;
+    codec::write_file(&merged.stream(), Path::new(out)).map_err(|e| format!("{out}: {e}"))?;
     eprintln!(
         "merged {} traces into {out} ({} records, {} URLs)",
         inputs.len(),
@@ -66,23 +68,8 @@ pub fn run(argv: &[String]) -> Result<Outcome, String> {
     obs.manifest.param("out", out);
     obs.manifest.param("inputs", inputs.len());
     obs.manifest.param("threads", threads);
-    obs.manifest.codec_version = jcdn_trace::codec::VERSION;
-    obs.manifest
-        .metrics
-        .inc("codec.records.decoded", decode_stats.records_decoded);
-    obs.manifest
-        .metrics
-        .inc("codec.records.dropped", decode_stats.records_dropped);
-    obs.manifest
-        .metrics
-        .inc("codec.frames.crc_failed", decode_stats.frames_crc_failed);
-    obs.manifest
-        .metrics
-        .inc("codec.frames.truncated", decode_stats.frames_truncated);
-    obs.manifest.metrics.inc(
-        "codec.frames.header_damaged",
-        decode_stats.frames_header_damaged,
-    );
+    obs.manifest.codec_version = codec::VERSION;
+    record_decode_stats(&mut obs.manifest.metrics, &decode_stats);
     obs.manifest
         .metrics
         .inc("merge.records", merged.len() as u64);

@@ -10,10 +10,9 @@ pub mod periodicity;
 pub mod predict;
 pub mod trend;
 
-use std::path::Path;
-
-use jcdn_trace::codec::DecodeStats;
-use jcdn_trace::Trace;
+use jcdn_obs::MetricsSnapshot;
+use jcdn_trace::codec::{self, DecodeStats};
+use jcdn_trace::{ShardedTrace, Trace};
 
 /// How a command finished. `Clean` maps to exit code 0; `Salvaged` maps
 /// to exit code 3 — the command completed and printed a report, but part
@@ -28,20 +27,33 @@ pub enum Outcome {
 }
 
 /// Loads a binary trace file with a readable error, decoding shard
-/// frames on up to `threads` workers.
+/// frames on up to `threads` workers. Any damage is an error.
 pub fn load_trace(path: &str, threads: usize) -> Result<Trace, String> {
-    jcdn_trace::codec::read_file_parallel(Path::new(path), threads)
+    let data = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
+    codec::decode(&data, threads)
+        .map(ShardedTrace::into_trace)
         .map_err(|e| format!("{path}: {e}"))
 }
 
 /// Loads a binary trace file tolerantly: a damaged payload yields what
 /// could be salvaged plus the drop tallies (see
-/// [`jcdn_trace::codec::decode_sharded_tolerant`]).
-pub fn load_trace_tolerant(path: &str, threads: usize) -> Result<(Trace, DecodeStats), String> {
-    let (sharded, stats) =
-        jcdn_trace::codec::read_file_sharded_tolerant_parallel(Path::new(path), threads)
-            .map_err(|e| format!("{path}: {e}"))?;
-    Ok((sharded.into_trace(), stats))
+/// [`jcdn_trace::codec::decode_tolerant`]).
+pub fn load_trace_tolerant(
+    path: &str,
+    threads: usize,
+) -> Result<(ShardedTrace, DecodeStats), String> {
+    let data = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
+    codec::decode_tolerant(&data, threads).map_err(|e| format!("{path}: {e}"))
+}
+
+/// Records a tolerant decode's tallies as the `codec.*` manifest
+/// counters. A clean decode adds no drop keys (`inc` by 0 creates none).
+pub fn record_decode_stats(metrics: &mut MetricsSnapshot, stats: &DecodeStats) {
+    metrics.inc("codec.records.decoded", stats.records_decoded);
+    metrics.inc("codec.records.dropped", stats.records_dropped);
+    metrics.inc("codec.frames.crc_failed", stats.frames_crc_failed);
+    metrics.inc("codec.frames.truncated", stats.frames_truncated);
+    metrics.inc("codec.frames.header_damaged", stats.frames_header_damaged);
 }
 
 /// Parses the shared `--threads` flag (decode/encode fan-out width).

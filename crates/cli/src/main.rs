@@ -18,7 +18,6 @@
 //! and can be re-analyzed without re-simulating.
 
 #![forbid(unsafe_code)]
-#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 mod args;
 mod cache_args;

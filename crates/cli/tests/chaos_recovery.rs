@@ -304,7 +304,47 @@ fn corrupted_final_file_salvages_with_exit_code_3() {
     assert!(report.contains("truncated frame(s)"), "{report}");
     assert!(report.contains("partial result:"), "{report}");
 
+    // A last frame whose length prefix is one byte short: its CRC-valid
+    // descriptor promises more column bytes than the body holds, so the
+    // frame is dropped as header-damaged — in the footer and the manifest.
+    let short = dir.join("short.jcdn");
+    let mut bytes = clean_bytes.clone();
+    let at = last_frame_offset(&bytes);
+    let body_len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+    bytes[at..at + 4].copy_from_slice(&(body_len - 1).to_le_bytes());
+    std::fs::write(&short, &bytes).expect("write damaged copy");
+    let out = jcdn(
+        "corr-short",
+        &["characterize", short.to_str().unwrap(), "--obs", "full"],
+        None,
+    );
+    assert_eq!(out.status.code(), Some(3), "{}", stderr_of(&out));
+    assert_no_abort(&out);
+    let report = stdout_of(&out);
+    assert!(report.contains("1 header-damaged frame(s)"), "{report}");
+    assert!(report.contains("partial result:"), "{report}");
+    let summary = stderr_of(&out);
+    assert!(
+        summary.contains("counter codec.frames.header_damaged = 1"),
+        "{summary}"
+    );
+
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Byte offset of the last frame in a clean v4 trace file. A frame's bytes
+/// depend only on its records, so encoding the last shard alone (minus the
+/// same encode with no frames) gives its length.
+fn last_frame_offset(bytes: &[u8]) -> usize {
+    let sharded = jcdn_trace::codec::decode(bytes, 1).expect("clean trace decodes");
+    let last = sharded.shard_records(sharded.shard_count() - 1);
+    let encoded_len = |slices| {
+        let stream = jcdn_trace::RecordStream::new(sharded.interner(), slices);
+        jcdn_trace::codec::encode(&stream, 1)
+            .expect("encodes")
+            .len()
+    };
+    bytes.len() - (encoded_len(vec![last]) - encoded_len(vec![]))
 }
 
 #[test]

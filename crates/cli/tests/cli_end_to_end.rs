@@ -2,8 +2,10 @@
 //! characterize → predict → export → merge, all against real subprocess
 //! invocations.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+
+use jcdn_trace::ShardedTrace;
 
 fn jcdn(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_jcdn"))
@@ -16,6 +18,12 @@ fn tempdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("jcdn-cli-test-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("mkdir");
     dir
+}
+
+/// Decodes a trace file strictly, keeping its shard frames.
+fn read(path: &Path, threads: usize) -> ShardedTrace {
+    let data = std::fs::read(path).expect("trace file reads");
+    jcdn_trace::codec::decode(&data, threads).expect("trace file decodes")
 }
 
 #[test]
@@ -45,6 +53,40 @@ fn generate_inspect_characterize_round_trip() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("Mobile"), "{stdout}");
     assert!(stdout.contains("uncacheable JSON"), "{stdout}");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn generate_writes_every_requested_shard_of_a_small_trace() {
+    // A trace too small to fill 30 shards of ⌈n/30⌉ records still gets
+    // 30 frames (the tail ones empty), so the store can finalize.
+    let dir = tempdir("small");
+    let trace = dir.join("t.jcdn");
+    let trace_str = trace.to_str().unwrap();
+    let out = jcdn(&[
+        "generate", "--preset", "tiny", "--seed", "1", "--scale", "0.001", "--shards", "30",
+        "--out", trace_str,
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let sharded = read(&trace, 2);
+    assert_eq!(sharded.shard_count(), 30);
+    assert!(
+        (0..30).any(|i| sharded.shard_records(i).is_empty()),
+        "the trace must be small enough to leave empty shards"
+    );
+
+    let out = jcdn(&["characterize", trace_str]);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -104,9 +146,7 @@ fn predict_export_and_merge() {
         String::from_utf8_lossy(&out.stderr)
     );
     // The merged trace must contain both inputs' records.
-    let ta = jcdn_trace::codec::read_file(&a).unwrap();
-    let tb = jcdn_trace::codec::read_file(&b).unwrap();
-    let tm = jcdn_trace::codec::read_file(&merged).unwrap();
+    let [ta, tb, tm] = [&a, &b, &merged].map(|path| read(path, 1));
     assert_eq!(tm.len(), ta.len() + tb.len());
 
     std::fs::remove_dir_all(&dir).ok();

@@ -1,6 +1,6 @@
 //! Dataset assembly: workload generation → CDN simulation → trace.
 
-use jcdn_cdnsim::{run_default, run_sharded, SimConfig, SimOutput, SimStats};
+use jcdn_cdnsim::{run_sharded, SimConfig, SimOutput, SimStats};
 use jcdn_obs::{MetricsSnapshot, WindowedCounters};
 use jcdn_trace::summary::DatasetSummary;
 use jcdn_trace::Trace;
@@ -34,37 +34,16 @@ impl Dataset {
 /// Generates and simulates a dataset with the default simulator
 /// configuration.
 pub fn simulate(config: &WorkloadConfig) -> Dataset {
-    simulate_with(config, &SimConfig::default())
+    simulate_workload_parallel(build(config), &SimConfig::default(), 1)
 }
 
-/// Generates and simulates with an explicit simulator configuration.
-pub fn simulate_with(config: &WorkloadConfig, sim: &SimConfig) -> Dataset {
-    simulate_workload(build(config), sim)
-}
-
-/// Simulates an already-built workload. Useful when the simulator config
-/// refers to the workload itself — e.g. fault windows targeting a domain
-/// that must first be resolved to its index.
-pub fn simulate_workload(workload: Workload, sim: &SimConfig) -> Dataset {
-    let SimOutput {
-        trace,
-        stats,
-        metrics,
-        series,
-    } = run_default(&workload, sim);
-    Dataset {
-        workload,
-        trace,
-        stats,
-        metrics,
-        series,
-    }
-}
-
-/// [`simulate_workload`] with per-edge simulation fanned out over a
-/// `threads`-wide pool (see [`jcdn_cdnsim::run_sharded`] for when the
-/// parallel path applies). Trace records are identical to the sequential
-/// run for any thread count.
+/// Simulates an already-built workload, fanning per-edge simulation out
+/// over a `threads`-wide pool (see [`jcdn_cdnsim::run_sharded`] for when
+/// the parallel path applies; one thread is the sequential
+/// [`jcdn_cdnsim::run_default`]). Taking a built workload is useful when
+/// the simulator config refers to the workload itself — e.g. fault windows
+/// targeting a domain that must first be resolved to its index. Trace
+/// records are identical to the sequential run for any thread count.
 pub fn simulate_workload_parallel(workload: Workload, sim: &SimConfig, threads: usize) -> Dataset {
     let SimOutput {
         trace,

@@ -40,7 +40,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, unreachable_pub)]
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 /// The paper's measured quantities (§3–§4) as mergeable report sections.
 pub mod characterize;

@@ -10,7 +10,7 @@ use jcdn_cdnsim::SimConfig;
 use jcdn_core::characterize::TokenCategoryProvider;
 use jcdn_core::dataset::{simulate_workload_parallel, Dataset};
 use jcdn_core::pipeline::CharacterizationReport;
-use jcdn_trace::codec::{decode_sharded, encode_sharded};
+use jcdn_trace::codec::{decode, encode};
 use jcdn_trace::ShardedTrace;
 use jcdn_workload::{build_parallel, WorkloadConfig};
 use proptest::prelude::*;
@@ -96,8 +96,8 @@ proptest! {
                     threads
                 );
                 let sharded = ShardedTrace::from_trace(data.trace, shards);
-                let bytes = encode_sharded(&sharded).expect("traces are canonical-sorted");
-                let decoded = decode_sharded(bytes).expect("own encoding decodes");
+                let bytes = encode(&sharded.stream(), threads).expect("traces are canonical-sorted");
+                let decoded = decode(&bytes, threads).expect("own encoding decodes");
                 prop_assert_eq!(decoded.shard_count(), sharded.shard_count());
                 let report = CharacterizationReport::compute_sharded(
                     &decoded,

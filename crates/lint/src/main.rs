@@ -10,7 +10,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;

@@ -3,7 +3,7 @@
 use jcdn_stats::dist::{
     weighted_index, Exponential, LogNormal, Poisson, Sample, WeightedIndex, Zipf,
 };
-use jcdn_stats::{Ecdf, ExactQuantiles, Histogram, Summary, TimeSeries};
+use jcdn_stats::{Ecdf, ExactQuantiles, Histogram, Summary};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -75,18 +75,6 @@ proptest! {
         let x = e.inverse(p).unwrap();
         // F(F^-1(p)) >= p by definition of the generalized inverse.
         prop_assert!(e.eval(x).unwrap() >= p - 1e-12);
-    }
-
-    #[test]
-    fn timeseries_total_counts_in_range_events(
-        events in prop::collection::vec(0u64..1000, 0..200),
-    ) {
-        let mut ts = TimeSeries::new(100, 10, 50); // covers [100, 600)
-        let in_range = events.iter().filter(|&&t| (100..600).contains(&t)).count();
-        for &t in &events {
-            ts.record(t);
-        }
-        prop_assert_eq!(ts.total(), in_range as u64);
     }
 
     #[test]

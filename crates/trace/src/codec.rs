@@ -48,19 +48,20 @@
 //! is always *detected* (the v3 frame header was unprotected, so an
 //! inflated count could silently skew salvage accounting), and per-column
 //! CRCs localize payload damage. Length-prefixed frames let a reader hand
-//! whole shards to worker threads without parsing records; both encode and
-//! decode fan frames out on the `jcdn-exec` pool (see
-//! [`encode_sharded_parallel`] / [`decode_sharded_parallel`]), with output
-//! identical at any thread count.
+//! whole shards to worker threads without parsing records; [`encode`]
+//! writes one frame per slice of its [`RecordStream`], and both it and
+//! [`decode`] / [`decode_tolerant`] fan frames out on the `jcdn-exec`
+//! pool, with output identical at any thread count.
 //!
 //! Older payloads still decode: version 3 (framed, per-record
 //! interleaved fields), version 2 (unframed record stream) and version 1
 //! (v2 minus the retry/flags bytes) — the last two into a single shard.
 //! Frozen encoders for those versions live in [`crate::compat`].
 //!
-//! Time is delta-encoded, so **traces must be time-sorted before
-//! encoding**; [`encode`] returns [`EncodeError::OutOfOrder`] on a record
-//! whose timestamp precedes its predecessor's.
+//! Time is delta-encoded, so **streams must be time-sorted before
+//! encoding**, across slices as well as within them; [`encode`] returns
+//! [`EncodeError::OutOfOrder`] on a record whose timestamp precedes its
+//! predecessor's.
 
 use std::collections::HashMap;
 
@@ -69,6 +70,7 @@ use bytes::{BufMut, Bytes, BytesMut};
 use crate::interner::Interner;
 use crate::record::{CacheStatus, ClientId, LogRecord, Method, MimeType, RecordFlags, UaId, UrlId};
 use crate::sharded::ShardedTrace;
+use crate::stream::RecordStream;
 use crate::time::SimTime;
 use crate::trace::Trace;
 
@@ -632,11 +634,9 @@ fn get_record(
 }
 
 /// Encodes the file prologue — magic, version, and both string tables —
-/// *without* the shard-count varint that follows it in a complete file.
-/// The durable store (see [`crate::store`]) persists this prologue once
-/// per run and assembles `prologue + varint(shard_count) + frames` at
-/// finalize time, which makes a resumed run byte-identical to an
-/// uninterrupted one by construction.
+/// *without* the shard-count varint that follows it in a complete file
+/// (see [`assemble`]). The durable store (see [`crate::store`]) persists
+/// this prologue once per run.
 pub(crate) fn encode_tables(interner: &Interner) -> Bytes {
     encode_tables_versioned(interner, VERSION)
 }
@@ -668,11 +668,17 @@ pub(crate) struct EncodedFrame {
     pub records: u64,
 }
 
+impl AsRef<[u8]> for EncodedFrame {
+    fn as_ref(&self) -> &[u8] {
+        &self.bytes
+    }
+}
+
 /// Encodes one columnar v4 shard frame. `index_base`/`last_time` thread
 /// the cross-shard time-ordering check through successive calls, so
 /// encoding shard by shard enforces exactly what a single sequential pass
 /// enforces — which is also what makes parallel per-shard encoding
-/// byte-identical to the sequential order (see [`shard_bases`]).
+/// byte-identical to the sequential order (see [`encode_frames`]).
 pub(crate) fn encode_frame(
     records: &[LogRecord],
     index_base: usize,
@@ -776,88 +782,76 @@ pub(crate) fn encode_frame(
     })
 }
 
-/// Per-shard starting points for the cross-shard ordering check:
-/// `bases[i]` is the global index of shard `i`'s first record and
-/// `prevs[i]` the timestamp of the last record in the nearest preceding
-/// non-empty shard. Seeding [`encode_frame`] with these makes independent
-/// per-shard encodes behave exactly like one sequential pass — same
-/// bytes, and the lowest-indexed ordering error is the one a sequential
-/// encoder would have hit first.
-pub(crate) fn shard_bases(shards: &[&[LogRecord]]) -> (Vec<usize>, Vec<Option<SimTime>>) {
-    let mut bases = Vec::with_capacity(shards.len());
-    let mut prevs = Vec::with_capacity(shards.len());
-    let mut base = 0usize;
-    let mut last: Option<SimTime> = None;
-    for shard in shards {
-        bases.push(base);
-        prevs.push(last);
-        base += shard.len();
-        if let Some(r) = shard.last() {
-            last = Some(r.time);
-        }
-    }
-    (bases, prevs)
-}
-
-/// Encodes one frame per record slice, fanning out on the exec pool. On
-/// failure returns the lowest-indexed slice's error.
-pub(crate) fn encode_shard_frames(
-    shards: &[&[LogRecord]],
+/// Encodes the frames of `slices` named by `indices` (ascending), fanning
+/// out on the exec pool; the result holds one frame per index, in order.
+/// Every frame's cross-slice ordering check is seeded as if all earlier
+/// slices had been encoded first — from the global index of the slice's
+/// first record and the last timestamp of the nearest preceding non-empty
+/// slice — so independent per-slice encodes behave exactly like one
+/// sequential pass: same bytes, and the lowest-indexed ordering error is
+/// the one a sequential encoder would have hit first. Taking indices lets
+/// a resumed store run encode only the shards it has not committed.
+pub(crate) fn encode_frames(
+    slices: &[&[LogRecord]],
+    indices: &[usize],
     threads: usize,
 ) -> Result<Vec<EncodedFrame>, EncodeError> {
-    let (bases, prevs) = shard_bases(shards);
-    jcdn_exec::scatter_gather_labeled("codec.encode", shards.len(), threads, |i| {
-        let mut last_time = prevs[i];
-        encode_frame(shards[i], bases[i], &mut last_time, i)
+    let mut seeds = Vec::with_capacity(slices.len());
+    let (mut base, mut last) = (0usize, None::<SimTime>);
+    for slice in slices {
+        seeds.push((base, last));
+        base += slice.len();
+        last = slice.last().map_or(last, |r| Some(r.time));
+    }
+    jcdn_exec::scatter_gather_labeled("codec.encode", indices.len(), threads, |k| {
+        let i = indices[k];
+        let (index_base, mut last_time) = seeds[i];
+        encode_frame(slices[i], index_base, &mut last_time, i)
     })
     .into_iter()
     .collect()
 }
 
-/// Encodes tables plus one frame per record slice. `shards` must together
-/// form a non-decreasing time sequence.
-fn encode_frames(
-    interner: &Interner,
-    shards: &[&[LogRecord]],
-    threads: usize,
-) -> Result<Bytes, EncodeError> {
-    let frames = encode_shard_frames(shards, threads)?;
-    let total: usize = frames.iter().map(|f| f.bytes.len()).sum();
-    let tables = encode_tables(interner);
-    let mut buf = BytesMut::with_capacity(tables.len() + total + 10);
-    buf.put_slice(&tables);
-    put_varint(&mut buf, len_u64(shards.len()));
-    for frame in &frames {
-        buf.put_slice(&frame.bytes);
+/// Assembles a complete file: the table prologue (see [`encode_tables`]),
+/// the frame count, then the frames in order. The one place that knows
+/// the file layout — [`encode`], the store's finalize and its staged
+/// reader all build files through it, which is what makes a resumed
+/// store run byte-identical to an uninterrupted one by construction.
+pub(crate) fn assemble<F: AsRef<[u8]>>(tables: &[u8], frames: &[F]) -> Vec<u8> {
+    let mut count = BytesMut::with_capacity(10);
+    put_varint(&mut count, len_u64(frames.len()));
+    let total: usize = frames.iter().map(|f| f.as_ref().len()).sum();
+    let mut out = Vec::with_capacity(tables.len() + count.len() + total);
+    out.extend_from_slice(tables);
+    out.extend_from_slice(&count.freeze());
+    for frame in frames {
+        out.extend_from_slice(frame.as_ref());
     }
-    Ok(buf.freeze())
+    out
 }
 
-/// Encodes a trace into the binary format as a single shard frame.
+/// Encodes a record stream into the binary format, one frame per slice:
+/// `trace.stream()` gives a single frame, `sharded.stream()` one frame per
+/// shard. Frames are encoded on `threads` workers of the exec pool; the
+/// output is byte-identical for any thread count.
 ///
-/// The trace must be time-sorted (the format delta-encodes time); an
-/// out-of-order record yields [`EncodeError::OutOfOrder`].
-pub fn encode(trace: &Trace) -> Result<Bytes, EncodeError> {
-    encode_frames(trace.interner(), &[trace.records()], 1)
+/// The stream must be time-sorted across its slices (the format
+/// delta-encodes time); an out-of-order record yields
+/// [`EncodeError::OutOfOrder`].
+pub fn encode(records: &RecordStream<'_>, threads: usize) -> Result<Bytes, EncodeError> {
+    let slices = records.slices();
+    let all: Vec<usize> = (0..slices.len()).collect();
+    let frames = encode_frames(slices, &all, threads)?;
+    Ok(Bytes::from(assemble(
+        &encode_tables(records.interner()),
+        &frames,
+    )))
 }
 
-/// Encodes a sharded trace, one frame per shard.
-pub fn encode_sharded(trace: &ShardedTrace) -> Result<Bytes, EncodeError> {
-    encode_sharded_parallel(trace, 1)
-}
-
-/// [`encode_sharded`] with per-shard frames encoded on `threads` workers
-/// of the exec pool. The output is byte-identical for any thread count.
+/// [`encode`] of a sharded trace's stream, one frame per shard. It exists
+/// because the repository benchmark (`perfbench`) calls it by this name.
 pub fn encode_sharded_parallel(trace: &ShardedTrace, threads: usize) -> Result<Bytes, EncodeError> {
-    let shards: Vec<&[LogRecord]> = (0..trace.shard_count())
-        .map(|i| trace.shard_records(i))
-        .collect();
-    encode_frames(trace.interner(), &shards, threads)
-}
-
-/// Decodes a binary trace, flattening any shard frames into one trace.
-pub fn decode(buf: Bytes) -> Result<Trace, DecodeError> {
-    decode_sharded(buf).map(ShardedTrace::into_trace)
+    encode(&trace.stream(), threads)
 }
 
 /// Tallies from a tolerant decode: how much of the payload survived, and
@@ -933,16 +927,19 @@ impl DecodeStats {
     }
 }
 
-/// Decodes a binary trace, preserving its shard frames. Version 1 and 2
-/// payloads (which predate framing) decode into a single shard.
-pub fn decode_sharded(buf: Bytes) -> Result<ShardedTrace, DecodeError> {
-    decode_sharded_parallel(&buf, 1)
+/// Decodes a binary trace, preserving its shard frames (version 1 and 2
+/// payloads, which predate framing, decode into a single shard; call
+/// [`ShardedTrace::into_trace`] for a flat trace). Frames decode on
+/// `threads` workers of the exec pool; the result is identical for any
+/// thread count. Any damage is an error (see [`decode_tolerant`]).
+pub fn decode(buf: &[u8], threads: usize) -> Result<ShardedTrace, DecodeError> {
+    decode_sharded_impl(buf, false, threads).map(|(trace, _)| trace)
 }
 
-/// [`decode_sharded`] with per-shard frames decoded on `threads` workers
-/// of the exec pool. The result is identical for any thread count.
+/// [`decode`]. It exists because the repository benchmark (`perfbench`)
+/// calls it by this name.
 pub fn decode_sharded_parallel(buf: &[u8], threads: usize) -> Result<ShardedTrace, DecodeError> {
-    decode_sharded_impl(buf, false, threads).map(|(trace, _)| trace)
+    decode(buf, threads)
 }
 
 /// Decodes a binary trace, salvaging what it can from a damaged payload
@@ -957,15 +954,8 @@ pub fn decode_sharded_parallel(buf: &[u8], threads: usize) -> Result<ShardedTrac
 /// boundaries are not self-synchronizing), and truncation mid-stream
 /// keeps everything already decoded. The returned [`DecodeStats`] says
 /// exactly what was lost, so callers can surface the damage instead of
-/// hiding it.
-pub fn decode_sharded_tolerant(buf: Bytes) -> Result<(ShardedTrace, DecodeStats), DecodeError> {
-    decode_sharded_impl(&buf, true, 1)
-}
-
-/// [`decode_sharded_tolerant`] with per-shard frames decoded on `threads`
-/// workers of the exec pool. Salvage results and tallies are identical
-/// for any thread count.
-pub fn decode_sharded_tolerant_parallel(
+/// hiding it. Salvage results and tallies are identical for any `threads`.
+pub fn decode_tolerant(
     buf: &[u8],
     threads: usize,
 ) -> Result<(ShardedTrace, DecodeStats), DecodeError> {
@@ -1506,72 +1496,21 @@ fn untag_cache(v: u8) -> Result<CacheStatus, DecodeError> {
     })
 }
 
-fn encode_io_error(e: EncodeError) -> std::io::Error {
+/// An encode failure as the `InvalidInput` I/O error the writers return.
+pub(crate) fn encode_io_error(e: EncodeError) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string())
 }
 
-/// Writes a trace to a file in the binary format. The trace must be
-/// time-sorted; an unsorted trace fails with `InvalidInput`.
+/// Writes a record stream to a file in the binary format, one frame per
+/// slice (see [`encode`]). The stream must be time-sorted; an unsorted
+/// one fails with `InvalidInput`.
 ///
 /// The write is durable (write-temp, fsync, rename — see
 /// [`crate::store::durable_write`]): a crash mid-write leaves either the
 /// previous file or the new one, never a torn hybrid.
-pub fn write_file(trace: &Trace, path: &std::path::Path) -> std::io::Result<()> {
-    let bytes = encode(trace).map_err(encode_io_error)?;
+pub fn write_file(records: &RecordStream<'_>, path: &std::path::Path) -> std::io::Result<()> {
+    let bytes = encode(records, 1).map_err(encode_io_error)?;
     crate::store::durable_write(path, bytes.to_vec(), "codec.write", jcdn_chaos::handle())
-}
-
-/// Writes a sharded trace to a file, one frame per shard. Durable, like
-/// [`write_file`].
-pub fn write_file_sharded(trace: &ShardedTrace, path: &std::path::Path) -> std::io::Result<()> {
-    let bytes = encode_sharded(trace).map_err(encode_io_error)?;
-    crate::store::durable_write(path, bytes.to_vec(), "codec.write", jcdn_chaos::handle())
-}
-
-/// Reads a binary trace file.
-pub fn read_file(path: &std::path::Path) -> std::io::Result<Trace> {
-    read_file_sharded(path).map(ShardedTrace::into_trace)
-}
-
-/// [`read_file`] with frames decoded on `threads` workers.
-pub fn read_file_parallel(path: &std::path::Path, threads: usize) -> std::io::Result<Trace> {
-    read_file_sharded_parallel(path, threads).map(ShardedTrace::into_trace)
-}
-
-/// Reads a binary trace file, preserving shard frames.
-pub fn read_file_sharded(path: &std::path::Path) -> std::io::Result<ShardedTrace> {
-    read_file_sharded_parallel(path, 1)
-}
-
-/// [`read_file_sharded`] with frames decoded on `threads` workers.
-pub fn read_file_sharded_parallel(
-    path: &std::path::Path,
-    threads: usize,
-) -> std::io::Result<ShardedTrace> {
-    let data = std::fs::read(path)?;
-    decode_sharded_parallel(&data, threads)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
-}
-
-/// Reads a binary trace file tolerantly (see [`decode_sharded_tolerant`]):
-/// a damaged file yields what could be salvaged plus the drop tallies
-/// instead of an error, so batch pipelines can report corruption without
-/// aborting on it.
-pub fn read_file_sharded_tolerant(
-    path: &std::path::Path,
-) -> std::io::Result<(ShardedTrace, DecodeStats)> {
-    read_file_sharded_tolerant_parallel(path, 1)
-}
-
-/// [`read_file_sharded_tolerant`] with frames decoded on `threads`
-/// workers.
-pub fn read_file_sharded_tolerant_parallel(
-    path: &std::path::Path,
-    threads: usize,
-) -> std::io::Result<(ShardedTrace, DecodeStats)> {
-    let data = std::fs::read(path)?;
-    decode_sharded_tolerant_parallel(&data, threads)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
 }
 
 /// Serializes one record as a JSON object (JSONL line) with resolved
@@ -1662,8 +1601,8 @@ mod tests {
     #[test]
     fn binary_round_trip() {
         let t = sample_trace();
-        let encoded = encode(&t).unwrap();
-        let decoded = decode(encoded).unwrap();
+        let encoded = encode(&t.stream(), 1).unwrap();
+        let decoded = decode(&encoded, 1).unwrap().into_trace();
         assert_eq!(decoded.len(), t.len());
         assert_eq!(decoded.url_table(), t.url_table());
         assert_eq!(decoded.ua_table(), t.ua_table());
@@ -1673,25 +1612,25 @@ mod tests {
     #[test]
     fn sharded_round_trip_preserves_frames() {
         let sharded = ShardedTrace::from_trace(sample_trace(), 4);
-        let encoded = encode_sharded(&sharded).unwrap();
-        let decoded = decode_sharded(encoded.clone()).unwrap();
+        let encoded = encode(&sharded.stream(), 1).unwrap();
+        let decoded = decode(&encoded, 1).unwrap();
         assert_eq!(decoded.shard_count(), 4);
         for i in 0..4 {
             assert_eq!(decoded.shard_records(i), sharded.shard_records(i));
         }
-        // Flattening matches the unsharded decode.
-        let flat = decode(encoded).unwrap();
+        // Flattening matches the flattened input.
+        let flat = decoded.into_trace();
         assert_eq!(flat.records(), sharded.clone().into_trace().records());
     }
 
     #[test]
     fn parallel_encode_and_decode_match_sequential() {
         let sharded = ShardedTrace::from_trace(sample_trace(), 4);
-        let seq = encode_sharded(&sharded).unwrap();
+        let seq = encode(&sharded.stream(), 1).unwrap();
         for threads in [1, 2, 4, 8] {
-            let par = encode_sharded_parallel(&sharded, threads).unwrap();
+            let par = encode(&sharded.stream(), threads).unwrap();
             assert_eq!(&par[..], &seq[..], "threads={threads}");
-            let decoded = decode_sharded_parallel(&seq, threads).unwrap();
+            let decoded = decode(&seq, threads).unwrap();
             assert_eq!(decoded.shard_count(), 4);
             for i in 0..4 {
                 assert_eq!(decoded.shard_records(i), sharded.shard_records(i));
@@ -1724,32 +1663,34 @@ mod tests {
         let (interner, records) = t.into_parts();
         let shards: Vec<Vec<LogRecord>> = records.chunks(2).map(<[_]>::to_vec).collect();
         let sharded = ShardedTrace::from_parts(interner, shards);
-        let seq = encode_sharded(&sharded).unwrap_err();
+        let seq = encode(&sharded.stream(), 1).unwrap_err();
         for threads in [2, 4] {
-            assert_eq!(encode_sharded_parallel(&sharded, threads).unwrap_err(), seq);
+            assert_eq!(encode(&sharded.stream(), threads).unwrap_err(), seq);
         }
     }
 
     #[test]
     fn empty_trace_round_trips() {
         let t = Trace::new();
-        let decoded = decode(encode(&t).unwrap()).unwrap();
+        let decoded = decode(&encode(&t.stream(), 1).unwrap(), 1).unwrap();
         assert!(decoded.is_empty());
-        assert_eq!(decoded.url_count(), 0);
+        assert_eq!(
+            decoded.shard_count(),
+            1,
+            "an empty slice is one empty frame"
+        );
+        assert_eq!(decoded.interner().url_count(), 0);
     }
 
     #[test]
     fn rejects_garbage() {
+        assert_eq!(decode(b"", 1).unwrap_err(), DecodeError::Truncated);
         assert_eq!(
-            decode(Bytes::from_static(b"")).unwrap_err(),
-            DecodeError::Truncated
-        );
-        assert_eq!(
-            decode(Bytes::from_static(b"NOPE\x01\x00")).unwrap_err(),
+            decode(b"NOPE\x01\x00", 1).unwrap_err(),
             DecodeError::BadMagic
         );
         assert_eq!(
-            decode(Bytes::from_static(b"JCDN\xff\x00")).unwrap_err(),
+            decode(b"JCDN\xff\x00", 1).unwrap_err(),
             DecodeError::BadVersion(255)
         );
     }
@@ -1783,8 +1724,8 @@ mod tests {
     #[test]
     fn tolerant_decode_of_clean_payload_is_clean() {
         let sharded = ShardedTrace::from_trace(sample_trace(), 4);
-        let encoded = encode_sharded(&sharded).unwrap();
-        let (decoded, stats) = decode_sharded_tolerant(encoded).unwrap();
+        let encoded = encode(&sharded.stream(), 1).unwrap();
+        let (decoded, stats) = decode_tolerant(&encoded, 1).unwrap();
         assert!(stats.is_clean(), "{stats:?}");
         assert_eq!(stats.records_decoded, 100);
         assert_eq!(decoded.shard_count(), 4);
@@ -1796,18 +1737,18 @@ mod tests {
     #[test]
     fn tolerant_decode_salvages_frames_around_a_bad_checksum() {
         let sharded = ShardedTrace::from_trace(sample_trace(), 4);
-        let encoded = encode_sharded(&sharded).unwrap();
+        let encoded = encode(&sharded.stream(), 1).unwrap();
         let corrupted = corrupt_first_frame_payload(&encoded);
 
         // Strict decode refuses the whole file.
         assert_eq!(
-            decode_sharded(corrupted.clone()).unwrap_err(),
+            decode(&corrupted, 1).unwrap_err(),
             DecodeError::BadChecksum { shard: 0 }
         );
 
         // Tolerant decode loses exactly frame 0 and keeps the rest.
         let lost = sharded.shard_records(0).len() as u64;
-        let (decoded, stats) = decode_sharded_tolerant(corrupted).unwrap();
+        let (decoded, stats) = decode_tolerant(&corrupted, 1).unwrap();
         assert_eq!(stats.frames_crc_failed, 1);
         assert_eq!(stats.frames_truncated, 0);
         assert_eq!(stats.frames_header_damaged, 0);
@@ -1831,18 +1772,17 @@ mod tests {
         // the descriptor CRC catches it, so the count is untrusted and the
         // drop tally must not echo the corrupted claim.
         let sharded = ShardedTrace::from_trace(sample_trace(), 4);
-        let encoded = encode_sharded(&sharded).unwrap();
+        let encoded = encode(&sharded.stream(), 1).unwrap();
         let frame_at = first_frame_offset(&encoded);
-        let mut bytes = encoded.to_vec();
-        bytes[frame_at + 8] ^= 0x7F; // record-count varint byte
-        let corrupted = Bytes::from(bytes);
+        let mut corrupted = encoded.to_vec();
+        corrupted[frame_at + 8] ^= 0x7F; // record-count varint byte
 
         assert_eq!(
-            decode_sharded(corrupted.clone()).unwrap_err(),
+            decode(&corrupted, 1).unwrap_err(),
             DecodeError::BadChecksum { shard: 0 }
         );
         let encoded_records = sharded.len() as u64;
-        let (decoded, stats) = decode_sharded_tolerant(corrupted).unwrap();
+        let (decoded, stats) = decode_tolerant(&corrupted, 1).unwrap();
         assert_eq!(stats.frames_crc_failed, 1);
         assert_eq!(stats.records_dropped, 0, "untrusted count is not tallied");
         assert!(
@@ -1857,16 +1797,13 @@ mod tests {
     #[test]
     fn tolerant_decode_keeps_prefix_of_a_truncated_file() {
         let sharded = ShardedTrace::from_trace(sample_trace(), 4);
-        let encoded = encode_sharded(&sharded).unwrap();
+        let encoded = encode(&sharded.stream(), 1).unwrap();
         // Cut into the last frame's body.
-        let truncated = encoded.slice(0..encoded.len() - 5);
+        let truncated = &encoded[..encoded.len() - 5];
 
-        assert_eq!(
-            decode_sharded(truncated.clone()).unwrap_err(),
-            DecodeError::Truncated
-        );
+        assert_eq!(decode(truncated, 1).unwrap_err(), DecodeError::Truncated);
 
-        let (decoded, stats) = decode_sharded_tolerant(truncated).unwrap();
+        let (decoded, stats) = decode_tolerant(truncated, 1).unwrap();
         assert_eq!(stats.frames_truncated, 1, "only the cut frame is lost");
         assert_eq!(stats.frames_crc_failed, 0);
         assert_eq!(decoded.shard_count(), 3);
@@ -1897,8 +1834,8 @@ mod tests {
         put_varint(&mut buf, 512); // bytes
         let bytes = buf.freeze();
 
-        assert_eq!(decode(bytes.clone()).unwrap_err(), DecodeError::Truncated);
-        let (decoded, stats) = decode_sharded_tolerant(bytes).unwrap();
+        assert_eq!(decode(&bytes, 1).unwrap_err(), DecodeError::Truncated);
+        let (decoded, stats) = decode_tolerant(&bytes, 1).unwrap();
         assert_eq!(stats.records_decoded, 1);
         assert_eq!(stats.records_dropped, 1);
         let trace = decoded.into_trace();
@@ -1926,7 +1863,9 @@ mod tests {
         buf.put_u8(1); // cache = Miss
         put_varint(&mut buf, 503); // status
         put_varint(&mut buf, 2048); // bytes
-        let decoded = decode(buf.freeze()).expect("v1 payload decodes");
+        let decoded = decode(&buf.freeze(), 1)
+            .expect("v1 payload decodes")
+            .into_trace();
         assert_eq!(decoded.len(), 1);
         let r = decoded.records()[0];
         assert_eq!(r.time, SimTime::from_micros(1_500_000));
@@ -1959,7 +1898,7 @@ mod tests {
             put_varint(&mut buf, 502); // status
             put_varint(&mut buf, 10); // bytes
         }
-        let sharded = decode_sharded(buf.freeze()).expect("v2 payload decodes");
+        let sharded = decode(&buf.freeze(), 1).expect("v2 payload decodes");
         assert_eq!(
             sharded.shard_count(),
             1,
@@ -1991,7 +1930,7 @@ mod tests {
             retries: 0,
             flags: RecordFlags::NONE,
         });
-        let data = encode(&t).unwrap().to_vec();
+        let data = encode(&t.stream(), 1).unwrap().to_vec();
         let frame_at = first_frame_offset(&data);
         assert_eq!(frame_at, 29, "layout drifted; update this helper");
         (data, frame_at)
@@ -2054,7 +1993,7 @@ mod tests {
         data[mmc_at] = 0xFF;
         restamp_single_frame(&mut data, frame_at);
         assert_eq!(
-            decode(Bytes::from(data)).unwrap_err(),
+            decode(&data, 1).unwrap_err(),
             DecodeError::BadDiscriminant("method", 7)
         );
     }
@@ -2066,7 +2005,7 @@ mod tests {
         let last = data.len() - 1;
         data[last] ^= 0xFF;
         assert_eq!(
-            decode(Bytes::from(data)).unwrap_err(),
+            decode(&data, 1).unwrap_err(),
             DecodeError::BadChecksum { shard: 0 }
         );
     }
@@ -2079,11 +2018,8 @@ mod tests {
         data.push(0x00);
         let body_len = u32::try_from(data.len() - frame_at - 8).unwrap();
         data[frame_at..frame_at + 4].copy_from_slice(&body_len.to_le_bytes());
-        assert_eq!(
-            decode(Bytes::from(data.clone())).unwrap_err(),
-            DecodeError::FrameMismatch
-        );
-        let (decoded, stats) = decode_sharded_tolerant(Bytes::from(data)).unwrap();
+        assert_eq!(decode(&data, 1).unwrap_err(), DecodeError::FrameMismatch);
+        let (decoded, stats) = decode_tolerant(&data, 1).unwrap();
         assert_eq!(stats.frames_header_damaged, 1);
         assert_eq!(stats.records_dropped, 1, "authenticated count is tallied");
         assert!(decoded.shard_records(0).is_empty());
@@ -2091,11 +2027,11 @@ mod tests {
 
     #[test]
     fn rejects_truncation_anywhere() {
-        let full = encode(&sample_trace()).unwrap();
+        let full = encode(&sample_trace().stream(), 1).unwrap();
         // Chop at a few byte positions spread across the buffer; every
         // prefix must fail cleanly, never panic.
         for cut in [7, 20, full.len() / 2, full.len() - 1] {
-            let r = decode(full.slice(0..cut));
+            let r = decode(&full[..cut], 1);
             assert!(r.is_err(), "prefix of {cut} bytes should fail");
         }
     }
@@ -2181,22 +2117,23 @@ mod tests {
         let dir = std::env::temp_dir().join("jcdn-codec-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("trace.jcdn");
-        write_file(&t, &path).unwrap();
-        let back = read_file(&path).unwrap();
-        assert_eq!(back.records(), t.records());
-        // The sharded writer round-trips through the sharded reader.
+        write_file(&t.stream(), &path).unwrap();
+        let back = decode(&std::fs::read(&path).unwrap(), 1).unwrap();
+        assert_eq!(back.into_trace().records(), t.records());
+        // A sharded stream is written one frame per shard.
         let sharded = ShardedTrace::from_trace(t, 3);
-        write_file_sharded(&sharded, &path).unwrap();
-        let back = read_file_sharded(&path).unwrap();
+        write_file(&sharded.stream(), &path).unwrap();
+        let back = decode(&std::fs::read(&path).unwrap(), 1).unwrap();
         assert_eq!(back.shard_count(), 3);
         assert_eq!(back.len(), sharded.len());
         std::fs::remove_file(&path).ok();
-        // Reading garbage fails with InvalidData, not a panic.
-        let bad = dir.join("bad.jcdn");
-        std::fs::write(&bad, b"not a trace").unwrap();
-        let err = read_file(&bad).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        std::fs::remove_file(&bad).ok();
+        // An unsorted stream fails with InvalidInput and writes nothing.
+        let (interner, mut records) = sharded.into_trace().into_parts();
+        records.reverse();
+        let unsorted = Trace::from_parts(interner, records);
+        let err = write_file(&unsorted.stream(), &path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(!path.exists());
     }
 
     #[test]
@@ -2219,7 +2156,7 @@ mod tests {
             });
         }
         assert_eq!(
-            encode(&t).unwrap_err(),
+            encode(&t.stream(), 1).unwrap_err(),
             EncodeError::OutOfOrder {
                 index: 1,
                 prev: SimTime::from_secs(50),
@@ -2228,8 +2165,8 @@ mod tests {
         );
         // Sorting repairs the trace and it round-trips.
         t.sort_by_time();
-        let decoded = decode(encode(&t).unwrap()).unwrap();
-        assert_eq!(decoded.records(), t.records());
+        let decoded = decode(&encode(&t.stream(), 1).unwrap(), 1).unwrap();
+        assert_eq!(decoded.into_trace().records(), t.records());
     }
 
     proptest! {

@@ -3,8 +3,8 @@
 //! The live encoder in [`crate::codec`] always writes the current version;
 //! these writers reproduce the retired on-disk layouts byte for byte so
 //! the cross-version fixture suite (and anything that needs a legacy
-//! payload, like the bench harness' before/after comparison) does not
-//! depend on bytes that the main codec can no longer produce. They are
+//! payload) does not depend on bytes that the main codec can no longer
+//! produce. They are
 //! **frozen**: the layouts below must never change, because committed
 //! fixture files assert byte equality against them.
 //!
@@ -143,7 +143,7 @@ pub fn encode_v3(trace: &Trace) -> Result<Bytes, EncodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{decode, decode_sharded, decode_sharded_tolerant};
+    use crate::codec::{decode, decode_tolerant};
     use crate::record::RecordFlags;
     use crate::time::SimTime;
     use crate::{CacheStatus, ClientId, Method, MimeType};
@@ -177,12 +177,13 @@ mod tests {
     #[test]
     fn legacy_encodes_decode_to_the_same_records() {
         let t = sample(40);
-        let v2 = decode(encode_v2(&t).unwrap()).unwrap();
+        let flat = |bytes: Bytes| decode(&bytes, 1).unwrap().into_trace();
+        let v2 = flat(encode_v2(&t).unwrap());
         assert_eq!(v2.records(), t.records());
-        let v3 = decode(encode_v3(&t).unwrap()).unwrap();
+        let v3 = flat(encode_v3(&t).unwrap());
         assert_eq!(v3.records(), t.records());
         // v1 loses the resilience fields; everything else survives.
-        let v1 = decode(encode_v1(&t).unwrap()).unwrap();
+        let v1 = flat(encode_v1(&t).unwrap());
         let mut expect = t.records().to_vec();
         for r in &mut expect {
             r.retries = 0;
@@ -194,7 +195,7 @@ mod tests {
     #[test]
     fn sharded_v3_preserves_shard_boundaries() {
         let sharded = ShardedTrace::from_trace(sample(40), 4);
-        let decoded = decode_sharded(encode_sharded_v3(&sharded).unwrap()).unwrap();
+        let decoded = decode(&encode_sharded_v3(&sharded).unwrap(), 1).unwrap();
         assert_eq!(decoded.shard_count(), 4);
         for i in 0..4 {
             assert_eq!(decoded.shard_records(i), sharded.shard_records(i));
@@ -244,7 +245,7 @@ mod tests {
         assert_eq!(data[42], 5, "frame 0 claims 5 records");
         data[42] = 7; // inflate the unprotected count
         let encoded_records = sharded.len() as u64;
-        let (_, stats) = decode_sharded_tolerant(Bytes::from(data)).unwrap();
+        let (_, stats) = decode_tolerant(&data, 1).unwrap();
         assert_eq!(stats.frames_header_damaged, 1);
         assert!(!stats.is_clean());
         assert!(

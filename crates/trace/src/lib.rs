@@ -34,7 +34,6 @@
     clippy::cast_sign_loss,
     clippy::cast_possible_wrap
 )]
-#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 /// Trace serialization: the columnar binary format (v4) and JSONL interop.
 pub mod codec;

@@ -27,12 +27,14 @@ impl ShardedTrace {
         ShardedTrace { interner, shards }
     }
 
-    /// Splits a trace into `shard_count` contiguous, near-equal-size time
-    /// partitions. Records are canonically sorted first (linear when they
-    /// already are), so the result is the same for any prior record order
-    /// of the same multiset. Each record is copied once, into a shard
-    /// allocated to exactly its length. `shard_count` is clamped to at
-    /// least 1; an empty trace gives one empty shard.
+    /// Splits a trace into exactly `shard_count` contiguous time
+    /// partitions of `⌈n / shard_count⌉` records each, the last ones
+    /// shorter or empty when the records run out (3 records into 8 shards
+    /// give 3 one-record shards, then 5 empty ones). Records are
+    /// canonically sorted first (linear when they already are), so the
+    /// result is the same for any prior record order of the same multiset.
+    /// Each record is copied once, into a shard allocated to exactly its
+    /// length. `shard_count` is clamped to at least 1.
     pub fn from_trace(trace: Trace, shard_count: usize) -> Self {
         let (interner, mut records) = trace.into_parts();
         records.sort_unstable();
@@ -41,9 +43,7 @@ impl ShardedTrace {
             .chunks(per_shard)
             .map(<[LogRecord]>::to_vec)
             .collect();
-        if shards.is_empty() {
-            shards.push(Vec::new());
-        }
+        shards.resize_with(shard_count.max(1), Vec::new);
         ShardedTrace { interner, shards }
     }
 
@@ -170,8 +170,11 @@ mod tests {
 
     #[test]
     fn shards_hold_exactly_their_records() {
-        for (records, shards) in [(103, 8), (100, 4), (3, 8), (1, 1), (0, 8)] {
+        // The shard count is exact even when the records run out first:
+        // ⌈98 / 30⌉ = 4 records per shard fill 25 shards and leave 5 empty.
+        for (records, shards) in [(103, 8), (100, 4), (98, 30), (3, 8), (1, 1), (0, 8)] {
             let sharded = ShardedTrace::from_trace(trace(records), shards);
+            assert_eq!(sharded.shard_count(), shards, "{records} into {shards}");
             for (i, shard) in sharded.shards.iter().enumerate() {
                 assert_eq!(
                     shard.capacity(),

@@ -14,8 +14,10 @@
 //!    any kill point it describes exactly the shards that are safely on
 //!    disk.
 //! 3. **Byte-identical resume** — the final file is assembled by pure
-//!    concatenation: `table prologue + varint(shard_count) + frames`.
-//!    Because a shard frame's bytes do not depend on which run encoded it
+//!    concatenation, `table prologue + varint(shard_count) + frames`,
+//!    through the same codec helper [`codec::encode`] uses, from frames
+//!    the same codec fan-out encoded. Because a shard frame's bytes do
+//!    not depend on which run encoded it
 //!    (time deltas reset per frame), a resumed run that recomputes only
 //!    the missing shards produces the *same bytes* as an uninterrupted
 //!    run — the property `--resume` tests assert, not merely equivalent
@@ -40,14 +42,12 @@
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use bytes::{BufMut, BytesMut};
 use jcdn_chaos::Chaos;
 
 use crate::codec::{self, DecodeStats};
-use crate::interner::Interner;
 use crate::record::LogRecord;
 use crate::sharded::ShardedTrace;
-use crate::time::SimTime;
+use crate::stream::RecordStream;
 
 /// Writes `bytes` to `path` atomically and durably: the data goes to a
 /// sibling `*.tmp` file, is fsynced, and is renamed over `path`; the
@@ -247,10 +247,11 @@ fn verified_read(path: &Path, entry: &ShardEntry) -> Option<Vec<u8>> {
 
 /// A crash-safe writer for one sharded trace file.
 ///
-/// Commit the table prologue once, then each shard frame in shard order;
-/// every commit is durable and indexed before the writer moves on, so a
-/// kill at any point leaves a resumable run. [`finalize`](Self::finalize)
-/// re-verifies everything staged and publishes the final file atomically.
+/// [`write`](Self::write) commits the table prologue once, then each shard
+/// frame in shard order; every commit is durable and indexed before the
+/// writer moves on, so a kill at any point leaves a resumable run.
+/// [`finalize`](Self::finalize) re-verifies everything staged and
+/// publishes the final file atomically.
 pub struct StoreWriter<'c> {
     final_path: PathBuf,
     index_path: PathBuf,
@@ -341,9 +342,9 @@ impl<'c> StoreWriter<'c> {
         })
     }
 
-    /// True when a resume found the run already finalized; every commit
-    /// and [`finalize`](Self::finalize) becomes a no-op, leaving the
-    /// published file untouched.
+    /// True when a resume found the run already finalized;
+    /// [`write`](Self::write) and [`finalize`](Self::finalize) become
+    /// no-ops, leaving the published file untouched.
     pub fn already_complete(&self) -> bool {
         self.already_complete
     }
@@ -359,124 +360,73 @@ impl<'c> StoreWriter<'c> {
         self.reused
     }
 
-    /// Notes that the caller skipped shard `i` because it was already
-    /// committed (for the `store.shards_reused` counter).
-    pub fn note_reused(&mut self, i: usize) {
-        debug_assert!(self.shard_committed(i));
-        self.reused += 1;
-    }
-
-    /// Commits the table prologue (idempotent: a verified staged copy
-    /// with the same bytes is kept as-is).
-    pub fn commit_tables(&mut self, tables: &[u8]) -> io::Result<()> {
+    /// Writes `records` durably, one shard frame per stream slice: first
+    /// the table prologue (idempotent — a verified staged copy with the
+    /// same bytes is kept as-is), then every shard not yet committed, in
+    /// shard order. Shards a resumed run already committed are reused, not
+    /// re-encoded (see [`shards_reused`](Self::shards_reused)).
+    ///
+    /// The uncommitted frames are encoded up front on `threads` workers of
+    /// the exec pool; the commits that follow keep the sequential write
+    /// order the crash-safety contract (and the chaos harness) observes —
+    /// prologue, index, then frame and index for each shard — so the
+    /// output is byte-identical for any thread count. A stream whose slice
+    /// count differs from the store's shard count is rejected with
+    /// `InvalidInput` before anything is written.
+    pub fn write(&mut self, records: &RecordStream<'_>, threads: usize) -> io::Result<()> {
+        let slices = records.slices();
+        if slices.len() != self.index.shard_count {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "the stream has {} slice(s) but the store writes {} shard(s)",
+                    slices.len(),
+                    self.index.shard_count
+                ),
+            ));
+        }
         if self.already_complete {
             return Ok(());
         }
-        if let Some(entry) = &self.index.tables {
-            if entry.describes(tables) {
-                return Ok(());
-            }
+        let tables = codec::encode_tables(records.interner());
+        if !self
+            .index
+            .tables
+            .is_some_and(|entry| entry.describes(&tables))
+        {
+            self.index.tables =
+                Some(self.stage(&tables_file(&self.staging), &tables, 0, "store.tables")?);
+            self.index.save(&self.index_path, self.chaos)?;
         }
-        durable_write(
-            &tables_file(&self.staging),
-            tables.to_vec(),
-            "store.tables",
-            self.chaos,
-        )?;
-        self.index.tables = Some(ShardEntry {
-            records: 0,
-            bytes: codec::len_u64(tables.len()),
-            crc: codec::crc32(tables),
-        });
-        self.index.save(&self.index_path, self.chaos)
-    }
-
-    /// Commits the table prologue for `interner` (idempotent).
-    pub fn commit_interner(&mut self, interner: &Interner) -> io::Result<()> {
-        self.commit_tables(&codec::encode_tables(interner))
-    }
-
-    /// Encodes and durably commits shard `i`, or reuses a verified staged
-    /// copy from a previous run. `last_time` / `index_base` thread the
-    /// codec's cross-shard time-ordering check through successive calls
-    /// (start both at `None` / `0` and pass the same variables for every
-    /// shard, in shard order). Returns `true` when the shard was encoded
-    /// and written, `false` when the staged copy was reused.
-    pub fn write_shard(
-        &mut self,
-        i: usize,
-        records: &[LogRecord],
-        last_time: &mut Option<SimTime>,
-        index_base: &mut usize,
-    ) -> io::Result<bool> {
-        if self.shard_committed(i) {
-            self.note_reused(i);
-            if let Some(last) = records.last() {
-                *last_time = Some(last.time);
-            }
-            *index_base += records.len();
-            return Ok(false);
-        }
-        let frame = codec::encode_frame(records, *index_base, last_time, i)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-        *index_base += records.len();
-        self.commit_shard(i, &frame.bytes, frame.records)?;
-        Ok(true)
-    }
-
-    /// Encodes every uncommitted shard on the exec pool, then commits
-    /// them durably in shard order. Byte-identical to calling
-    /// [`StoreWriter::write_shard`] for each shard in turn: encoding is
-    /// deterministic per shard once its cross-shard ordering seed is
-    /// fixed, and the commit loop below preserves the sequential write
-    /// order that the crash-safety contract (and the chaos harness)
-    /// observes. `shards` must be every shard of the run, in order.
-    pub fn write_shards(&mut self, shards: &[&[LogRecord]], threads: usize) -> io::Result<()> {
-        let (bases, prevs) = codec::shard_bases(shards);
-        let todo: Vec<usize> = (0..shards.len())
+        let todo: Vec<usize> = (0..slices.len())
             .filter(|&i| !self.shard_committed(i))
             .collect();
-        let frames = jcdn_exec::scatter_gather_labeled("store.encode", todo.len(), threads, |k| {
-            let i = todo[k];
-            let mut last_time = prevs[i];
-            codec::encode_frame(shards[i], bases[i], &mut last_time, i)
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-        let mut fresh = frames.into_iter();
-        for i in 0..shards.len() {
-            if self.shard_committed(i) {
-                self.note_reused(i);
-            } else {
-                // todo and this loop walk the same uncommitted indices in
-                // the same order, so the iterator cannot run dry.
-                let frame = fresh
-                    .next()
-                    .ok_or_else(|| io::Error::other("store.encode produced too few frames"))?;
-                self.commit_shard(i, &frame.bytes, frame.records)?;
-            }
+        self.reused += codec::len_u64(slices.len() - todo.len());
+        let frames =
+            codec::encode_frames(slices, &todo, threads).map_err(codec::encode_io_error)?;
+        for (i, frame) in todo.into_iter().zip(frames) {
+            let entry = self.stage(
+                &shard_file(&self.staging, i),
+                &frame.bytes,
+                frame.records,
+                "store.shard",
+            )?;
+            self.index.shards[i] = Some(entry);
+            self.index.save(&self.index_path, self.chaos)?;
         }
         Ok(())
     }
 
-    /// Commits shard `i`'s frame durably and records it in the index.
-    pub fn commit_shard(&mut self, i: usize, frame: &[u8], records: u64) -> io::Result<()> {
-        if self.already_complete {
-            return Ok(());
-        }
-        durable_write(
-            &shard_file(&self.staging, i),
-            frame.to_vec(),
-            "store.shard",
-            self.chaos,
-        )?;
-        self.index.shards[i] = Some(ShardEntry {
+    /// Durably writes one staged piece and returns its index entry, which
+    /// describes the bytes as given — so a write the chaos harness tears or
+    /// flips is caught when the staged copy is next verified.
+    fn stage(&self, path: &Path, data: &[u8], records: u64, label: &str) -> io::Result<ShardEntry> {
+        durable_write(path, data.to_vec(), label, self.chaos)?;
+        Ok(ShardEntry {
             records,
-            bytes: codec::len_u64(frame.len()),
-            crc: codec::crc32(frame),
-        });
-        self.index.save(&self.index_path, self.chaos)
+            bytes: codec::len_u64(data.len()),
+            crc: codec::crc32(data),
+        })
     }
 
     /// Verifies every staged piece against the index, assembles the final
@@ -517,15 +467,7 @@ impl<'c> StoreWriter<'c> {
             }
         }
 
-        let mut out =
-            Vec::with_capacity(tables.len() + 10 + shard_data.iter().map(Vec::len).sum::<usize>());
-        out.extend_from_slice(&tables);
-        let mut count = BytesMut::with_capacity(10);
-        codec::put_varint(&mut count, codec::len_u64(self.index.shard_count));
-        out.extend_from_slice(&count.freeze());
-        for data in &shard_data {
-            out.extend_from_slice(data);
-        }
+        let out = codec::assemble(&tables, &shard_data);
         durable_write(&self.final_path, out, "store.final", self.chaos)?;
         self.index.complete = true;
         self.index.save(&self.index_path, self.chaos)?;
@@ -590,10 +532,7 @@ pub fn read_staged(final_path: &Path) -> io::Result<(ShardedTrace, StoreReadStat
         })?;
 
     // The interner comes from decoding the prologue as a zero-shard file.
-    let mut empty = BytesMut::with_capacity(tables.len() + 1);
-    empty.put_slice(&tables);
-    codec::put_varint(&mut empty, 0);
-    let interner = codec::decode_sharded(empty.freeze())
+    let interner = codec::decode(&codec::assemble::<&[u8]>(&tables, &[]), 1)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?
         .into_trace()
         .into_parts()
@@ -615,11 +554,7 @@ pub fn read_staged(final_path: &Path) -> io::Result<(ShardedTrace, StoreReadStat
         };
         // Rebuild a one-shard file around the frame so the ordinary
         // tolerant decoder does the record-level work.
-        let mut buf = BytesMut::with_capacity(tables.len() + frame.len() + 1);
-        buf.put_slice(&tables);
-        codec::put_varint(&mut buf, 1);
-        buf.put_slice(&frame);
-        match codec::decode_sharded_tolerant(buf.freeze()) {
+        match codec::decode_tolerant(&codec::assemble(&tables, &[frame]), 1) {
             Ok((decoded, shard_stats)) => {
                 stats.decode.merge(&shard_stats);
                 // The synthetic buffer shares the prologue, so ids line up
@@ -638,7 +573,7 @@ pub fn read_staged(final_path: &Path) -> io::Result<(ShardedTrace, StoreReadStat
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{encode_frame, encode_sharded, encode_tables};
+    use crate::codec::encode;
     use crate::record::{CacheStatus, ClientId, Method, MimeType, RecordFlags};
     use crate::time::SimTime;
     use crate::trace::Trace;
@@ -672,62 +607,50 @@ mod tests {
         dir.join("out.jcdn")
     }
 
-    /// Writes `sharded` through the store, committing all shards.
-    fn write_all(writer: &mut StoreWriter<'_>, sharded: &ShardedTrace) -> io::Result<()> {
-        writer.commit_interner(sharded.interner())?;
-        let mut last_time = None;
-        let mut base = 0;
-        for i in 0..sharded.shard_count() {
-            writer.write_shard(i, sharded.shard_records(i), &mut last_time, &mut base)?;
-        }
-        Ok(())
+    /// The bytes an uninterrupted store run must publish.
+    fn direct(sharded: &ShardedTrace) -> Vec<u8> {
+        encode(&sharded.stream(), 1).unwrap().to_vec()
+    }
+
+    /// A 4-shard run killed by an injected failure of durable write
+    /// `ordinal`: writes go 1 index@open, 2 tables, 3 index, then frame
+    /// and index per shard (shard `i`'s frame is write `2i + 4`), so
+    /// failing write `2k + 4` leaves shards `0..k` committed.
+    fn killed_run(out: &Path, sharded: &ShardedTrace, ordinal: usize) {
+        let plan = jcdn_chaos::FailPlan::parse(&format!("write-error:{ordinal}")).unwrap();
+        let mut writer = StoreWriter::open(out, 4, 7, false, &plan).unwrap();
+        let err = writer.write(&sharded.stream(), 1).unwrap_err();
+        assert!(err.to_string().contains("injected"), "{err}");
     }
 
     #[test]
-    fn parallel_write_shards_matches_sequential_bytes() {
+    fn write_matches_encode_at_any_thread_count() {
         let sharded = sample_sharded(100, 4);
-        let shards: Vec<&[crate::record::LogRecord]> =
-            (0..4).map(|i| sharded.shard_records(i)).collect();
-        let direct = encode_sharded(&sharded).unwrap();
         for threads in [1, 2, 8] {
             let out = tmp_store(&format!("parwrite{threads}"));
             let mut writer = StoreWriter::open(&out, 4, 7, false, &jcdn_chaos::Quiet).unwrap();
-            writer.commit_interner(sharded.interner()).unwrap();
-            writer.write_shards(&shards, threads).unwrap();
+            writer.write(&sharded.stream(), threads).unwrap();
             writer.finalize().unwrap();
             assert_eq!(
                 std::fs::read(&out).unwrap(),
-                direct.to_vec(),
+                direct(&sharded),
                 "threads={threads}"
             );
         }
     }
 
     #[test]
-    fn parallel_write_shards_reuses_committed_shards() {
+    fn parallel_write_reuses_committed_shards() {
         let out = tmp_store("parresume");
         let sharded = sample_sharded(100, 4);
-        let shards: Vec<&[crate::record::LogRecord]> =
-            (0..4).map(|i| sharded.shard_records(i)).collect();
-        // First run commits shards 0 and 1 sequentially, then stops.
+        killed_run(&out, &sharded, 8); // shards 0 and 1 committed
+                                       // The resumed run fills in the rest in parallel; bytes match a
+                                       // clean end-to-end encode.
         let mut writer = StoreWriter::open(&out, 4, 7, true, &jcdn_chaos::Quiet).unwrap();
-        writer.commit_interner(sharded.interner()).unwrap();
-        let (mut last_time, mut base) = (None, 0);
-        for (i, shard) in shards.iter().enumerate().take(2) {
-            writer
-                .write_shard(i, shard, &mut last_time, &mut base)
-                .unwrap();
-        }
-        drop(writer);
-        // The resumed run fills in the rest in parallel; bytes match a
-        // clean end-to-end encode.
-        let mut writer = StoreWriter::open(&out, 4, 7, true, &jcdn_chaos::Quiet).unwrap();
-        writer.commit_interner(sharded.interner()).unwrap();
-        writer.write_shards(&shards, 4).unwrap();
+        writer.write(&sharded.stream(), 4).unwrap();
         assert_eq!(writer.shards_reused(), 2);
         writer.finalize().unwrap();
-        let direct = encode_sharded(&sharded).unwrap();
-        assert_eq!(std::fs::read(&out).unwrap(), direct.to_vec());
+        assert_eq!(std::fs::read(&out).unwrap(), direct(&sharded));
     }
 
     #[test]
@@ -735,10 +658,9 @@ mod tests {
         let out = tmp_store("direct");
         let sharded = sample_sharded(100, 4);
         let mut writer = StoreWriter::open(&out, 4, 7, false, &jcdn_chaos::Quiet).unwrap();
-        write_all(&mut writer, &sharded).unwrap();
+        writer.write(&sharded.stream(), 1).unwrap();
         writer.finalize().unwrap();
-        let direct = encode_sharded(&sharded).unwrap();
-        assert_eq!(std::fs::read(&out).unwrap(), direct.to_vec());
+        assert_eq!(std::fs::read(&out).unwrap(), direct(&sharded));
         assert!(!staging_dir(&out).exists(), "staging cleaned up");
         let index = ShardIndex::load(&index_path(&out)).unwrap();
         assert!(index.complete);
@@ -746,34 +668,36 @@ mod tests {
     }
 
     #[test]
+    fn write_rejects_a_stream_with_the_wrong_slice_count() {
+        let out = tmp_store("slices");
+        let sharded = sample_sharded(100, 4);
+        for shards in [3, 5] {
+            let mut writer = StoreWriter::open(&out, shards, 7, false, &jcdn_chaos::Quiet).unwrap();
+            let err = writer.write(&sharded.stream(), 1).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{shards}: {err}");
+            assert!(err.to_string().contains("4 slice(s)"), "{err}");
+            let index = ShardIndex::load(&index_path(&out)).unwrap();
+            assert!(index.tables.is_none(), "nothing written before the check");
+            assert!(!tables_file(&staging_dir(&out)).exists());
+        }
+    }
+
+    #[test]
     fn resume_reuses_committed_shards_and_matches_bytes() {
         let out = tmp_store("resume");
         let sharded = sample_sharded(100, 4);
-        let tables = encode_tables(sharded.interner());
-
-        // First run dies after committing shards 0 and 1.
-        let mut writer = StoreWriter::open(&out, 4, 7, false, &jcdn_chaos::Quiet).unwrap();
-        writer.commit_tables(&tables).unwrap();
-        let mut last_time = None;
-        let mut base = 0;
-        for i in 0..2 {
-            let records = sharded.shard_records(i);
-            let frame = encode_frame(records, base, &mut last_time, i).unwrap();
-            base += records.len();
-            writer.commit_shard(i, &frame.bytes, frame.records).unwrap();
-        }
-        drop(writer); // simulated kill: no finalize
+        killed_run(&out, &sharded, 8); // dies after committing shards 0 and 1
 
         // Resume completes the run and reuses the committed shards.
         let mut writer = StoreWriter::open(&out, 4, 7, true, &jcdn_chaos::Quiet).unwrap();
         assert!(writer.shard_committed(0) && writer.shard_committed(1));
         assert!(!writer.shard_committed(2));
-        write_all(&mut writer, &sharded).unwrap();
+        writer.write(&sharded.stream(), 1).unwrap();
         assert_eq!(writer.shards_reused(), 2);
         writer.finalize().unwrap();
         assert_eq!(
             std::fs::read(&out).unwrap(),
-            encode_sharded(&sharded).unwrap().to_vec(),
+            direct(&sharded),
             "resumed bytes identical to uninterrupted encode"
         );
     }
@@ -783,7 +707,7 @@ mod tests {
         let out = tmp_store("params");
         let sharded = sample_sharded(40, 2);
         let mut writer = StoreWriter::open(&out, 2, 7, false, &jcdn_chaos::Quiet).unwrap();
-        write_all(&mut writer, &sharded).unwrap();
+        writer.write(&sharded.stream(), 1).unwrap();
         drop(writer);
         let writer = StoreWriter::open(&out, 2, 8, true, &jcdn_chaos::Quiet).unwrap();
         assert!(
@@ -797,7 +721,7 @@ mod tests {
         let out = tmp_store("damaged");
         let sharded = sample_sharded(100, 4);
         let mut writer = StoreWriter::open(&out, 4, 7, false, &jcdn_chaos::Quiet).unwrap();
-        write_all(&mut writer, &sharded).unwrap();
+        writer.write(&sharded.stream(), 1).unwrap();
         drop(writer); // killed before finalize
 
         // Corrupt one committed staged shard behind the index's back.
@@ -810,13 +734,10 @@ mod tests {
         let mut writer = StoreWriter::open(&out, 4, 7, true, &jcdn_chaos::Quiet).unwrap();
         assert!(!writer.shard_committed(2), "damage detected at open");
         assert!(writer.shard_committed(1));
-        write_all(&mut writer, &sharded).unwrap();
+        writer.write(&sharded.stream(), 1).unwrap();
         assert_eq!(writer.shards_reused(), 3);
         writer.finalize().unwrap();
-        assert_eq!(
-            std::fs::read(&out).unwrap(),
-            encode_sharded(&sharded).unwrap().to_vec()
-        );
+        assert_eq!(std::fs::read(&out).unwrap(), direct(&sharded));
     }
 
     #[test]
@@ -824,7 +745,7 @@ mod tests {
         let out = tmp_store("late-damage");
         let sharded = sample_sharded(60, 3);
         let mut writer = StoreWriter::open(&out, 3, 7, false, &jcdn_chaos::Quiet).unwrap();
-        write_all(&mut writer, &sharded).unwrap();
+        writer.write(&sharded.stream(), 1).unwrap();
         // Damage after commit, before finalize: the re-verify must catch it.
         let victim = shard_file(&staging_dir(&out), 1);
         std::fs::write(&victim, b"garbage").unwrap();
@@ -843,21 +764,14 @@ mod tests {
         let out = tmp_store("chaos-write");
         let sharded = sample_sharded(100, 4);
         // Writes: 1 index@open, 2 tables, 3 index, 4 shard0, 5 index, 6 shard1…
-        let plan = jcdn_chaos::FailPlan::parse("write-error:6").unwrap();
-        let mut writer = StoreWriter::open(&out, 4, 7, false, &plan).unwrap();
-        let err = write_all(&mut writer, &sharded).unwrap_err();
-        assert!(err.to_string().contains("injected"), "{err}");
-        drop(writer);
+        killed_run(&out, &sharded, 6);
 
         let mut writer = StoreWriter::open(&out, 4, 7, true, &jcdn_chaos::Quiet).unwrap();
         assert!(writer.shard_committed(0), "shard 0 survived");
         assert!(!writer.shard_committed(1), "failed write left no entry");
-        write_all(&mut writer, &sharded).unwrap();
+        writer.write(&sharded.stream(), 1).unwrap();
         writer.finalize().unwrap();
-        assert_eq!(
-            std::fs::read(&out).unwrap(),
-            encode_sharded(&sharded).unwrap().to_vec()
-        );
+        assert_eq!(std::fs::read(&out).unwrap(), direct(&sharded));
     }
 
     #[test]
@@ -869,38 +783,23 @@ mod tests {
         let mut writer = StoreWriter::open(&out, 4, 7, false, &plan).unwrap();
         // The torn write goes unnoticed at commit time (as a real torn
         // write would)…
-        write_all(&mut writer, &sharded).unwrap();
+        writer.write(&sharded.stream(), 1).unwrap();
         // …but finalize's re-verification refuses to publish it.
         let err = writer.finalize().unwrap_err();
         assert!(err.to_string().contains("shard 0"), "{err}");
 
         let mut writer = StoreWriter::open(&out, 4, 7, true, &jcdn_chaos::Quiet).unwrap();
         assert!(!writer.shard_committed(0));
-        write_all(&mut writer, &sharded).unwrap();
+        writer.write(&sharded.stream(), 1).unwrap();
         writer.finalize().unwrap();
-        assert_eq!(
-            std::fs::read(&out).unwrap(),
-            encode_sharded(&sharded).unwrap().to_vec()
-        );
+        assert_eq!(std::fs::read(&out).unwrap(), direct(&sharded));
     }
 
     #[test]
     fn read_staged_salvages_committed_shards_and_reports_missing() {
         let out = tmp_store("staged-read");
         let sharded = sample_sharded(100, 4);
-        let mut writer = StoreWriter::open(&out, 4, 7, false, &jcdn_chaos::Quiet).unwrap();
-        writer
-            .commit_tables(&encode_tables(sharded.interner()))
-            .unwrap();
-        let mut last_time = None;
-        let mut base = 0;
-        for i in 0..3 {
-            let records = sharded.shard_records(i);
-            let frame = encode_frame(records, base, &mut last_time, i).unwrap();
-            base += records.len();
-            writer.commit_shard(i, &frame.bytes, frame.records).unwrap();
-        }
-        drop(writer); // killed before shard 3
+        killed_run(&out, &sharded, 10); // killed before shard 3
 
         let (salvaged, stats) = read_staged(&out).unwrap();
         assert_eq!(stats.shards_missing, 1);

@@ -5,7 +5,8 @@
 //! borrowed view — an [`Interner`] plus one or more record slices — so the
 //! same analysis code runs over a whole [`Trace`](crate::Trace), a single
 //! shard of a [`ShardedTrace`](crate::ShardedTrace), or any ad-hoc record
-//! subset, without copying records.
+//! subset, without copying records. It is also what the codec and the
+//! store write: one frame per slice (see [`crate::codec::encode`]).
 
 use crate::interner::Interner;
 use crate::record::{LogRecord, UaId, UrlId};
@@ -52,6 +53,11 @@ impl<'t> RecordStream<'t> {
     /// The interner backing this stream's ids.
     pub fn interner(&self) -> &'t Interner {
         self.interner
+    }
+
+    /// The record slices, in order (the codec writes one frame per slice).
+    pub(crate) fn slices(&self) -> &[&'t [LogRecord]] {
+        &self.slices
     }
 
     /// Resolves a URL id.

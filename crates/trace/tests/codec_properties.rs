@@ -1,8 +1,7 @@
 //! Property tests: the binary codec round-trips arbitrary traces and never
 //! panics on corrupted input.
 
-use bytes::Bytes;
-use jcdn_trace::codec::{decode, decode_sharded, encode, encode_sharded, EncodeError};
+use jcdn_trace::codec::{decode, decode_tolerant, encode, EncodeError};
 use jcdn_trace::{
     CacheStatus, ClientId, LogRecord, Method, MimeType, RecordFlags, ShardedTrace, SimTime, Trace,
 };
@@ -176,7 +175,8 @@ proptest! {
     #[test]
     fn arbitrary_traces_round_trip(records in prop::collection::vec(arb_record(), 0..200)) {
         let t = build_trace(&records);
-        let decoded = decode(encode(&t).expect("sorted traces encode")).expect("round trip");
+        let encoded = encode(&t.stream(), 1).expect("sorted traces encode");
+        let decoded = decode(&encoded, 1).expect("round trip").into_trace();
         prop_assert_eq!(decoded.records(), t.records());
         prop_assert_eq!(decoded.url_table(), t.url_table());
         prop_assert_eq!(decoded.ua_table(), t.ua_table());
@@ -189,8 +189,8 @@ proptest! {
     ) {
         let reference = build_trace(&records);
         let sharded = ShardedTrace::from_trace(build_trace(&records), shard_count);
-        let encoded = encode_sharded(&sharded).expect("sorted shards encode");
-        let decoded = decode_sharded(encoded.clone()).expect("sharded round trip");
+        let encoded = encode(&sharded.stream(), 1).expect("sorted shards encode");
+        let decoded = decode(&encoded, 1).expect("sharded round trip");
         prop_assert_eq!(decoded.shard_count(), sharded.shard_count());
         for i in 0..decoded.shard_count() {
             prop_assert_eq!(decoded.shard_records(i), sharded.shard_records(i));
@@ -198,7 +198,7 @@ proptest! {
         // Flat decode of a framed payload equals the canonical record order.
         let mut flat = reference;
         flat.sort_canonical();
-        prop_assert_eq!(decode(encoded).expect("flat decode").records(), flat.records());
+        prop_assert_eq!(decoded.into_trace().records(), flat.records());
     }
 
     #[test]
@@ -213,7 +213,7 @@ proptest! {
             t.retain(|_| false);
             let t = Trace::from_parts(t.into_parts().0, reversed);
             prop_assert!(matches!(
-                encode(&t),
+                encode(&t.stream(), 1),
                 Err(EncodeError::OutOfOrder { .. })
             ));
         }
@@ -224,7 +224,7 @@ proptest! {
         records in prop::collection::vec(arb_record(), 0..100),
     ) {
         let t = build_trace(&records);
-        let decoded = decode(Bytes::from(encode_v1(&t))).expect("v1 payload decodes");
+        let decoded = decode(&encode_v1(&t), 1).expect("v1 payload decodes").into_trace();
         prop_assert_eq!(decoded.len(), t.len());
         prop_assert_eq!(decoded.url_table(), t.url_table());
         for (d, orig) in decoded.records().iter().zip(t.records()) {
@@ -240,7 +240,7 @@ proptest! {
 
     #[test]
     fn decoder_never_panics_on_random_bytes(data in prop::collection::vec(any::<u8>(), 0..512)) {
-        let _ = decode(Bytes::from(data));
+        let _ = decode(&data, 1);
     }
 
     #[test]
@@ -250,10 +250,10 @@ proptest! {
         flip_bit in 0u8..8,
     ) {
         let t = build_trace(&records);
-        let mut data = encode(&t).expect("sorted traces encode").to_vec();
+        let mut data = encode(&t.stream(), 1).expect("sorted traces encode").to_vec();
         let idx = flip_at.index(data.len());
         data[idx] ^= 1 << flip_bit;
-        let _ = decode(Bytes::from(data)); // may fail, must not panic
+        let _ = decode(&data, 1); // may fail, must not panic
     }
 
     // The crash-safety contract for the tolerant reader: arbitrary
@@ -269,13 +269,13 @@ proptest! {
     ) {
         let sharded = ShardedTrace::from_trace(build_trace(&records), shards);
         let encoded_records = sharded.len();
-        let mut data = encode_sharded(&sharded).expect("sorted shards encode").to_vec();
+        let mut data = encode(&sharded.stream(), 1).expect("sorted shards encode").to_vec();
         let idx = flip_at.index(data.len());
         data[idx] ^= 1 << flip_bit;
         // May fail outright (header/table damage), must not panic; on
         // success the surviving records and the drop tally partition the
         // encoded set — nothing is duplicated or fabricated.
-        if let Ok((survived, stats)) = jcdn_trace::codec::decode_sharded_tolerant(Bytes::from(data)) {
+        if let Ok((survived, stats)) = decode_tolerant(&data, 1) {
             prop_assert!(survived.len() <= encoded_records, "over-returned records");
             prop_assert_eq!(stats.records_decoded, survived.len() as u64);
             prop_assert!(
@@ -296,9 +296,9 @@ proptest! {
     ) {
         let sharded = ShardedTrace::from_trace(build_trace(&records), shards);
         let encoded_records = sharded.len();
-        let mut data = encode_sharded(&sharded).expect("sorted shards encode").to_vec();
+        let mut data = encode(&sharded.stream(), 1).expect("sorted shards encode").to_vec();
         data.truncate(cut_at.index(data.len()));
-        if let Ok((survived, stats)) = jcdn_trace::codec::decode_sharded_tolerant(Bytes::from(data)) {
+        if let Ok((survived, stats)) = decode_tolerant(&data, 1) {
             prop_assert!(survived.len() <= encoded_records, "over-returned records");
             prop_assert_eq!(stats.records_decoded, survived.len() as u64);
             prop_assert!(

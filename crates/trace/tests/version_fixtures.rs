@@ -18,7 +18,7 @@
 use std::path::PathBuf;
 
 use bytes::Bytes;
-use jcdn_trace::codec::{decode_sharded, encode_sharded};
+use jcdn_trace::codec::{decode, encode};
 use jcdn_trace::{
     compat, CacheStatus, ClientId, LogRecord, Method, MimeType, RecordFlags, ShardedTrace, SimTime,
     Trace,
@@ -114,7 +114,7 @@ fn fixtures_are_byte_stable_and_decode_equivalently() {
     let v1 = check_fixture("v1.jcdn", &compat::encode_v1(&t).unwrap());
     let v2 = check_fixture("v2.jcdn", &compat::encode_v2(&t).unwrap());
     let v3 = check_fixture("v3.jcdn", &compat::encode_sharded_v3(&sharded).unwrap());
-    let v4 = check_fixture("v4.jcdn", &encode_sharded(&sharded).unwrap());
+    let v4 = check_fixture("v4.jcdn", &encode(&sharded.stream(), 1).unwrap());
 
     // v1 lacks retry/flags; everything else must match field for field.
     let mut v1_expect = t.records().to_vec();
@@ -122,18 +122,18 @@ fn fixtures_are_byte_stable_and_decode_equivalently() {
         r.retries = 0;
         r.flags = RecordFlags::NONE;
     }
-    let d1 = decode_sharded(v1).unwrap();
+    let d1 = decode(&v1, 1).unwrap();
     assert_eq!(d1.shard_count(), 1);
     assert_eq!(d1.into_trace().records(), v1_expect.as_slice());
 
-    let d2 = decode_sharded(v2).unwrap();
+    let d2 = decode(&v2, 1).unwrap();
     assert_eq!(d2.shard_count(), 1);
     assert_eq!(d2.into_trace().records(), t.records());
 
     // v3 and v4 carry shard boundaries; both must reproduce them and
     // decode to identical ShardedTraces.
-    let d3 = decode_sharded(v3).unwrap();
-    let d4 = decode_sharded(v4).unwrap();
+    let d3 = decode(&v3, 1).unwrap();
+    let d4 = decode(&v4, 1).unwrap();
     for d in [&d3, &d4] {
         assert_eq!(d.shard_count(), sharded.shard_count());
         for i in 0..sharded.shard_count() {

@@ -86,8 +86,8 @@ fn heatmap_separates_content_from_personalized_industries() {
 #[test]
 fn trace_round_trips_through_the_binary_codec() {
     let data = dataset();
-    let decoded =
-        decode(encode(&data.trace).expect("simulator traces are sorted")).expect("decode");
+    let encoded = encode(&data.trace.stream(), 1).expect("simulator traces are sorted");
+    let decoded = decode(&encoded, 1).expect("decode").into_trace();
     assert_eq!(decoded.records(), data.trace.records());
     assert_eq!(decoded.url_table(), data.trace.url_table());
     // Summaries agree as well.

@@ -80,7 +80,7 @@ fn outage_scenario_is_deterministic() {
     let config = outage_config(&workload, true);
     let a = run_default(&workload, &config);
     let b = run_default(&workload, &config);
-    assert_eq!(encode(&a.trace), encode(&b.trace));
+    assert_eq!(encode(&a.trace.stream(), 1), encode(&b.trace.stream(), 1));
     assert_eq!(a.stats.end_user_failures, b.stats.end_user_failures);
     assert_eq!(a.stats.retries_issued, b.stats.retries_issued);
 }

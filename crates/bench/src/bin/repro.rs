@@ -83,6 +83,19 @@ fn main() -> ExitCode {
         None
     };
 
+    // The §4 report is shared by fig3, sec4_requests, sec4_responses and
+    // fig4; compute it once.
+    let needs_characterization = selected
+        .iter()
+        .any(|s| ["fig3", "sec4_requests", "sec4_responses", "fig4"].contains(&s.as_str()));
+    let characterization = if needs_characterization {
+        Some(experiments::characterize(
+            context.as_ref().expect("context exists"),
+        ))
+    } else {
+        None
+    };
+
     // The periodicity study is shared by fig5/fig6; run it once.
     let needs_periodicity = selected.iter().any(|s| s == "fig5" || s == "fig6");
     let periodicity_report = if needs_periodicity {
@@ -102,13 +115,14 @@ fn main() -> ExitCode {
     }
     for id in &selected {
         let ctx = context.as_ref();
+        let section4 = characterization.as_ref();
         let result: ExperimentResult = match id.as_str() {
             "fig1" => experiments::fig1(),
             "table2" => experiments::table2(ctx.expect("ctx")),
-            "fig3" => experiments::fig3(ctx.expect("ctx")),
-            "sec4_requests" => experiments::sec4_requests(ctx.expect("ctx")),
-            "sec4_responses" => experiments::sec4_responses(ctx.expect("ctx")),
-            "fig4" => experiments::fig4(ctx.expect("ctx")),
+            "fig3" => experiments::fig3(section4.expect("report")),
+            "sec4_requests" => experiments::sec4_requests(section4.expect("report")),
+            "sec4_responses" => experiments::sec4_responses(section4.expect("report")),
+            "fig4" => experiments::fig4(section4.expect("report")),
             "fig5" => experiments::fig5(
                 ctx.expect("ctx"),
                 periodicity_report.as_ref().expect("report"),

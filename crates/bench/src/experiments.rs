@@ -9,11 +9,9 @@
 use jcdn_cdnsim::{
     run_default, FaultPlan, OriginOutage, ResilienceConfig, SimConfig, SimDuration, Window,
 };
-use jcdn_core::characterize::{
-    json_html_ratio, CacheabilityHeatmap, RequestTypeBreakdown, ResponseTypeBreakdown,
-    TokenCategoryProvider, TrafficSourceBreakdown,
-};
+use jcdn_core::characterize::TokenCategoryProvider;
 use jcdn_core::periodicity::{run_study, PeriodicityReport, PeriodicityStudyConfig};
+use jcdn_core::pipeline::CharacterizationReport;
 use jcdn_core::prediction::{run_study as run_prediction, PredictionStudyConfig};
 use jcdn_core::report::{paper_vs_measured, pct, TextTable};
 use jcdn_prefetch::anomaly::SequenceAnomalyDetector;
@@ -127,9 +125,14 @@ pub fn table2(ctx: &Context) -> ExperimentResult {
     }
 }
 
+/// Shared §4 report over the short-term dataset.
+pub fn characterize(ctx: &Context) -> CharacterizationReport {
+    CharacterizationReport::compute(&ctx.short_term.trace.stream(), &TokenCategoryProvider, 1)
+}
+
 /// E3 / Figure 3: categorization by device type.
-pub fn fig3(ctx: &Context) -> ExperimentResult {
-    let b = TrafficSourceBreakdown::compute(&ctx.short_term.trace);
+pub fn fig3(report: &CharacterizationReport) -> ExperimentResult {
+    let b = &report.sources;
     let mut table = TextTable::new(&[
         "Device",
         "Requests (paper)",
@@ -203,8 +206,8 @@ pub fn fig3(ctx: &Context) -> ExperimentResult {
 }
 
 /// E4 / §4 request types.
-pub fn sec4_requests(ctx: &Context) -> ExperimentResult {
-    let b = RequestTypeBreakdown::compute(&ctx.short_term.trace);
+pub fn sec4_requests(report: &CharacterizationReport) -> ExperimentResult {
+    let b = &report.requests;
     let mut rendered = String::new();
     rendered.push_str(&paper_vs_measured(
         "GET share of JSON requests",
@@ -235,8 +238,8 @@ pub fn sec4_requests(ctx: &Context) -> ExperimentResult {
 }
 
 /// E5 / §4 response types: cacheability and sizes.
-pub fn sec4_responses(ctx: &Context) -> ExperimentResult {
-    let mut b = ResponseTypeBreakdown::compute(&ctx.short_term.trace);
+pub fn sec4_responses(report: &CharacterizationReport) -> ExperimentResult {
+    let mut b = report.responses.clone();
     let uncacheable = b.uncacheable_share();
     let median_gap = b.json_smaller_than_html_at(0.5).unwrap_or(0.0);
     let p75_gap = b.json_smaller_than_html_at(0.75).unwrap_or(0.0);
@@ -272,7 +275,7 @@ pub fn sec4_responses(ctx: &Context) -> ExperimentResult {
         "28%",
         &pct(size_drop),
     ));
-    if let Some(ratio) = json_html_ratio(&ctx.short_term.trace) {
+    if let Some(ratio) = report.mix.ratio() {
         rendered.push('\n');
         rendered.push_str(&format!(
             "(JSON:HTML ratio inside this JSON-centric capture: {ratio:.1}x)"
@@ -302,8 +305,8 @@ pub fn sec4_responses(ctx: &Context) -> ExperimentResult {
 }
 
 /// E6 / Figure 4: domain cacheability by industry category.
-pub fn fig4(ctx: &Context) -> ExperimentResult {
-    let h = CacheabilityHeatmap::compute(&ctx.short_term.trace, &TokenCategoryProvider, 10);
+pub fn fig4(report: &CharacterizationReport) -> ExperimentResult {
+    let h = &report.heatmap;
     let mut table = TextTable::new(&["Industry", "0-10%", "10-50%", "50-90%", "90-100%", "mean"]);
     for category in IndustryCategory::ALL {
         let Some(row) = h.rows.get(&category) else {
@@ -554,7 +557,7 @@ pub fn ext_prefetch(ctx: &Context) -> ExperimentResult {
     let workload = &ctx.short_term.workload;
     let sim = SimConfig::default();
 
-    let mut ngram = NgramPrefetcher::train_from_trace(&ctx.short_term.trace, 1, 5);
+    let mut ngram = NgramPrefetcher::train(&ctx.short_term.trace.stream(), 1, 5);
     ngram.bind_universe(&workload.objects);
     let ngram_cmp = compare_policies(workload, &sim, &mut ngram);
 

@@ -967,30 +967,24 @@ pub fn run_sharded(workload: &Workload, config: &SimConfig, threads: usize) -> S
     let strings = Strings::intern(workload);
     let hierarchy = config.resolved_hierarchy();
     if !hierarchy.shared.is_empty() {
-        return run_sharded_hierarchy(workload, config, &hierarchy, &strings, threads);
+        return run_sharded_hierarchy(workload, config, &hierarchy, strings, threads);
     }
     let outputs = jcdn_exec::scatter_gather_labeled("sim.edges", config.edges, threads, |e| {
         run_inner(workload, config, &mut NoopPolicy, &strings, Some(e))
     });
-    match merge_outputs(outputs) {
-        Some(out) => out,
-        None => run_default(workload, config),
-    }
+    merge_outputs(strings.interner, outputs)
 }
 
 /// Merges per-edge outputs: stats and metrics add, and the per-edge logs,
 /// each already in canonical order, merge into one canonical log of
-/// exactly their total length. Every per-edge machine starts from the
-/// same interned tables, so the first output's interner resolves every
-/// record.
-fn merge_outputs(outputs: Vec<SimOutput>) -> Option<SimOutput> {
-    let mut outputs = outputs.into_iter();
-    let first = outputs.next()?;
-    let mut stats = first.stats;
-    let mut metrics = first.metrics;
-    let mut series = first.series;
-    let (interner, records) = first.trace.into_parts();
-    let mut runs = vec![records];
+/// exactly their total length. Every per-edge machine starts from a copy
+/// of the run's interned tables and adds none, so `interner` resolves
+/// every record.
+fn merge_outputs(interner: Interner, outputs: Vec<SimOutput>) -> SimOutput {
+    let mut stats = SimStats::default();
+    let mut metrics = MetricsSnapshot::default();
+    let mut series: Option<WindowedCounters> = None;
+    let mut runs = Vec::with_capacity(outputs.len());
     for out in outputs {
         stats.merge(&out.stats);
         metrics.merge(&out.metrics);
@@ -1001,12 +995,12 @@ fn merge_outputs(outputs: Vec<SimOutput>) -> Option<SimOutput> {
         }
         runs.push(out.trace.into_parts().1);
     }
-    Some(SimOutput {
+    SimOutput {
         trace: Trace::from_parts(interner, jcdn_exec::merge_sorted(runs)),
         stats,
         metrics,
         series,
-    })
+    }
 }
 
 /// Locks a machine, recovering from a poisoned mutex (a panicked worker
@@ -1025,12 +1019,12 @@ fn run_sharded_hierarchy(
     workload: &Workload,
     config: &SimConfig,
     hierarchy: &CacheHierarchy,
-    strings: &Strings,
+    strings: Strings,
     threads: usize,
 ) -> SimOutput {
     let _span = jcdn_obs::span!("simulate.hierarchy");
     let machines: Vec<Mutex<Machine<'_>>> = (0..config.edges)
-        .map(|e| Mutex::new(Machine::new(workload, config, hierarchy, strings, Some(e))))
+        .map(|e| Mutex::new(Machine::new(workload, config, hierarchy, &strings, Some(e))))
         .collect();
     let mut tiers = SharedTier::build_all(hierarchy, config.seed);
     let interval = hierarchy.sync_interval;
@@ -1065,13 +1059,9 @@ fn run_sharded_hierarchy(
                 .finish()
         })
         .collect();
-    match merge_outputs(outputs) {
-        Some(mut out) => {
-            record_tier_metrics(&mut out.metrics, &tiers);
-            out
-        }
-        None => run_default(workload, config),
-    }
+    let mut out = merge_outputs(strings.interner, outputs);
+    record_tier_metrics(&mut out.metrics, &tiers);
+    out
 }
 
 fn dispatch(

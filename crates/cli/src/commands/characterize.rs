@@ -50,8 +50,11 @@ pub fn run(argv: &[String]) -> Result<Outcome, String> {
     obs.manifest
         .metrics
         .inc("store.shards_missing", shards_missing);
-    let (report, health) =
-        CharacterizationReport::compute_sharded_isolated(&sharded, &TokenCategoryProvider, threads);
+    let (report, health) = CharacterizationReport::compute_isolated(
+        &sharded.stream(),
+        &TokenCategoryProvider,
+        threads,
+    );
     obs.manifest
         .metrics
         .inc("exec.task_panics", health.task_panics);
@@ -89,7 +92,7 @@ pub fn run(argv: &[String]) -> Result<Outcome, String> {
             );
         }
     }
-    if let Some(ratio) = report.json_html_ratio() {
+    if let Some(ratio) = report.mix.ratio() {
         println!("JSON:HTML request ratio: {ratio:.2}x");
     }
 
@@ -119,8 +122,7 @@ pub fn run(argv: &[String]) -> Result<Outcome, String> {
     // the simulated timeline. Deterministic — the JSONL stream and the
     // ts.* counters are part of the manifest's counter section.
     if let Some(spec) = obs.window {
-        use jcdn_core::series::{SeriesReport, DEFAULT_TOP_URLS};
-        let series = SeriesReport::compute_sharded(&sharded, threads, spec, DEFAULT_TOP_URLS);
+        let series = jcdn_core::series::SeriesReport::compute(&sharded.stream(), threads, spec);
         obs.manifest.param("window", spec);
         obs.manifest
             .metrics

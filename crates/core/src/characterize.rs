@@ -3,22 +3,24 @@
 //! Every breakdown here is a mergeable partial. One pass over a record
 //! stream ([`PartialReport::accumulate`]) fills all of them at once,
 //! `merge` combines partials exactly (associative and commutative), and
-//! anything lossy waits for a once-per-report finalize. The
-//! `compute(&Trace)` constructors take their field from that one pass over
-//! the whole trace. Per-shard results therefore equal the single-pass
-//! result bit-for-bit, which the `shard_invariance` integration tests
-//! assert.
+//! anything lossy waits for a once-per-report finalize.
+//! [`CharacterizationReport::compute`] is the one entry point that runs
+//! them; per-shard results equal the whole-trace result bit-for-bit,
+//! which the `shard_invariance` integration tests assert.
 //!
 //! [`PartialReport::accumulate`]: crate::pipeline::PartialReport::accumulate
+//! [`CharacterizationReport::compute`]: crate::pipeline::CharacterizationReport::compute
 
 use std::collections::BTreeMap;
 
 use jcdn_stats::ExactQuantiles;
-use jcdn_trace::{HostTable, Interner, Trace, UaId, UrlId};
+use jcdn_trace::{HostTable, Interner, UaId, UrlId};
 use jcdn_ua::{classify, Classification, DeviceType};
 use jcdn_workload::IndustryCategory;
 
-use crate::pipeline::CharacterizationReport;
+/// Bucket count of the cacheability heatmap (Figure 4 uses ten 10%-wide
+/// cells).
+pub const HEATMAP_BUCKETS: usize = 10;
 
 /// Pre-classified user-agent table: each distinct UA string classified
 /// once, shared by every shard's pass. Records reference UAs by id, so
@@ -124,11 +126,6 @@ pub struct TrafficSourceBreakdown {
 }
 
 impl TrafficSourceBreakdown {
-    /// Computes the breakdown over the trace's JSON records.
-    pub fn compute(trace: &Trace) -> Self {
-        CharacterizationReport::compute(trace, &TokenCategoryProvider).sources
-    }
-
     /// Adds JSON request counts per UA slot (`per_ua[classes.slot(ua)]`)
     /// into the request counters.
     pub fn count_requests(&mut self, per_ua: &[u64], classes: &UaClassTable) {
@@ -216,11 +213,6 @@ pub struct RequestTypeBreakdown {
 }
 
 impl RequestTypeBreakdown {
-    /// Computes the split over JSON records.
-    pub fn compute(trace: &Trace) -> Self {
-        CharacterizationReport::compute(trace, &TokenCategoryProvider).requests
-    }
-
     /// Adds `other`'s counters into `self`.
     pub fn merge(&mut self, other: &RequestTypeBreakdown) {
         self.downloads += other.downloads;
@@ -265,11 +257,6 @@ pub struct ResponseTypeBreakdown {
 }
 
 impl ResponseTypeBreakdown {
-    /// Computes cacheability and size distributions.
-    pub fn compute(trace: &Trace) -> Self {
-        CharacterizationReport::compute(trace, &TokenCategoryProvider).responses
-    }
-
     /// Absorbs `other`'s counters and size samples. Quantile queries over
     /// the merged breakdown equal single-pass queries (order statistics
     /// are insertion-order-insensitive).
@@ -308,11 +295,6 @@ pub struct ContentMix {
 }
 
 impl ContentMix {
-    /// Counts JSON/HTML responses over the trace.
-    pub fn compute(trace: &Trace) -> Self {
-        CharacterizationReport::compute(trace, &TokenCategoryProvider).mix
-    }
-
     /// Adds `other`'s counters into `self`.
     pub fn merge(&mut self, other: &ContentMix) {
         self.json += other.json;
@@ -380,8 +362,7 @@ impl DomainCacheability {
 
     /// Buckets the fractions of the domains with JSON traffic into a
     /// heatmap.
-    pub fn finalize(&self, hosts: &HostCategoryTable<'_>, buckets: usize) -> CacheabilityHeatmap {
-        assert!(buckets >= 2, "need at least two buckets");
+    pub fn finalize(&self, hosts: &HostCategoryTable<'_>) -> CacheabilityHeatmap {
         let mut rows: BTreeMap<IndustryCategory, Vec<u64>> = BTreeMap::new();
         let mut uncategorized = 0;
         for (host, &(cacheable, total)) in self.per_domain.iter().enumerate() {
@@ -393,11 +374,11 @@ impl DomainCacheability {
                 continue;
             };
             let fraction = cacheable as f64 / total as f64;
-            let bucket = ((fraction * buckets as f64) as usize).min(buckets - 1);
-            rows.entry(category).or_insert_with(|| vec![0; buckets])[bucket] += 1;
+            let bucket = ((fraction * HEATMAP_BUCKETS as f64) as usize).min(HEATMAP_BUCKETS - 1);
+            rows.entry(category)
+                .or_insert_with(|| vec![0; HEATMAP_BUCKETS])[bucket] += 1;
         }
         CacheabilityHeatmap {
-            buckets,
             rows,
             uncategorized,
         }
@@ -407,12 +388,11 @@ impl DomainCacheability {
 /// Figure 4: the heatmap of per-domain cacheability by industry category.
 ///
 /// Each domain's *cacheable request fraction* is computed from its JSON
-/// records, then bucketed into `buckets` equal-width cells; the heatmap
-/// row for a category is the distribution of its domains over those cells.
+/// records, then bucketed into [`HEATMAP_BUCKETS`] equal-width cells; the
+/// heatmap row for a category is the distribution of its domains over
+/// those cells.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CacheabilityHeatmap {
-    /// Number of cacheability buckets (columns).
-    pub buckets: usize,
     /// `rows[category] = domain counts per bucket`.
     pub rows: BTreeMap<IndustryCategory, Vec<u64>>,
     /// Domains whose host had no category.
@@ -420,11 +400,6 @@ pub struct CacheabilityHeatmap {
 }
 
 impl CacheabilityHeatmap {
-    /// Computes the heatmap over JSON records.
-    pub fn compute(trace: &Trace, provider: &dyn CategoryProvider, buckets: usize) -> Self {
-        CharacterizationReport::single_pass(trace, provider, buckets).heatmap
-    }
-
     /// Fraction of all categorized domains in the lowest bucket ("never
     /// cacheable"; paper: ~50%).
     pub fn never_cacheable_share(&self) -> f64 {
@@ -434,7 +409,7 @@ impl CacheabilityHeatmap {
     /// Fraction of all categorized domains in the highest bucket ("always
     /// cacheable"; paper: ~30%).
     pub fn always_cacheable_share(&self) -> f64 {
-        self.bucket_share(self.buckets - 1)
+        self.bucket_share(HEATMAP_BUCKETS - 1)
     }
 
     fn bucket_share(&self, bucket: usize) -> f64 {
@@ -457,7 +432,7 @@ impl CacheabilityHeatmap {
         let weighted: f64 = row
             .iter()
             .enumerate()
-            .map(|(b, &count)| (b as f64 + 0.5) / self.buckets as f64 * count as f64)
+            .map(|(b, &count)| (b as f64 + 0.5) / HEATMAP_BUCKETS as f64 * count as f64)
             .sum();
         Some(weighted / total as f64)
     }
@@ -493,11 +468,6 @@ pub struct AvailabilityBreakdown {
 }
 
 impl AvailabilityBreakdown {
-    /// Computes the breakdown over every record in the trace.
-    pub fn compute(trace: &Trace, provider: &dyn CategoryProvider) -> Self {
-        CharacterizationReport::compute(trace, provider).availability
-    }
-
     /// Adds `(end-user failures, logical requests)` tallies per host id
     /// into the end-user and per-industry counters.
     pub fn count_logical(&mut self, per_host: &[(u64, u64)], hosts: &HostCategoryTable<'_>) {
@@ -583,19 +553,18 @@ impl AvailabilityBreakdown {
     }
 }
 
-/// Figure 1 support: the JSON:HTML request-count ratio of a trace.
-pub fn json_html_ratio(trace: &Trace) -> Option<f64> {
-    ContentMix::compute(trace).ratio()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{PartialReport, HEATMAP_BUCKETS};
+    use crate::pipeline::{CharacterizationReport, PartialReport};
     use jcdn_trace::{
         CacheStatus, ClientId, LogRecord, Method, MimeType, RecordFlags, ShardedTrace, SimTime,
-        UaId,
+        Trace, UaId,
     };
+
+    fn report(trace: &Trace) -> CharacterizationReport {
+        CharacterizationReport::compute(&trace.stream(), &TokenCategoryProvider, 1)
+    }
 
     fn push(
         trace: &mut Trace,
@@ -667,7 +636,7 @@ mod tests {
             CacheStatus::Hit,
         );
 
-        let b = TrafficSourceBreakdown::compute(&t);
+        let b = report(&t).sources;
         assert_eq!(b.total, 3, "HTML records are excluded");
         assert_eq!(b.request_share(DeviceType::Mobile), 1.0 / 3.0);
         assert_eq!(b.request_share(DeviceType::Desktop), 1.0 / 3.0);
@@ -712,7 +681,7 @@ mod tests {
             1,
             CacheStatus::Hit,
         );
-        let b = RequestTypeBreakdown::compute(&t);
+        let b = report(&t).requests;
         assert_eq!(b.total(), 100);
         assert!((b.download_share() - 0.84).abs() < 1e-12);
         assert!((b.upload_share_of_rest() - 15.0 / 16.0).abs() < 1e-12);
@@ -745,7 +714,7 @@ mod tests {
                 CacheStatus::Hit,
             );
         }
-        let mut b = ResponseTypeBreakdown::compute(&t);
+        let mut b = report(&t).responses;
         assert!((b.uncacheable_share() - 0.6).abs() < 1e-12);
         let smaller = b.json_smaller_than_html_at(0.5).unwrap();
         assert!(
@@ -793,7 +762,7 @@ mod tests {
                 },
             );
         }
-        let h = CacheabilityHeatmap::compute(&t, &TokenCategoryProvider, 10);
+        let h = report(&t).heatmap;
         assert_eq!(h.rows[&IndustryCategory::NewsMedia][9], 1);
         assert_eq!(h.rows[&IndustryCategory::FinancialServices][0], 1);
         assert_eq!(h.rows[&IndustryCategory::Gaming][5], 1);
@@ -815,7 +784,7 @@ mod tests {
             1,
             CacheStatus::Hit,
         );
-        let h = CacheabilityHeatmap::compute(&t, &TokenCategoryProvider, 10);
+        let h = report(&t).heatmap;
         assert_eq!(h.uncategorized, 1);
         assert!(h.rows.is_empty());
     }
@@ -832,7 +801,7 @@ mod tests {
             1,
             CacheStatus::Hit,
         );
-        assert!(json_html_ratio(&t).is_none());
+        assert!(report(&t).mix.ratio().is_none());
         push(
             &mut t,
             "https://a.example/h",
@@ -853,7 +822,7 @@ mod tests {
                 CacheStatus::Hit,
             );
         }
-        assert_eq!(json_html_ratio(&t), Some(4.0));
+        assert_eq!(report(&t).mix.ratio(), Some(4.0));
     }
 
     #[test]
@@ -888,7 +857,7 @@ mod tests {
             RecordFlags::SERVED_STALE.with(RecordFlags::NEG_CACHED),
         );
 
-        let a = AvailabilityBreakdown::compute(&t, &TokenCategoryProvider);
+        let a = report(&t).availability;
         assert_eq!(a.attempts, 4);
         assert_eq!(a.retried_attempts, 1);
         assert_eq!(a.logical_requests(), 3);
@@ -962,8 +931,8 @@ mod tests {
     }
 
     #[test]
-    fn sharded_accumulation_merges_to_the_single_pass_result() {
-        let single = CharacterizationReport::compute(&varied_trace(), &TokenCategoryProvider);
+    fn sharded_accumulation_merges_to_the_one_slice_result() {
+        let single = report(&varied_trace());
 
         for shard_count in [1usize, 2, 3, 8] {
             // The manual route: one partial per shard, merged in shard
@@ -972,12 +941,12 @@ mod tests {
             let classes = UaClassTable::build(sharded.interner());
             let hosts = HostCategoryTable::build(sharded.interner(), &TokenCategoryProvider);
             let mut total = PartialReport::default();
-            for i in 0..sharded.shard_count() {
+            for shard in sharded.stream().slices() {
                 let mut partial = PartialReport::default();
-                partial.accumulate(&sharded.shard_stream(i), &classes, &hosts);
+                partial.accumulate(&shard, &classes, &hosts);
                 total.merge(&partial);
             }
-            let merged = total.finalize(&classes, &hosts, HEATMAP_BUCKETS);
+            let merged = total.finalize(&classes, &hosts);
 
             assert_eq!(merged.sources, single.sources, "{shard_count} shards");
             assert_eq!(merged.requests, single.requests, "{shard_count} shards");

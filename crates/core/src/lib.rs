@@ -6,35 +6,38 @@
 //!
 //! * [`characterize`] — §4: traffic-source breakdown (Figure 3), request
 //!   types, response sizes and cacheability, and the per-industry domain
-//!   cacheability heatmap (Figure 4), plus the JSON:HTML ratio series
-//!   (Figure 1),
+//!   cacheability heatmap (Figure 4), plus the trace's JSON:HTML request
+//!   mix,
 //! * [`periodicity`] — §5.1: object/client-object flow periodicity with
 //!   permutation-thresholded detection (Figures 5 and 6),
 //! * [`prediction`] — §5.2: backoff n-gram next-request prediction on raw
 //!   and clustered URLs (Table 3),
-//! * [`pipeline`] — the sharded scatter–gather characterization pipeline:
-//!   per-shard partial reports merged exactly into one
+//! * [`pipeline`] — the scatter–gather characterization pipeline:
+//!   per-slice partial reports merged exactly into one
 //!   [`pipeline::CharacterizationReport`],
 //! * [`dataset`] — glue that generates a synthetic dataset (workload →
 //!   CDN simulation → trace) in one call,
 //! * [`report`] — plain-text table/figure rendering used by the `repro`
 //!   harness and the examples.
 //!
-//! The input everywhere is a [`jcdn_trace::Trace`] — whether it came from
-//! the bundled simulator or (in principle) from real edge logs decoded via
-//! `jcdn-trace`'s codecs.
+//! The input is a [`jcdn_trace::Trace`] or a [`jcdn_trace::RecordStream`]
+//! over one — whether it came from the bundled simulator or (in principle)
+//! from real edge logs decoded via `jcdn-trace`'s codecs. The §4 report
+//! and its series read a stream, one partial per slice: `trace.stream()`
+//! is one slice, a sharded trace's stream one per shard.
 //!
 //! ## Example: characterize a small synthetic dataset
 //!
 //! ```
+//! use jcdn_core::characterize::TokenCategoryProvider;
 //! use jcdn_core::dataset;
-//! use jcdn_core::characterize::TrafficSourceBreakdown;
+//! use jcdn_core::pipeline::CharacterizationReport;
 //! use jcdn_workload::WorkloadConfig;
 //!
 //! let data = dataset::simulate(&WorkloadConfig::tiny(1).scaled(0.2));
-//! let sources = TrafficSourceBreakdown::compute(&data.trace);
+//! let report = CharacterizationReport::compute(&data.trace.stream(), &TokenCategoryProvider, 1);
 //! // Mobile dominates JSON traffic, as in Figure 3.
-//! assert!(sources.request_share(jcdn_ua::DeviceType::Mobile) > 0.3);
+//! assert!(report.sources.request_share(jcdn_ua::DeviceType::Mobile) > 0.3);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -45,15 +48,15 @@
 pub mod characterize;
 /// Dataset assembly: synthetic workloads rendered into analyzable traces.
 pub mod dataset;
-/// Request-interval periodicity detection over object flows (§5.2).
+/// Request-interval periodicity detection over object flows (§5.1).
 pub mod periodicity;
 /// The sharded scatter–gather analysis pipeline and its partial reports.
 pub mod pipeline;
-/// Next-request prediction experiments (§6).
+/// Next-request prediction experiments (§5.2).
 pub mod prediction;
 /// Text report rendering: tables, percentages, and section layout.
 pub mod report;
 /// Windowed §4 partials: per-window rates, mix, and top-URL churn.
 pub mod series;
-/// The JSON traffic taxonomy (§3.2): request classes and their shares.
+/// The JSON traffic taxonomy (Figure 2): the request-type axis.
 pub mod taxonomy;

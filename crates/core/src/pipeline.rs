@@ -1,17 +1,17 @@
-//! Sharded characterization pipeline: scatter per-shard accumulation over
+//! The characterization pipeline: scatter per-slice accumulation over
 //! a worker pool, gather, and merge into one exact report.
 //!
-//! [`CharacterizationReport`] bundles every §4 breakdown. Three entry
-//! points produce one:
-//!
-//! * [`CharacterizationReport::compute`] — single pass over a [`Trace`],
-//! * [`CharacterizationReport::compute_sharded`] — per-shard partials of a
-//!   [`ShardedTrace`], accumulated on a
-//!   [`jcdn_exec::scatter_gather_labeled`] pool and merged in shard order,
-//! * the manual route: build the tables below,
-//!   [`accumulate`](crate::pipeline::PartialReport::accumulate) partials
-//!   yourself, [`merge`](crate::pipeline::PartialReport::merge) them, then
-//!   [`finalize`](crate::pipeline::PartialReport::finalize).
+//! [`CharacterizationReport`] bundles every §4 breakdown.
+//! [`CharacterizationReport::compute`] reads a [`RecordStream`]: one
+//! partial per slice, accumulated on a
+//! [`jcdn_exec::scatter_gather_labeled`] pool and merged in slice order.
+//! `trace.stream()` is one slice, `sharded.stream()` one per shard.
+//! [`compute_isolated`](CharacterizationReport::compute_isolated) is the
+//! same route with panicking slices quarantined. The manual route builds
+//! the tables below and calls
+//! [`accumulate`](crate::pipeline::PartialReport::accumulate),
+//! [`merge`](crate::pipeline::PartialReport::merge) and
+//! [`finalize`](crate::pipeline::PartialReport::finalize) itself.
 //!
 //! Every route first builds the report's shared tables once: the
 //! [`UaClassTable`](crate::characterize::UaClassTable) and the
@@ -19,11 +19,11 @@
 //! partial then comes from one pass over its records that tallies per UA
 //! and per host in plain arrays. Because every accumulator merge is exact
 //! (integer counts, pooled order statistics, per-domain counts bucketed
-//! only at finalize), all three routes yield identical reports for the
-//! same records — for any shard count and thread count. The
-//! `shard_invariance` integration test holds the pipeline to that.
+//! only at finalize), every route yields identical reports for the same
+//! records — for any slicing and thread count. The `shard_invariance` and
+//! `characterize_reference` integration tests hold the pipeline to that.
 
-use jcdn_trace::{MimeType, RecordFlags, RecordStream, ShardedTrace, Trace};
+use jcdn_trace::{MimeType, RecordFlags, RecordStream, ShardedTrace};
 
 use crate::characterize::{
     AvailabilityBreakdown, CacheabilityHeatmap, CategoryProvider, ContentMix, DomainCacheability,
@@ -31,10 +31,6 @@ use crate::characterize::{
     UaClassTable,
 };
 use crate::taxonomy::RequestType;
-
-/// Default bucket count for the cacheability heatmap (Figure 4 uses ten
-/// 10%-wide cells).
-pub const HEATMAP_BUCKETS: usize = 10;
 
 /// Partial characterization state for one record subset. Merge partials
 /// with [`merge`][Self::merge], then [`finalize`][Self::finalize] into a
@@ -144,10 +140,9 @@ impl PartialReport {
         mut self,
         classes: &UaClassTable,
         hosts: &HostCategoryTable<'_>,
-        heatmap_buckets: usize,
     ) -> CharacterizationReport {
         self.sources.count_ua_strings(classes);
-        let heatmap = self.domains.finalize(hosts, heatmap_buckets);
+        let heatmap = self.domains.finalize(hosts);
         CharacterizationReport {
             sources: self.sources,
             requests: self.requests,
@@ -159,8 +154,8 @@ impl PartialReport {
     }
 }
 
-/// Every §4 breakdown of one trace, computed in a single pass or merged
-/// from per-shard partials — identically either way.
+/// Every §4 breakdown of one record stream, merged from per-slice
+/// partials — identically for any slicing.
 #[derive(Clone, Debug)]
 pub struct CharacterizationReport {
     /// Figure 3: JSON traffic by device type / browser share.
@@ -178,60 +173,40 @@ pub struct CharacterizationReport {
 }
 
 impl CharacterizationReport {
-    /// Single-pass characterization of a whole trace.
-    pub fn compute(trace: &Trace, provider: &dyn CategoryProvider) -> Self {
-        Self::single_pass(trace, provider, HEATMAP_BUCKETS)
-    }
-
-    /// [`compute`][Self::compute] with `heatmap_buckets` heatmap columns.
-    pub(crate) fn single_pass(
-        trace: &Trace,
-        provider: &dyn CategoryProvider,
-        heatmap_buckets: usize,
-    ) -> Self {
-        let classes = UaClassTable::build(trace.interner());
-        let hosts = HostCategoryTable::build(trace.interner(), provider);
-        let mut partial = PartialReport::default();
-        partial.accumulate(&trace.stream(), &classes, &hosts);
-        partial.finalize(&classes, &hosts, heatmap_buckets)
-    }
-
-    /// Characterizes a sharded trace: one partial per shard, accumulated
+    /// Characterizes a record stream: one partial per slice, accumulated
     /// on a `threads`-wide [`jcdn_exec::scatter_gather_labeled`] pool,
-    /// merged in shard order, finalized once. `threads <= 1` runs
+    /// merged in slice order, finalized once. `threads <= 1` runs
     /// sequentially.
-    pub fn compute_sharded(
-        sharded: &ShardedTrace,
+    pub fn compute(
+        records: &RecordStream<'_>,
         provider: &(dyn CategoryProvider + Sync),
         threads: usize,
     ) -> Self {
-        Self::compute_shards(sharded, provider, |accumulate| {
-            let shards = sharded.shard_count();
-            jcdn_exec::scatter_gather_labeled("characterize.shards", shards, threads, accumulate)
+        Self::compute_slices(records, provider, |slices, accumulate| {
+            jcdn_exec::scatter_gather_labeled("characterize.shards", slices, threads, accumulate)
                 .into_iter()
                 .map(Some)
                 .collect()
         })
     }
 
-    /// Like [`compute_sharded`][Self::compute_sharded] but panic-isolated:
-    /// a shard whose accumulation panics (after the pool's one sequential
-    /// retry) is dropped from the merge instead of aborting the process,
-    /// and its index is reported in [`ExecHealth::quarantined`]. With no
-    /// quarantined shards the report is bit-identical to
-    /// `compute_sharded`'s; with some it is the exact report of the
-    /// surviving shards — callers must surface the partial-result fact.
-    pub fn compute_sharded_isolated(
-        sharded: &ShardedTrace,
+    /// Like [`compute`][Self::compute] but panic-isolated: a slice whose
+    /// accumulation panics (after the pool's one sequential retry) is
+    /// dropped from the merge instead of aborting the process, and its
+    /// index is reported in [`ExecHealth::quarantined`]. With no
+    /// quarantined slices the report is bit-identical to `compute`'s; with
+    /// some it is the exact report of the surviving slices — callers must
+    /// surface the partial-result fact.
+    pub fn compute_isolated(
+        records: &RecordStream<'_>,
         provider: &(dyn CategoryProvider + Sync),
         threads: usize,
     ) -> (Self, ExecHealth) {
         let mut health = ExecHealth::default();
-        let report = Self::compute_shards(sharded, provider, |accumulate| {
-            let shards = sharded.shard_count();
+        let report = Self::compute_slices(records, provider, |slices, accumulate| {
             let gathered = jcdn_exec::scatter_gather_isolated(
                 "characterize.shards",
-                shards,
+                slices,
                 threads,
                 accumulate,
             );
@@ -244,21 +219,36 @@ impl CharacterizationReport {
         (report, health)
     }
 
-    /// The sharded route: `gather` fans `accumulate` (one shard index to
-    /// its [`PartialReport`]) out over the shards; the partials it returns
-    /// merge in shard order, skipping `None` (quarantined) slots, and
-    /// finalize once.
-    fn compute_shards(
+    /// [`compute`][Self::compute] over a sharded trace's stream. It exists
+    /// because the repository benchmark (`perfbench`) calls it by this
+    /// name.
+    pub fn compute_sharded(
         sharded: &ShardedTrace,
         provider: &(dyn CategoryProvider + Sync),
-        gather: impl FnOnce(&(dyn Fn(usize) -> PartialReport + Sync)) -> Vec<Option<PartialReport>>,
+        threads: usize,
     ) -> Self {
-        let classes = UaClassTable::build(sharded.interner());
-        let hosts = HostCategoryTable::build(sharded.interner(), provider);
+        Self::compute(&sharded.stream(), provider, threads)
+    }
+
+    /// The shared route: `gather` fans `accumulate` (one slice index to
+    /// its [`PartialReport`]) out over the stream's slices; the partials
+    /// it returns merge in slice order, skipping `None` (quarantined)
+    /// slots, and finalize once.
+    fn compute_slices(
+        records: &RecordStream<'_>,
+        provider: &(dyn CategoryProvider + Sync),
+        gather: impl FnOnce(
+            usize,
+            &(dyn Fn(usize) -> PartialReport + Sync),
+        ) -> Vec<Option<PartialReport>>,
+    ) -> Self {
+        let classes = UaClassTable::build(records.interner());
+        let hosts = HostCategoryTable::build(records.interner(), provider);
+        let slices = records.slices();
         let accumulate_span = jcdn_obs::span!("characterize.accumulate");
-        let partials = gather(&|i| {
+        let partials = gather(slices.len(), &|i| {
             let mut partial = PartialReport::default();
-            partial.accumulate(&sharded.shard_stream(i), &classes, &hosts);
+            partial.accumulate(&slices[i], &classes, &hosts);
             partial
         });
         drop(accumulate_span);
@@ -267,28 +257,24 @@ impl CharacterizationReport {
         for partial in partials.iter().flatten() {
             total.merge(partial);
         }
-        total.finalize(&classes, &hosts, HEATMAP_BUCKETS)
-    }
-
-    /// The JSON:HTML request-count ratio, when the trace has HTML traffic.
-    pub fn json_html_ratio(&self) -> Option<f64> {
-        self.mix.ratio()
+        total.finalize(&classes, &hosts)
     }
 }
 
 /// Worker-pool health from a panic-isolated characterization: how many
-/// task panics were caught, and which shards (if any) contributed nothing
+/// task panics were caught, and which slices (if any) contributed nothing
 /// to the report because they failed both attempts.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExecHealth {
     /// Panics caught at the pool's unwind boundary (recovered or not).
     pub task_panics: u64,
-    /// Shard indices excluded from the merged report.
+    /// Slice indices (shard indices, for a sharded trace's stream)
+    /// excluded from the merged report.
     pub quarantined: Vec<usize>,
 }
 
 impl ExecHealth {
-    /// Whether every shard contributed to the report.
+    /// Whether every slice contributed to the report.
     pub fn is_complete(&self) -> bool {
         self.quarantined.is_empty()
     }
@@ -298,6 +284,7 @@ impl ExecHealth {
 mod tests {
     use super::*;
     use crate::characterize::TokenCategoryProvider;
+    use jcdn_trace::Trace;
     use jcdn_workload::WorkloadConfig;
 
     fn sample_trace() -> Trace {
@@ -306,15 +293,15 @@ mod tests {
     }
 
     #[test]
-    fn sharded_report_matches_single_pass_for_any_shard_and_thread_count() {
+    fn sharded_report_matches_one_slice_for_any_shard_and_thread_count() {
         let whole = sample_trace();
-        let single = CharacterizationReport::compute(&whole, &TokenCategoryProvider);
+        let single = CharacterizationReport::compute(&whole.stream(), &TokenCategoryProvider, 1);
 
         for shard_count in [1usize, 2, 8] {
             for threads in [1usize, 4] {
                 let sharded = ShardedTrace::from_trace(sample_trace(), shard_count);
-                let report = CharacterizationReport::compute_sharded(
-                    &sharded,
+                let report = CharacterizationReport::compute(
+                    &sharded.stream(),
                     &TokenCategoryProvider,
                     threads,
                 );
@@ -346,9 +333,9 @@ mod tests {
         // With no panics in play the isolated pool must be a drop-in:
         // same partials, same merge order, same report.
         let sharded = ShardedTrace::from_trace(sample_trace(), 4);
-        let plain = CharacterizationReport::compute_sharded(&sharded, &TokenCategoryProvider, 2);
+        let plain = CharacterizationReport::compute(&sharded.stream(), &TokenCategoryProvider, 2);
         let (isolated, health) =
-            CharacterizationReport::compute_sharded_isolated(&sharded, &TokenCategoryProvider, 2);
+            CharacterizationReport::compute_isolated(&sharded.stream(), &TokenCategoryProvider, 2);
         assert!(health.is_complete());
         assert_eq!(health.task_panics, 0);
         assert_eq!(isolated.sources, plain.sources);
@@ -360,10 +347,11 @@ mod tests {
 
     #[test]
     fn empty_trace_reports_cleanly() {
-        let report = CharacterizationReport::compute(&Trace::new(), &TokenCategoryProvider);
+        let report =
+            CharacterizationReport::compute(&Trace::new().stream(), &TokenCategoryProvider, 1);
         assert_eq!(report.sources.total, 0);
         assert_eq!(report.requests.total(), 0);
-        assert!(report.json_html_ratio().is_none());
+        assert!(report.mix.ratio().is_none());
         assert_eq!(report.availability.end_user_error_rate(), 0.0);
     }
 }

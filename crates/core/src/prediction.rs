@@ -83,7 +83,8 @@ fn prepare_mode(trace: &Trace, mut vocab: Vocab, config: &PredictionStudyConfig)
         .map(|url| vocab.intern(url))
         .collect();
 
-    let sequences: Vec<(u64, Vec<u32>)> = client_sequences(trace, |r| r.mime == MimeType::Json)
+    let stream = trace.stream();
+    let sequences: Vec<(u64, Vec<u32>)> = client_sequences(&stream, |r| r.mime == MimeType::Json)
         .into_iter()
         .filter(|(_, seq)| seq.len() >= config.min_sequence)
         .map(|((client, ua), seq)| {

@@ -5,16 +5,17 @@
 //! The design mirrors the sharded pipeline's mergeable-partials
 //! discipline, with one addition: **interior-window retirement**. A
 //! [`SeriesPartial`] accumulates per-bucket tallies (including a
-//! URL-count map, the expensive part) for one shard's records, then
-//! closes every window that lies strictly inside the shard's time range:
-//! the URL map collapses to its top-K list and is dropped. Shards of a
-//! `ShardedTrace` are contiguous time partitions, so an interior window
-//! can never receive records from another shard — closing it early is
-//! exact. Only the boundary windows (first and last touched by the
-//! shard) stay live, carrying full URL maps into the merge, where
-//! neighbor shards' boundary maps union exactly. The result: per-window
-//! rows byte-identical across shard and thread counts, with per-shard
-//! memory bounded by the boundary windows instead of the whole run.
+//! URL-count map, the expensive part) for one slice's records, then
+//! closes every window that lies strictly inside the slice's time range:
+//! the URL map collapses to its top-K list and is dropped. The slices of
+//! a time-sorted stream (the shards of a `ShardedTrace`, say) are
+//! contiguous time partitions, so an interior window can never receive
+//! records from another slice — closing it early is exact. Only the
+//! boundary windows (first and last touched by the slice) stay live,
+//! carrying full URL maps into the merge, where neighbor slices' boundary
+//! maps union exactly. The result: per-window rows byte-identical across
+//! slicings and thread counts, with per-slice memory bounded by the
+//! boundary windows instead of the whole run.
 //!
 //! Churn is the share of a window's top URLs absent from the previous
 //! window's top list, in per-mille (integer arithmetic, so the output
@@ -27,8 +28,8 @@ use jcdn_obs::json;
 use jcdn_obs::timeseries::WindowSpec;
 use jcdn_trace::{Interner, LogRecord, Method, MimeType, RecordFlags, RecordStream};
 
-/// Default number of top URLs tracked per window.
-pub const DEFAULT_TOP_URLS: usize = 5;
+/// Number of top URLs tracked per window.
+pub const TOP_URLS: usize = 5;
 
 /// Mime classes in emission order, paired with their row labels.
 const MIME_LABELS: [&str; 7] = ["json", "html", "css", "js", "image", "video", "other"];
@@ -138,13 +139,12 @@ fn top_k(urls: &BTreeMap<u32, u64>, k: usize) -> Vec<(u64, u32)> {
     entries
 }
 
-/// Per-shard windowed §4 state. Accumulate one shard's stream, let the
-/// pipeline merge partials in shard order, then
+/// Per-slice windowed §4 state. Accumulate one slice's stream, let the
+/// pipeline merge partials in slice order, then
 /// [`finalize`][SeriesPartial::finalize] into a [`SeriesReport`].
 #[derive(Clone, Debug)]
 pub struct SeriesPartial {
     spec: WindowSpec,
-    top_urls: usize,
     /// Live buckets still carrying full URL maps (shard-boundary windows
     /// plus anything not yet retired).
     live: BTreeMap<u64, BucketTally>,
@@ -157,11 +157,10 @@ pub struct SeriesPartial {
 }
 
 impl SeriesPartial {
-    /// An empty partial tracking `top_urls` URLs per window.
-    pub fn new(spec: WindowSpec, top_urls: usize) -> SeriesPartial {
+    /// An empty partial tracking [`TOP_URLS`] URLs per window.
+    pub fn new(spec: WindowSpec) -> SeriesPartial {
         SeriesPartial {
             spec,
-            top_urls: top_urls.max(1),
             live: BTreeMap::new(),
             closed: BTreeMap::new(),
             buckets_retired: 0,
@@ -252,12 +251,12 @@ impl SeriesPartial {
         }
         any.then(|| ClosedWindow {
             stats,
-            top: top_k(&urls, self.top_urls),
+            top: top_k(&urls, TOP_URLS),
         })
     }
 
-    /// Merges another shard's partial: closed windows land on disjoint
-    /// indexes for contiguous shards (defensively, a collision merges
+    /// Merges another slice's partial: closed windows land on disjoint
+    /// indexes for contiguous slices (defensively, a collision merges
     /// stats and re-merges top lists deterministically); live boundary
     /// buckets union exactly.
     pub fn merge(&mut self, other: &SeriesPartial) {
@@ -272,7 +271,7 @@ impl SeriesPartial {
                     for &(c, u) in mine.top.iter().chain(theirs.top.iter()) {
                         *counts.entry(u).or_default() += c;
                     }
-                    mine.top = top_k(&counts, self.top_urls);
+                    mine.top = top_k(&counts, TOP_URLS);
                 }
             }
         }
@@ -445,39 +444,23 @@ pub struct SeriesReport {
 }
 
 impl SeriesReport {
-    /// Single-pass series over a whole trace (the unsharded route; the
-    /// sharded pipeline produces byte-identical rows).
-    pub fn compute(trace: &jcdn_trace::Trace, spec: WindowSpec, top_urls: usize) -> SeriesReport {
-        let mut partial = SeriesPartial::new(spec, top_urls);
-        partial.accumulate(&trace.stream());
-        partial.finalize(trace.interner())
-    }
-
-    /// Sharded series without the rest of the §4 pipeline: one
-    /// [`SeriesPartial`] per shard on a `threads`-wide pool, merged in
-    /// shard order. Byte-identical to [`compute`][Self::compute] for any
-    /// shard and thread count.
-    pub fn compute_sharded(
-        sharded: &jcdn_trace::ShardedTrace,
-        threads: usize,
-        spec: WindowSpec,
-        top_urls: usize,
-    ) -> SeriesReport {
-        let partials = jcdn_exec::scatter_gather_labeled(
-            "series.shards",
-            sharded.shard_count(),
-            threads,
-            |i| {
-                let mut partial = SeriesPartial::new(spec, top_urls);
-                partial.accumulate(&sharded.shard_stream(i));
+    /// The series of a record stream: one [`SeriesPartial`] per slice on
+    /// a `threads`-wide pool, merged in slice order. Several slices must
+    /// be cut from time-sorted records, as a sharded trace's shards are;
+    /// the rows are then byte-identical for any slicing and thread count.
+    pub fn compute(records: &RecordStream<'_>, threads: usize, spec: WindowSpec) -> SeriesReport {
+        let slices = records.slices();
+        let partials =
+            jcdn_exec::scatter_gather_labeled("series.shards", slices.len(), threads, |i| {
+                let mut partial = SeriesPartial::new(spec);
+                partial.accumulate(&slices[i]);
                 partial
-            },
-        );
-        let mut total = SeriesPartial::new(spec, top_urls);
+            });
+        let mut total = SeriesPartial::new(spec);
         for partial in &partials {
             total.merge(partial);
         }
-        total.finalize(sharded.interner())
+        total.finalize(records.interner())
     }
 
     /// Serializes every row as canonical JSONL, newline-terminated.
@@ -556,13 +539,7 @@ mod tests {
 
     fn series_of(trace: &Trace, shards: usize, s: &str) -> SeriesReport {
         let sharded = ShardedTrace::from_trace(trace.clone(), shards);
-        let mut total = SeriesPartial::new(spec(s), DEFAULT_TOP_URLS);
-        for i in 0..sharded.shard_count() {
-            let mut partial = SeriesPartial::new(spec(s), DEFAULT_TOP_URLS);
-            partial.accumulate(&sharded.shard_stream(i));
-            total.merge(&partial);
-        }
-        total.finalize(sharded.interner())
+        SeriesReport::compute(&sharded.stream(), 1, spec(s))
     }
 
     #[test]
@@ -596,9 +573,8 @@ mod tests {
     #[test]
     fn interior_retirement_drops_buckets() {
         let trace = sample_trace(300);
-        let sharded = ShardedTrace::from_trace(trace, 1);
-        let mut partial = SeriesPartial::new(spec("1m"), DEFAULT_TOP_URLS);
-        partial.accumulate(&sharded.shard_stream(0));
+        let mut partial = SeriesPartial::new(spec("1m"));
+        partial.accumulate(&trace.stream());
         assert!(
             partial.buckets_retired() > 0,
             "interior windows must retire their URL maps"

@@ -1,21 +1,11 @@
 //! The JSON traffic taxonomy (Figure 2 of the paper).
 //!
 //! The paper "divides the properties of JSON traffic into traffic source,
-//! request type, and response type". This module gives that taxonomy a
-//! concrete type: every log record classifies into one [`TaxonomyCell`],
-//! and the characterization module aggregates over cells.
+//! request type, and response type". The §4 report
+//! ([`crate::pipeline::CharacterizationReport`]) tallies each axis
+//! directly; this module names the request-type axis it classifies by.
 
-use jcdn_trace::{LogRecord, Method, RecordView};
-use jcdn_ua::{classify, DeviceType};
-
-/// Traffic source: who initiated the request.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct TrafficSource {
-    /// Device category from the user agent.
-    pub device: DeviceType,
-    /// Browser vs. non-browser.
-    pub browser: bool,
-}
+use jcdn_trace::Method;
 
 /// Request type: upload vs. download (from the HTTP method, per §3.2's
 /// GET/POST convention).
@@ -42,157 +32,9 @@ impl RequestType {
     }
 }
 
-/// Response type: size and cacheability.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ResponseType {
-    /// Response body size in bytes.
-    pub bytes: u64,
-    /// Whether the customer configuration allows caching.
-    pub cacheable: bool,
-}
-
-/// One record, classified along all three taxonomy axes.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct TaxonomyCell {
-    /// Who asked.
-    pub source: TrafficSource,
-    /// Upload or download.
-    pub request: RequestType,
-    /// What came back.
-    pub response: ResponseType,
-}
-
-impl TaxonomyCell {
-    /// Classifies one resolved log record.
-    pub fn classify(view: &RecordView<'_>) -> TaxonomyCell {
-        let c = classify(view.ua);
-        TaxonomyCell {
-            source: TrafficSource {
-                device: c.device,
-                browser: c.is_browser,
-            },
-            request: RequestType::from_method(view.record.method),
-            response: ResponseType {
-                bytes: view.record.response_bytes,
-                cacheable: view.record.cache.is_cacheable(),
-            },
-        }
-    }
-
-    /// Classifies a raw record given its (optional) UA string.
-    pub fn classify_raw(record: &LogRecord, ua: Option<&str>) -> TaxonomyCell {
-        let c = classify(ua);
-        TaxonomyCell {
-            source: TrafficSource {
-                device: c.device,
-                browser: c.is_browser,
-            },
-            request: RequestType::from_method(record.method),
-            response: ResponseType {
-                bytes: record.response_bytes,
-                cacheable: record.cache.is_cacheable(),
-            },
-        }
-    }
-}
-
-/// A full cross-tabulation of the taxonomy over a trace's JSON records:
-/// how many requests fall into each (device, browser, request-type,
-/// cacheable) cell, with response bytes accumulated per cell.
-///
-/// This is Figure 2 turned into a queryable structure — the §4 breakdowns
-/// are all marginals of it.
-#[derive(Clone, Debug, Default)]
-pub struct TaxonomyCrossTab {
-    cells: std::collections::HashMap<CellKey, CellStats>,
-    /// Total JSON requests tabulated.
-    pub total: u64,
-}
-
-/// One cell coordinate.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct CellKey {
-    /// Device type axis.
-    pub device: jcdn_ua::DeviceType,
-    /// Browser vs non-browser axis.
-    pub browser: bool,
-    /// Upload/download axis.
-    pub request: RequestType,
-    /// Cacheability axis.
-    pub cacheable: bool,
-}
-
-/// Accumulated statistics for one cell.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CellStats {
-    /// Requests in the cell.
-    pub requests: u64,
-    /// Total response bytes in the cell.
-    pub bytes: u64,
-}
-
-impl TaxonomyCrossTab {
-    /// Tabulates every JSON record of a trace.
-    pub fn compute(trace: &jcdn_trace::Trace) -> Self {
-        use jcdn_trace::MimeType;
-        // Classify each distinct UA once.
-        let ua_classes: Vec<_> = trace
-            .ua_table()
-            .iter()
-            .map(|ua| classify(Some(ua)))
-            .collect();
-        let missing = classify(None);
-        let mut tab = TaxonomyCrossTab::default();
-        for r in trace.records() {
-            if r.mime != MimeType::Json {
-                continue;
-            }
-            let c = match r.ua {
-                Some(ua) => &ua_classes[ua.0 as usize],
-                None => &missing,
-            };
-            let key = CellKey {
-                device: c.device,
-                browser: c.is_browser,
-                request: RequestType::from_method(r.method),
-                cacheable: r.cache.is_cacheable(),
-            };
-            let cell = tab.cells.entry(key).or_default();
-            cell.requests += 1;
-            cell.bytes += r.response_bytes;
-            tab.total += 1;
-        }
-        tab
-    }
-
-    /// The statistics of one cell (zeros when empty).
-    pub fn cell(&self, key: CellKey) -> CellStats {
-        self.cells.get(&key).copied().unwrap_or_default()
-    }
-
-    /// Sums requests over all cells matching a predicate — marginals in
-    /// one line: `tab.marginal(|k| k.device == DeviceType::Mobile)`.
-    pub fn marginal(&self, predicate: impl Fn(&CellKey) -> bool) -> u64 {
-        self.cells
-            .iter()
-            .filter(|(k, _)| predicate(k))
-            .map(|(_, v)| v.requests)
-            .sum()
-    }
-
-    /// Non-empty cells, largest first.
-    pub fn cells_by_size(&self) -> Vec<(CellKey, CellStats)> {
-        let mut cells: Vec<(CellKey, CellStats)> =
-            self.cells.iter().map(|(&k, &v)| (k, v)).collect();
-        cells.sort_by_key(|&(_, v)| std::cmp::Reverse(v.requests));
-        cells
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jcdn_trace::{CacheStatus, ClientId, MimeType, RecordFlags, SimTime, Trace};
 
     #[test]
     fn request_type_mapping() {
@@ -204,122 +46,5 @@ mod tests {
         assert_eq!(RequestType::from_method(Method::Post), RequestType::Upload);
         assert_eq!(RequestType::from_method(Method::Put), RequestType::Upload);
         assert_eq!(RequestType::from_method(Method::Delete), RequestType::Other);
-    }
-
-    #[test]
-    fn classify_full_record() {
-        let mut t = Trace::new();
-        let ua = t.intern_ua("NewsApp/3.2.1 (iPhone; iOS 12.4)");
-        let url = t.intern_url("https://news-1.example/api/articles/9");
-        t.push(LogRecord {
-            time: SimTime::ZERO,
-            client: ClientId(1),
-            ua: Some(ua),
-            url,
-            method: Method::Post,
-            mime: MimeType::Json,
-            status: 200,
-            response_bytes: 512,
-            cache: CacheStatus::NotCacheable,
-            retries: 0,
-            flags: RecordFlags::NONE,
-        });
-        let view = t.iter().next().unwrap();
-        let cell = TaxonomyCell::classify(&view);
-        assert_eq!(cell.source.device, DeviceType::Mobile);
-        assert!(!cell.source.browser);
-        assert_eq!(cell.request, RequestType::Upload);
-        assert!(!cell.response.cacheable);
-        assert_eq!(cell.response.bytes, 512);
-    }
-
-    #[test]
-    fn cross_tab_marginals_are_consistent() {
-        let mut t = Trace::new();
-        let app = t.intern_ua("NewsApp/1.0 (iPhone; iOS 12.4)");
-        let mut push = |ua, method, cache| {
-            let url = t.intern_url("https://a.example/x");
-            t.push(LogRecord {
-                time: SimTime::ZERO,
-                client: ClientId(1),
-                ua,
-                url,
-                method,
-                mime: MimeType::Json,
-                status: 200,
-                response_bytes: 100,
-                cache,
-                retries: 0,
-                flags: RecordFlags::NONE,
-            });
-        };
-        push(Some(app), Method::Get, CacheStatus::Hit);
-        push(Some(app), Method::Post, CacheStatus::NotCacheable);
-        push(None, Method::Get, CacheStatus::Miss);
-
-        let tab = TaxonomyCrossTab::compute(&t);
-        assert_eq!(tab.total, 3);
-        // Marginals partition the total.
-        let uploads = tab.marginal(|k| k.request == RequestType::Upload);
-        let downloads = tab.marginal(|k| k.request == RequestType::Download);
-        assert_eq!(uploads + downloads, 3);
-        assert_eq!(tab.marginal(|k| k.device == DeviceType::Mobile), 2);
-        assert_eq!(tab.marginal(|k| !k.cacheable), 1);
-        assert_eq!(tab.marginal(|_| true), 3);
-        // Direct cell lookup.
-        let cell = tab.cell(CellKey {
-            device: DeviceType::Mobile,
-            browser: false,
-            request: RequestType::Upload,
-            cacheable: false,
-        });
-        assert_eq!(cell.requests, 1);
-        assert_eq!(cell.bytes, 100);
-        // Ordering helper.
-        let ranked = tab.cells_by_size();
-        assert_eq!(ranked.len(), 3);
-        assert!(ranked[0].1.requests >= ranked[1].1.requests);
-    }
-
-    #[test]
-    fn cross_tab_ignores_non_json() {
-        let mut t = Trace::new();
-        let url = t.intern_url("https://a.example/h");
-        t.push(LogRecord {
-            time: SimTime::ZERO,
-            client: ClientId(1),
-            ua: None,
-            url,
-            method: Method::Get,
-            mime: MimeType::Html,
-            status: 200,
-            response_bytes: 10,
-            cache: CacheStatus::Hit,
-            retries: 0,
-            flags: RecordFlags::NONE,
-        });
-        let tab = TaxonomyCrossTab::compute(&t);
-        assert_eq!(tab.total, 0);
-        assert!(tab.cells_by_size().is_empty());
-    }
-
-    #[test]
-    fn missing_ua_is_unknown_source() {
-        let record = LogRecord {
-            time: SimTime::ZERO,
-            client: ClientId(1),
-            ua: None,
-            url: jcdn_trace::UrlId(0),
-            method: Method::Get,
-            mime: MimeType::Json,
-            status: 200,
-            response_bytes: 1,
-            cache: CacheStatus::Hit,
-            retries: 0,
-            flags: RecordFlags::NONE,
-        };
-        let cell = TaxonomyCell::classify_raw(&record, None);
-        assert_eq!(cell.source.device, DeviceType::Unknown);
-        assert!(!cell.source.browser);
     }
 }

@@ -4,18 +4,18 @@
 //! record's host from its URL, classifies each JSON record's UA string,
 //! looks up the industry of each final attempt, and tallies in maps keyed
 //! by host string, device and category. `CharacterizationReport::compute`
-//! and `compute_sharded` count through shared id tables instead; at every
-//! shard and thread count they must equal the oracle field for field, size
-//! samples included, in order.
+//! and `compute_isolated` count through shared id tables instead; for
+//! every slicing of the stream and every thread count they must equal the
+//! oracle field for field, size samples included, in order.
 
 use std::collections::BTreeMap;
 
 use jcdn_cdnsim::{run_default, FaultPlan, OriginOutage, SimConfig, Window};
 use jcdn_core::characterize::{
     AvailabilityBreakdown, CacheabilityHeatmap, CategoryProvider, ContentMix, RequestTypeBreakdown,
-    ResponseTypeBreakdown, TokenCategoryProvider, TrafficSourceBreakdown,
+    ResponseTypeBreakdown, TokenCategoryProvider, TrafficSourceBreakdown, HEATMAP_BUCKETS,
 };
-use jcdn_core::pipeline::{CharacterizationReport, HEATMAP_BUCKETS};
+use jcdn_core::pipeline::CharacterizationReport;
 use jcdn_core::taxonomy::RequestType;
 use jcdn_trace::{
     CacheStatus, ClientId, LogRecord, Method, MimeType, RecordFlags, RecordStream, ShardedTrace,
@@ -113,7 +113,6 @@ fn oracle(stream: &RecordStream<'_>, provider: &dyn CategoryProvider) -> Charact
         *sources.ua_strings_by_device.entry(device).or_default() += 1;
     }
     let mut heatmap = CacheabilityHeatmap {
-        buckets: HEATMAP_BUCKETS,
         rows: BTreeMap::new(),
         uncategorized: 0,
     };
@@ -156,21 +155,46 @@ fn assert_matches(what: &str, report: &CharacterizationReport, expected: &Charac
     );
 }
 
-/// Checks the single pass and every shards × threads combination against
-/// the oracle over the same records in the same order.
+/// Checks `compute` and `compute_isolated` over `stream` against
+/// `expected`.
+fn assert_stream_matches(
+    what: &str,
+    stream: &RecordStream<'_>,
+    threads: usize,
+    expected: &CharacterizationReport,
+) {
+    let report = CharacterizationReport::compute(stream, &TokenCategoryProvider, threads);
+    assert_matches(what, &report, expected);
+    let (isolated, health) =
+        CharacterizationReport::compute_isolated(stream, &TokenCategoryProvider, threads);
+    assert!(health.is_complete(), "{what}: no slice quarantined");
+    assert_matches(&format!("{what}, isolated"), &isolated, expected);
+}
+
+/// Checks the whole trace as one slice, the same records cut at uneven
+/// points (one slice empty), and every shards × threads combination
+/// against the oracle over the same records in the same order.
 fn assert_routes_match_oracle(name: &str, trace: &Trace) {
+    let records = trace.records();
+    let (a, b) = (records.len() / 7, records.len() * 3 / 5);
+    let uneven = RecordStream::new(
+        trace.interner(),
+        vec![&records[..a], &records[a..a], &records[a..b], &records[b..]],
+    );
     let expected = oracle(&trace.stream(), &TokenCategoryProvider);
-    let single = CharacterizationReport::compute(trace, &TokenCategoryProvider);
-    assert_matches(&format!("{name}, single pass"), &single, &expected);
+    for (slicing, stream) in [("one slice", trace.stream()), ("uneven slices", uneven)] {
+        for threads in [1usize, 4] {
+            let what = format!("{name}, {slicing} x {threads} threads");
+            assert_stream_matches(&what, &stream, threads, &expected);
+        }
+    }
 
     for shards in [1usize, 2, 8] {
         let sharded = ShardedTrace::from_trace(trace.clone(), shards);
         let expected = oracle(&sharded.stream(), &TokenCategoryProvider);
         for threads in [1usize, 4] {
-            let report =
-                CharacterizationReport::compute_sharded(&sharded, &TokenCategoryProvider, threads);
             let what = format!("{name}, {shards} shards x {threads} threads");
-            assert_matches(&what, &report, &expected);
+            assert_stream_matches(&what, &sharded.stream(), threads, &expected);
         }
     }
 }

@@ -9,10 +9,10 @@
 
 use jcdn_cdnsim::SimConfig;
 use jcdn_core::dataset::{simulate_workload_parallel, Dataset};
-use jcdn_core::series::{SeriesReport, DEFAULT_TOP_URLS};
+use jcdn_core::series::SeriesReport;
 use jcdn_obs::timeseries::WindowSpec;
 use jcdn_obs::RunManifest;
-use jcdn_trace::ShardedTrace;
+use jcdn_trace::{RecordStream, ShardedTrace};
 use jcdn_workload::{build_parallel, WorkloadConfig};
 
 /// Shard counts under test: `JCDN_TEST_SHARDS` (comma-separated) when the
@@ -107,17 +107,26 @@ fn windowed_sim_series_is_byte_identical_across_thread_counts() {
 #[test]
 fn windowed_section4_series_is_byte_identical_across_shard_and_thread_counts() {
     let trace = generate(7, 2).trace;
-    let expected = SeriesReport::compute(&trace, window(), DEFAULT_TOP_URLS).to_jsonl();
+    let expected = SeriesReport::compute(&trace.stream(), 1, window()).to_jsonl();
     assert!(
         expected.contains("\"stream\":\"section4\""),
         "baseline rows populated"
     );
+    // The same time-sorted records cut at uneven points, one slice empty.
+    let records = trace.records();
+    let (a, b) = (records.len() / 7, records.len() * 3 / 5);
+    let uneven = RecordStream::new(
+        trace.interner(),
+        vec![&records[..a], &records[a..a], &records[a..b], &records[b..]],
+    );
+    for threads in [1usize, 4] {
+        let rendered = SeriesReport::compute(&uneven, threads, window()).to_jsonl();
+        assert_eq!(rendered, expected, "uneven slices x {threads} threads");
+    }
     for shards in shard_counts() {
         for threads in [1usize, 4] {
             let sharded = ShardedTrace::from_trace(trace.clone(), shards.max(1));
-            let rendered =
-                SeriesReport::compute_sharded(&sharded, threads, window(), DEFAULT_TOP_URLS)
-                    .to_jsonl();
+            let rendered = SeriesReport::compute(&sharded.stream(), threads, window()).to_jsonl();
             assert_eq!(rendered, expected, "{shards} shards x {threads} threads");
         }
     }

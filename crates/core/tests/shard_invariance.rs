@@ -37,9 +37,9 @@ fn generate(seed: u64, threads: usize) -> Dataset {
     simulate_workload_parallel(workload, &sim, threads)
 }
 
-/// Reference report: single trace, one pass, no worker pool.
+/// Reference report: single trace, one slice, one thread.
 fn baseline_report(data: &Dataset) -> CharacterizationReport {
-    CharacterizationReport::compute(&data.trace, &TokenCategoryProvider)
+    CharacterizationReport::compute(&data.trace.stream(), &TokenCategoryProvider, 1)
 }
 
 fn assert_reports_equal(
@@ -99,8 +99,8 @@ proptest! {
                 let bytes = encode(&sharded.stream(), threads).expect("traces are canonical-sorted");
                 let decoded = decode(&bytes, threads).expect("own encoding decodes");
                 prop_assert_eq!(decoded.shard_count(), sharded.shard_count());
-                let report = CharacterizationReport::compute_sharded(
-                    &decoded,
+                let report = CharacterizationReport::compute(
+                    &decoded.stream(),
                     &TokenCategoryProvider,
                     threads,
                 );
@@ -171,7 +171,7 @@ fn ci_matrix_shard_counts_agree_with_baseline() {
     let expected = baseline_report(&data);
     for shards in shard_counts() {
         let sharded = ShardedTrace::from_trace(data.trace.clone(), shards);
-        let report = CharacterizationReport::compute_sharded(&sharded, &TokenCategoryProvider, 2);
+        let report = CharacterizationReport::compute(&sharded.stream(), &TokenCategoryProvider, 2);
         assert_reports_equal(99, shards, &report, &expected);
     }
 }

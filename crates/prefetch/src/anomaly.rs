@@ -57,7 +57,7 @@ impl SequenceAnomalyDetector {
             .map(|u| vocab.intern(u))
             .collect();
         let mut model = NgramModel::new(history);
-        for (_, seq) in client_sequences(reference, |r| r.mime == MimeType::Json) {
+        for (_, seq) in client_sequences(&reference.stream(), |r| r.mime == MimeType::Json) {
             let toks: Vec<u32> = seq.iter().map(|&(_, u)| tokens[u.0 as usize]).collect();
             model.train_sequence(&toks);
         }
@@ -71,7 +71,7 @@ impl SequenceAnomalyDetector {
     /// Scans a trace; returns flagged records in time order per client.
     pub fn scan(&self, trace: &Trace) -> Vec<Anomaly> {
         let mut anomalies = Vec::new();
-        for (client, seq) in client_sequences(trace, |r| r.mime == MimeType::Json) {
+        for (client, seq) in client_sequences(&trace.stream(), |r| r.mime == MimeType::Json) {
             let tokens: Vec<Option<u32>> = seq
                 .iter()
                 .map(|&(_, url)| self.vocab.get(trace.url(url)))

@@ -83,7 +83,7 @@ pub fn analyze(trace: &Trace, config: &LeadTimeConfig) -> LeadTimeReport {
         .collect();
 
     let sequences: Vec<(u64, Vec<(f64, u32)>)> =
-        client_sequences(trace, |r| r.mime == MimeType::Json)
+        client_sequences(&trace.stream(), |r| r.mime == MimeType::Json)
             .into_iter()
             .map(|((client, ua), seq)| {
                 let key = fnv1a(&{

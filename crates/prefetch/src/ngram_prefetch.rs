@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use jcdn_cdnsim::{Policy, PolicyOutcome, RequestCtx};
 use jcdn_ngram::{NgramModel, Vocab};
-use jcdn_trace::{MimeType, RecordStream, Trace};
+use jcdn_trace::{MimeType, RecordStream};
 
 /// A [`Policy`] that predicts each client's next requests with a backoff
 /// n-gram model and prefetches the top-K predictions.
@@ -31,17 +31,12 @@ pub struct NgramPrefetcher {
 }
 
 impl NgramPrefetcher {
-    /// Trains a prefetcher from a trace (typically a previous capture of
-    /// the same traffic). `history` is the n-gram order N, `k` the number
-    /// of predictions prefetched per request.
-    pub fn train_from_trace(trace: &Trace, history: usize, k: usize) -> Self {
-        Self::train_from_stream(&trace.stream(), history, k)
-    }
-
-    /// Trains from any record stream — a whole trace, one shard of a
-    /// [`jcdn_trace::ShardedTrace`], or a multi-shard view — without
-    /// materializing a combined trace.
-    pub fn train_from_stream(stream: &RecordStream<'_>, history: usize, k: usize) -> Self {
+    /// Trains a prefetcher from a record stream (typically a previous
+    /// capture of the same traffic): `trace.stream()`, or a sharded
+    /// trace's stream without materializing a combined trace. `history` is
+    /// the n-gram order N, `k` the number of predictions prefetched per
+    /// request.
+    pub fn train(stream: &RecordStream<'_>, history: usize, k: usize) -> Self {
         let mut vocab = Vocab::raw();
         let tokens: Vec<u32> = stream
             .interner()
@@ -50,9 +45,7 @@ impl NgramPrefetcher {
             .map(|url| vocab.intern(url))
             .collect();
         let mut model = NgramModel::new(history);
-        for (_, seq) in
-            jcdn_trace::flows::client_sequences_stream(stream, |r| r.mime == MimeType::Json)
-        {
+        for (_, seq) in jcdn_trace::flows::client_sequences(stream, |r| r.mime == MimeType::Json) {
             let toks: Vec<u32> = seq.iter().map(|&(_, url)| tokens[url.0 as usize]).collect();
             model.train_sequence(&toks);
         }
@@ -147,7 +140,7 @@ mod tests {
     #[test]
     fn trains_and_binds_against_a_real_universe() {
         let data = simulate(&WorkloadConfig::tiny(21).scaled(0.3));
-        let mut p = NgramPrefetcher::train_from_trace(&data.trace, 1, 5);
+        let mut p = NgramPrefetcher::train(&data.trace.stream(), 1, 5);
         p.bind_universe(&data.workload.objects);
         assert!(p.bound_objects() > 0, "vocabulary must cover the universe");
     }
@@ -156,9 +149,9 @@ mod tests {
     fn stream_training_over_shards_matches_whole_trace_training() {
         let data = simulate(&WorkloadConfig::tiny(21).scaled(0.3));
         let sharded = jcdn_trace::ShardedTrace::from_trace(data.trace, 4);
-        let from_shards = NgramPrefetcher::train_from_stream(&sharded.stream(), 1, 5);
+        let from_shards = NgramPrefetcher::train(&sharded.stream(), 1, 5);
         let whole = sharded.into_trace();
-        let from_trace = NgramPrefetcher::train_from_trace(&whole, 1, 5);
+        let from_trace = NgramPrefetcher::train(&whole.stream(), 1, 5);
         assert_eq!(from_shards.to_bytes(), from_trace.to_bytes());
     }
 
@@ -170,7 +163,7 @@ mod tests {
         let deploy = jcdn_workload::build(&WorkloadConfig::tiny(31));
 
         let base = run_default(&deploy, &SimConfig::default());
-        let mut policy = NgramPrefetcher::train_from_trace(&train.trace, 1, 5);
+        let mut policy = NgramPrefetcher::train(&train.trace.stream(), 1, 5);
         policy.bind_universe(&deploy.objects);
         let boosted = run(&deploy, &SimConfig::default(), &mut policy);
 
@@ -190,7 +183,7 @@ mod tests {
     #[test]
     fn shipped_model_behaves_like_the_original() {
         let train = simulate(&WorkloadConfig::tiny(31).scaled(0.3));
-        let original = NgramPrefetcher::train_from_trace(&train.trace, 1, 5);
+        let original = NgramPrefetcher::train(&train.trace.stream(), 1, 5);
         let shipped = NgramPrefetcher::from_bytes(&original.to_bytes(), 5).expect("round trip");
 
         let deploy = jcdn_workload::build(&WorkloadConfig::tiny(31).scaled(0.3));
@@ -207,7 +200,7 @@ mod tests {
     #[test]
     fn unseen_urls_produce_no_prefetch() {
         let data = simulate(&WorkloadConfig::tiny(41).scaled(0.2));
-        let mut p = NgramPrefetcher::train_from_trace(&data.trace, 1, 5);
+        let mut p = NgramPrefetcher::train(&data.trace.stream(), 1, 5);
         // Bind against a *different* universe: URLs differ, so almost
         // nothing resolves and the policy stays quiet rather than wrong.
         let other = jcdn_workload::build(&WorkloadConfig::tiny(999).scaled(0.2));

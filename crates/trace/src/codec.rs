@@ -839,7 +839,7 @@ pub(crate) fn assemble<F: AsRef<[u8]>>(tables: &[u8], frames: &[F]) -> Vec<u8> {
 /// delta-encodes time); an out-of-order record yields
 /// [`EncodeError::OutOfOrder`].
 pub fn encode(records: &RecordStream<'_>, threads: usize) -> Result<Bytes, EncodeError> {
-    let slices = records.slices();
+    let slices = records.raw_slices();
     let all: Vec<usize> = (0..slices.len()).collect();
     let frames = encode_frames(slices, &all, threads)?;
     Ok(Bytes::from(assemble(

@@ -169,17 +169,9 @@ impl FlowSet {
 /// training format of the n-gram model (§5.2: "requests are split into
 /// client request flows").
 ///
-/// Returns (client, [(time, url)]) pairs sorted by client for determinism.
+/// Reads any record stream (`trace.stream()`, `sharded.stream()`), and
+/// returns (client, [(time, url)]) pairs sorted by client for determinism.
 pub fn client_sequences(
-    trace: &Trace,
-    filter: impl FnMut(&LogRecord) -> bool,
-) -> Vec<(FlowClient, Vec<(SimTime, UrlId)>)> {
-    client_sequences_stream(&trace.stream(), filter)
-}
-
-/// [`client_sequences`] over any record stream, so n-gram training can
-/// consume shards without materializing a combined trace.
-pub fn client_sequences_stream(
     stream: &RecordStream<'_>,
     mut filter: impl FnMut(&LogRecord) -> bool,
 ) -> Vec<(FlowClient, Vec<(SimTime, UrlId)>)> {
@@ -310,7 +302,7 @@ mod tests {
         push(&mut t, 5, 1, "https://a.example/b");
         push(&mut t, 1, 1, "https://a.example/a");
         push(&mut t, 3, 2, "https://a.example/c");
-        let seqs = client_sequences(&t, |_| true);
+        let seqs = client_sequences(&t.stream(), |_| true);
         assert_eq!(seqs.len(), 2);
         let (client, seq) = &seqs[0];
         assert_eq!(client.0, ClientId(1));

@@ -82,12 +82,8 @@ impl ShardedTrace {
         &self.shards[i]
     }
 
-    /// A stream over a single shard.
-    pub fn shard_stream(&self, i: usize) -> RecordStream<'_> {
-        RecordStream::new(&self.interner, vec![&self.shards[i]])
-    }
-
-    /// A stream over every record in shard order.
+    /// A stream over every record in shard order, one slice per shard
+    /// ([`RecordStream::slices`] gives each shard's own stream).
     pub fn stream(&self) -> RecordStream<'_> {
         RecordStream::new(
             &self.interner,
@@ -155,10 +151,12 @@ mod tests {
     }
 
     #[test]
-    fn shard_streams_share_the_interner() {
+    fn shard_slices_share_the_interner() {
         let sharded = ShardedTrace::from_trace(trace(20), 2);
-        let a = sharded.shard_stream(0);
-        let b = sharded.shard_stream(1);
+        let slices = sharded.stream().slices();
+        let [a, b] = &slices[..] else {
+            unreachable!("two shards give two slices");
+        };
         let first_a = a.iter().next().unwrap();
         let first_b = b.iter().next().unwrap();
         // Same UrlId resolves identically through both shard streams.

@@ -374,7 +374,7 @@ impl<'c> StoreWriter<'c> {
     /// count differs from the store's shard count is rejected with
     /// `InvalidInput` before anything is written.
     pub fn write(&mut self, records: &RecordStream<'_>, threads: usize) -> io::Result<()> {
-        let slices = records.slices();
+        let slices = records.raw_slices();
         if slices.len() != self.index.shard_count {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,

@@ -55,8 +55,18 @@ impl<'t> RecordStream<'t> {
         self.interner
     }
 
+    /// One single-slice stream per slice, in order: one per shard of
+    /// `sharded.stream()`, one for `trace.stream()`. Analyses accumulate a
+    /// partial per slice.
+    pub fn slices(&self) -> Vec<RecordStream<'t>> {
+        self.slices
+            .iter()
+            .map(|&slice| RecordStream::new(self.interner, vec![slice]))
+            .collect()
+    }
+
     /// The record slices, in order (the codec writes one frame per slice).
-    pub(crate) fn slices(&self) -> &[&'t [LogRecord]] {
+    pub(crate) fn raw_slices(&self) -> &[&'t [LogRecord]] {
         &self.slices
     }
 
@@ -130,6 +140,8 @@ mod tests {
         assert_eq!(s.len(), t.len());
         let all: Vec<_> = s.iter().copied().collect();
         assert_eq!(all.as_slice(), t.records());
+        let lens: Vec<usize> = s.slices().iter().map(|slice| slice.len()).collect();
+        assert_eq!(lens, [2, 4]);
     }
 
     #[test]

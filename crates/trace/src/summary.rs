@@ -17,7 +17,7 @@ pub struct DatasetSummary {
     pub logs: usize,
     /// Span between first and last record.
     pub duration: SimDuration,
-    /// Number of distinct domains (URL hosts).
+    /// Number of distinct domains (hosts of the URLs records reference).
     pub domains: usize,
     /// Number of distinct clients (hashed IP + UA pairs, §5.1).
     pub clients: usize,
@@ -46,11 +46,14 @@ impl DatasetSummary {
             .time_span()
             .map(|(first, last)| last - first)
             .unwrap_or(SimDuration::ZERO);
+        // Like objects, a domain counts only if a record references it.
+        let hosts = HostTable::build(trace.interner());
+        let domains: HashSet<usize> = objects.iter().map(|&url| hosts.host_id(url)).collect();
         DatasetSummary {
             name: name.into(),
             logs: trace.len(),
             duration,
-            domains: HostTable::build(trace.interner()).hosts().len(),
+            domains: domains.len(),
             clients: clients.len(),
             objects: objects.len(),
             json_logs,
@@ -114,6 +117,8 @@ mod tests {
         );
         push(&mut t, 20, 2, "https://b.example/x", MimeType::Html, None);
         push(&mut t, 30, 1, "https://a.example/x", MimeType::Json, None);
+        // Interned but never requested: neither an object nor a domain.
+        t.intern_url("https://c.example/unused");
 
         let s = DatasetSummary::compute("Test", &t);
         assert_eq!(s.logs, 4);

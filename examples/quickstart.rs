@@ -5,11 +5,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use jcdn::core::characterize::{
-    json_html_ratio, CacheabilityHeatmap, RequestTypeBreakdown, ResponseTypeBreakdown,
-    TokenCategoryProvider, TrafficSourceBreakdown,
-};
+use jcdn::core::characterize::TokenCategoryProvider;
 use jcdn::core::dataset;
+use jcdn::core::pipeline::CharacterizationReport;
 use jcdn::core::report::{pct, TextTable};
 use jcdn::ua::DeviceType;
 use jcdn::workload::WorkloadConfig;
@@ -23,9 +21,11 @@ fn main() {
     );
     let data = dataset::simulate(&config);
     println!("{}\n", data.summary().table_row());
+    // Every §4 breakdown comes from one pass over the trace.
+    let report = CharacterizationReport::compute(&data.trace.stream(), &TokenCategoryProvider, 1);
 
     // --- Traffic source (Figure 3) -------------------------------------
-    let sources = TrafficSourceBreakdown::compute(&data.trace);
+    let sources = &report.sources;
     let mut table = TextTable::new(&["Device", "Requests", "UA strings"]);
     for device in DeviceType::ALL {
         table.row(&[
@@ -42,7 +42,7 @@ fn main() {
     );
 
     // --- Request type ----------------------------------------------------
-    let requests = RequestTypeBreakdown::compute(&data.trace);
+    let requests = &report.requests;
     println!(
         "Request type: GET {}   (of the rest, uploads: {})",
         pct(requests.download_share()),
@@ -50,7 +50,7 @@ fn main() {
     );
 
     // --- Response type ---------------------------------------------------
-    let mut responses = ResponseTypeBreakdown::compute(&data.trace);
+    let mut responses = report.responses;
     println!(
         "Uncacheable JSON traffic: {}",
         pct(responses.uncacheable_share())
@@ -65,12 +65,12 @@ fn main() {
             pct(p75)
         );
     }
-    if let Some(ratio) = json_html_ratio(&data.trace) {
+    if let Some(ratio) = report.mix.ratio() {
         println!("JSON:HTML request ratio in this capture: {ratio:.2}x");
     }
 
     // --- Cacheability heatmap (Figure 4) ----------------------------------
-    let heatmap = CacheabilityHeatmap::compute(&data.trace, &TokenCategoryProvider, 10);
+    let heatmap = &report.heatmap;
     println!(
         "\nDomains never cacheable: {}   always cacheable: {}",
         pct(heatmap.never_cacheable_share()),

@@ -2,11 +2,9 @@
 //! (workload → CDN simulation → trace → analysis) must recover the
 //! populations the generator planted.
 
-use jcdn::core::characterize::{
-    CacheabilityHeatmap, RequestTypeBreakdown, ResponseTypeBreakdown, TokenCategoryProvider,
-    TrafficSourceBreakdown,
-};
+use jcdn::core::characterize::TokenCategoryProvider;
 use jcdn::core::dataset::simulate;
+use jcdn::core::pipeline::CharacterizationReport;
 use jcdn::trace::codec::{decode, encode, to_jsonl};
 use jcdn::trace::summary::DatasetSummary;
 use jcdn::ua::DeviceType;
@@ -16,10 +14,14 @@ fn dataset() -> jcdn::core::dataset::Dataset {
     simulate(&WorkloadConfig::tiny(0xD0E))
 }
 
+fn characterize(data: &jcdn::core::dataset::Dataset) -> CharacterizationReport {
+    CharacterizationReport::compute(&data.trace.stream(), &TokenCategoryProvider, 1)
+}
+
 #[test]
 fn device_mix_is_recovered_from_the_logs() {
     let data = dataset();
-    let b = TrafficSourceBreakdown::compute(&data.trace);
+    let b = characterize(&data).sources;
 
     // Ground truth from the workload (per-event device labels).
     let w = &data.workload;
@@ -47,7 +49,8 @@ fn device_mix_is_recovered_from_the_logs() {
 #[test]
 fn request_and_response_shapes_match_paper_targets() {
     let data = dataset();
-    let req = RequestTypeBreakdown::compute(&data.trace);
+    let report = characterize(&data);
+    let req = &report.requests;
     assert!(
         (req.download_share() - 0.84).abs() < 0.08,
         "GET share {}",
@@ -55,7 +58,7 @@ fn request_and_response_shapes_match_paper_targets() {
     );
     assert!(req.upload_share_of_rest() > 0.9);
 
-    let mut resp = ResponseTypeBreakdown::compute(&data.trace);
+    let mut resp = report.responses;
     let uncacheable = resp.uncacheable_share();
     assert!(
         (0.42..0.72).contains(&uncacheable),
@@ -72,7 +75,7 @@ fn request_and_response_shapes_match_paper_targets() {
 fn heatmap_separates_content_from_personalized_industries() {
     use jcdn::workload::IndustryCategory;
     let data = dataset();
-    let h = CacheabilityHeatmap::compute(&data.trace, &TokenCategoryProvider, 10);
+    let h = characterize(&data).heatmap;
     let news = h.row_mean(IndustryCategory::NewsMedia);
     let financial = h.row_mean(IndustryCategory::FinancialServices);
     if let (Some(news), Some(financial)) = (news, financial) {

@@ -7,7 +7,8 @@
 //! traces.
 
 use jcdn_cdnsim::{run_default, FaultPlan, OriginOutage, ResilienceConfig, SimConfig, Window};
-use jcdn_core::characterize::{AvailabilityBreakdown, TokenCategoryProvider};
+use jcdn_core::characterize::TokenCategoryProvider;
+use jcdn_core::pipeline::CharacterizationReport;
 use jcdn_trace::codec::encode;
 use jcdn_workload::{build, Workload, WorkloadConfig};
 
@@ -67,7 +68,9 @@ fn resilience_strictly_lowers_end_user_error_rate() {
 
     // The trace-level availability analysis agrees with the simulator's
     // own counters.
-    let availability = AvailabilityBreakdown::compute(&with.trace, &TokenCategoryProvider);
+    let availability =
+        CharacterizationReport::compute(&with.trace.stream(), &TokenCategoryProvider, 1)
+            .availability;
     assert_eq!(availability.attempts, with.stats.requests);
     assert_eq!(availability.end_user_failures, with.stats.end_user_failures);
     assert_eq!(availability.stale_serves, with.stats.stale_serves);

@@ -2,9 +2,9 @@
 //! eviction policy.
 //!
 //! [`PolicyCache`] owns residency — the key→slot map, sizes, expiry, the
-//! byte budget — and delegates *ordering* to an
-//! [`EvictionPolicy`](crate::policy::EvictionPolicy). [`PolicyCache::new`]
-//! builds an LRU cache; with the [`Lru`](crate::policy::Lru) policy the
+//! byte budget — and delegates *ordering* to an [`EvictionPolicy`].
+//! [`PolicyCache::new`] builds an LRU cache; with the
+//! [`Lru`](crate::policy::Lru) policy the
 //! cache behaves byte-identically to the original intrusive-list
 //! implementation (locked in by the property suite in
 //! `tests/lru_properties.rs`).
@@ -93,6 +93,38 @@ stable_key_int!(u8, u16, u32, u64, usize);
 /// Keys are small copyable ids (object ids in the simulator). Slot
 /// storage is a slab with a free list, so the policy sees stable indices
 /// and every operation is O(1) amortized for the LRU reference policy.
+///
+/// Every mutator (`get`, `insert`, `remove`) takes `&mut self`, and the
+/// crate has no interior mutability outside the lockstep driver's
+/// per-edge `Mutex`. So a simulation epoch, which sees the shared tiers
+/// as a shared slice, cannot change them; its mutations wait in a log
+/// for the epoch boundary (DESIGN.md §14). Mutating through a shared
+/// slice does not compile:
+///
+/// ```compile_fail
+/// use jcdn_cdnsim::cache::PolicyCache;
+/// use jcdn_cdnsim::{SimDuration, SimTime};
+///
+/// fn epoch(tiers: &[PolicyCache<u32>]) {
+///     tiers[0].insert(7, 100, SimDuration::from_secs(60), SimTime::ZERO, false);
+/// }
+/// ```
+///
+/// The same call through an exclusive slice, as the epoch-boundary flush
+/// makes it, compiles. This twin shows that the block above fails for
+/// the borrow alone, since rustdoc does not check the error code:
+///
+/// ```
+/// use jcdn_cdnsim::cache::PolicyCache;
+/// use jcdn_cdnsim::{SimDuration, SimTime};
+///
+/// fn flush(tiers: &mut [PolicyCache<u32>]) {
+///     tiers[0].insert(7, 100, SimDuration::from_secs(60), SimTime::ZERO, false);
+/// }
+/// let mut tiers = vec![PolicyCache::new(1000)];
+/// flush(&mut tiers);
+/// assert!(tiers[0].peek(7, SimTime::ZERO));
+/// ```
 #[derive(Debug)]
 pub struct PolicyCache<K: Eq + Hash + Copy + StableKey> {
     map: HashMap<K, usize>,

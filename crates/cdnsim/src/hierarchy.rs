@@ -15,7 +15,7 @@
 //! parallel lockstep: simulated time is cut into epochs of
 //! [`CacheHierarchy::sync_interval`]; within an epoch every lookup reads
 //! the epoch-start snapshot (side-effect-free `peek`), and every intended
-//! mutation is recorded as a [`TierAccess`] tagged with
+//! mutation is recorded as a `TierAccess` tagged with
 //! `(time, edge, per-edge sequence)`. At the epoch boundary the log is
 //! sorted by that tag and applied. Because the tag is derived only from
 //! per-edge deterministic state, the post-flush tier contents are a pure

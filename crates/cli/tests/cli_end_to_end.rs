@@ -180,3 +180,24 @@ fn errors_are_reported_not_panicked() {
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("usage:"));
 }
+
+#[test]
+fn characterize_does_not_echo_a_forged_record_count() {
+    // A 14-byte v1 trace: empty string tables, then a record count of
+    // 2^40 that no byte backs.
+    let dir = tempdir("forged");
+    let trace = dir.join("forged.jcdn");
+    let mut bytes = b"JCDN".to_vec();
+    bytes.extend_from_slice(&1u16.to_le_bytes());
+    bytes.extend_from_slice(&[0, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20]);
+    std::fs::write(&trace, &bytes).expect("write forged trace");
+
+    let out = jcdn(&["characterize", trace.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(3), "the salvage is still reported");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("dropped 0 record(s)"), "{stdout}");
+    assert!(stdout.contains("1 header-damaged frame(s)"), "{stdout}");
+    assert!(!stdout.contains("1099511627776"), "{stdout}");
+
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -50,13 +50,11 @@ pub mod characterize;
 pub mod dataset;
 /// Request-interval periodicity detection over object flows (§5.1).
 pub mod periodicity;
-/// The sharded scatter–gather analysis pipeline and its partial reports.
 pub mod pipeline;
 /// Next-request prediction experiments (§5.2).
 pub mod prediction;
 /// Text report rendering: tables, percentages, and section layout.
 pub mod report;
-/// Windowed §4 partials: per-window rates, mix, and top-URL churn.
 pub mod series;
 /// The JSON traffic taxonomy (Figure 2): the request-type axis.
 pub mod taxonomy;

@@ -7,7 +7,7 @@
 //! matches its object flow's period. Outputs drive Figures 5 and 6 and the
 //! periodic-traffic cross statistics (56.2% uncacheable, 78% upload).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
 use jcdn_signal::periodicity::{detect_period, DetectedPeriod, PeriodicityConfig};
 use jcdn_stats::{Ecdf, LogHistogram};
@@ -63,10 +63,10 @@ pub struct PeriodicFlow {
 pub struct PeriodicityReport {
     /// Detected object-flow periods (seconds), one per periodic object —
     /// the data behind Figure 5.
-    pub object_periods: HashMap<UrlId, f64>,
+    pub object_periods: BTreeMap<UrlId, f64>,
     /// Per object: fraction of its (filtered) clients that are periodic —
     /// the data behind Figure 6.
-    pub periodic_client_fraction: HashMap<UrlId, f64>,
+    pub periodic_client_fraction: BTreeMap<UrlId, f64>,
     /// All periodic client-object flows.
     pub periodic_flows: Vec<PeriodicFlow>,
     /// JSON requests belonging to periodic flows.

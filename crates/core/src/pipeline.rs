@@ -14,8 +14,7 @@
 //! [`finalize`](crate::pipeline::PartialReport::finalize) itself.
 //!
 //! Every route first builds the report's shared tables once: the
-//! [`UaClassTable`](crate::characterize::UaClassTable) and the
-//! [`HostCategoryTable`](crate::characterize::HostCategoryTable). Each
+//! [`UaClassTable`] and the [`HostCategoryTable`]. Each
 //! partial then comes from one pass over its records that tallies per UA
 //! and per host in plain arrays. Because every accumulator merge is exact
 //! (integer counts, pooled order statistics, per-domain counts bucketed

@@ -363,9 +363,9 @@ pub struct SeriesRow {
     pub failures: u64,
     /// Response bytes served.
     pub bytes: u64,
-    /// Requests per mime class, [`MIME_LABELS`] order.
+    /// Requests per mime class, `MIME_LABELS` order.
     pub mime: [u64; 7],
-    /// Requests per method, [`METHOD_LABELS`] order.
+    /// Requests per method, `METHOD_LABELS` order.
     pub method: [u64; 5],
     /// Top URLs by request count: `(url, count)`, count-descending.
     pub top_urls: Vec<(String, u64)>,

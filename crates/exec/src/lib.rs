@@ -15,7 +15,7 @@
 //! ## Panic isolation
 //!
 //! Every task runs inside the workspace's one sanctioned unwind boundary
-//! ([`run_quarantined`]): a panicking task costs *that item*, never the
+//! (`run_quarantined`): a panicking task costs *that item*, never the
 //! pool. A failed item is retried once, sequentially, after the pool
 //! drains — transient failures (a poisoned scratch state, an injected
 //! fault that fires once) recover with no caller involvement. Items that

@@ -82,6 +82,10 @@ impl NgramModel {
 
     /// All contexts at one order, sorted for deterministic serialization:
     /// `(context, total, successors sorted by token)`.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "contexts and successors are sorted before they are returned"
+    )]
     pub fn contexts_at(&self, order: usize) -> Vec<ContextExport<'_>> {
         let mut contexts: Vec<ContextExport<'_>> = self.counts[order]
             .iter()
@@ -136,6 +140,10 @@ impl NgramModel {
     }
 
     /// Number of transitions observed at full order.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "an integer sum does not depend on order"
+    )]
     pub fn transition_count(&self) -> u64 {
         self.counts[self.max_order].values().map(|c| c.total).sum()
     }
@@ -173,6 +181,10 @@ impl NgramModel {
             };
             let depth = (start - len) as i32;
             let discount = self.backoff.powi(depth);
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "ranked is sorted by count, then token, before use"
+            )]
             let mut ranked: Vec<(u32, u64)> = counts
                 .successors
                 .iter()
@@ -220,6 +232,10 @@ impl NgramModel {
     /// tie break), cached after training.
     fn unigram_ranking(&self) -> &[(u32, u64)] {
         self.unigram_cache.get_or_init(|| {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "ranked is sorted by count, then token, before use"
+            )]
             let mut ranked: Vec<(u32, u64)> = self.counts[0]
                 .get(&Vec::new() as &Vec<u32>)
                 .map(|c| c.successors.iter().map(|(&t, &n)| (t, n)).collect())

@@ -29,8 +29,8 @@
 //! * [`clock`] — the wall-clock boundary ([`clock::Stopwatch`]).
 //! * [`metrics`] — mergeable counters/gauges/histograms with fixed
 //!   buckets, mirroring the `SimStats`/`PartialReport` merge idiom.
-//! * [`span`] — lightweight span tracing into a global ring buffer with
-//!   per-phase wall-time attribution.
+//! * [`span`](mod@span) — lightweight span tracing into a global ring
+//!   buffer with per-phase wall-time attribution.
 //! * [`pool`] — worker-pool reports (queue depth, starvation, task
 //!   latency) recorded by `jcdn-exec`.
 //! * [`manifest`] — the [`RunManifest`] every CLI command emits, with its
@@ -50,7 +50,6 @@
 
 /// The wall-clock boundary: the workspace's only `Instant::now`.
 pub mod clock;
-/// Exporters: Prometheus text exposition and chrome-trace span dumps.
 pub mod export;
 /// Minimal hand-rolled JSON emission (the crate has zero dependencies).
 pub mod json;
@@ -58,9 +57,7 @@ pub mod json;
 pub mod manifest;
 /// Mergeable counters, gauges, and fixed-bucket histograms.
 pub mod metrics;
-/// Worker-pool reports (queue depth, starvation, task latency).
 pub mod pool;
-/// Span tracing into a global ring buffer, with phase attribution.
 pub mod span;
 /// Sim-clock-driven windowed counters (tumbling + sliding windows).
 pub mod timeseries;

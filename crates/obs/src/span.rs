@@ -25,8 +25,8 @@ pub const RING_CAPACITY: usize = 4096;
 /// One completed span.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpanRecord {
-    /// Span name, plus rendered labels when the [`span!`] call had any
-    /// (`"simulate.edge{edge=3}"`).
+    /// Span name, plus rendered labels when the [`span!`](crate::span!)
+    /// call had any (`"simulate.edge{edge=3}"`).
     pub name: String,
     /// Start, µs since the process clock epoch.
     pub start_us: u64,
@@ -127,7 +127,7 @@ pub fn phase_timings(spans: &[SpanRecord]) -> BTreeMap<String, PhaseStat> {
 }
 
 /// An in-flight span: records itself into the global ring when dropped.
-/// Construct via [`span!`] or [`SpanGuard::enter`].
+/// Construct via [`span!`](crate::span!) or [`SpanGuard::enter`].
 #[derive(Debug)]
 pub struct SpanGuard {
     name: String,

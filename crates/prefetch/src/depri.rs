@@ -17,6 +17,10 @@ pub struct DeprioritizePolicy {
 impl DeprioritizePolicy {
     /// Builds from the generator's ground-truth periodic pairs — the upper
     /// bound an oracle operator could reach.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "collected into a set, so order is lost anyway"
+    )]
     pub fn from_ground_truth(workload: &Workload) -> Self {
         DeprioritizePolicy {
             machine_pairs: workload.truth.periodic_pairs.keys().copied().collect(),

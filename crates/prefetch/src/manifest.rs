@@ -98,6 +98,10 @@ mod tests {
         p.bind_universe(&w.objects);
         // Find a manifest object and check its children resolve to the
         // ground-truth reference set.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "any manifest with a body will do"
+        )]
         let (manifest_id, truth_children) = w
             .truth
             .manifest_children

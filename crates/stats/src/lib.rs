@@ -18,7 +18,6 @@
 #![warn(missing_docs, unreachable_pub)]
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-/// Sampling distributions (Zipf, Pareto, weighted choice) over a seeded RNG.
 pub mod dist;
 mod ecdf;
 mod histogram;

@@ -63,6 +63,14 @@
 //! [`EncodeError::OutOfOrder`] on a record whose timestamp precedes its
 //! predecessor's.
 
+// Lengths and counts read off the wire meet arithmetic here, and every
+// version dispatch must name each version (DESIGN.md §11).
+#![warn(
+    clippy::arithmetic_side_effects,
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
+
 use std::collections::HashMap;
 
 use bytes::{BufMut, Bytes, BytesMut};
@@ -77,17 +85,59 @@ use crate::trace::Trace;
 pub(crate) const MAGIC: &[u8; 4] = b"JCDN";
 /// The binary format version the encoder writes (decoders accept
 /// [`MIN_VERSION`]..=[`VERSION`]).
-pub const VERSION: u16 = 4;
+pub const VERSION: u16 = Version::V4 as u16;
 /// The oldest binary format version decoders still read.
-pub const MIN_VERSION: u16 = 1;
+pub const MIN_VERSION: u16 = Version::V1 as u16;
+
+/// A format version this build reads, parsed once from the file header.
+/// Every dispatch matches on it without a wildcard arm, so a new version
+/// does not compile until each dispatch says how to handle it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(u16)]
+pub(crate) enum Version {
+    /// Undelimited record stream without retry/flags bytes.
+    V1 = 1,
+    /// V1 plus a retries byte and a flags byte per record.
+    V2 = 2,
+    /// V2's records in per-shard CRC frames.
+    V3 = 3,
+    /// Columnar frames with a CRC-protected descriptor.
+    V4 = 4,
+}
+
+impl Version {
+    fn parse(raw: u16) -> Result<Version, DecodeError> {
+        match raw {
+            1 => Ok(Version::V1),
+            2 => Ok(Version::V2),
+            3 => Ok(Version::V3),
+            4 => Ok(Version::V4),
+            other => Err(DecodeError::BadVersion(other)),
+        }
+    }
+
+    /// The most records of this version that could begin in `bytes`
+    /// bytes. Bounds what a count that no CRC covers can promise.
+    fn max_records(self, bytes: usize) -> usize {
+        let min_record_bytes = match self {
+            // Six varint fields of at least one byte each, plus three tags.
+            Version::V1 => 9,
+            // v1 plus the retries and flags bytes.
+            Version::V2 | Version::V3 => 11,
+            // One byte in each of the time, client, UA, URL, mmc, status
+            // and bytes columns.
+            Version::V4 => 7,
+        };
+        bytes.div_ceil(min_record_bytes)
+    }
+}
 
 /// Number of per-field columns in a v4 frame.
 const COLUMNS: usize = 9;
 
-/// Minimum encoded size of one v3 record (each of the 6 varint fields is
-/// at least 1 byte, plus 5 fixed tag bytes). Bounds how many records a
-/// damaged v3 frame header can plausibly promise.
-const MIN_V3_RECORD_BYTES: usize = 11;
+/// Minimum size of a frame: a u32 length and a u32 CRC (v3 adds a
+/// record-count varint between them).
+const MIN_FRAME_BYTES: usize = 8;
 
 /// Encoding failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -197,6 +247,10 @@ impl std::error::Error for DecodeError {}
 // IEEE CRC-32 (the polynomial used by zip/png/ethernet), table-driven.
 const CRC_TABLE: [u32; 256] = crc_table();
 
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "the loop counters stop at 8 and 256"
+)]
 const fn crc_table() -> [u32; 256] {
     let mut table = [0u32; 256];
     let mut i = 0;
@@ -259,6 +313,10 @@ impl<'a> Cursor<'a> {
         self.pos
     }
 
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "take() never moves pos past data.len()"
+    )]
     pub(crate) fn remaining(&self) -> usize {
         self.data.len() - self.pos
     }
@@ -315,7 +373,7 @@ pub(crate) fn zigzag(v: i64) -> u64 {
 }
 
 fn unzigzag(v: u64) -> i64 {
-    (v >> 1).cast_signed() ^ -(v & 1).cast_signed()
+    (v >> 1).cast_signed() ^ (v & 1).cast_signed().wrapping_neg()
 }
 
 /// `usize → u64`, lossless on every supported target (usize ≤ 64 bits).
@@ -386,6 +444,10 @@ fn gv32_code(v: u32) -> u8 {
     }
 }
 
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "slot < 4: groups hold 4 values"
+)]
 fn put_gv64(out: &mut BytesMut, vals: &[u64]) {
     for group in vals.chunks(4) {
         let mut ctrl = 0u8;
@@ -400,6 +462,10 @@ fn put_gv64(out: &mut BytesMut, vals: &[u64]) {
     }
 }
 
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "slot < 4: groups hold 4 values"
+)]
 fn put_gv32(out: &mut BytesMut, vals: &[u32]) {
     for group in vals.chunks(4) {
         let mut ctrl = 0u8;
@@ -414,6 +480,10 @@ fn put_gv32(out: &mut BytesMut, vals: &[u32]) {
     }
 }
 
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "out.len() < n inside the loop, and slot < 4"
+)]
 fn get_gv64(cur: &mut Cursor<'_>, n: usize) -> Result<Vec<u64>, DecodeError> {
     let mut out = Vec::with_capacity(n);
     while out.len() < n {
@@ -430,6 +500,10 @@ fn get_gv64(cur: &mut Cursor<'_>, n: usize) -> Result<Vec<u64>, DecodeError> {
     Ok(out)
 }
 
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "out.len() < n inside the loop, and slot < 4"
+)]
 fn get_gv32(cur: &mut Cursor<'_>, n: usize) -> Result<Vec<u32>, DecodeError> {
     let mut out = Vec::with_capacity(n);
     while out.len() < n {
@@ -467,20 +541,22 @@ fn put_flag_column(out: &mut BytesMut, records: &[LogRecord]) {
 
 /// Sparse exception list: most records retry zero times, so only nonzero
 /// retries are stored as (index delta, value) pairs.
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "prev is 0 or an earlier index, so i - prev ≥ 0"
+)]
 fn put_retry_column(out: &mut BytesMut, retries: &[u8]) {
     let count = retries.iter().filter(|&&r| r != 0).count();
     put_varint(out, len_u64(count));
+    // The first delta is relative to 0, i.e. absolute.
     let mut prev = 0usize;
-    let mut first = true;
     for (i, &r) in retries.iter().enumerate() {
         if r == 0 {
             continue;
         }
-        let delta = if first { i } else { i - prev };
-        put_varint(out, len_u64(delta));
+        put_varint(out, len_u64(i - prev));
         out.put_u8(r);
         prev = i;
-        first = false;
     }
 }
 
@@ -556,7 +632,7 @@ fn get_status_column(cur: &mut Cursor<'_>, n: usize) -> Result<Vec<u16>, DecodeE
     if dict_len > 1 << 16 || (n > 0 && dict_len == 0) {
         return Err(DecodeError::BadColumnValue("status"));
     }
-    let mut dict = Vec::with_capacity(dict_len);
+    let mut dict = Vec::with_capacity(dict_len.min(cur.remaining() / 2));
     for _ in 0..dict_len {
         dict.push(cur.get_u16_le()?);
     }
@@ -575,7 +651,7 @@ fn get_status_column(cur: &mut Cursor<'_>, n: usize) -> Result<Vec<u16>, DecodeE
 /// Decodes one v1–v3 interleaved record.
 fn get_record(
     cur: &mut Cursor<'_>,
-    version: u16,
+    version: Version,
     prev_time: &mut i64,
     url_map: &[UrlId],
     ua_map: &[UaId],
@@ -586,14 +662,15 @@ fn get_record(
         .ok_or(DecodeError::TimeOverflow)?;
     *prev_time = t;
     let client = ClientId(cur.get_varint()?);
-    let ua_raw = cur.get_varint()?;
-    let ua = if ua_raw == 0 {
-        None
-    } else {
-        let id = to_usize(ua_raw - 1, DecodeError::DanglingId)?;
-        match ua_map.get(id) {
-            Some(&mapped) => Some(mapped),
-            None => return Err(DecodeError::DanglingId),
+    // 0 means absent; anything else is the UA id plus one.
+    let ua = match cur.get_varint()?.checked_sub(1) {
+        None => None,
+        Some(raw) => {
+            let id = to_usize(raw, DecodeError::DanglingId)?;
+            match ua_map.get(id) {
+                Some(&mapped) => Some(mapped),
+                None => return Err(DecodeError::DanglingId),
+            }
         }
     };
     let url_raw = to_usize(cur.get_varint()?, DecodeError::DanglingId)?;
@@ -605,15 +682,14 @@ fn get_record(
     let mime = untag_mime(cur.get_u8()?)?;
     let cache = untag_cache(cur.get_u8()?)?;
     let (retries, flags) = match version {
-        1 => (0, RecordFlags::NONE),
-        2..=4 => {
+        Version::V1 => (0, RecordFlags::NONE),
+        Version::V2 | Version::V3 | Version::V4 => {
             let retries = cur.get_u8()?;
             let raw = cur.get_u8()?;
             let flags =
                 RecordFlags::from_bits(raw).ok_or(DecodeError::BadDiscriminant("flags", raw))?;
             (retries, flags)
         }
-        v => return Err(DecodeError::BadVersion(v)),
     };
     let status = u16::try_from(cur.get_varint()?).map_err(|_| DecodeError::StatusOverflow)?;
     let response_bytes = cur.get_varint()?;
@@ -638,15 +714,15 @@ fn get_record(
 /// (see [`assemble`]). The durable store (see [`crate::store`]) persists
 /// this prologue once per run.
 pub(crate) fn encode_tables(interner: &Interner) -> Bytes {
-    encode_tables_versioned(interner, VERSION)
+    encode_tables_versioned(interner, Version::V4)
 }
 
 /// [`encode_tables`] with an explicit version stamp; [`crate::compat`]
 /// uses it to emit historical-format fixtures.
-pub(crate) fn encode_tables_versioned(interner: &Interner, version: u16) -> Bytes {
+pub(crate) fn encode_tables_versioned(interner: &Interner, version: Version) -> Bytes {
     let mut buf = BytesMut::with_capacity(1024);
     buf.put_slice(MAGIC);
-    buf.put_u16_le(version);
+    buf.put_u16_le(version as u16);
     put_varint(&mut buf, len_u64(interner.url_table().len()));
     for url in interner.url_table() {
         put_string(&mut buf, url);
@@ -679,6 +755,12 @@ impl AsRef<[u8]> for EncodedFrame {
 /// encoding shard by shard enforces exactly what a single sequential pass
 /// enforces — which is also what makes parallel per-shard encoding
 /// byte-identical to the sequential order (see [`encode_frames`]).
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "sizes of in-memory slices (capacity hints, indices, the frame length) \
+              cannot overflow usize, and a sorted frame's times below the 2^63 µs \
+              cap make t - prev ≥ 0"
+)]
 pub(crate) fn encode_frame(
     records: &[LogRecord],
     index_base: usize,
@@ -791,6 +873,10 @@ pub(crate) fn encode_frame(
 /// sequential pass: same bytes, and the lowest-indexed ordering error is
 /// the one a sequential encoder would have hit first. Taking indices lets
 /// a resumed store run encode only the shards it has not committed.
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "a running sum of in-memory slice lengths cannot overflow usize"
+)]
 pub(crate) fn encode_frames(
     slices: &[&[LogRecord]],
     indices: &[usize],
@@ -817,6 +903,10 @@ pub(crate) fn encode_frames(
 /// the file layout — [`encode`], the store's finalize and its staged
 /// reader all build files through it, which is what makes a resumed
 /// store run byte-identical to an uninterrupted one by construction.
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "the summed lengths are of buffers already in memory"
+)]
 pub(crate) fn assemble<F: AsRef<[u8]>>(tables: &[u8], frames: &[F]) -> Vec<u8> {
     let mut count = BytesMut::with_capacity(10);
     put_varint(&mut count, len_u64(frames.len()));
@@ -868,6 +958,12 @@ pub fn encode_sharded_parallel(trace: &ShardedTrace, threads: usize) -> Result<B
 /// or restore that shard, a truncation means the tail of the file is
 /// gone, header damage means the frame boundary metadata itself is
 /// suspect. A clean decode has every drop counter at zero.
+///
+/// No tally exceeds what the input's bytes could hold: a record or shard
+/// count the bytes cannot back is clamped to the records or frames that
+/// could begin in the bytes left. A clamped count adds one header-damaged
+/// frame unless the loss is already counted as a CRC-failed or truncated
+/// frame, so the decode is never clean.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DecodeStats {
     /// Records successfully decoded.
@@ -892,6 +988,11 @@ pub struct DecodeStats {
     pub first_error_offset: Option<u64>,
 }
 
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "each tally is clamped to what its input's bytes could hold, so sums stay \
+              far below u64::MAX"
+)]
 impl DecodeStats {
     /// True when nothing was dropped.
     pub fn is_clean(&self) -> bool {
@@ -994,13 +1095,13 @@ struct FrameOutcome {
     trailing_junk: bool,
 }
 
-fn slice_frame<'a>(cur: &mut Cursor<'a>, version: u16) -> Result<FrameSlice<'a>, DecodeError> {
+fn slice_frame<'a>(cur: &mut Cursor<'a>, version: Version) -> Result<FrameSlice<'a>, DecodeError> {
     match version {
         // v1/v2 are undelimited streams with no frames; a caller asking to
         // slice a frame out of one is a dispatch bug, surfaced as BadVersion
         // rather than misparsed bytes.
-        1 | 2 => Err(DecodeError::BadVersion(version)),
-        3 => {
+        Version::V1 | Version::V2 => Err(DecodeError::BadVersion(version as u16)),
+        Version::V3 => {
             let payload_len = to_usize(u64::from(cur.get_u32_le()?), DecodeError::Truncated)?;
             let claim = to_usize(cur.get_varint()?, DecodeError::Truncated)?;
             let crc = cur.get_u32_le()?;
@@ -1013,14 +1114,13 @@ fn slice_frame<'a>(cur: &mut Cursor<'a>, version: u16) -> Result<FrameSlice<'a>,
                 at,
             })
         }
-        4 => {
+        Version::V4 => {
             let body_len = to_usize(u64::from(cur.get_u32_le()?), DecodeError::Truncated)?;
             let desc_crc = cur.get_u32_le()?;
             let at = count_u64(cur.pos());
             let body = cur.take(body_len)?;
             Ok(FrameSlice::V4 { body, desc_crc, at })
         }
-        v => Err(DecodeError::BadVersion(v)),
     }
 }
 
@@ -1037,17 +1137,16 @@ fn decode_sharded_impl(
     if magic != &MAGIC[..] {
         return Err(DecodeError::BadMagic);
     }
-    let version = cur.get_u16_le()?;
-    if !(MIN_VERSION..=VERSION).contains(&version) {
-        return Err(DecodeError::BadVersion(version));
-    }
+    let version = Version::parse(cur.get_u16_le()?)?;
 
     let mut interner = Interner::new();
     // Interning deduplicates, so a (corrupted or adversarial) payload with
     // repeated table strings would otherwise leave record ids pointing past
     // the rebuilt table; map payload indices to interned ids explicitly.
+    // Every string takes at least its one-byte length, which bounds the
+    // reservations.
     let url_count = to_usize(cur.get_varint()?, DecodeError::TableOverflow)?;
-    let mut url_map = Vec::with_capacity(url_count.min(1 << 20));
+    let mut url_map = Vec::with_capacity(url_count.min(cur.remaining()));
     for _ in 0..url_count {
         let s = get_string(&mut cur)?;
         url_map.push(
@@ -1057,7 +1156,7 @@ fn decode_sharded_impl(
         );
     }
     let ua_count = to_usize(cur.get_varint()?, DecodeError::TableOverflow)?;
-    let mut ua_map = Vec::with_capacity(ua_count.min(1 << 20));
+    let mut ua_map = Vec::with_capacity(ua_count.min(cur.remaining()));
     for _ in 0..ua_count {
         let s = get_string(&mut cur)?;
         ua_map.push(
@@ -1070,13 +1169,14 @@ fn decode_sharded_impl(
     let mut stats = DecodeStats::default();
 
     match version {
-        1 | 2 => {
+        Version::V1 | Version::V2 => {
             // Pre-framing formats: one undelimited record stream.
             let record_count = to_usize(cur.get_varint()?, DecodeError::Truncated)?;
-            let mut records = Vec::with_capacity(record_count.min(1 << 24));
+            let mut records =
+                Vec::with_capacity(record_count.min(version.max_records(cur.remaining())));
             let mut prev_time: i64 = 0;
             for decoded in 0..record_count {
-                let record_at = count_u64(cur.pos());
+                let record_at = cur.pos();
                 match get_record(&mut cur, version, &mut prev_time, &url_map, &ua_map) {
                     Ok(record) => records.push(record),
                     Err(e) => {
@@ -1085,28 +1185,32 @@ fn decode_sharded_impl(
                         }
                         // The stream is undelimited, so record boundaries past
                         // a bad record are unknowable; keep the decoded prefix.
-                        stats.records_dropped += count_u64(record_count - decoded);
-                        stats.note_error(record_at);
+                        let (dropped, clamped) = clamp_claim(
+                            record_count.saturating_sub(decoded),
+                            version.max_records(buf.len().saturating_sub(record_at)),
+                        );
+                        stats.records_dropped = dropped;
+                        stats.frames_header_damaged = u64::from(clamped);
+                        stats.note_error(count_u64(record_at));
                         break;
                     }
                 }
             }
-            stats.records_decoded += count_u64(records.len());
+            stats.records_decoded = count_u64(records.len());
             return Ok((ShardedTrace::from_parts(interner, vec![records]), stats));
         }
         // Framed formats fall through to the shared slice-then-fan-out path.
-        3 | 4 => {}
-        v => return Err(DecodeError::BadVersion(v)),
+        Version::V3 | Version::V4 => {}
     }
 
     // Framed formats. First a cheap sequential pass over frame headers
     // slices the buffer — truncation here loses the cut frame and every
     // later one (frame boundaries are gone).
     let shard_count = to_usize(cur.get_varint()?, DecodeError::Truncated)?;
-    let mut slices = Vec::with_capacity(shard_count.min(1 << 16));
-    let mut truncation: Option<u64> = None;
+    let mut slices = Vec::with_capacity(shard_count.min(cur.remaining().div_ceil(MIN_FRAME_BYTES)));
+    let mut truncation: Option<usize> = None;
     for _ in 0..shard_count {
-        let frame_at = count_u64(cur.pos());
+        let frame_at = cur.pos();
         match slice_frame(&mut cur, version) {
             Ok(slice) => slices.push(slice),
             Err(e) => {
@@ -1152,23 +1256,40 @@ fn decode_sharded_impl(
             }
         }
         if let Some(loss) = &outcome.loss {
-            stats.records_dropped += loss.dropped;
-            if loss.crc_failed {
-                stats.frames_crc_failed += 1;
-            }
-            if loss.header_damaged {
-                stats.frames_header_damaged += 1;
-            }
-            stats.note_error(loss.at);
+            stats.merge(&DecodeStats {
+                records_dropped: loss.dropped,
+                frames_crc_failed: u64::from(loss.crc_failed),
+                frames_header_damaged: u64::from(loss.header_damaged),
+                first_error_offset: Some(loss.at),
+                ..DecodeStats::default()
+            });
         }
-        stats.records_decoded += count_u64(outcome.records.len());
         shards.push(outcome.records);
     }
+    stats.records_decoded = count_u64(shards.iter().map(Vec::len).sum());
     if let Some(at) = truncation {
-        stats.frames_truncated += count_u64(shard_count - shards.len());
-        stats.note_error(at);
+        // Only frames that begin in the bytes left count as truncated; a
+        // count promising frames of which not one begins is header damage.
+        let (truncated, clamped) = clamp_claim(
+            shard_count.saturating_sub(shards.len()),
+            buf.len().saturating_sub(at).div_ceil(MIN_FRAME_BYTES),
+        );
+        stats.merge(&DecodeStats {
+            frames_truncated: truncated,
+            frames_header_damaged: u64::from(clamped && truncated == 0),
+            first_error_offset: Some(count_u64(at)),
+            ..DecodeStats::default()
+        });
     }
     Ok((ShardedTrace::from_parts(interner, shards), stats))
+}
+
+/// Clamps a count that no CRC covers to the `fit` items its bytes could
+/// hold, so a forged count cannot inflate a tally. Returns the clamped
+/// count and whether it was clamped (then the header lied about its
+/// bytes).
+fn clamp_claim(claim: usize, fit: usize) -> (u64, bool) {
+    (count_u64(claim.min(fit)), claim > fit)
 }
 
 /// Decodes one v3 frame (interleaved per-record fields). Kept prefix
@@ -1183,15 +1304,20 @@ fn decode_frame_v3(
     url_map: &[UrlId],
     ua_map: &[UaId],
 ) -> FrameOutcome {
+    // The v3 record count is outside the CRC, so an inflated count must
+    // not inflate the drop tally: clamp it to how many records the bytes
+    // could hold.
     if crc32(payload) != stored_crc {
         // The frame is framed, so only *it* is lost; its slot stays (as
-        // an empty shard) so shard indices remain stable.
+        // an empty shard) so shard indices remain stable. The CRC failure
+        // already marks the frame lost, so a clamped count adds nothing.
+        let (dropped, _) = clamp_claim(claim, Version::V3.max_records(payload.len()));
         return FrameOutcome {
             records: Vec::new(),
             loss: Some(FrameLoss {
                 error: DecodeError::BadChecksum { shard },
                 at: payload_at,
-                dropped: count_u64(claim),
+                dropped,
                 crc_failed: true,
                 header_damaged: false,
             }),
@@ -1199,27 +1325,25 @@ fn decode_frame_v3(
         };
     }
     let mut cur = Cursor::new(payload);
-    let mut records = Vec::with_capacity(claim.min(1 << 24));
+    let mut records = Vec::with_capacity(claim.min(Version::V3.max_records(payload.len())));
     let mut prev_time: i64 = 0;
     for decoded in 0..claim {
         let record_start = cur.pos();
-        match get_record(&mut cur, 3, &mut prev_time, url_map, ua_map) {
+        match get_record(&mut cur, Version::V3, &mut prev_time, url_map, ua_map) {
             Ok(record) => records.push(record),
             Err(e) => {
-                // The v3 record count is outside the CRC, so an inflated
-                // count must not inflate the drop tally: clamp to how many
-                // records the remaining bytes could possibly hold, and
-                // call out the header damage when the count was a lie.
-                let missing = claim - decoded;
-                let fit = (payload.len() - record_start) / MIN_V3_RECORD_BYTES;
+                let (dropped, clamped) = clamp_claim(
+                    claim.saturating_sub(decoded),
+                    Version::V3.max_records(payload.len().saturating_sub(record_start)),
+                );
                 return FrameOutcome {
                     records,
                     loss: Some(FrameLoss {
                         error: e,
-                        at: payload_at + count_u64(record_start),
-                        dropped: count_u64(missing.min(fit)),
+                        at: payload_at.saturating_add(count_u64(record_start)),
+                        dropped,
                         crc_failed: false,
-                        header_damaged: missing > fit,
+                        header_damaged: clamped,
                     }),
                     trailing_junk: false,
                 };
@@ -1247,6 +1371,11 @@ fn parse_descriptor(cur: &mut Cursor<'_>) -> Result<(usize, [(usize, u32); COLUM
 /// Decodes one columnar v4 frame. All-or-nothing per frame: any CRC
 /// failure, directory mismatch, or bad column value drops the frame
 /// whole (its shard slot stays, empty).
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "the directory check proves desc_len + Σ len == body.len(), so start + len \
+              stays within the body, and body_at + body.len() is within the input"
+)]
 fn decode_frame_v4(
     body: &[u8],
     desc_crc: u32,
@@ -1280,8 +1409,10 @@ fn decode_frame_v4(
         return lost(DecodeError::BadChecksum { shard }, body_at, 0, true, false);
     }
 
-    // The descriptor is now authenticated: `claim` is the real record
-    // count, so losses below can be tallied exactly.
+    // The descriptor is now authenticated, so losses below can be tallied
+    // exactly — up to what the body could hold, since a CRC-valid
+    // descriptor can still be forged.
+    let (dropped, clamped) = clamp_claim(claim, Version::V4.max_records(body.len()));
     let mut expected = count_u64(desc_len);
     let mut overflow = false;
     for &(len, _) in &dir {
@@ -1291,13 +1422,7 @@ fn decode_frame_v4(
         }
     }
     if overflow || expected != count_u64(body.len()) {
-        return lost(
-            DecodeError::FrameMismatch,
-            body_at,
-            count_u64(claim),
-            false,
-            true,
-        );
+        return lost(DecodeError::FrameMismatch, body_at, dropped, false, true);
     }
 
     let mut col_slices: [&[u8]; COLUMNS] = [&[]; COLUMNS];
@@ -1308,7 +1433,7 @@ fn decode_frame_v4(
             return lost(
                 DecodeError::BadChecksum { shard },
                 body_at + count_u64(start),
-                count_u64(claim),
+                dropped,
                 true,
                 false,
             );
@@ -1323,13 +1448,7 @@ fn decode_frame_v4(
             loss: None,
             trailing_junk: false,
         },
-        Err(e) => lost(
-            e,
-            body_at + count_u64(desc_len),
-            count_u64(claim),
-            false,
-            false,
-        ),
+        Err(e) => lost(e, body_at + count_u64(desc_len), dropped, false, clamped),
     }
 }
 
@@ -1395,13 +1514,10 @@ fn decode_columns(
 
     let mut records = Vec::with_capacity(n);
     for i in 0..n {
-        let ua = match uas_raw[i] {
-            0 => None,
-            raw => Some(
-                *ua_map
-                    .get(index32(raw - 1))
-                    .ok_or(DecodeError::DanglingId)?,
-            ),
+        // 0 means absent; anything else is the UA id plus one.
+        let ua = match uas_raw[i].checked_sub(1) {
+            None => None,
+            Some(raw) => Some(*ua_map.get(index32(raw)).ok_or(DecodeError::DanglingId)?),
         };
         let url = *url_map
             .get(index32(urls_raw[i]))
@@ -1552,6 +1668,10 @@ pub fn to_jsonl(trace: &Trace) -> String {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "offsets and sizes of small hand-built test payloads"
+)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
@@ -1815,7 +1935,9 @@ mod tests {
     #[test]
     fn tolerant_decode_of_undelimited_stream_keeps_record_prefix() {
         // A v1 payload promising two records but carrying one: the strict
-        // decoder errors, the tolerant one keeps the decoded prefix.
+        // decoder errors, the tolerant one keeps the decoded prefix. No
+        // byte backs the second record, so it is not tallied as dropped;
+        // the count is flagged as header damage instead.
         let mut buf = BytesMut::with_capacity(128);
         buf.put_slice(MAGIC);
         buf.put_u16_le(1);
@@ -1837,7 +1959,9 @@ mod tests {
         assert_eq!(decode(&bytes, 1).unwrap_err(), DecodeError::Truncated);
         let (decoded, stats) = decode_tolerant(&bytes, 1).unwrap();
         assert_eq!(stats.records_decoded, 1);
-        assert_eq!(stats.records_dropped, 1);
+        assert_eq!(stats.records_dropped, 0);
+        assert_eq!(stats.frames_header_damaged, 1);
+        assert!(!stats.is_clean());
         let trace = decoded.into_trace();
         assert_eq!(trace.len(), 1);
         assert_eq!(trace.records()[0].client, ClientId(7));

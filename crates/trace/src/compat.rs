@@ -18,9 +18,17 @@
 //!   preceded by a shard-count varint. The time-delta base resets to 0 at
 //!   every frame start.
 
+// Lengths meet arithmetic here, and every version dispatch must name
+// each version (DESIGN.md §11).
+#![warn(
+    clippy::arithmetic_side_effects,
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
+
 use crate::codec::{
     cache_tag, crc32, encode_tables_versioned, len_u64, method_tag, mime_tag, put_varint, zigzag,
-    EncodeError,
+    EncodeError, Version,
 };
 use crate::record::LogRecord;
 use crate::sharded::ShardedTrace;
@@ -29,7 +37,11 @@ use bytes::{BufMut, Bytes, BytesMut};
 
 /// Writes one record in the legacy row-major layout. `version` selects
 /// whether the v2 resilience bytes (retries, flags) are present.
-fn put_record(buf: &mut BytesMut, r: &LogRecord, prev_time: &mut i64, version: u16) {
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "sorted times below the 2^63 µs cap make t - prev ≥ 0"
+)]
+fn put_record(buf: &mut BytesMut, r: &LogRecord, prev_time: &mut i64, version: Version) {
     // The time axis caps at 2^63 µs (~292k simulated years).
     let t = r.time.as_micros().cast_signed();
     put_varint(buf, zigzag(t - *prev_time));
@@ -40,9 +52,12 @@ fn put_record(buf: &mut BytesMut, r: &LogRecord, prev_time: &mut i64, version: u
     buf.put_u8(method_tag(r.method));
     buf.put_u8(mime_tag(r.mime));
     buf.put_u8(cache_tag(r.cache));
-    if version >= 2 {
-        buf.put_u8(r.retries);
-        buf.put_u8(r.flags.bits());
+    match version {
+        Version::V1 => {}
+        Version::V2 | Version::V3 | Version::V4 => {
+            buf.put_u8(r.retries);
+            buf.put_u8(r.flags.bits());
+        }
     }
     put_varint(buf, u64::from(r.status));
     put_varint(buf, r.response_bytes);
@@ -50,6 +65,10 @@ fn put_record(buf: &mut BytesMut, r: &LogRecord, prev_time: &mut i64, version: u
 
 /// Rejects out-of-order records exactly like the live encoder, so legacy
 /// payloads satisfy the same sortedness contract.
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "a window index is below the slice length"
+)]
 fn check_sorted(records: &[LogRecord]) -> Result<(), EncodeError> {
     for (index, pair) in records.windows(2).enumerate() {
         if pair[1].time < pair[0].time {
@@ -64,7 +83,11 @@ fn check_sorted(records: &[LogRecord]) -> Result<(), EncodeError> {
 }
 
 /// Encodes a trace in the undelimited v1/v2 stream layout.
-fn encode_stream(trace: &Trace, version: u16) -> Result<Bytes, EncodeError> {
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "a capacity hint from an in-memory record count"
+)]
+fn encode_stream(trace: &Trace, version: Version) -> Result<Bytes, EncodeError> {
     check_sorted(trace.records())?;
     let mut buf = BytesMut::with_capacity(trace.len() * 16 + 1024);
     buf.put_slice(&encode_tables_versioned(trace.interner(), version));
@@ -79,23 +102,27 @@ fn encode_stream(trace: &Trace, version: u16) -> Result<Bytes, EncodeError> {
 /// Encodes a trace in the retired version-1 layout (no retry/flags bytes;
 /// those fields are lost, which is why v1 equivalence checks zero them).
 pub fn encode_v1(trace: &Trace) -> Result<Bytes, EncodeError> {
-    encode_stream(trace, 1)
+    encode_stream(trace, Version::V1)
 }
 
 /// Encodes a trace in the retired version-2 layout (undelimited record
 /// stream carrying the full record, no frames or CRC).
 pub fn encode_v2(trace: &Trace) -> Result<Bytes, EncodeError> {
-    encode_stream(trace, 2)
+    encode_stream(trace, Version::V2)
 }
 
 /// Encodes a sharded trace in the retired version-3 framed layout.
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "capacity hints and record indices from in-memory shard lengths"
+)]
 pub fn encode_sharded_v3(sharded: &ShardedTrace) -> Result<Bytes, EncodeError> {
     let shards: Vec<&[LogRecord]> = (0..sharded.shard_count())
         .map(|i| sharded.shard_records(i))
         .collect();
     let total: usize = shards.iter().map(|s| s.len()).sum();
     let mut buf = BytesMut::with_capacity(total * 16 + 1024);
-    buf.put_slice(&encode_tables_versioned(sharded.interner(), 3));
+    buf.put_slice(&encode_tables_versioned(sharded.interner(), Version::V3));
     put_varint(&mut buf, len_u64(shards.len()));
     let mut index = 0usize;
     let mut last_time = None;
@@ -117,7 +144,7 @@ pub fn encode_sharded_v3(sharded: &ShardedTrace) -> Result<Bytes, EncodeError> {
         let mut payload = BytesMut::with_capacity(shard.len() * 16 + 16);
         let mut prev_time = 0i64;
         for r in *shard {
-            put_record(&mut payload, r, &mut prev_time, 3);
+            put_record(&mut payload, r, &mut prev_time, Version::V3);
         }
         let payload = payload.freeze();
         let payload_len = u32::try_from(payload.len()).map_err(|_| EncodeError::FrameTooLarge {
@@ -141,6 +168,10 @@ pub fn encode_v3(trace: &Trace) -> Result<Bytes, EncodeError> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "offsets and sizes of small hand-built test payloads"
+)]
 mod tests {
     use super::*;
     use crate::codec::{decode, decode_tolerant};

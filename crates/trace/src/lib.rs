@@ -35,7 +35,6 @@
     clippy::cast_possible_wrap
 )]
 
-/// Trace serialization: the columnar binary format (v4) and JSONL interop.
 pub mod codec;
 /// Frozen encoders for historical codec versions 1–3 (fixture support).
 pub mod compat;
@@ -44,7 +43,6 @@ pub mod flows;
 mod interner;
 mod record;
 mod sharded;
-/// Durable, resumable on-disk trace store (crash-safety contract).
 pub mod store;
 mod stream;
 /// Per-dataset summary statistics (Table 1 of the paper).

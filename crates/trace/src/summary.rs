@@ -48,6 +48,10 @@ impl DatasetSummary {
             .unwrap_or(SimDuration::ZERO);
         // Like objects, a domain counts only if a record references it.
         let hosts = HostTable::build(trace.interner());
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "only the number of distinct hosts is kept"
+        )]
         let domains: HashSet<usize> = objects.iter().map(|&url| hosts.host_id(url)).collect();
         DatasetSummary {
             name: name.into(),

@@ -308,3 +308,49 @@ proptest! {
         }
     }
 }
+
+/// 2^40 as an overlong ten-byte LEB128 varint, as a forger may write it.
+const FORGED_VARINT: [u8; 10] = [0x80, 0x80, 0x80, 0x80, 0x80, 0xA0, 0x80, 0x80, 0x80, 0x00];
+
+/// Single mutations of every committed v1–v4 fixture — a cut at every
+/// offset, the forged varint spliced in at every offset, and one flipped
+/// bit in every byte (cycling through the bit positions) — decode without
+/// panicking, and the tolerant tallies never claim more than the mutated
+/// bytes could hold: a record takes at least 7 bytes in any version, and a
+/// frame at least 8.
+#[test]
+fn mutated_fixtures_never_over_report() {
+    for version in 1..=4 {
+        let path = format!(
+            "{}/tests/fixtures/v{version}.jcdn",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let fixture = std::fs::read(&path).expect("committed fixture reads");
+        let check = |data: &[u8], mutation: &str| {
+            let _ = decode(data, 1); // may fail, must not panic
+            if let Ok((_, stats)) = decode_tolerant(data, 1) {
+                let len = data.len() as u64;
+                assert!(
+                    stats.records_decoded + stats.records_dropped <= len / 7,
+                    "v{version}, {mutation}: records exceed {len} bytes: {stats:?}"
+                );
+                assert!(
+                    stats.frames_dropped() <= len / 8,
+                    "v{version}, {mutation}: frames exceed {len} bytes: {stats:?}"
+                );
+            }
+        };
+        for at in 0..=fixture.len() {
+            check(&fixture[..at], &format!("cut at {at}"));
+            let mut spliced = fixture.clone();
+            spliced.splice(at..at, FORGED_VARINT);
+            check(&spliced, &format!("varint spliced at {at}"));
+        }
+        for at in 0..fixture.len() {
+            let bit = at % 8;
+            let mut flipped = fixture.clone();
+            flipped[at] ^= 1 << bit;
+            check(&flipped, &format!("bit {bit} flipped at {at}"));
+        }
+    }
+}

@@ -1072,6 +1072,11 @@ mod tests {
         assert!((0.02..0.13).contains(&share), "periodic share {share}");
         assert!(!w.truth.periodic_objects.is_empty());
         // All planted periods are on the paper's spikes.
+        #[expect(
+            clippy::iter_over_hash_type,
+            clippy::disallowed_methods,
+            reason = "every entry is checked; order is irrelevant"
+        )]
         for period in w.truth.periodic_objects.values() {
             assert!(
                 PERIOD_SPIKES.iter().any(|&(p, _)| p == period.as_secs()),
@@ -1084,6 +1089,10 @@ mod tests {
     fn manifest_truth_references_real_objects() {
         let w = tiny();
         assert!(!w.truth.manifest_children.is_empty());
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "every entry is checked; order is irrelevant"
+        )]
         for (&root, children) in &w.truth.manifest_children {
             assert!((root as usize) < w.objects.len());
             assert!(!children.is_empty());

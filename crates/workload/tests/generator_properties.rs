@@ -35,11 +35,13 @@ proptest! {
         }
 
         // Ground-truth periodic pairs reference planted periodic objects.
+        #[expect(clippy::iter_over_hash_type, reason = "every entry is checked; order is irrelevant")]
         for ((_, object), period) in &w.truth.periodic_pairs {
             prop_assert_eq!(w.truth.periodic_objects.get(object), Some(period));
         }
 
         // Manifest children are real objects distinct from their root.
+        #[expect(clippy::iter_over_hash_type, reason = "every entry is checked; order is irrelevant")]
         for (root, children) in &w.truth.manifest_children {
             for child in children {
                 prop_assert!((*child as usize) < w.objects.len());

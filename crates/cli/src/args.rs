@@ -19,6 +19,7 @@ commands:
                   --seed N                   (default 42)
                   --scale F                  (default 1.0)
                   --out PATH                 (required)
+                  --edges N                  edge servers (default 3)
                   --shards N                 codec-v3 shard frames (default 1)
                   --threads N                worker pool width; output is
                                              identical for any value (default 1)
@@ -37,6 +38,16 @@ commands:
                   --negative-ttl SECS        negative-cache TTL (2)
                   --origin-timeout SECS      degraded-origin timeout (3)
                   --resilience on|off        all countermeasures (on)
+                cache hierarchy (default: one LRU tier per edge):
+                  --cache-tier NAME:CAPACITY[,...]  tiers, nearest first;
+                                             capacities take K/M/G suffixes
+                  --cache-policy POLICY|NAME:POLICY[,...]
+                                             lru, lfu, slru, tinylfu or
+                                             s3fifo, for every tier or per
+                                             named tier
+                  --cache-placement everywhere|copy-down
+                                             where a fetched object is kept
+                  --cache-sync SECS          shared-tier sync epoch (1)
   inspect       summarize a trace file
                   <trace>                    positional path
   characterize  run the §4 analyses on a trace, incl. availability
@@ -45,6 +56,8 @@ commands:
                    shard/thread combination prints the same report;
                    --resume falls back to the staged shards of an
                    unfinished generate run when the final file is absent)
+                  the four --cache-* flags of generate replay the trace's
+                  requests through that hierarchy (what-if per-tier hits)
   periodicity   run the §5.1 periodicity study
                   <trace> [--permutations N] [--max-bins N]
   predict       run the §5.2 prediction study (Table 3)

@@ -44,6 +44,9 @@ pub fn run(argv: &[String]) -> Result<Outcome, String> {
     }
     let threads = crate::commands::parse_threads(&args)?;
     let edges: usize = args.number("edges", 3usize)?;
+    if edges == 0 {
+        return Err("--edges must be at least 1".into());
+    }
     let resume = args.switch("resume");
 
     // The digest ties staged shards to the parameters that produced them,

@@ -201,3 +201,19 @@ fn characterize_does_not_echo_a_forged_record_count() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn generate_rejects_zero_edges_before_writing() {
+    let dir = tempdir("edges0");
+    let trace = dir.join("t.jcdn");
+    let out = jcdn(&["generate", "--edges", "0", "--out", trace.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--edges"), "{stderr}");
+    assert!(!stderr.contains("internal panic"), "{stderr}");
+    assert!(!dir.join("t.jcdn.idx").exists(), "no shard index is left");
+    assert!(!dir.join("t.jcdn.staging").exists(), "no staging directory");
+    assert!(!trace.exists());
+
+    std::fs::remove_dir_all(&dir).ok();
+}

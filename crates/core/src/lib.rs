@@ -44,17 +44,11 @@
 #![warn(missing_docs, unreachable_pub)]
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-/// The paper's measured quantities (§3–§4) as mergeable report sections.
 pub mod characterize;
-/// Dataset assembly: synthetic workloads rendered into analyzable traces.
 pub mod dataset;
-/// Request-interval periodicity detection over object flows (§5.1).
 pub mod periodicity;
 pub mod pipeline;
-/// Next-request prediction experiments (§5.2).
 pub mod prediction;
-/// Text report rendering: tables, percentages, and section layout.
 pub mod report;
 pub mod series;
-/// The JSON traffic taxonomy (Figure 2): the request-type axis.
 pub mod taxonomy;

@@ -202,7 +202,12 @@ impl SeriesPartial {
         // w + per - 1 < hi.
         let first = lo + 1;
         let last = hi.saturating_sub(per); // w + per - 1 < hi ⇔ w ≤ hi - per
-        for w in first..=last {
+        let interior = self
+            .spec
+            .windows_covering(self.live.keys().copied())
+            .skip_while(|&w| w < first)
+            .take_while(|&w| w <= last);
+        for w in interior {
             if let Some(window) = self.close_window(w) {
                 self.closed.insert(w, window);
             }
@@ -289,14 +294,11 @@ impl SeriesPartial {
         // Candidate windows: everything already closed plus every window
         // overlapping a live bucket.
         let mut windows: Vec<u64> = self.closed.keys().copied().collect();
-        if let (Some(&lo), Some(&hi)) = (self.live.keys().next(), self.live.keys().next_back()) {
-            let per = self.spec.buckets_per_window();
-            for w in lo.saturating_sub(per - 1)..=hi {
-                if !self.closed.contains_key(&w) {
-                    if let Some(cw) = self.close_window(w) {
-                        self.closed.insert(w, cw);
-                        windows.push(w);
-                    }
+        for w in self.spec.windows_covering(self.live.keys().copied()) {
+            if !self.closed.contains_key(&w) {
+                if let Some(cw) = self.close_window(w) {
+                    self.closed.insert(w, cw);
+                    windows.push(w);
                 }
             }
         }
@@ -581,6 +583,32 @@ mod tests {
         );
         // The live set holds only the boundary neighborhoods.
         assert!(partial.live.len() <= 2);
+    }
+
+    #[test]
+    fn far_apart_records_cost_their_rows_not_their_span() {
+        // Three records 2^40 µs apart under 1 µs windows: the middle one's
+        // window is interior, and 2^41 empty windows lie between them.
+        let mut t = Trace::new();
+        let url = t.intern_url("https://x/a");
+        for i in 0..3u64 {
+            t.push(LogRecord {
+                time: SimTime::from_micros(i << 40),
+                client: ClientId(0),
+                ua: None,
+                url,
+                method: Method::Get,
+                mime: MimeType::Json,
+                status: 200,
+                response_bytes: 1,
+                cache: CacheStatus::Hit,
+                retries: 0,
+                flags: RecordFlags::NONE,
+            });
+        }
+        let report = series_of(&t, 1, "1us");
+        let windows: Vec<u64> = report.rows.iter().map(|r| r.window).collect();
+        assert_eq!(windows, vec![0, 1 << 40, 2 << 40]);
     }
 
     #[test]

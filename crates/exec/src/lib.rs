@@ -6,11 +6,14 @@
 //! and gather the results back **in item order** so downstream merging is
 //! deterministic regardless of worker count or scheduling.
 //!
-//! [`scatter_gather_labeled`] is that shape: `std::thread::scope` for
-//! borrowing worker closures, crossbeam MPMC channels as the job queue,
-//! and an index-tagged result channel so out-of-order completion never
-//! reorders results. With `threads <= 1` it degrades to a plain
-//! sequential map — callers need no separate serial path.
+//! [`scatter_gather_labeled`] is that shape, as one worker loop on
+//! `std::thread::scope`: each worker claims the next item index from a
+//! shared atomic counter until none is left, keeping its `(index,
+//! outcome)` pairs, and the results are filed by index once the scope
+//! joins, so out-of-order completion never reorders them. The calling
+//! thread runs the same loop as worker 0, so a fan-out spawns
+//! `min(threads, items) - 1` threads; with `threads <= 1` it spawns none
+//! and runs the items in order — callers need no separate serial path.
 //!
 //! ## Panic isolation
 //!
@@ -36,7 +39,7 @@
 
 use std::any::Any;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use jcdn_obs::clock::Stopwatch;
 use jcdn_obs::metrics::Histogram;
@@ -66,6 +69,9 @@ impl<T> Gathered<T> {
     }
 }
 
+/// A task's value, or the payload of the panic it raised.
+type Outcome<T> = Result<T, Box<dyn Any + Send>>;
+
 /// Per-worker tallies, gathered after the scope joins.
 struct WorkerStats {
     tasks: u64,
@@ -81,6 +87,21 @@ impl WorkerStats {
             latency: Histogram::default(),
         }
     }
+
+    /// Runs item `index` inside the unwind boundary and tallies its wall
+    /// time against this worker.
+    fn run<T, F>(&mut self, label: &'static str, index: usize, f: &F) -> Outcome<T>
+    where
+        F: Fn(usize) -> T + Sync,
+    {
+        let task = Stopwatch::start();
+        let outcome = run_quarantined(label, index, f);
+        let us = task.elapsed_us();
+        self.tasks += 1;
+        self.busy_us += us;
+        self.latency.observe(us);
+        outcome
+    }
 }
 
 /// Internal result of one pool pass plus its retry bookkeeping.
@@ -90,7 +111,23 @@ struct PoolRun<T> {
     quarantined: Vec<usize>,
     first_panic: Option<Box<dyn Any + Send>>,
     worker_stats: Vec<WorkerStats>,
-    high_water: u64,
+}
+
+impl<T> PoolRun<T> {
+    /// Files item `index`'s outcome: a value fills its slot, a panic is
+    /// counted and quarantines the index.
+    fn settle(&mut self, index: usize, outcome: Outcome<T>) {
+        match outcome {
+            Ok(value) => self.results[index] = Some(value),
+            Err(payload) => {
+                self.task_panics += 1;
+                self.quarantined.push(index);
+                if self.first_panic.is_none() {
+                    self.first_panic = Some(payload);
+                }
+            }
+        }
+    }
 }
 
 /// Runs one task inside the unwind boundary, after giving an installed
@@ -105,7 +142,7 @@ struct PoolRun<T> {
     clippy::disallowed_methods,
     reason = "the one sanctioned unwind boundary: converts a task panic into a per-item failure that the quarantine/retry policy handles"
 )]
-fn run_quarantined<T, F>(label: &'static str, index: usize, f: &F) -> Result<T, Box<dyn Any + Send>>
+fn run_quarantined<T, F>(label: &'static str, index: usize, f: &F) -> Outcome<T>
 where
     F: Fn(usize) -> T + Sync,
 {
@@ -115,138 +152,60 @@ where
     }))
 }
 
-/// One pass over `0..items` with `threads` workers, panics caught per
-/// item. Does not file a report — callers do, after folding in any retry.
+/// One pass over `0..items` on `min(threads, items)` workers, the calling
+/// thread among them, with panics caught per item. Does not file a
+/// report — callers do, after folding in any retry.
 fn pool_run<T, F>(label: &'static str, items: usize, threads: usize, f: &F) -> PoolRun<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let threads = threads.min(items);
-    if threads <= 1 {
+    let next = AtomicUsize::new(0);
+    // The worker loop: claim the next unclaimed index until none is left.
+    // `Relaxed` suffices: `fetch_add` alone hands out each index once, and
+    // the outcomes reach this thread through the joins, which synchronize.
+    let work = || {
         let mut stats = WorkerStats::new();
-        let mut run = PoolRun {
-            results: Vec::with_capacity(items),
-            task_panics: 0,
-            quarantined: Vec::new(),
-            first_panic: None,
-            worker_stats: Vec::new(),
-            high_water: 0,
-        };
-        for i in 0..items {
-            let task = Stopwatch::start();
-            let outcome = run_quarantined(label, i, f);
-            let us = task.elapsed_us();
-            stats.tasks += 1;
-            stats.busy_us += us;
-            stats.latency.observe(us);
-            match outcome {
-                Ok(value) => run.results.push(Some(value)),
-                Err(payload) => {
-                    run.results.push(None);
-                    run.task_panics += 1;
-                    run.quarantined.push(i);
-                    if run.first_panic.is_none() {
-                        run.first_panic = Some(payload);
-                    }
-                }
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= items {
+                return (done, stats);
             }
+            done.push((i, stats.run(label, i, f)));
+        }
+    };
+    let workers = std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..threads.min(items)).map(|_| scope.spawn(work)).collect();
+        let mut workers = vec![work()];
+        for handle in spawned {
+            // Task panics are caught inside run_quarantined, so a worker
+            // body cannot unwind; re-raise one that somehow did.
+            workers.push(
+                handle
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
+            );
+        }
+        workers
+    });
+
+    let mut run = PoolRun {
+        results: (0..items).map(|_| None).collect(),
+        task_panics: 0,
+        quarantined: Vec::new(),
+        first_panic: None,
+        worker_stats: Vec::with_capacity(workers.len()),
+    };
+    for (done, stats) in workers {
+        for (i, outcome) in done {
+            run.settle(i, outcome);
         }
         run.worker_stats.push(stats);
-        return run;
     }
-
-    type TaskOutcome<T> = Result<T, Box<dyn Any + Send>>;
-    let (job_tx, job_rx) = crossbeam::channel::unbounded::<usize>();
-    let (result_tx, result_rx) = crossbeam::channel::unbounded::<(usize, TaskOutcome<T>)>();
-    for i in 0..items {
-        #[expect(
-            clippy::expect_used,
-            reason = "job_rx is dropped only after the scope below; send cannot fail yet"
-        )]
-        job_tx.send(i).expect("job receiver alive");
-    }
-    drop(job_tx);
-
-    // Results waiting in the gather channel: workers increment after
-    // sending, the gatherer decrements after receiving and tracks the
-    // high-water mark — the "channel backing up" signal.
-    let backlog = AtomicU64::new(0);
-    let backlog = &backlog;
-    #[expect(
-        clippy::expect_used,
-        reason = "scope Err requires a spawned thread to panic, and every task panic is already caught inside run_quarantined"
-    )]
-    let (mut run, worker_stats) = crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let jobs = job_rx.clone();
-            let results = result_tx.clone();
-            handles.push(scope.spawn(move |_| {
-                let mut stats = WorkerStats::new();
-                while let Ok(i) = jobs.recv() {
-                    let task = Stopwatch::start();
-                    let outcome = run_quarantined(label, i, f);
-                    let us = task.elapsed_us();
-                    stats.tasks += 1;
-                    stats.busy_us += us;
-                    stats.latency.observe(us);
-                    // Increment BEFORE the send: the gatherer decrements
-                    // after each recv, so incrementing after would let the
-                    // decrement land first and wrap the counter below zero.
-                    backlog.fetch_add(1, Ordering::Relaxed);
-                    if results.send((i, outcome)).is_err() {
-                        // Gatherer gone; stop early.
-                        backlog.fetch_sub(1, Ordering::Relaxed);
-                        break;
-                    }
-                }
-                stats
-            }));
-        }
-        drop(result_tx);
-        drop(job_rx);
-
-        let mut run = PoolRun {
-            results: (0..items).map(|_| None).collect(),
-            task_panics: 0,
-            quarantined: Vec::new(),
-            first_panic: None,
-            worker_stats: Vec::new(),
-            high_water: 0,
-        };
-        while let Ok((i, outcome)) = result_rx.recv() {
-            // Sample depth before decrementing: this recv observed the
-            // queue at its fullest from the gatherer's point of view.
-            run.high_water = run.high_water.max(backlog.load(Ordering::Relaxed));
-            backlog.fetch_sub(1, Ordering::Relaxed);
-            match outcome {
-                Ok(value) => run.results[i] = Some(value),
-                Err(payload) => {
-                    run.task_panics += 1;
-                    run.quarantined.push(i);
-                    if run.first_panic.is_none() {
-                        run.first_panic = Some(payload);
-                    }
-                }
-            }
-        }
-        #[expect(
-            clippy::expect_used,
-            reason = "task panics are caught inside run_quarantined, so a worker thread body cannot unwind"
-        )]
-        let worker_stats: Vec<WorkerStats> = handles
-            .into_iter()
-            .map(|h| h.join().expect("worker joined"))
-            .collect();
-        (run, worker_stats)
-    })
-    .expect("worker pool joined");
-
-    // Arrival order is scheduling-dependent; sort so the retry pass and
-    // the caller-visible quarantine list are deterministic.
+    // Which worker ran an item is scheduling-dependent; sort so the retry
+    // pass and the caller-visible quarantine list are deterministic.
     run.quarantined.sort_unstable();
-    run.worker_stats = worker_stats;
     run
 }
 
@@ -256,31 +215,15 @@ where
 /// [`WorkerStats`] entry so the filed report covers all work done.
 fn retry_quarantined<T, F>(label: &'static str, run: &mut PoolRun<T>, f: &F)
 where
-    T: Send,
     F: Fn(usize) -> T + Sync,
 {
     if run.quarantined.is_empty() {
         return;
     }
-    let failed = std::mem::take(&mut run.quarantined);
     let mut stats = WorkerStats::new();
-    for i in failed {
-        let task = Stopwatch::start();
-        let outcome = run_quarantined(label, i, f);
-        let us = task.elapsed_us();
-        stats.tasks += 1;
-        stats.busy_us += us;
-        stats.latency.observe(us);
-        match outcome {
-            Ok(value) => run.results[i] = Some(value),
-            Err(payload) => {
-                run.task_panics += 1;
-                run.quarantined.push(i);
-                if run.first_panic.is_none() {
-                    run.first_panic = Some(payload);
-                }
-            }
-        }
+    for i in std::mem::take(&mut run.quarantined) {
+        let outcome = stats.run(label, i, f);
+        run.settle(i, outcome);
     }
     run.worker_stats.push(stats);
 }
@@ -300,7 +243,6 @@ where
             label,
             items,
             &run.worker_stats,
-            run.high_water,
             run.task_panics,
             wall.elapsed_us(),
         );
@@ -310,18 +252,19 @@ where
 
 /// Runs `f(0..items)` on a pool of `threads` workers and returns the
 /// results indexed by item, exactly as `(0..items).map(f).collect()`
-/// would. Items are pulled from a shared queue, so uneven item costs
-/// balance across workers. For tasks that return `Result`, collect the
-/// output into `Result<Vec<_>, _>`: that stops at the lowest-indexed
-/// error, as a sequential loop would.
+/// would. Workers claim items one at a time from a shared counter, so
+/// uneven item costs balance across them; the calling thread is one of
+/// the workers. For tasks that return `Result`, collect the output into
+/// `Result<Vec<_>, _>`: that stops at the lowest-indexed error, as a
+/// sequential loop would.
 ///
 /// `label` attributes the fan-out. Every fan-out files a [`PoolReport`]
-/// (per-worker task counts, gather-queue high-water mark, task-latency
-/// histogram, caught-panic count) into the `jcdn-obs` pool sink, so a
-/// starved worker or a backed-up channel is visible in the run manifest
-/// instead of silent; with `jcdn_obs::pool::set_logging(true)` each
-/// fan-out also logs a one-line summary. The report is wall-clock perf
-/// data — the *results* stay deterministic for any thread count.
+/// (per-worker task counts, task-latency histogram, caught-panic count)
+/// into the `jcdn-obs` pool sink, so a starved worker is visible in the
+/// run manifest instead of silent; with
+/// `jcdn_obs::pool::set_logging(true)` each fan-out also logs a one-line
+/// summary. The report is wall-clock perf data — the *results* stay
+/// deterministic for any thread count.
 ///
 /// Panic contract: a panicking item is retried once sequentially; if it
 /// panics both times, the first captured payload is re-raised here after
@@ -380,7 +323,6 @@ fn file_report(
     label: &str,
     items: usize,
     worker_stats: &[WorkerStats],
-    queue_high_water: u64,
     task_panics: u64,
     wall_us: u64,
 ) {
@@ -389,7 +331,6 @@ fn file_report(
         items: items as u64,
         workers: worker_stats.len() as u64,
         worker_tasks: Vec::with_capacity(worker_stats.len()),
-        queue_high_water,
         busy_us: 0,
         wall_us,
         task_panics,
@@ -611,7 +552,19 @@ mod tests {
             .expect("sequential fan-out filed a report");
         assert_eq!(report.workers, 1);
         assert_eq!(report.worker_tasks, vec![5]);
-        assert_eq!(report.queue_high_water, 0);
+    }
+
+    #[test]
+    fn threads_beyond_items_run_one_worker_per_item() {
+        let _ = scatter_gather_labeled("exec.test.wide", 3, 16, |i| i);
+        let (reports, _) = jcdn_obs::pool::drain();
+        let report = reports
+            .iter()
+            .find(|r| r.label == "exec.test.wide")
+            .expect("fan-out filed a report");
+        assert_eq!(report.workers, 3);
+        assert_eq!(report.worker_tasks.iter().sum::<u64>(), 3);
+        assert_eq!(report.task_latency_us.count(), 3);
     }
 
     #[test]

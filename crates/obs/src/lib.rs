@@ -12,8 +12,8 @@
 //!   `merge` is associative and commutative, serialization is
 //!   BTreeMap-ordered, and the `obs_invariance` suite holds the counter
 //!   section of a [`RunManifest`] byte-identical across shard counts.
-//! * **Perf data** (span timings, pool utilization, queue high-water
-//!   marks, peak RSS) is explicitly non-deterministic. It lives in
+//! * **Perf data** (span timings, pool utilization, worker task counts,
+//!   peak RSS) is explicitly non-deterministic. It lives in
 //!   separate gauge/histogram/span channels, is serialized under a
 //!   distinct `"perf"` manifest section, and is never compared across
 //!   runs by tests.
@@ -48,18 +48,13 @@
 #![warn(missing_docs, unreachable_pub)]
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-/// The wall-clock boundary: the workspace's only `Instant::now`.
 pub mod clock;
 pub mod export;
-/// Minimal hand-rolled JSON emission (the crate has zero dependencies).
 pub mod json;
-/// Run manifests: the per-command observability artifact.
 pub mod manifest;
-/// Mergeable counters, gauges, and fixed-bucket histograms.
 pub mod metrics;
 pub mod pool;
 pub mod span;
-/// Sim-clock-driven windowed counters (tumbling + sliding windows).
 pub mod timeseries;
 
 pub use manifest::{ObsLevel, RunManifest};

@@ -1,13 +1,12 @@
 //! Worker-pool observability: the reports `jcdn-exec`'s fan-outs file
 //! after every run.
 //!
-//! Before this module existed the pool was silent: a starved worker or a
-//! backed-up gather channel looked exactly like healthy parallelism. A
-//! [`PoolReport`] captures what actually happened — per-worker task
-//! counts (starvation shows as zeros), the gather-channel high-water mark
-//! (backpressure shows as a depth near `items`), and a task-latency
-//! histogram. All of it is scheduling-dependent perf data, so it flows
-//! into the manifest's `"perf"` section, never into counters.
+//! Before this module existed the pool was silent: a starved worker
+//! looked exactly like healthy parallelism. A [`PoolReport`] captures
+//! what actually happened — per-worker task counts (starvation shows as
+//! zeros), busy and wall time, and a task-latency histogram. All of it is
+//! scheduling-dependent perf data, so it flows into the manifest's
+//! `"perf"` section, never into counters.
 //!
 //! Reports land in a process-global sink (bounded, like the span ring)
 //! that the CLI drains into the run manifest. Optional summary-line
@@ -31,14 +30,13 @@ pub struct PoolReport {
     pub label: String,
     /// Items scattered.
     pub items: u64,
-    /// Workers actually spawned (1 = sequential path).
+    /// Workers that ran the pool pass, the calling thread among them (1 =
+    /// the items ran in order on the caller); a retry pass counts as one
+    /// more.
     pub workers: u64,
     /// Tasks each worker completed, indexed by worker. A zero entry is a
     /// starved worker: it never won a single job against its siblings.
     pub worker_tasks: Vec<u64>,
-    /// High-water mark of results waiting in the gather channel — how far
-    /// the workers ran ahead of the gatherer before it caught up.
-    pub queue_high_water: u64,
     /// Summed task wall time across workers, µs.
     pub busy_us: u64,
     /// End-to-end wall time of the fan-out, µs.
@@ -75,9 +73,8 @@ impl PoolReport {
             .map(|v| format!("{v}µs"))
             .unwrap_or_else(|| "-".to_string());
         let mut line = format!(
-            "pool {}: {} items on {} workers in {}µs (util {util}, task p99 ≤ {p99}, \
-             gather high-water {})",
-            self.label, self.items, self.workers, self.wall_us, self.queue_high_water
+            "pool {}: {} items on {} workers in {}µs (util {util}, task p99 ≤ {p99})",
+            self.label, self.items, self.workers, self.wall_us
         );
         let starved = self.starved_workers();
         if starved > 0 && self.items >= self.workers {
@@ -93,7 +90,6 @@ impl PoolReport {
     /// histograms keyed by the pool label).
     pub fn record_into(&self, snapshot: &mut MetricsSnapshot) {
         let prefix = format!("pool.{}", self.label);
-        snapshot.gauge_max(&format!("{prefix}.queue_high_water"), self.queue_high_water);
         snapshot.gauge_max(&format!("{prefix}.workers"), self.workers);
         snapshot.gauge_max(&format!("{prefix}.starved_workers"), self.starved_workers());
         snapshot.merge_histogram(&format!("{prefix}.task_us"), &self.task_latency_us);
@@ -115,7 +111,6 @@ impl PoolReport {
                 .join(",")
         );
         w.field_raw("worker_tasks", &tasks);
-        w.field_u64("queue_high_water", self.queue_high_water);
         w.field_u64("starved_workers", self.starved_workers());
         w.field_u64("busy_us", self.busy_us);
         w.field_u64("wall_us", self.wall_us);
@@ -200,7 +195,6 @@ mod tests {
             items: 8,
             workers: 4,
             worker_tasks: vec![3, 5, 0, 0],
-            queue_high_water: 2,
             busy_us: 800,
             wall_us: 400,
             task_panics: 0,
@@ -216,7 +210,6 @@ mod tests {
         assert!((util - 0.5).abs() < 1e-9, "util {util}");
         let line = report.summary_line();
         assert!(line.contains("2 starved"), "{line}");
-        assert!(line.contains("high-water 2"), "{line}");
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Sim-clock-driven windowed metrics: tumbling and sliding windows over
-//! the simulated timeline, with deterministic bucket retirement.
+//! the simulated timeline.
 //!
 //! A [`WindowedCounters`] is the time-series sibling of
 //! [`MetricsSnapshot`]: the same mergeable-partials discipline (counters
@@ -21,13 +21,9 @@
 //!   only base buckets keeps merge trivially associative: merging two
 //!   partials is a bucket-index merge-join.
 //! * Buckets exist only once something non-zero lands in them, so an
-//!   idle stretch of simulated time costs nothing and produces no rows.
-//!
-//! Retirement ([`WindowedCounters::retire_completed`]) pops finished
-//! windows in index order as the simulated clock advances, so a
-//! long-lived consumer (the future `jcdn serve`) holds only the live
-//! tail instead of the whole run. Retirement is driven by the simulated
-//! clock passed in by the caller — this module never reads wall time.
+//!   idle stretch of simulated time costs nothing and produces no rows:
+//!   [`WindowSpec::windows_covering`] walks the occupied buckets, never
+//!   the empty windows between them.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -196,6 +192,26 @@ impl WindowSpec {
     pub fn window_end_us(&self, index: u64) -> u64 {
         self.window_start_us(index).saturating_add(self.width_us)
     }
+
+    /// The windows that cover at least one of `buckets` (ascending base-
+    /// bucket indices), in index order and once each. Window `w` covers
+    /// buckets `w .. w + width/slide`, so bucket `b` lies in windows
+    /// `b + 1 - width/slide ..= b`. The cost is one step per window
+    /// yielded, however far apart the buckets lie.
+    pub fn windows_covering(
+        &self,
+        buckets: impl IntoIterator<Item = u64>,
+    ) -> impl Iterator<Item = u64> {
+        let reach = self.buckets_per_window() - 1;
+        // First window not yet yielded: a bucket's windows start past the
+        // previous bucket's, so none repeats.
+        let mut next = 0;
+        buckets.into_iter().flat_map(move |b| {
+            let first = b.saturating_sub(reach).max(next);
+            next = b.saturating_add(1);
+            first..=b
+        })
+    }
 }
 
 impl fmt::Display for WindowSpec {
@@ -262,11 +278,6 @@ pub struct WindowedCounters {
     /// Base buckets, keyed by bucket index. Created lazily on first
     /// non-zero increment.
     buckets: BTreeMap<u64, MetricsSnapshot>,
-    /// First window index not yet emitted by retirement. Rows below this
-    /// have already been handed out; [`rows`][Self::rows] resumes here.
-    emitted_below: u64,
-    /// Windows retired so far (monotone; survives merge as a max).
-    retired: u64,
 }
 
 impl WindowedCounters {
@@ -275,8 +286,6 @@ impl WindowedCounters {
         WindowedCounters {
             spec,
             buckets: BTreeMap::new(),
-            emitted_below: 0,
-            retired: 0,
         }
     }
 
@@ -290,14 +299,9 @@ impl WindowedCounters {
         self.buckets.is_empty()
     }
 
-    /// Number of live (non-retired) base buckets.
+    /// Number of non-empty base buckets.
     pub fn bucket_count(&self) -> usize {
         self.buckets.len()
-    }
-
-    /// Number of windows retired so far.
-    pub fn retired(&self) -> u64 {
-        self.retired
     }
 
     /// Adds `by` to counter `name` in the bucket covering simulated time
@@ -323,25 +327,19 @@ impl WindowedCounters {
 
     /// Merges another partial into `self`, bucket-index-wise. Associative
     /// and commutative because [`MetricsSnapshot::merge`] is; the
-    /// `timeseries_properties` suite holds it to that. Merge partials
-    /// *before* retiring — retirement hands rows out and drops their
-    /// buckets, so late-arriving increments for a retired window would be
-    /// lost (debug-visible via the retirement high-water mark, kept as a
-    /// max across merges).
+    /// `timeseries_properties` suite holds it to that.
     pub fn merge(&mut self, other: &WindowedCounters) {
         for (&bucket, snapshot) in &other.buckets {
             self.buckets.entry(bucket).or_default().merge(snapshot);
         }
-        self.emitted_below = self.emitted_below.max(other.emitted_below);
-        self.retired = self.retired.max(other.retired);
     }
 
-    /// Iterates live base buckets in index order.
+    /// Iterates non-empty base buckets in index order.
     pub fn buckets(&self) -> impl Iterator<Item = (u64, &MetricsSnapshot)> {
         self.buckets.iter().map(|(&i, s)| (i, s))
     }
 
-    /// Folds every live bucket into one run-total snapshot.
+    /// Folds every bucket into one run-total snapshot.
     pub fn total(&self) -> MetricsSnapshot {
         let mut total = MetricsSnapshot::new();
         for snapshot in self.buckets.values() {
@@ -368,49 +366,14 @@ impl WindowedCounters {
         })
     }
 
-    /// Every not-yet-retired window that overlaps at least one non-empty
-    /// bucket, in index order. Deterministic: depends only on bucket
-    /// contents, never on accumulation or merge order.
+    /// Every window that overlaps at least one non-empty bucket, in index
+    /// order. Deterministic: depends only on bucket contents, never on
+    /// accumulation or merge order.
     pub fn rows(&self) -> Vec<WindowRow> {
-        let (Some(&lo), Some(&hi)) = (self.buckets.keys().next(), self.buckets.keys().next_back())
-        else {
-            return Vec::new();
-        };
-        let per = self.spec.buckets_per_window();
-        let first = lo.saturating_sub(per - 1).max(self.emitted_below);
-        (first..=hi).filter_map(|w| self.window_row(w)).collect()
-    }
-
-    /// Retires every window fully in the past at simulated time `now_us`:
-    /// emits their rows in index order, drops base buckets no unemitted
-    /// window still covers, and advances the emission cursor. The clock
-    /// is the *simulated* one — callers pass the timeline position they
-    /// have fully processed, so the same inputs retire the same windows
-    /// regardless of shard/thread schedule.
-    pub fn retire_completed(&mut self, now_us: u64) -> Vec<WindowRow> {
-        let mut rows = Vec::new();
-        let (Some(&lo), Some(&hi)) = (self.buckets.keys().next(), self.buckets.keys().next_back())
-        else {
-            return rows;
-        };
-        let per = self.spec.buckets_per_window();
-        let first = lo.saturating_sub(per - 1).max(self.emitted_below);
-        for w in first..=hi {
-            if self.spec.window_end_us(w) > now_us {
-                // Window ends are monotone in the index; the first still-
-                // open window ends the sweep.
-                break;
-            }
-            if let Some(row) = self.window_row(w) {
-                rows.push(row);
-                self.retired += 1;
-            }
-            self.emitted_below = w + 1;
-        }
-        // Buckets below the emission cursor can never contribute to an
-        // unemitted window again; drop them.
-        self.buckets = self.buckets.split_off(&self.emitted_below);
-        rows
+        self.spec
+            .windows_covering(self.buckets.keys().copied())
+            .filter_map(|w| self.window_row(w))
+            .collect()
     }
 
     /// Serializes [`rows`][Self::rows] as canonical JSONL lines tagged
@@ -529,42 +492,27 @@ mod tests {
     }
 
     #[test]
-    fn retirement_pops_finished_windows_and_drops_buckets() {
-        let mut w = WindowedCounters::new(spec("1m"));
-        w.inc(10, "req", 1);
-        w.inc(60_000_001, "req", 2);
-        w.inc(120_000_001, "req", 3);
-        // At t=2m, windows 0 and 1 are fully past (ends are exclusive).
-        let rows = w.retire_completed(120_000_000);
-        assert_eq!(
-            rows.iter().map(|r| r.window).collect::<Vec<_>>(),
-            vec![0, 1]
-        );
-        assert_eq!(w.bucket_count(), 1);
-        assert_eq!(w.retired(), 2);
-        // rows() resumes after the cursor.
-        assert_eq!(w.rows().first().map(|r| r.window), Some(2));
-        // Finishing the run retires the rest.
-        let rest = w.retire_completed(u64::MAX);
-        assert_eq!(rest.iter().map(|r| r.window).collect::<Vec<_>>(), vec![2]);
-        assert!(w.is_empty());
-        assert_eq!(w.retired(), 3);
+    fn windows_covering_yields_each_covering_window_once() {
+        let sliding = spec("3m/1m");
+        let got: Vec<u64> = sliding.windows_covering([0, 1, 7]).collect();
+        assert_eq!(got, vec![0, 1, 5, 6, 7]);
+        let tumbling = spec("1m");
+        let got: Vec<u64> = tumbling.windows_covering([2, 9]).collect();
+        assert_eq!(got, vec![2, 9]);
     }
 
     #[test]
-    fn retirement_then_rows_never_duplicates_windows() {
-        let mut w = WindowedCounters::new(spec("2m/1m"));
-        for t in (0..10).map(|i| i * 60_000_000) {
-            w.inc(t, "req", 1);
-        }
-        let mut seen: Vec<u64> = Vec::new();
-        seen.extend(w.retire_completed(5 * 60_000_000).iter().map(|r| r.window));
-        seen.extend(w.retire_completed(8 * 60_000_000).iter().map(|r| r.window));
-        seen.extend(w.rows().iter().map(|r| r.window));
-        let mut sorted = seen.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(seen, sorted, "windows emitted once, in order: {seen:?}");
+    fn far_apart_buckets_cost_their_rows_not_their_span() {
+        // 2^40 one-µs windows lie between the two increments; only the
+        // two occupied ones may be visited.
+        let mut w = WindowedCounters::new(spec("1us"));
+        w.inc(0, "req", 1);
+        w.inc(1 << 40, "req", 2);
+        let rows = w.rows();
+        assert_eq!(
+            rows.iter().map(|r| r.window).collect::<Vec<_>>(),
+            vec![0, 1 << 40]
+        );
     }
 
     #[test]

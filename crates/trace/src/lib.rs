@@ -36,16 +36,13 @@
 )]
 
 pub mod codec;
-/// Frozen encoders for historical codec versions 1–3 (fixture support).
 pub mod compat;
-/// Object flows and client–object flows with the paper's §5.1 filters.
 pub mod flows;
 mod interner;
 mod record;
 mod sharded;
 pub mod store;
 mod stream;
-/// Per-dataset summary statistics (Table 1 of the paper).
 pub mod summary;
 mod time;
 mod trace;

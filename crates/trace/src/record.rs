@@ -2,18 +2,16 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimTime;
 
 /// Anonymized client identity: the paper identifies a client by a *hashed
 /// IP + user-agent pair* (§5.1). The IP hash is stored here; the UA travels
 /// separately as a [`UaId`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ClientId(pub u64);
 
 /// Interned user-agent string index within a [`crate::Trace`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct UaId(pub u32);
 
 impl UaId {
@@ -24,7 +22,7 @@ impl UaId {
 }
 
 /// Interned URL index within a [`crate::Trace`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct UrlId(pub u32);
 
 impl UrlId {
@@ -38,7 +36,7 @@ impl UrlId {
 ///
 /// The paper's request-type taxonomy needs only the GET/POST distinction
 /// (downloads vs. uploads, §3.2), but logs carry the rest too.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Method {
     /// Download (the paper: 84% of JSON requests).
     Get,
@@ -80,7 +78,7 @@ impl fmt::Display for Method {
 ///
 /// The paper filters on `application/json`; the trend analysis (Figure 1)
 /// also tracks HTML, CSS, and JavaScript.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MimeType {
     /// `application/json`.
     Json,
@@ -141,7 +139,7 @@ impl fmt::Display for MimeType {
 
 /// How the CDN edge cache handled the request ("object caching
 /// information" in the log schema).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CacheStatus {
     /// Served from edge cache.
     Hit,
@@ -170,9 +168,7 @@ impl CacheStatus {
 /// unhealthy; the fault-injection subsystem (`cdnsim::fault`) sets these so
 /// availability analyses can separate end-user failures from retried or
 /// gracefully degraded responses.
-#[derive(
-    Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RecordFlags(u8);
 
 impl RecordFlags {
@@ -256,7 +252,7 @@ impl fmt::Display for RecordFlags {
 // `Ord` compares fields in declaration order — `time` first — so a full
 // sort doubles as a canonical, insertion-order-independent time sort
 // (see `Trace::sort_canonical`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct LogRecord {
     /// Request arrival time at the edge.
     pub time: SimTime,

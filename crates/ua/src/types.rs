@@ -2,15 +2,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Device category of the request initiator.
 ///
 /// Matches the paper's Figure 3 breakdown: *mobiles, desktops/laptops, and
 /// embedded devices*, where embedded is "non-mobile, non-desktop devices,
 /// such as game consoles, IoTs, smart TVs, etc.", plus *Unknown* for missing
 /// or unidentifiable user agents.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DeviceType {
     /// Smartphones and tablets.
     Mobile,
@@ -46,7 +44,7 @@ impl fmt::Display for DeviceType {
 /// Operating platform extracted from system identifiers in the UA string
 /// ("we group by system identifiers in the user-agent field, such as
 /// 'Android', 'iPhone', 'Windows', etc." — §3.2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Platform {
     /// Android phones/tablets.
     Android,

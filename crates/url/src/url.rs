@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A parsed HTTP(S) URL.
 ///
 /// Designed for CDN log analysis rather than full WHATWG conformance: no
@@ -11,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// n-gram model must see exactly the bytes the client sent). The canonical
 /// string form returned by [`Display`][fmt::Display] re-parses to an equal
 /// value.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Url {
     pub(crate) scheme: Option<String>,
     pub(crate) host: String,

@@ -1,12 +1,10 @@
 //! Industry categories and their cacheability profiles (Figure 4).
 
-use serde::{Deserialize, Serialize};
-
 /// The eleven industry categories of Figure 4's heatmap.
 ///
 /// The paper categorizes domains with a commercial service \[10\]; here the
 /// category is ground truth carried by each synthetic domain.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum IndustryCategory {
     /// News and media publishing.
     NewsMedia,
@@ -171,7 +169,7 @@ pub struct CacheProfile {
 /// "CDN customers decide whether a response is cacheable" (§3.2); the
 /// policy lives at the domain level with a mixed option whose fraction
 /// applies per object.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum CachePolicy {
     /// Every object cacheable.
     Always,

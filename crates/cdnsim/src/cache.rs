@@ -10,7 +10,7 @@
 //! `tests/lru_properties.rs`).
 
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use jcdn_trace::{SimDuration, SimTime};
 
@@ -76,6 +76,35 @@ fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// A fixed-seed hasher for integer ids: one SplitMix64 finalizer per key
+/// where the std `RandomState` runs SipHash under a per-process seed. Only
+/// for maps that are never iterated, so their order cannot reach output.
+#[derive(Debug, Default)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(u64::from(v));
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = mix64(self.0 ^ v);
+    }
+}
+
+/// A hash map keyed by integer ids through [`IdHasher`].
+pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
 macro_rules! stable_key_int {
     ($($t:ty),*) => {$(
         impl StableKey for $t {
@@ -127,7 +156,7 @@ stable_key_int!(u8, u16, u32, u64, usize);
 /// ```
 #[derive(Debug)]
 pub struct PolicyCache<K: Eq + Hash + Copy + StableKey> {
-    map: HashMap<K, usize>,
+    map: IdMap<K, usize>,
     slots: Vec<Slot<K>>,
     free: Vec<usize>,
     capacity: u64,
@@ -154,7 +183,7 @@ impl<K: Eq + Hash + Copy + StableKey> PolicyCache<K> {
     pub fn with_policy(capacity: u64, kind: PolicyKind, seed: u64) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
         PolicyCache {
-            map: HashMap::new(),
+            map: IdMap::default(),
             slots: Vec::new(),
             free: Vec::new(),
             capacity,

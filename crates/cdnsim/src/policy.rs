@@ -17,7 +17,9 @@
 //! `(kind, capacity, seed)` and fed the same event sequence are in
 //! identical states after every event.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+
+use crate::cache::IdMap;
 
 /// Marker for "no slot" in the intrusive lists.
 const NIL: usize = usize::MAX;
@@ -626,7 +628,7 @@ pub struct S3Fifo {
     small_target: u64,
     main_count: usize,
     ghost: VecDeque<u64>,
-    ghost_set: HashMap<u64, u32>,
+    ghost_set: IdMap<u64, u32>,
 }
 
 impl S3Fifo {
@@ -644,7 +646,7 @@ impl S3Fifo {
             small_target: capacity / 10,
             main_count: 0,
             ghost: VecDeque::new(),
-            ghost_set: HashMap::new(),
+            ghost_set: IdMap::default(),
         }
     }
 

@@ -22,13 +22,11 @@ use jcdn_trace::{
     CacheStatus, ClientId, Interner, LogRecord, MimeType, RecordFlags, SimDuration, SimTime, Trace,
     UaId, UrlId,
 };
-use jcdn_workload::{ClientInfo, ObjectInfo, Workload};
+use jcdn_workload::{ClientInfo, ObjectInfo, SizeModel, Workload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use std::collections::HashMap;
-
-use crate::cache::{Lookup, PolicyCache};
+use crate::cache::{IdMap, Lookup, PolicyCache};
 use crate::fault::{FaultPlan, FaultState, ResilienceConfig};
 use crate::hierarchy::{
     flush_accesses, AccessKind, CacheHierarchy, Placement, SharedTier, TierAccess,
@@ -139,8 +137,6 @@ pub struct RequestCtx<'a> {
     pub objects: &'a [ObjectInfo],
     /// The client population.
     pub clients: &'a [ClientInfo],
-    /// Whether the object is already resident in this edge's cache.
-    pub cache_resident: bool,
 }
 
 /// A per-request hook: prefetching, deprioritization, anomaly scoring.
@@ -438,10 +434,10 @@ struct Edge {
     /// Request currently in service.
     in_service: Option<(usize, SimTime, Priority, u8)>,
     /// Origin-unavailability verdicts: object → (valid until, status).
-    neg_cache: HashMap<u32, (SimTime, u16)>,
+    neg_cache: IdMap<u32, (SimTime, u16)>,
     /// Outstanding origin fetches: object → completion time, for request
     /// coalescing.
-    in_flight: HashMap<u32, SimTime>,
+    in_flight: IdMap<u32, SimTime>,
 }
 
 /// Routes a request to an edge, skipping edges that are flapped out of
@@ -476,38 +472,77 @@ fn next_epoch_boundary(t: SimTime, interval: SimDuration) -> SimTime {
 
 /// Runs the workload through the simulated CDN with the given policy.
 pub fn run(workload: &Workload, config: &SimConfig, policy: &mut dyn Policy) -> SimOutput {
-    run_inner(workload, config, policy, &Strings::intern(workload), None)
+    let table = RunTable::new(workload, config);
+    run_inner(workload, config, policy, &table, None)
 }
 
-/// A run's string tables: every object URL and client UA interned once, in
-/// workload order, before any request is simulated. Ids are therefore
-/// independent of policy decisions and the same in every per-edge machine
-/// of a run, whose logs then share one interner.
-struct Strings {
+/// A run's per-object and per-client constants, resolved once before any
+/// request is simulated, so the request path reads one compact row and
+/// never an [`ObjectInfo`] or [`ClientInfo`]. Every object URL and client
+/// UA is interned here, in workload order: ids are therefore independent
+/// of policy decisions and the same in every per-edge machine of a run,
+/// whose logs then share one interner.
+struct RunTable {
     interner: Interner,
-    url_ids: Vec<UrlId>,
-    ua_ids: Vec<Option<UaId>>,
+    objects: Vec<ObjectRow>,
+    clients: Vec<ClientRow>,
 }
 
-impl Strings {
-    fn intern(workload: &Workload) -> Strings {
+/// One object's constants on the request path.
+struct ObjectRow {
+    url: UrlId,
+    size: SizeModel,
+    /// CPU service cost at the edge.
+    service: SimDuration,
+    ttl: SimDuration,
+    domain: u32,
+    mime: MimeType,
+    cacheable: bool,
+}
+
+/// One client's constants on the request path.
+struct ClientRow {
+    ip_hash: u64,
+    ua: Option<UaId>,
+}
+
+impl RunTable {
+    fn new(workload: &Workload, config: &SimConfig) -> RunTable {
         let mut interner = Interner::new();
-        let url_ids = workload
+        let objects = workload
             .objects
             .iter()
-            .map(|o| interner.intern_url(&o.url))
+            .map(|o| ObjectRow {
+                url: interner.intern_url(&o.url),
+                size: o.size_model(),
+                service: service_time(config, o),
+                ttl: o.ttl,
+                domain: o.domain,
+                mime: o.mime,
+                cacheable: o.cacheable,
+            })
             .collect();
-        let ua_ids = workload
+        let clients = workload
             .clients
             .iter()
-            .map(|c| c.ua.as_deref().map(|ua| interner.intern_ua(ua)))
+            .map(|c| ClientRow {
+                ip_hash: c.ip_hash,
+                ua: c.ua.as_deref().map(|ua| interner.intern_ua(ua)),
+            })
             .collect();
-        Strings {
+        RunTable {
             interner,
-            url_ids,
-            ua_ids,
+            objects,
+            clients,
         }
     }
+}
+
+/// CPU service cost of one request for `object`: base + per-KiB of its
+/// (expected) body.
+fn service_time(config: &SimConfig, object: &ObjectInfo) -> SimDuration {
+    let kb = (object.size_median / 1024.0).ceil() as u64;
+    config.service_base + SimDuration::from_micros(config.service_per_kb.as_micros() * kb.max(1))
 }
 
 /// The per-run simulation state: every edge's caches, queues, RNG streams
@@ -529,7 +564,7 @@ struct Machine<'w> {
     fault_states: Vec<FaultState>,
     edges: Vec<Edge>,
     trace: Trace,
-    strings: &'w Strings,
+    table: &'w RunTable,
     heap: BinaryHeap<Reverse<(SimTime, u64, InternalEvent)>>,
     seq: u64,
     next_arrival: usize,
@@ -544,13 +579,13 @@ impl<'w> Machine<'w> {
         workload: &'w Workload,
         config: &'w SimConfig,
         hierarchy: &CacheHierarchy,
-        strings: &'w Strings,
+        table: &'w RunTable,
         only_edge: Option<usize>,
     ) -> Machine<'w> {
         assert!(config.edges > 0, "need at least one edge");
         let shared = hierarchy.shared.len();
         let trace = Trace::from_parts(
-            strings.interner.clone(),
+            table.interner.clone(),
             Vec::with_capacity(workload.events.len()),
         );
         Machine {
@@ -589,12 +624,12 @@ impl<'w> Machine<'w> {
                     busy_until: SimTime::ZERO,
                     queue: BinaryHeap::new(),
                     in_service: None,
-                    neg_cache: HashMap::new(),
-                    in_flight: HashMap::new(),
+                    neg_cache: IdMap::default(),
+                    in_flight: IdMap::default(),
                 })
                 .collect(),
             trace,
-            strings,
+            table,
             heap: BinaryHeap::new(),
             seq: 0,
             next_arrival: 0,
@@ -630,6 +665,7 @@ impl<'w> Machine<'w> {
     fn run_until(&mut self, policy: &mut dyn Policy, tiers: &[SharedTier], limit: Option<SimTime>) {
         let workload = self.workload;
         let config = self.config;
+        let table = self.table;
         loop {
             // Pick the earlier of the next arrival and the next internal
             // event.
@@ -664,7 +700,7 @@ impl<'w> Machine<'w> {
                     let edge_idx = route_edge(
                         &config.fault,
                         config.edges,
-                        workload.clients[event.client as usize].ip_hash,
+                        table.clients[event.client as usize].ip_hash,
                         event.time,
                     );
                     if self.only_edge.is_some_and(|e| e != edge_idx) {
@@ -678,17 +714,16 @@ impl<'w> Machine<'w> {
                         edge: edge_idx,
                         objects: &workload.objects,
                         clients: &workload.clients,
-                        cache_resident: self.edges[edge_idx].cache.peek(event.object, event.time),
                     };
                     let outcome = policy.on_request(&ctx);
 
                     // Issue prefetches: only cacheable, non-resident objects.
                     for target in outcome.prefetch {
-                        let tobj = &workload.objects[target as usize];
+                        let tobj = &table.objects[target as usize];
                         if !tobj.cacheable || self.edges[edge_idx].cache.peek(target, event.time) {
                             continue;
                         }
-                        let size = tobj.sample_size(&mut self.rngs[edge_idx]);
+                        let size = tobj.size.sample(&mut self.rngs[edge_idx]);
                         let tally = self.tallies.at(edge_idx, event.time);
                         tally.prefetch_issued += 1;
                         tally.bytes_origin += size;
@@ -719,7 +754,7 @@ impl<'w> Machine<'w> {
                         edge_idx,
                         event.time,
                         workload,
-                        config,
+                        table,
                         &mut self.heap,
                         &mut self.seq,
                     );
@@ -730,12 +765,12 @@ impl<'w> Machine<'w> {
                     };
                     match ev {
                         InternalEvent::PrefetchDone { edge, object } => {
-                            let obj = &workload.objects[object as usize];
+                            let obj = &table.objects[object as usize];
                             self.tallies.at(edge, now).prefetch_completed += 1;
                             // Insert only if still absent — a demand miss may
                             // have populated it meanwhile.
                             if !self.edges[edge].cache.peek(object, now) {
-                                let size = obj.sample_size(&mut self.rngs[edge]);
+                                let size = obj.size.sample(&mut self.rngs[edge]);
                                 self.edges[edge]
                                     .cache
                                     .insert(object, size, obj.ttl, now, true);
@@ -753,7 +788,7 @@ impl<'w> Machine<'w> {
                             let edge_idx = route_edge(
                                 &config.fault,
                                 config.edges,
-                                workload.clients[event.client as usize].ip_hash,
+                                table.clients[event.client as usize].ip_hash,
                                 now,
                             );
                             self.edges[edge_idx]
@@ -765,7 +800,7 @@ impl<'w> Machine<'w> {
                                 edge_idx,
                                 now,
                                 workload,
-                                config,
+                                table,
                                 &mut self.heap,
                                 &mut self.seq,
                             );
@@ -796,7 +831,7 @@ impl<'w> Machine<'w> {
                                 &mut tc,
                                 self.tallies.at(edge, arrival),
                                 &mut self.trace,
-                                self.strings,
+                                table,
                                 &mut self.rngs[edge],
                                 &mut self.fault_states[edge],
                                 &mut self.heap,
@@ -811,7 +846,7 @@ impl<'w> Machine<'w> {
                                 edge,
                                 now,
                                 workload,
-                                config,
+                                table,
                                 &mut self.heap,
                                 &mut self.seq,
                             );
@@ -902,7 +937,7 @@ fn run_inner(
     workload: &Workload,
     config: &SimConfig,
     policy: &mut dyn Policy,
-    strings: &Strings,
+    table: &RunTable,
     only_edge: Option<usize>,
 ) -> SimOutput {
     let _span = match only_edge {
@@ -915,7 +950,7 @@ fn run_inner(
         validation.is_ok(),
         "invalid cache hierarchy: {validation:?}"
     );
-    let mut machine = Machine::new(workload, config, &hierarchy, strings, only_edge);
+    let mut machine = Machine::new(workload, config, &hierarchy, table, only_edge);
     if hierarchy.shared.is_empty() {
         machine.run_until(policy, &[], None);
         return machine.finish();
@@ -964,15 +999,15 @@ pub fn run_sharded(workload: &Workload, config: &SimConfig, threads: usize) -> S
     if threads <= 1 || config.edges <= 1 || !config.fault.flaps.is_empty() {
         return run_default(workload, config);
     }
-    let strings = Strings::intern(workload);
+    let table = RunTable::new(workload, config);
     let hierarchy = config.resolved_hierarchy();
     if !hierarchy.shared.is_empty() {
-        return run_sharded_hierarchy(workload, config, &hierarchy, strings, threads);
+        return run_sharded_hierarchy(workload, config, &hierarchy, table, threads);
     }
     let outputs = jcdn_exec::scatter_gather_labeled("sim.edges", config.edges, threads, |e| {
-        run_inner(workload, config, &mut NoopPolicy, &strings, Some(e))
+        run_inner(workload, config, &mut NoopPolicy, &table, Some(e))
     });
-    merge_outputs(strings.interner, outputs)
+    merge_outputs(table.interner, outputs)
 }
 
 /// Merges per-edge outputs: stats and metrics add, and the per-edge logs,
@@ -1019,12 +1054,12 @@ fn run_sharded_hierarchy(
     workload: &Workload,
     config: &SimConfig,
     hierarchy: &CacheHierarchy,
-    strings: Strings,
+    table: RunTable,
     threads: usize,
 ) -> SimOutput {
     let _span = jcdn_obs::span!("simulate.hierarchy");
     let machines: Vec<Mutex<Machine<'_>>> = (0..config.edges)
-        .map(|e| Mutex::new(Machine::new(workload, config, hierarchy, &strings, Some(e))))
+        .map(|e| Mutex::new(Machine::new(workload, config, hierarchy, &table, Some(e))))
         .collect();
     let mut tiers = SharedTier::build_all(hierarchy, config.seed);
     let interval = hierarchy.sync_interval;
@@ -1059,7 +1094,7 @@ fn run_sharded_hierarchy(
                 .finish()
         })
         .collect();
-    let mut out = merge_outputs(strings.interner, outputs);
+    let mut out = merge_outputs(table.interner, outputs);
     record_tier_metrics(&mut out.metrics, &tiers);
     out
 }
@@ -1069,7 +1104,7 @@ fn dispatch(
     edge_idx: usize,
     now: SimTime,
     workload: &Workload,
-    config: &SimConfig,
+    table: &RunTable,
     heap: &mut BinaryHeap<Reverse<(SimTime, u64, InternalEvent)>>,
     seq: &mut u64,
 ) {
@@ -1079,12 +1114,7 @@ fn dispatch(
     let Some(Reverse((priority, arrival, _, widx, attempt))) = edge.queue.pop() else {
         return;
     };
-    let object = &workload.objects[workload.events[widx].object as usize];
-    // CPU service cost: base + per-KiB of (expected) body.
-    let kb = (object.size_median / 1024.0).ceil() as u64;
-    let service = config.service_base
-        + SimDuration::from_micros(config.service_per_kb.as_micros() * kb.max(1));
-    let done = now + service;
+    let done = now + table.objects[workload.events[widx].object as usize].service;
     edge.busy_until = done;
     edge.in_service = Some((widx, arrival, priority, attempt));
     *seq += 1;
@@ -1190,16 +1220,17 @@ fn complete_request(
     tc: &mut TierCtx<'_>,
     stats: &mut SimStats,
     trace: &mut Trace,
-    strings: &Strings,
+    table: &RunTable,
     rng: &mut StdRng,
     fault_state: &mut FaultState,
     heap: &mut BinaryHeap<Reverse<(SimTime, u64, InternalEvent)>>,
     seq: &mut u64,
 ) -> f64 {
     let event = &workload.events[widx];
-    let object = &workload.objects[event.object as usize];
+    let object = &table.objects[event.object as usize];
+    let client = &table.clients[event.client as usize];
     let res = &config.resilience;
-    let size = object.sample_size(rng);
+    let size = object.size.sample(rng);
     let is_json = object.mime == MimeType::Json;
 
     let mut flags = RecordFlags::NONE;
@@ -1457,9 +1488,9 @@ fn complete_request(
 
     trace.push(LogRecord {
         time: arrival,
-        client: ClientId(workload.clients[event.client as usize].ip_hash),
-        ua: strings.ua_ids[event.client as usize],
-        url: strings.url_ids[event.object as usize],
+        client: ClientId(client.ip_hash),
+        ua: client.ua,
+        url: object.url,
         method: event.method,
         mime: object.mime,
         status,

@@ -150,10 +150,6 @@ pub struct SeriesPartial {
     live: BTreeMap<u64, BucketTally>,
     /// Windows closed by interior retirement, exact by construction.
     closed: BTreeMap<u64, ClosedWindow>,
-    /// Buckets whose URL maps were dropped by retirement (memory
-    /// telemetry; shard-layout-dependent, so never a deterministic
-    /// counter).
-    buckets_retired: u64,
 }
 
 impl SeriesPartial {
@@ -163,18 +159,12 @@ impl SeriesPartial {
             spec,
             live: BTreeMap::new(),
             closed: BTreeMap::new(),
-            buckets_retired: 0,
         }
     }
 
     /// The window shape.
     pub fn spec(&self) -> &WindowSpec {
         &self.spec
-    }
-
-    /// Buckets whose URL maps retirement has dropped so far.
-    pub fn buckets_retired(&self) -> u64 {
-        self.buckets_retired
     }
 
     /// Folds one record stream into the per-bucket tallies, then retires
@@ -213,30 +203,12 @@ impl SeriesPartial {
             }
         }
         if first <= last {
-            // Buckets needed only by now-closed windows: b is covered by
-            // windows (b - per, b], all closed when first ≤ b - per + 1
-            // and b ≤ last ⇔ b ≥ first + per - 1 is wrong way — every
-            // covering window of b is in [first, last] ⇔ b ≥ first and
-            // b - per + 1 ≥ first … simplest exact bound: windows < first
-            // keep buckets ≤ lo + per - 1, windows > last keep buckets
-            // ≥ last + 1.
             // Unclosed low windows (w ≤ lo) still need buckets up to
             // lo + per - 1; unclosed high windows (w > last) need buckets
-            // from last + 1 on. Everything between is only referenced by
-            // closed windows.
+            // from last + 1 on. Every bucket in between is covered only by
+            // closed windows, so it can go.
             let drop_from = lo + per;
-            let drop_to = last; // = hi - per
-            if drop_from <= drop_to {
-                let dropped: Vec<u64> = self
-                    .live
-                    .range(drop_from..=drop_to)
-                    .map(|(&b, _)| b)
-                    .collect();
-                for b in dropped {
-                    self.live.remove(&b);
-                    self.buckets_retired += 1;
-                }
-            }
+            self.live.retain(|&b, _| b < drop_from || b > last);
         }
     }
 
@@ -283,7 +255,6 @@ impl SeriesPartial {
         for (&b, tally) in &other.live {
             self.live.entry(b).or_default().merge(tally);
         }
-        self.buckets_retired += other.buckets_retired;
     }
 
     /// Closes every remaining window, resolves top URLs against
@@ -578,8 +549,8 @@ mod tests {
         let mut partial = SeriesPartial::new(spec("1m"));
         partial.accumulate(&trace.stream());
         assert!(
-            partial.buckets_retired() > 0,
-            "interior windows must retire their URL maps"
+            !partial.closed.is_empty(),
+            "interior windows must close and retire their URL maps"
         );
         // The live set holds only the boundary neighborhoods.
         assert!(partial.live.len() <= 2);

@@ -299,11 +299,6 @@ impl WindowedCounters {
         self.buckets.is_empty()
     }
 
-    /// Number of non-empty base buckets.
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
-    }
-
     /// Adds `by` to counter `name` in the bucket covering simulated time
     /// `t_us`. Zero increments create no bucket and no key, matching
     /// [`MetricsSnapshot::inc`].
@@ -437,7 +432,6 @@ mod tests {
         w.inc(59_999_999, "req", 1);
         w.inc(60_000_000, "req", 5);
         w.inc(61_000_000, "other", 0); // zero: no bucket, no key
-        assert_eq!(w.bucket_count(), 2);
         let rows = w.rows();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].window, 0);

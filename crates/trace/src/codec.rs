@@ -244,15 +244,19 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-// IEEE CRC-32 (the polynomial used by zip/png/ethernet), table-driven.
-const CRC_TABLE: [u32; 256] = crc_table();
+// IEEE CRC-32 (the polynomial used by zip/png/ethernet), slicing-by-16:
+// `CRC_TABLES[0]` is the classic byte-at-a-time table, and `CRC_TABLES[k]`
+// advances a byte's contribution past k more zero bytes, so one step folds
+// 16 input bytes with 16 independent lookups. The values are the
+// byte-at-a-time ones.
+const CRC_TABLES: [[u32; 256]; 16] = crc_tables();
 
 #[expect(
     clippy::arithmetic_side_effects,
-    reason = "the loop counters stop at 8 and 256"
+    reason = "the loop counters stop at 8, 16 and 256"
 )]
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         #[expect(
@@ -269,16 +273,48 @@ const fn crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 16 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    tables
 }
 
 pub(crate) fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let (blocks, tail) = data.as_chunks::<16>();
     let mut c = !0u32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    for b in blocks {
+        // The register folds into the block's first four bytes.
+        let head = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        c = t[15][(head & 0xFF) as usize]
+            ^ t[14][((head >> 8) & 0xFF) as usize]
+            ^ t[13][((head >> 16) & 0xFF) as usize]
+            ^ t[12][(head >> 24) as usize]
+            ^ t[11][usize::from(b[4])]
+            ^ t[10][usize::from(b[5])]
+            ^ t[9][usize::from(b[6])]
+            ^ t[8][usize::from(b[7])]
+            ^ t[7][usize::from(b[8])]
+            ^ t[6][usize::from(b[9])]
+            ^ t[5][usize::from(b[10])]
+            ^ t[4][usize::from(b[11])]
+            ^ t[3][usize::from(b[12])]
+            ^ t[2][usize::from(b[13])]
+            ^ t[1][usize::from(b[14])]
+            ^ t[0][usize::from(b[15])];
+    }
+    for &b in tail {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -1716,6 +1752,40 @@ mod tests {
         // The standard IEEE CRC-32 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The byte-at-a-time CRC-32 that slicing-by-16 replaces.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in data {
+            c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    #[test]
+    fn crc32_matches_bytewise_at_every_short_length() {
+        let data: Vec<u8> = (0..64u8)
+            .map(|i| i.wrapping_mul(37).wrapping_add(11))
+            .collect();
+        for len in 0..=64 {
+            assert_eq!(
+                crc32(&data[..len]),
+                crc32_bytewise(&data[..len]),
+                "len {len}"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn crc32_matches_bytewise_on_unaligned_buffers(
+            data in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..4096),
+            offset in 0usize..16,
+        ) {
+            let data = &data[offset.min(data.len())..];
+            proptest::prop_assert_eq!(crc32(data), crc32_bytewise(data));
+        }
     }
 
     #[test]

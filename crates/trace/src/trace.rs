@@ -177,8 +177,19 @@ impl Trace {
     /// permutation for any input order of the same record multiset, which
     /// is what makes sharded pipeline output reproducible regardless of
     /// worker count.
+    ///
+    /// A log that is already time-sorted (as a per-edge simulator log is)
+    /// only has its runs of equal-time records sorted: `Ord` compares
+    /// `time` first, so that is the same permutation at a fraction of the
+    /// cost.
     pub fn sort_canonical(&mut self) {
-        self.records.sort_unstable();
+        if self.records.is_sorted_by_key(|r| r.time) {
+            for run in self.records.chunk_by_mut(|a, b| a.time == b.time) {
+                run.sort_unstable();
+            }
+        } else {
+            self.records.sort_unstable();
+        }
     }
 
     /// Earliest and latest record times, or `None` when empty.
@@ -325,6 +336,61 @@ mod tests {
         let b = build(&[5, 3, 1, 4, 2, 0]);
         assert_eq!(a, b);
         assert!(a.windows(2).all(|w| w[0].time <= w[1].time));
+    }
+
+    /// Records with few distinct times (so ties are common) and fields
+    /// that tell the tied records apart, in the generated order.
+    fn tied_records(raw: &[(u64, u64, u8, u16)]) -> Vec<LogRecord> {
+        let mut t = Trace::new();
+        raw.iter()
+            .map(|&(time, client, url, status)| {
+                let mut r = record(&mut t, time, &format!("https://h.example/{url}"));
+                r.client = ClientId(client);
+                r.status = status;
+                r
+            })
+            .collect()
+    }
+
+    /// Runs `sort_canonical` on `records` and checks it against a full
+    /// `sort_unstable`.
+    fn assert_canonical_is_full_sort(records: Vec<LogRecord>) {
+        let mut expected = records.clone();
+        expected.sort_unstable();
+        let mut t = Trace::from_parts(Interner::new(), records);
+        t.sort_canonical();
+        assert_eq!(t.records(), expected.as_slice());
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn canonical_sort_of_time_sorted_records_sorts_their_ties(
+            raw in proptest::collection::vec(
+                (0u64..12, 0u64..4, 0u8..4, proptest::arbitrary::any::<u16>()),
+                0..300,
+            ),
+        ) {
+            // A stable time sort keeps the generated order inside each run
+            // of equal times: the fast path's input.
+            let mut records = tied_records(&raw);
+            records.sort_by_key(|r| r.time);
+            assert_canonical_is_full_sort(records);
+        }
+
+        #[test]
+        fn canonical_sort_of_shuffled_records_is_a_full_sort(
+            raw in proptest::collection::vec(
+                (0u64..12, 0u64..4, 0u8..4, proptest::arbitrary::any::<u16>()),
+                2..300,
+            ),
+        ) {
+            let mut records = tied_records(&raw);
+            // Guarantee one time descent, so the fallback path runs.
+            let last = records.len() - 1;
+            records[0].time = SimTime::from_secs(12);
+            records[last].time = SimTime::ZERO;
+            assert_canonical_is_full_sort(records);
+        }
     }
 
     #[test]

@@ -49,4 +49,4 @@ pub use clients::ClientInfo;
 pub use config::{PopulationTargets, WorkloadConfig};
 pub use generator::{build, build_parallel, GroundTruth, RequestEvent, Workload};
 pub use industry::{CachePolicy, IndustryCategory};
-pub use objects::{DomainInfo, ObjectInfo};
+pub use objects::{DomainInfo, ObjectInfo, SizeModel};

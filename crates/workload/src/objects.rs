@@ -1,5 +1,6 @@
 //! Domains and objects of the synthetic universe.
 
+use jcdn_stats::dist::{LogNormal, Sample};
 use jcdn_trace::{MimeType, SimDuration};
 
 use crate::industry::{CachePolicy, IndustryCategory};
@@ -41,30 +42,60 @@ pub struct ObjectInfo {
 }
 
 impl ObjectInfo {
-    /// Samples a concrete response size for one request.
+    /// The rule that draws this object's response sizes, resolved once so
+    /// a caller drawing many sizes takes no `ln` per draw.
     ///
-    /// Static objects return their fixed size; dynamic objects draw
-    /// log-normally around the median. Never returns 0 — every response in
-    /// the logs carries at least a JSON `{}`.
-    pub fn sample_size<R: rand::Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+    /// Manifest objects return their body's length; static objects
+    /// (`size_sigma == 0`) their rounded median; dynamic objects draw
+    /// log-normally around the median. Only a manifest body can be shorter
+    /// than 2 bytes — every other response in the logs carries at least a
+    /// JSON `{}`.
+    pub fn size_model(&self) -> SizeModel {
         if let Some(body) = &self.body {
-            return body.len() as u64;
-        }
-        let size = if self.size_sigma == 0.0 {
-            self.size_median
+            SizeModel::Fixed(body.len() as u64)
+        } else if self.size_sigma == 0.0 {
+            SizeModel::Fixed(round_size(self.size_median))
         } else {
-            use jcdn_stats::dist::{LogNormal, Sample};
-            LogNormal::from_median(self.size_median.max(2.0), self.size_sigma).sample(rng)
-        };
-        (size.round() as u64).max(2)
+            SizeModel::LogNormal(LogNormal::from_median(
+                self.size_median.max(2.0),
+                self.size_sigma,
+            ))
+        }
     }
+}
+
+/// How one object's response sizes are drawn (see
+/// [`ObjectInfo::size_model`]). `Copy`, so a simulator can keep one per
+/// object in its per-run table.
+#[derive(Clone, Copy, Debug)]
+pub enum SizeModel {
+    /// Every response is this many bytes; draws no random numbers.
+    Fixed(u64),
+    /// Log-normal bytes, rounded and at least 2; draws one standard
+    /// normal per response.
+    LogNormal(LogNormal),
+}
+
+impl SizeModel {
+    /// Draws one response size in bytes.
+    pub fn sample<R: rand::Rng + ?Sized>(self, rng: &mut R) -> u64 {
+        match self {
+            SizeModel::Fixed(bytes) => bytes,
+            SizeModel::LogNormal(dist) => round_size(dist.sample(rng)),
+        }
+    }
+}
+
+/// Rounds a size to whole bytes, at least 2.
+fn round_size(size: f64) -> u64 {
+    (size.round() as u64).max(2)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn object(median: f64, sigma: f64, body: Option<String>) -> ObjectInfo {
         ObjectInfo {
@@ -79,19 +110,60 @@ mod tests {
         }
     }
 
+    /// Reference: the size rule applied per request, re-deriving the
+    /// log-normal (one `ln`) on every draw.
+    fn per_request_size(o: &ObjectInfo, rng: &mut StdRng) -> u64 {
+        if let Some(body) = &o.body {
+            return body.len() as u64;
+        }
+        let size = if o.size_sigma == 0.0 {
+            o.size_median
+        } else {
+            LogNormal::from_median(o.size_median.max(2.0), o.size_sigma).sample(rng)
+        };
+        (size.round() as u64).max(2)
+    }
+
+    #[test]
+    fn size_model_draws_what_the_per_request_rule_drew() {
+        let objects = [
+            object(9999.0, 1.0, Some(r#"{"a":[1,2]}"#.to_owned())),
+            object(0.0, 1.0, Some(String::new())),
+            object(500.4, 0.0, None),
+            object(0.1, 0.0, None),
+            object(1800.0, 0.55, None),
+            object(2400.0, 3.10, None),
+            object(0.5, 0.8, None),
+        ];
+        for (i, o) in objects.iter().enumerate() {
+            let model = o.size_model();
+            let mut by_model = StdRng::seed_from_u64(i as u64);
+            let mut by_rule = StdRng::seed_from_u64(i as u64);
+            for draw in 0..500 {
+                assert_eq!(
+                    model.sample(&mut by_model),
+                    per_request_size(o, &mut by_rule),
+                    "object {i}, draw {draw}"
+                );
+            }
+            // Both consumed the same RNG words.
+            assert_eq!(by_model.next_u64(), by_rule.next_u64(), "object {i}");
+        }
+    }
+
     #[test]
     fn fixed_size_objects_are_deterministic() {
-        let o = object(500.0, 0.0, None);
+        let model = object(500.0, 0.0, None).size_model();
         let mut rng = StdRng::seed_from_u64(1);
-        assert_eq!(o.sample_size(&mut rng), 500);
-        assert_eq!(o.sample_size(&mut rng), 500);
+        assert_eq!(model.sample(&mut rng), 500);
+        assert_eq!(model.sample(&mut rng), 500);
     }
 
     #[test]
     fn dynamic_sizes_vary_around_median() {
-        let o = object(1000.0, 0.5, None);
+        let model = object(1000.0, 0.5, None).size_model();
         let mut rng = StdRng::seed_from_u64(2);
-        let sizes: Vec<u64> = (0..2000).map(|_| o.sample_size(&mut rng)).collect();
+        let sizes: Vec<u64> = (0..2000).map(|_| model.sample(&mut rng)).collect();
         let mut sorted = sizes.clone();
         sorted.sort_unstable();
         let median = sorted[sorted.len() / 2];
@@ -102,15 +174,15 @@ mod tests {
     #[test]
     fn manifest_bodies_pin_the_size() {
         let body = r#"{"stories":[{"id":1}]}"#.to_owned();
-        let o = object(9999.0, 1.0, Some(body.clone()));
+        let model = object(9999.0, 1.0, Some(body.clone())).size_model();
         let mut rng = StdRng::seed_from_u64(3);
-        assert_eq!(o.sample_size(&mut rng), body.len() as u64);
+        assert_eq!(model.sample(&mut rng), body.len() as u64);
     }
 
     #[test]
     fn sizes_never_zero() {
-        let o = object(0.1, 0.0, None);
+        let model = object(0.1, 0.0, None).size_model();
         let mut rng = StdRng::seed_from_u64(4);
-        assert!(o.sample_size(&mut rng) >= 2);
+        assert!(model.sample(&mut rng) >= 2);
     }
 }

@@ -271,15 +271,6 @@ impl<K: Eq + Hash + Copy + StableKey> PolicyCache<K> {
             .is_some_and(|&idx| self.slots[idx].expires > now)
     }
 
-    /// Fresh-entry size of `key`, without recency/stat effects.
-    pub fn peek_size(&self, key: K, now: SimTime) -> Option<u64> {
-        self.map
-            .get(&key)
-            .map(|&idx| &self.slots[idx])
-            .filter(|slot| slot.expires > now)
-            .map(|slot| slot.size)
-    }
-
     /// Inserts (or refreshes) `key` with `size` bytes and `ttl` lifetime.
     /// Entries larger than the whole capacity are rejected (returns false).
     /// `prefetched` marks entries inserted speculatively.

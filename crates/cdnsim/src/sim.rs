@@ -230,12 +230,6 @@ impl SimStats {
         (total > 0).then(|| self.hits as f64 / total as f64)
     }
 
-    /// Hit ratio over all traffic (uncacheable requests count as misses —
-    /// the operator's view of origin offload).
-    pub fn overall_hit_ratio(&self) -> Option<f64> {
-        (self.requests > 0).then(|| self.hits as f64 / self.requests as f64)
-    }
-
     /// JSON-only uncacheable share (paper: ~55%).
     pub fn json_uncacheable_share(&self) -> Option<f64> {
         (self.json_requests > 0).then(|| self.json_not_cacheable as f64 / self.json_requests as f64)

@@ -12,6 +12,7 @@ pub const USAGE: &str = "\
 jcdn — synthetic CDN traces and the IMC'19 JSON-traffic analyses
 
 usage: jcdn <command> [options]
+       jcdn [<command>] --help      print this text
 
 commands:
   generate      build a workload, simulate the CDN, write a binary trace
@@ -60,6 +61,10 @@ commands:
                   requests through that hierarchy (what-if per-tier hits)
   periodicity   run the §5.1 periodicity study
                   <trace> [--permutations N] [--max-bins N]
+                  [--min-requests N] [--min-clients N] [--threads N]
+                  (--threads defaults to 1; above 1 each flow's
+                   permutations also fan out over every core, and the
+                   report is identical for any value)
   predict       run the §5.2 prediction study (Table 3)
                   <trace> [--history N] [--k 1,5,10] [--train-percent P]
   export        convert a trace to JSONL

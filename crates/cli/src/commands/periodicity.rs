@@ -28,7 +28,7 @@ pub fn run(argv: &[String]) -> Result<Outcome, String> {
         detector: PeriodicityConfig {
             permutations: args.number("permutations", 100usize)?,
             max_bins: args.number("max-bins", 1usize << 15)?,
-            parallel: true,
+            parallel: threads > 1,
             ..PeriodicityConfig::default()
         },
         min_requests: args.number("min-requests", 10usize)?,

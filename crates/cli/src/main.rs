@@ -61,6 +61,11 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
     let run = || match command.as_str() {
+        // `--help` or `-h` after any command asks for the usage too.
+        _ if command == "help" || argv.iter().any(|arg| arg == "--help" || arg == "-h") => {
+            println!("{}", args::USAGE);
+            Ok(Outcome::Clean)
+        }
         "generate" => commands::generate::run(rest),
         "inspect" => commands::inspect::run(rest),
         "characterize" => commands::characterize::run(rest),
@@ -70,10 +75,6 @@ fn main() -> ExitCode {
         "merge" => commands::merge::run(rest),
         "obs" => commands::obs::run(rest),
         "trend" => commands::trend::run(rest),
-        "--help" | "-h" | "help" => {
-            println!("{}", args::USAGE);
-            Ok(Outcome::Clean)
-        }
         other => Err(format!("unknown command {other:?}\n\n{}", args::USAGE)),
     };
     #[expect(

@@ -182,6 +182,34 @@ fn errors_are_reported_not_panicked() {
 }
 
 #[test]
+fn help_after_any_command_prints_the_usage() {
+    for command in [
+        "generate",
+        "inspect",
+        "characterize",
+        "periodicity",
+        "predict",
+        "export",
+        "merge",
+        "trend",
+        "obs",
+    ] {
+        for flag in ["--help", "-h"] {
+            let out = jcdn(&[command, flag]);
+            assert_eq!(out.status.code(), Some(0), "{command} {flag}");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(stdout.contains("usage: jcdn <command>"), "{command} {flag}");
+            assert!(out.stderr.is_empty(), "{command} {flag}");
+        }
+    }
+    // After other arguments too, and before a missing required flag.
+    let out = jcdn(&["obs", "show", "--help"]);
+    assert_eq!(out.status.code(), Some(0));
+    let out = jcdn(&["generate", "--preset", "tiny", "-h"]);
+    assert_eq!(out.status.code(), Some(0));
+}
+
+#[test]
 fn characterize_does_not_echo_a_forged_record_count() {
     // A 14-byte v1 trace: empty string tables, then a record count of
     // 2^40 that no byte backs.

@@ -128,26 +128,10 @@ impl Value {
         }
     }
 
-    /// Returns the array element at `index`, or `None` for non-arrays.
-    pub fn get_index(&self, index: usize) -> Option<&Value> {
-        match self {
-            Value::Array(items) => items.get(index),
-            _ => None,
-        }
-    }
-
     /// The string content, if this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Value::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The boolean content, if this is a bool.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
             _ => None,
         }
     }

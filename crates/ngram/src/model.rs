@@ -148,11 +148,6 @@ impl NgramModel {
         self.counts[self.max_order].values().map(|c| c.total).sum()
     }
 
-    /// Number of distinct contexts at full order.
-    pub fn context_count(&self) -> usize {
-        self.counts[self.max_order].len()
-    }
-
     /// Predicts the top-`k` next tokens after `history` (most recent last).
     ///
     /// Backoff fill: successors of the longest matching context rank

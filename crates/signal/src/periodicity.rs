@@ -32,13 +32,26 @@
 //! * The Fourier candidate gives the coarse period (bin resolution N/k);
 //!   the ACF peak near it refines the estimate and acts as the lineup
 //!   check — harmonics pass the power test but fail the ACF test.
+//! * The permutations stop as soon as the flow cannot pass: once `idx + 1`
+//!   permutation maxima reach the flow's own peak power (`idx` is the
+//!   threshold's rank, 1 at x = 100), the power threshold is at least the
+//!   power of every bin `k ≥ 2` that `Periodogram::peak` scans. Then no
+//!   bin is strictly above it, as `significant_bins` requires, and every
+//!   candidate starts from such a bin. Most flows have no period and stop
+//!   within a few permutations. The stop is exact: a flow that can still
+//!   pass runs all x permutations, each shuffled by its own seed, so its
+//!   thresholds are unchanged; with `parallel` the workers share one
+//!   count, and only its final value, read after they join, decides.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
+use crate::acf::Autocorrelation;
 use crate::fft::FftPlan;
-use crate::spectrum::{analyze, padded_len, Scratch};
+use crate::spectrum::{analyze, padded_len, Periodogram, Scratch};
 
 /// Tuning knobs for [`detect_period`]. Defaults match the paper.
 #[derive(Clone, Debug)]
@@ -206,15 +219,28 @@ fn detect_in_series(
     sampling: f64,
     cfg: &PeriodicityConfig,
 ) -> Option<DetectedPeriod> {
-    let bins = series.len();
     // One plan serves the series and every permutation of it.
-    let plan = FftPlan::new(padded_len(bins));
+    let plan = FftPlan::new(padded_len(series.len()));
     let (periodogram, acf) = analyze(&plan, series, &mut Scratch::default());
 
-    // Null-model thresholds from permutations of the sampled series.
-    let (power_threshold, acf_threshold) = permutation_thresholds(&plan, series, cfg)?;
+    // Null-model thresholds from permutations of the sampled series; the
+    // permutations stop once the flow's own peak power cannot pass.
+    let peak_power = periodogram.peak().map_or(f64::INFINITY, |(_, p)| p);
+    let thresholds = permutation_thresholds(&plan, series, peak_power, cfg)?;
+    line_up(&periodogram, &acf, thresholds, sampling, cfg)
+}
 
-    // Step 4: line up FFT candidates with ACF peaks. Two directions:
+/// Step 4: the most significant period of a series whose periodogram and
+/// ACF are given, against the permutation thresholds `(power, acf)`.
+fn line_up(
+    periodogram: &Periodogram,
+    acf: &Autocorrelation,
+    (power_threshold, acf_threshold): (f64, f64),
+    sampling: f64,
+    cfg: &PeriodicityConfig,
+) -> Option<DetectedPeriod> {
+    let bins = periodogram.signal_len;
+    // Line up FFT candidates with ACF peaks. Two directions:
     //
     // (a) every significant periodogram bin is mapped to the nearest ACF
     //     peak (harmonics pass the power test but fail the ACF test);
@@ -322,15 +348,20 @@ fn bin_events(sorted_times: &[f64], sampling: f64, bins: usize) -> Vec<f64> {
     series
 }
 
-/// Runs the permutation null model and returns `(power, acf)` thresholds.
+/// Runs the permutation null model and returns `(power, acf)` thresholds,
+/// or `None` when the flow cannot pass: no permutations, or `idx + 1`
+/// permutation maxima at or above `peak_power`, the original series'
+/// [`Periodogram::peak`]. The module notes say why that stop is exact.
 fn permutation_thresholds(
     plan: &FftPlan,
     series: &[f64],
+    peak_power: f64,
     cfg: &PeriodicityConfig,
 ) -> Option<(f64, f64)> {
     if cfg.permutations == 0 || series.is_empty() {
         return None;
     }
+    let idx = threshold_index(cfg);
 
     let threads = if cfg.parallel && cfg.permutations >= 8 {
         std::thread::available_parallelism()
@@ -339,6 +370,14 @@ fn permutation_thresholds(
     } else {
         1
     };
+    // Permutation maxima at or above `peak_power`, over all workers. A
+    // worker counts a permutation after analysing it and checks the count
+    // before starting the next, so the count only grows. Each permutation
+    // counts once: the pool re-runs a worker only after a panic, and an
+    // injected one fires before the worker starts. `Relaxed` suffices: the
+    // count publishes no other data, and the final read follows the joins,
+    // which synchronize.
+    let reached = AtomicUsize::new(0);
     // Worker `w` runs every `threads`-th permutation, reusing one set of
     // buffers. Per-permutation derived RNGs make each maximum independent
     // of the worker that computes it, and the thresholds depend only on the
@@ -346,31 +385,62 @@ fn permutation_thresholds(
     let worker = |w: usize| -> Vec<(f64, f64)> {
         let mut scratch = Scratch::default();
         let mut shuffled = Vec::with_capacity(series.len());
-        (w..cfg.permutations)
-            .step_by(threads)
-            .map(|i| {
-                let mut rng = StdRng::seed_from_u64(splitmix(
-                    cfg.seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-                ));
-                shuffled.clear();
-                shuffled.extend_from_slice(series);
-                shuffled.shuffle(&mut rng);
-                let (periodogram, acf) = analyze(plan, &shuffled, &mut scratch);
-                let max_power = periodogram.peak().map_or(0.0, |(_, p)| p);
-                let max_acf = acf.max_peak().map_or(0.0, |(_, v)| v);
-                (max_power, max_acf)
-            })
-            .collect()
+        let mut maxima = Vec::new();
+        for i in (w..cfg.permutations).step_by(threads) {
+            if reached.load(Ordering::Relaxed) > idx {
+                break;
+            }
+            let (max_power, max_acf) =
+                permutation_maxima(plan, series, cfg.seed, i, &mut scratch, &mut shuffled);
+            if max_power >= peak_power {
+                reached.fetch_add(1, Ordering::Relaxed);
+            }
+            maxima.push((max_power, max_acf));
+        }
+        maxima
     };
     let results = jcdn_exec::scatter_gather_labeled("exec.pool", threads, threads, worker).concat();
+    // The scope has joined. Scheduling decides which permutations ran
+    // before a stop, never whether the final count passes `idx`: a count
+    // within it means no worker stopped, so every permutation ran.
+    if reached.into_inner() > idx {
+        return None;
+    }
 
     let mut powers: Vec<f64> = results.iter().map(|&(p, _)| p).collect();
     let mut acfs: Vec<f64> = results.iter().map(|&(_, a)| a).collect();
     powers.sort_by(|a, b| b.total_cmp(a));
     acfs.sort_by(|a, b| b.total_cmp(a));
-    let idx = (((1.0 - cfg.significance_quantile) * cfg.permutations as f64).floor() as usize)
-        .min(cfg.permutations - 1);
     Some((powers[idx], acfs[idx]))
+}
+
+/// Index of the threshold in the descending permutation maxima: the
+/// `significance_quantile` read off `x` maxima (1 at x = 100 and 0.99).
+fn threshold_index(cfg: &PeriodicityConfig) -> usize {
+    (((1.0 - cfg.significance_quantile) * cfg.permutations as f64).floor() as usize)
+        .min(cfg.permutations - 1)
+}
+
+/// The max periodogram power and max ACF peak of permutation `i` of
+/// `series`, shuffled by an RNG derived from `(seed, i)` alone.
+fn permutation_maxima(
+    plan: &FftPlan,
+    series: &[f64],
+    seed: u64,
+    i: usize,
+    scratch: &mut Scratch,
+    shuffled: &mut Vec<f64>,
+) -> (f64, f64) {
+    let mut rng = StdRng::seed_from_u64(splitmix(
+        seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
+    ));
+    shuffled.clear();
+    shuffled.extend_from_slice(series);
+    shuffled.shuffle(&mut rng);
+    let (periodogram, acf) = analyze(plan, shuffled, scratch);
+    let max_power = periodogram.peak().map_or(0.0, |(_, p)| p);
+    let max_acf = acf.max_peak().map_or(0.0, |(_, v)| v);
+    (max_power, max_acf)
 }
 
 fn splitmix(mut x: u64) -> u64 {
@@ -383,6 +453,7 @@ fn splitmix(mut x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::Rng;
 
     fn cfg() -> PeriodicityConfig {
@@ -431,19 +502,176 @@ mod tests {
         );
     }
 
+    /// Poisson arrivals: `count` events with exponential gaps of mean
+    /// `mean_gap` seconds.
+    fn poisson_times(count: usize, mean_gap: f64, seed: u64) -> Vec<f64> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut t = 0.0;
+        (0..count)
+            .map(|_| {
+                let u: f64 = 1.0 - rng.gen::<f64>();
+                t += -u.ln() * mean_gap;
+                t
+            })
+            .collect()
+    }
+
+    /// `per_bin` events in each of `bins` one-second bins: a constant
+    /// counting series, whose periodogram is flat zero.
+    fn constant_count_times(bins: usize, per_bin: usize) -> Vec<f64> {
+        (0..bins)
+            .flat_map(|b| std::iter::repeat_n(b as f64 + 0.5, per_bin))
+            .collect()
+    }
+
+    /// `detect_period` without the early stop: all x permutations run, in
+    /// order, and the thresholds come from all of their maxima.
+    fn detect_period_full(times: &[f64], cfg: &PeriodicityConfig) -> Option<DetectedPeriod> {
+        let (series, sampling) = bin_times(times, cfg)?;
+        if cfg.permutations == 0 {
+            return None;
+        }
+        let plan = FftPlan::new(padded_len(series.len()));
+        let (periodogram, acf) = analyze(&plan, &series, &mut Scratch::default());
+        let (mut scratch, mut shuffled) = (Scratch::default(), Vec::new());
+        let (mut powers, mut acfs): (Vec<f64>, Vec<f64>) = (0..cfg.permutations)
+            .map(|i| permutation_maxima(&plan, &series, cfg.seed, i, &mut scratch, &mut shuffled))
+            .unzip();
+        powers.sort_by(|a, b| b.total_cmp(a));
+        acfs.sort_by(|a, b| b.total_cmp(a));
+        let idx = (((1.0 - cfg.significance_quantile) * cfg.permutations as f64).floor() as usize)
+            .min(cfg.permutations - 1);
+        line_up(&periodogram, &acf, (powers[idx], acfs[idx]), sampling, cfg)
+    }
+
+    /// Every field of a detection, floats by bit pattern.
+    fn bits(hit: Option<DetectedPeriod>) -> Option<(usize, [u64; 5])> {
+        hit.map(|h| {
+            let floats = [
+                h.period_seconds,
+                h.power,
+                h.acf_value,
+                h.power_threshold,
+                h.acf_threshold,
+            ];
+            (h.period_bins, floats.map(f64::to_bits))
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn early_stop_returns_what_the_full_run_returns(
+            kind in 0u8..4,
+            count in 12usize..100,
+            scale in 5.0f64..30.0,
+            // Jitter as a share of the period, and noise events per poll:
+            // weak pollers sit near the threshold, where a stop one
+            // permutation early would drop a period.
+            blur in 0.05f64..0.5,
+            noise in 0.5f64..4.0,
+            seed in any::<u64>(),
+            // (x, significance_quantile): threshold index 0, 0, 1, 2 and 5.
+            setting in 0usize..5,
+            parallel in any::<bool>(),
+        ) {
+            let times = match kind {
+                0 => poisson_times(count, scale, seed),
+                1 => periodic_times(scale, count, scale * blur, seed),
+                2 => constant_count_times(4 * count, 1 + count % 4),
+                _ => {
+                    let mut times = periodic_times(scale, count, scale * blur, seed);
+                    let extra = (count as f64 * noise) as usize;
+                    times.extend(poisson_times(extra, scale / noise, seed ^ 1));
+                    times
+                }
+            };
+            let (permutations, significance_quantile) =
+                [(10, 0.99), (50, 0.99), (100, 0.99), (200, 0.99), (100, 0.95)][setting];
+            let c = PeriodicityConfig {
+                permutations,
+                significance_quantile,
+                seed,
+                parallel,
+                ..PeriodicityConfig::default()
+            };
+            prop_assert_eq!(
+                bits(detect_period(&times, &c)),
+                bits(detect_period_full(&times, &c)),
+                "kind {} count {} scale {} blur {} noise {} seed {} x {} q {} parallel {}",
+                kind, count, scale, blur, noise, seed, permutations, significance_quantile, parallel
+            );
+        }
+    }
+
+    /// How many of the x permutation maxima reach the series' own peak.
+    fn maxima_reaching_peak(times: &[f64], cfg: &PeriodicityConfig) -> usize {
+        let Some((series, _)) = bin_times(times, cfg) else {
+            return 0;
+        };
+        let plan = FftPlan::new(padded_len(series.len()));
+        let (periodogram, _) = analyze(&plan, &series, &mut Scratch::default());
+        let peak = periodogram.peak().map_or(f64::INFINITY, |(_, p)| p);
+        let (mut scratch, mut shuffled) = (Scratch::default(), Vec::new());
+        (0..cfg.permutations)
+            .filter(|&i| {
+                permutation_maxima(&plan, &series, cfg.seed, i, &mut scratch, &mut shuffled).0
+                    >= peak
+            })
+            .count()
+    }
+
+    #[test]
+    fn a_period_with_idx_maxima_at_its_peak_is_still_found() {
+        // Weak pollers (±9 s jitter on a 30 s period) whose peak exactly
+        // `idx` permutation maxima reach: one more would stop the run, and
+        // the full run finds a period.
+        for (seed, count, permutations, significance_quantile) in
+            [(54, 38, 100, 0.99), (54, 38, 200, 0.99), (0, 20, 100, 0.95)]
+        {
+            let times = periodic_times(30.0, count, 9.0, seed);
+            let c = PeriodicityConfig {
+                permutations,
+                significance_quantile,
+                seed,
+                ..PeriodicityConfig::default()
+            };
+            assert_eq!(maxima_reaching_peak(&times, &c), threshold_index(&c));
+            let full = detect_period_full(&times, &c);
+            assert!(full.is_some(), "seed {seed} x {permutations}");
+            for parallel in [false, true] {
+                let c = PeriodicityConfig {
+                    parallel,
+                    ..c.clone()
+                };
+                assert_eq!(bits(detect_period(&times, &c)), bits(full));
+            }
+        }
+    }
+
+    #[test]
+    fn threshold_index_matches_the_quantile() {
+        for (permutations, q, idx) in [
+            (10, 0.99, 0),
+            (50, 0.99, 0),
+            (100, 0.99, 1),
+            (200, 0.99, 2),
+            (100, 0.95, 5),
+        ] {
+            let c = PeriodicityConfig {
+                permutations,
+                significance_quantile: q,
+                ..PeriodicityConfig::default()
+            };
+            assert_eq!(threshold_index(&c), idx, "x {permutations} q {q}");
+        }
+    }
+
     #[test]
     fn poisson_noise_is_rejected() {
         // Exponential inter-arrivals with the same mean rate as a 60s
         // poller must not produce a period.
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut t = 0.0;
-        let times: Vec<f64> = (0..120)
-            .map(|_| {
-                let u: f64 = 1.0 - rng.gen::<f64>();
-                t += -u.ln() * 60.0;
-                t
-            })
-            .collect();
+        let times = poisson_times(120, 60.0, 11);
         let mut rejected = 0;
         for seed in 0..5u64 {
             let c = PeriodicityConfig { seed, ..cfg() };
@@ -591,15 +819,7 @@ mod tests {
 
     #[test]
     fn noise_yields_no_periods() {
-        let mut rng = StdRng::seed_from_u64(31);
-        let mut t = 0.0;
-        let times: Vec<f64> = (0..200)
-            .map(|_| {
-                let u: f64 = 1.0 - rng.gen::<f64>();
-                t += -u.ln() * 45.0;
-                t
-            })
-            .collect();
+        let times = poisson_times(200, 45.0, 31);
         let hits = detect_periods(&times, &cfg(), 4);
         assert!(hits.len() <= 1, "noise produced {:?}", hits.len());
     }

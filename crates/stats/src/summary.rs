@@ -86,11 +86,6 @@ impl Summary {
         (self.count > 1).then(|| self.m2 / (self.count - 1) as f64)
     }
 
-    /// Population standard deviation, or `None` when empty.
-    pub fn std_dev(&self) -> Option<f64> {
-        self.variance().map(f64::sqrt)
-    }
-
     /// Minimum observation, or `None` when empty.
     pub fn min(&self) -> Option<f64> {
         (self.count > 0).then_some(self.min)

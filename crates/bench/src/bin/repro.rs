@@ -203,7 +203,7 @@ fn usage(error: &str) -> ! {
         eprintln!("error: {error}\n");
     }
     eprintln!(
-        "usage: repro [--scale F] [--seed N] [all | {}]",
+        "usage: repro [--scale F] [--seed N] [--markdown PATH] [all | {}]",
         ALL.join(" | ")
     );
     std::process::exit(2);

@@ -79,7 +79,7 @@ pub struct EdgeFlap {
 ///
 /// With `enter_burst == 0` (or equal error fractions in both states) this
 /// degenerates to the classic independent draw, which is how the legacy
-/// `error_fraction` knob is kept working — see [`ErrorBursts::iid`].
+/// `error_fraction` knob is kept working.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ErrorBursts {
     /// Error probability per origin attempt while quiet.
@@ -90,30 +90,6 @@ pub struct ErrorBursts {
     pub enter_burst: f64,
     /// Per-attempt probability of switching burst → quiet.
     pub exit_burst: f64,
-}
-
-impl ErrorBursts {
-    /// The i.i.d. degenerate case: every origin attempt fails independently
-    /// with probability `p` (the behaviour of the old `error_fraction`).
-    pub fn iid(p: f64) -> ErrorBursts {
-        ErrorBursts {
-            quiet_error_fraction: p,
-            burst_error_fraction: p,
-            enter_burst: 0.0,
-            exit_burst: 1.0,
-        }
-    }
-
-    /// Long-run error probability of the chain (the share of attempts spent
-    /// in each state, weighted by that state's error fraction).
-    pub fn stationary_error_fraction(&self) -> f64 {
-        let denom = self.enter_burst + self.exit_burst;
-        if denom <= 0.0 {
-            return self.quiet_error_fraction;
-        }
-        let burst_share = self.enter_burst / denom;
-        (1.0 - burst_share) * self.quiet_error_fraction + burst_share * self.burst_error_fraction
-    }
 }
 
 /// Everything that goes wrong during one simulation, decided up front.
@@ -363,8 +339,13 @@ mod tests {
 
     #[test]
     fn iid_bursts_match_plain_fraction() {
-        let b = ErrorBursts::iid(0.05);
-        assert!((b.stationary_error_fraction() - 0.05).abs() < 1e-12);
+        // The degenerate chain: every attempt fails with probability 0.05.
+        let b = ErrorBursts {
+            quiet_error_fraction: 0.05,
+            burst_error_fraction: 0.05,
+            enter_burst: 0.0,
+            exit_burst: 1.0,
+        };
         let mut s = FaultState::new(1);
         let n = 40_000;
         let hits = (0..n).filter(|_| s.error_draw(Some(&b), 0.0)).count();

@@ -230,11 +230,6 @@ impl SimStats {
         (total > 0).then(|| self.hits as f64 / total as f64)
     }
 
-    /// JSON-only uncacheable share (paper: ~55%).
-    pub fn json_uncacheable_share(&self) -> Option<f64> {
-        (self.json_requests > 0).then(|| self.json_not_cacheable as f64 / self.json_requests as f64)
-    }
-
     /// Cacheable edge misses served by any shared tier — the old
     /// parent-tier hit counter, generalized over N tiers.
     pub fn parent_hits(&self) -> u64 {
@@ -1594,8 +1589,8 @@ mod tests {
 
     #[test]
     fn json_uncacheable_share_matches_workload_plant() {
-        let out = tiny_output();
-        let share = out.stats.json_uncacheable_share().unwrap();
+        let stats = tiny_output().stats;
+        let share = stats.json_not_cacheable as f64 / stats.json_requests as f64;
         assert!((0.40..0.75).contains(&share), "uncacheable share {share}");
     }
 

@@ -28,6 +28,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, unreachable_pub)]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -1,46 +1,32 @@
-//! Parsing of the cache-hierarchy flags shared by `generate` and
-//! `characterize`.
+//! Parsing of the cache-hierarchy flags (`args::CACHE`) shared by
+//! `generate` and `characterize`.
 //!
-//! * `--cache-tier NAME:CAPACITY[,NAME:CAPACITY...]` — the tier stack,
-//!   nearest first: the first entry is the per-edge tier, the rest are
-//!   shared tiers in edge → origin order (`regional`, `shield`, …).
-//!   Capacities take binary suffixes: `64M`, `1G`, `512K`, or plain bytes.
-//! * `--cache-policy POLICY` — one eviction policy for every tier
-//!   (`lru`, `lfu`, `slru`, `tinylfu`, `s3fifo`), or a comma list of
-//!   `NAME:POLICY` pairs naming tiers from `--cache-tier`.
-//! * `--cache-placement everywhere|copy-down` — where a fetched object is
-//!   copied on the way back (leave-copy-everywhere vs. copy one level
-//!   down per hit).
-//! * `--cache-sync SECS` — the shared-tier synchronization epoch (see
-//!   DESIGN.md §14); defaults to 1 simulated second.
+//! The first `--cache-tier` entry is the per-edge tier, the rest are
+//! shared tiers in edge → origin order (`regional`, `shield`, …), and
+//! capacities take binary K/M/G suffixes. A bare `--cache-policy` applies
+//! to every tier, `NAME:POLICY` pairs to the named ones. `copy-down`
+//! placement copies a hit one level down instead of into every tier, and
+//! `--cache-sync` is the shared-tier epoch (DESIGN.md §14).
 
 use jcdn_cdnsim::{CacheHierarchy, Placement, PolicyKind, SimConfig, SimDuration, TierSpec};
 
-use crate::args::Args;
-
-/// The flag names this module consumes; include them in `Args::parse`.
-pub const CACHE_FLAGS: &[&str] = &[
-    "cache-tier",
-    "cache-policy",
-    "cache-placement",
-    "cache-sync",
-];
+use crate::args::{Args, CACHE};
 
 /// Builds the cache hierarchy from the parsed flags. Returns `Ok(None)`
 /// when no cache flag was given — the simulator keeps its default
 /// single-tier LRU edge.
 pub fn hierarchy(args: &Args) -> Result<Option<CacheHierarchy>, String> {
-    let tier_spec = args.get_or("cache-tier", "");
-    let policy_spec = args.get_or("cache-policy", "");
-    let placement_spec = args.get_or("cache-placement", "");
-    let sync_spec = args.get_or("cache-sync", "");
-    if tier_spec.is_empty()
-        && policy_spec.is_empty()
-        && placement_spec.is_empty()
-        && sync_spec.is_empty()
+    if CACHE
+        .1
+        .iter()
+        .all(|flag| args.maybe(flag.0).unwrap_or_default().is_empty())
     {
         return Ok(None);
     }
+    let tier_spec = args.maybe("cache-tier").unwrap_or_default();
+    let policy_spec = args.maybe("cache-policy").unwrap_or_default();
+    let placement_spec = args.maybe("cache-placement").unwrap_or_default();
+    let sync_spec = args.maybe("cache-sync").unwrap_or_default();
 
     let mut tiers: Vec<TierSpec> = Vec::new();
     for spec in specs(tier_spec) {
@@ -169,7 +155,7 @@ mod tests {
 
     fn parse(argv: &[&str]) -> Args {
         let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
-        Args::parse(&argv, CACHE_FLAGS).unwrap()
+        Args::parse(&argv, crate::args::command("characterize").unwrap()).unwrap()
     }
 
     #[test]

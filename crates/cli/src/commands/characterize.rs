@@ -23,14 +23,10 @@ use crate::cache_args;
 use crate::commands::{load_trace_tolerant, record_decode_stats, Outcome};
 use crate::obs_args;
 
-pub fn run(argv: &[String]) -> Result<Outcome, String> {
-    let mut allowed = vec!["shards", "threads"];
-    allowed.extend_from_slice(cache_args::CACHE_FLAGS);
-    allowed.extend_from_slice(obs_args::OBS_FLAGS);
-    let args = Args::parse_with_switches(argv, &allowed, &["resume"])?;
-    let mut obs = obs_args::begin("characterize", &args)?;
+pub fn run(args: &Args) -> Result<Outcome, String> {
+    let mut obs = obs_args::begin("characterize", args)?;
     let path = args.positional("trace path")?;
-    let threads = crate::commands::parse_threads(&args)?;
+    let threads = args.count("threads")?;
 
     // The file's own shard frames are the default partitioning; --shards
     // re-partitions (e.g. a v1/v2 single-frame file analyzed on 8 threads).
@@ -38,7 +34,7 @@ pub fn run(argv: &[String]) -> Result<Outcome, String> {
     // the loss counted and surfaced instead of silently aborting the run.
     let (mut sharded, decode_stats, shards_missing) =
         read_input(path, args.switch("resume"), threads)?;
-    let shards: usize = args.number("shards", 0)?; // 0 = keep the file's framing
+    let shards: usize = args.number("shards")?; // 0 = keep the file's framing
     if shards > 0 && shards != sharded.shard_count() {
         sharded = ShardedTrace::from_trace(sharded.into_trace(), shards);
     }
@@ -149,7 +145,7 @@ pub fn run(argv: &[String]) -> Result<Outcome, String> {
     // What-if cache replay: feed the recorded requests through a
     // hypothetical hierarchy and report where each one would have been
     // served. Extends the availability section with per-tier hit rates.
-    if let Some(h) = cache_args::hierarchy(&args)? {
+    if let Some(h) = cache_args::hierarchy(args)? {
         obs.manifest.param("cache", cache_args::describe(&h));
         println!("what-if cache hierarchy: {}", cache_args::describe(&h));
         print!("{}", replay_hierarchy(&sharded, &h));

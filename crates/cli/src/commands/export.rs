@@ -3,17 +3,14 @@
 use std::io::Write as _;
 
 use crate::args::Args;
-use crate::commands::{load_trace, parse_threads, Outcome};
+use crate::commands::{load_trace, Outcome};
 use crate::obs_args;
 
-pub fn run(argv: &[String]) -> Result<Outcome, String> {
-    let mut allowed = vec!["jsonl", "threads"];
-    allowed.extend_from_slice(obs_args::OBS_FLAGS);
-    let args = Args::parse(argv, &allowed)?;
-    let mut obs = obs_args::begin("export", &args)?;
+pub fn run(args: &Args) -> Result<Outcome, String> {
+    let mut obs = obs_args::begin("export", args)?;
     let input = args.positional("trace path")?;
-    let output = args.require("jsonl")?;
-    let threads = parse_threads(&args)?;
+    let output = args.value("jsonl")?;
+    let threads = args.count("threads")?;
     let trace = load_trace(input, threads)?;
     obs.manifest.param("trace", input);
     obs.manifest.param("jsonl", output);

@@ -16,43 +16,30 @@ use jcdn_trace::store::StoreWriter;
 use jcdn_trace::ShardedTrace;
 use jcdn_workload::{build_parallel, WorkloadConfig};
 
-use crate::args::Args;
+use crate::args::{self, Args};
 use crate::cache_args;
 use crate::commands::Outcome;
 use crate::fault_args;
 use crate::obs_args;
 
-pub fn run(argv: &[String]) -> Result<Outcome, String> {
-    let mut allowed = vec![
-        "preset", "seed", "scale", "out", "edges", "shards", "threads",
-    ];
-    allowed.extend_from_slice(fault_args::FAULT_FLAGS);
-    allowed.extend_from_slice(cache_args::CACHE_FLAGS);
-    allowed.extend_from_slice(obs_args::OBS_FLAGS);
-    let args = Args::parse_with_switches(argv, &allowed, &["resume"])?;
-    let mut obs = obs_args::begin("generate", &args)?;
-    let seed: u64 = args.number("seed", 42)?;
-    let scale: f64 = args.number("scale", 1.0)?;
+pub fn run(args: &Args) -> Result<Outcome, String> {
+    let mut obs = obs_args::begin("generate", args)?;
+    let seed: u64 = args.number("seed")?;
+    let scale: f64 = args.number("scale")?;
     if !(scale > 0.0 && scale.is_finite()) {
         return Err("--scale must be positive".into());
     }
-    let preset = args.get_or("preset", "tiny");
-    let out = args.require("out")?;
-    let shards: usize = args.number("shards", 1usize)?;
-    if shards == 0 {
-        return Err("--shards must be at least 1".into());
-    }
-    let threads = crate::commands::parse_threads(&args)?;
-    let edges: usize = args.number("edges", 3usize)?;
-    if edges == 0 {
-        return Err("--edges must be at least 1".into());
-    }
+    let preset = args.value("preset")?;
+    let out = args.value("out")?;
+    let shards = args.count("shards")?;
+    let threads = args.count("threads")?;
+    let edges = args.count("edges")?;
     let resume = args.switch("resume");
 
     // The digest ties staged shards to the parameters that produced them,
     // so a resume never splices shards from a different run. Everything
     // that changes the trace bytes is in; --threads and --out are not.
-    let digest = params_digest(&args, preset, seed, scale, edges, shards);
+    let digest = params_digest(args, preset, seed, scale, edges, shards);
     let writer = StoreWriter::open(Path::new(out), shards, digest, resume, jcdn_chaos::handle())
         .map_err(|e| format!("{out}: {e}"))?;
     if writer.already_complete() {
@@ -82,9 +69,9 @@ pub fn run(argv: &[String]) -> Result<Outcome, String> {
     let workload = build_parallel(&config, threads);
     let sim = SimConfig {
         edges,
-        fault: fault_args::fault_plan(&args, &workload)?,
-        resilience: fault_args::resilience(&args)?,
-        hierarchy: cache_args::hierarchy(&args)?,
+        fault: fault_args::fault_plan(args, &workload)?,
+        resilience: fault_args::resilience(args)?,
+        hierarchy: cache_args::hierarchy(args)?,
         window: obs.window,
         ..SimConfig::default()
     };
@@ -180,9 +167,10 @@ pub fn run(argv: &[String]) -> Result<Outcome, String> {
 }
 
 /// FNV-1a digest over everything that determines the trace bytes: codec
-/// version, preset, seed, scale, edges, shard count, and any fault or
-/// resilience flags. `--threads` and `--out` are deliberately excluded —
-/// neither changes the output.
+/// version, preset, seed, scale, edges, shard count, and the fault,
+/// resilience and cache flags as typed (a table default never enters it).
+/// `--threads` and `--out` are deliberately excluded — neither changes the
+/// output.
 fn params_digest(
     args: &Args,
     preset: &str,
@@ -195,17 +183,43 @@ fn params_digest(
         "v{};preset={preset};seed={seed};scale={scale};edges={edges};shards={shards}",
         jcdn_trace::codec::VERSION
     );
-    for &flag in fault_args::FAULT_FLAGS {
-        if let Some(value) = args.maybe(flag) {
-            spec.push_str(&format!(";{flag}={value}"));
-        }
-    }
-    // Cache topology changes latencies, statuses, and retries — i.e. the
-    // trace bytes — so it is part of the digest too.
-    for &flag in cache_args::CACHE_FLAGS {
-        if let Some(value) = args.maybe(flag) {
-            spec.push_str(&format!(";{flag}={value}"));
+    // Every fault flag, then every cache flag: cache topology changes
+    // latencies, statuses, and retries — i.e. the trace bytes — too.
+    for &args::Flag(name, ..) in args::FAULTS.1.iter().chain(args::CACHE.1) {
+        if let Some(value) = args.maybe(name) {
+            spec.push_str(&format!(";{name}={value}"));
         }
     }
     jcdn_trace::fnv1a(spec.as_bytes())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &str) -> Args {
+        let argv: Vec<String> = argv.split_whitespace().map(str::to_owned).collect();
+        Args::parse(&argv, args::command("generate").unwrap()).unwrap()
+    }
+
+    /// `--resume` reuses a staging directory only when its digest matches,
+    /// so the digest of a given flag set must never move.
+    #[test]
+    fn params_digest_is_pinned() {
+        let every_fault_and_cache_flag = parse(
+            "--outage news-3.example:60:120,1:0:30 --degrade 1:10:20:8.5 --flap 2:100:200 \
+             --error-burst 0.001:0.3:0.02:0.2 --retries 5 --stale-grace 30 --negative-ttl 0 \
+             --origin-timeout 1.5 --resilience off --cache-tier edge:4M,regional:16M,shield:64M \
+             --cache-policy edge:lru,regional:tinylfu,shield:s3fifo --cache-placement copy-down \
+             --cache-sync 0.5 --seed 7 --obs summary --threads 4",
+        );
+        let digest = params_digest(&every_fault_and_cache_flag, "tiny", 7, 0.25, 3, 8);
+        assert_eq!(digest, 0x54ab_9ce1_35f7_2cf9);
+        // None of them: a table default (`--resilience on`) must stay out.
+        let none = parse("--seed 7 --threads 4");
+        assert_eq!(
+            params_digest(&none, "tiny", 42, 1.0, 3, 1),
+            0xd2bd_7848_6ab2_519b
+        );
+    }
 }

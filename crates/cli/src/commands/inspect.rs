@@ -7,17 +7,14 @@ use jcdn_trace::summary::DatasetSummary;
 use jcdn_trace::{HostTable, MimeType};
 
 use crate::args::Args;
-use crate::commands::{load_trace, parse_threads, Outcome};
+use crate::commands::{load_trace, Outcome};
 use crate::obs_args;
 
-pub fn run(argv: &[String]) -> Result<Outcome, String> {
-    let mut allowed = vec!["top", "threads"];
-    allowed.extend_from_slice(obs_args::OBS_FLAGS);
-    let args = Args::parse(argv, &allowed)?;
-    let mut obs = obs_args::begin("inspect", &args)?;
+pub fn run(args: &Args) -> Result<Outcome, String> {
+    let mut obs = obs_args::begin("inspect", args)?;
     let path = args.positional("trace path")?;
-    let top: usize = args.number("top", 10)?;
-    let threads = parse_threads(&args)?;
+    let top: usize = args.number("top")?;
+    let threads = args.count("threads")?;
     let trace = load_trace(path, threads)?;
     obs.manifest.param("trace", path);
     obs.manifest

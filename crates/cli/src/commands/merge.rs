@@ -5,16 +5,13 @@ use std::path::Path;
 use jcdn_trace::codec::{self, DecodeStats};
 
 use crate::args::Args;
-use crate::commands::{load_trace_tolerant, parse_threads, record_decode_stats, Outcome};
+use crate::commands::{load_trace_tolerant, record_decode_stats, Outcome};
 use crate::obs_args;
 
-pub fn run(argv: &[String]) -> Result<Outcome, String> {
-    let mut allowed = vec!["out", "threads"];
-    allowed.extend_from_slice(obs_args::OBS_FLAGS);
-    let args = Args::parse(argv, &allowed)?;
-    let mut obs = obs_args::begin("merge", &args)?;
-    let out = args.require("out")?;
-    let threads = parse_threads(&args)?;
+pub fn run(args: &Args) -> Result<Outcome, String> {
+    let mut obs = obs_args::begin("merge", args)?;
+    let out = args.value("out")?;
+    let threads = args.count("threads")?;
     let inputs = args.positionals();
     if inputs.len() < 2 {
         return Err("merge needs at least two input traces".into());

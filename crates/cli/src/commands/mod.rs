@@ -55,12 +55,3 @@ pub fn record_decode_stats(metrics: &mut MetricsSnapshot, stats: &DecodeStats) {
     metrics.inc("codec.frames.truncated", stats.frames_truncated);
     metrics.inc("codec.frames.header_damaged", stats.frames_header_damaged);
 }
-
-/// Parses the shared `--threads` flag (decode/encode fan-out width).
-pub fn parse_threads(args: &crate::args::Args) -> Result<usize, String> {
-    let threads: usize = args.number("threads", 1usize)?;
-    if threads == 0 {
-        return Err("--threads must be at least 1".into());
-    }
-    Ok(threads)
-}

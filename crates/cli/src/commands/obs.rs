@@ -24,11 +24,11 @@ use std::collections::BTreeMap;
 
 use jcdn_json::{parse, Value};
 
-use crate::args::Args;
+use crate::args::{sole, Args};
 use crate::commands::Outcome;
 
-pub fn run(argv: &[String]) -> Result<Outcome, String> {
-    let Some((verb, rest)) = argv.split_first() else {
+pub fn run(args: &Args) -> Result<Outcome, String> {
+    let Some((verb, rest)) = args.positionals().split_first() else {
         return Err("usage: jcdn obs show|diff|bench-diff <files...>".into());
     };
     match verb.as_str() {
@@ -59,8 +59,7 @@ fn u64_section(value: &Value, section: &str) -> BTreeMap<String, u64> {
 }
 
 fn show(argv: &[String]) -> Result<Outcome, String> {
-    let args = Args::parse(argv, &[])?;
-    let path = args.positional("manifest path")?;
+    let path = sole(argv, "manifest path")?;
     let manifest = load(path)?;
 
     let command = manifest
@@ -98,8 +97,7 @@ fn show(argv: &[String]) -> Result<Outcome, String> {
 }
 
 fn diff(argv: &[String]) -> Result<Outcome, String> {
-    let args = Args::parse(argv, &[])?;
-    let [a_path, b_path] = args.positionals() else {
+    let [a_path, b_path] = argv else {
         return Err("usage: jcdn obs diff <a.json> <b.json>".into());
     };
     let (a, b) = (load(a_path)?, load(b_path)?);
@@ -214,8 +212,7 @@ impl Runs {
 }
 
 fn bench_diff(argv: &[String]) -> Result<Outcome, String> {
-    let args = Args::parse(argv, &[])?;
-    let [spec_path, base_path, change_path] = args.positionals() else {
+    let [spec_path, base_path, change_path] = argv else {
         return Err("usage: jcdn obs bench-diff <BENCHMARK.json> <base> <change>".into());
     };
     let spec = load(spec_path)?;

@@ -5,34 +5,25 @@ use jcdn_core::report::pct;
 use jcdn_signal::periodicity::PeriodicityConfig;
 
 use crate::args::Args;
-use crate::commands::{load_trace, parse_threads, Outcome};
+use crate::commands::{load_trace, Outcome};
 use crate::obs_args;
 
-pub fn run(argv: &[String]) -> Result<Outcome, String> {
-    let mut allowed = vec![
-        "permutations",
-        "max-bins",
-        "min-requests",
-        "min-clients",
-        "threads",
-    ];
-    allowed.extend_from_slice(obs_args::OBS_FLAGS);
-    let args = Args::parse(argv, &allowed)?;
-    let mut obs = obs_args::begin("periodicity", &args)?;
+pub fn run(args: &Args) -> Result<Outcome, String> {
+    let mut obs = obs_args::begin("periodicity", args)?;
     let path = args.positional("trace path")?;
-    let threads = parse_threads(&args)?;
+    let threads = args.count("threads")?;
     let trace = load_trace(path, threads)?;
     obs.manifest.param("trace", path);
 
     let config = PeriodicityStudyConfig {
         detector: PeriodicityConfig {
-            permutations: args.number("permutations", 100usize)?,
-            max_bins: args.number("max-bins", 1usize << 15)?,
+            permutations: args.number("permutations")?,
+            max_bins: args.number("max-bins")?,
             parallel: threads > 1,
             ..PeriodicityConfig::default()
         },
-        min_requests: args.number("min-requests", 10usize)?,
-        min_clients: args.number("min-clients", 10usize)?,
+        min_requests: args.number("min-requests")?,
+        min_clients: args.number("min-clients")?,
         ..PeriodicityStudyConfig::default()
     };
     eprintln!(

@@ -4,23 +4,20 @@ use jcdn_core::prediction::{run_study, PredictionStudyConfig};
 use jcdn_core::report::TextTable;
 
 use crate::args::Args;
-use crate::commands::{load_trace, parse_threads, Outcome};
+use crate::commands::{load_trace, Outcome};
 use crate::obs_args;
 
-pub fn run(argv: &[String]) -> Result<Outcome, String> {
-    let mut allowed = vec!["history", "k", "train-percent", "threads"];
-    allowed.extend_from_slice(obs_args::OBS_FLAGS);
-    let args = Args::parse(argv, &allowed)?;
-    let mut obs = obs_args::begin("predict", &args)?;
+pub fn run(args: &Args) -> Result<Outcome, String> {
+    let mut obs = obs_args::begin("predict", args)?;
     let path = args.positional("trace path")?;
-    let threads = parse_threads(&args)?;
+    let threads = args.count("threads")?;
     let trace = load_trace(path, threads)?;
     obs.manifest.param("trace", path);
 
     let config = PredictionStudyConfig {
-        history: args.number("history", 1usize)?,
-        ks: args.number_list("k", &[1, 5, 10])?,
-        train_percent: args.number("train-percent", 70u8)?,
+        history: args.number("history")?,
+        ks: args.number_list("k")?,
+        train_percent: args.number("train-percent")?,
         ..PredictionStudyConfig::default()
     };
     if config.history == 0 {

@@ -6,14 +6,11 @@ use crate::args::Args;
 use crate::commands::Outcome;
 use crate::obs_args;
 
-pub fn run(argv: &[String]) -> Result<Outcome, String> {
-    let mut allowed = vec!["months", "seed"];
-    allowed.extend_from_slice(obs_args::OBS_FLAGS);
-    let args = Args::parse(argv, &allowed)?;
-    let mut obs = obs_args::begin("trend", &args)?;
+pub fn run(args: &Args) -> Result<Outcome, String> {
+    let mut obs = obs_args::begin("trend", args)?;
     let model = TrendModel {
-        months: args.number("months", 42usize)?,
-        seed: args.number("seed", 2016u64)?,
+        months: args.number("months")?,
+        seed: args.number("seed")?,
         ..TrendModel::default()
     };
     if model.months < 2 {

@@ -1,20 +1,9 @@
-//! Parsing of the fault-injection and resilience flags.
+//! Parsing of the fault-injection and resilience flags (`args::FAULTS`).
 //!
-//! Fault windows are given as colon-separated specs, several per flag
-//! separated by commas:
-//!
-//! * `--outage DOMAIN:START:END` — origin hard-down over `[START, END)`
-//!   seconds; `DOMAIN` is a host name (`sports-1.example`) or a numeric
-//!   domain index.
-//! * `--degrade DOMAIN:START:END:FACTOR` — origin latency multiplied by
-//!   `FACTOR`; responses slower than `--origin-timeout` become 504s.
-//! * `--flap EDGE:START:END` — edge server `EDGE` drops out of routing.
-//! * `--error-burst QUIET:BURST:ENTER:EXIT` — two-state Markov error
-//!   process replacing the i.i.d. error fraction.
-//!
-//! Resilience knobs: `--retries`, `--stale-grace`, `--negative-ttl`,
-//! `--origin-timeout` (all but retries in seconds), and `--resilience
-//! on|off` which toggles every client/edge countermeasure at once.
+//! `--outage`, `--degrade` and `--flap` take comma-separated windows over
+//! `[START, END)` simulated seconds, and a `DOMAIN` is a host name
+//! (`sports-1.example`) or a numeric domain index. `--error-burst`'s
+//! two-state Markov process replaces the i.i.d. error fraction.
 
 use jcdn_cdnsim::{
     EdgeFlap, ErrorBursts, FaultPlan, OriginDegradation, OriginOutage, ResilienceConfig,
@@ -24,31 +13,18 @@ use jcdn_workload::Workload;
 
 use crate::args::Args;
 
-/// The flag names this module consumes; include them in `Args::parse`.
-pub const FAULT_FLAGS: &[&str] = &[
-    "outage",
-    "degrade",
-    "flap",
-    "error-burst",
-    "retries",
-    "stale-grace",
-    "negative-ttl",
-    "origin-timeout",
-    "resilience",
-];
-
 /// Builds the fault plan from the parsed flags, resolving domain names
 /// against the workload.
 pub fn fault_plan(args: &Args, workload: &Workload) -> Result<FaultPlan, String> {
     let mut plan = FaultPlan::default();
-    for spec in specs(args.get_or("outage", "")) {
+    for spec in specs(args.maybe("outage").unwrap_or_default()) {
         let [domain, start, end] = fields::<3>("outage", spec)?;
         plan.outages.push(OriginOutage {
             domain: resolve_domain(workload, domain)?,
             window: window("outage", start, end)?,
         });
     }
-    for spec in specs(args.get_or("degrade", "")) {
+    for spec in specs(args.maybe("degrade").unwrap_or_default()) {
         let [domain, start, end, factor] = fields::<4>("degrade", spec)?;
         let factor: f64 = factor
             .parse()
@@ -62,7 +38,7 @@ pub fn fault_plan(args: &Args, workload: &Workload) -> Result<FaultPlan, String>
             latency_factor: factor,
         });
     }
-    for spec in specs(args.get_or("flap", "")) {
+    for spec in specs(args.maybe("flap").unwrap_or_default()) {
         let [edge, start, end] = fields::<3>("flap", spec)?;
         let edge: usize = edge
             .parse()
@@ -72,7 +48,7 @@ pub fn fault_plan(args: &Args, workload: &Workload) -> Result<FaultPlan, String>
             window: window("flap", start, end)?,
         });
     }
-    if let Some(spec) = specs(args.get_or("error-burst", "")).next() {
+    if let Some(spec) = specs(args.maybe("error-burst").unwrap_or_default()).next() {
         let [quiet, burst, enter, exit] = fields::<4>("error-burst", spec)?;
         let parse = |name: &str, raw: &str| -> Result<f64, String> {
             let v: f64 = raw
@@ -95,12 +71,15 @@ pub fn fault_plan(args: &Args, workload: &Workload) -> Result<FaultPlan, String>
 
 /// Builds the resilience configuration from the parsed flags.
 pub fn resilience(args: &Args) -> Result<ResilienceConfig, String> {
-    let mut r = match args.get_or("resilience", "on") {
+    let mut r = match args.value("resilience")? {
         "on" => ResilienceConfig::default(),
         "off" => ResilienceConfig::disabled(),
         other => return Err(format!("--resilience must be on|off, got {other:?}")),
     };
-    r.retry_budget = args.number("retries", r.retry_budget)?;
+    // No table default: the budget's default depends on --resilience.
+    if args.maybe("retries").is_some() {
+        r.retry_budget = args.number("retries")?;
+    }
     if let Some(secs) = optional_secs(args, "stale-grace")? {
         r.stale_grace = secs;
     }
@@ -114,7 +93,7 @@ pub fn resilience(args: &Args) -> Result<ResilienceConfig, String> {
 }
 
 fn optional_secs(args: &Args, name: &str) -> Result<Option<SimDuration>, String> {
-    match args.get_or(name, "") {
+    match args.maybe(name).unwrap_or_default() {
         "" => Ok(None),
         raw => {
             let secs: f64 = raw.parse().map_err(|_| format!("--{name}: bad {raw:?}"))?;
@@ -172,7 +151,7 @@ mod tests {
 
     fn parse(argv: &[&str]) -> Args {
         let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
-        Args::parse(&argv, FAULT_FLAGS).unwrap()
+        Args::parse(&argv, crate::args::command("generate").unwrap()).unwrap()
     }
 
     #[test]

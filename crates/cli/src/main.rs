@@ -18,6 +18,7 @@
 //! and can be re-analyzed without re-simulating.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
 mod args;
 mod cache_args;
@@ -56,26 +57,20 @@ fn main() -> ExitCode {
     // nothing at all.
     std::panic::set_hook(Box::new(|_| {}));
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let Some((command, rest)) = argv.split_first() else {
-        eprintln!("{}", args::USAGE);
+    let Some((name, rest)) = argv.split_first() else {
+        eprint!("{}", args::usage());
         return ExitCode::from(2);
     };
-    let run = || match command.as_str() {
-        // `--help` or `-h` after any command asks for the usage too.
-        _ if command == "help" || argv.iter().any(|arg| arg == "--help" || arg == "-h") => {
-            println!("{}", args::USAGE);
-            Ok(Outcome::Clean)
+    let run = || {
+        // `--help` or `-h` after a command asks for that command's usage.
+        let help = name == "help" || argv.iter().any(|arg| arg == "--help" || arg == "-h");
+        match args::command(name) {
+            Some(command) if help => print!("{}", command.help()),
+            None if help => print!("{}", args::usage()),
+            Some(command) => return (command.run)(&args::Args::parse(rest, command)?),
+            None => return Err(format!("unknown command {name:?}\n\n{}", args::usage())),
         }
-        "generate" => commands::generate::run(rest),
-        "inspect" => commands::inspect::run(rest),
-        "characterize" => commands::characterize::run(rest),
-        "periodicity" => commands::periodicity::run(rest),
-        "predict" => commands::predict::run(rest),
-        "export" => commands::export::run(rest),
-        "merge" => commands::merge::run(rest),
-        "obs" => commands::obs::run(rest),
-        "trend" => commands::trend::run(rest),
-        other => Err(format!("unknown command {other:?}\n\n{}", args::USAGE)),
+        Ok(Outcome::Clean)
     };
     #[expect(
         clippy::disallowed_methods,

@@ -1,25 +1,16 @@
-//! The observability flags shared by every subcommand.
+//! The observability flags (`args::OBS`), taken by every subcommand but
+//! `obs`.
 //!
 //! Each command opens an [`Obs`] with [`begin`] before doing any work and
 //! calls [`Obs::finish`] as its last step. In between, instrumented crates
 //! file spans and pool reports into the `jcdn-obs` globals, and the
-//! command merges its deterministic counters into `obs.manifest.metrics`.
-//! At `finish`, the manifest captures the perf side, prints the stderr
-//! summary (`--obs summary|full`), and writes the requested artifacts:
-//!
-//! * `--obs-out <path>` — the JSON run manifest,
-//! * `--obs-series <path>` — the JSONL time-series stream (windowed
-//!   counters pushed by the command via [`Obs::push_series`]; requires or
-//!   defaults `--window`),
-//! * `--obs-prom <path>` — a Prometheus text-exposition snapshot of the
-//!   manifest metrics,
-//! * `--obs-trace <path>` — a chrome-trace (`chrome://tracing` /
-//!   Perfetto) dump of the span ring.
-//!
-//! `--window <spec>` selects the window shape (`60s`, `5m`, `5m/1m` for
-//! sliding). The series file is deterministic — byte-identical for any
-//! shard or thread count — while the Prometheus and chrome-trace files
-//! include perf gauges and wall-clock timings and are not.
+//! command merges its deterministic counters into `obs.manifest.metrics`
+//! and pushes windowed counters with [`Obs::push_series`]. At `finish`,
+//! the manifest captures the perf side, prints the stderr summary, and
+//! writes the requested artifacts. The series file is deterministic —
+//! byte-identical for any shard or thread count — while the Prometheus
+//! and chrome-trace files include perf gauges and wall-clock timings and
+//! are not.
 
 use std::path::PathBuf;
 
@@ -27,16 +18,6 @@ use jcdn_obs::timeseries::WindowSpec;
 use jcdn_obs::{ObsLevel, RunManifest};
 
 use crate::args::Args;
-
-/// The flag names added to every subcommand's allowlist.
-pub const OBS_FLAGS: &[&str] = &[
-    "obs",
-    "obs-out",
-    "obs-series",
-    "obs-prom",
-    "obs-trace",
-    "window",
-];
 
 /// The window shape used when `--obs-series` is given without `--window`.
 pub const DEFAULT_WINDOW: &str = "60s";
@@ -64,24 +45,18 @@ pub struct Obs {
 /// Parses the obs flags and starts the run manifest (which resets the
 /// span ring and pool sink so this command's perf data is its own).
 pub fn begin(command: &str, args: &Args) -> Result<Obs, String> {
-    let level: ObsLevel = args.get_or("obs", "off").parse()?;
+    let level: ObsLevel = args.value("obs")?.parse()?;
     let out = args.maybe("obs-out").map(PathBuf::from);
     let series_out = args.maybe("obs-series").map(PathBuf::from);
     let prom_out = args.maybe("obs-prom").map(PathBuf::from);
     let trace_out = args.maybe("obs-trace").map(PathBuf::from);
-    let window = match args.maybe("window") {
-        Some(spec) => Some(
-            spec.parse::<WindowSpec>()
-                .map_err(|e| format!("--window {spec}: {e}"))?,
-        ),
-        // A series file without an explicit window gets the default shape.
-        None if series_out.is_some() => Some(
-            DEFAULT_WINDOW
-                .parse::<WindowSpec>()
-                .map_err(|e| format!("--window {DEFAULT_WINDOW}: {e}"))?,
-        ),
-        None => None,
+    // A series file without an explicit window gets the default shape.
+    let default = series_out.is_some().then_some(DEFAULT_WINDOW);
+    let parse = |spec: &str| {
+        spec.parse::<WindowSpec>()
+            .map_err(|e| format!("--window {spec}: {e}"))
     };
+    let window = args.maybe("window").or(default).map(parse).transpose()?;
     // Pool fan-outs log their one-line summaries live at summary/full.
     jcdn_obs::pool::set_logging(level != ObsLevel::Off);
     Ok(Obs {

@@ -181,32 +181,87 @@ fn errors_are_reported_not_panicked() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("usage:"));
 }
 
-#[test]
-fn help_after_any_command_prints_the_usage() {
-    for command in [
+/// The flags each command accepted before they moved into one table,
+/// written out so that the table is checked against that behaviour and
+/// not against itself. FAULT, CACHE and OBS stand for the shared groups.
+const ACCEPTED: [(&str, &str); 9] = [
+    (
         "generate",
-        "inspect",
-        "characterize",
+        "preset seed scale out edges shards threads resume FAULT CACHE OBS",
+    ),
+    ("inspect", "top threads OBS"),
+    ("characterize", "shards threads resume CACHE OBS"),
+    (
         "periodicity",
-        "predict",
-        "export",
-        "merge",
-        "trend",
-        "obs",
-    ] {
-        for flag in ["--help", "-h"] {
-            let out = jcdn(&[command, flag]);
-            assert_eq!(out.status.code(), Some(0), "{command} {flag}");
-            let stdout = String::from_utf8_lossy(&out.stdout);
-            assert!(stdout.contains("usage: jcdn <command>"), "{command} {flag}");
-            assert!(out.stderr.is_empty(), "{command} {flag}");
+        "permutations max-bins min-requests min-clients threads OBS",
+    ),
+    ("predict", "history k train-percent threads OBS"),
+    ("export", "jsonl threads OBS"),
+    ("merge", "out threads OBS"),
+    ("trend", "months seed OBS"),
+    ("obs", ""),
+];
+
+/// One command's accepted flags, sorted, with the groups spelled out.
+fn accepted(flags: &'static str) -> Vec<&'static str> {
+    let group = |word| match word {
+        "FAULT" => {
+            "outage degrade flap error-burst retries stale-grace negative-ttl \
+             origin-timeout resilience"
         }
+        "CACHE" => "cache-tier cache-policy cache-placement cache-sync",
+        "OBS" => "obs obs-out obs-series obs-prom obs-trace window",
+        flag => flag,
+    };
+    let words = flags
+        .split_whitespace()
+        .flat_map(|word| group(word).split_whitespace());
+    let mut flags: Vec<&str> = words.collect();
+    flags.sort_unstable();
+    flags
+}
+
+#[test]
+fn help_names_every_flag_each_command_accepts() {
+    for (command, flags) in ACCEPTED {
+        for help in ["--help", "-h"] {
+            let out = jcdn(&[command, help]);
+            assert_eq!(out.status.code(), Some(0), "{command} {help}");
+            assert!(out.stderr.is_empty(), "{command} {help}");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(
+                stdout.starts_with(&format!("usage: jcdn {command}")),
+                "{stdout}"
+            );
+            // The first word of every help line that names a flag.
+            let first_words = stdout
+                .lines()
+                .filter_map(|line| line.split_whitespace().next());
+            let mut named: Vec<&str> = first_words.filter_map(|w| w.strip_prefix("--")).collect();
+            named.sort_unstable();
+            assert_eq!(named, accepted(flags), "{command} {help}");
+        }
+        let out = jcdn(&[command, "--no-such-flag", "1"]);
+        assert_eq!(out.status.code(), Some(1), "{command}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown flag --no-such-flag"), "{stderr}");
     }
-    // After other arguments too, and before a missing required flag.
-    let out = jcdn(&["obs", "show", "--help"]);
-    assert_eq!(out.status.code(), Some(0));
-    let out = jcdn(&["generate", "--preset", "tiny", "-h"]);
-    assert_eq!(out.status.code(), Some(0));
+    // `obs` takes no observability flag.
+    let out = jcdn(&["obs", "show", "m.json", "--obs-out", "x"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag --obs-out"));
+    // Help wins after other arguments too, and before a missing required flag.
+    assert_eq!(jcdn(&["obs", "show", "--help"]).status.code(), Some(0));
+    assert_eq!(
+        jcdn(&["generate", "--preset", "tiny", "-h"]).status.code(),
+        Some(0)
+    );
+    // The top-level help holds every command's section and the exit codes.
+    let stdout = String::from_utf8_lossy(&jcdn(&["--help"]).stdout).into_owned();
+    for (command, _) in ACCEPTED {
+        assert!(stdout.contains(&format!("\njcdn {command} ")), "{command}");
+    }
+    assert!(stdout.contains("exit codes:"), "{stdout}");
 }
 
 #[test]

@@ -66,11 +66,6 @@ impl Number {
             Repr::Float(f) => f,
         }
     }
-
-    /// True when the number was parsed/constructed as an integer.
-    pub fn is_integer(&self) -> bool {
-        !matches!(self.0, Repr::Float(_))
-    }
 }
 
 impl From<i64> for Number {
@@ -181,7 +176,6 @@ mod tests {
     fn float_display_reparses_as_float() {
         let n = Number::from_f64(2.0).unwrap();
         assert_eq!(n.to_string(), "2.0");
-        assert!(!n.is_integer());
     }
 
     #[test]

@@ -136,7 +136,7 @@ pub fn set_logging(enabled: bool) {
 }
 
 /// Whether summary-line logging is on.
-pub fn logging_enabled() -> bool {
+fn logging_enabled() -> bool {
     LOGGING.load(Ordering::Relaxed)
 }
 

@@ -129,11 +129,6 @@ impl PeriodAnomalyDetector {
         }
     }
 
-    /// Number of monitored flows.
-    pub fn flow_count(&self) -> usize {
-        self.expected.len()
-    }
-
     /// Scans a trace; gaps deviating more than `tolerance × period` from
     /// the expected period are flagged (with the request that ended the
     /// gap).
@@ -255,7 +250,6 @@ mod tests {
         }
         let url = t.find_url(url_str).unwrap();
         let detector = PeriodAnomalyDetector::new([(((ClientId(7), None), url), 30.0)], 0.4);
-        assert_eq!(detector.flow_count(), 1);
         let anomalies = detector.scan(&t);
         // The late tick creates one long gap (47s) and one short gap (13s).
         assert_eq!(anomalies.len(), 2, "{anomalies:?}");

@@ -87,12 +87,6 @@ impl Ecdf {
         Some(self.sorted[rank - 1])
     }
 
-    /// The fraction of samples strictly greater than `x` (complementary
-    /// CDF). Returns `None` when empty.
-    pub fn survival(&self, x: f64) -> Option<f64> {
-        self.eval(x).map(|p| 1.0 - p)
-    }
-
     /// Renders the CDF as `rows` ASCII lines, sampling `F` at evenly spaced
     /// sample values between min and max.
     pub fn render(&self, rows: usize, width: usize) -> String {
@@ -144,14 +138,6 @@ mod tests {
         assert_eq!(e.inverse(1.0), Some(40.0));
         assert!(e.inverse(0.0).is_none());
         assert!(e.inverse(1.5).is_none());
-    }
-
-    #[test]
-    fn survival_complements_eval() {
-        let e = Ecdf::from_samples([1.0, 2.0, 3.0, 4.0, 5.0]);
-        // Paper's Figure 6 highlight: share of objects with >50% periodic
-        // clients is a survival query.
-        assert_eq!(e.survival(3.0), Some(0.4));
     }
 
     #[test]

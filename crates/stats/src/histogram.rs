@@ -95,12 +95,6 @@ impl Histogram {
         self.underflow + self.overflow + self.bins.iter().sum::<u64>()
     }
 
-    /// Index of the fullest bin, or `None` when all in-range bins are empty.
-    pub fn mode_bin(&self) -> Option<usize> {
-        let (idx, &count) = self.bins.iter().enumerate().max_by_key(|&(_, &c)| c)?;
-        (count > 0).then_some(idx)
-    }
-
     /// Renders an ASCII bar chart, one row per bin, bars scaled to `width`
     /// characters. Rows outside `[first_nonzero ..= last_nonzero]` are
     /// omitted to keep sparse histograms readable.
@@ -275,16 +269,6 @@ mod tests {
         let mut h = Histogram::new(0.0, 1.0, 2);
         h.record(f64::NAN);
         assert_eq!(h.underflow(), 1);
-    }
-
-    #[test]
-    fn mode_bin() {
-        let mut h = Histogram::new(0.0, 3.0, 3);
-        assert!(h.mode_bin().is_none());
-        h.record(1.5);
-        h.record(1.6);
-        h.record(0.5);
-        assert_eq!(h.mode_bin(), Some(1));
     }
 
     #[test]

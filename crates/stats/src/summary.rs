@@ -80,12 +80,6 @@ impl Summary {
         (self.count > 0).then(|| self.m2 / self.count as f64)
     }
 
-    /// Sample variance (n−1 denominator), or `None` with fewer than two
-    /// observations.
-    pub fn sample_variance(&self) -> Option<f64> {
-        (self.count > 1).then(|| self.m2 / (self.count - 1) as f64)
-    }
-
     /// Minimum observation, or `None` when empty.
     pub fn min(&self) -> Option<f64> {
         (self.count > 0).then_some(self.min)
@@ -139,7 +133,6 @@ mod tests {
         let s: Summary = [3.5].into_iter().collect();
         assert_eq!(s.mean(), Some(3.5));
         assert_eq!(s.variance(), Some(0.0));
-        assert!(s.sample_variance().is_none());
     }
 
     #[test]

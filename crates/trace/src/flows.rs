@@ -39,14 +39,6 @@ impl ClientObjectFlow {
     pub fn is_empty(&self) -> bool {
         self.times.is_empty()
     }
-
-    /// Inter-arrival gaps between consecutive requests.
-    pub fn interarrivals(&self) -> Vec<f64> {
-        self.times
-            .windows(2)
-            .map(|w| (w[1] - w[0]).as_secs_f64())
-            .collect()
-    }
 }
 
 /// All requests to one object, grouped per client.
@@ -309,18 +301,5 @@ mod tests {
         let urls: Vec<u32> = seq.iter().map(|&(_, u)| u.0).collect();
         // url ids: b=0, a=1 — time order puts a (t=1) first.
         assert_eq!(urls, vec![1, 0]);
-    }
-
-    #[test]
-    fn interarrivals() {
-        let cf = ClientObjectFlow {
-            client: (ClientId(0), None),
-            times: vec![
-                SimTime::from_secs(0),
-                SimTime::from_secs(30),
-                SimTime::from_secs(90),
-            ],
-        };
-        assert_eq!(cf.interarrivals(), vec![30.0, 60.0]);
     }
 }

@@ -115,11 +115,6 @@ impl Interner {
         self.url_index.get(url).copied()
     }
 
-    /// Looks up the id of an already-interned UA.
-    pub fn find_ua(&self, ua: &str) -> Option<UaId> {
-        self.ua_index.get(ua).copied()
-    }
-
     /// All interned URLs, indexed by `UrlId`.
     pub fn url_table(&self) -> &[Arc<str>] {
         &self.urls
@@ -203,7 +198,6 @@ mod tests {
         assert_eq!(i.find_url("https://h.example/b"), Some(b));
         assert_eq!(i.find_url("https://h.example/c"), None);
         let ua = i.intern_ua("okhttp/3.12.1");
-        assert_eq!(i.find_ua("okhttp/3.12.1"), Some(ua));
         assert_eq!(i.ua(ua), "okhttp/3.12.1");
     }
 

@@ -30,6 +30,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, unreachable_pub)]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 mod browsers;

@@ -28,36 +28,6 @@ impl Url {
         crate::parse::parse_url(input)
     }
 
-    /// Builder entry point: an `https` URL on `host` with path `/`.
-    pub fn for_host(host: impl Into<String>) -> Self {
-        Url {
-            scheme: Some("https".to_owned()),
-            host: host.into(),
-            port: None,
-            path: "/".to_owned(),
-            query: Vec::new(),
-            fragment: None,
-        }
-    }
-
-    /// Returns a copy with the given path (a leading `/` is added when
-    /// missing).
-    pub fn with_path(mut self, path: impl Into<String>) -> Self {
-        let path = path.into();
-        self.path = if path.starts_with('/') {
-            path
-        } else {
-            format!("/{path}")
-        };
-        self
-    }
-
-    /// Returns a copy with `key=value` appended to the query.
-    pub fn with_query_param(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
-        self.query.push((key.into(), Some(value.into())));
-        self
-    }
-
     /// The scheme (`http`/`https`), if the URL carried one.
     pub fn scheme(&self) -> Option<&str> {
         self.scheme.as_deref()
@@ -76,18 +46,6 @@ impl Url {
     /// The path, always starting with `/`.
     pub fn path(&self) -> &str {
         &self.path
-    }
-
-    /// Path segments between `/` separators, excluding empty leading one.
-    ///
-    /// `/a/b/` yields `["a", "b", ""]` — the trailing empty segment
-    /// distinguishes directory-style URLs, which matters for clustering.
-    pub fn path_segments(&self) -> impl Iterator<Item = &str> {
-        let mut path = &self.path[..];
-        if let Some(stripped) = path.strip_prefix('/') {
-            path = stripped;
-        }
-        path.split('/').filter(move |_| !path.is_empty())
     }
 
     /// Raw query pairs in order of appearance.
@@ -172,31 +130,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builder_produces_canonical_urls() {
-        let url = Url::for_host("api.example.com")
-            .with_path("v1/items")
-            .with_query_param("page", "2");
-        assert_eq!(url.to_string(), "https://api.example.com/v1/items?page=2");
-    }
-
-    #[test]
     fn object_key_strips_scheme_and_fragment() {
         let url = Url::parse("https://h.example/a/b?x=1#frag").unwrap();
         assert_eq!(url.object_key(), "h.example/a/b?x=1");
-    }
-
-    #[test]
-    fn path_segments() {
-        let url = Url::parse("https://h.example/a/b/c").unwrap();
-        let segs: Vec<_> = url.path_segments().collect();
-        assert_eq!(segs, vec!["a", "b", "c"]);
-
-        let root = Url::parse("https://h.example/").unwrap();
-        assert_eq!(root.path_segments().count(), 0);
-
-        let trailing = Url::parse("https://h.example/a/").unwrap();
-        let segs: Vec<_> = trailing.path_segments().collect();
-        assert_eq!(segs, vec!["a", ""]);
     }
 
     #[test]

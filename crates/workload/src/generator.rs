@@ -96,19 +96,6 @@ impl Workload {
         }
         series
     }
-
-    /// Share of events whose object serves JSON.
-    pub fn json_share(&self) -> f64 {
-        if self.events.is_empty() {
-            return 0.0;
-        }
-        let json = self
-            .events
-            .iter()
-            .filter(|e| self.objects[e.object as usize].mime == MimeType::Json)
-            .count();
-        json as f64 / self.events.len() as f64
-    }
 }
 
 /// The paper's Figure 5 period spikes, with sampling weights. Short
@@ -1159,7 +1146,11 @@ mod tests {
     #[test]
     fn json_dominates_the_event_mix() {
         let w = tiny();
-        let share = w.json_share();
+        let json = w
+            .events
+            .iter()
+            .filter(|e| w.objects[e.object as usize].mime == MimeType::Json);
+        let share = json.count() as f64 / w.events.len() as f64;
         assert!(share > 0.6, "JSON share {share}");
     }
 }

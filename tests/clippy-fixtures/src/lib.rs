@@ -8,6 +8,7 @@
 //! diagnostics must name every lint these modules trip; CI checks both.
 
 #![warn(missing_docs, unreachable_pub)]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(
     clippy::cast_possible_truncation,

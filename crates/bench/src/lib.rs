@@ -1,12 +1,14 @@
 //! # jcdn-bench — reproduction experiments
 //!
 //! One function per table/figure of the paper (see `DESIGN.md`'s experiment
-//! index). The `repro` binary prints paper-vs-measured comparisons and the
-//! `cache` binary records eviction-policy hit rates; speed is measured by
-//! the repository benchmark, `perfbench/` (see `BENCHMARK.json`).
+//! index). The `repro` binary prints paper-vs-measured comparisons. Speed
+//! is measured by the repository benchmark, `perfbench/` (see
+//! `BENCHMARK.json`); eviction-policy hit rates are checked by jcdn-cdnsim's
+//! `tests/policy_hit_rates.rs`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, unreachable_pub)]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
 pub mod experiments;
 

@@ -68,8 +68,10 @@ pub trait StableKey {
     fn stable_hash(&self) -> u64;
 }
 
-/// SplitMix64 finalizer over the integer value.
-fn mix64(mut z: u64) -> u64 {
+/// SplitMix64 over the integer value: one golden-ratio step, then the
+/// finalizer. The crate's one bit mixer — ids, policy sketches and every
+/// derived seed stream go through it.
+pub(crate) fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -21,9 +21,11 @@
 //! per-edge deterministic state, the post-flush tier contents are a pure
 //! function of (workload, config) — byte-identical at any shard count.
 
+use std::ops::Range;
+
 use jcdn_trace::{SimDuration, SimTime};
 
-use crate::cache::PolicyCache;
+use crate::cache::{mix64, PolicyCache};
 use crate::policy::PolicyKind;
 
 /// Upper bound on shared tiers, sized so per-tier counters can live in
@@ -71,7 +73,8 @@ impl TierSpec {
     }
 }
 
-/// Where copies land as objects flow down the hierarchy.
+/// Where copies land as objects flow down the hierarchy; [`Placement::fill`]
+/// names the levels.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Placement {
     /// Leave-copy-everywhere: an origin fetch populates the edge and every
@@ -103,6 +106,17 @@ impl Placement {
             other => Err(format!(
                 "unknown placement {other:?} (everywhere|copy-down)"
             )),
+        }
+    }
+
+    /// The levels that take a copy of an object served from level
+    /// `served`. Levels count from the client: 0 is the edge, `t + 1` is
+    /// shared tier `t`, and `shared.len() + 1` is the origin. An edge hit
+    /// (`served == 0`) fills nothing.
+    pub fn fill(self, served: usize) -> Range<usize> {
+        match self {
+            Placement::CopyEverywhere => 0..served,
+            Placement::CopyDown => served.saturating_sub(1)..served,
         }
     }
 }
@@ -206,19 +220,12 @@ impl SharedTier {
                     spec.policy,
                     // Tier policy streams must differ from each other and
                     // from every edge's stream.
-                    splitmix(seed ^ 0x7C15_7C15_7C15_7C15 ^ (t as u64 + 1)),
+                    mix64(seed ^ 0x7C15_7C15_7C15_7C15 ^ (t as u64 + 1)),
                 ),
                 ttl_cap: spec.ttl_cap,
             })
             .collect()
     }
-}
-
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// What a logged access does to a shared tier at flush time.

@@ -19,7 +19,7 @@
 
 use std::collections::VecDeque;
 
-use crate::cache::IdMap;
+use crate::cache::{mix64, IdMap};
 
 /// Marker for "no slot" in the intrusive lists.
 const NIL: usize = usize::MAX;
@@ -449,14 +449,6 @@ impl EvictionPolicy for Slru {
 
 // ----------------------------------------------------------------- TinyLFU
 
-/// SplitMix64 finalizer: the workspace's standard bit mixer.
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// A 4-row count–min sketch with 4-bit-style saturation (u8 counters
 /// capped at 15) and periodic halving, the TinyLFU frequency filter.
 #[derive(Clone, Debug)]
@@ -474,10 +466,10 @@ impl FrequencySketch {
         // simulator's object universe without unbounded memory.
         let width = (capacity / 1024).clamp(1024, 1 << 20).next_power_of_two() as usize;
         let seeds = [
-            splitmix(seed ^ 0x9E37),
-            splitmix(seed ^ 0x85EB),
-            splitmix(seed ^ 0xC2B2),
-            splitmix(seed ^ 0x27D4),
+            mix64(seed ^ 0x9E37),
+            mix64(seed ^ 0x85EB),
+            mix64(seed ^ 0xC2B2),
+            mix64(seed ^ 0x27D4),
         ];
         FrequencySketch {
             rows: std::array::from_fn(|_| vec![0u8; width]),
@@ -490,7 +482,7 @@ impl FrequencySketch {
 
     fn increment(&mut self, hash: u64) {
         for (row, &rs) in self.rows.iter_mut().zip(&self.seeds) {
-            let slot = (splitmix(hash ^ rs) & self.mask) as usize;
+            let slot = (mix64(hash ^ rs) & self.mask) as usize;
             if row[slot] < 15 {
                 row[slot] += 1;
             }
@@ -505,7 +497,7 @@ impl FrequencySketch {
         self.rows
             .iter()
             .zip(&self.seeds)
-            .map(|(row, &rs)| row[(splitmix(hash ^ rs) & self.mask) as usize])
+            .map(|(row, &rs)| row[(mix64(hash ^ rs) & self.mask) as usize])
             .min()
             .unwrap_or(0)
     }

@@ -26,7 +26,7 @@ use jcdn_workload::{ClientInfo, ObjectInfo, SizeModel, Workload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::cache::{IdMap, Lookup, PolicyCache};
+use crate::cache::{mix64, IdMap, Lookup, PolicyCache};
 use crate::fault::{FaultPlan, FaultState, ResilienceConfig};
 use crate::hierarchy::{
     flush_accesses, AccessKind, CacheHierarchy, Placement, SharedTier, TierAccess,
@@ -445,12 +445,10 @@ fn route_edge(fault: &FaultPlan, edges: usize, ip_hash: u64, t: SimTime) -> usiz
 }
 
 /// Derives a statistically independent per-edge stream seed from the base
-/// seed (SplitMix64 finalizer over a golden-ratio stride).
+/// seed: SplitMix64 over a golden-ratio stride, i.e. the `edge`-th output
+/// of a SplitMix64 stream started at `seed`.
 fn edge_seed(seed: u64, edge: usize) -> u64 {
-    let mut z = seed.wrapping_add((edge as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    mix64(seed.wrapping_add((edge as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
 }
 
 /// Smallest epoch boundary strictly after `t`.
@@ -1181,12 +1179,31 @@ impl TierCtx<'_> {
         });
     }
 
-    /// Effective TTL at the edge tier.
-    fn edge_ttl(&self, ttl: SimDuration) -> SimDuration {
-        match self.edge_ttl_cap {
-            Some(cap) => ttl.min(cap),
-            None => ttl,
+    /// Copies `object` into the levels the placement rule fills for a
+    /// request served at level `served` (see [`Placement::fill`]): the edge
+    /// cache at once, a shared tier through a logged `Insert`. Returns
+    /// whether the edge was among them.
+    fn place(
+        &mut self,
+        edge: &mut PolicyCache<u32>,
+        served: usize,
+        object: u32,
+        size: u64,
+        ttl: SimDuration,
+        now: SimTime,
+    ) -> bool {
+        let fill = self.placement.fill(served);
+        let edge_copy = fill.contains(&0);
+        for level in fill {
+            match level {
+                0 => {
+                    let ttl = self.edge_ttl_cap.map_or(ttl, |cap| ttl.min(cap));
+                    edge.insert(object, size, ttl, now, false);
+                }
+                tier => self.record(now, tier - 1, object, AccessKind::Insert { size, ttl }),
+            }
         }
+        edge_copy
     }
 }
 
@@ -1316,50 +1333,8 @@ fn complete_request(
                         *miss += 1;
                     }
                     tc.record(now, t, event.object, AccessKind::Touch);
-                    match tc.placement {
-                        Placement::CopyEverywhere => {
-                            edge.cache.insert(
-                                event.object,
-                                size,
-                                tc.edge_ttl(object.ttl),
-                                now,
-                                false,
-                            );
-                            for up in 0..t {
-                                tc.record(
-                                    now,
-                                    up,
-                                    event.object,
-                                    AccessKind::Insert {
-                                        size,
-                                        ttl: object.ttl,
-                                    },
-                                );
-                            }
-                        }
-                        Placement::CopyDown => {
-                            // One level closer to the client per hit.
-                            if t == 0 {
-                                edge.cache.insert(
-                                    event.object,
-                                    size,
-                                    tc.edge_ttl(object.ttl),
-                                    now,
-                                    false,
-                                );
-                            } else {
-                                tc.record(
-                                    now,
-                                    t - 1,
-                                    event.object,
-                                    AccessKind::Insert {
-                                        size,
-                                        ttl: object.ttl,
-                                    },
-                                );
-                            }
-                        }
-                    }
+                    // Shared tier t is level t + 1.
+                    tc.place(&mut edge.cache, t + 1, event.object, size, object.ttl, now);
                     let network = config.latency.tier_hit_latency(t, size, rng);
                     let status = draw_status(fault_state, stats);
                     (CacheStatus::Miss, network, status)
@@ -1373,53 +1348,17 @@ fn complete_request(
                             }
                             stats.origin_fetches += 1;
                             stats.bytes_origin += size;
-                            let edge_copy = match tc.placement {
-                                Placement::CopyEverywhere => {
-                                    for t in 0..shared_tiers {
-                                        tc.record(
-                                            now,
-                                            t,
-                                            event.object,
-                                            AccessKind::Insert {
-                                                size,
-                                                ttl: object.ttl,
-                                            },
-                                        );
-                                    }
-                                    true
-                                }
-                                Placement::CopyDown => {
-                                    // Only the deepest tier keeps a copy;
-                                    // with no shared tiers the edge is the
-                                    // deepest tier.
-                                    match shared_tiers.checked_sub(1) {
-                                        Some(deepest) => {
-                                            tc.record(
-                                                now,
-                                                deepest,
-                                                event.object,
-                                                AccessKind::Insert {
-                                                    size,
-                                                    ttl: object.ttl,
-                                                },
-                                            );
-                                            false
-                                        }
-                                        None => true,
-                                    }
-                                }
-                            };
-                            if edge_copy {
-                                edge.cache.insert(
-                                    event.object,
-                                    size,
-                                    tc.edge_ttl(object.ttl),
-                                    now,
-                                    false,
-                                );
-                                if res.coalesce {
-                                    edge.in_flight.insert(event.object, now + network);
-                                }
+                            // The origin is level shared_tiers + 1.
+                            let edge_copy = tc.place(
+                                &mut edge.cache,
+                                shared_tiers + 1,
+                                event.object,
+                                size,
+                                object.ttl,
+                                now,
+                            );
+                            if edge_copy && res.coalesce {
+                                edge.in_flight.insert(event.object, now + network);
                             }
                             let status = draw_status(fault_state, stats);
                             (CacheStatus::Miss, network, status)

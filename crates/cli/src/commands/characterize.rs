@@ -167,15 +167,14 @@ pub fn run(args: &Args) -> Result<Outcome, String> {
 /// fixed, no RNG streams are involved).
 fn replay_hierarchy(sharded: &ShardedTrace, h: &jcdn_cdnsim::CacheHierarchy) -> String {
     use jcdn_cdnsim::cache::PolicyCache;
-    use jcdn_cdnsim::Placement;
-    use jcdn_core::report::TextTable;
     use jcdn_trace::{CacheStatus, SimDuration};
 
     // Recorded traces carry no TTLs, so entries live until evicted unless
     // a tier spec caps them.
     let ttl = SimDuration::from_secs(u64::MAX / 4_000_000);
-    let mut caches: Vec<PolicyCache<u32>> = std::iter::once(&h.edge)
-        .chain(&h.shared)
+    let specs: Vec<&jcdn_cdnsim::TierSpec> = std::iter::once(&h.edge).chain(&h.shared).collect();
+    let mut caches: Vec<PolicyCache<u32>> = specs
+        .iter()
         .enumerate()
         .map(|(i, t)| PolicyCache::with_policy(t.capacity, t.policy, 0x007E_91A7 ^ i as u64))
         .collect();
@@ -193,70 +192,33 @@ fn replay_hierarchy(sharded: &ShardedTrace, h: &jcdn_cdnsim::CacheHierarchy) -> 
             let now = record.time;
             let object = record.url.0;
             let size = record.response_bytes.max(1);
-            let served = (0..levels).find(|&level| {
-                lookups[level] += 1;
-                if caches[level].get(object, now) {
-                    hits[level] += 1;
-                    true
-                } else {
-                    false
-                }
-            });
-            match served {
-                Some(level) => {
-                    // A hit copies toward the client per the placement rule.
-                    let fill = match h.placement {
-                        Placement::CopyEverywhere => 0..level,
-                        Placement::CopyDown => level.saturating_sub(1)..level,
-                    };
-                    for up in fill {
-                        insert(&mut caches[up], h, up, object, size, ttl, now);
-                    }
-                }
-                None => {
+            // Level `levels` is the origin.
+            let served = (0..levels)
+                .find(|&level| {
+                    lookups[level] += 1;
+                    let hit = caches[level].get(object, now);
+                    hits[level] += u64::from(hit);
+                    hit
+                })
+                .unwrap_or_else(|| {
                     origin += 1;
-                    let fill = match h.placement {
-                        Placement::CopyEverywhere => 0..levels,
-                        Placement::CopyDown => levels - 1..levels,
-                    };
-                    for level in fill {
-                        insert(&mut caches[level], h, level, object, size, ttl, now);
-                    }
-                }
+                    levels
+                });
+            for level in h.placement.fill(served) {
+                let ttl = specs[level].effective_ttl(ttl);
+                caches[level].insert(object, size, ttl, now, false);
             }
         }
     }
 
-    fn insert(
-        cache: &mut jcdn_cdnsim::cache::PolicyCache<u32>,
-        h: &jcdn_cdnsim::CacheHierarchy,
-        level: usize,
-        object: u32,
-        size: u64,
-        ttl: jcdn_trace::SimDuration,
-        now: jcdn_trace::SimTime,
-    ) {
-        let spec = match level {
-            0 => &h.edge,
-            n => &h.shared[n - 1],
-        };
-        if size <= spec.capacity {
-            cache.insert(object, size, spec.effective_ttl(ttl), now, false);
-        }
-    }
-
     let mut table = TextTable::new(&["Level", "Policy", "Lookups", "Hits", "Hit rate"]);
-    for (level, cache) in caches.iter().enumerate() {
-        let name = match level {
-            0 => h.edge.name.as_str(),
-            n => h.shared[n - 1].name.as_str(),
-        };
+    for (level, (spec, cache)) in specs.iter().zip(&caches).enumerate() {
         let rate = match lookups[level] {
             0 => "-".to_string(),
             n => pct(hits[level] as f64 / n as f64),
         };
         table.row(&[
-            name.to_string(),
+            spec.name.clone(),
             cache.policy_name().to_string(),
             lookups[level].to_string(),
             hits[level].to_string(),

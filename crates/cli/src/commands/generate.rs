@@ -40,8 +40,10 @@ pub fn run(args: &Args) -> Result<Outcome, String> {
     // so a resume never splices shards from a different run. Everything
     // that changes the trace bytes is in; --threads and --out are not.
     let digest = params_digest(args, preset, seed, scale, edges, shards);
-    let writer = StoreWriter::open(Path::new(out), shards, digest, resume, jcdn_chaos::handle())
-        .map_err(|e| format!("{out}: {e}"))?;
+    // Opening only reads: the store touches `out` at its first write, so
+    // a flag rejected below leaves an interrupted run as it was.
+    let mut writer =
+        StoreWriter::open(Path::new(out), shards, digest, resume, jcdn_chaos::handle());
     if writer.already_complete() {
         eprintln!("{out} is already complete for these parameters; nothing to do (--resume)");
         obs.manifest.param("out", out);
@@ -49,7 +51,6 @@ pub fn run(args: &Args) -> Result<Outcome, String> {
         obs.finish()?;
         return Ok(Outcome::Clean);
     }
-    let mut writer = writer;
 
     let config = match preset {
         "short" => WorkloadConfig::short_term(seed),
@@ -69,7 +70,7 @@ pub fn run(args: &Args) -> Result<Outcome, String> {
     let workload = build_parallel(&config, threads);
     let sim = SimConfig {
         edges,
-        fault: fault_args::fault_plan(args, &workload)?,
+        fault: fault_args::fault_plan(args, &workload, edges)?,
         resilience: fault_args::resilience(args)?,
         hierarchy: cache_args::hierarchy(args)?,
         window: obs.window,
@@ -112,7 +113,7 @@ pub fn run(args: &Args) -> Result<Outcome, String> {
     if !sim.fault.is_empty() {
         obs.manifest.fault_digest = Some(format!(
             "{:016x}",
-            jcdn_obs::manifest::fnv1a64(format!("{:?}", sim.fault).as_bytes())
+            jcdn_trace::fnv1a(format!("{:?}", sim.fault).as_bytes())
         ));
     }
     obs.manifest.metrics.merge(&data.metrics);

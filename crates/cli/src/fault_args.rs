@@ -14,8 +14,8 @@ use jcdn_workload::Workload;
 use crate::args::Args;
 
 /// Builds the fault plan from the parsed flags, resolving domain names
-/// against the workload.
-pub fn fault_plan(args: &Args, workload: &Workload) -> Result<FaultPlan, String> {
+/// against the workload and edge indices against its `edges` edges.
+pub fn fault_plan(args: &Args, workload: &Workload, edges: usize) -> Result<FaultPlan, String> {
     let mut plan = FaultPlan::default();
     for spec in specs(args.maybe("outage").unwrap_or_default()) {
         let [domain, start, end] = fields::<3>("outage", spec)?;
@@ -43,6 +43,11 @@ pub fn fault_plan(args: &Args, workload: &Workload) -> Result<FaultPlan, String>
         let edge: usize = edge
             .parse()
             .map_err(|_| format!("--flap: bad edge index {edge:?}"))?;
+        if edge >= edges {
+            return Err(format!(
+                "--flap: edge index {edge} out of range (--edges is {edges})"
+            ));
+        }
         plan.flaps.push(EdgeFlap {
             edge,
             window: window("flap", start, end)?,
@@ -168,7 +173,7 @@ mod tests {
             "--error-burst",
             "0.001:0.3:0.02:0.2",
         ]);
-        let plan = fault_plan(&args, &w).unwrap();
+        let plan = fault_plan(&args, &w, 3).unwrap();
         assert_eq!(plan.outages.len(), 2);
         assert_eq!(plan.outages[0].domain, 0);
         assert_eq!(plan.outages[1].domain, 1);
@@ -188,10 +193,11 @@ mod tests {
             &["--outage", "0:120:60"],              // inverted window
             &["--degrade", "0:0:60:0.5"],           // factor < 1
             &["--flap", "x:0:60"],                  // bad edge
+            &["--flap", "3:0:60"],                  // no such edge
             &["--error-burst", "0.1:2.0:0.01:0.2"], // fraction > 1
         ] {
             let args = parse(argv);
-            assert!(fault_plan(&args, &w).is_err(), "should reject {argv:?}");
+            assert!(fault_plan(&args, &w, 3).is_err(), "should reject {argv:?}");
         }
     }
 

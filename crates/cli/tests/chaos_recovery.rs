@@ -24,8 +24,8 @@ fn shards() -> usize {
 }
 
 /// Durable-write ordinal of shard `i` in a fresh (non-resumed) generate:
-/// open writes the index (1), the table prologue costs two writes (2, 3),
-/// and each shard costs two more (frame, then index).
+/// the store's first write saves the index (1), the table prologue costs
+/// two writes (2, 3), and each shard costs two more (frame, then index).
 fn shard_write_ordinal(i: usize) -> usize {
     2 * i + 4
 }
@@ -167,6 +167,60 @@ fn write_error_mid_generate_then_resume_is_byte_identical() {
         stderr_of(&out)
     );
     assert_eq!(std::fs::read(&trace).expect("trace"), clean_bytes);
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn rejected_flags_leave_an_interrupted_run_resumable() {
+    let dir = tempdir("badflag");
+    let (clean_bytes, _) = baseline("badflag", &dir);
+    let trace = dir.join("t.jcdn");
+    let trace_str = trace.to_str().unwrap();
+    let n = shards().to_string();
+
+    // Write 6 comes after shard 0's frame and index entry: shard 1's frame,
+    // or the final file when there is one shard.
+    let out = jcdn(
+        "badflag-kill",
+        &generate_args(trace_str, &n, &[]),
+        Some("write-error:6"),
+    );
+    assert!(!out.status.success(), "injected write error must fail");
+    assert_no_abort(&out);
+    let index = dir.join("t.jcdn.idx");
+    let shard0 = dir.join("t.jcdn.staging").join("shard-0000.bin");
+    let staged = (
+        std::fs::read(&index).expect("index committed"),
+        std::fs::read(&shard0).expect("shard 0 committed"),
+    );
+
+    // A typo, with or without --resume, fails before the store writes.
+    for flags in [
+        ["--retries", "x"].as_slice(),
+        &["--outage", "0:60", "--resume"],
+    ] {
+        let out = jcdn("badflag-typo", &generate_args(trace_str, &n, flags), None);
+        assert_eq!(out.status.code(), Some(1), "{flags:?}: {}", stderr_of(&out));
+        let now = (
+            std::fs::read(&index).expect("index kept"),
+            std::fs::read(&shard0).expect("shard 0 kept"),
+        );
+        assert!(now == staged, "{flags:?} changed the staged run");
+    }
+
+    let out = jcdn(
+        "badflag-resume",
+        &generate_args(trace_str, &n, &["--resume"]),
+        None,
+    );
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    assert!(
+        stderr_of(&out).contains("resume: reused 1 committed shard(s)"),
+        "{}",
+        stderr_of(&out)
+    );
+    assert_eq!(std::fs::read(&trace).expect("resumed trace"), clean_bytes);
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -285,18 +285,126 @@ fn characterize_does_not_echo_a_forged_record_count() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Per-level lookups and hits of one what-if table, with its origin line.
+#[derive(Debug)]
+struct WhatIf {
+    lookups: Vec<u64>,
+    hits: Vec<u64>,
+    origin: u64,
+    cacheable: u64,
+}
+
+/// Reads the what-if section of `characterize`'s stdout: one row per level
+/// (`Level Policy Lookups Hits Hit-rate`), then `origin fetches: F of C
+/// cacheable requests`.
+fn what_if(stdout: &str) -> WhatIf {
+    let (_, section) = stdout
+        .split_once("what-if cache hierarchy:")
+        .expect("a what-if section");
+    let mut table = WhatIf {
+        lookups: Vec::new(),
+        hits: Vec::new(),
+        origin: 0,
+        cacheable: 0,
+    };
+    for line in section.lines() {
+        let words: Vec<&str> = line.split_whitespace().collect();
+        if let Some(rest) = line.strip_prefix("origin fetches: ") {
+            let words: Vec<&str> = rest.split_whitespace().collect();
+            table.origin = words[0].parse().expect("origin count");
+            table.cacheable = words[2].parse().expect("cacheable count");
+            return table;
+        }
+        if let [_, _, lookups, hits, _] = words[..] {
+            if let (Ok(lookups), Ok(hits)) = (lookups.parse(), hits.parse()) {
+                table.lookups.push(lookups);
+                table.hits.push(hits);
+            }
+        }
+    }
+    panic!("no origin line in {section}");
+}
+
 #[test]
-fn generate_rejects_zero_edges_before_writing() {
-    let dir = tempdir("edges0");
+fn what_if_replay_conserves_requests_level_by_level() {
+    let dir = tempdir("whatif");
     let trace = dir.join("t.jcdn");
-    let out = jcdn(&["generate", "--edges", "0", "--out", trace.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(1));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--edges"), "{stderr}");
-    assert!(!stderr.contains("internal panic"), "{stderr}");
-    assert!(!dir.join("t.jcdn.idx").exists(), "no shard index is left");
-    assert!(!dir.join("t.jcdn.staging").exists(), "no staging directory");
-    assert!(!trace.exists());
+    let trace_str = trace.to_str().unwrap();
+    let out = jcdn(&["generate", "--preset", "tiny", "--out", trace_str]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let mut tables = Vec::new();
+    for placement in ["everywhere", "copy-down"] {
+        let out = jcdn(&[
+            "characterize",
+            trace_str,
+            "--cache-tier",
+            "edge:256K,regional:1M,shield:4M",
+            "--cache-placement",
+            placement,
+        ]);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let t = what_if(&String::from_utf8_lossy(&out.stdout));
+        assert_eq!(t.lookups.len(), 3, "{placement}: {t:?}");
+        assert_eq!(t.lookups[0], t.cacheable, "{placement}: the edge sees all");
+        for level in 0..2 {
+            assert_eq!(
+                t.lookups[level + 1],
+                t.lookups[level] - t.hits[level],
+                "{placement}: level {level}'s misses ask the next level"
+            );
+        }
+        assert_eq!(t.origin, t.lookups[2] - t.hits[2], "{placement}");
+        assert!(t.hits.iter().all(|&hits| hits > 0), "{placement}: {t:?}");
+        tables.push(t);
+    }
+    assert_ne!(
+        tables[0].hits, tables[1].hits,
+        "placement decides where requests are served"
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every flag is checked before the store writes, so a rejected one
+/// leaves no index, staging directory or trace behind.
+#[test]
+fn generate_rejects_bad_flags_before_writing() {
+    let dir = tempdir("badflags");
+    let trace = dir.join("t.jcdn");
+    let trace_str = trace.to_str().unwrap();
+    for (flags, named) in [
+        (["--edges", "0"], "--edges"),
+        (["--resilience", "maybe"], "--resilience"),
+        (["--retries", "x"], "--retries"),
+        (["--outage", "0:60"], "--outage"),
+        (["--cache-tier", "edge"], "--cache-tier"),
+        (["--preset", "nope"], "preset"),
+        (["--outage", "nosuch.example:0:60"], "nosuch.example"),
+        (["--flap", "9:0:60"], "--flap"),
+    ] {
+        let mut args = vec!["generate", "--scale", "0.05", "--out", trace_str];
+        args.extend(flags);
+        let out = jcdn(&args);
+        assert_eq!(out.status.code(), Some(1), "{flags:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(named), "{flags:?}: {stderr}");
+        assert!(!stderr.contains("internal panic"), "{flags:?}: {stderr}");
+        assert!(!dir.join("t.jcdn.idx").exists(), "{flags:?} left an index");
+        assert!(
+            !dir.join("t.jcdn.staging").exists(),
+            "{flags:?} left a staging directory"
+        );
+        assert!(!trace.exists(), "{flags:?}");
+    }
 
     std::fs::remove_dir_all(&dir).ok();
 }

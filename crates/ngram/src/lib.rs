@@ -14,9 +14,7 @@
 //! * [`NgramModel`] — counts for context lengths `0..=N` with
 //!   *stupid backoff* scoring and top-K prediction,
 //! * [`eval`] — client-disjoint train/test splitting and the top-K accuracy
-//!   measurement the paper's Table 3 reports,
-//! * [`codec`] — a versioned binary format for shipping trained models to
-//!   edge servers.
+//!   measurement the paper's Table 3 reports.
 //!
 //! ## Example
 //!
@@ -41,10 +39,9 @@
 #![cfg_attr(not(test), warn(unused_crate_dependencies))]
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-pub mod codec;
 pub mod eval;
 mod model;
 mod vocab;
 
 pub use model::{NgramModel, Prediction};
-pub use vocab::{Vocab, VocabMode};
+pub use vocab::Vocab;

@@ -15,12 +15,11 @@ pub struct Prediction {
     pub context_len: usize,
 }
 
-/// One exported context: `(context tokens, total, successors sorted by
-/// token)` — the serialization view of the model.
-pub(crate) type ContextExport<'m> = (&'m Vec<u32>, u64, Vec<(u32, u64)>);
+/// The stupid-backoff discount per context token dropped.
+const BACKOFF: f64 = 0.4;
 
 /// Counts for one context: total and per-successor.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 struct ContextCounts {
     total: u64,
     successors: HashMap<u32, u64>,
@@ -38,14 +37,22 @@ struct ContextCounts {
 /// seen, else `α^d` times the score under the context shortened by `d`
 /// tokens (`α = 0.4`). Not normalized — fine for ranking, which is all
 /// top-K prediction needs.
+///
+/// Two models are equal when they hold the same counts.
 #[derive(Clone, Debug)]
 pub struct NgramModel {
     max_order: usize,
-    backoff: f64,
     /// `counts[len]` maps contexts of length `len` to successor counts.
     counts: Vec<HashMap<Vec<u32>, ContextCounts>>,
     /// Lazily built popularity ranking of the unigram table.
     unigram_cache: std::cell::OnceCell<Vec<(u32, u64)>>,
+}
+
+impl PartialEq for NgramModel {
+    fn eq(&self, other: &Self) -> bool {
+        // The unigram ranking is a cache of the counts.
+        self.max_order == other.max_order && self.counts == other.counts
+    }
 }
 
 impl NgramModel {
@@ -57,64 +64,14 @@ impl NgramModel {
         assert!(max_order >= 1, "history length must be at least 1");
         NgramModel {
             max_order,
-            backoff: 0.4,
             counts: vec![HashMap::new(); max_order + 1],
             unigram_cache: std::cell::OnceCell::new(),
         }
     }
 
-    /// Sets the backoff factor (default 0.4).
-    pub fn with_backoff(mut self, backoff: f64) -> Self {
-        assert!(backoff > 0.0 && backoff <= 1.0, "backoff must be in (0,1]");
-        self.backoff = backoff;
-        self
-    }
-
     /// The model's history length N.
     pub fn max_order(&self) -> usize {
         self.max_order
-    }
-
-    /// The backoff factor.
-    pub fn backoff(&self) -> f64 {
-        self.backoff
-    }
-
-    /// All contexts at one order, sorted for deterministic serialization:
-    /// `(context, total, successors sorted by token)`.
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "contexts and successors are sorted before they are returned"
-    )]
-    pub fn contexts_at(&self, order: usize) -> Vec<ContextExport<'_>> {
-        let mut contexts: Vec<ContextExport<'_>> = self.counts[order]
-            .iter()
-            .map(|(context, counts)| {
-                let mut successors: Vec<(u32, u64)> =
-                    counts.successors.iter().map(|(&t, &c)| (t, c)).collect();
-                successors.sort_unstable_by_key(|&(t, _)| t);
-                (context, counts.total, successors)
-            })
-            .collect();
-        contexts.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        contexts
-    }
-
-    /// Restores one context's counts verbatim (deserialization). `total`
-    /// must equal the successor-count sum — the codec validates this.
-    pub fn restore_context(
-        &mut self,
-        order: usize,
-        context: Vec<u32>,
-        total: u64,
-        successors: Vec<(u32, u64)>,
-    ) {
-        assert!(order <= self.max_order, "order out of range");
-        assert_eq!(context.len(), order, "context length must equal order");
-        self.unigram_cache.take();
-        let entry = self.counts[order].entry(context).or_default();
-        entry.total = total;
-        entry.successors = successors.into_iter().collect();
     }
 
     /// Trains on one client's request sequence: every transition
@@ -137,15 +94,6 @@ impl NgramModel {
         let entry = self.counts[len].entry(context.to_vec()).or_default();
         entry.total += 1;
         *entry.successors.entry(next).or_insert(0) += 1;
-    }
-
-    /// Number of transitions observed at full order.
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "an integer sum does not depend on order"
-    )]
-    pub fn transition_count(&self) -> u64 {
-        self.counts[self.max_order].values().map(|c| c.total).sum()
     }
 
     /// Predicts the top-`k` next tokens after `history` (most recent last).
@@ -175,7 +123,7 @@ impl NgramModel {
                 continue;
             };
             let depth = (start - len) as i32;
-            let discount = self.backoff.powi(depth);
+            let discount = BACKOFF.powi(depth);
             #[expect(
                 clippy::disallowed_methods,
                 reason = "ranked is sorted by count, then token, before use"
@@ -202,7 +150,7 @@ impl NgramModel {
         }
         // Unigram fallback through the cached popularity ranking.
         if predictions.len() < k {
-            let discount = self.backoff.powi(start as i32);
+            let discount = BACKOFF.powi(start as i32);
             let total = self.counts[0]
                 .get(&Vec::new() as &Vec<u32>)
                 .map_or(1, |c| c.total);
@@ -256,7 +204,7 @@ impl NgramModel {
             if let Some(counts) = self.counts[len].get(context) {
                 if let Some(&c) = counts.successors.get(&next) {
                     let depth = (start - len) as i32;
-                    return self.backoff.powi(depth) * c as f64 / counts.total as f64;
+                    return BACKOFF.powi(depth) * c as f64 / counts.total as f64;
                 }
             }
         }
@@ -364,7 +312,8 @@ mod tests {
         m.train_sequence(&[1, 3]);
         let p = m.predict(&[1], 1);
         assert_eq!(p[0].token, 3);
-        assert_eq!(m.transition_count(), 3);
+        // Two of the three transitions after 1 went to 3.
+        assert!((p[0].score - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use jcdn_url::Url;
 
 /// How URLs are canonicalized before interning.
 #[derive(Clone, Debug, Default)]
-pub enum VocabMode {
+enum VocabMode {
     /// Use the URL string verbatim (Table 3's "Actual URLs" column).
     #[default]
     Raw,
@@ -22,7 +22,6 @@ pub enum VocabMode {
 pub struct Vocab {
     mode: VocabMode,
     index: HashMap<String, u32>,
-    strings: Vec<String>,
 }
 
 impl Vocab {
@@ -39,14 +38,6 @@ impl Vocab {
         }
     }
 
-    /// A vocabulary with an explicit mode.
-    pub fn with_mode(mode: VocabMode) -> Self {
-        Vocab {
-            mode,
-            ..Vocab::default()
-        }
-    }
-
     /// Canonicalizes a URL per the mode (cluster key or verbatim).
     pub fn canonicalize(&self, url: &str) -> String {
         match &self.mode {
@@ -56,23 +47,6 @@ impl Vocab {
                 Err(_) => url.to_owned(),
             },
         }
-    }
-
-    /// Interns an already-canonicalized key verbatim, bypassing the mode's
-    /// canonicalization (used by the model codec, whose payload stores the
-    /// canonical strings).
-    pub fn intern_verbatim(&mut self, key: &str) -> u32 {
-        if let Some(&tok) = self.index.get(key) {
-            return tok;
-        }
-        #[expect(
-            clippy::expect_used,
-            reason = "id-space exhaustion (2^32 interned strings) has no recovery path"
-        )]
-        let tok = u32::try_from(self.strings.len()).expect("vocabulary overflow");
-        self.index.insert(key.to_owned(), tok);
-        self.strings.push(key.to_owned());
-        tok
     }
 
     /// Interns a URL, returning its token.
@@ -85,9 +59,8 @@ impl Vocab {
             clippy::expect_used,
             reason = "id-space exhaustion (2^32 interned strings) has no recovery path"
         )]
-        let tok = u32::try_from(self.strings.len()).expect("vocabulary overflow");
-        self.index.insert(key.clone(), tok);
-        self.strings.push(key);
+        let tok = u32::try_from(self.index.len()).expect("vocabulary overflow");
+        self.index.insert(key, tok);
         tok
     }
 
@@ -96,19 +69,14 @@ impl Vocab {
         self.index.get(&self.canonicalize(url)).copied()
     }
 
-    /// Resolves a token back to its canonical string.
-    pub fn resolve(&self, token: u32) -> Option<&str> {
-        self.strings.get(token as usize).map(String::as_str)
-    }
-
     /// Number of distinct tokens.
     pub fn len(&self) -> usize {
-        self.strings.len()
+        self.index.len()
     }
 
     /// True when no tokens have been interned.
     pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
+        self.index.is_empty()
     }
 }
 
@@ -123,7 +91,7 @@ mod tests {
         let b = v.intern("https://h.example/article/2");
         assert_ne!(a, b);
         assert_eq!(v.len(), 2);
-        assert_eq!(v.resolve(a), Some("https://h.example/article/1"));
+        assert_eq!(v.get("https://h.example/article/1"), Some(a));
     }
 
     #[test]
@@ -133,14 +101,18 @@ mod tests {
         let b = v.intern("https://h.example/article/2");
         assert_eq!(a, b);
         assert_eq!(v.len(), 1);
-        assert_eq!(v.resolve(a), Some("h.example/article/{id}"));
+        assert_eq!(
+            v.canonicalize("https://h.example/article/1"),
+            "h.example/article/{id}"
+        );
     }
 
     #[test]
     fn clustered_mode_falls_back_on_unparseable() {
         let mut v = Vocab::clustered();
+        assert_eq!(v.canonicalize("not a url at all"), "not a url at all");
         let a = v.intern("not a url at all");
-        assert_eq!(v.resolve(a), Some("not a url at all"));
+        assert_eq!(v.get("not a url at all"), Some(a));
     }
 
     #[test]

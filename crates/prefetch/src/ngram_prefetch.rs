@@ -59,26 +59,6 @@ impl NgramPrefetcher {
         }
     }
 
-    /// Serializes the trained model + vocabulary for shipping to edges
-    /// (see `jcdn_ngram::codec`).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        jcdn_ngram::codec::encode(&self.model, &self.vocab)
-    }
-
-    /// Restores a shipped model. Call
-    /// [`bind_universe`][NgramPrefetcher::bind_universe] afterwards.
-    pub fn from_bytes(data: &[u8], k: usize) -> Result<Self, jcdn_ngram::codec::DecodeError> {
-        let (model, vocab) = jcdn_ngram::codec::decode(data, jcdn_ngram::VocabMode::Raw)?;
-        Ok(NgramPrefetcher {
-            model,
-            vocab,
-            token_to_object: HashMap::new(),
-            history: HashMap::new(),
-            k,
-            json_only: true,
-        })
-    }
-
     /// Binds the prefetcher to a universe: object URLs are resolved against
     /// the training vocabulary so predictions can name object ids. Must be
     /// called before simulation (done automatically by
@@ -150,7 +130,8 @@ mod tests {
         let from_shards = NgramPrefetcher::train(&sharded.stream(), 1, 5);
         let whole = sharded.into_trace();
         let from_trace = NgramPrefetcher::train(&whole.stream(), 1, 5);
-        assert_eq!(from_shards.to_bytes(), from_trace.to_bytes());
+        assert_eq!(from_shards.model, from_trace.model);
+        assert_eq!(from_shards.vocab.len(), from_trace.vocab.len());
     }
 
     #[test]
@@ -176,23 +157,6 @@ mod tests {
             boosted_ratio > base_ratio,
             "hit ratio must improve: {base_ratio} -> {boosted_ratio}"
         );
-    }
-
-    #[test]
-    fn shipped_model_behaves_like_the_original() {
-        let train = simulate(&WorkloadConfig::tiny(31).scaled(0.3));
-        let original = NgramPrefetcher::train(&train.trace.stream(), 1, 5);
-        let shipped = NgramPrefetcher::from_bytes(&original.to_bytes(), 5).expect("round trip");
-
-        let deploy = jcdn_workload::build(&WorkloadConfig::tiny(31).scaled(0.3));
-        let mut a = original;
-        a.bind_universe(&deploy.objects);
-        let mut b = shipped;
-        b.bind_universe(&deploy.objects);
-        let out_a = run(&deploy, &SimConfig::default(), &mut a);
-        let out_b = run(&deploy, &SimConfig::default(), &mut b);
-        assert_eq!(out_a.stats.prefetch_issued, out_b.stats.prefetch_issued);
-        assert_eq!(out_a.stats.hits, out_b.stats.hits);
     }
 
     #[test]

@@ -247,11 +247,14 @@ fn verified_read(path: &Path, entry: &ShardEntry) -> Option<Vec<u8>> {
 
 /// A crash-safe writer for one sharded trace file.
 ///
-/// [`write`](Self::write) commits the table prologue once, then each shard
-/// frame in shard order; every commit is durable and indexed before the
-/// writer moves on, so a kill at any point leaves a resumable run.
-/// [`finalize`](Self::finalize) re-verifies everything staged and
-/// publishes the final file atomically.
+/// [`open`](Self::open) only reads: it decides what a resume can reuse and
+/// touches nothing on disk, so a command that fails before its first write
+/// leaves an interrupted run as it found it. [`write`](Self::write) then
+/// clears stale staging and saves the index, commits the table prologue,
+/// then each shard frame in shard order; every commit is durable and
+/// indexed before the writer moves on, so a kill at any point leaves a
+/// resumable run. [`finalize`](Self::finalize) re-verifies everything
+/// staged and publishes the final file atomically.
 pub struct StoreWriter<'c> {
     final_path: PathBuf,
     index_path: PathBuf,
@@ -260,6 +263,9 @@ pub struct StoreWriter<'c> {
     chaos: &'c dyn Chaos,
     reused: u64,
     already_complete: bool,
+    /// Set when no reusable index was found: the first write clears the
+    /// staging directory before it saves the fresh index.
+    clear_staging: bool,
 }
 
 impl<'c> StoreWriter<'c> {
@@ -269,77 +275,56 @@ impl<'c> StoreWriter<'c> {
     /// digest, and shard count all match is honored: staged files are
     /// verified against their entries and damaged or missing ones lose
     /// their entry (the caller recomputes exactly those). An index from
-    /// different parameters — or no index — starts a fresh run, clearing
-    /// any stale staging.
+    /// different parameters — or no index — starts a fresh run, whose
+    /// first write clears any stale staging.
     pub fn open(
         final_path: &Path,
         shard_count: usize,
         params_digest: u64,
         resume: bool,
         chaos: &'c dyn Chaos,
-    ) -> io::Result<StoreWriter<'c>> {
+    ) -> StoreWriter<'c> {
         let index_path = index_path(final_path);
         let staging = staging_dir(final_path);
-        if resume {
-            if let Some(mut index) = ShardIndex::load(&index_path) {
-                let matches = index.codec_version == codec::VERSION
+        let reusable = resume
+            .then(|| ShardIndex::load(&index_path))
+            .flatten()
+            .filter(|index| {
+                index.codec_version == codec::VERSION
                     && index.params_digest == params_digest
-                    && index.shard_count == shard_count;
-                if matches {
-                    if index.complete && final_path.exists() {
-                        return Ok(StoreWriter {
-                            final_path: final_path.to_path_buf(),
-                            index_path,
-                            staging,
-                            index,
-                            chaos,
-                            reused: 0,
-                            already_complete: true,
-                        });
-                    }
-                    // Trust nothing the staging dir can't back up.
-                    if let Some(entry) = index.tables {
-                        if verified_read(&tables_file(&staging), &entry).is_none() {
-                            index.tables = None;
-                        }
-                    }
-                    for i in 0..index.shards.len() {
-                        if let Some(entry) = index.shards[i] {
-                            if verified_read(&shard_file(&staging, i), &entry).is_none() {
-                                index.shards[i] = None;
-                            }
-                        }
-                    }
-                    index.complete = false;
-                    std::fs::create_dir_all(&staging)?;
-                    index.save(&index_path, chaos)?;
-                    return Ok(StoreWriter {
-                        final_path: final_path.to_path_buf(),
-                        index_path,
-                        staging,
-                        index,
-                        chaos,
-                        reused: 0,
-                        already_complete: false,
-                    });
+                    && index.shard_count == shard_count
+            });
+        let clear_staging = reusable.is_none();
+        let already_complete = reusable
+            .as_ref()
+            .is_some_and(|index| index.complete && final_path.exists());
+        let mut index = reusable.unwrap_or_else(|| ShardIndex::new(shard_count, params_digest));
+        if !already_complete {
+            // Trust nothing the staging dir can't back up.
+            if let Some(entry) = index.tables {
+                if verified_read(&tables_file(&staging), &entry).is_none() {
+                    index.tables = None;
                 }
             }
+            for i in 0..index.shards.len() {
+                if let Some(entry) = index.shards[i] {
+                    if verified_read(&shard_file(&staging, i), &entry).is_none() {
+                        index.shards[i] = None;
+                    }
+                }
+            }
+            index.complete = false;
         }
-        if staging.exists() {
-            std::fs::remove_dir_all(&staging)?;
-        }
-        std::fs::create_dir_all(&staging)?;
-        let index = ShardIndex::new(shard_count, params_digest);
-        index.save(&index_path, chaos)?;
-        Ok(StoreWriter {
+        StoreWriter {
             final_path: final_path.to_path_buf(),
             index_path,
             staging,
             index,
             chaos,
             reused: 0,
-            already_complete: false,
-        })
+            already_complete,
+            clear_staging,
+        }
     }
 
     /// True when a resume found the run already finalized;
@@ -366,13 +351,15 @@ impl<'c> StoreWriter<'c> {
     /// shard order. Shards a resumed run already committed are reused, not
     /// re-encoded (see [`shards_reused`](Self::shards_reused)).
     ///
-    /// The uncommitted frames are encoded up front on `threads` workers of
-    /// the exec pool; the commits that follow keep the sequential write
-    /// order the crash-safety contract (and the chaos harness) observes —
-    /// prologue, index, then frame and index for each shard — so the
-    /// output is byte-identical for any thread count. A stream whose slice
-    /// count differs from the store's shard count is rejected with
-    /// `InvalidInput` before anything is written.
+    /// It saves the index before anything else, after a fresh run's first
+    /// call has cleared stale staging. The uncommitted frames are encoded up
+    /// front on `threads` workers of the exec pool; the commits that follow
+    /// keep the sequential write order the crash-safety contract (and the
+    /// chaos harness) observes — index, prologue, index, then frame and
+    /// index for each shard — so the output is byte-identical for any
+    /// thread count. A stream whose slice count differs from the store's
+    /// shard count is rejected with `InvalidInput` before anything is
+    /// written.
     pub fn write(&mut self, records: &RecordStream<'_>, threads: usize) -> io::Result<()> {
         let slices = records.raw_slices();
         if slices.len() != self.index.shard_count {
@@ -388,6 +375,12 @@ impl<'c> StoreWriter<'c> {
         if self.already_complete {
             return Ok(());
         }
+        if self.clear_staging && self.staging.exists() {
+            std::fs::remove_dir_all(&self.staging)?;
+        }
+        self.clear_staging = false;
+        std::fs::create_dir_all(&self.staging)?;
+        self.index.save(&self.index_path, self.chaos)?;
         let tables = codec::encode_tables(records.interner());
         if !self
             .index
@@ -613,12 +606,12 @@ mod tests {
     }
 
     /// A 4-shard run killed by an injected failure of durable write
-    /// `ordinal`: writes go 1 index@open, 2 tables, 3 index, then frame
+    /// `ordinal`: writes go 1 index, 2 tables, 3 index, then frame
     /// and index per shard (shard `i`'s frame is write `2i + 4`), so
     /// failing write `2k + 4` leaves shards `0..k` committed.
     fn killed_run(out: &Path, sharded: &ShardedTrace, ordinal: usize) {
         let plan = jcdn_chaos::FailPlan::parse(&format!("write-error:{ordinal}")).unwrap();
-        let mut writer = StoreWriter::open(out, 4, 7, false, &plan).unwrap();
+        let mut writer = StoreWriter::open(out, 4, 7, false, &plan);
         let err = writer.write(&sharded.stream(), 1).unwrap_err();
         assert!(err.to_string().contains("injected"), "{err}");
     }
@@ -628,7 +621,7 @@ mod tests {
         let sharded = sample_sharded(100, 4);
         for threads in [1, 2, 8] {
             let out = tmp_store(&format!("parwrite{threads}"));
-            let mut writer = StoreWriter::open(&out, 4, 7, false, &jcdn_chaos::Quiet).unwrap();
+            let mut writer = StoreWriter::open(&out, 4, 7, false, &jcdn_chaos::Quiet);
             writer.write(&sharded.stream(), threads).unwrap();
             writer.finalize().unwrap();
             assert_eq!(
@@ -646,7 +639,7 @@ mod tests {
         killed_run(&out, &sharded, 8); // shards 0 and 1 committed
                                        // The resumed run fills in the rest in parallel; bytes match a
                                        // clean end-to-end encode.
-        let mut writer = StoreWriter::open(&out, 4, 7, true, &jcdn_chaos::Quiet).unwrap();
+        let mut writer = StoreWriter::open(&out, 4, 7, true, &jcdn_chaos::Quiet);
         writer.write(&sharded.stream(), 4).unwrap();
         assert_eq!(writer.shards_reused(), 2);
         writer.finalize().unwrap();
@@ -657,7 +650,7 @@ mod tests {
     fn store_output_is_byte_identical_to_direct_encode() {
         let out = tmp_store("direct");
         let sharded = sample_sharded(100, 4);
-        let mut writer = StoreWriter::open(&out, 4, 7, false, &jcdn_chaos::Quiet).unwrap();
+        let mut writer = StoreWriter::open(&out, 4, 7, false, &jcdn_chaos::Quiet);
         writer.write(&sharded.stream(), 1).unwrap();
         writer.finalize().unwrap();
         assert_eq!(std::fs::read(&out).unwrap(), direct(&sharded));
@@ -672,13 +665,15 @@ mod tests {
         let out = tmp_store("slices");
         let sharded = sample_sharded(100, 4);
         for shards in [3, 5] {
-            let mut writer = StoreWriter::open(&out, shards, 7, false, &jcdn_chaos::Quiet).unwrap();
+            let mut writer = StoreWriter::open(&out, shards, 7, false, &jcdn_chaos::Quiet);
             let err = writer.write(&sharded.stream(), 1).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{shards}: {err}");
             assert!(err.to_string().contains("4 slice(s)"), "{err}");
-            let index = ShardIndex::load(&index_path(&out)).unwrap();
-            assert!(index.tables.is_none(), "nothing written before the check");
-            assert!(!tables_file(&staging_dir(&out)).exists());
+            assert!(
+                !index_path(&out).exists(),
+                "nothing written before the check"
+            );
+            assert!(!staging_dir(&out).exists());
         }
     }
 
@@ -689,7 +684,7 @@ mod tests {
         killed_run(&out, &sharded, 8); // dies after committing shards 0 and 1
 
         // Resume completes the run and reuses the committed shards.
-        let mut writer = StoreWriter::open(&out, 4, 7, true, &jcdn_chaos::Quiet).unwrap();
+        let mut writer = StoreWriter::open(&out, 4, 7, true, &jcdn_chaos::Quiet);
         assert!(writer.shard_committed(0) && writer.shard_committed(1));
         assert!(!writer.shard_committed(2));
         writer.write(&sharded.stream(), 1).unwrap();
@@ -706,10 +701,10 @@ mod tests {
     fn resume_with_different_params_starts_fresh() {
         let out = tmp_store("params");
         let sharded = sample_sharded(40, 2);
-        let mut writer = StoreWriter::open(&out, 2, 7, false, &jcdn_chaos::Quiet).unwrap();
+        let mut writer = StoreWriter::open(&out, 2, 7, false, &jcdn_chaos::Quiet);
         writer.write(&sharded.stream(), 1).unwrap();
         drop(writer);
-        let writer = StoreWriter::open(&out, 2, 8, true, &jcdn_chaos::Quiet).unwrap();
+        let writer = StoreWriter::open(&out, 2, 8, true, &jcdn_chaos::Quiet);
         assert!(
             !writer.shard_committed(0),
             "different digest discards staging"
@@ -720,7 +715,7 @@ mod tests {
     fn damaged_staged_shard_is_recomputed_on_resume() {
         let out = tmp_store("damaged");
         let sharded = sample_sharded(100, 4);
-        let mut writer = StoreWriter::open(&out, 4, 7, false, &jcdn_chaos::Quiet).unwrap();
+        let mut writer = StoreWriter::open(&out, 4, 7, false, &jcdn_chaos::Quiet);
         writer.write(&sharded.stream(), 1).unwrap();
         drop(writer); // killed before finalize
 
@@ -731,7 +726,7 @@ mod tests {
         data[last] ^= 0xFF;
         std::fs::write(&victim, &data).unwrap();
 
-        let mut writer = StoreWriter::open(&out, 4, 7, true, &jcdn_chaos::Quiet).unwrap();
+        let mut writer = StoreWriter::open(&out, 4, 7, true, &jcdn_chaos::Quiet);
         assert!(!writer.shard_committed(2), "damage detected at open");
         assert!(writer.shard_committed(1));
         writer.write(&sharded.stream(), 1).unwrap();
@@ -744,7 +739,7 @@ mod tests {
     fn finalize_refuses_a_shard_damaged_after_open() {
         let out = tmp_store("late-damage");
         let sharded = sample_sharded(60, 3);
-        let mut writer = StoreWriter::open(&out, 3, 7, false, &jcdn_chaos::Quiet).unwrap();
+        let mut writer = StoreWriter::open(&out, 3, 7, false, &jcdn_chaos::Quiet);
         writer.write(&sharded.stream(), 1).unwrap();
         // Damage after commit, before finalize: the re-verify must catch it.
         let victim = shard_file(&staging_dir(&out), 1);
@@ -754,7 +749,7 @@ mod tests {
         assert!(err.to_string().contains("shard 1"), "{err}");
         assert!(!out.exists(), "no final file published");
         // The index entry was dropped, so a resume recomputes shard 1.
-        let writer = StoreWriter::open(&out, 3, 7, true, &jcdn_chaos::Quiet).unwrap();
+        let writer = StoreWriter::open(&out, 3, 7, true, &jcdn_chaos::Quiet);
         assert!(!writer.shard_committed(1));
         assert!(writer.shard_committed(0) && writer.shard_committed(2));
     }
@@ -763,10 +758,10 @@ mod tests {
     fn injected_write_error_surfaces_as_io_error_and_resume_recovers() {
         let out = tmp_store("chaos-write");
         let sharded = sample_sharded(100, 4);
-        // Writes: 1 index@open, 2 tables, 3 index, 4 shard0, 5 index, 6 shard1…
+        // Writes: 1 index, 2 tables, 3 index, 4 shard0, 5 index, 6 shard1…
         killed_run(&out, &sharded, 6);
 
-        let mut writer = StoreWriter::open(&out, 4, 7, true, &jcdn_chaos::Quiet).unwrap();
+        let mut writer = StoreWriter::open(&out, 4, 7, true, &jcdn_chaos::Quiet);
         assert!(writer.shard_committed(0), "shard 0 survived");
         assert!(!writer.shard_committed(1), "failed write left no entry");
         writer.write(&sharded.stream(), 1).unwrap();
@@ -780,7 +775,7 @@ mod tests {
         let sharded = sample_sharded(100, 4);
         // The 4th write is shard 0's frame; it lands torn but "successful".
         let plan = jcdn_chaos::FailPlan::parse("truncate:4:10").unwrap();
-        let mut writer = StoreWriter::open(&out, 4, 7, false, &plan).unwrap();
+        let mut writer = StoreWriter::open(&out, 4, 7, false, &plan);
         // The torn write goes unnoticed at commit time (as a real torn
         // write would)…
         writer.write(&sharded.stream(), 1).unwrap();
@@ -788,7 +783,7 @@ mod tests {
         let err = writer.finalize().unwrap_err();
         assert!(err.to_string().contains("shard 0"), "{err}");
 
-        let mut writer = StoreWriter::open(&out, 4, 7, true, &jcdn_chaos::Quiet).unwrap();
+        let mut writer = StoreWriter::open(&out, 4, 7, true, &jcdn_chaos::Quiet);
         assert!(!writer.shard_committed(0));
         writer.write(&sharded.stream(), 1).unwrap();
         writer.finalize().unwrap();

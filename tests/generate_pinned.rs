@@ -11,8 +11,8 @@
 //! or the encoded shard bytes fails here.
 
 use jcdn::cdnsim::{
-    CacheHierarchy, FaultPlan, OriginDegradation, OriginOutage, PolicyKind, ResilienceConfig,
-    SimConfig, SimDuration, SimStats, TierSpec, Window,
+    CacheHierarchy, FaultPlan, OriginDegradation, OriginOutage, Placement, PolicyKind,
+    ResilienceConfig, SimConfig, SimDuration, SimStats, TierSpec, Window,
 };
 use jcdn::core::dataset::simulate_workload_parallel;
 use jcdn::obs::timeseries::WindowSpec;
@@ -243,6 +243,34 @@ fn tiered_faulted_windowed_output_is_pinned() {
             stats: 0x69cc_6b19_15e6_8aed,
             metrics: 0x7d06_ecb7_16c4_b6e0,
             v4: 0x2a8a_41f6_4dc3_9e02,
+        },
+    );
+}
+
+/// The same run under leave-copy-down: an origin fetch fills only the
+/// shield, and each tier hit copies the object one level closer to the
+/// client. The digests above pin only leave-copy-everywhere.
+#[test]
+fn tiered_faulted_windowed_copy_down_output_is_pinned() {
+    let config = WorkloadConfig::tiny(42).scaled(0.25);
+    let mut sim = tiered_faulted_windowed();
+    if let Some(hierarchy) = &mut sim.hierarchy {
+        hierarchy.placement = Placement::CopyDown;
+    }
+    let data = simulate_workload_parallel(build_parallel(&config, 1), &sim, 1);
+    assert!(
+        data.stats.tier_hits.iter().all(|&hits| hits > 0),
+        "config leaves a tier without hits: {:?}",
+        data.stats.tier_hits
+    );
+    assert_pinned(
+        config,
+        &sim,
+        Digests {
+            workload: 0x59f0_87b4_87e4_9594,
+            stats: 0xf7f8_cd5a_0ba5_7d73,
+            metrics: 0x14f8_aa20_3d1b_458f,
+            v4: 0xae18_3ea1_eaf8_fcfe,
         },
     );
 }

@@ -36,13 +36,6 @@ pub struct ExperimentResult {
     pub checks: Vec<(String, bool)>,
 }
 
-impl ExperimentResult {
-    /// True when every shape check passed.
-    pub fn passed(&self) -> bool {
-        self.checks.iter().all(|(_, ok)| *ok)
-    }
-}
-
 /// E1 / Figure 1: the JSON:HTML request ratio, 2016 → 2019.
 pub fn fig1() -> ExperimentResult {
     let series = TrendModel::default().generate();
@@ -811,7 +804,7 @@ pub fn abl_parent_tier(ctx: &Context) -> ExperimentResult {
         workload,
         &SimConfig {
             hierarchy: Some(CacheHierarchy::with_parent(
-                SimConfig::default().cache_capacity,
+                CacheHierarchy::DEFAULT_EDGE_CAPACITY,
                 1 << 30,
             )),
             ..SimConfig::default()
@@ -866,7 +859,7 @@ origin offload from the parent tier: {}",
 
 /// X8: ablation — edge cache capacity sweep.
 pub fn abl_cache(ctx: &Context) -> ExperimentResult {
-    use jcdn_cdnsim::run_default;
+    use jcdn_cdnsim::{run_default, CacheHierarchy};
     let workload = &ctx.short_term.workload;
     let mut table = TextTable::new(&["Edge cache", "Hit ratio", "Evict-limited?"]);
     let mut ratios = Vec::new();
@@ -878,7 +871,7 @@ pub fn abl_cache(ctx: &Context) -> ExperimentResult {
         let stats = run_default(
             workload,
             &SimConfig {
-                cache_capacity: capacity,
+                hierarchy: Some(CacheHierarchy::single(capacity)),
                 ..SimConfig::default()
             },
         )

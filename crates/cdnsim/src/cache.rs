@@ -215,11 +215,6 @@ impl<K: Eq + Hash + Copy + StableKey> PolicyCache<K> {
         self.used
     }
 
-    /// Byte capacity.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.capacity
-    }
-
     /// Counters.
     pub fn stats(&self) -> CacheStats {
         self.stats

@@ -35,7 +35,7 @@ impl Window {
     }
 
     /// True when `t` falls inside the window.
-    pub fn contains(&self, t: SimTime) -> bool {
+    pub(crate) fn contains(&self, t: SimTime) -> bool {
         self.start <= t && t < self.end
     }
 }
@@ -75,11 +75,11 @@ pub struct EdgeFlap {
 }
 
 /// Bursty stochastic origin errors: a two-state (quiet/burst) Markov chain
-/// advanced once per origin attempt, replacing the i.i.d. error draw.
+/// advanced once per origin attempt.
 ///
-/// With `enter_burst == 0` (or equal error fractions in both states) this
-/// degenerates to the classic independent draw, which is how the legacy
-/// `error_fraction` knob is kept working.
+/// With `enter_burst == 0` the chain never leaves its quiet state and
+/// degenerates to an independent draw per attempt; that is the model of a
+/// plan that sets none ([`FaultPlan::errors`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ErrorBursts {
     /// Error probability per origin attempt while quiet.
@@ -101,10 +101,19 @@ pub struct FaultPlan {
     pub degradations: Vec<OriginDegradation>,
     /// Edges out of rotation.
     pub flaps: Vec<EdgeFlap>,
-    /// Bursty stochastic errors; `None` falls back to the i.i.d.
-    /// `error_fraction` draw.
+    /// Bursty stochastic errors; `None` fails 0.4% of origin attempts,
+    /// independently (the chain that never bursts).
     pub errors: Option<ErrorBursts>,
 }
+
+/// The error model of a plan that sets none: 0.4% of origin attempts fail,
+/// each independently of the others.
+const BASELINE_ERRORS: ErrorBursts = ErrorBursts {
+    quiet_error_fraction: 0.004,
+    burst_error_fraction: 0.004,
+    enter_burst: 0.0,
+    exit_burst: 1.0,
+};
 
 impl FaultPlan {
     /// True when the plan injects nothing at all.
@@ -116,7 +125,7 @@ impl FaultPlan {
     }
 
     /// Is `domain`'s origin hard-down at `t`?
-    pub fn outage_at(&self, domain: u32, t: SimTime) -> bool {
+    pub(crate) fn outage_at(&self, domain: u32, t: SimTime) -> bool {
         self.outages
             .iter()
             .any(|o| o.domain == domain && o.window.contains(t))
@@ -124,7 +133,7 @@ impl FaultPlan {
 
     /// Latency multiplier for `domain`'s origin at `t`, when degraded.
     /// Overlapping degradations compound (both slowdowns apply).
-    pub fn degradation_at(&self, domain: u32, t: SimTime) -> Option<f64> {
+    pub(crate) fn degradation_at(&self, domain: u32, t: SimTime) -> Option<f64> {
         let mut factor = 1.0;
         let mut any = false;
         for d in &self.degradations {
@@ -137,7 +146,7 @@ impl FaultPlan {
     }
 
     /// Is `edge` out of rotation at `t`?
-    pub fn edge_down(&self, edge: usize, t: SimTime) -> bool {
+    pub(crate) fn edge_down(&self, edge: usize, t: SimTime) -> bool {
         self.flaps
             .iter()
             .any(|f| f.edge == edge && f.window.contains(t))
@@ -149,10 +158,6 @@ impl FaultPlan {
 pub struct ResilienceConfig {
     /// Maximum retries per logical request (0 disables retrying).
     pub retry_budget: u8,
-    /// First backoff delay; doubles per attempt.
-    pub retry_base: SimDuration,
-    /// Backoff ceiling.
-    pub retry_cap: SimDuration,
     /// How long past TTL expiry an entry may still be served when the
     /// origin is unavailable (stale-if-error). Zero disables serve-stale.
     pub stale_grace: SimDuration,
@@ -172,8 +177,6 @@ impl Default for ResilienceConfig {
     fn default() -> Self {
         ResilienceConfig {
             retry_budget: 2,
-            retry_base: SimDuration::from_millis(250),
-            retry_cap: SimDuration::from_secs(8),
             stale_grace: SimDuration::from_secs(600),
             negative_ttl: SimDuration::from_secs(2),
             origin_timeout: SimDuration::from_secs(3),
@@ -195,31 +198,38 @@ impl ResilienceConfig {
             ..ResilienceConfig::default()
         }
     }
+}
 
-    /// Backoff before retry number `attempt` (1-based): capped exponential
-    /// with a deterministic jitter derived from the request identity, so
-    /// retry storms de-synchronize without a wall clock or shared RNG.
-    pub fn backoff(&self, attempt: u8, request_key: u64) -> SimDuration {
-        let base = self.retry_base.as_micros().max(1);
-        let exp = base.saturating_mul(1u64 << (attempt.saturating_sub(1)).min(20));
-        let capped = exp.min(self.retry_cap.as_micros().max(1));
-        // Jitter in [-12.5%, +12.5%) from a splitmix64-style mix of the
-        // request identity.
-        let mut z = request_key
-            .wrapping_add(u64::from(attempt))
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z ^= z >> 31;
-        let jitter = (capped / 4).saturating_mul(z % 1000) / 1000;
-        SimDuration::from_micros(capped - capped / 8 + jitter)
-    }
+/// First retry backoff; it doubles per attempt.
+const RETRY_BASE: SimDuration = SimDuration::from_millis(250);
+/// Retry backoff ceiling.
+const RETRY_CAP: SimDuration = SimDuration::from_secs(8);
+
+/// Backoff before retry number `attempt` (1-based): [`RETRY_BASE`] doubled
+/// per attempt up to [`RETRY_CAP`], with a deterministic jitter derived
+/// from the request identity, so retry storms de-synchronize without a
+/// wall clock or shared RNG.
+pub(crate) fn backoff(attempt: u8, request_key: u64) -> SimDuration {
+    let exp = RETRY_BASE
+        .as_micros()
+        .saturating_mul(1u64 << (attempt.saturating_sub(1)).min(20));
+    let capped = exp.min(RETRY_CAP.as_micros());
+    // Jitter in [-12.5%, +12.5%) from a splitmix64-style mix of the
+    // request identity.
+    let mut z = request_key
+        .wrapping_add(u64::from(attempt))
+        .wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z ^= z >> 31;
+    let jitter = (capped / 4).saturating_mul(z % 1000) / 1000;
+    SimDuration::from_micros(capped - capped / 8 + jitter)
 }
 
 /// Mutable fault-side state: the Markov error chain and its dedicated RNG
 /// stream (separate from the simulator's main stream, so enabling bursts
 /// does not perturb size/latency draws).
 #[derive(Clone, Debug)]
-pub struct FaultState {
+pub(crate) struct FaultState {
     rng: StdRng,
     in_burst: bool,
 }
@@ -227,7 +237,7 @@ pub struct FaultState {
 impl FaultState {
     /// Builds the fault stream for one run. Callers derive `seed` from the
     /// simulation seed so the whole run stays reproducible.
-    pub fn new(seed: u64) -> FaultState {
+    pub(crate) fn new(seed: u64) -> FaultState {
         FaultState {
             rng: StdRng::seed_from_u64(seed),
             in_burst: false,
@@ -235,33 +245,23 @@ impl FaultState {
     }
 
     /// Draws whether this origin attempt fails stochastically, advancing
-    /// the burst chain when one is configured; otherwise an independent
-    /// draw with `fallback_p` (the legacy `error_fraction`).
-    pub fn error_draw(&mut self, bursts: Option<&ErrorBursts>, fallback_p: f64) -> bool {
-        match bursts {
-            None => fallback_p > 0.0 && self.rng.gen_bool(fallback_p),
-            Some(b) => {
-                let flip = if self.in_burst {
-                    b.exit_burst
-                } else {
-                    b.enter_burst
-                };
-                if flip > 0.0 && self.rng.gen_bool(flip.min(1.0)) {
-                    self.in_burst = !self.in_burst;
-                }
-                let p = if self.in_burst {
-                    b.burst_error_fraction
-                } else {
-                    b.quiet_error_fraction
-                };
-                p > 0.0 && self.rng.gen_bool(p.min(1.0))
-            }
+    /// the plan's burst chain, or the baseline's when it sets none.
+    pub(crate) fn error_draw(&mut self, bursts: Option<&ErrorBursts>) -> bool {
+        let b = bursts.unwrap_or(&BASELINE_ERRORS);
+        let flip = if self.in_burst {
+            b.exit_burst
+        } else {
+            b.enter_burst
+        };
+        if flip > 0.0 && self.rng.gen_bool(flip.min(1.0)) {
+            self.in_burst = !self.in_burst;
         }
-    }
-
-    /// True while the chain is in its burst state.
-    pub fn in_burst(&self) -> bool {
-        self.in_burst
+        let p = if self.in_burst {
+            b.burst_error_fraction
+        } else {
+            b.quiet_error_fraction
+        };
+        p > 0.0 && self.rng.gen_bool(p.min(1.0))
     }
 }
 
@@ -321,20 +321,19 @@ mod tests {
 
     #[test]
     fn backoff_is_capped_exponential_with_bounded_jitter() {
-        let r = ResilienceConfig::default();
         let mut prev = SimDuration::ZERO;
         for attempt in 1..=6u8 {
-            let d = r.backoff(attempt, 42);
+            let d = backoff(attempt, 42);
             // Jitter keeps the delay within ±25% of the capped exponential.
-            let nominal = (r.retry_base.as_micros() << (attempt - 1)).min(r.retry_cap.as_micros());
+            let nominal = (RETRY_BASE.as_micros() << (attempt - 1)).min(RETRY_CAP.as_micros());
             assert!(d.as_micros() >= nominal - nominal / 8, "attempt {attempt}");
             assert!(d.as_micros() <= nominal + nominal / 4, "attempt {attempt}");
-            assert!(d >= prev || nominal == r.retry_cap.as_micros());
+            assert!(d >= prev || nominal == RETRY_CAP.as_micros());
             prev = d;
         }
         // Deterministic per (attempt, key), distinct across keys.
-        assert_eq!(r.backoff(1, 7), r.backoff(1, 7));
-        assert_ne!(r.backoff(1, 7), r.backoff(1, 8));
+        assert_eq!(backoff(1, 7), backoff(1, 7));
+        assert_ne!(backoff(1, 7), backoff(1, 8));
     }
 
     #[test]
@@ -348,10 +347,20 @@ mod tests {
         };
         let mut s = FaultState::new(1);
         let n = 40_000;
-        let hits = (0..n).filter(|_| s.error_draw(Some(&b), 0.0)).count();
+        let hits = (0..n).filter(|_| s.error_draw(Some(&b))).count();
         let share = hits as f64 / n as f64;
         assert!((0.04..0.06).contains(&share), "share {share}");
-        assert!(!s.in_burst() || b.exit_burst == 1.0);
+    }
+
+    #[test]
+    fn a_plan_without_errors_draws_the_plain_baseline() {
+        // The baseline chain never bursts, so it makes exactly one
+        // `gen_bool(0.004)` draw per attempt from the fault stream.
+        let mut s = FaultState::new(7);
+        let mut plain = StdRng::seed_from_u64(7);
+        for _ in 0..20_000 {
+            assert_eq!(s.error_draw(None), plain.gen_bool(0.004));
+        }
     }
 
     #[test]
@@ -366,7 +375,7 @@ mod tests {
             exit_burst: 0.02,
         };
         let mut s = FaultState::new(99);
-        let draws: Vec<bool> = (0..60_000).map(|_| s.error_draw(Some(&b), 0.0)).collect();
+        let draws: Vec<bool> = (0..60_000).map(|_| s.error_draw(Some(&b))).collect();
         let rate = draws.iter().filter(|&&e| e).count() as f64 / draws.len() as f64;
         let pairs =
             draws.windows(2).filter(|w| w[0] && w[1]).count() as f64 / (draws.len() - 1) as f64;
@@ -389,7 +398,7 @@ mod tests {
         let mut a = FaultState::new(5);
         let mut c = FaultState::new(5);
         for _ in 0..1000 {
-            assert_eq!(a.error_draw(Some(&b), 0.0), c.error_draw(Some(&b), 0.0));
+            assert_eq!(a.error_draw(Some(&b)), c.error_draw(Some(&b)));
         }
     }
 

@@ -28,12 +28,12 @@ use jcdn_trace::{SimDuration, SimTime};
 use crate::cache::{mix64, PolicyCache};
 use crate::policy::PolicyKind;
 
-/// Upper bound on shared tiers, sized so per-tier counters can live in
-/// fixed arrays on the simulator's hot path.
+/// Upper bound on shared tiers. Per-tier counters are `Vec`s, so this is a
+/// sanity limit on the topology, and it keeps every tier index within the
+/// `u8` that a logged access carries.
 pub const MAX_SHARED_TIERS: usize = 8;
 
-/// One tier of the hierarchy: a byte budget, an eviction policy, and an
-/// optional cap on entry TTLs at this tier.
+/// One tier of the hierarchy: a byte budget and an eviction policy.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TierSpec {
     /// Display name (`edge`, `regional`, `shield`, …) for tables/flags.
@@ -42,19 +42,15 @@ pub struct TierSpec {
     pub capacity: u64,
     /// Eviction policy run by this tier.
     pub policy: PolicyKind,
-    /// Optional TTL ceiling: entries inserted at this tier live at most
-    /// this long even when the object's own TTL is longer.
-    pub ttl_cap: Option<SimDuration>,
 }
 
 impl TierSpec {
-    /// A tier named `name` with `capacity` bytes of LRU and no TTL cap.
+    /// A tier named `name` with `capacity` bytes of LRU.
     pub fn lru(name: &str, capacity: u64) -> TierSpec {
         TierSpec {
             name: name.to_string(),
             capacity,
             policy: PolicyKind::Lru,
-            ttl_cap: None,
         }
     }
 
@@ -62,14 +58,6 @@ impl TierSpec {
     pub fn with_policy(mut self, policy: PolicyKind) -> TierSpec {
         self.policy = policy;
         self
-    }
-
-    /// Effective TTL for an object with `ttl` at this tier.
-    pub fn effective_ttl(&self, ttl: SimDuration) -> SimDuration {
-        match self.ttl_cap {
-            Some(cap) => ttl.min(cap),
-            None => ttl,
-        }
     }
 }
 
@@ -140,6 +128,9 @@ pub struct CacheHierarchy {
 }
 
 impl CacheHierarchy {
+    /// Default per-edge capacity: 256 MiB.
+    pub const DEFAULT_EDGE_CAPACITY: u64 = 256 << 20;
+
     /// Default epoch length: one simulated second.
     pub const DEFAULT_SYNC_INTERVAL: SimDuration = SimDuration::from_secs(1);
 
@@ -162,11 +153,6 @@ impl CacheHierarchy {
             placement: Placement::CopyEverywhere,
             sync_interval: Self::DEFAULT_SYNC_INTERVAL,
         }
-    }
-
-    /// Number of shared tiers.
-    pub fn shared_tiers(&self) -> usize {
-        self.shared.len()
     }
 
     /// Checks structural invariants; returns a human-readable error.
@@ -193,39 +179,30 @@ impl CacheHierarchy {
 }
 
 impl Default for CacheHierarchy {
+    /// A single edge tier of [`CacheHierarchy::DEFAULT_EDGE_CAPACITY`].
     fn default() -> Self {
-        CacheHierarchy::single(crate::SimConfig::default().cache_capacity)
+        CacheHierarchy::single(Self::DEFAULT_EDGE_CAPACITY)
     }
 }
 
-/// A shared tier's runtime state: the cache plus its spec-derived TTL cap.
-#[derive(Debug)]
-pub(crate) struct SharedTier {
-    pub(crate) cache: PolicyCache<u32>,
-    pub(crate) ttl_cap: Option<SimDuration>,
-}
-
-impl SharedTier {
-    /// Builds runtime tiers from the hierarchy's shared specs. `seed` is
-    /// the simulation seed; each tier's policy randomness is derived from
-    /// it (SplitMix64-mixed with the tier index).
-    pub(crate) fn build_all(hierarchy: &CacheHierarchy, seed: u64) -> Vec<SharedTier> {
-        hierarchy
-            .shared
-            .iter()
-            .enumerate()
-            .map(|(t, spec)| SharedTier {
-                cache: PolicyCache::with_policy(
-                    spec.capacity,
-                    spec.policy,
-                    // Tier policy streams must differ from each other and
-                    // from every edge's stream.
-                    mix64(seed ^ 0x7C15_7C15_7C15_7C15 ^ (t as u64 + 1)),
-                ),
-                ttl_cap: spec.ttl_cap,
-            })
-            .collect()
-    }
+/// Builds the runtime caches of the hierarchy's shared tiers. `seed` is
+/// the simulation seed; each tier's policy randomness is derived from it
+/// (SplitMix64-mixed with the tier index).
+pub(crate) fn build_shared_tiers(hierarchy: &CacheHierarchy, seed: u64) -> Vec<PolicyCache<u32>> {
+    hierarchy
+        .shared
+        .iter()
+        .enumerate()
+        .map(|(t, spec)| {
+            PolicyCache::with_policy(
+                spec.capacity,
+                spec.policy,
+                // Tier policy streams must differ from each other and
+                // from every edge's stream.
+                mix64(seed ^ 0x7C15_7C15_7C15_7C15 ^ (t as u64 + 1)),
+            )
+        })
+        .collect()
 }
 
 /// What a logged access does to a shared tier at flush time.
@@ -238,7 +215,7 @@ pub(crate) enum AccessKind {
     Insert {
         /// Body size in bytes.
         size: u64,
-        /// TTL before this tier's cap.
+        /// Time to live.
         ttl: SimDuration,
     },
 }
@@ -261,7 +238,7 @@ pub(crate) struct TierAccess {
 /// Applies a drained epoch log to the shared tiers in canonical order.
 /// Applying an empty log is a no-op, so epoch boundaries can be skipped
 /// when no edge touched a shared tier.
-pub(crate) fn flush_accesses(tiers: &mut [SharedTier], log: &mut Vec<TierAccess>) {
+pub(crate) fn flush_accesses(tiers: &mut [PolicyCache<u32>], log: &mut Vec<TierAccess>) {
     log.sort_by_key(|a| (a.time, a.edge, a.eseq));
     for access in log.iter() {
         let tier = &mut tiers[access.tier as usize];
@@ -271,15 +248,10 @@ pub(crate) fn flush_accesses(tiers: &mut [SharedTier], log: &mut Vec<TierAccess>
                 // the tier's own CacheStats. The entry may have expired or
                 // been evicted since the lookup — then this is a no-op
                 // beyond the miss count.
-                tier.cache.get(access.object, access.time);
+                tier.get(access.object, access.time);
             }
             AccessKind::Insert { size, ttl } => {
-                let ttl = match tier.ttl_cap {
-                    Some(cap) => ttl.min(cap),
-                    None => ttl,
-                };
-                tier.cache
-                    .insert(access.object, size, ttl, access.time, false);
+                tier.insert(access.object, size, ttl, access.time, false);
             }
         }
     }
@@ -307,7 +279,7 @@ mod tests {
     #[test]
     fn flush_applies_in_time_edge_eseq_order() {
         let h = CacheHierarchy::with_parent(1000, 200);
-        let mut tiers = SharedTier::build_all(&h, 42);
+        let mut tiers = build_shared_tiers(&h, 42);
         let t0 = SimTime::from_secs(1);
         // Two edges insert different objects; capacity 200 holds only one.
         // Canonical order: edge 0 first, so edge 1's insert lands last and
@@ -339,36 +311,7 @@ mod tests {
         flush_accesses(&mut tiers, &mut log);
         assert!(log.is_empty());
         let later = SimTime::from_secs(2);
-        assert!(
-            tiers[0].cache.peek(7, later),
-            "edge 1's insert applied last"
-        );
-        assert!(!tiers[0].cache.peek(3, later), "edge 0's insert evicted");
-    }
-
-    #[test]
-    fn ttl_caps_apply_at_flush() {
-        let h = CacheHierarchy {
-            shared: vec![TierSpec {
-                ttl_cap: Some(SimDuration::from_secs(10)),
-                ..TierSpec::lru("shield", 1000)
-            }],
-            ..CacheHierarchy::single(1000)
-        };
-        let mut tiers = SharedTier::build_all(&h, 1);
-        let mut log = vec![TierAccess {
-            time: SimTime::ZERO,
-            edge: 0,
-            eseq: 0,
-            tier: 0,
-            object: 1,
-            kind: AccessKind::Insert {
-                size: 10,
-                ttl: SimDuration::HOUR,
-            },
-        }];
-        flush_accesses(&mut tiers, &mut log);
-        assert!(tiers[0].cache.peek(1, SimTime::from_secs(9)));
-        assert!(!tiers[0].cache.peek(1, SimTime::from_secs(10)), "capped");
+        assert!(tiers[0].peek(7, later), "edge 1's insert applied last");
+        assert!(!tiers[0].peek(3, later), "edge 0's insert evicted");
     }
 }

@@ -48,12 +48,12 @@ impl LatencyModel {
     }
 
     /// Latency of a response served from edge cache.
-    pub fn hit_latency<R: Rng + ?Sized>(&self, bytes: u64, rng: &mut R) -> SimDuration {
+    pub(crate) fn hit_latency<R: Rng + ?Sized>(&self, bytes: u64, rng: &mut R) -> SimDuration {
         self.jittered(self.client_edge_rtt + self.transfer(bytes), rng)
     }
 
     /// Latency of a response that had to visit the origin.
-    pub fn miss_latency<R: Rng + ?Sized>(&self, bytes: u64, rng: &mut R) -> SimDuration {
+    pub(crate) fn miss_latency<R: Rng + ?Sized>(&self, bytes: u64, rng: &mut R) -> SimDuration {
         self.jittered(
             self.client_edge_rtt + self.edge_origin_rtt + self.transfer(bytes),
             rng,
@@ -61,24 +61,15 @@ impl LatencyModel {
     }
 
     /// One-way edge→origin fetch time (for scheduling prefetch completion).
-    pub fn origin_fetch<R: Rng + ?Sized>(&self, bytes: u64, rng: &mut R) -> SimDuration {
+    pub(crate) fn origin_fetch<R: Rng + ?Sized>(&self, bytes: u64, rng: &mut R) -> SimDuration {
         self.jittered(self.edge_origin_rtt + self.transfer(bytes), rng)
-    }
-
-    /// Latency of a response served from the parent tier.
-    pub fn parent_hit_latency<R: Rng + ?Sized>(&self, bytes: u64, rng: &mut R) -> SimDuration {
-        self.jittered(
-            self.client_edge_rtt + self.edge_parent_rtt + self.transfer(bytes),
-            rng,
-        )
     }
 
     /// Latency of a response served from shared hierarchy tier `tier`
     /// (0-based, 0 = the tier closest to the edge). Each deeper tier adds
     /// one parent round trip, capped at the origin round trip — a shield
-    /// hit can't cost more than going to the origin. Tier 0 is identical
-    /// to [`LatencyModel::parent_hit_latency`].
-    pub fn tier_hit_latency<R: Rng + ?Sized>(
+    /// hit can't cost more than going to the origin.
+    pub(crate) fn tier_hit_latency<R: Rng + ?Sized>(
         &self,
         tier: usize,
         bytes: u64,
@@ -124,7 +115,7 @@ mod tests {
     }
 
     #[test]
-    fn tier_zero_matches_parent_hit_and_deep_tiers_cap_at_origin() {
+    fn tier_zero_is_one_parent_hop_and_deep_tiers_cap_at_origin() {
         let m = LatencyModel {
             jitter: 0.0,
             ..LatencyModel::default()
@@ -132,7 +123,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         assert_eq!(
             m.tier_hit_latency(0, 2048, &mut rng),
-            m.parent_hit_latency(2048, &mut rng)
+            m.client_edge_rtt
+                + m.edge_parent_rtt
+                + SimDuration::from_micros(2 * m.per_kb.as_micros())
         );
         let deep = m.tier_hit_latency(7, 2048, &mut rng);
         assert_eq!(deep, m.miss_latency(2048, &mut rng), "capped at origin");

@@ -17,7 +17,7 @@
 //!   and a pluggable [`policy::EvictionPolicy`] (LRU, LFU, SLRU, TinyLFU,
 //!   S3-FIFO — see [`policy::PolicyKind`]),
 //! * [`hierarchy::CacheHierarchy`] — declarative N-level edge → regional →
-//!   origin-shield topology with per-tier capacity/TTL/policy and
+//!   origin-shield topology with per-tier capacity/policy and
 //!   leave-copy-everywhere / copy-down placement,
 //! * [`LatencyModel`] — client↔edge and edge↔origin delays,
 //! * edge service queues with two priority classes, which the

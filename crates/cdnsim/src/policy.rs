@@ -11,7 +11,7 @@
 //!
 //! Policies are pure data structures: no wall clock, no ambient
 //! randomness, no hash-ordered iteration. The only randomness a policy may
-//! use is the `seed` passed to [`PolicyKind::build`] — derived by the
+//! use is the `seed` passed to `PolicyKind::build` — derived by the
 //! simulator from the edge's SplitMix64 stream — which [`TinyLfu`] uses to
 //! key its frequency-sketch hash functions. Two caches built from the same
 //! `(kind, capacity, seed)` and fed the same event sequence are in
@@ -116,7 +116,7 @@ impl PolicyKind {
     /// Builds a fresh policy instance for a cache of `capacity` bytes.
     /// `seed` feeds any policy-internal hashing ([`TinyLfu`]'s sketch);
     /// deterministic policies ignore it.
-    pub fn build(self, capacity: u64, seed: u64) -> Box<dyn EvictionPolicy> {
+    pub(crate) fn build(self, capacity: u64, seed: u64) -> Box<dyn EvictionPolicy> {
         match self {
             PolicyKind::Lru => Box::new(Lru::new()),
             PolicyKind::Lfu => Box::new(Lfu::new()),
@@ -232,7 +232,7 @@ pub struct Lru {
 
 impl Lru {
     /// Creates an empty LRU order.
-    pub fn new() -> Lru {
+    pub(crate) fn new() -> Lru {
         Lru {
             links: Vec::new(),
             list: List::new(),
@@ -282,7 +282,7 @@ pub struct Lfu {
 
 impl Lfu {
     /// Creates an empty LFU order.
-    pub fn new() -> Lfu {
+    pub(crate) fn new() -> Lfu {
         Lfu::default()
     }
 
@@ -359,7 +359,7 @@ pub struct Slru {
 
 impl Slru {
     /// Creates the two-segment order for a cache of `capacity` bytes.
-    pub fn new(capacity: u64) -> Slru {
+    pub(crate) fn new(capacity: u64) -> Slru {
         Slru {
             links: Vec::new(),
             seg: Vec::new(),
@@ -531,7 +531,7 @@ pub struct TinyLfu {
 impl TinyLfu {
     /// Creates the policy for a cache of `capacity` bytes; `seed` keys
     /// the sketch's hash functions.
-    pub fn new(capacity: u64, seed: u64) -> TinyLfu {
+    pub(crate) fn new(capacity: u64, seed: u64) -> TinyLfu {
         TinyLfu {
             lru: Lru::new(),
             hash: Vec::new(),
@@ -625,7 +625,7 @@ pub struct S3Fifo {
 
 impl S3Fifo {
     /// Creates the three-queue order for a cache of `capacity` bytes.
-    pub fn new(capacity: u64) -> S3Fifo {
+    pub(crate) fn new(capacity: u64) -> S3Fifo {
         S3Fifo {
             links: Vec::new(),
             queue: Vec::new(),

@@ -27,9 +27,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::cache::{mix64, IdMap, Lookup, PolicyCache};
-use crate::fault::{FaultPlan, FaultState, ResilienceConfig};
+use crate::fault::{backoff, FaultPlan, FaultState, ResilienceConfig};
 use crate::hierarchy::{
-    flush_accesses, AccessKind, CacheHierarchy, Placement, SharedTier, TierAccess,
+    build_shared_tiers, flush_accesses, AccessKind, CacheHierarchy, Placement, TierAccess,
 };
 use crate::latency::LatencyModel;
 
@@ -39,11 +39,8 @@ pub struct SimConfig {
     /// Number of edge servers (the paper's long-term dataset covers three
     /// vantage points).
     pub edges: usize,
-    /// Per-edge cache capacity in bytes. Ignored when [`SimConfig::hierarchy`]
-    /// is set (the hierarchy's edge tier wins).
-    pub cache_capacity: u64,
-    /// Full N-level cache hierarchy. Takes precedence over
-    /// [`SimConfig::cache_capacity`].
+    /// Full N-level cache hierarchy; `None` is [`CacheHierarchy::default`],
+    /// one LRU edge tier.
     pub hierarchy: Option<CacheHierarchy>,
     /// Network delays.
     pub latency: LatencyModel,
@@ -52,10 +49,8 @@ pub struct SimConfig {
     /// Additional CPU cost per KiB of response ("a large chunk of the total
     /// request cost is tied to CPU request processing", §4).
     pub service_per_kb: SimDuration,
-    /// Fraction of requests that fail with a 5xx, drawn independently per
-    /// attempt. Superseded by [`FaultPlan::errors`] when that is set.
-    pub error_fraction: f64,
-    /// Injected faults: outages, degradations, edge flaps, error bursts.
+    /// Injected faults: outages, degradations, edge flaps, and the origin
+    /// error model.
     pub fault: FaultPlan,
     /// Client retry policy and edge graceful degradation.
     pub resilience: ResilienceConfig,
@@ -74,12 +69,10 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             edges: 3,
-            cache_capacity: 256 << 20,
             hierarchy: None,
             latency: LatencyModel::default(),
             service_base: SimDuration::from_micros(200),
             service_per_kb: SimDuration::from_micros(20),
-            error_fraction: 0.004,
             fault: FaultPlan::default(),
             resilience: ResilienceConfig::default(),
             seed: 0x5eed,
@@ -89,13 +82,10 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// The effective hierarchy: [`SimConfig::hierarchy`] when set, else a
-    /// single edge tier of [`SimConfig::cache_capacity`] bytes.
-    pub fn resolved_hierarchy(&self) -> CacheHierarchy {
-        match &self.hierarchy {
-            Some(h) => h.clone(),
-            None => CacheHierarchy::single(self.cache_capacity),
-        }
+    /// The effective hierarchy: [`SimConfig::hierarchy`] when set, else
+    /// [`CacheHierarchy::default`].
+    pub(crate) fn resolved_hierarchy(&self) -> CacheHierarchy {
+        self.hierarchy.clone().unwrap_or_default()
     }
 }
 
@@ -159,7 +149,7 @@ impl Policy for NoopPolicy {
 ///
 /// During a run every event is counted once, where it happens, into a
 /// *tally*: the `SimStats` of one edge and one window bucket. A run's
-/// totals are the [`merge`][SimStats::merge] of its tallies, and its
+/// totals are the merge of its tallies, and its
 /// per-edge manifest counters and window rows are the same tallies keyed
 /// for the manifest. The latency summaries are the exception: they are
 /// recorded run-wide, in completion order.
@@ -261,17 +251,11 @@ impl SimStats {
         (logical > 0).then(|| self.end_user_failures as f64 / logical as f64)
     }
 
-    /// Attempts per logical request (1.0 = no retrying).
-    pub fn retry_amplification(&self) -> Option<f64> {
-        let logical = self.logical_requests();
-        (logical > 0).then(|| self.requests as f64 / logical as f64)
-    }
-
     /// Adds `other`'s counters and latency summaries into `self`. Every
     /// integer counter merges exactly (tier vectors merge elementwise);
     /// the latency [`Summary`]s combine via their own merge (counts exact,
     /// moments to float precision).
-    pub fn merge(&mut self, other: &SimStats) {
+    pub(crate) fn merge(&mut self, other: &SimStats) {
         self.requests += other.requests;
         self.hits += other.hits;
         self.misses += other.misses;
@@ -541,7 +525,6 @@ struct Machine<'w> {
     config: &'w SimConfig,
     only_edge: Option<usize>,
     placement: Placement,
-    edge_ttl_cap: Option<SimDuration>,
     tallies: Tallies,
     /// End-to-end latency of `Normal` requests, in completion order.
     latency_normal: Summary,
@@ -580,7 +563,6 @@ impl<'w> Machine<'w> {
             config,
             only_edge,
             placement: hierarchy.placement,
-            edge_ttl_cap: hierarchy.edge.ttl_cap,
             tallies: Tallies {
                 per_edge: vec![BTreeMap::new(); config.edges],
                 window: config.window,
@@ -649,7 +631,12 @@ impl<'w> Machine<'w> {
     /// Processes events with `time < limit` (all remaining events when
     /// `limit` is `None`). Shared-tier lookups read `tiers` as an
     /// immutable epoch snapshot; mutations land in the tier log.
-    fn run_until(&mut self, policy: &mut dyn Policy, tiers: &[SharedTier], limit: Option<SimTime>) {
+    fn run_until(
+        &mut self,
+        policy: &mut dyn Policy,
+        tiers: &[PolicyCache<u32>],
+        limit: Option<SimTime>,
+    ) {
         let workload = self.workload;
         let config = self.config;
         let table = self.table;
@@ -801,7 +788,6 @@ impl<'w> Machine<'w> {
                             let mut tc = TierCtx {
                                 tiers,
                                 placement: self.placement,
-                                edge_ttl_cap: self.edge_ttl_cap,
                                 log: &mut self.tier_log,
                                 eseq: &mut self.eseqs[edge],
                                 edge_idx: edge as u32,
@@ -903,9 +889,9 @@ fn record_cache_metrics(
 /// Records the shared tiers' cache telemetry (hit/miss/expiry counters
 /// plus occupancy and eviction gauges) labeled by tier index. Called
 /// exactly once per run by whichever driver owns the tiers.
-fn record_tier_metrics(metrics: &mut MetricsSnapshot, tiers: &[SharedTier]) {
+fn record_tier_metrics(metrics: &mut MetricsSnapshot, tiers: &[PolicyCache<u32>]) {
     for (t, tier) in tiers.iter().enumerate() {
-        let stats = tier.cache.stats();
+        let stats = tier.stats();
         let labels = [("tier", t as u64)];
         record_cache_metrics(metrics, &labels, stats);
         metrics.inc(&key("cache.tier_expirations", &labels), stats.expirations);
@@ -946,7 +932,7 @@ fn run_inner(
     // Epoch loop: process strictly inside each epoch against the frozen
     // tier snapshot, flush the access log at the boundary, fast-forward
     // to the epoch containing the next event.
-    let mut tiers = SharedTier::build_all(&hierarchy, config.seed);
+    let mut tiers = build_shared_tiers(&hierarchy, config.seed);
     let interval = hierarchy.sync_interval;
     let mut epoch_end = next_epoch_boundary(SimTime::ZERO, interval);
     loop {
@@ -1048,7 +1034,7 @@ fn run_sharded_hierarchy(
     let machines: Vec<Mutex<Machine<'_>>> = (0..config.edges)
         .map(|e| Mutex::new(Machine::new(workload, config, hierarchy, &table, Some(e))))
         .collect();
-    let mut tiers = SharedTier::build_all(hierarchy, config.seed);
+    let mut tiers = build_shared_tiers(hierarchy, config.seed);
     let interval = hierarchy.sync_interval;
     let mut epoch_end = next_epoch_boundary(SimTime::ZERO, interval);
     loop {
@@ -1156,9 +1142,8 @@ fn attempt_origin(
 /// The hierarchy context one request completion sees: the epoch-frozen
 /// shared tiers, the placement rule, and the access log to append to.
 struct TierCtx<'a> {
-    tiers: &'a [SharedTier],
+    tiers: &'a [PolicyCache<u32>],
     placement: Placement,
-    edge_ttl_cap: Option<SimDuration>,
     log: &'a mut Vec<TierAccess>,
     eseq: &'a mut u64,
     edge_idx: u32,
@@ -1197,7 +1182,6 @@ impl TierCtx<'_> {
         for level in fill {
             match level {
                 0 => {
-                    let ttl = self.edge_ttl_cap.map_or(ttl, |cap| ttl.min(cap));
                     edge.insert(object, size, ttl, now, false);
                 }
                 tier => self.record(now, tier - 1, object, AccessKind::Insert { size, ttl }),
@@ -1241,11 +1225,11 @@ fn complete_request(
 
     let mut flags = RecordFlags::NONE;
     let mut response_bytes = size;
-    // Draws the stochastic per-attempt status (bursty when configured,
-    // i.i.d. `error_fraction` otherwise). Only successful paths draw it —
-    // origin-unavailability failures already have their status.
+    // Draws the stochastic per-attempt status from the plan's error model.
+    // Only successful paths draw it — origin-unavailability failures
+    // already have their status.
     let draw_status = |fs: &mut FaultState, stats: &mut SimStats| -> u16 {
-        if fs.error_draw(config.fault.errors.as_ref(), config.error_fraction) {
+        if fs.error_draw(config.fault.errors.as_ref()) {
             stats.origin_errors += 1;
             500
         } else {
@@ -1305,7 +1289,7 @@ fn complete_request(
                     None => tc
                         .tiers
                         .iter()
-                        .position(|tier| tier.cache.peek(event.object, now)),
+                        .position(|tier| tier.peek(event.object, now)),
                 };
                 if let Some(neg_status) = neg_status {
                     // The origin is known bad; answer without contacting it.
@@ -1398,7 +1382,7 @@ fn complete_request(
         if attempt < res.retry_budget {
             flags.insert(RecordFlags::RETRIED);
             stats.retries_issued += 1;
-            let delay = res.backoff(attempt + 1, widx as u64);
+            let delay = backoff(attempt + 1, widx as u64);
             *seq += 1;
             heap.push(Reverse((
                 now + delay,
@@ -1445,9 +1429,23 @@ mod tests {
     /// The default edge tier plus one shared LRU parent of `bytes`.
     fn with_parent(bytes: u64) -> Option<CacheHierarchy> {
         Some(CacheHierarchy::with_parent(
-            SimConfig::default().cache_capacity,
+            CacheHierarchy::DEFAULT_EDGE_CAPACITY,
             bytes,
         ))
+    }
+
+    /// A plan whose one fault is a share `p` of origin attempts failing,
+    /// each independently.
+    fn iid_errors(p: f64) -> FaultPlan {
+        FaultPlan {
+            errors: Some(crate::fault::ErrorBursts {
+                quiet_error_fraction: p,
+                burst_error_fraction: p,
+                enter_burst: 0.0,
+                exit_burst: 1.0,
+            }),
+            ..FaultPlan::default()
+        }
     }
 
     /// A 3-tier hierarchy (edge + regional + shield) mixing policies.
@@ -1547,7 +1545,7 @@ mod tests {
         let w = build(&WorkloadConfig::tiny(21));
         let config = SimConfig {
             edges: 4,
-            error_fraction: 0.02, // exercise the retry path too
+            fault: iid_errors(0.02), // exercise the retry path too
             ..SimConfig::default()
         };
         let sequential = run_default(&w, &config);
@@ -1592,7 +1590,7 @@ mod tests {
             let shared = hierarchy.is_some();
             let config = SimConfig {
                 edges: 4,
-                error_fraction: 0.02,
+                fault: iid_errors(0.02),
                 hierarchy,
                 ..SimConfig::default()
             };
@@ -1610,7 +1608,7 @@ mod tests {
         let w = build(&WorkloadConfig::tiny(33));
         let config = SimConfig {
             edges: 4,
-            error_fraction: 0.02,
+            fault: iid_errors(0.02),
             window: WindowSpec::parse("1m").ok(),
             ..SimConfig::default()
         };
@@ -1653,7 +1651,6 @@ mod tests {
         hierarchy.shared[1].policy = PolicyKind::S3Fifo;
         SimConfig {
             hierarchy: Some(hierarchy),
-            error_fraction: 0.02,
             fault: FaultPlan {
                 outages: vec![OriginOutage {
                     domain: 0,
@@ -1664,7 +1661,7 @@ mod tests {
                     window: Window::from_secs(30, 900),
                     latency_factor: 50.0,
                 }],
-                ..FaultPlan::default()
+                ..iid_errors(0.02)
             },
             resilience: ResilienceConfig {
                 stale_grace: SimDuration::from_secs(300),
@@ -1955,12 +1952,12 @@ mod tests {
     }
 
     #[test]
-    fn error_fraction_produces_5xx() {
+    fn iid_errors_produce_5xx() {
         let w = build(&WorkloadConfig::tiny(13));
         let out = run_default(
             &w,
             &SimConfig {
-                error_fraction: 0.05,
+                fault: iid_errors(0.05),
                 ..SimConfig::default()
             },
         );

@@ -1,0 +1,266 @@
+//! Model-based property tests for the LFU and SLRU edge caches: each must
+//! agree with a naive reference written from the rule `policy.rs`
+//! documents, on every operation sequence.
+//!
+//! Both references follow the cache core's order of work: an insert first
+//! admits the entry (or refreshes it in place, which counts as a hit), then
+//! evicts until the byte budget holds again, so a new entry can be its own
+//! victim.
+
+use jcdn_cdnsim::cache::PolicyCache;
+use jcdn_cdnsim::{PolicyKind, SimDuration, SimTime};
+use proptest::prelude::*;
+
+#[derive(Clone, Debug)]
+enum Op {
+    Get(u8),
+    Insert(u8, u16),
+    Remove(u8),
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        (0u8..16).prop_map(Op::Get),
+        (0u8..16, 1u16..400).prop_map(|(k, s)| Op::Insert(k, s)),
+        (0u8..16).prop_map(Op::Remove),
+    ]
+}
+
+/// A reference policy over (key, size) entries.
+trait Reference {
+    fn get(&mut self, key: u8) -> bool;
+    fn insert(&mut self, key: u8, size: u64) -> bool;
+    fn remove(&mut self, key: u8) -> bool;
+    fn residents(&self) -> Vec<u8>;
+    fn used(&self) -> u64;
+}
+
+/// LFU: the victim is the least frequent entry, and the least recently
+/// touched among equals. An admission counts once; every hit and every
+/// refresh counts once more.
+struct LfuModel {
+    capacity: u64,
+    clock: u64,
+    /// (key, size, frequency, last touch)
+    entries: Vec<(u8, u64, u64, u64)>,
+}
+
+impl LfuModel {
+    fn new(capacity: u64) -> LfuModel {
+        LfuModel {
+            capacity,
+            clock: 0,
+            entries: Vec::new(),
+        }
+    }
+
+    fn touch(&mut self, key: u8) -> Option<&mut (u8, u64, u64, u64)> {
+        self.clock += 1;
+        let clock = self.clock;
+        let entry = self.entries.iter_mut().find(|e| e.0 == key)?;
+        entry.2 += 1;
+        entry.3 = clock;
+        Some(entry)
+    }
+}
+
+impl Reference for LfuModel {
+    fn get(&mut self, key: u8) -> bool {
+        self.touch(key).is_some()
+    }
+
+    fn insert(&mut self, key: u8, size: u64) -> bool {
+        if size > self.capacity {
+            return false;
+        }
+        match self.touch(key) {
+            Some(entry) => entry.1 = size,
+            None => self.entries.push((key, size, 1, self.clock)),
+        }
+        while self.used() > self.capacity {
+            let victim = (0..self.entries.len())
+                .min_by_key(|&i| (self.entries[i].2, self.entries[i].3))
+                .expect("over budget with entries");
+            self.entries.remove(victim);
+        }
+        true
+    }
+
+    fn remove(&mut self, key: u8) -> bool {
+        let before = self.entries.len();
+        self.entries.retain(|e| e.0 != key);
+        self.entries.len() < before
+    }
+
+    fn residents(&self) -> Vec<u8> {
+        self.entries.iter().map(|e| e.0).collect()
+    }
+
+    fn used(&self) -> u64 {
+        self.entries.iter().map(|e| e.1).sum()
+    }
+}
+
+/// SLRU: a new entry enters probation; a probation hit promotes it to
+/// protected, whose bytes are capped at 4/5 of capacity; on overflow the
+/// least recent protected entry goes back to probation's most-recent end.
+/// A protected hit only refreshes recency. Victims come from probation's
+/// least-recent end first, then from protected's.
+struct SlruModel {
+    capacity: u64,
+    /// (key, size), most recent first.
+    probation: Vec<(u8, u64)>,
+    /// (key, size), most recent first.
+    protected: Vec<(u8, u64)>,
+}
+
+impl SlruModel {
+    fn new(capacity: u64) -> SlruModel {
+        SlruModel {
+            capacity,
+            probation: Vec::new(),
+            protected: Vec::new(),
+        }
+    }
+
+    fn demote_overflow(&mut self) {
+        let cap = self.capacity / 5 * 4;
+        while self.protected.iter().map(|e| e.1).sum::<u64>() > cap {
+            let Some(oldest) = self.protected.pop() else {
+                break;
+            };
+            self.probation.insert(0, oldest);
+        }
+    }
+
+    /// A hit on a resident entry, optionally resizing it first.
+    fn hit(&mut self, key: u8, size: Option<u64>) -> bool {
+        if let Some(pos) = self.protected.iter().position(|e| e.0 == key) {
+            let mut entry = self.protected.remove(pos);
+            entry.1 = size.unwrap_or(entry.1);
+            self.protected.insert(0, entry);
+        } else if let Some(pos) = self.probation.iter().position(|e| e.0 == key) {
+            let mut entry = self.probation.remove(pos);
+            entry.1 = size.unwrap_or(entry.1);
+            self.protected.insert(0, entry);
+        } else {
+            return false;
+        }
+        self.demote_overflow();
+        true
+    }
+}
+
+impl Reference for SlruModel {
+    fn get(&mut self, key: u8) -> bool {
+        self.hit(key, None)
+    }
+
+    fn insert(&mut self, key: u8, size: u64) -> bool {
+        if size > self.capacity {
+            return false;
+        }
+        if !self.hit(key, Some(size)) {
+            self.probation.insert(0, (key, size));
+        }
+        while self.used() > self.capacity {
+            if self.probation.pop().is_none() {
+                self.protected.pop();
+            }
+        }
+        true
+    }
+
+    fn remove(&mut self, key: u8) -> bool {
+        let before = self.probation.len() + self.protected.len();
+        self.probation.retain(|e| e.0 != key);
+        self.protected.retain(|e| e.0 != key);
+        self.probation.len() + self.protected.len() < before
+    }
+
+    fn residents(&self) -> Vec<u8> {
+        self.probation
+            .iter()
+            .chain(&self.protected)
+            .map(|e| e.0)
+            .collect()
+    }
+
+    fn used(&self) -> u64 {
+        self.probation
+            .iter()
+            .chain(&self.protected)
+            .map(|e| e.1)
+            .sum()
+    }
+}
+
+/// Drives the real cache and the reference with the same operations and
+/// compares every answer, the resident set and the used bytes after each.
+fn agrees(kind: PolicyKind, reference: &mut dyn Reference, capacity: u64, ops: &[Op]) {
+    // A long TTL keeps expiry out of the way.
+    let ttl = SimDuration::from_secs(1 << 30);
+    let mut cache: PolicyCache<u8> = PolicyCache::with_policy(capacity, kind, 7);
+    for (i, op) in ops.iter().enumerate() {
+        let now = SimTime::from_secs(i as u64);
+        match *op {
+            Op::Get(k) => {
+                prop_assert_eq!(
+                    cache.get(k, now),
+                    reference.get(k),
+                    "get({}) at step {}",
+                    k,
+                    i
+                );
+            }
+            Op::Insert(k, s) => {
+                let size = u64::from(s);
+                prop_assert_eq!(
+                    cache.insert(k, size, ttl, now, false),
+                    reference.insert(k, size),
+                    "insert({}, {}) at step {}",
+                    k,
+                    s,
+                    i
+                );
+            }
+            Op::Remove(k) => {
+                prop_assert_eq!(
+                    cache.remove(k),
+                    reference.remove(k),
+                    "remove({}) at step {}",
+                    k,
+                    i
+                );
+            }
+        }
+        let mut expected = reference.residents();
+        expected.sort_unstable();
+        let actual: Vec<u8> = (0..16).filter(|&k| cache.peek(k, now)).collect();
+        prop_assert_eq!(actual, expected, "residents after step {} ({:?})", i, op);
+        prop_assert_eq!(
+            cache.used_bytes(),
+            reference.used(),
+            "bytes after step {}",
+            i
+        );
+    }
+}
+
+proptest! {
+    #[test]
+    fn lfu_agrees_with_reference(
+        ops in prop::collection::vec(arb_op(), 0..200),
+        capacity in 100u64..2000,
+    ) {
+        agrees(PolicyKind::Lfu, &mut LfuModel::new(capacity), capacity, &ops);
+    }
+
+    #[test]
+    fn slru_agrees_with_reference(
+        ops in prop::collection::vec(arb_op(), 0..200),
+        capacity in 100u64..2000,
+    ) {
+        agrees(PolicyKind::Slru, &mut SlruModel::new(capacity), capacity, &ops);
+    }
+}

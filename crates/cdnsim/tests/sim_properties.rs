@@ -36,7 +36,7 @@ proptest! {
         let workload = build(&WorkloadConfig::tiny(seed).scaled(0.2));
         let config = SimConfig {
             edges,
-            hierarchy: parent.then(|| CacheHierarchy::with_parent(SimConfig::default().cache_capacity, 1 << 28)),
+            hierarchy: parent.then(|| CacheHierarchy::with_parent(CacheHierarchy::DEFAULT_EDGE_CAPACITY, 1 << 28)),
             ..SimConfig::default()
         };
         let out = run_default(&workload, &config);

@@ -229,11 +229,6 @@ impl FailPlan {
         })
     }
 
-    /// The fail points of this plan, in spec order.
-    pub fn points(&self) -> Vec<FailPoint> {
-        self.points.iter().map(|p| p.point.clone()).collect()
-    }
-
     /// Derives a deterministic value in `0..bound` for point `salt`
     /// (SplitMix64 over the plan seed; `bound` 0 maps to 0).
     fn derived(&self, salt: u64, bound: u64) -> u64 {
@@ -330,7 +325,10 @@ mod tests {
         .expect("parses");
         assert_eq!(plan.seed, 9);
         assert_eq!(
-            plan.points(),
+            plan.points
+                .iter()
+                .map(|p| p.point.clone())
+                .collect::<Vec<_>>(),
             vec![
                 FailPoint::WriteError { nth: 1 },
                 FailPoint::TruncateWrite {

@@ -8,7 +8,7 @@
 //! placement copies a hit one level down instead of into every tier, and
 //! `--cache-sync` is the shared-tier epoch (DESIGN.md §14).
 
-use jcdn_cdnsim::{CacheHierarchy, Placement, PolicyKind, SimConfig, SimDuration, TierSpec};
+use jcdn_cdnsim::{CacheHierarchy, Placement, PolicyKind, SimDuration, TierSpec};
 
 use crate::args::{Args, CACHE};
 
@@ -45,7 +45,7 @@ pub fn hierarchy(args: &Args) -> Result<Option<CacheHierarchy>, String> {
     if tiers.is_empty() {
         // Policy/placement flags without --cache-tier reshape the default
         // single edge tier.
-        tiers.push(TierSpec::lru("edge", SimConfig::default().cache_capacity));
+        tiers.push(TierSpec::lru("edge", CacheHierarchy::DEFAULT_EDGE_CAPACITY));
     }
 
     // One bare policy applies everywhere; NAME:POLICY pairs target tiers.
@@ -68,14 +68,11 @@ pub fn hierarchy(args: &Args) -> Result<Option<CacheHierarchy>, String> {
         }
     }
 
-    let mut tiers = tiers.into_iter();
-    let edge = match tiers.next() {
-        Some(t) => t,
-        None => TierSpec::lru("edge", SimConfig::default().cache_capacity),
-    };
+    // The first tier is the edge's; the branch above made sure there is one.
+    let edge = tiers.remove(0);
     let mut h = CacheHierarchy {
         edge,
-        shared: tiers.collect(),
+        shared: tiers,
         placement: Placement::CopyEverywhere,
         sync_interval: CacheHierarchy::DEFAULT_SYNC_INTERVAL,
     };
@@ -195,7 +192,7 @@ mod tests {
         let h = hierarchy(&parse(&["--cache-policy", "tinylfu"]))
             .unwrap()
             .unwrap();
-        assert_eq!(h.edge.capacity, SimConfig::default().cache_capacity);
+        assert_eq!(h.edge.capacity, CacheHierarchy::DEFAULT_EDGE_CAPACITY);
         assert_eq!(h.edge.policy, PolicyKind::TinyLfu);
         assert!(h.shared.is_empty());
     }

@@ -169,8 +169,7 @@ fn replay_hierarchy(sharded: &ShardedTrace, h: &jcdn_cdnsim::CacheHierarchy) -> 
     use jcdn_cdnsim::cache::PolicyCache;
     use jcdn_trace::{CacheStatus, SimDuration};
 
-    // Recorded traces carry no TTLs, so entries live until evicted unless
-    // a tier spec caps them.
+    // Recorded traces carry no TTLs, so entries live until evicted.
     let ttl = SimDuration::from_secs(u64::MAX / 4_000_000);
     let specs: Vec<&jcdn_cdnsim::TierSpec> = std::iter::once(&h.edge).chain(&h.shared).collect();
     let mut caches: Vec<PolicyCache<u32>> = specs
@@ -205,7 +204,6 @@ fn replay_hierarchy(sharded: &ShardedTrace, h: &jcdn_cdnsim::CacheHierarchy) -> 
                     levels
                 });
             for level in h.placement.fill(served) {
-                let ttl = specs[level].effective_ttl(ttl);
                 caches[level].insert(object, size, ttl, now, false);
             }
         }

@@ -59,20 +59,24 @@ pub fn run(args: &Args) -> Result<Outcome, String> {
         other => return Err(format!("unknown preset {other:?} (short|long|tiny)")),
     }
     .scaled(scale);
+    // Every flag is checked before the workload is built; only the domain
+    // names of fault windows wait for it.
+    let faults = fault_args::faults(args, edges)?;
+    let resilience = fault_args::resilience(args)?;
+    let hierarchy = cache_args::hierarchy(args)?;
 
     eprintln!(
         "generating `{}` (~{} events, {} clients, {} domains)...",
         config.name, config.target_events, config.clients, config.domains
     );
-    // Fault windows may name domains, so the workload is built before the
-    // simulator configuration is finalized. Thread count never changes the
-    // output — generation and simulation are shard-invariant by design.
+    // Thread count never changes the output — generation and simulation
+    // are shard-invariant by design.
     let workload = build_parallel(&config, threads);
     let sim = SimConfig {
         edges,
-        fault: fault_args::fault_plan(args, &workload, edges)?,
-        resilience: fault_args::resilience(args)?,
-        hierarchy: cache_args::hierarchy(args)?,
+        fault: faults.resolve(&workload)?,
+        resilience,
+        hierarchy,
         window: obs.window,
         ..SimConfig::default()
     };

@@ -3,7 +3,7 @@
 //! `--outage`, `--degrade` and `--flap` take comma-separated windows over
 //! `[START, END)` simulated seconds, and a `DOMAIN` is a host name
 //! (`sports-1.example`) or a numeric domain index. `--error-burst`'s
-//! two-state Markov process replaces the i.i.d. error fraction.
+//! two-state Markov process replaces the 0.4% i.i.d. baseline.
 
 use jcdn_cdnsim::{
     EdgeFlap, ErrorBursts, FaultPlan, OriginDegradation, OriginOutage, ResilienceConfig,
@@ -13,14 +13,23 @@ use jcdn_workload::Workload;
 
 use crate::args::Args;
 
-/// Builds the fault plan from the parsed flags, resolving domain names
-/// against the workload and edge indices against its `edges` edges.
-pub fn fault_plan(args: &Args, workload: &Workload, edges: usize) -> Result<FaultPlan, String> {
+/// The fault flags, checked. Only the domains of `--outage` and
+/// `--degrade` wait for the workload; [`Faults::resolve`] names them.
+pub struct Faults<'a> {
+    plan: FaultPlan,
+    /// The DOMAIN of each outage, then of each degradation.
+    domains: Vec<&'a str>,
+}
+
+/// Checks the fault flags, edge indices against `edges` edges.
+pub fn faults(args: &Args, edges: usize) -> Result<Faults<'_>, String> {
     let mut plan = FaultPlan::default();
+    let mut domains = Vec::new();
     for spec in specs(args.maybe("outage").unwrap_or_default()) {
         let [domain, start, end] = fields::<3>("outage", spec)?;
+        domains.push(domain);
         plan.outages.push(OriginOutage {
-            domain: resolve_domain(workload, domain)?,
+            domain: 0,
             window: window("outage", start, end)?,
         });
     }
@@ -32,8 +41,9 @@ pub fn fault_plan(args: &Args, workload: &Workload, edges: usize) -> Result<Faul
         if !(factor >= 1.0 && factor.is_finite()) {
             return Err("--degrade: factor must be >= 1".into());
         }
+        domains.push(domain);
         plan.degradations.push(OriginDegradation {
-            domain: resolve_domain(workload, domain)?,
+            domain: 0,
             window: window("degrade", start, end)?,
             latency_factor: factor,
         });
@@ -71,7 +81,20 @@ pub fn fault_plan(args: &Args, workload: &Workload, edges: usize) -> Result<Faul
             exit_burst: parse("exit probability", exit)?,
         });
     }
-    Ok(plan)
+    Ok(Faults { plan, domains })
+}
+
+impl Faults<'_> {
+    /// The fault plan, its domains resolved against the workload.
+    pub fn resolve(mut self, workload: &Workload) -> Result<FaultPlan, String> {
+        let plan = &mut self.plan;
+        let slots = plan.outages.iter_mut().map(|o| &mut o.domain);
+        let slots = slots.chain(plan.degradations.iter_mut().map(|d| &mut d.domain));
+        for (slot, token) in slots.zip(&self.domains) {
+            *slot = resolve_domain(workload, token)?;
+        }
+        Ok(self.plan)
+    }
 }
 
 /// Builds the resilience configuration from the parsed flags.
@@ -173,7 +196,7 @@ mod tests {
             "--error-burst",
             "0.001:0.3:0.02:0.2",
         ]);
-        let plan = fault_plan(&args, &w, 3).unwrap();
+        let plan = faults(&args, 3).unwrap().resolve(&w).unwrap();
         assert_eq!(plan.outages.len(), 2);
         assert_eq!(plan.outages[0].domain, 0);
         assert_eq!(plan.outages[1].domain, 1);
@@ -197,7 +220,8 @@ mod tests {
             &["--error-burst", "0.1:2.0:0.01:0.2"], // fraction > 1
         ] {
             let args = parse(argv);
-            assert!(fault_plan(&args, &w, 3).is_err(), "should reject {argv:?}");
+            let plan = faults(&args, 3).and_then(|f| f.resolve(&w));
+            assert!(plan.is_err(), "should reject {argv:?}");
         }
     }
 

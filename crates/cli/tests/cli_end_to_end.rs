@@ -374,6 +374,35 @@ fn what_if_replay_conserves_requests_level_by_level() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Fault, resilience and cache flags are checked before the workload is
+/// built; only a fault window's domain name waits for it.
+#[test]
+fn generate_checks_flags_before_building_the_workload() {
+    let dir = tempdir("early");
+    let trace = dir.join("t.jcdn");
+    let trace_str = trace.to_str().unwrap();
+    for (flags, building) in [
+        (["--flap", "9:0:60"], false),
+        (["--retries", "x"], false),
+        (["--resilience", "maybe"], false),
+        (["--cache-tier", "edge"], false),
+        (["--outage", "nosuch.example:0:60"], true),
+    ] {
+        let mut args = vec!["generate", "--scale", "0.05", "--out", trace_str];
+        args.extend(flags);
+        let out = jcdn(&args);
+        assert_eq!(out.status.code(), Some(1), "{flags:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            stderr.contains("generating"),
+            building,
+            "{flags:?}: {stderr}"
+        );
+    }
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Every flag is checked before the store writes, so a rejected one
 /// leaves no index, staging directory or trace behind.
 #[test]

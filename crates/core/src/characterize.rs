@@ -1,14 +1,13 @@
 //! §4 — characterizing JSON traffic.
 //!
 //! Every breakdown here is a mergeable partial. One pass over a record
-//! stream ([`PartialReport::accumulate`]) fills all of them at once,
+//! stream (`PartialReport::accumulate`) fills all of them at once,
 //! `merge` combines partials exactly (associative and commutative), and
 //! anything lossy waits for a once-per-report finalize.
 //! [`CharacterizationReport::compute`] is the one entry point that runs
 //! them; per-shard results equal the whole-trace result bit-for-bit,
 //! which the `shard_invariance` integration tests assert.
 //!
-//! [`PartialReport::accumulate`]: crate::pipeline::PartialReport::accumulate
 //! [`CharacterizationReport::compute`]: crate::pipeline::CharacterizationReport::compute
 
 use std::collections::BTreeMap;
@@ -25,7 +24,7 @@ pub const HEATMAP_BUCKETS: usize = 10;
 /// Pre-classified user-agent table: each distinct UA string classified
 /// once, shared by every shard's pass. Records reference UAs by id, so
 /// classification costs once per string, and a pass tallies per UA
-/// [`slot`][Self::slot] and classifies the tallies afterwards.
+/// `slot` and classifies the tallies afterwards.
 #[derive(Clone, Debug)]
 pub struct UaClassTable {
     /// One classification per `UaId`, then the header-absent one.
@@ -34,7 +33,7 @@ pub struct UaClassTable {
 
 impl UaClassTable {
     /// Classifies every UA in the interner's table.
-    pub fn build(interner: &Interner) -> Self {
+    pub(crate) fn build(interner: &Interner) -> Self {
         UaClassTable {
             slots: interner
                 .ua_table()
@@ -48,17 +47,17 @@ impl UaClassTable {
 
     /// A record's slot: its UA id, or the last slot when the header is
     /// absent.
-    pub fn slot(&self, ua: Option<UaId>) -> usize {
+    pub(crate) fn slot(&self, ua: Option<UaId>) -> usize {
         ua.map_or(self.slots.len() - 1, |ua| ua.0 as usize)
     }
 
     /// The classification of every slot, in slot order.
-    pub fn slots(&self) -> &[Classification] {
+    pub(crate) fn slots(&self) -> &[Classification] {
         &self.slots
     }
 
     /// Iterates the classifications of all distinct UA strings.
-    pub fn classes(&self) -> impl Iterator<Item = &Classification> {
+    pub(crate) fn classes(&self) -> impl Iterator<Item = &Classification> {
         self.slots[..self.slots.len() - 1].iter()
     }
 }
@@ -76,7 +75,7 @@ pub struct HostCategoryTable<'t> {
 impl<'t> HostCategoryTable<'t> {
     /// Resolves every interned URL's host and looks up each host's
     /// industry.
-    pub fn build(interner: &'t Interner, provider: &dyn CategoryProvider) -> Self {
+    pub(crate) fn build(interner: &'t Interner, provider: &dyn CategoryProvider) -> Self {
         let hosts = HostTable::build(interner);
         let categories = hosts
             .hosts()
@@ -87,17 +86,17 @@ impl<'t> HostCategoryTable<'t> {
     }
 
     /// The host id of a URL, in `0..host_count()`.
-    pub fn host_id(&self, url: UrlId) -> usize {
+    pub(crate) fn host_id(&self, url: UrlId) -> usize {
         self.hosts.host_id(url)
     }
 
     /// The industry of a host id, or `None` when the provider had none.
-    pub fn category(&self, host: usize) -> Option<IndustryCategory> {
+    pub(crate) fn category(&self, host: usize) -> Option<IndustryCategory> {
         self.categories[host]
     }
 
     /// Number of distinct hosts.
-    pub fn host_count(&self) -> usize {
+    pub(crate) fn host_count(&self) -> usize {
         self.categories.len()
     }
 }
@@ -110,7 +109,7 @@ pub struct TrafficSourceBreakdown {
     pub requests_by_device: BTreeMap<DeviceType, u64>,
     /// Distinct UA strings per device type (the paper's "distribution of
     /// user agent strings": 73% Mobile / 17% Embedded / 3% Desktop / 7%
-    /// Unknown). Filled by [`count_ua_strings`][Self::count_ua_strings],
+    /// Unknown). Filled by `count_ua_strings`,
     /// not by the record pass — it is a property of the shared UA table,
     /// so per-shard partials leave it empty and the merged result counts
     /// it once.
@@ -128,7 +127,7 @@ pub struct TrafficSourceBreakdown {
 impl TrafficSourceBreakdown {
     /// Adds JSON request counts per UA slot (`per_ua[classes.slot(ua)]`)
     /// into the request counters.
-    pub fn count_requests(&mut self, per_ua: &[u64], classes: &UaClassTable) {
+    pub(crate) fn count_requests(&mut self, per_ua: &[u64], classes: &UaClassTable) {
         let mut by_device = [0u64; DeviceType::ALL.len()];
         for (c, &n) in classes.slots().iter().zip(per_ua) {
             self.total += n;
@@ -153,7 +152,7 @@ impl TrafficSourceBreakdown {
     /// Adds `other`'s request counters into `self`. Call on per-shard
     /// partials (whose `ua_strings_by_device` is still empty), then
     /// [`count_ua_strings`][Self::count_ua_strings] once on the total.
-    pub fn merge(&mut self, other: &TrafficSourceBreakdown) {
+    pub(crate) fn merge(&mut self, other: &TrafficSourceBreakdown) {
         for (&device, &count) in &other.requests_by_device {
             *self.requests_by_device.entry(device).or_default() += count;
         }
@@ -169,7 +168,7 @@ impl TrafficSourceBreakdown {
     /// Fills the distinct-UA-string distribution from the shared UA table.
     /// The UA table is global to all shards, so this runs once per report,
     /// not once per shard.
-    pub fn count_ua_strings(&mut self, classes: &UaClassTable) {
+    pub(crate) fn count_ua_strings(&mut self, classes: &UaClassTable) {
         for c in classes.classes() {
             *self.ua_strings_by_device.entry(c.device).or_default() += 1;
         }
@@ -214,14 +213,14 @@ pub struct RequestTypeBreakdown {
 
 impl RequestTypeBreakdown {
     /// Adds `other`'s counters into `self`.
-    pub fn merge(&mut self, other: &RequestTypeBreakdown) {
+    pub(crate) fn merge(&mut self, other: &RequestTypeBreakdown) {
         self.downloads += other.downloads;
         self.uploads += other.uploads;
         self.other += other.other;
     }
 
     /// Total JSON requests.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.downloads + self.uploads + self.other
     }
 
@@ -260,7 +259,7 @@ impl ResponseTypeBreakdown {
     /// Absorbs `other`'s counters and size samples. Quantile queries over
     /// the merged breakdown equal single-pass queries (order statistics
     /// are insertion-order-insensitive).
-    pub fn merge(&mut self, other: &ResponseTypeBreakdown) {
+    pub(crate) fn merge(&mut self, other: &ResponseTypeBreakdown) {
         self.json_uncacheable += other.json_uncacheable;
         self.json_total += other.json_total;
         self.json_sizes.merge(&other.json_sizes);
@@ -296,7 +295,7 @@ pub struct ContentMix {
 
 impl ContentMix {
     /// Adds `other`'s counters into `self`.
-    pub fn merge(&mut self, other: &ContentMix) {
+    pub(crate) fn merge(&mut self, other: &ContentMix) {
         self.json += other.json;
         self.html += other.html;
     }
@@ -340,7 +339,7 @@ impl CategoryProvider for TokenCategoryProvider {
 /// from partial streams cannot be combined after bucketing (a domain split
 /// across shards would be counted twice). Partials therefore carry the raw
 /// `(cacheable, total)` counts per domain and bucket only at
-/// [`finalize`][Self::finalize].
+/// `finalize`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DomainCacheability {
     /// `(cacheable JSON requests, total JSON requests)` per host id of the
@@ -350,7 +349,7 @@ pub struct DomainCacheability {
 
 impl DomainCacheability {
     /// Adds `other`'s counts into `self`, summing per-domain pairs.
-    pub fn merge(&mut self, other: &DomainCacheability) {
+    pub(crate) fn merge(&mut self, other: &DomainCacheability) {
         if self.per_domain.len() < other.per_domain.len() {
             self.per_domain.resize(other.per_domain.len(), (0, 0));
         }
@@ -362,7 +361,7 @@ impl DomainCacheability {
 
     /// Buckets the fractions of the domains with JSON traffic into a
     /// heatmap.
-    pub fn finalize(&self, hosts: &HostCategoryTable<'_>) -> CacheabilityHeatmap {
+    pub(crate) fn finalize(&self, hosts: &HostCategoryTable<'_>) -> CacheabilityHeatmap {
         let mut rows: BTreeMap<IndustryCategory, Vec<u64>> = BTreeMap::new();
         let mut uncategorized = 0;
         for (host, &(cacheable, total)) in self.per_domain.iter().enumerate() {
@@ -470,7 +469,7 @@ pub struct AvailabilityBreakdown {
 impl AvailabilityBreakdown {
     /// Adds `(end-user failures, logical requests)` tallies per host id
     /// into the end-user and per-industry counters.
-    pub fn count_logical(&mut self, per_host: &[(u64, u64)], hosts: &HostCategoryTable<'_>) {
+    pub(crate) fn count_logical(&mut self, per_host: &[(u64, u64)], hosts: &HostCategoryTable<'_>) {
         for (host, &(failures, logical)) in per_host.iter().enumerate() {
             if logical == 0 {
                 continue;
@@ -488,7 +487,7 @@ impl AvailabilityBreakdown {
     }
 
     /// Adds `other`'s counters into `self`.
-    pub fn merge(&mut self, other: &AvailabilityBreakdown) {
+    pub(crate) fn merge(&mut self, other: &AvailabilityBreakdown) {
         self.attempts += other.attempts;
         self.retried_attempts += other.retried_attempts;
         self.end_user_failures += other.end_user_failures;
@@ -505,7 +504,7 @@ impl AvailabilityBreakdown {
     }
 
     /// Logical requests: final attempts (attempts minus retried ones).
-    pub fn logical_requests(&self) -> u64 {
+    pub(crate) fn logical_requests(&self) -> u64 {
         self.attempts - self.retried_attempts
     }
 
@@ -520,7 +519,7 @@ impl AvailabilityBreakdown {
 
     /// Share of *attempts* that failed — the origin-side error rate the
     /// retry layer hides from end users.
-    pub fn attempt_error_rate(&self) -> f64 {
+    pub(crate) fn attempt_error_rate(&self) -> f64 {
         if self.attempts == 0 {
             return 0.0;
         }
@@ -528,7 +527,7 @@ impl AvailabilityBreakdown {
     }
 
     /// Attempts per logical request (`1.0` when nothing was retried).
-    pub fn retry_amplification(&self) -> f64 {
+    pub(crate) fn retry_amplification(&self) -> f64 {
         let logical = self.logical_requests();
         if logical == 0 {
             return 1.0;
@@ -537,7 +536,7 @@ impl AvailabilityBreakdown {
     }
 
     /// Share of logical requests rescued by serve-stale.
-    pub fn stale_serve_share(&self) -> f64 {
+    pub(crate) fn stale_serve_share(&self) -> f64 {
         let logical = self.logical_requests();
         if logical == 0 {
             return 0.0;
@@ -547,7 +546,7 @@ impl AvailabilityBreakdown {
 
     /// Availability (`1 - error rate`) for one industry category, or
     /// `None` when no logical request hit that category.
-    pub fn industry_availability(&self, category: IndustryCategory) -> Option<f64> {
+    pub(crate) fn industry_availability(&self, category: IndustryCategory) -> Option<f64> {
         let &(failures, logical) = self.per_industry.get(&category)?;
         (logical > 0).then(|| 1.0 - failures as f64 / logical as f64)
     }

@@ -7,18 +7,14 @@
 //! [`jcdn_exec::scatter_gather_labeled`] pool and merged in slice order.
 //! `trace.stream()` is one slice, `sharded.stream()` one per shard.
 //! [`compute_isolated`](CharacterizationReport::compute_isolated) is the
-//! same route with panicking slices quarantined. The manual route builds
-//! the tables below and calls
-//! [`accumulate`](crate::pipeline::PartialReport::accumulate),
-//! [`merge`](crate::pipeline::PartialReport::merge) and
-//! [`finalize`](crate::pipeline::PartialReport::finalize) itself.
+//! same route with panicking slices quarantined.
 //!
-//! Every route first builds the report's shared tables once: the
+//! Both routes first build the report's shared tables once: the
 //! [`UaClassTable`] and the [`HostCategoryTable`]. Each
 //! partial then comes from one pass over its records that tallies per UA
 //! and per host in plain arrays. Because every accumulator merge is exact
 //! (integer counts, pooled order statistics, per-domain counts bucketed
-//! only at finalize), every route yields identical reports for the same
+//! only at finalize), both routes yield identical reports for the same
 //! records — for any slicing and thread count. The `shard_invariance` and
 //! `characterize_reference` integration tests hold the pipeline to that.
 
@@ -32,7 +28,7 @@ use crate::characterize::{
 use crate::taxonomy::RequestType;
 
 /// Partial characterization state for one record subset. Merge partials
-/// with [`merge`][Self::merge], then [`finalize`][Self::finalize] into a
+/// with `merge`, then `finalize` into a
 /// [`CharacterizationReport`].
 #[derive(Clone, Debug, Default)]
 pub struct PartialReport {
@@ -56,7 +52,7 @@ impl PartialReport {
     /// id in plain arrays; those tallies reach the breakdowns' maps once
     /// per call, not once per record. Size samples are recorded in stream
     /// order.
-    pub fn accumulate(
+    pub(crate) fn accumulate(
         &mut self,
         stream: &RecordStream<'_>,
         classes: &UaClassTable,
@@ -124,7 +120,7 @@ impl PartialReport {
     }
 
     /// Adds `other`'s partial state into `self` (associative, exact).
-    pub fn merge(&mut self, other: &PartialReport) {
+    pub(crate) fn merge(&mut self, other: &PartialReport) {
         self.sources.merge(&other.sources);
         self.requests.merge(&other.requests);
         self.responses.merge(&other.responses);
@@ -135,7 +131,7 @@ impl PartialReport {
 
     /// Runs the once-per-report steps (distinct-UA counts from the shared
     /// table, heatmap bucketing) and produces the final report.
-    pub fn finalize(
+    pub(crate) fn finalize(
         mut self,
         classes: &UaClassTable,
         hosts: &HostCategoryTable<'_>,

@@ -35,19 +35,8 @@ impl TextTable {
         self
     }
 
-    /// Convenience for `&str` rows.
-    pub fn row_str(&mut self, cells: &[&str]) -> &mut Self {
-        let owned: Vec<String> = cells.iter().map(|s| s.to_string()).collect();
-        self.row(&owned)
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
     /// True when no rows were added.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
 
@@ -91,7 +80,7 @@ pub fn pct(fraction: f64) -> String {
 }
 
 /// Formats a ratio with two decimals and an `x` suffix.
-pub fn ratio(value: f64) -> String {
+pub(crate) fn ratio(value: f64) -> String {
     format!("{value:.2}x")
 }
 
@@ -187,8 +176,8 @@ mod tests {
     #[test]
     fn table_alignment() {
         let mut t = TextTable::new(&["K", "Clustered URLs", "Actual URLs"]);
-        t.row_str(&["1", ".65", ".45"]);
-        t.row_str(&["10", ".87", ".69"]);
+        t.row(&["1".into(), ".65".into(), ".45".into()]);
+        t.row(&["10".into(), ".87".into(), ".69".into()]);
         let rendered = t.render();
         let lines: Vec<&str> = rendered.lines().collect();
         assert_eq!(lines.len(), 4);
@@ -203,7 +192,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "row arity")]
     fn arity_mismatch_panics() {
-        TextTable::new(&["a", "b"]).row_str(&["only-one"]);
+        TextTable::new(&["a", "b"]).row(&["only-one".into()]);
     }
 
     #[test]

@@ -141,7 +141,7 @@ fn top_k(urls: &BTreeMap<u32, u64>, k: usize) -> Vec<(u64, u32)> {
 
 /// Per-slice windowed §4 state. Accumulate one slice's stream, let the
 /// pipeline merge partials in slice order, then
-/// [`finalize`][SeriesPartial::finalize] into a [`SeriesReport`].
+/// `finalize` into a [`SeriesReport`].
 #[derive(Clone, Debug)]
 pub struct SeriesPartial {
     spec: WindowSpec,
@@ -154,7 +154,7 @@ pub struct SeriesPartial {
 
 impl SeriesPartial {
     /// An empty partial tracking [`TOP_URLS`] URLs per window.
-    pub fn new(spec: WindowSpec) -> SeriesPartial {
+    pub(crate) fn new(spec: WindowSpec) -> SeriesPartial {
         SeriesPartial {
             spec,
             live: BTreeMap::new(),
@@ -162,15 +162,10 @@ impl SeriesPartial {
         }
     }
 
-    /// The window shape.
-    pub fn spec(&self) -> &WindowSpec {
-        &self.spec
-    }
-
     /// Folds one record stream into the per-bucket tallies, then retires
     /// every window strictly interior to the stream's time range (exact
     /// for contiguous time partitions — see the module docs).
-    pub fn accumulate(&mut self, stream: &RecordStream<'_>) {
+    pub(crate) fn accumulate(&mut self, stream: &RecordStream<'_>) {
         for record in stream.iter() {
             let bucket = self.spec.bucket_of(record.time.as_micros());
             let tally = self.live.entry(bucket).or_default();
@@ -236,7 +231,7 @@ impl SeriesPartial {
     /// indexes for contiguous slices (defensively, a collision merges
     /// stats and re-merges top lists deterministically); live boundary
     /// buckets union exactly.
-    pub fn merge(&mut self, other: &SeriesPartial) {
+    pub(crate) fn merge(&mut self, other: &SeriesPartial) {
         for (&w, theirs) in &other.closed {
             match self.closed.get_mut(&w) {
                 None => {
@@ -261,7 +256,7 @@ impl SeriesPartial {
     /// `interner`, and computes churn between consecutive emitted
     /// windows. Integer arithmetic throughout — the rows serialize
     /// byte-identically for identical record sets.
-    pub fn finalize(mut self, interner: &Interner) -> SeriesReport {
+    pub(crate) fn finalize(mut self, interner: &Interner) -> SeriesReport {
         // Candidate windows: everything already closed plus every window
         // overlapping a live bucket.
         let mut windows: Vec<u64> = self.closed.keys().copied().collect();
@@ -356,7 +351,7 @@ impl SeriesRow {
 
     /// Serializes as one canonical JSONL line (no trailing newline),
     /// tagged `"stream":"section4"`.
-    pub fn to_jsonl(&self) -> String {
+    pub(crate) fn to_jsonl(&self) -> String {
         let mut out = String::new();
         let mut w = json::ObjectWriter::begin(&mut out);
         w.field_str("stream", "section4");

@@ -7,7 +7,7 @@
 //! The CI matrix exercises specific shard counts by setting
 //! `JCDN_TEST_SHARDS`; without it every test covers {1, 2, 8}.
 
-use jcdn_cdnsim::SimConfig;
+use jcdn_cdnsim::{ErrorBursts, FaultPlan, SimConfig};
 use jcdn_core::dataset::{simulate_workload_parallel, Dataset};
 use jcdn_core::series::SeriesReport;
 use jcdn_obs::timeseries::WindowSpec;
@@ -27,12 +27,26 @@ fn shard_counts() -> Vec<usize> {
     }
 }
 
+/// 2% of origin attempts fail, each independently: exercises the retry
+/// and origin-error counters too.
+fn iid_errors() -> FaultPlan {
+    FaultPlan {
+        errors: Some(ErrorBursts {
+            quiet_error_fraction: 0.02,
+            burst_error_fraction: 0.02,
+            enter_burst: 0.0,
+            exit_burst: 1.0,
+        }),
+        ..FaultPlan::default()
+    }
+}
+
 fn generate(seed: u64, threads: usize) -> Dataset {
     let config = WorkloadConfig::tiny(seed).scaled(0.25);
     let workload = build_parallel(&config, threads);
     let sim = SimConfig {
         edges: 4,
-        error_fraction: 0.02, // exercise retry/origin-error counters too
+        fault: iid_errors(),
         ..SimConfig::default()
     };
     simulate_workload_parallel(workload, &sim, threads)
@@ -51,7 +65,7 @@ fn generate_windowed(seed: u64, threads: usize) -> Dataset {
     let workload = build_parallel(&config, threads);
     let sim = SimConfig {
         edges: 4,
-        error_fraction: 0.02,
+        fault: iid_errors(),
         window: Some(window()),
         ..SimConfig::default()
     };

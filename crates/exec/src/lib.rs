@@ -63,13 +63,6 @@ pub struct Gathered<T> {
     pub quarantined: Vec<usize>,
 }
 
-impl<T> Gathered<T> {
-    /// Whether every item produced a result.
-    pub fn is_complete(&self) -> bool {
-        self.quarantined.is_empty()
-    }
-}
-
 /// A task's value, or the payload of the panic it raised.
 type Outcome<T> = Result<T, Box<dyn Any + Send>>;
 
@@ -627,7 +620,6 @@ mod tests {
             }
             i as u64
         });
-        assert!(!gathered.is_complete());
         assert_eq!(gathered.quarantined, vec![2, 4]);
         // Each quarantined item panicked in the pool and in the retry.
         assert_eq!(gathered.task_panics, 4);

@@ -12,8 +12,8 @@ use std::fmt;
 /// An arbitrary JSON number.
 ///
 /// Construction goes through the `From` impls; inspection through
-/// [`as_i64`][Number::as_i64] / [`as_u64`][Number::as_u64] /
-/// [`as_f64`][Number::as_f64].
+/// `as_i64` / `as_u64` /
+/// `as_f64`.
 #[derive(Clone, Copy, Debug)]
 pub struct Number(Repr);
 
@@ -40,7 +40,7 @@ impl Number {
     }
 
     /// Returns the value as `i64` if it is an integer in range.
-    pub fn as_i64(&self) -> Option<i64> {
+    pub(crate) fn as_i64(&self) -> Option<i64> {
         match self.0 {
             Repr::Int(i) => Some(i),
             Repr::UInt(u) => i64::try_from(u).ok(),
@@ -49,7 +49,7 @@ impl Number {
     }
 
     /// Returns the value as `u64` if it is a non-negative integer in range.
-    pub fn as_u64(&self) -> Option<u64> {
+    pub(crate) fn as_u64(&self) -> Option<u64> {
         match self.0 {
             Repr::Int(i) => u64::try_from(i).ok(),
             Repr::UInt(u) => Some(u),
@@ -59,7 +59,7 @@ impl Number {
 
     /// Returns the value as `f64` (always possible, possibly lossy for huge
     /// integers).
-    pub fn as_f64(&self) -> f64 {
+    pub(crate) fn as_f64(&self) -> f64 {
         match self.0 {
             Repr::Int(i) => i as f64,
             Repr::UInt(u) => u as f64,

@@ -484,7 +484,7 @@ mod tests {
     fn duplicate_keys_keep_last_value() {
         let v = parse(r#"{"a": 1, "a": 2}"#).unwrap();
         assert_eq!(v.get("a").unwrap().as_i64(), Some(2));
-        assert_eq!(v.as_object().unwrap().len(), 1);
+        assert_eq!(v.as_object().unwrap().iter().count(), 1);
     }
 
     #[test]

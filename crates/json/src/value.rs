@@ -22,27 +22,14 @@ impl Map {
         Map::default()
     }
 
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
     /// True when the map has no entries.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
     /// Returns the value for `key`, if present.
-    pub fn get(&self, key: &str) -> Option<&Value> {
+    pub(crate) fn get(&self, key: &str) -> Option<&Value> {
         self.entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    /// Returns a mutable reference to the value for `key`, if present.
-    pub fn get_mut(&mut self, key: &str) -> Option<&mut Value> {
-        self.entries
-            .iter_mut()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
     }
 
     /// Inserts `value` under `key`, returning a previous value if the key
@@ -58,30 +45,9 @@ impl Map {
         }
     }
 
-    /// Removes and returns the value for `key`, if present.
-    pub fn remove(&mut self, key: &str) -> Option<Value> {
-        let idx = self.entries.iter().position(|(k, _)| k == key)?;
-        Some(self.entries.remove(idx).1)
-    }
-
-    /// True when the map contains `key`.
-    pub fn contains_key(&self, key: &str) -> bool {
-        self.get(key).is_some()
-    }
-
     /// Iterates entries in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
         self.entries.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Iterates keys in insertion order.
-    pub fn keys(&self) -> impl Iterator<Item = &str> {
-        self.entries.iter().map(|(k, _)| k.as_str())
-    }
-
-    /// Iterates values in insertion order.
-    pub fn values(&self) -> impl Iterator<Item = &Value> {
-        self.entries.iter().map(|(_, v)| v)
     }
 }
 
@@ -218,17 +184,6 @@ impl Value {
         }
         Some(current)
     }
-
-    /// Total number of nodes in the tree (the value itself, all array
-    /// elements, and all object members, recursively). Used by tests and by
-    /// response-size accounting in the workload generator.
-    pub fn node_count(&self) -> usize {
-        match self {
-            Value::Array(items) => 1 + items.iter().map(Value::node_count).sum::<usize>(),
-            Value::Object(map) => 1 + map.values().map(Value::node_count).sum::<usize>(),
-            _ => 1,
-        }
-    }
 }
 
 impl From<bool> for Value {
@@ -302,7 +257,7 @@ mod tests {
         map.insert("z", Value::from(1));
         map.insert("a", Value::from(2));
         map.insert("m", Value::from(3));
-        let keys: Vec<_> = map.keys().collect();
+        let keys: Vec<_> = map.iter().map(|(k, _)| k).collect();
         assert_eq!(keys, vec!["z", "a", "m"]);
     }
 
@@ -313,18 +268,9 @@ mod tests {
         map.insert("b", Value::from(2));
         let old = map.insert("a", Value::from(10));
         assert_eq!(old, Some(Value::from(1)));
-        let keys: Vec<_> = map.keys().collect();
+        let keys: Vec<_> = map.iter().map(|(k, _)| k).collect();
         assert_eq!(keys, vec!["a", "b"]);
         assert_eq!(map.get("a"), Some(&Value::from(10)));
-    }
-
-    #[test]
-    fn map_remove() {
-        let mut map = Map::new();
-        map.insert("a", Value::from(1));
-        assert_eq!(map.remove("a"), Some(Value::from(1)));
-        assert_eq!(map.remove("a"), None);
-        assert!(map.is_empty());
     }
 
     #[test]
@@ -340,12 +286,5 @@ mod tests {
         let v = parse(r#"[10, 20]"#).unwrap();
         assert_eq!(v.pointer("/0").unwrap().as_i64(), Some(10));
         assert!(v.pointer("/01").is_none());
-    }
-
-    #[test]
-    fn node_count_counts_every_node() {
-        let v = parse(r#"{"a": [1, 2, {"b": null}]}"#).unwrap();
-        // object + array + 1 + 2 + inner object + null
-        assert_eq!(v.node_count(), 6);
     }
 }

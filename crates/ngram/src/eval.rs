@@ -71,32 +71,33 @@ pub fn evaluate_sequence(model: &NgramModel, seq: &[u32], k: usize) -> EvalResul
     result
 }
 
-/// Trains on `Train` sequences and evaluates top-`k` accuracy over `Test`
-/// sequences in one pass. Sequences are `(client_key, tokens)` pairs.
-pub fn train_and_evaluate(
-    sequences: &[(u64, Vec<u32>)],
-    max_order: usize,
-    k: usize,
-    train_percent: u8,
-) -> (NgramModel, EvalResult) {
-    let mut model = NgramModel::new(max_order);
-    for (client, seq) in sequences {
-        if split_client(*client, train_percent) == Split::Train {
-            model.train_sequence(seq);
-        }
-    }
-    let mut result = EvalResult::default();
-    for (client, seq) in sequences {
-        if split_client(*client, train_percent) == Split::Test {
-            result.merge(evaluate_sequence(&model, seq, k));
-        }
-    }
-    (model, result)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Trains on `Train` sequences and evaluates top-`k` accuracy over
+    /// `Test` sequences, as the §5.2 study does. Sequences are
+    /// `(client_key, tokens)` pairs.
+    fn train_and_evaluate(
+        sequences: &[(u64, Vec<u32>)],
+        max_order: usize,
+        k: usize,
+        train_percent: u8,
+    ) -> (NgramModel, EvalResult) {
+        let mut model = NgramModel::new(max_order);
+        for (client, seq) in sequences {
+            if split_client(*client, train_percent) == Split::Train {
+                model.train_sequence(seq);
+            }
+        }
+        let mut result = EvalResult::default();
+        for (client, seq) in sequences {
+            if split_client(*client, train_percent) == Split::Test {
+                result.merge(evaluate_sequence(&model, seq, k));
+            }
+        }
+        (model, result)
+    }
 
     #[test]
     fn split_is_deterministic_and_roughly_proportional() {

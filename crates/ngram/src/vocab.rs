@@ -39,7 +39,7 @@ impl Vocab {
     }
 
     /// Canonicalizes a URL per the mode (cluster key or verbatim).
-    pub fn canonicalize(&self, url: &str) -> String {
+    pub(crate) fn canonicalize(&self, url: &str) -> String {
         match &self.mode {
             VocabMode::Raw => url.to_owned(),
             VocabMode::Clustered(clusterer) => match Url::parse(url) {

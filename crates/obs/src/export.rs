@@ -6,13 +6,13 @@
 //! for byte-identical snapshots, and spans (wall-clock perf data) only
 //! ever feed the trace export.
 //!
-//! * [`prometheus_text`] renders the standard text exposition format
+//! * `prometheus_text` renders the standard text exposition format
 //!   (`# TYPE` headers, one sample per line). Our metric keys
 //!   (`sim.hits{edge=3}`) map to Prometheus names (`jcdn_sim_hits`) with
 //!   quoted label values; counters export as `counter`, gauges as
 //!   `gauge`, and the fixed-bucket histograms as cumulative `histogram`
 //!   families with `le` labels.
-//! * [`chrome_trace`] renders the span ring as a Chrome trace-event JSON
+//! * `chrome_trace` renders the span ring as a Chrome trace-event JSON
 //!   object (load it in `about://tracing` or Perfetto), with the ring's
 //!   eviction count surfaced in the `otherData` footer so a truncated
 //!   timeline is never mistaken for a complete one.
@@ -26,7 +26,7 @@ use crate::span::SpanRecord;
 /// Maps a metric family name to a Prometheus metric name: `jcdn_` prefix,
 /// every character outside `[A-Za-z0-9_:]` folded to `_`
 /// (`sim.tier_hits` → `jcdn_sim_tier_hits`).
-pub fn prometheus_name(family: &str) -> String {
+pub(crate) fn prometheus_name(family: &str) -> String {
     let mut out = String::with_capacity(family.len() + 5);
     out.push_str("jcdn_");
     for c in family.chars() {
@@ -113,7 +113,7 @@ fn emit_families(out: &mut String, families: &Families, kind: &str) {
 /// plus `_sum` and `_count`), each family under its `# TYPE` header.
 /// Deterministic for deterministic snapshots — families and samples
 /// emit in BTreeMap order.
-pub fn prometheus_text(metrics: &MetricsSnapshot) -> String {
+pub(crate) fn prometheus_text(metrics: &MetricsSnapshot) -> String {
     let mut out = String::new();
     emit_families(&mut out, &collect_families(metrics.counters()), "counter");
     emit_families(&mut out, &collect_families(metrics.gauges()), "gauge");
@@ -144,7 +144,7 @@ pub fn prometheus_text(metrics: &MetricsSnapshot) -> String {
 /// timestamps, with the ring's eviction count in the `otherData` footer
 /// (a ring that wrapped shows `spans_dropped > 0`, so a truncated
 /// timeline is self-describing).
-pub fn chrome_trace(spans: &[SpanRecord], spans_dropped: u64) -> String {
+pub(crate) fn chrome_trace(spans: &[SpanRecord], spans_dropped: u64) -> String {
     let mut out = String::from("{\"traceEvents\":[");
     for (i, span) in spans.iter().enumerate() {
         if i > 0 {

@@ -7,7 +7,7 @@
 //! reading, or a label.
 
 /// Appends `s` to `out` as a JSON string literal (quotes included).
-pub fn push_string(out: &mut String, s: &str) {
+pub(crate) fn push_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -164,14 +164,14 @@ impl RunManifest {
     }
 
     /// Renders the manifest metrics in the Prometheus text exposition
-    /// format (`--obs-prom`): see [`crate::export::prometheus_text`].
+    /// format (`--obs-prom`): see `crate::export::prometheus_text`.
     pub fn prometheus_text(&self) -> String {
         crate::export::prometheus_text(&self.metrics)
     }
 
     /// Renders the captured spans as a chrome-trace JSON object
     /// (`--obs-trace`), with the ring's eviction count in the footer:
-    /// see [`crate::export::chrome_trace`].
+    /// see `crate::export::chrome_trace`.
     pub fn chrome_trace_json(&self) -> String {
         crate::export::chrome_trace(&self.spans, self.spans_dropped)
     }

@@ -60,14 +60,9 @@ impl Histogram {
         self.max
     }
 
-    /// Mean observed value, when any were recorded.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum as f64 / self.count as f64)
-    }
-
     /// Upper edge of the bucket containing quantile `q` (0.0–1.0): a
     /// bucket-resolution approximation, good enough for summary lines.
-    pub fn quantile_upper_bound(&self, q: f64) -> Option<u64> {
+    pub(crate) fn quantile_upper_bound(&self, q: f64) -> Option<u64> {
         if self.count == 0 {
             return None;
         }
@@ -92,7 +87,7 @@ impl Histogram {
     /// Iterates every bucket as `(inclusive upper-edge label, count)` in
     /// edge order, empty buckets included — the raw material for
     /// cumulative Prometheus exposition ([`crate::export`]).
-    pub fn buckets(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+    pub(crate) fn buckets(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         self.buckets
             .iter()
             .enumerate()
@@ -175,7 +170,7 @@ impl MetricsSnapshot {
     }
 
     /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 
@@ -206,25 +201,29 @@ impl MetricsSnapshot {
 
     /// Merges an already-built histogram into the one registered under
     /// `name` (bucket counts pool exactly).
-    pub fn merge_histogram(&mut self, name: &str, hist: &Histogram) {
+    pub(crate) fn merge_histogram(&mut self, name: &str, hist: &Histogram) {
         self.histograms
             .entry(name.to_string())
             .or_default()
             .merge(hist);
     }
 
-    /// Current value of counter `name` (0 when absent).
-    pub fn counter(&self, name: &str) -> u64 {
+    /// Current value of counter `name` (0 when absent); tests read values
+    /// back through it.
+    #[cfg(test)]
+    pub(crate) fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
     /// Current value of gauge `name`, when set.
-    pub fn gauge(&self, name: &str) -> Option<u64> {
+    #[cfg(test)]
+    fn gauge(&self, name: &str) -> Option<u64> {
         self.gauges.get(name).copied()
     }
 
     /// The histogram registered under `name`, when present.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
+    #[cfg(test)]
+    fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)
     }
 
@@ -234,12 +233,12 @@ impl MetricsSnapshot {
     }
 
     /// Iterates gauges in key order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, u64)> {
+    pub(crate) fn gauges(&self) -> impl Iterator<Item = (&str, u64)> {
         self.gauges.iter().map(|(k, &v)| (k.as_str(), v))
     }
 
     /// Iterates histograms in key order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
+    pub(crate) fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
         self.histograms.iter().map(|(k, h)| (k.as_str(), h))
     }
 

@@ -51,18 +51,18 @@ pub struct PoolReport {
 impl PoolReport {
     /// Fraction of worker wall-time capacity spent on tasks (1.0 = every
     /// worker busy for the whole fan-out).
-    pub fn utilization(&self) -> Option<f64> {
+    pub(crate) fn utilization(&self) -> Option<f64> {
         let capacity = self.wall_us.saturating_mul(self.workers.max(1));
         (capacity > 0).then(|| self.busy_us as f64 / capacity as f64)
     }
 
     /// Workers that completed zero tasks.
-    pub fn starved_workers(&self) -> u64 {
+    pub(crate) fn starved_workers(&self) -> u64 {
         self.worker_tasks.iter().filter(|&&t| t == 0).count() as u64
     }
 
     /// One-line human summary (the "stop staying silent" line).
-    pub fn summary_line(&self) -> String {
+    pub(crate) fn summary_line(&self) -> String {
         let util = self
             .utilization()
             .map(|u| format!("{:.0}%", u * 100.0))
@@ -88,7 +88,7 @@ impl PoolReport {
 
     /// Folds this report into a snapshot's perf channels (gauges and
     /// histograms keyed by the pool label).
-    pub fn record_into(&self, snapshot: &mut MetricsSnapshot) {
+    pub(crate) fn record_into(&self, snapshot: &mut MetricsSnapshot) {
         let prefix = format!("pool.{}", self.label);
         snapshot.gauge_max(&format!("{prefix}.workers"), self.workers);
         snapshot.gauge_max(&format!("{prefix}.starved_workers"), self.starved_workers());
@@ -96,7 +96,7 @@ impl PoolReport {
     }
 
     /// Serializes as a JSON object.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut out = String::new();
         let mut w = json::ObjectWriter::begin(&mut out);
         w.field_str("label", &self.label);

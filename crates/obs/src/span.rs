@@ -10,7 +10,7 @@
 //! The recorder is a fixed-capacity ring: recording is O(1), never
 //! allocates past the cap, and overflow evicts the oldest span while
 //! counting how many were dropped, so a pathologically chatty phase can't
-//! balloon memory. Aggregation ([`phase_timings`]) folds the buffer into
+//! balloon memory. Aggregation (`phase_timings`) folds the buffer into
 //! per-name totals for the manifest.
 
 use std::collections::BTreeMap;
@@ -79,7 +79,7 @@ fn with_ring<R>(f: impl FnOnce(&mut Ring) -> R) -> R {
 /// Records a completed span. Called by [`SpanGuard::drop`]; callers that
 /// measure time themselves (e.g. around an FFI boundary) may call it
 /// directly.
-pub fn record(name: String, start_us: u64, duration_us: u64) {
+pub(crate) fn record(name: String, start_us: u64, duration_us: u64) {
     with_ring(|ring| {
         ring.push(SpanRecord {
             name,
@@ -115,7 +115,7 @@ pub struct PhaseStat {
 /// Folds a drained span list into per-name wall-time attribution, in name
 /// order. Phase timings are wall-clock perf data — deterministic keys,
 /// non-deterministic values.
-pub fn phase_timings(spans: &[SpanRecord]) -> BTreeMap<String, PhaseStat> {
+pub(crate) fn phase_timings(spans: &[SpanRecord]) -> BTreeMap<String, PhaseStat> {
     let mut phases: BTreeMap<String, PhaseStat> = BTreeMap::new();
     for span in spans {
         let stat = phases.entry(span.name.clone()).or_default();

@@ -47,7 +47,7 @@ const UNITS: [(&str, u64); 6] = [
 
 /// Renders a microsecond duration in its largest exact unit (`60s` →
 /// `"1m"`, `1500ms` stays `"1500ms"`).
-pub fn format_duration_us(us: u64) -> String {
+pub(crate) fn format_duration_us(us: u64) -> String {
     for (suffix, scale) in UNITS {
         if us >= scale && us.is_multiple_of(scale) {
             return format!("{}{}", us / scale, suffix);
@@ -57,7 +57,7 @@ pub fn format_duration_us(us: u64) -> String {
 }
 
 /// Parses a duration like `"60s"`, `"5m"`, `"250ms"` into microseconds.
-pub fn parse_duration_us(s: &str) -> Result<u64, WindowSpecError> {
+pub(crate) fn parse_duration_us(s: &str) -> Result<u64, WindowSpecError> {
     let s = s.trim();
     // Longest-suffix match first so "5ms" is not read as "5m" + "s".
     for (suffix, scale) in [("us", 1), ("ms", 1_000)] {
@@ -131,13 +131,13 @@ pub struct WindowSpec {
 
 impl WindowSpec {
     /// A tumbling window of `width_us` microseconds.
-    pub fn tumbling(width_us: u64) -> Result<WindowSpec, WindowSpecError> {
+    pub(crate) fn tumbling(width_us: u64) -> Result<WindowSpec, WindowSpecError> {
         WindowSpec::sliding(width_us, width_us)
     }
 
     /// A sliding window: `width_us` wide, advancing by `slide_us`.
     /// Requires `0 < slide_us <= width_us` and `width_us % slide_us == 0`.
-    pub fn sliding(width_us: u64, slide_us: u64) -> Result<WindowSpec, WindowSpecError> {
+    pub(crate) fn sliding(width_us: u64, slide_us: u64) -> Result<WindowSpec, WindowSpecError> {
         if width_us == 0 || slide_us == 0 {
             return Err(WindowSpecError::ZeroWidth);
         }
@@ -157,18 +157,8 @@ impl WindowSpec {
         }
     }
 
-    /// Window width, µs.
-    pub fn width_us(&self) -> u64 {
-        self.width_us
-    }
-
-    /// Window slide (bucket width), µs.
-    pub fn slide_us(&self) -> u64 {
-        self.slide_us
-    }
-
     /// True when the window tumbles (`slide == width`).
-    pub fn is_tumbling(&self) -> bool {
+    pub(crate) fn is_tumbling(&self) -> bool {
         self.slide_us == self.width_us
     }
 
@@ -256,7 +246,7 @@ impl WindowRow {
     /// newline): fixed key order, integers only, counters in BTreeMap
     /// order. `stream` tags which series the row belongs to (`"sim"`,
     /// `"section4"`, `"workload"`), so multiple series can share a file.
-    pub fn to_jsonl(&self, stream: &str) -> String {
+    pub(crate) fn to_jsonl(&self, stream: &str) -> String {
         let mut out = String::new();
         let mut w = json::ObjectWriter::begin(&mut out);
         w.field_str("stream", stream);
@@ -287,11 +277,6 @@ impl WindowedCounters {
             spec,
             buckets: BTreeMap::new(),
         }
-    }
-
-    /// The window shape.
-    pub fn spec(&self) -> &WindowSpec {
-        &self.spec
     }
 
     /// True when no bucket holds anything.

@@ -1,7 +1,6 @@
 //! Autocorrelation via the Wiener–Khinchin theorem.
 
 use crate::fft::{Complex, FftPlan};
-use crate::spectrum::{analyze, padded_len, Scratch};
 
 /// The (linear, biased) autocorrelation of a real signal, normalized so
 /// `acf[0] = 1`.
@@ -11,7 +10,7 @@ use crate::spectrum::{analyze, padded_len, Scratch};
 /// (to avoid circular wrap-around). O(n log n) instead of the naive O(n²),
 /// which matters when thousands of client-object flows each run 100
 /// permutations. The detector reads it off the same spectrum as the
-/// periodogram ([`analyze`]).
+/// periodogram (`spectrum::analyze`).
 #[derive(Clone, Debug)]
 pub struct Autocorrelation {
     /// `acf[lag]` for `lag = 0 .. n`, with `acf[0] = 1` (or all zeros for a
@@ -20,8 +19,12 @@ pub struct Autocorrelation {
 }
 
 impl Autocorrelation {
-    /// Computes the autocorrelation of `signal`.
-    pub fn compute(signal: &[f64]) -> Autocorrelation {
+    /// Computes the autocorrelation of `signal` through its own plan; the
+    /// detector shares one plan per flow through `spectrum::analyze`, and
+    /// the tests check the math through this.
+    #[cfg(test)]
+    pub(crate) fn compute(signal: &[f64]) -> Autocorrelation {
+        use crate::spectrum::{analyze, padded_len, Scratch};
         let plan = FftPlan::new(padded_len(signal.len()));
         analyze(&plan, signal, &mut Scratch::default()).1
     }
@@ -51,20 +54,10 @@ impl Autocorrelation {
         Autocorrelation { values }
     }
 
-    /// Number of lags (equal to the signal length).
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// True for an empty signal.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
     /// Local maxima in `lag = 2 .. len/2`, returned as `(lag, value)` in
     /// decreasing value order. Lags 0 and 1 are excluded — lag 0 is the
     /// trivial peak and lag 1 is dominated by short-range smoothness.
-    pub fn peaks(&self) -> Vec<(usize, f64)> {
+    pub(crate) fn peaks(&self) -> Vec<(usize, f64)> {
         let mut peaks: Vec<(usize, f64)> = self.local_maxima().collect();
         peaks.sort_by(|a, b| b.1.total_cmp(&a.1));
         peaks
@@ -72,7 +65,7 @@ impl Autocorrelation {
 
     /// The highest peak (per [`peaks`][Self::peaks]), if any: `peaks()[0]`,
     /// the lowest lag among equal maxima, found in one linear scan.
-    pub fn max_peak(&self) -> Option<(usize, f64)> {
+    pub(crate) fn max_peak(&self) -> Option<(usize, f64)> {
         self.local_maxima().reduce(|best, p| {
             if p.1.total_cmp(&best.1).is_gt() {
                 p
@@ -94,7 +87,7 @@ impl Autocorrelation {
 
     /// The strongest local maximum within `±tolerance` lags of `lag`,
     /// searching the raw values (not just strict peaks at the exact spot).
-    pub fn peak_near(&self, lag: usize, tolerance: usize) -> Option<(usize, f64)> {
+    pub(crate) fn peak_near(&self, lag: usize, tolerance: usize) -> Option<(usize, f64)> {
         let half = self.values.len() / 2;
         let lo = lag.saturating_sub(tolerance).max(2);
         let hi = (lag + tolerance).min(half.saturating_sub(1));
@@ -170,7 +163,7 @@ pub(crate) mod tests {
     #[test]
     fn empty_signal() {
         let acf = Autocorrelation::compute(&[]);
-        assert!(acf.is_empty());
+        assert!(acf.values.is_empty());
         assert!(acf.max_peak().is_none());
     }
 

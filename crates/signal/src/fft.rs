@@ -31,17 +31,17 @@ impl Complex {
     pub const ZERO: Complex = Complex { re: 0.0, im: 0.0 };
 
     /// Constructs from parts.
-    pub const fn new(re: f64, im: f64) -> Self {
+    pub(crate) const fn new(re: f64, im: f64) -> Self {
         Complex { re, im }
     }
 
     /// A real number.
-    pub const fn real(re: f64) -> Self {
+    pub(crate) const fn real(re: f64) -> Self {
         Complex { re, im: 0.0 }
     }
 
     /// `e^{iθ}`.
-    pub fn cis(theta: f64) -> Self {
+    pub(crate) fn cis(theta: f64) -> Self {
         Complex {
             re: theta.cos(),
             im: theta.sin(),
@@ -49,7 +49,7 @@ impl Complex {
     }
 
     /// Complex conjugate.
-    pub fn conj(self) -> Self {
+    pub(crate) fn conj(self) -> Self {
         Complex {
             re: self.re,
             im: -self.im,
@@ -57,17 +57,12 @@ impl Complex {
     }
 
     /// Squared magnitude `re² + im²`.
-    pub fn norm_sq(self) -> f64 {
+    pub(crate) fn norm_sq(self) -> f64 {
         self.re * self.re + self.im * self.im
     }
 
-    /// Magnitude.
-    pub fn abs(self) -> f64 {
-        self.norm_sq().sqrt()
-    }
-
     /// Scales by a real factor.
-    pub fn scale(self, k: f64) -> Self {
+    pub(crate) fn scale(self, k: f64) -> Self {
         Complex {
             re: self.re * k,
             im: self.im * k,
@@ -108,7 +103,7 @@ impl Mul for Complex {
 }
 
 /// Smallest power of two ≥ `n` (and ≥ 1).
-pub fn next_pow2(n: usize) -> usize {
+pub(crate) fn next_pow2(n: usize) -> usize {
     n.max(1).next_power_of_two()
 }
 
@@ -132,7 +127,7 @@ impl FftPlan {
     ///
     /// # Panics
     /// Panics when `len` is not a power of two or exceeds `2^32`.
-    pub fn new(len: usize) -> FftPlan {
+    pub(crate) fn new(len: usize) -> FftPlan {
         assert!(len.is_power_of_two(), "FFT length must be a power of two");
         let bits = len.trailing_zeros();
         assert!(bits <= u32::BITS, "FFT length must not exceed 2^32");
@@ -348,7 +343,10 @@ pub(crate) mod tests {
                 for k in 0..h {
                     let direct = Complex::cis(-PI * k as f64 / h as f64);
                     let d = plan.twiddles[h + k] - direct;
-                    assert!(d.abs() < 1e-15, "len {len} stage {h} k {k}: {d:?}");
+                    assert!(
+                        d.norm_sq().sqrt() < 1e-15,
+                        "len {len} stage {h} k {k}: {d:?}"
+                    );
                 }
                 h *= 2;
             }

@@ -110,14 +110,6 @@ pub struct DetectedPeriod {
     pub acf_threshold: f64,
 }
 
-impl DetectedPeriod {
-    /// True when `other` agrees with this period within `tolerance_bins`
-    /// sampling bins — the paper's object/client period "match" test.
-    pub fn matches(&self, other: &DetectedPeriod, tolerance_bins: usize) -> bool {
-        self.period_bins.abs_diff(other.period_bins) <= tolerance_bins
-    }
-}
-
 /// Detects the most significant period in a sequence of event times
 /// (seconds, any order), or `None` when no period survives the
 /// significance thresholds.
@@ -761,24 +753,6 @@ mod tests {
             ..cfg()
         };
         assert_eq!(bin_times(&times, &c).map(|(s, _)| s.len()), Some(1 << 15));
-    }
-
-    #[test]
-    fn matches_tolerance() {
-        let a = DetectedPeriod {
-            period_seconds: 30.0,
-            period_bins: 30,
-            power: 1.0,
-            acf_value: 0.9,
-            power_threshold: 0.1,
-            acf_threshold: 0.1,
-        };
-        let b = DetectedPeriod {
-            period_bins: 32,
-            ..a
-        };
-        assert!(a.matches(&b, 2));
-        assert!(!a.matches(&b, 1));
     }
 
     #[test]

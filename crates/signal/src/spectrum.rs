@@ -9,11 +9,11 @@ use crate::fft::{next_pow2, Complex, FftPlan};
 /// autocorrelation read off the same spectrum is linear, not circular, and
 /// the periodogram's bins are its even bins (`X_2N[2k] = X_N[k]` for a
 /// series that is zero beyond `N`).
-pub fn padded_len(n: usize) -> usize {
+pub(crate) fn padded_len(n: usize) -> usize {
     2 * next_pow2(n)
 }
 
-/// Reusable buffers for [`analyze`]: keep one per worker and pass it to
+/// Reusable buffers for `analyze`: keep one per worker and pass it to
 /// every series it transforms.
 #[derive(Clone, Debug, Default)]
 pub struct Scratch {
@@ -41,7 +41,7 @@ impl Scratch {
 ///
 /// # Panics
 /// Panics when `plan.len() != padded_len(signal.len())`.
-pub fn analyze(
+pub(crate) fn analyze(
     plan: &FftPlan,
     signal: &[f64],
     scratch: &mut Scratch,
@@ -74,8 +74,11 @@ pub struct Periodogram {
 }
 
 impl Periodogram {
-    /// Computes the periodogram of `signal`.
-    pub fn compute(signal: &[f64]) -> Periodogram {
+    /// Computes the periodogram of `signal` through its own plan; the
+    /// detector shares one plan per flow through `analyze`, and the tests
+    /// check the math through this.
+    #[cfg(test)]
+    pub(crate) fn compute(signal: &[f64]) -> Periodogram {
         let plan = FftPlan::new(padded_len(signal.len()));
         let mut scratch = Scratch::default();
         scratch.transform(&plan, signal);
@@ -99,7 +102,7 @@ impl Periodogram {
     ///
     /// Bin `k` holds frequency `k/N` cycles per sample, i.e. period `N/k`
     /// samples. `k = 0` has no period; returns `f64::INFINITY`.
-    pub fn bin_period(&self, k: usize) -> f64 {
+    pub(crate) fn bin_period(&self, k: usize) -> f64 {
         if k == 0 {
             f64::INFINITY
         } else {
@@ -107,8 +110,10 @@ impl Periodogram {
         }
     }
 
-    /// The frequency bin whose period is closest to `period` samples.
-    pub fn bin_for_period(&self, period: f64) -> usize {
+    /// The frequency bin whose period is closest to `period` samples: the
+    /// tests' reference inverse of [`Periodogram::bin_period`].
+    #[cfg(test)]
+    fn bin_for_period(&self, period: f64) -> usize {
         if period <= 0.0 {
             return 0;
         }
@@ -119,7 +124,7 @@ impl Periodogram {
     /// The maximum power over "interesting" bins — `k ≥ 2` (periods of at
     /// most half the padded window) up to Nyquist — and its bin. Returns
     /// `None` when the signal is too short.
-    pub fn peak(&self) -> Option<(usize, f64)> {
+    pub(crate) fn peak(&self) -> Option<(usize, f64)> {
         let lo = 2.min(self.power.len().saturating_sub(1)).max(1);
         (lo..self.power.len())
             .map(|k| (k, self.power[k]))
@@ -128,7 +133,7 @@ impl Periodogram {
 
     /// Bins with power strictly above `threshold`, in decreasing power
     /// order, restricted to `k ≥ 2`.
-    pub fn significant_bins(&self, threshold: f64) -> Vec<usize> {
+    pub(crate) fn significant_bins(&self, threshold: f64) -> Vec<usize> {
         let mut bins: Vec<usize> = (2..self.power.len())
             .filter(|&k| self.power[k] > threshold)
             .collect();
@@ -167,7 +172,7 @@ mod tests {
         for (lag, (a, b)) in acf.values.iter().zip(naive_acf(signal)).enumerate() {
             assert!((a - b).abs() <= 1e-9, "n {n} lag {lag}: {a} vs {b}");
         }
-        assert_eq!(acf.len(), n);
+        assert_eq!(acf.values.len(), n);
     }
 
     proptest! {

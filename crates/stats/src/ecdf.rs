@@ -20,43 +20,6 @@ impl Ecdf {
         Ecdf { sorted }
     }
 
-    /// Absorbs all samples of `other`, keeping the sorted invariant via a
-    /// linear two-way merge. Associative and commutative, so per-shard
-    /// ECDFs combine into exactly the single-pass distribution.
-    pub fn merge(&mut self, other: &Ecdf) {
-        if other.sorted.is_empty() {
-            return;
-        }
-        let mut merged = Vec::with_capacity(self.sorted.len() + other.sorted.len());
-        let (mut a, mut b) = (
-            self.sorted.iter().peekable(),
-            other.sorted.iter().peekable(),
-        );
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some(&&x), Some(&&y)) => {
-                    if x <= y {
-                        merged.push(x);
-                        a.next();
-                    } else {
-                        merged.push(y);
-                        b.next();
-                    }
-                }
-                (Some(&&x), None) => {
-                    merged.push(x);
-                    a.next();
-                }
-                (None, Some(&&y)) => {
-                    merged.push(y);
-                    b.next();
-                }
-                (None, None) => break,
-            }
-        }
-        self.sorted = merged;
-    }
-
     /// Number of samples.
     pub fn len(&self) -> usize {
         self.sorted.len()
@@ -151,25 +114,5 @@ mod tests {
     fn render_has_requested_rows() {
         let e = Ecdf::from_samples([0.0, 0.5, 1.0]);
         assert_eq!(e.render(5, 20).lines().count(), 5);
-    }
-
-    #[test]
-    fn merge_equals_pooled_samples() {
-        let xs = [5.0, 1.0, 3.0, 3.0, 9.0, 2.0, 8.0];
-        let whole = Ecdf::from_samples(xs);
-        let mut left = Ecdf::from_samples(xs[..3].iter().copied());
-        let right = Ecdf::from_samples(xs[3..].iter().copied());
-        left.merge(&right);
-        assert_eq!(left.len(), whole.len());
-        for x in [0.0, 1.0, 2.5, 3.0, 8.5, 10.0] {
-            assert_eq!(left.eval(x), whole.eval(x));
-        }
-        // Merging an empty ECDF is the identity, both ways.
-        let mut e = Ecdf::from_samples([1.0, 2.0]);
-        e.merge(&Ecdf::default());
-        assert_eq!(e.len(), 2);
-        let mut empty = Ecdf::default();
-        empty.merge(&e);
-        assert_eq!(empty.eval(1.5), Some(0.5));
     }
 }

@@ -49,63 +49,9 @@ impl Histogram {
         }
     }
 
-    /// Adds every count of `other` into `self`. Merging is associative and
-    /// commutative, so per-shard histograms combine into exactly the
-    /// histogram a single pass would have produced.
-    ///
-    /// # Panics
-    /// Panics when the two histograms have different bounds or bin counts —
-    /// merging incompatible binnings is a programming error.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert!(
-            self.lo == other.lo && self.hi == other.hi && self.bins.len() == other.bins.len(),
-            "cannot merge histograms with different binnings"
-        );
-        for (a, b) in self.bins.iter_mut().zip(&other.bins) {
-            *a += b;
-        }
-        self.underflow += other.underflow;
-        self.overflow += other.overflow;
-    }
-
-    /// Per-bin counts (excluding under/overflow).
-    pub fn counts(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// The half-open range `[start, end)` covered by bin `idx`.
-    pub fn bin_range(&self, idx: usize) -> (f64, f64) {
-        let width = (self.hi - self.lo) / self.bins.len() as f64;
-        let start = self.lo + width * idx as f64;
-        (start, start + width)
-    }
-
-    /// Observations below `lo` (plus non-finite ones).
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above `hi`.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
     /// Total observations including under/overflow.
     pub fn total(&self) -> u64 {
         self.underflow + self.overflow + self.bins.iter().sum::<u64>()
-    }
-
-    /// Renders an ASCII bar chart, one row per bin, bars scaled to `width`
-    /// characters. Rows outside `[first_nonzero ..= last_nonzero]` are
-    /// omitted to keep sparse histograms readable.
-    pub fn render(&self, width: usize) -> String {
-        render_rows(
-            (0..self.bins.len()).map(|i| {
-                let (start, _) = self.bin_range(i);
-                (format!("{start:>10.1}"), self.bins[i])
-            }),
-            width,
-        )
     }
 }
 
@@ -157,43 +103,10 @@ impl LogHistogram {
         }
     }
 
-    /// Adds every count of `other` into `self`; see [`Histogram::merge`].
-    ///
-    /// # Panics
-    /// Panics when `base`, `ratio`, or bin count differ.
-    pub fn merge(&mut self, other: &LogHistogram) {
-        assert!(
-            self.base == other.base
-                && self.ratio == other.ratio
-                && self.bins.len() == other.bins.len(),
-            "cannot merge log histograms with different binnings"
-        );
-        for (a, b) in self.bins.iter_mut().zip(&other.bins) {
-            *a += b;
-        }
-        self.underflow += other.underflow;
-        self.overflow += other.overflow;
-    }
-
-    /// Per-bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.bins
-    }
-
     /// The half-open range covered by bin `idx`.
-    pub fn bin_range(&self, idx: usize) -> (f64, f64) {
+    pub(crate) fn bin_range(&self, idx: usize) -> (f64, f64) {
         let start = self.base * self.ratio.powi(idx as i32);
         (start, start * self.ratio)
-    }
-
-    /// Observations below `base` (plus non-finite ones).
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations beyond the last bin.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
     }
 
     /// Total observations including under/overflow.
@@ -201,7 +114,9 @@ impl LogHistogram {
         self.underflow + self.overflow + self.bins.iter().sum::<u64>()
     }
 
-    /// Renders an ASCII bar chart like [`Histogram::render`].
+    /// Renders an ASCII bar chart, one row per bin, bars scaled to `width`
+    /// characters. Rows outside `[first_nonzero ..= last_nonzero]` are
+    /// omitted to keep sparse histograms readable.
     pub fn render(&self, width: usize) -> String {
         render_rows(
             (0..self.bins.len()).map(|i| {
@@ -247,28 +162,19 @@ mod tests {
         h.record(9.999);
         h.record(10.0); // overflow (hi is exclusive)
         h.record(-0.1); // underflow
-        assert_eq!(h.counts()[0], 2);
-        assert_eq!(h.counts()[5], 1);
-        assert_eq!(h.counts()[9], 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.underflow(), 1);
+        assert_eq!(h.bins[0], 2);
+        assert_eq!(h.bins[5], 1);
+        assert_eq!(h.bins[9], 1);
+        assert_eq!(h.overflow, 1);
+        assert_eq!(h.underflow, 1);
         assert_eq!(h.total(), 6);
-    }
-
-    #[test]
-    fn bin_range_is_consistent_with_record() {
-        let mut h = Histogram::new(2.0, 4.0, 4);
-        let (s, e) = h.bin_range(1);
-        assert!((s - 2.5).abs() < 1e-12 && (e - 3.0).abs() < 1e-12);
-        h.record(2.5);
-        assert_eq!(h.counts()[1], 1);
     }
 
     #[test]
     fn nan_goes_to_underflow() {
         let mut h = Histogram::new(0.0, 1.0, 2);
         h.record(f64::NAN);
-        assert_eq!(h.underflow(), 1);
+        assert_eq!(h.underflow, 1);
     }
 
     #[test]
@@ -280,11 +186,11 @@ mod tests {
         h.record(500.0);
         h.record(0.5); // underflow
         h.record(2000.0); // overflow
-        assert_eq!(h.counts()[0], 2);
-        assert_eq!(h.counts()[1], 1);
-        assert_eq!(h.counts()[8], 1); // 256..512
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
+        assert_eq!(h.bins[0], 2);
+        assert_eq!(h.bins[1], 1);
+        assert_eq!(h.bins[8], 1); // 256..512
+        assert_eq!(h.underflow, 1);
+        assert_eq!(h.overflow, 1);
     }
 
     #[test]
@@ -296,10 +202,10 @@ mod tests {
 
     #[test]
     fn render_trims_empty_edges() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
+        let mut h = LogHistogram::new(1.0, 2.0, 10);
         h.record(4.5);
         h.record(4.6);
-        h.record(5.5);
+        h.record(9.0);
         let rendered = h.render(20);
         assert_eq!(rendered.lines().count(), 2);
         assert!(rendered.contains('#'));
@@ -307,55 +213,7 @@ mod tests {
 
     #[test]
     fn render_empty() {
-        let h = Histogram::new(0.0, 1.0, 4);
+        let h = LogHistogram::new(1.0, 2.0, 4);
         assert!(h.render(10).contains("empty"));
-    }
-
-    #[test]
-    fn merge_matches_single_pass() {
-        let xs: Vec<f64> = (0..50).map(|i| i as f64 * 0.3 - 1.0).collect();
-        let mut whole = Histogram::new(0.0, 10.0, 10);
-        let mut left = Histogram::new(0.0, 10.0, 10);
-        let mut right = Histogram::new(0.0, 10.0, 10);
-        for (i, &x) in xs.iter().enumerate() {
-            whole.record(x);
-            if i % 2 == 0 {
-                left.record(x);
-            } else {
-                right.record(x);
-            }
-        }
-        left.merge(&right);
-        assert_eq!(left.counts(), whole.counts());
-        assert_eq!(left.underflow(), whole.underflow());
-        assert_eq!(left.overflow(), whole.overflow());
-        assert_eq!(left.total(), whole.total());
-    }
-
-    #[test]
-    fn log_merge_matches_single_pass() {
-        let xs: Vec<f64> = (0..60).map(|i| 0.5 * 1.4f64.powi(i % 20)).collect();
-        let mut whole = LogHistogram::new(1.0, 2.0, 8);
-        let mut left = LogHistogram::new(1.0, 2.0, 8);
-        let mut right = LogHistogram::new(1.0, 2.0, 8);
-        for (i, &x) in xs.iter().enumerate() {
-            whole.record(x);
-            if i % 3 == 0 {
-                left.record(x);
-            } else {
-                right.record(x);
-            }
-        }
-        left.merge(&right);
-        assert_eq!(left.counts(), whole.counts());
-        assert_eq!(left.total(), whole.total());
-    }
-
-    #[test]
-    #[should_panic(expected = "different binnings")]
-    fn merge_rejects_incompatible_binnings() {
-        let mut a = Histogram::new(0.0, 10.0, 10);
-        let b = Histogram::new(0.0, 10.0, 5);
-        a.merge(&b);
     }
 }

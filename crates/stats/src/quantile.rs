@@ -16,16 +16,8 @@ pub struct ExactQuantiles {
 
 impl ExactQuantiles {
     /// Creates an empty collector.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ExactQuantiles::default()
-    }
-
-    /// Creates a collector with preallocated capacity.
-    pub fn with_capacity(capacity: usize) -> Self {
-        ExactQuantiles {
-            samples: Vec::with_capacity(capacity),
-            sorted: true,
-        }
     }
 
     /// Adds an observation. Non-finite values are ignored (they would poison
@@ -51,11 +43,6 @@ impl ExactQuantiles {
     /// Number of recorded observations.
     pub fn count(&self) -> usize {
         self.samples.len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
     }
 
     fn ensure_sorted(&mut self) {
@@ -84,11 +71,6 @@ impl ExactQuantiles {
     /// The median (`quantile(0.5)`).
     pub fn median(&mut self) -> Option<f64> {
         self.quantile(0.5)
-    }
-
-    /// Convenience: several quantiles at once.
-    pub fn quantiles(&mut self, qs: &[f64]) -> Vec<Option<f64>> {
-        qs.iter().map(|&q| self.quantile(q)).collect()
     }
 }
 

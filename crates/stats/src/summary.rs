@@ -5,36 +5,31 @@
 /// Numerically stable for long streams (the CDN characterization summarizes
 /// millions of response sizes per run) and mergeable, so per-shard summaries
 /// can be combined.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct Summary {
     count: u64,
     mean: f64,
-    m2: f64,
     min: f64,
     max: f64,
-    sum: f64,
 }
 
-impl Summary {
-    /// Creates an empty summary.
-    pub fn new() -> Self {
+impl Default for Summary {
+    /// An empty summary.
+    fn default() -> Self {
         Summary {
             count: 0,
             mean: 0.0,
-            m2: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
-            sum: 0.0,
         }
     }
+}
 
+impl Summary {
     /// Adds one observation.
     pub fn record(&mut self, x: f64) {
         self.count += 1;
-        self.sum += x;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
+        self.mean += (x - self.mean) / self.count as f64;
         self.min = self.min.min(x);
         self.max = self.max.max(x);
     }
@@ -50,12 +45,8 @@ impl Summary {
         }
         let n1 = self.count as f64;
         let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
+        self.mean += (other.mean - self.mean) * n2 / (n1 + n2);
         self.count += other.count;
-        self.sum += other.sum;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
@@ -65,19 +56,9 @@ impl Summary {
         self.count
     }
 
-    /// Sum of observations (0 when empty).
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
     /// Arithmetic mean, or `None` when empty.
     pub fn mean(&self) -> Option<f64> {
         (self.count > 0).then_some(self.mean)
-    }
-
-    /// Population variance, or `None` when empty.
-    pub fn variance(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.m2 / self.count as f64)
     }
 
     /// Minimum observation, or `None` when empty.
@@ -93,7 +74,7 @@ impl Summary {
 
 impl FromIterator<f64> for Summary {
     fn from_iter<T: IntoIterator<Item = f64>>(iter: T) -> Self {
-        let mut s = Summary::new();
+        let mut s = Summary::default();
         for x in iter {
             s.record(x);
         }
@@ -107,10 +88,9 @@ mod tests {
 
     #[test]
     fn empty_summary_is_all_none() {
-        let s = Summary::new();
+        let s = Summary::default();
         assert_eq!(s.count(), 0);
         assert!(s.mean().is_none());
-        assert!(s.variance().is_none());
         assert!(s.min().is_none());
         assert!(s.max().is_none());
     }
@@ -122,17 +102,15 @@ mod tests {
             .collect();
         assert_eq!(s.count(), 8);
         assert_eq!(s.mean(), Some(5.0));
-        assert_eq!(s.variance(), Some(4.0));
         assert_eq!(s.min(), Some(2.0));
         assert_eq!(s.max(), Some(9.0));
-        assert_eq!(s.sum(), 40.0);
     }
 
     #[test]
     fn single_observation() {
         let s: Summary = [3.5].into_iter().collect();
         assert_eq!(s.mean(), Some(3.5));
-        assert_eq!(s.variance(), Some(0.0));
+        assert_eq!(s.min(), Some(3.5));
     }
 
     #[test]
@@ -144,7 +122,6 @@ mod tests {
         left.merge(&right);
         assert_eq!(left.count(), all.count());
         assert!((left.mean().unwrap() - all.mean().unwrap()).abs() < 1e-12);
-        assert!((left.variance().unwrap() - all.variance().unwrap()).abs() < 1e-10);
         assert_eq!(left.min(), all.min());
         assert_eq!(left.max(), all.max());
     }
@@ -152,9 +129,9 @@ mod tests {
     #[test]
     fn merge_with_empty_is_identity() {
         let mut s: Summary = [1.0, 2.0].into_iter().collect();
-        s.merge(&Summary::new());
+        s.merge(&Summary::default());
         assert_eq!(s.count(), 2);
-        let mut e = Summary::new();
+        let mut e = Summary::default();
         e.merge(&s);
         assert_eq!(e.count(), 2);
         assert_eq!(e.mean(), Some(1.5));

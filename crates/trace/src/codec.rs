@@ -1658,7 +1658,7 @@ pub(crate) fn encode_io_error(e: EncodeError) -> std::io::Error {
 /// one fails with `InvalidInput`.
 ///
 /// The write is durable (write-temp, fsync, rename — see
-/// [`crate::store::durable_write`]): a crash mid-write leaves either the
+/// `crate::store::durable_write`): a crash mid-write leaves either the
 /// previous file or the new one, never a torn hybrid.
 pub fn write_file(records: &RecordStream<'_>, path: &std::path::Path) -> std::io::Result<()> {
     let bytes = encode(records, 1).map_err(encode_io_error)?;

@@ -159,14 +159,6 @@ pub fn encode_sharded_v3(sharded: &ShardedTrace) -> Result<Bytes, EncodeError> {
     Ok(buf.freeze())
 }
 
-/// Encodes a trace in the retired version-3 layout as a single frame.
-pub fn encode_v3(trace: &Trace) -> Result<Bytes, EncodeError> {
-    encode_sharded_v3(&ShardedTrace::from_parts(
-        trace.interner().clone(),
-        vec![trace.records().to_vec()],
-    ))
-}
-
 #[cfg(test)]
 #[expect(
     clippy::arithmetic_side_effects,
@@ -175,6 +167,15 @@ pub fn encode_v3(trace: &Trace) -> Result<Bytes, EncodeError> {
 mod tests {
     use super::*;
     use crate::codec::{decode, decode_tolerant};
+
+    /// Encodes a trace in the retired version-3 layout as a single frame,
+    /// in record order.
+    fn encode_v3(trace: &Trace) -> Result<Bytes, EncodeError> {
+        encode_sharded_v3(&ShardedTrace::from_parts(
+            trace.interner().clone(),
+            vec![trace.records().to_vec()],
+        ))
+    }
     use crate::record::RecordFlags;
     use crate::time::SimTime;
     use crate::{CacheStatus, ClientId, Method, MimeType};

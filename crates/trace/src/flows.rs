@@ -56,11 +56,6 @@ impl ObjectFlow {
         self.client_flows.len()
     }
 
-    /// Total requests across all clients.
-    pub fn request_count(&self) -> usize {
-        self.client_flows.iter().map(ClientObjectFlow::len).sum()
-    }
-
     /// All request times across clients, merged and sorted.
     pub fn merged_times(&self) -> Vec<SimTime> {
         let mut all: Vec<SimTime> = self
@@ -91,7 +86,7 @@ impl FlowSet {
 
     /// [`build`][Self::build] over any record stream (a whole trace, one
     /// shard of a [`crate::ShardedTrace`], or several shards chained).
-    pub fn build_stream(
+    pub(crate) fn build_stream(
         stream: &RecordStream<'_>,
         mut filter: impl FnMut(&LogRecord) -> bool,
     ) -> FlowSet {
@@ -139,21 +134,6 @@ impl FlowSet {
         }
         self.flows.retain(|f| f.client_count() >= min_clients);
         self
-    }
-
-    /// Number of object flows.
-    pub fn len(&self) -> usize {
-        self.flows.len()
-    }
-
-    /// True when no flows survived.
-    pub fn is_empty(&self) -> bool {
-        self.flows.is_empty()
-    }
-
-    /// Total requests across all flows.
-    pub fn request_count(&self) -> usize {
-        self.flows.iter().map(ObjectFlow::request_count).sum()
     }
 }
 
@@ -216,10 +196,9 @@ mod tests {
         push(&mut t, 4, 1, "https://a.example/y");
 
         let flows = FlowSet::build(&t, |_| true);
-        assert_eq!(flows.len(), 2);
+        assert_eq!(flows.flows.len(), 2);
         let x = &flows.flows[0];
         assert_eq!(x.client_count(), 2);
-        assert_eq!(x.request_count(), 3);
         // Client 1's times are sorted despite insertion order.
         let c1 = &x.client_flows[0];
         assert_eq!(c1.times, vec![SimTime::from_secs(1), SimTime::from_secs(3)]);
@@ -274,7 +253,7 @@ mod tests {
             }
         }
         let flows = FlowSet::build(&t, |_| true).apply_significance_filters(10, 10);
-        assert_eq!(flows.len(), 1);
+        assert_eq!(flows.flows.len(), 1);
         assert_eq!(flows.flows[0].client_count(), 12);
     }
 
@@ -284,8 +263,8 @@ mod tests {
         push(&mut t, 1, 1, "https://a.example/x");
         push(&mut t, 2, 1, "https://a.example/y");
         let flows = FlowSet::build(&t, |r| r.url.0 == 0);
-        assert_eq!(flows.len(), 1);
-        assert_eq!(flows.request_count(), 1);
+        assert_eq!(flows.flows.len(), 1);
+        assert_eq!(flows.flows[0].merged_times().len(), 1);
     }
 
     #[test]

@@ -55,7 +55,7 @@ impl Interner {
     }
 
     /// Interns a URL, returning an error when the id space is exhausted.
-    pub fn try_intern_url(&mut self, url: &str) -> Result<UrlId, InternError> {
+    pub(crate) fn try_intern_url(&mut self, url: &str) -> Result<UrlId, InternError> {
         if let Some(&id) = self.url_index.get(url) {
             return Ok(id);
         }
@@ -68,7 +68,7 @@ impl Interner {
 
     /// Interns a user agent, returning an error when the id space is
     /// exhausted.
-    pub fn try_intern_ua(&mut self, ua: &str) -> Result<UaId, InternError> {
+    pub(crate) fn try_intern_ua(&mut self, ua: &str) -> Result<UaId, InternError> {
         if let Some(&id) = self.ua_index.get(ua) {
             return Ok(id);
         }
@@ -80,7 +80,7 @@ impl Interner {
     }
 
     /// Interns a URL. Panics only in the astronomically unlikely case of
-    /// id-space exhaustion; use [`try_intern_url`][Self::try_intern_url] on
+    /// id-space exhaustion; use `try_intern_url` on
     /// untrusted input.
     #[expect(
         clippy::expect_used,
@@ -91,7 +91,7 @@ impl Interner {
     }
 
     /// Interns a user agent; panicking twin of
-    /// [`try_intern_ua`][Self::try_intern_ua].
+    /// `try_intern_ua`.
     #[expect(
         clippy::expect_used,
         reason = "documented panicking twin of try_intern_ua for trusted input"
@@ -106,12 +106,12 @@ impl Interner {
     }
 
     /// Resolves a UA id.
-    pub fn ua(&self, id: UaId) -> &str {
+    pub(crate) fn ua(&self, id: UaId) -> &str {
         &self.uas[id.index()]
     }
 
     /// Looks up the id of an already-interned URL.
-    pub fn find_url(&self, url: &str) -> Option<UrlId> {
+    pub(crate) fn find_url(&self, url: &str) -> Option<UrlId> {
         self.url_index.get(url).copied()
     }
 
@@ -126,12 +126,12 @@ impl Interner {
     }
 
     /// Number of distinct URLs.
-    pub fn url_count(&self) -> usize {
+    pub(crate) fn url_count(&self) -> usize {
         self.urls.len()
     }
 
     /// Number of distinct user agents.
-    pub fn ua_count(&self) -> usize {
+    pub(crate) fn ua_count(&self) -> usize {
         self.uas.len()
     }
 

@@ -97,28 +97,8 @@ pub enum MimeType {
 }
 
 impl MimeType {
-    /// Parses a raw `Content-Type` header value, the way the paper's filter
-    /// does: substring match on the media type, parameters ignored.
-    pub fn from_header(value: &str) -> MimeType {
-        let lower = value.trim().to_ascii_lowercase();
-        let media = lower.split(';').next().unwrap_or("").trim();
-        match media {
-            "application/json" => MimeType::Json,
-            "text/html" => MimeType::Html,
-            "text/css" => MimeType::Css,
-            "application/javascript" | "text/javascript" | "application/x-javascript" => {
-                MimeType::JavaScript
-            }
-            m if m.starts_with("image/") => MimeType::Image,
-            m if m.starts_with("video/") => MimeType::Video,
-            // `application/vnd.api+json` and friends still carry JSON.
-            m if m.ends_with("+json") => MimeType::Json,
-            _ => MimeType::Other,
-        }
-    }
-
     /// Canonical header value.
-    pub fn as_header(self) -> &'static str {
+    pub(crate) fn as_header(self) -> &'static str {
         match self {
             MimeType::Json => "application/json",
             MimeType::Html => "text/html",
@@ -154,11 +134,6 @@ impl CacheStatus {
     /// True when the customer configuration allows caching this object.
     pub fn is_cacheable(self) -> bool {
         !matches!(self, CacheStatus::NotCacheable)
-    }
-
-    /// True when the response came from edge cache.
-    pub fn is_hit(self) -> bool {
-        matches!(self, CacheStatus::Hit)
     }
 }
 
@@ -196,7 +171,7 @@ impl RecordFlags {
     }
 
     /// The wire byte.
-    pub fn bits(self) -> u8 {
+    pub(crate) fn bits(self) -> u8 {
         self.0
     }
 
@@ -214,11 +189,6 @@ impl RecordFlags {
     /// Adds the bits of `other` in place.
     pub fn insert(&mut self, other: RecordFlags) {
         self.0 |= other.0;
-    }
-
-    /// True when no annotation is set.
-    pub fn is_empty(self) -> bool {
-        self.0 == 0
     }
 }
 
@@ -310,51 +280,16 @@ mod tests {
     }
 
     #[test]
-    fn mime_parsing() {
-        assert_eq!(MimeType::from_header("application/json"), MimeType::Json);
-        assert_eq!(
-            MimeType::from_header("application/json; charset=utf-8"),
-            MimeType::Json
-        );
-        assert_eq!(
-            MimeType::from_header("Application/JSON"),
-            MimeType::Json,
-            "matching is case-insensitive"
-        );
-        assert_eq!(
-            MimeType::from_header("application/vnd.api+json"),
-            MimeType::Json
-        );
-        assert_eq!(
-            MimeType::from_header("text/html; charset=utf-8"),
-            MimeType::Html
-        );
-        assert_eq!(
-            MimeType::from_header("text/javascript"),
-            MimeType::JavaScript
-        );
-        assert_eq!(MimeType::from_header("image/png"), MimeType::Image);
-        assert_eq!(MimeType::from_header("video/webm"), MimeType::Video);
-        assert_eq!(MimeType::from_header("font/woff2"), MimeType::Other);
-        assert_eq!(MimeType::from_header(""), MimeType::Other);
-    }
-
-    #[test]
-    fn mime_round_trips_canonical_header() {
-        for mime in [
-            MimeType::Json,
-            MimeType::Html,
-            MimeType::Css,
-            MimeType::JavaScript,
-        ] {
-            assert_eq!(MimeType::from_header(mime.as_header()), mime);
-        }
+    fn canonical_headers() {
+        assert_eq!(MimeType::Json.as_header(), "application/json");
+        assert_eq!(MimeType::Html.as_header(), "text/html");
+        assert_eq!(MimeType::Css.as_header(), "text/css");
+        assert_eq!(MimeType::JavaScript.as_header(), "application/javascript");
     }
 
     #[test]
     fn record_flags_round_trip_bits() {
         let mut flags = RecordFlags::NONE;
-        assert!(flags.is_empty());
         flags.insert(RecordFlags::SERVED_STALE);
         flags.insert(RecordFlags::RETRIED);
         assert!(flags.contains(RecordFlags::SERVED_STALE));
@@ -369,9 +304,7 @@ mod tests {
     #[test]
     fn cache_status_predicates() {
         assert!(CacheStatus::Hit.is_cacheable());
-        assert!(CacheStatus::Hit.is_hit());
         assert!(CacheStatus::Miss.is_cacheable());
-        assert!(!CacheStatus::Miss.is_hit());
         assert!(!CacheStatus::NotCacheable.is_cacheable());
     }
 }

@@ -4,7 +4,7 @@
 //! this module defines how they reach disk without lying about it. Three
 //! guarantees, forming the crash-safety contract (DESIGN.md §13):
 //!
-//! 1. **Atomic visibility** — [`durable_write`] publishes every file via
+//! 1. **Atomic visibility** — `durable_write` publishes every file via
 //!    write-temp, fsync, rename. A reader sees the old content or the new
 //!    content, never a torn hybrid, no matter where a crash lands.
 //! 2. **Staged shards with a signed manifest** — a run writes each shard
@@ -54,7 +54,7 @@ use crate::stream::RecordStream;
 /// parent directory is then fsynced (best-effort — not every filesystem
 /// supports it) so the rename itself survives a crash. The `label` names
 /// this write site for fault injection.
-pub fn durable_write(
+pub(crate) fn durable_write(
     path: &Path,
     mut bytes: Vec<u8>,
     label: &str,
@@ -91,12 +91,12 @@ fn sibling(path: &Path, suffix: &str) -> PathBuf {
 }
 
 /// The shard index path for a store rooted at `final_path`.
-pub fn index_path(final_path: &Path) -> PathBuf {
+pub(crate) fn index_path(final_path: &Path) -> PathBuf {
     sibling(final_path, ".idx")
 }
 
 /// The staging directory for a store rooted at `final_path`.
-pub fn staging_dir(final_path: &Path) -> PathBuf {
+pub(crate) fn staging_dir(final_path: &Path) -> PathBuf {
     sibling(final_path, ".staging")
 }
 
@@ -220,7 +220,7 @@ impl ShardIndex {
 
     /// Loads an index file; `None` when it is missing or unreadable (a
     /// damaged index simply means nothing can be trusted for reuse).
-    pub fn load(path: &Path) -> Option<ShardIndex> {
+    pub(crate) fn load(path: &Path) -> Option<ShardIndex> {
         let text = std::fs::read_to_string(path).ok()?;
         ShardIndex::from_json(&jcdn_json::parse(&text).ok()?)
     }
@@ -336,7 +336,7 @@ impl<'c> StoreWriter<'c> {
 
     /// True when shard `i`'s frame is committed and verified, i.e. the
     /// caller may skip recomputing it.
-    pub fn shard_committed(&self, i: usize) -> bool {
+    pub(crate) fn shard_committed(&self, i: usize) -> bool {
         self.already_complete || self.index.shards.get(i).is_some_and(Option::is_some)
     }
 
@@ -488,13 +488,6 @@ pub struct StoreReadStats {
     pub shards_missing: u64,
     /// Shards the index says the run will produce.
     pub shard_count: usize,
-}
-
-impl StoreReadStats {
-    /// True when every shard was present and decoded clean.
-    pub fn is_clean(&self) -> bool {
-        self.shards_missing == 0 && self.decode.is_clean()
-    }
 }
 
 /// Reads what an unfinished run left in the staging area: the table
@@ -799,7 +792,6 @@ mod tests {
         let (salvaged, stats) = read_staged(&out).unwrap();
         assert_eq!(stats.shards_missing, 1);
         assert_eq!(stats.shard_count, 4);
-        assert!(!stats.is_clean());
         assert_eq!(salvaged.shard_count(), 4);
         for i in 0..3 {
             assert_eq!(salvaged.shard_records(i), sharded.shard_records(i));

@@ -9,7 +9,7 @@
 //! store write: one frame per slice (see [`crate::codec::encode`]).
 
 use crate::interner::Interner;
-use crate::record::{LogRecord, UaId, UrlId};
+use crate::record::LogRecord;
 use crate::trace::RecordView;
 
 /// A read-only stream of records resolved against a shared interner.
@@ -24,16 +24,6 @@ impl<'t> RecordStream<'t> {
     /// must have been interned against that interner.
     pub fn new(interner: &'t Interner, slices: Vec<&'t [LogRecord]>) -> Self {
         RecordStream { interner, slices }
-    }
-
-    /// Total number of records across all slices.
-    pub fn len(&self) -> usize {
-        self.slices.iter().map(|s| s.len()).sum()
-    }
-
-    /// True when the stream yields no records.
-    pub fn is_empty(&self) -> bool {
-        self.slices.iter().all(|s| s.is_empty())
     }
 
     /// Iterates the raw records in slice order.
@@ -69,26 +59,6 @@ impl<'t> RecordStream<'t> {
     pub(crate) fn raw_slices(&self) -> &[&'t [LogRecord]] {
         &self.slices
     }
-
-    /// Resolves a URL id.
-    pub fn url(&self, id: UrlId) -> &'t str {
-        self.interner.url(id)
-    }
-
-    /// Resolves a UA id.
-    pub fn ua(&self, id: UaId) -> &'t str {
-        self.interner.ua(id)
-    }
-
-    /// Number of distinct URLs in the backing tables.
-    pub fn url_count(&self) -> usize {
-        self.interner.url_count()
-    }
-
-    /// Number of distinct UAs in the backing tables.
-    pub fn ua_count(&self) -> usize {
-        self.interner.ua_count()
-    }
 }
 
 #[cfg(test)]
@@ -123,8 +93,6 @@ mod tests {
     fn stream_matches_trace_iteration() {
         let t = sample();
         let s = t.stream();
-        assert_eq!(s.len(), t.len());
-        assert!(!s.is_empty());
         let from_stream: Vec<_> = s.iter().copied().collect();
         assert_eq!(from_stream.as_slice(), t.records());
         let urls: Vec<&str> = s.views().map(|v| v.url).collect();
@@ -137,19 +105,19 @@ mod tests {
         let t = sample();
         let (head, tail) = t.records().split_at(2);
         let s = crate::RecordStream::new(t.interner(), vec![head, tail]);
-        assert_eq!(s.len(), t.len());
         let all: Vec<_> = s.iter().copied().collect();
         assert_eq!(all.as_slice(), t.records());
-        let lens: Vec<usize> = s.slices().iter().map(|slice| slice.len()).collect();
+        let lens: Vec<usize> = s
+            .slices()
+            .iter()
+            .map(|slice| slice.iter().count())
+            .collect();
         assert_eq!(lens, [2, 4]);
     }
 
     #[test]
     fn empty_stream() {
         let t = Trace::new();
-        let s = t.stream();
-        assert_eq!(s.len(), 0);
-        assert!(s.is_empty());
-        assert_eq!(s.iter().count(), 0);
+        assert_eq!(t.stream().iter().count(), 0);
     }
 }

@@ -46,11 +46,6 @@ impl SimTime {
         self.0
     }
 
-    /// Whole milliseconds since the epoch.
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Whole seconds since the epoch.
     pub const fn as_secs(self) -> u64 {
         self.0 / 1_000_000
@@ -59,11 +54,6 @@ impl SimTime {
     /// Seconds as a float (for signal processing).
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
-    }
-
-    /// Time elapsed since `earlier`, saturating at zero.
-    pub fn since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
     }
 
     /// Saturating addition.
@@ -122,11 +112,6 @@ impl SimDuration {
         self.0
     }
 
-    /// Whole milliseconds.
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Whole seconds.
     pub const fn as_secs(self) -> u64 {
         self.0 / 1_000_000
@@ -135,16 +120,6 @@ impl SimDuration {
     /// Seconds as a float.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
-    }
-
-    /// Multiplies the span by an integer factor.
-    pub const fn mul(self, factor: u64) -> Self {
-        SimDuration(self.0 * factor)
-    }
-
-    /// Integer division of the span.
-    pub const fn div(self, divisor: u64) -> Self {
-        SimDuration(self.0 / divisor)
     }
 }
 
@@ -222,7 +197,7 @@ mod tests {
     #[test]
     fn arithmetic() {
         let t = SimTime::from_secs(10) + SimDuration::from_millis(500);
-        assert_eq!(t.as_millis(), 10_500);
+        assert_eq!(t.as_micros(), 10_500_000);
         assert_eq!(t - SimTime::from_secs(10), SimDuration::from_millis(500));
         assert_eq!(
             SimDuration::SECOND + SimDuration::MILLISECOND,
@@ -234,14 +209,6 @@ mod tests {
     #[should_panic(expected = "time went backwards")]
     fn subtracting_later_time_panics() {
         let _ = SimTime::from_secs(1) - SimTime::from_secs(2);
-    }
-
-    #[test]
-    fn since_saturates() {
-        assert_eq!(
-            SimTime::from_secs(1).since(SimTime::from_secs(5)),
-            SimDuration::ZERO
-        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use crate::interner::{InternError, Interner};
+use crate::interner::Interner;
 use crate::record::{LogRecord, UaId, UrlId};
 use crate::stream::RecordStream;
 use crate::time::SimTime;
@@ -36,14 +36,6 @@ impl Trace {
         Trace::default()
     }
 
-    /// Creates an empty trace with capacity for `records` records.
-    pub fn with_capacity(records: usize) -> Self {
-        Trace {
-            records: Vec::with_capacity(records),
-            ..Trace::default()
-        }
-    }
-
     /// Builds a trace from an interner and records produced against it.
     pub fn from_parts(interner: Interner, records: Vec<LogRecord>) -> Self {
         Trace { interner, records }
@@ -67,17 +59,6 @@ impl Trace {
     /// Interns a user-agent string, returning its id.
     pub fn intern_ua(&mut self, ua: &str) -> UaId {
         self.interner.intern_ua(ua)
-    }
-
-    /// Fallible twin of [`intern_url`][Self::intern_url]: reports id-space
-    /// exhaustion instead of panicking.
-    pub fn try_intern_url(&mut self, url: &str) -> Result<UrlId, InternError> {
-        self.interner.try_intern_url(url)
-    }
-
-    /// Fallible twin of [`intern_ua`][Self::intern_ua].
-    pub fn try_intern_ua(&mut self, ua: &str) -> Result<UaId, InternError> {
-        self.interner.try_intern_ua(ua)
     }
 
     /// Appends a record. The record's ids must have been produced by this
@@ -123,7 +104,7 @@ impl Trace {
     }
 
     /// Resolves a UA id.
-    pub fn ua(&self, id: UaId) -> &str {
+    pub(crate) fn ua(&self, id: UaId) -> &str {
         self.interner.ua(id)
     }
 
@@ -153,7 +134,7 @@ impl Trace {
     }
 
     /// Resolves one record's strings.
-    pub fn view<'t>(&'t self, record: &'t LogRecord) -> RecordView<'t> {
+    pub(crate) fn view<'t>(&'t self, record: &'t LogRecord) -> RecordView<'t> {
         RecordView {
             record,
             url: self.url(record.url),
@@ -193,7 +174,7 @@ impl Trace {
     }
 
     /// Earliest and latest record times, or `None` when empty.
-    pub fn time_span(&self) -> Option<(SimTime, SimTime)> {
+    pub(crate) fn time_span(&self) -> Option<(SimTime, SimTime)> {
         let first = self.records.iter().map(|r| r.time).min()?;
         let last = self.records.iter().map(|r| r.time).max()?;
         Some((first, last))

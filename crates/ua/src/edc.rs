@@ -30,13 +30,8 @@ pub struct EdcDatabase {
 }
 
 impl EdcDatabase {
-    /// An empty database (no second-stage refinement).
-    pub fn empty() -> Self {
-        EdcDatabase::default()
-    }
-
     /// The built-in table of well-known device identifiers.
-    pub fn builtin() -> Self {
+    pub(crate) fn builtin() -> Self {
         const RECORDS: &[DeviceRecord] = &[
             // Samsung Galaxy phones.
             DeviceRecord {
@@ -164,23 +159,8 @@ impl EdcDatabase {
         }
     }
 
-    /// Adds a custom record (consulted after the built-ins).
-    pub fn add(&mut self, record: DeviceRecord) {
-        self.records.push(record);
-    }
-
-    /// Number of records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True when the database has no records.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
     /// Looks up the first record whose pattern occurs in `ua`.
-    pub fn lookup(&self, ua: &str) -> Option<&DeviceRecord> {
+    pub(crate) fn lookup(&self, ua: &str) -> Option<&DeviceRecord> {
         self.records.iter().find(|r| ua.contains(r.pattern))
     }
 }
@@ -209,20 +189,6 @@ mod tests {
             .lookup("Mozilla/5.0 (Linux; Android 7.1; AFTB Build/LVY48F)")
             .unwrap();
         assert_eq!(r.device, DeviceType::Embedded);
-    }
-
-    #[test]
-    fn custom_records_are_consulted() {
-        let mut db = EdcDatabase::empty();
-        assert!(db.lookup("FridgeOS/1.0").is_none());
-        db.add(DeviceRecord {
-            pattern: "FridgeOS",
-            platform: Platform::Iot,
-            device: DeviceType::Embedded,
-            label: "Smart fridge",
-        });
-        assert_eq!(db.lookup("FridgeOS/1.0").unwrap().label, "Smart fridge");
-        assert_eq!(db.len(), 1);
     }
 
     #[test]

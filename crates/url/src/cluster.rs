@@ -34,7 +34,7 @@ pub enum TokenClass {
 
 impl TokenClass {
     /// The placeholder text for this class (`None` for literals).
-    pub fn placeholder(self) -> Option<&'static str> {
+    pub(crate) fn placeholder(self) -> Option<&'static str> {
         match self {
             TokenClass::NumericId => Some("{id}"),
             TokenClass::Uuid => Some("{uuid}"),
@@ -47,7 +47,7 @@ impl TokenClass {
 }
 
 /// Classifies one token (a path segment or a query value).
-pub fn classify_token(token: &str) -> TokenClass {
+pub(crate) fn classify_token(token: &str) -> TokenClass {
     if token.is_empty() {
         return TokenClass::Literal;
     }

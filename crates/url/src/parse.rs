@@ -173,12 +173,12 @@ mod tests {
     #[test]
     fn absolute_url_full_form() {
         let u = parse("https://api.example.com:8443/v1/items?a=1&b=2#top");
-        assert_eq!(u.scheme(), Some("https"));
+        assert_eq!(u.scheme.as_deref(), Some("https"));
         assert_eq!(u.host(), "api.example.com");
-        assert_eq!(u.port(), Some(8443));
+        assert_eq!(u.port, Some(8443));
         assert_eq!(u.path(), "/v1/items");
-        assert_eq!(u.query_param("b"), Some("2"));
-        assert_eq!(u.fragment(), Some("top"));
+        assert_eq!(u.query[1], ("b".to_owned(), Some("2".to_owned())));
+        assert_eq!(u.fragment.as_deref(), Some("top"));
     }
 
     #[test]
@@ -207,7 +207,7 @@ mod tests {
     #[test]
     fn protocol_relative() {
         let u = parse("//cdn.example.net/lib.js");
-        assert_eq!(u.scheme(), None);
+        assert_eq!(u.scheme, None);
         assert_eq!(u.host(), "cdn.example.net");
         assert_eq!(u.path(), "/lib.js");
     }
@@ -229,7 +229,7 @@ mod tests {
         let u = parse("/article/1234?ref=push");
         assert_eq!(u.host(), "");
         assert_eq!(u.path(), "/article/1234");
-        assert_eq!(u.query_param("ref"), Some("push"));
+        assert_eq!(u.query, [("ref".to_owned(), Some("push".to_owned()))]);
     }
 
     #[test]
@@ -270,13 +270,13 @@ mod tests {
     fn ipv4_host_with_port() {
         let u = parse("http://10.0.0.1:8080/health");
         assert_eq!(u.host(), "10.0.0.1");
-        assert_eq!(u.port(), Some(8080));
+        assert_eq!(u.port, Some(8080));
     }
 
     #[test]
     fn colon_in_path_does_not_confuse_port() {
         let u = parse("https://h.example/a:b/c");
-        assert_eq!(u.port(), None);
+        assert_eq!(u.port, None);
         assert_eq!(u.path(), "/a:b/c");
     }
 }

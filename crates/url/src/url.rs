@@ -28,19 +28,9 @@ impl Url {
         crate::parse::parse_url(input)
     }
 
-    /// The scheme (`http`/`https`), if the URL carried one.
-    pub fn scheme(&self) -> Option<&str> {
-        self.scheme.as_deref()
-    }
-
     /// The host (authority without port). Empty for rooted-path URLs.
     pub fn host(&self) -> &str {
         &self.host
-    }
-
-    /// The explicit port, if any.
-    pub fn port(&self) -> Option<u16> {
-        self.port
     }
 
     /// The path, always starting with `/`.
@@ -49,21 +39,8 @@ impl Url {
     }
 
     /// Raw query pairs in order of appearance.
-    pub fn query_pairs(&self) -> &[(String, Option<String>)] {
+    pub(crate) fn query_pairs(&self) -> &[(String, Option<String>)] {
         &self.query
-    }
-
-    /// First value of query parameter `key`, if present with a value.
-    pub fn query_param(&self, key: &str) -> Option<&str> {
-        self.query
-            .iter()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, v)| v.as_deref())
-    }
-
-    /// The fragment (without `#`), if any.
-    pub fn fragment(&self) -> Option<&str> {
-        self.fragment.as_deref()
     }
 
     /// Host plus path plus query — the object identity used throughout the
@@ -133,15 +110,6 @@ mod tests {
     fn object_key_strips_scheme_and_fragment() {
         let url = Url::parse("https://h.example/a/b?x=1#frag").unwrap();
         assert_eq!(url.object_key(), "h.example/a/b?x=1");
-    }
-
-    #[test]
-    fn query_param_lookup() {
-        let url = Url::parse("https://h.example/p?a=1&b&c=&a=2").unwrap();
-        assert_eq!(url.query_param("a"), Some("1"));
-        assert_eq!(url.query_param("b"), None); // present but valueless
-        assert_eq!(url.query_param("c"), Some(""));
-        assert_eq!(url.query_pairs().len(), 4);
     }
 
     #[test]

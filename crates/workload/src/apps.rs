@@ -51,7 +51,7 @@ pub struct ManifestApp {
 
 impl ManifestApp {
     /// Generates this app's requests over `[0, duration)`.
-    pub fn generate<R: Rng + ?Sized>(
+    pub(crate) fn generate<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         duration: SimDuration,
@@ -110,8 +110,10 @@ impl ManifestApp {
         }
     }
 
-    /// Expected number of requests over `duration` (used for calibration).
-    pub fn expected_requests(&self, duration: SimDuration) -> f64 {
+    /// Expected number of requests over `duration`: the tests' reference
+    /// for the session generator.
+    #[cfg(test)]
+    fn expected_requests(&self, duration: SimDuration) -> f64 {
         let sessions = self.sessions_per_hour * duration.as_secs_f64() / 3600.0;
         let (lo, hi) = self.articles_per_session;
         let articles = (lo + hi) as f64 / 2.0;
@@ -145,8 +147,10 @@ pub struct PeriodicPoller {
 }
 
 impl PeriodicPoller {
-    /// A poller active over the whole capture.
-    pub fn always_on(
+    /// A poller active over the whole capture; the tests build theirs
+    /// with it.
+    #[cfg(test)]
+    fn always_on(
         object: u32,
         period: SimDuration,
         jitter: SimDuration,
@@ -167,7 +171,7 @@ impl PeriodicPoller {
 
     /// Generates tick requests over the active window clipped to
     /// `[0, duration)`.
-    pub fn generate<R: Rng + ?Sized>(
+    pub(crate) fn generate<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         duration: SimDuration,
@@ -197,7 +201,7 @@ impl PeriodicPoller {
     }
 
     /// Expected number of requests given the capture `duration`.
-    pub fn expected_requests(&self, duration: SimDuration) -> f64 {
+    pub(crate) fn expected_requests(&self, duration: SimDuration) -> f64 {
         let start = self.start.as_secs_f64();
         let end = (start + self.active.as_secs_f64()).min(duration.as_secs_f64());
         ((end - start) / self.period.as_secs_f64()).max(0.0)
@@ -225,7 +229,7 @@ pub struct InteractiveApi {
 
 impl InteractiveApi {
     /// Generates requests over `[0, duration)`.
-    pub fn generate<R: Rng + ?Sized>(
+    pub(crate) fn generate<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         duration: SimDuration,
@@ -263,7 +267,7 @@ impl InteractiveApi {
     }
 
     /// Expected number of requests over `duration`.
-    pub fn expected_requests(&self, duration: SimDuration) -> f64 {
+    pub(crate) fn expected_requests(&self, duration: SimDuration) -> f64 {
         self.rate_per_hour * duration.as_secs_f64() / 3600.0
     }
 }

@@ -66,16 +66,6 @@ pub struct Workload {
 }
 
 impl Workload {
-    /// Number of events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when no events were generated.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// Index of the domain with the given host name, for targeting fault
     /// windows at a specific customer (e.g. `--outage host:start:end`).
     pub fn domain_index(&self, host: &str) -> Option<u32> {
@@ -955,7 +945,7 @@ mod tests {
     #[test]
     fn builds_a_nonempty_sorted_workload() {
         let w = tiny();
-        assert!(!w.is_empty());
+        assert!(!w.events.is_empty());
         assert!(w.events.windows(2).all(|p| p[0].time <= p[1].time));
         assert!(!w.domains.is_empty());
         assert!(!w.objects.is_empty());
@@ -982,7 +972,7 @@ mod tests {
         assert_eq!(few.clients, 10);
         for config in [WorkloadConfig::tiny(7), few] {
             let sequential = build(&config);
-            assert!(!sequential.is_empty());
+            assert!(!sequential.events.is_empty());
             for threads in [2, 3, 5, 64] {
                 let parallel = build_parallel(&config, threads);
                 let ctx = format!("{} clients, {threads} threads", config.clients);
@@ -996,7 +986,7 @@ mod tests {
     fn event_volume_is_near_target() {
         let w = tiny();
         let target = w.config.target_events as f64;
-        let actual = w.len() as f64;
+        let actual = w.events.len() as f64;
         assert!(
             (actual - target).abs() / target < 0.35,
             "target {target}, got {actual}"
@@ -1012,7 +1002,7 @@ mod tests {
                 .entry(w.clients[e.client as usize].device)
                 .or_default() += 1;
         }
-        let total = w.len() as f64;
+        let total = w.events.len() as f64;
         let share = |d: DeviceType| by_device.get(&d).copied().unwrap_or(0) as f64 / total;
         assert!(
             (share(DeviceType::Mobile) - 0.55).abs() < 0.12,
@@ -1055,7 +1045,7 @@ mod tests {
             .iter()
             .filter(|e| w.truth.periodic_pairs.contains_key(&(e.client, e.object)))
             .count();
-        let share = periodic as f64 / w.len() as f64;
+        let share = periodic as f64 / w.events.len() as f64;
         assert!((0.02..0.13).contains(&share), "periodic share {share}");
         assert!(!w.truth.periodic_objects.is_empty());
         // All planted periods are on the paper's spikes.

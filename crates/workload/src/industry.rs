@@ -69,7 +69,7 @@ impl IndustryCategory {
     /// and Gaming domains are not cacheable … the majority of News/Media,
     /// Sports, and Entertainment domains are mostly cacheable", with ≈ 50%
     /// of all domains never-cacheable and ≈ 30% always-cacheable overall.
-    pub fn cache_profile(self) -> CacheProfile {
+    pub(crate) fn cache_profile(self) -> CacheProfile {
         match self {
             IndustryCategory::NewsMedia => CacheProfile {
                 never: 0.10,
@@ -121,7 +121,7 @@ impl IndustryCategory {
     /// Relative share of domains per category (sums to ~1). Uncacheable
     /// industries get enough weight that uncacheable *request volume* lands
     /// near the paper's 55%.
-    pub fn domain_weight(self) -> f64 {
+    pub(crate) fn domain_weight(self) -> f64 {
         match self {
             IndustryCategory::NewsMedia => 0.12,
             IndustryCategory::Sports => 0.07,
@@ -157,11 +157,11 @@ impl IndustryCategory {
 
 /// Per-category probabilities of the domain-level cache policy.
 #[derive(Clone, Copy, Debug)]
-pub struct CacheProfile {
+pub(crate) struct CacheProfile {
     /// P(domain is never cacheable).
-    pub never: f64,
+    pub(crate) never: f64,
     /// P(domain is always cacheable).
-    pub always: f64,
+    pub(crate) always: f64,
 }
 
 /// A domain's customer-configured cacheability policy.
@@ -181,7 +181,7 @@ pub enum CachePolicy {
 
 impl CachePolicy {
     /// The fraction of objects that are cacheable under this policy.
-    pub fn cacheable_fraction(self) -> f64 {
+    pub(crate) fn cacheable_fraction(self) -> f64 {
         match self {
             CachePolicy::Always => 1.0,
             CachePolicy::Never => 0.0,

@@ -378,7 +378,6 @@ pub fn periodicity(ctx: &Context, permutations: usize) -> PeriodicityReport {
             permutations,
             parallel: true,
             max_bins: 1 << 15,
-            ..PeriodicityConfig::default()
         },
         ..PeriodicityStudyConfig::default()
     };
@@ -906,8 +905,7 @@ pub fn abl_cache(ctx: &Context) -> ExperimentResult {
 /// X7: lead-time analysis (interarrival-aware prediction — §5.2's stated
 /// future work).
 pub fn ext_leadtime(ctx: &Context) -> ExperimentResult {
-    use jcdn_prefetch::lead_time::{analyze, LeadTimeConfig};
-    let mut report = analyze(&ctx.long_term.trace, &LeadTimeConfig::default());
+    let mut report = jcdn_prefetch::lead_time::analyze(&ctx.long_term.trace);
     let median = report.median_predicted();
     let lead_1s = report.predicted_with_lead_of(1.0);
     let lead_origin = report.predicted_with_lead_of(0.2); // a miss RTT

@@ -2,7 +2,7 @@
 
 use jcdn_core::periodicity::{run_study, PeriodicityStudyConfig};
 use jcdn_core::report::pct;
-use jcdn_signal::periodicity::PeriodicityConfig;
+use jcdn_signal::periodicity::{PeriodicityConfig, MIN_BINS};
 
 use crate::args::Args;
 use crate::commands::{load_trace, Outcome};
@@ -12,20 +12,24 @@ pub fn run(args: &Args) -> Result<Outcome, String> {
     let mut obs = obs_args::begin("periodicity", args)?;
     let path = args.positional("trace path")?;
     let threads = args.count("threads")?;
-    let trace = load_trace(path, threads)?;
-    obs.manifest.param("trace", path);
-
     let config = PeriodicityStudyConfig {
         detector: PeriodicityConfig {
             permutations: args.number("permutations")?,
             max_bins: args.number("max-bins")?,
             parallel: threads > 1,
-            ..PeriodicityConfig::default()
         },
         min_requests: args.number("min-requests")?,
         min_clients: args.number("min-clients")?,
-        ..PeriodicityStudyConfig::default()
     };
+    if config.detector.permutations == 0 {
+        return Err("--permutations must be at least 1".into());
+    }
+    if config.detector.max_bins < MIN_BINS {
+        return Err(format!("--max-bins must be at least {MIN_BINS}"));
+    }
+    let trace = load_trace(path, threads)?;
+    obs.manifest.param("trace", path);
+
     eprintln!(
         "running the periodicity study (x = {}, filters >= {} req / >= {} clients)...",
         config.detector.permutations, config.min_requests, config.min_clients

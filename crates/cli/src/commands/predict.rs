@@ -11,18 +11,24 @@ pub fn run(args: &Args) -> Result<Outcome, String> {
     let mut obs = obs_args::begin("predict", args)?;
     let path = args.positional("trace path")?;
     let threads = args.count("threads")?;
-    let trace = load_trace(path, threads)?;
-    obs.manifest.param("trace", path);
-
     let config = PredictionStudyConfig {
         history: args.number("history")?,
         ks: args.number_list("k")?,
         train_percent: args.number("train-percent")?,
-        ..PredictionStudyConfig::default()
     };
     if config.history == 0 {
         return Err("--history must be at least 1".into());
     }
+    if config.ks.contains(&0) {
+        return Err("--k must be at least 1".into());
+    }
+    // Both the train and the test split must be able to hold a client.
+    if !(1..=99).contains(&config.train_percent) {
+        return Err("--train-percent must be between 1 and 99".into());
+    }
+    let trace = load_trace(path, threads)?;
+    obs.manifest.param("trace", path);
+
     eprintln!(
         "training the n-gram model (N = {}, {}% train split)...",
         config.history, config.train_percent

@@ -11,7 +11,6 @@ pub fn run(args: &Args) -> Result<Outcome, String> {
     let model = TrendModel {
         months: args.number("months")?,
         seed: args.number("seed")?,
-        ..TrendModel::default()
     };
     if model.months < 2 {
         return Err("--months must be at least 2".into());

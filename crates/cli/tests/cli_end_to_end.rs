@@ -403,6 +403,43 @@ fn generate_checks_flags_before_building_the_workload() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `predict` and `periodicity` check their study flags before they read
+/// the trace, so a value the study cannot use is named even when the path
+/// does not exist; a value at the edge of the range gets as far as the
+/// missing file.
+#[test]
+fn analyses_check_flags_before_reading_the_trace() {
+    let missing = std::env::temp_dir().join("jcdn-cli-test-no-such-trace.jcdn");
+    let missing = missing.to_str().unwrap();
+    for (command, flag, value, rejected) in [
+        ("predict", "--train-percent", "0", true),
+        ("predict", "--train-percent", "100", true),
+        ("predict", "--train-percent", "150", true),
+        ("predict", "--train-percent", "1", false),
+        ("predict", "--train-percent", "99", false),
+        ("predict", "--k", "0", true),
+        ("predict", "--k", "1,0,5", true),
+        ("predict", "--k", "1", false),
+        ("predict", "--history", "0", true),
+        ("periodicity", "--permutations", "0", true),
+        ("periodicity", "--permutations", "1", false),
+        ("periodicity", "--max-bins", "4", true),
+        ("periodicity", "--max-bins", "7", true),
+        ("periodicity", "--max-bins", "8", false),
+    ] {
+        let out = jcdn(&[command, missing, flag, value]);
+        let case = format!("{command} {flag} {value}");
+        assert_eq!(out.status.code(), Some(1), "{case}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr.contains(flag), rejected, "{case}: {stderr}");
+        assert_eq!(
+            stderr.contains("jcdn-cli-test-no-such-trace"),
+            !rejected,
+            "{case}: {stderr}"
+        );
+    }
+}
+
 /// Every flag is checked before the store writes, so a rejected one
 /// leaves no index, staging directory or trace behind.
 #[test]

@@ -9,7 +9,9 @@
 
 use std::collections::{BTreeMap, HashSet};
 
-use jcdn_signal::periodicity::{detect_period, DetectedPeriod, PeriodicityConfig};
+use jcdn_signal::periodicity::{
+    detect_period, DetectedPeriod, PeriodicityConfig, SAMPLING_SECONDS,
+};
 use jcdn_stats::{Ecdf, LogHistogram};
 use jcdn_trace::flows::{FlowClient, FlowSet};
 use jcdn_trace::{MimeType, Trace, UrlId};
@@ -23,9 +25,11 @@ pub struct PeriodicityStudyConfig {
     pub min_requests: usize,
     /// Minimum clients per object flow (paper: 10).
     pub min_clients: usize,
-    /// Match tolerance between client and object periods, in sampling bins.
-    pub match_tolerance_bins: usize,
 }
+
+/// How far apart a client's and its object's periods may be and still
+/// match, in sampling bins.
+const MATCH_TOLERANCE_BINS: usize = 2;
 
 impl Default for PeriodicityStudyConfig {
     fn default() -> Self {
@@ -40,7 +44,6 @@ impl Default for PeriodicityStudyConfig {
             },
             min_requests: 10,
             min_clients: 10,
-            match_tolerance_bins: 2,
         }
     }
 }
@@ -152,7 +155,7 @@ pub fn run_study(trace: &Trace, config: &PeriodicityStudyConfig) -> PeriodicityR
     // detector always runs at full (1s) resolution. A full-day object flow
     // would otherwise coarsen to multi-second bins, where session-level
     // rate correlation drowns the request-level period.
-    let window_secs = config.detector.max_bins as f64 * config.detector.sampling_seconds;
+    let window_secs = config.detector.max_bins as f64 * SAMPLING_SECONDS;
     let clip = |times: Vec<f64>| -> Vec<f64> {
         let Some(&t0) = times.first() else {
             return times;
@@ -181,7 +184,7 @@ pub fn run_study(trace: &Trace, config: &PeriodicityStudyConfig) -> PeriodicityR
             let Some(client_period) = detect_period(&times, &config.detector) else {
                 continue;
             };
-            if client_matches_object(&client_period, &object_period, config.match_tolerance_bins) {
+            if client_matches_object(&client_period, &object_period) {
                 periodic_clients += 1;
                 report.periodic_requests += cf.len() as u64;
                 report.periodic_flows.push(PeriodicFlow {
@@ -226,14 +229,10 @@ pub fn run_study(trace: &Trace, config: &PeriodicityStudyConfig) -> PeriodicityR
     report
 }
 
-fn client_matches_object(
-    client: &DetectedPeriod,
-    object: &DetectedPeriod,
-    tolerance_bins: usize,
-) -> bool {
+fn client_matches_object(client: &DetectedPeriod, object: &DetectedPeriod) -> bool {
     // Compare in seconds: the two detections may have run at different
     // effective sampling rates (object flows have more events).
-    let tolerance = tolerance_bins as f64
+    let tolerance = MATCH_TOLERANCE_BINS as f64
         * (client.period_seconds / client.period_bins.max(1) as f64)
             .max(object.period_seconds / object.period_bins.max(1) as f64);
     // Aggregating many phase-shifted clients can emphasize a small integer

@@ -22,9 +22,10 @@ pub struct PredictionStudyConfig {
     /// Percentage of clients used for training (the paper splits "by
     /// unique clients"; it does not state the ratio — 70% here).
     pub train_percent: u8,
-    /// Minimum sequence length for a client to participate.
-    pub min_sequence: usize,
 }
+
+/// Minimum sequence length for a client to participate.
+const MIN_SEQUENCE: usize = 2;
 
 impl Default for PredictionStudyConfig {
     fn default() -> Self {
@@ -32,7 +33,6 @@ impl Default for PredictionStudyConfig {
             history: 1,
             ks: vec![1, 5, 10],
             train_percent: 70,
-            min_sequence: 2,
         }
     }
 }
@@ -86,7 +86,7 @@ fn prepare_mode(trace: &Trace, mut vocab: Vocab, config: &PredictionStudyConfig)
     let stream = trace.stream();
     let sequences: Vec<(u64, Vec<u32>)> = client_sequences(&stream, |r| r.mime == MimeType::Json)
         .into_iter()
-        .filter(|(_, seq)| seq.len() >= config.min_sequence)
+        .filter(|(_, seq)| seq.len() >= MIN_SEQUENCE)
         .map(|((client, ua), seq)| {
             // Stable client key from (ip hash, ua id).
             let key = fnv1a(&{

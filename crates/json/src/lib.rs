@@ -11,8 +11,8 @@
 //!
 //! * [`Value`] — an owned JSON document tree ([`Value::Object`] preserves
 //!   insertion order, which keeps generated manifests deterministic),
-//! * [`parse`] / [`parse_with`] — a recursive-descent parser with
-//!   position-tracked errors and a configurable depth limit,
+//! * [`parse`] — a recursive-descent parser with position-tracked errors
+//!   and a fixed depth limit ([`MAX_DEPTH`]) against adversarial bodies,
 //! * [`to_string`] / [`to_string_pretty`] — serializers that round-trip
 //!   every value produced by the parser,
 //! * [`pointer`][Value::pointer] — RFC 6901 JSON Pointer lookup, used by the
@@ -43,7 +43,7 @@ mod ser;
 mod value;
 
 pub use number::Number;
-pub use parse::{parse, parse_with, Error, ErrorKind, ParseOptions};
+pub use parse::{parse, Error, ErrorKind, MAX_DEPTH};
 pub use ser::{to_string, to_string_pretty};
 pub use value::{Map, Value};
 

@@ -5,20 +5,10 @@ use std::fmt;
 use crate::number::Number;
 use crate::value::{Map, Value};
 
-/// Options controlling the parser.
-#[derive(Clone, Copy, Debug)]
-pub struct ParseOptions {
-    /// Maximum nesting depth of arrays/objects. Exceeding it yields
-    /// [`ErrorKind::DepthLimit`] instead of blowing the stack — CDN edge
-    /// parsers face adversarial bodies, so the limit is load-bearing.
-    pub max_depth: usize,
-}
-
-impl Default for ParseOptions {
-    fn default() -> Self {
-        ParseOptions { max_depth: 128 }
-    }
-}
+/// Maximum nesting depth of arrays/objects. Exceeding it yields
+/// [`ErrorKind::DepthLimit`] instead of blowing the stack — CDN edge
+/// parsers face adversarial bodies, so the limit is load-bearing.
+pub const MAX_DEPTH: usize = 128;
 
 /// What went wrong while parsing.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -27,7 +17,7 @@ pub enum ErrorKind {
     UnexpectedEof,
     /// A byte that cannot start or continue the expected production.
     UnexpectedChar(char),
-    /// Nesting exceeded [`ParseOptions::max_depth`].
+    /// Nesting exceeded [`MAX_DEPTH`].
     DepthLimit,
     /// Numeric literal was malformed or out of range.
     InvalidNumber,
@@ -70,18 +60,12 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Parses `input` with default [`ParseOptions`].
+/// Parses `input`, nested at most [`MAX_DEPTH`] deep.
 pub fn parse(input: &str) -> Result<Value, Error> {
-    parse_with(input, ParseOptions::default())
-}
-
-/// Parses `input` with explicit options.
-pub fn parse_with(input: &str, options: ParseOptions) -> Result<Value, Error> {
     let mut parser = Parser {
         bytes: input.as_bytes(),
         input,
         pos: 0,
-        options,
     };
     parser.skip_ws();
     let value = parser.value(0)?;
@@ -96,7 +80,6 @@ struct Parser<'a> {
     bytes: &'a [u8],
     input: &'a str,
     pos: usize,
-    options: ParseOptions,
 }
 
 impl<'a> Parser<'a> {
@@ -142,7 +125,7 @@ impl<'a> Parser<'a> {
     }
 
     fn value(&mut self, depth: usize) -> Result<Value, Error> {
-        if depth > self.options.max_depth {
+        if depth > MAX_DEPTH {
             return Err(self.error(ErrorKind::DepthLimit));
         }
         match self.peek() {
@@ -463,12 +446,11 @@ mod tests {
         assert_eq!(parse(&deep).unwrap_err().kind, ErrorKind::DepthLimit);
         let ok = "[".repeat(50) + &"]".repeat(50);
         assert!(parse(&ok).is_ok());
-        let opts = ParseOptions { max_depth: 10 };
-        let just_over = "[".repeat(12) + &"]".repeat(12);
-        assert_eq!(
-            parse_with(&just_over, opts).unwrap_err().kind,
-            ErrorKind::DepthLimit
-        );
+        // Nesting levels 0..=MAX_DEPTH parse; one more does not.
+        let at_limit = "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1);
+        assert!(parse(&at_limit).is_ok());
+        let just_over = "[".repeat(MAX_DEPTH + 2) + &"]".repeat(MAX_DEPTH + 2);
+        assert_eq!(parse(&just_over).unwrap_err().kind, ErrorKind::DepthLimit);
     }
 
     #[test]

@@ -132,7 +132,6 @@ mod tests {
                 permutations: 30,
                 parallel: true,
                 max_bins: 1 << 13,
-                ..PeriodicityConfig::default()
             },
             ..PeriodicityStudyConfig::default()
         };

@@ -51,30 +51,16 @@ impl LeadTimeReport {
     }
 }
 
-/// Configuration for the analysis.
-#[derive(Clone, Debug)]
-pub struct LeadTimeConfig {
-    /// N-gram history length.
-    pub history: usize,
-    /// Top-K window counted as "predicted".
-    pub k: usize,
-    /// Train split percentage (by client).
-    pub train_percent: u8,
-}
-
-impl Default for LeadTimeConfig {
-    fn default() -> Self {
-        LeadTimeConfig {
-            history: 1,
-            k: 5,
-            train_percent: 70,
-        }
-    }
-}
+/// N-gram history length: Table 3's N = 1.
+const HISTORY: usize = 1;
+/// Top-K window counted as "predicted": Table 3's middle K.
+const K: usize = 5;
+/// Train split percentage (by client), as in the §5.2 study.
+const TRAIN_PERCENT: u8 = 70;
 
 /// Trains an n-gram model on the trace's training clients and measures the
 /// lead-time distribution over held-out clients.
-pub fn analyze(trace: &Trace, config: &LeadTimeConfig) -> LeadTimeReport {
+pub fn analyze(trace: &Trace) -> LeadTimeReport {
     let mut vocab = Vocab::raw();
     let tokens: Vec<u32> = trace
         .url_table()
@@ -99,9 +85,9 @@ pub fn analyze(trace: &Trace, config: &LeadTimeConfig) -> LeadTimeReport {
             })
             .collect();
 
-    let mut model = NgramModel::new(config.history);
+    let mut model = NgramModel::new(HISTORY);
     for (client, seq) in &sequences {
-        if split_client(*client, config.train_percent) == Split::Train {
+        if split_client(*client, TRAIN_PERCENT) == Split::Train {
             let toks: Vec<u32> = seq.iter().map(|&(_, t)| t).collect();
             model.train_sequence(&toks);
         }
@@ -109,14 +95,14 @@ pub fn analyze(trace: &Trace, config: &LeadTimeConfig) -> LeadTimeReport {
 
     let mut report = LeadTimeReport::default();
     for (client, seq) in &sequences {
-        if split_client(*client, config.train_percent) != Split::Test {
+        if split_client(*client, TRAIN_PERCENT) != Split::Test {
             continue;
         }
         let toks: Vec<u32> = seq.iter().map(|&(_, t)| t).collect();
         for i in 1..seq.len() {
             let gap = seq[i].0 - seq[i - 1].0;
-            let start = i.saturating_sub(config.history);
-            if model.hit(&toks[start..i], toks[i], config.k) {
+            let start = i.saturating_sub(HISTORY);
+            if model.hit(&toks[start..i], toks[i], K) {
                 report.predicted_gaps.record(gap);
             } else {
                 report.missed_gaps.record(gap);
@@ -162,7 +148,7 @@ mod tests {
     #[test]
     fn predicted_transitions_carry_their_think_time() {
         let trace = chain_trace();
-        let mut report = analyze(&trace, &LeadTimeConfig::default());
+        let mut report = analyze(&trace);
         assert!(
             report.predicted_gaps.count() > 0,
             "chain must be predictable"
@@ -184,7 +170,7 @@ mod tests {
 
     #[test]
     fn empty_trace_yields_empty_report() {
-        let mut report = analyze(&Trace::new(), &LeadTimeConfig::default());
+        let mut report = analyze(&Trace::new());
         assert!(report.median_predicted().is_none());
         assert!(report.predicted_with_lead_of(1.0).is_none());
     }

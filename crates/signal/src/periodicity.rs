@@ -17,7 +17,7 @@
 //!
 //! Implementation notes:
 //!
-//! * Flows are sampled onto a 1-second counting grid by default, matching
+//! * Flows are sampled onto a 1-second counting grid ([`SAMPLING_SECONDS`]),
 //!   the paper's choice ("accurate detection of periods less than this
 //!   sampling rate is difficult due to network jitter").
 //! * Permutations shuffle the *sampled counting series* (as in Vlachos et
@@ -26,9 +26,12 @@
 //!   (Shuffling inter-arrivals would be a broken null: a perfectly
 //!   periodic flow has identical gaps, so every permutation would be
 //!   exactly as periodic as the original.)
-//! * "(x−1)-th largest" is implemented as the `significance_quantile`
-//!   (default 0.99): with x = 100 permutations the threshold is the
-//!   second-largest permutation maximum.
+//! * "(x−1)-th largest" is implemented as the 0.99 quantile of the
+//!   permutation maxima: with x = 100 permutations the threshold is the
+//!   second-largest permutation maximum. Like the sampling grid, the
+//!   quantile, the permutation seed, the 4-event and 8-bin minimums and
+//!   the ACF lineup tolerance are fixed; only x, the bin cap and the
+//!   fan-out are settings.
 //! * The Fourier candidate gives the coarse period (bin resolution N/k);
 //!   the ACF peak near it refines the estimate and acts as the lineup
 //!   check — harmonics pass the power test but fail the ACF test.
@@ -53,27 +56,36 @@ use crate::acf::Autocorrelation;
 use crate::fft::FftPlan;
 use crate::spectrum::{analyze, padded_len, Periodogram, Scratch};
 
+/// Width of one sampling bin, in seconds (paper: 1s).
+pub const SAMPLING_SECONDS: f64 = 1.0;
+
+/// Fewest sampling bins a series may have for detection to run; a
+/// `max_bins` below it finds nothing.
+pub const MIN_BINS: usize = 8;
+
+/// Quantile of permutation maxima used as the significance threshold
+/// (0.99 ≈ the paper's "(x−1)-th largest" with x = 100).
+const SIGNIFICANCE_QUANTILE: f64 = 0.99;
+
+/// Base seed for the permutation RNGs; detection is deterministic in
+/// (input, config).
+const PERMUTATION_SEED: u64 = 0x1a2b_3c4d;
+
+/// Minimum number of events required to attempt detection.
+const MIN_EVENTS: usize = 4;
+
+/// ACF lineup tolerance as a fraction of the candidate period.
+const ACF_LINEUP_TOLERANCE: f64 = 0.08;
+
 /// Tuning knobs for [`detect_period`]. Defaults match the paper.
 #[derive(Clone, Debug)]
 pub struct PeriodicityConfig {
-    /// Width of one sampling bin, in seconds (paper: 1s).
-    pub sampling_seconds: f64,
     /// Number of permutations `x` (paper: 100; "values greater than 100 do
     /// not produce significantly different results").
     pub permutations: usize,
-    /// Quantile of permutation maxima used as the significance threshold
-    /// (0.99 ≈ the paper's "(x−1)-th largest" with x = 100).
-    pub significance_quantile: f64,
-    /// Base seed for the permutation RNG; detection is deterministic in
-    /// (input, config).
-    pub seed: u64,
-    /// Minimum number of events required to attempt detection.
-    pub min_events: usize,
     /// Cap on series length; longer spans coarsen the sampling bin instead
     /// of growing the FFT without bound.
     pub max_bins: usize,
-    /// ACF lineup tolerance as a fraction of the candidate period.
-    pub acf_lineup_tolerance: f64,
     /// Run permutations on multiple threads.
     pub parallel: bool,
 }
@@ -81,13 +93,8 @@ pub struct PeriodicityConfig {
 impl Default for PeriodicityConfig {
     fn default() -> Self {
         PeriodicityConfig {
-            sampling_seconds: 1.0,
             permutations: 100,
-            significance_quantile: 0.99,
-            seed: 0x1a2b_3c4d,
-            min_events: 4,
             max_bins: 1 << 17,
-            acf_lineup_tolerance: 0.08,
             parallel: false,
         }
     }
@@ -157,7 +164,7 @@ pub fn detect_periods(
 /// Bins event times onto the sampling grid, or `None` when the input is
 /// too small/degenerate for detection.
 fn bin_times(times: &[f64], cfg: &PeriodicityConfig) -> Option<(Vec<f64>, f64)> {
-    if times.len() < cfg.min_events || times.iter().any(|t| !t.is_finite()) {
+    if times.len() < MIN_EVENTS || times.iter().any(|t| !t.is_finite()) {
         return None;
     }
     let mut sorted = times.to_vec();
@@ -173,9 +180,9 @@ fn bin_times(times: &[f64], cfg: &PeriodicityConfig) -> Option<(Vec<f64>, f64)> 
     // coarsened width the last event falls exactly on the far edge of bin
     // `max_bins - 1`; capping the count keeps it in that bin, which is
     // closed on the right.
-    let sampling = cfg.sampling_seconds.max(span / cfg.max_bins as f64);
+    let sampling = SAMPLING_SECONDS.max(span / cfg.max_bins as f64);
     let bins = ((span / sampling).floor() as usize + 1).min(cfg.max_bins);
-    if bins < 8 {
+    if bins < MIN_BINS {
         return None;
     }
     Some((bin_events(&sorted, sampling, bins), sampling))
@@ -219,7 +226,7 @@ fn detect_in_series(
     // permutations stop once the flow's own peak power cannot pass.
     let peak_power = periodogram.peak().map_or(f64::INFINITY, |(_, p)| p);
     let thresholds = permutation_thresholds(&plan, series, peak_power, cfg)?;
-    line_up(&periodogram, &acf, thresholds, sampling, cfg)
+    line_up(&periodogram, &acf, thresholds, sampling)
 }
 
 /// Step 4: the most significant period of a series whose periodogram and
@@ -229,7 +236,6 @@ fn line_up(
     acf: &Autocorrelation,
     (power_threshold, acf_threshold): (f64, f64),
     sampling: f64,
-    cfg: &PeriodicityConfig,
 ) -> Option<DetectedPeriod> {
     let bins = periodogram.signal_len;
     // Line up FFT candidates with ACF peaks. Two directions:
@@ -254,7 +260,7 @@ fn line_up(
         if period_bins < 2 || period_bins > bins / 2 {
             continue;
         }
-        let tolerance = ((period_bins as f64 * cfg.acf_lineup_tolerance).ceil() as usize).max(1);
+        let tolerance = ((period_bins as f64 * ACF_LINEUP_TOLERANCE).ceil() as usize).max(1);
         let Some((lag, acf_value)) = acf.peak_near(period_bins, tolerance) else {
             continue;
         };
@@ -353,7 +359,7 @@ fn permutation_thresholds(
     if cfg.permutations == 0 || series.is_empty() {
         return None;
     }
-    let idx = threshold_index(cfg);
+    let idx = threshold_index(cfg.permutations);
 
     let threads = if cfg.parallel && cfg.permutations >= 8 {
         std::thread::available_parallelism()
@@ -383,7 +389,7 @@ fn permutation_thresholds(
                 break;
             }
             let (max_power, max_acf) =
-                permutation_maxima(plan, series, cfg.seed, i, &mut scratch, &mut shuffled);
+                permutation_maxima(plan, series, i, &mut scratch, &mut shuffled);
             if max_power >= peak_power {
                 reached.fetch_add(1, Ordering::Relaxed);
             }
@@ -406,25 +412,24 @@ fn permutation_thresholds(
     Some((powers[idx], acfs[idx]))
 }
 
-/// Index of the threshold in the descending permutation maxima: the
-/// `significance_quantile` read off `x` maxima (1 at x = 100 and 0.99).
-fn threshold_index(cfg: &PeriodicityConfig) -> usize {
-    (((1.0 - cfg.significance_quantile) * cfg.permutations as f64).floor() as usize)
-        .min(cfg.permutations - 1)
+/// Index of the threshold in the descending maxima of x = `permutations`
+/// permutations: the 0.99 quantile read off x maxima (0 below x = 100, 1 at
+/// x = 100).
+fn threshold_index(permutations: usize) -> usize {
+    (((1.0 - SIGNIFICANCE_QUANTILE) * permutations as f64).floor() as usize).min(permutations - 1)
 }
 
 /// The max periodogram power and max ACF peak of permutation `i` of
-/// `series`, shuffled by an RNG derived from `(seed, i)` alone.
+/// `series`, shuffled by an RNG derived from `i` alone.
 fn permutation_maxima(
     plan: &FftPlan,
     series: &[f64],
-    seed: u64,
     i: usize,
     scratch: &mut Scratch,
     shuffled: &mut Vec<f64>,
 ) -> (f64, f64) {
     let mut rng = StdRng::seed_from_u64(splitmix(
-        seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
+        PERMUTATION_SEED ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
     ));
     shuffled.clear();
     shuffled.extend_from_slice(series);
@@ -527,13 +532,13 @@ mod tests {
         let (periodogram, acf) = analyze(&plan, &series, &mut Scratch::default());
         let (mut scratch, mut shuffled) = (Scratch::default(), Vec::new());
         let (mut powers, mut acfs): (Vec<f64>, Vec<f64>) = (0..cfg.permutations)
-            .map(|i| permutation_maxima(&plan, &series, cfg.seed, i, &mut scratch, &mut shuffled))
+            .map(|i| permutation_maxima(&plan, &series, i, &mut scratch, &mut shuffled))
             .unzip();
         powers.sort_by(|a, b| b.total_cmp(a));
         acfs.sort_by(|a, b| b.total_cmp(a));
-        let idx = (((1.0 - cfg.significance_quantile) * cfg.permutations as f64).floor() as usize)
+        let idx = (((1.0 - SIGNIFICANCE_QUANTILE) * cfg.permutations as f64).floor() as usize)
             .min(cfg.permutations - 1);
-        line_up(&periodogram, &acf, (powers[idx], acfs[idx]), sampling, cfg)
+        line_up(&periodogram, &acf, (powers[idx], acfs[idx]), sampling)
     }
 
     /// Every field of a detection, floats by bit pattern.
@@ -563,7 +568,7 @@ mod tests {
             blur in 0.05f64..0.5,
             noise in 0.5f64..4.0,
             seed in any::<u64>(),
-            // (x, significance_quantile): threshold index 0, 0, 1, 2 and 5.
+            // x = 10, 50, 100, 200 and 300: threshold index 0, 0, 1, 2 and 3.
             setting in 0usize..5,
             parallel in any::<bool>(),
         ) {
@@ -578,20 +583,17 @@ mod tests {
                     times
                 }
             };
-            let (permutations, significance_quantile) =
-                [(10, 0.99), (50, 0.99), (100, 0.99), (200, 0.99), (100, 0.95)][setting];
+            let permutations = [10, 50, 100, 200, 300][setting];
             let c = PeriodicityConfig {
                 permutations,
-                significance_quantile,
-                seed,
                 parallel,
                 ..PeriodicityConfig::default()
             };
             prop_assert_eq!(
                 bits(detect_period(&times, &c)),
                 bits(detect_period_full(&times, &c)),
-                "kind {} count {} scale {} blur {} noise {} seed {} x {} q {} parallel {}",
-                kind, count, scale, blur, noise, seed, permutations, significance_quantile, parallel
+                "kind {} count {} scale {} blur {} noise {} seed {} x {} parallel {}",
+                kind, count, scale, blur, noise, seed, permutations, parallel
             );
         }
     }
@@ -607,8 +609,7 @@ mod tests {
         let (mut scratch, mut shuffled) = (Scratch::default(), Vec::new());
         (0..cfg.permutations)
             .filter(|&i| {
-                permutation_maxima(&plan, &series, cfg.seed, i, &mut scratch, &mut shuffled).0
-                    >= peak
+                permutation_maxima(&plan, &series, i, &mut scratch, &mut shuffled).0 >= peak
             })
             .count()
     }
@@ -616,19 +617,18 @@ mod tests {
     #[test]
     fn a_period_with_idx_maxima_at_its_peak_is_still_found() {
         // Weak pollers (±9 s jitter on a 30 s period) whose peak exactly
-        // `idx` permutation maxima reach: one more would stop the run, and
-        // the full run finds a period.
-        for (seed, count, permutations, significance_quantile) in
-            [(54, 38, 100, 0.99), (54, 38, 200, 0.99), (0, 20, 100, 0.95)]
-        {
+        // `idx` permutation maxima reach (idx 1, 2 and 3): one more would
+        // stop the run, and the full run finds a period.
+        for (seed, count, permutations) in [(34, 20, 100), (31, 20, 200), (34, 38, 300)] {
             let times = periodic_times(30.0, count, 9.0, seed);
             let c = PeriodicityConfig {
                 permutations,
-                significance_quantile,
-                seed,
                 ..PeriodicityConfig::default()
             };
-            assert_eq!(maxima_reaching_peak(&times, &c), threshold_index(&c));
+            assert_eq!(
+                maxima_reaching_peak(&times, &c),
+                threshold_index(permutations)
+            );
             let full = detect_period_full(&times, &c);
             assert!(full.is_some(), "seed {seed} x {permutations}");
             for parallel in [false, true] {
@@ -643,19 +643,16 @@ mod tests {
 
     #[test]
     fn threshold_index_matches_the_quantile() {
-        for (permutations, q, idx) in [
-            (10, 0.99, 0),
-            (50, 0.99, 0),
-            (100, 0.99, 1),
-            (200, 0.99, 2),
-            (100, 0.95, 5),
+        for (permutations, idx) in [
+            (1, 0),
+            (10, 0),
+            (99, 0),
+            (100, 1),
+            (199, 1),
+            (200, 2),
+            (300, 3),
         ] {
-            let c = PeriodicityConfig {
-                permutations,
-                significance_quantile: q,
-                ..PeriodicityConfig::default()
-            };
-            assert_eq!(threshold_index(&c), idx, "x {permutations} q {q}");
+            assert_eq!(threshold_index(permutations), idx, "x {permutations}");
         }
     }
 
@@ -663,11 +660,10 @@ mod tests {
     fn poisson_noise_is_rejected() {
         // Exponential inter-arrivals with the same mean rate as a 60s
         // poller must not produce a period.
-        let times = poisson_times(120, 60.0, 11);
         let mut rejected = 0;
-        for seed in 0..5u64 {
-            let c = PeriodicityConfig { seed, ..cfg() };
-            if detect_period(&times, &c).is_none() {
+        for seed in 11..16u64 {
+            let times = poisson_times(120, 60.0, seed);
+            if detect_period(&times, &cfg()).is_none() {
                 rejected += 1;
             }
         }

@@ -1,59 +1,6 @@
-//! Fixed-bin and log-spaced histograms with ASCII rendering.
+//! Log-spaced histograms with ASCII rendering.
 
 use std::fmt::Write as _;
-
-/// A histogram over `[lo, hi)` with equal-width bins plus underflow and
-/// overflow counters.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram over `[lo, hi)` with `bins` equal-width bins.
-    ///
-    /// # Panics
-    /// Panics when `bins == 0` or `lo >= hi` or either bound is non-finite —
-    /// these are programming errors, not data errors.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(
-            lo.is_finite() && hi.is_finite() && lo < hi,
-            "invalid bounds"
-        );
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        if !x.is_finite() || x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let width = (self.hi - self.lo) / self.bins.len() as f64;
-            let idx = ((x - self.lo) / width) as usize;
-            // Guard against floating point landing exactly on the upper edge.
-            let idx = idx.min(self.bins.len() - 1);
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Total observations including under/overflow.
-    pub fn total(&self) -> u64 {
-        self.underflow + self.overflow + self.bins.iter().sum::<u64>()
-    }
-}
 
 /// A histogram whose bin edges grow geometrically: bin `i` covers
 /// `[base·ratio^i, base·ratio^(i+1))`.
@@ -152,30 +99,6 @@ fn render_rows(rows: impl Iterator<Item = (String, u64)>, width: usize) -> Strin
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn linear_binning_and_edges() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        h.record(0.0);
-        h.record(0.999);
-        h.record(5.0);
-        h.record(9.999);
-        h.record(10.0); // overflow (hi is exclusive)
-        h.record(-0.1); // underflow
-        assert_eq!(h.bins[0], 2);
-        assert_eq!(h.bins[5], 1);
-        assert_eq!(h.bins[9], 1);
-        assert_eq!(h.overflow, 1);
-        assert_eq!(h.underflow, 1);
-        assert_eq!(h.total(), 6);
-    }
-
-    #[test]
-    fn nan_goes_to_underflow() {
-        let mut h = Histogram::new(0.0, 1.0, 2);
-        h.record(f64::NAN);
-        assert_eq!(h.underflow, 1);
-    }
 
     #[test]
     fn log_binning_covers_decades() {

@@ -4,8 +4,8 @@
 //!
 //! * [`Summary`] — streaming count/mean/variance/min/max (Welford),
 //! * [`ExactQuantiles`] — exact order statistics over collected samples,
-//! * [`Histogram`] / [`LogHistogram`] — fixed-bin and log-spaced histograms
-//!   with ASCII rendering (used to print Figure 5 of the paper),
+//! * [`LogHistogram`] — log-spaced histograms with ASCII rendering (used to
+//!   print Figure 5 of the paper),
 //! * [`Ecdf`] — empirical CDFs with evaluation and inverse (Figure 6),
 //! * [`dist`] — seedable sampling distributions (Zipf, log-normal,
 //!   exponential, Poisson, Pareto) implemented on top of `rand`'s core RNG,
@@ -26,6 +26,6 @@ mod quantile;
 mod summary;
 
 pub use ecdf::Ecdf;
-pub use histogram::{Histogram, LogHistogram};
+pub use histogram::LogHistogram;
 pub use quantile::ExactQuantiles;
 pub use summary::Summary;

@@ -13,7 +13,11 @@ use rand::{Rng, SeedableRng};
 
 use crate::apps::{AppRequest, InteractiveApi, ManifestApp, PeriodicPoller};
 use crate::clients::{make_client, ClientInfo};
-use crate::config::WorkloadConfig;
+use crate::config::{
+    WorkloadConfig, DESKTOP_REQUEST_SHARE, EMBEDDED_REQUEST_SHARE, HTML_SIZE, IMAGE_SIZE,
+    JSON_SIZE, MOBILE_BROWSER_SHARE, MOBILE_REQUEST_SHARE, PERIODIC_OVERPLANT, PERIODIC_SHARE,
+    PERIODIC_UPLOAD_SHARE,
+};
 use crate::industry::{CachePolicy, IndustryCategory};
 use crate::objects::{DomainInfo, ObjectInfo};
 
@@ -147,7 +151,7 @@ pub fn build_parallel(config: &WorkloadConfig, threads: usize) -> Workload {
     let mut rng = StdRng::seed_from_u64(config.seed);
 
     let domains = build_domains(config, &mut rng);
-    let mut universe = build_universe(config, &domains, &mut rng);
+    let mut universe = build_universe(&domains, &mut rng);
     let clients = build_clients(config, &mut rng);
 
     let mut truth = GroundTruth::default();
@@ -164,11 +168,7 @@ pub fn build_parallel(config: &WorkloadConfig, threads: usize) -> Workload {
     }
 
     // ---- Periodic traffic (§5.1) -------------------------------------
-    // Overplant by 1.4x: the significance filters and the conservative
-    // permutation thresholds recover roughly 70% of planted periodic
-    // traffic, so the detected share lands near the configured target
-    // (calibrated against the full-scale long-term dataset).
-    let periodic_budget = 1.4 * config.targets.periodic_share * config.target_events as f64;
+    let periodic_budget = PERIODIC_OVERPLANT * PERIODIC_SHARE * config.target_events as f64;
     let mut periodic: Vec<RequestEvent> = Vec::new();
     plant_periodic_flows(
         config,
@@ -260,11 +260,7 @@ fn build_domains(config: &WorkloadConfig, rng: &mut StdRng) -> Vec<DomainInfo> {
         .collect()
 }
 
-fn build_universe(
-    config: &WorkloadConfig,
-    domains: &[DomainInfo],
-    rng: &mut StdRng,
-) -> UniverseBuilder {
+fn build_universe(domains: &[DomainInfo], rng: &mut StdRng) -> UniverseBuilder {
     let mut u = UniverseBuilder {
         objects: Vec::new(),
         api_pools: vec![Vec::new(); domains.len()],
@@ -295,13 +291,11 @@ fn build_universe(
         for k in 0..pool_size {
             let obj = push_object(
                 &mut u.objects,
-                config,
                 d as u32,
                 format!("https://{}/api/v1/{}/{}", domain.host, api_section(rng), k),
                 MimeType::Json,
                 rng.gen_bool(cacheable_fraction),
                 SimDuration::from_secs(rng.gen_range(30..180)),
-                rng,
             );
             u.api_pools[d].push(obj);
         }
@@ -316,7 +310,6 @@ fn build_universe(
                 for a in 0..article_count {
                     let article = push_object(
                         &mut u.objects,
-                        config,
                         d as u32,
                         format!(
                             "https://{}/api/articles/{}",
@@ -326,14 +319,12 @@ fn build_universe(
                         MimeType::Json,
                         rng.gen_bool(cacheable_fraction),
                         SimDuration::from_secs(rng.gen_range(60..600)),
-                        rng,
                     );
                     let media_count = rng.gen_range(0..=2usize);
                     let mut article_media = Vec::with_capacity(media_count);
                     for im in 0..media_count {
                         let media_obj = push_object(
                             &mut u.objects,
-                            config,
                             d as u32,
                             format!(
                                 "https://{}/media/image{}.jpg",
@@ -345,7 +336,6 @@ fn build_universe(
                             // forbids caching entirely.
                             cacheable_fraction > 0.0,
                             SimDuration::HOUR,
-                            rng,
                         );
                         article_media.push(media_obj);
                     }
@@ -374,13 +364,11 @@ fn build_universe(
                 // HTML page root for browser sessions over the same content.
                 let html_root = push_object(
                     &mut u.objects,
-                    config,
                     d as u32,
                     format!("https://{}/section/{}", domain.host, m),
                     MimeType::Html,
                     rng.gen_bool(cacheable_fraction),
                     SimDuration::from_secs(rng.gen_range(60..300)),
-                    rng,
                 );
                 u.html_manifests[d].push(ManifestTemplate {
                     root: html_root,
@@ -394,7 +382,7 @@ fn build_universe(
         if hosts_periodic {
             for p in 0..rng.gen_range(2..=4usize) {
                 // "78% upload traffic": most periodic endpoints take POSTs.
-                let (path, _is_upload) = if rng.gen_bool(config.targets.periodic_upload_share) {
+                let (path, _is_upload) = if rng.gen_bool(PERIODIC_UPLOAD_SHARE) {
                     (format!("telemetry/beat/{p}"), true)
                 } else {
                     (format!("api/live/poll/{p}"), false)
@@ -410,13 +398,11 @@ fn build_universe(
                 };
                 let obj = push_object(
                     &mut u.objects,
-                    config,
                     d as u32,
                     format!("https://{}/{}", domain.host, path),
                     MimeType::Json,
                     cacheable,
                     SimDuration::from_secs(rng.gen_range(15..60)),
-                    rng,
                 );
                 u.periodic_candidates.push(obj);
             }
@@ -432,25 +418,18 @@ fn api_section(rng: &mut StdRng) -> &'static str {
     SECTIONS[rng.gen_range(0..SECTIONS.len())]
 }
 
-#[expect(
-    clippy::too_many_arguments,
-    reason = "one argument per field of the object it appends"
-)]
 fn push_object(
     objects: &mut Vec<ObjectInfo>,
-    config: &WorkloadConfig,
     domain: u32,
     url: String,
     mime: MimeType,
     cacheable: bool,
     ttl: SimDuration,
-    _rng: &mut StdRng,
 ) -> u32 {
     let (median, sigma) = match mime {
-        MimeType::Json => config.sizes.json,
-        MimeType::Html => config.sizes.html,
-        MimeType::Image => config.sizes.image,
-        _ => config.sizes.json,
+        MimeType::Html => HTML_SIZE,
+        MimeType::Image => IMAGE_SIZE,
+        _ => JSON_SIZE,
     };
     let id = objects.len() as u32;
     objects.push(ObjectInfo {
@@ -518,13 +497,11 @@ fn manifest_body(objects: &[ObjectInfo], articles: &[u32], media: &[Vec<u32>]) -
 }
 
 fn build_clients(config: &WorkloadConfig, rng: &mut StdRng) -> Vec<ClientInfo> {
-    let t = &config.targets;
-    let unknown_share =
-        1.0 - t.mobile_request_share - t.embedded_request_share - t.desktop_request_share;
+    let unknown_share = 1.0 - MOBILE_REQUEST_SHARE - EMBEDDED_REQUEST_SHARE - DESKTOP_REQUEST_SHARE;
     let device_weights = [
-        t.mobile_request_share,
-        t.desktop_request_share,
-        t.embedded_request_share,
+        MOBILE_REQUEST_SHARE,
+        DESKTOP_REQUEST_SHARE,
+        EMBEDDED_REQUEST_SHARE,
         unknown_share,
     ];
     let devices = [
@@ -533,7 +510,7 @@ fn build_clients(config: &WorkloadConfig, rng: &mut StdRng) -> Vec<ClientInfo> {
         DeviceType::Embedded,
         DeviceType::Unknown,
     ];
-    let mobile_browser_fraction = t.mobile_browser_share / t.mobile_request_share;
+    let mobile_browser_fraction = MOBILE_BROWSER_SHARE / MOBILE_REQUEST_SHARE;
     let activity_dist = Pareto::new(1.0, 1.8);
 
     (0..config.clients)
@@ -591,7 +568,7 @@ fn plant_periodic_flows(
     polls.shuffle(rng);
     let mut candidates = Vec::with_capacity(telemetry.len() + polls.len());
     while !telemetry.is_empty() || !polls.is_empty() {
-        let want_upload = rng.gen_bool(config.targets.periodic_upload_share);
+        let want_upload = rng.gen_bool(PERIODIC_UPLOAD_SHARE);
         let next = if want_upload {
             telemetry.pop().or_else(|| polls.pop())
         } else {
@@ -853,8 +830,8 @@ fn plan_client_traffic(
                 // Personalized responses are dynamic JSON, not empty.
                 let obj = &mut universe.objects[id as usize];
                 obj.body = None;
-                obj.size_median = config.sizes.json.0 * 0.8;
-                obj.size_sigma = config.sizes.json.1;
+                obj.size_median = JSON_SIZE.0 * 0.8;
+                obj.size_sigma = JSON_SIZE.1;
                 ids.push(id);
             }
             ids

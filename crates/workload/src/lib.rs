@@ -29,6 +29,11 @@
 //!   covering 2016→2019, since replaying 3½ years of full event traffic
 //!   would add nothing but runtime.
 //!
+//! These shares and the per-type size models are constants beside the
+//! generator, not settings: they are the measurements the analyses must
+//! recover. A [`WorkloadConfig`] chooses only a dataset's name, seed,
+//! duration and volume.
+//!
 //! The generator emits a time-sorted stream of [`RequestEvent`]s plus the
 //! [`GroundTruth`] labels; `jcdn-cdnsim` replays the events through edge
 //! caches to produce the final [`jcdn_trace::Trace`].
@@ -47,7 +52,7 @@ mod objects;
 pub mod trend;
 
 pub use clients::ClientInfo;
-pub use config::{PopulationTargets, WorkloadConfig};
+pub use config::WorkloadConfig;
 pub use generator::{build, build_parallel, GroundTruth, RequestEvent, Workload};
 pub use industry::{CachePolicy, IndustryCategory};
 pub use objects::{DomainInfo, ObjectInfo, SizeModel};

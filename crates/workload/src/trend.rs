@@ -37,21 +37,23 @@ impl MonthPoint {
     }
 }
 
+/// JSON:HTML ratio at the start of the window (JSON just below HTML in
+/// 2016).
+const START_RATIO: f64 = 0.85;
+/// Ratio at the end of the window (paper: "over 4×").
+const END_RATIO: f64 = 4.3;
+/// Mean JSON size at the start (bytes).
+const START_JSON_SIZE: f64 = 2500.0;
+/// Total relative size decrease over the window (paper: ~28%).
+const SIZE_DECREASE: f64 = 0.28;
+/// Multiplicative month-to-month noise amplitude.
+const NOISE: f64 = 0.04;
+
 /// The trend generator.
 #[derive(Clone, Debug)]
 pub struct TrendModel {
     /// Number of months from 2016-01 (paper window ends mid-2019 ⇒ 42).
     pub months: usize,
-    /// Ratio at the start of the window (JSON just below HTML in 2016).
-    pub start_ratio: f64,
-    /// Ratio at the end of the window (paper: "over 4×").
-    pub end_ratio: f64,
-    /// Mean JSON size at the start (bytes).
-    pub start_json_size: f64,
-    /// Total relative size decrease over the window (paper: ~28%).
-    pub size_decrease: f64,
-    /// Multiplicative month-to-month noise amplitude.
-    pub noise: f64,
     /// Seed for the noise.
     pub seed: u64,
 }
@@ -60,11 +62,6 @@ impl Default for TrendModel {
     fn default() -> Self {
         TrendModel {
             months: 42,
-            start_ratio: 0.85,
-            end_ratio: 4.3,
-            start_json_size: 2500.0,
-            size_decrease: 0.28,
-            noise: 0.04,
             seed: 2016,
         }
     }
@@ -83,15 +80,14 @@ impl TrendModel {
                 // start, fast middle, saturating end — the classic adoption
                 // curve Figure 1 shows.
                 let logistic = 1.0 / (1.0 + (-(progress * 8.0 - 4.0)).exp());
-                let clean_ratio = self.start_ratio + (self.end_ratio - self.start_ratio) * logistic;
-                let wiggle = |rng: &mut StdRng| 1.0 + rng.gen_range(-self.noise..self.noise);
+                let clean_ratio = START_RATIO + (END_RATIO - START_RATIO) * logistic;
+                let wiggle = |rng: &mut StdRng| 1.0 + rng.gen_range(-NOISE..NOISE);
 
                 // HTML drifts mildly; JSON follows the ratio.
                 let html = html_base * (1.0 + 0.1 * progress) * wiggle(&mut rng);
                 let json = clean_ratio * html * wiggle(&mut rng);
 
-                let size =
-                    self.start_json_size * (1.0 - self.size_decrease * progress) * wiggle(&mut rng);
+                let size = START_JSON_SIZE * (1.0 - SIZE_DECREASE * progress) * wiggle(&mut rng);
                 MonthPoint {
                     month: m,
                     json_requests: json,

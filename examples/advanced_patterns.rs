@@ -6,7 +6,7 @@
 //! ```
 
 use jcdn::core::dataset;
-use jcdn::prefetch::lead_time::{analyze, LeadTimeConfig};
+use jcdn::prefetch::lead_time::analyze;
 use jcdn::signal::periodicity::{detect_periods, PeriodicityConfig};
 use jcdn::workload::WorkloadConfig;
 
@@ -44,7 +44,7 @@ fn main() {
     // beat an 80ms origin RTT.
     println!("\nLead-time analysis over a simulated day of app traffic\n");
     let data = dataset::simulate(&WorkloadConfig::tiny(4242));
-    let mut report = analyze(&data.trace, &LeadTimeConfig::default());
+    let mut report = analyze(&data.trace);
     println!(
         "  predicted transitions : {}",
         report.predicted_gaps.count()

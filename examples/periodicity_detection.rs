@@ -39,7 +39,6 @@ fn main() {
             permutations: 100,
             parallel: true,
             max_bins: 1 << 13,
-            ..PeriodicityConfig::default()
         },
         ..PeriodicityStudyConfig::default()
     };

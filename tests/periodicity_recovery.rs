@@ -1,11 +1,12 @@
 //! Integration test: the §5.1 study recovers planted periodic flows from a
 //! fully simulated dataset (generator → CDN simulator → logs → analysis).
 
-use jcdn::core::dataset::simulate;
+use jcdn::cdnsim::SimConfig;
+use jcdn::core::dataset::{simulate, simulate_workload_parallel};
 use jcdn::core::periodicity::{run_study, PeriodicityStudyConfig};
 use jcdn::signal::periodicity::PeriodicityConfig;
 use jcdn::trace::SimDuration;
-use jcdn::workload::WorkloadConfig;
+use jcdn::workload::{build, WorkloadConfig};
 
 fn study_config() -> PeriodicityStudyConfig {
     PeriodicityStudyConfig {
@@ -13,7 +14,6 @@ fn study_config() -> PeriodicityStudyConfig {
             permutations: 60,
             parallel: true,
             max_bins: 1 << 14,
-            ..PeriodicityConfig::default()
         },
         ..PeriodicityStudyConfig::default()
     }
@@ -96,13 +96,20 @@ fn planted_periods_are_recovered_through_the_full_pipeline() {
 
 #[test]
 fn detector_stays_quiet_on_a_periodicity_free_workload() {
-    // Zero periodic budget: all traffic is Poisson/manifest.
+    // Drop every planted periodic request: what is left is Poisson and
+    // manifest traffic, including the non-periodic co-clients of the
+    // planted objects. Unfiltered, this workload reads ~3.3% periodic.
     let mut config = WorkloadConfig::tiny(0xACED);
-    config.targets.periodic_share = 0.0;
     config.duration = SimDuration::from_secs(3600);
     config.target_events = 30_000;
-    let data = simulate(&config);
-    assert!(data.workload.truth.periodic_objects.is_empty());
+    let mut workload = build(&config);
+    let pairs = &workload.truth.periodic_pairs;
+    assert!(!pairs.is_empty(), "the generator must plant periodic flows");
+    workload.events = std::mem::take(&mut workload.events)
+        .into_iter()
+        .filter(|e| !pairs.contains_key(&(e.client, e.object)))
+        .collect();
+    let data = simulate_workload_parallel(workload, &SimConfig::default(), 1);
 
     let report = run_study(&data.trace, &study_config());
     // Poisson flows must (almost) never be labelled periodic.

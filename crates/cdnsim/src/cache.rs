@@ -10,15 +10,15 @@
 //! `tests/lru_properties.rs`).
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use jcdn_trace::{SimDuration, SimTime};
 
 use crate::policy::{EvictionPolicy, PolicyKind};
 
 #[derive(Clone, Debug)]
-struct Slot<K> {
-    key: K,
+struct Slot {
+    key: u32,
     hash: u64,
     size: u64,
     expires: SimTime,
@@ -60,14 +60,6 @@ pub enum Lookup {
     Miss,
 }
 
-/// Keys that can produce a stable 64-bit hash for policy-side identity
-/// (frequency sketches, ghost lists). The hash must be identical across
-/// runs and platforms — no `RandomState`.
-pub trait StableKey {
-    /// Stable, well-mixed 64-bit hash of the key.
-    fn stable_hash(&self) -> u64;
-}
-
 /// SplitMix64 over the integer value: one golden-ratio step, then the
 /// finalizer. The crate's one bit mixer — ids, policy sketches and every
 /// derived seed stream go through it.
@@ -107,23 +99,12 @@ impl Hasher for IdHasher {
 /// A hash map keyed by integer ids through [`IdHasher`].
 pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
-macro_rules! stable_key_int {
-    ($($t:ty),*) => {$(
-        impl StableKey for $t {
-            fn stable_hash(&self) -> u64 {
-                mix64(*self as u64)
-            }
-        }
-    )*};
-}
-stable_key_int!(u8, u16, u32, u64, usize);
-
 /// A byte-bounded cache with per-entry TTL and a pluggable eviction
 /// policy.
 ///
-/// Keys are small copyable ids (object ids in the simulator). Slot
-/// storage is a slab with a free list, so the policy sees stable indices
-/// and every operation is O(1) amortized for the LRU reference policy.
+/// Keys are object ids. Slot storage is a slab with a free list, so the
+/// policy sees stable indices and every operation is O(1) amortized for
+/// the LRU reference policy.
 ///
 /// Every mutator (`get`, `insert`, `remove`) takes `&mut self`, and the
 /// crate has no interior mutability outside the lockstep driver's
@@ -136,7 +117,7 @@ stable_key_int!(u8, u16, u32, u64, usize);
 /// use jcdn_cdnsim::cache::PolicyCache;
 /// use jcdn_cdnsim::{SimDuration, SimTime};
 ///
-/// fn epoch(tiers: &[PolicyCache<u32>]) {
+/// fn epoch(tiers: &[PolicyCache]) {
 ///     tiers[0].insert(7, 100, SimDuration::from_secs(60), SimTime::ZERO, false);
 /// }
 /// ```
@@ -149,7 +130,7 @@ stable_key_int!(u8, u16, u32, u64, usize);
 /// use jcdn_cdnsim::cache::PolicyCache;
 /// use jcdn_cdnsim::{SimDuration, SimTime};
 ///
-/// fn flush(tiers: &mut [PolicyCache<u32>]) {
+/// fn flush(tiers: &mut [PolicyCache]) {
 ///     tiers[0].insert(7, 100, SimDuration::from_secs(60), SimTime::ZERO, false);
 /// }
 /// let mut tiers = vec![PolicyCache::new(1000)];
@@ -157,9 +138,9 @@ stable_key_int!(u8, u16, u32, u64, usize);
 /// assert!(tiers[0].peek(7, SimTime::ZERO));
 /// ```
 #[derive(Debug)]
-pub struct PolicyCache<K: Eq + Hash + Copy + StableKey> {
-    map: IdMap<K, usize>,
-    slots: Vec<Slot<K>>,
+pub struct PolicyCache {
+    map: IdMap<u32, usize>,
+    slots: Vec<Slot>,
     free: Vec<usize>,
     capacity: u64,
     used: u64,
@@ -167,7 +148,7 @@ pub struct PolicyCache<K: Eq + Hash + Copy + StableKey> {
     policy: Box<dyn EvictionPolicy>,
 }
 
-impl<K: Eq + Hash + Copy + StableKey> PolicyCache<K> {
+impl PolicyCache {
     /// Creates an LRU cache bounded by `capacity` bytes.
     ///
     /// # Panics
@@ -222,7 +203,7 @@ impl<K: Eq + Hash + Copy + StableKey> PolicyCache<K> {
 
     /// Looks up `key` at time `now`, refreshing recency on hit. An expired
     /// entry is removed and counted as a miss (plus an expiration).
-    pub fn get(&mut self, key: K, now: SimTime) -> bool {
+    pub fn get(&mut self, key: u32, now: SimTime) -> bool {
         self.get_with_grace(key, now, SimDuration::ZERO) == Lookup::Fresh
     }
 
@@ -231,7 +212,7 @@ impl<K: Eq + Hash + Copy + StableKey> PolicyCache<K> {
     /// caller decides whether to serve it — while an entry expired beyond
     /// the grace window is removed and counted as a miss. With
     /// `grace == ZERO` this is exactly [`PolicyCache::get`].
-    pub fn get_with_grace(&mut self, key: K, now: SimTime, grace: SimDuration) -> Lookup {
+    pub fn get_with_grace(&mut self, key: u32, now: SimTime, grace: SimDuration) -> Lookup {
         match self.map.get(&key).copied() {
             None => {
                 self.stats.misses += 1;
@@ -262,7 +243,7 @@ impl<K: Eq + Hash + Copy + StableKey> PolicyCache<K> {
     }
 
     /// True when `key` is resident and fresh, without recency/stat effects.
-    pub fn peek(&self, key: K, now: SimTime) -> bool {
+    pub fn peek(&self, key: u32, now: SimTime) -> bool {
         self.map
             .get(&key)
             .is_some_and(|&idx| self.slots[idx].expires > now)
@@ -273,7 +254,7 @@ impl<K: Eq + Hash + Copy + StableKey> PolicyCache<K> {
     /// `prefetched` marks entries inserted speculatively.
     pub fn insert(
         &mut self,
-        key: K,
+        key: u32,
         size: u64,
         ttl: SimDuration,
         now: SimTime,
@@ -295,7 +276,9 @@ impl<K: Eq + Hash + Copy + StableKey> PolicyCache<K> {
             return true;
         }
         self.used += size;
-        let hash = key.stable_hash();
+        // Policy-side identity (frequency sketches, ghost lists) keys on
+        // this hash, so it must not vary between runs or platforms.
+        let hash = mix64(u64::from(key));
         let slot = Slot {
             key,
             hash,
@@ -321,7 +304,7 @@ impl<K: Eq + Hash + Copy + StableKey> PolicyCache<K> {
     }
 
     /// Removes `key` if present; returns whether it was resident.
-    pub fn remove(&mut self, key: K) -> bool {
+    pub fn remove(&mut self, key: u32) -> bool {
         match self.map.get(&key).copied() {
             Some(idx) => {
                 self.remove_slot(idx);
@@ -364,7 +347,7 @@ mod tests {
 
     #[test]
     fn basic_hit_and_miss() {
-        let mut c: PolicyCache<u32> = PolicyCache::new(1000);
+        let mut c = PolicyCache::new(1000);
         assert!(!c.get(1, t(0)));
         assert!(c.insert(1, 100, TTL, t(0), false));
         assert!(c.get(1, t(1)));
@@ -375,7 +358,7 @@ mod tests {
 
     #[test]
     fn lru_eviction_order() {
-        let mut c: PolicyCache<u32> = PolicyCache::new(300);
+        let mut c = PolicyCache::new(300);
         c.insert(1, 100, TTL, t(0), false);
         c.insert(2, 100, TTL, t(1), false);
         c.insert(3, 100, TTL, t(2), false);
@@ -392,7 +375,7 @@ mod tests {
 
     #[test]
     fn ttl_expiry_counts_as_miss() {
-        let mut c: PolicyCache<u32> = PolicyCache::new(1000);
+        let mut c = PolicyCache::new(1000);
         c.insert(1, 10, SimDuration::from_secs(30), t(0), false);
         assert!(c.get(1, t(29)));
         assert!(!c.get(1, t(30)), "expires at exactly t+ttl");
@@ -402,7 +385,7 @@ mod tests {
 
     #[test]
     fn refresh_updates_size_and_expiry() {
-        let mut c: PolicyCache<u32> = PolicyCache::new(1000);
+        let mut c = PolicyCache::new(1000);
         c.insert(1, 100, SimDuration::from_secs(10), t(0), false);
         c.insert(1, 250, SimDuration::from_secs(100), t(5), false);
         assert_eq!(c.len(), 1);
@@ -412,7 +395,7 @@ mod tests {
 
     #[test]
     fn oversized_entries_rejected() {
-        let mut c: PolicyCache<u32> = PolicyCache::new(100);
+        let mut c = PolicyCache::new(100);
         assert!(!c.insert(1, 101, TTL, t(0), false));
         assert!(c.is_empty());
         assert!(c.insert(2, 100, TTL, t(0), false));
@@ -420,7 +403,7 @@ mod tests {
 
     #[test]
     fn eviction_cascades_for_large_inserts() {
-        let mut c: PolicyCache<u32> = PolicyCache::new(100);
+        let mut c = PolicyCache::new(100);
         for k in 0..10 {
             c.insert(k, 10, TTL, t(0), false);
         }
@@ -433,7 +416,7 @@ mod tests {
 
     #[test]
     fn remove_and_reuse_slots() {
-        let mut c: PolicyCache<u32> = PolicyCache::new(1000);
+        let mut c = PolicyCache::new(1000);
         c.insert(1, 10, TTL, t(0), false);
         assert!(c.remove(1));
         assert!(!c.remove(1));
@@ -446,7 +429,7 @@ mod tests {
 
     #[test]
     fn prefetch_hit_accounting() {
-        let mut c: PolicyCache<u32> = PolicyCache::new(1000);
+        let mut c = PolicyCache::new(1000);
         c.insert(1, 10, TTL, t(0), true);
         assert!(c.get(1, t(1)));
         assert_eq!(c.stats().prefetch_hits, 1);
@@ -458,7 +441,7 @@ mod tests {
 
     #[test]
     fn grace_window_serves_stale_then_expires() {
-        let mut c: PolicyCache<u32> = PolicyCache::new(1000);
+        let mut c = PolicyCache::new(1000);
         c.insert(1, 10, SimDuration::from_secs(30), t(0), false);
         let grace = SimDuration::from_secs(60);
         assert_eq!(c.get_with_grace(1, t(29), grace), Lookup::Fresh);
@@ -475,7 +458,7 @@ mod tests {
 
     #[test]
     fn zero_grace_matches_plain_get() {
-        let mut c: PolicyCache<u32> = PolicyCache::new(1000);
+        let mut c = PolicyCache::new(1000);
         c.insert(1, 10, SimDuration::from_secs(30), t(0), false);
         assert_eq!(
             c.get_with_grace(1, t(30), SimDuration::ZERO),
@@ -488,7 +471,7 @@ mod tests {
 
     #[test]
     fn peek_has_no_side_effects() {
-        let mut c: PolicyCache<u32> = PolicyCache::new(200);
+        let mut c = PolicyCache::new(200);
         c.insert(1, 100, TTL, t(0), false);
         c.insert(2, 100, TTL, t(1), false);
         // Peeking 1 must NOT refresh it.
@@ -500,7 +483,7 @@ mod tests {
 
     #[test]
     fn occupancy_and_eviction_byte_gauges() {
-        let mut c: PolicyCache<u32> = PolicyCache::new(300);
+        let mut c = PolicyCache::new(300);
         c.insert(1, 200, TTL, t(0), false);
         c.insert(2, 100, TTL, t(1), false);
         assert_eq!(c.stats().max_used_bytes, 300);
@@ -516,7 +499,7 @@ mod tests {
     #[test]
     fn non_lru_policies_run_the_same_core() {
         for kind in PolicyKind::ALL {
-            let mut c: PolicyCache<u32> = PolicyCache::with_policy(500, kind, 7);
+            let mut c = PolicyCache::with_policy(500, kind, 7);
             for k in 0..20 {
                 c.insert(k, 50, TTL, t(k as u64), false);
                 c.get(k / 2, t(k as u64));

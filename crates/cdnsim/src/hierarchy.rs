@@ -188,7 +188,7 @@ impl Default for CacheHierarchy {
 /// Builds the runtime caches of the hierarchy's shared tiers. `seed` is
 /// the simulation seed; each tier's policy randomness is derived from it
 /// (SplitMix64-mixed with the tier index).
-pub(crate) fn build_shared_tiers(hierarchy: &CacheHierarchy, seed: u64) -> Vec<PolicyCache<u32>> {
+pub(crate) fn build_shared_tiers(hierarchy: &CacheHierarchy, seed: u64) -> Vec<PolicyCache> {
     hierarchy
         .shared
         .iter()
@@ -238,7 +238,7 @@ pub(crate) struct TierAccess {
 /// Applies a drained epoch log to the shared tiers in canonical order.
 /// Applying an empty log is a no-op, so epoch boundaries can be skipped
 /// when no edge touched a shared tier.
-pub(crate) fn flush_accesses(tiers: &mut [PolicyCache<u32>], log: &mut Vec<TierAccess>) {
+pub(crate) fn flush_accesses(tiers: &mut [PolicyCache], log: &mut Vec<TierAccess>) {
     log.sort_by_key(|a| (a.time, a.edge, a.eseq));
     for access in log.iter() {
         let tier = &mut tiers[access.tier as usize];

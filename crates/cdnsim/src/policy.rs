@@ -28,9 +28,9 @@ const NIL: usize = usize::MAX;
 ///
 /// Slot indices are stable from `on_insert` until the matching
 /// `on_remove`; the core reuses indices afterwards. `key_hash` is a stable
-/// 64-bit hash of the entry's key (see [`crate::cache::StableKey`]), the
-/// only identity a policy may persist past removal (ghost lists,
-/// frequency sketches).
+/// 64-bit hash of the entry's key (`mix64` of the object id), the only
+/// identity a policy may persist past removal (ghost lists, frequency
+/// sketches).
 pub trait EvictionPolicy: std::fmt::Debug + Send + Sync {
     /// Short policy name (`"lru"`, `"tinylfu"`, …) for tables and logs.
     fn name(&self) -> &'static str;

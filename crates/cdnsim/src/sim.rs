@@ -400,7 +400,7 @@ enum InternalEvent {
 type QueuedRequest = (Priority, SimTime, u64, usize, u8);
 
 struct Edge {
-    cache: PolicyCache<u32>,
+    cache: PolicyCache,
     busy_until: SimTime,
     /// Waiting requests, served in priority-then-arrival order.
     queue: BinaryHeap<Reverse<QueuedRequest>>,
@@ -634,7 +634,7 @@ impl<'w> Machine<'w> {
     fn run_until(
         &mut self,
         policy: &mut dyn Policy,
-        tiers: &[PolicyCache<u32>],
+        tiers: &[PolicyCache],
         limit: Option<SimTime>,
     ) {
         let workload = self.workload;
@@ -889,7 +889,7 @@ fn record_cache_metrics(
 /// Records the shared tiers' cache telemetry (hit/miss/expiry counters
 /// plus occupancy and eviction gauges) labeled by tier index. Called
 /// exactly once per run by whichever driver owns the tiers.
-fn record_tier_metrics(metrics: &mut MetricsSnapshot, tiers: &[PolicyCache<u32>]) {
+fn record_tier_metrics(metrics: &mut MetricsSnapshot, tiers: &[PolicyCache]) {
     for (t, tier) in tiers.iter().enumerate() {
         let stats = tier.stats();
         let labels = [("tier", t as u64)];
@@ -1142,7 +1142,7 @@ fn attempt_origin(
 /// The hierarchy context one request completion sees: the epoch-frozen
 /// shared tiers, the placement rule, and the access log to append to.
 struct TierCtx<'a> {
-    tiers: &'a [PolicyCache<u32>],
+    tiers: &'a [PolicyCache],
     placement: Placement,
     log: &'a mut Vec<TierAccess>,
     eseq: &'a mut u64,
@@ -1170,7 +1170,7 @@ impl TierCtx<'_> {
     /// whether the edge was among them.
     fn place(
         &mut self,
-        edge: &mut PolicyCache<u32>,
+        edge: &mut PolicyCache,
         served: usize,
         object: u32,
         size: u64,

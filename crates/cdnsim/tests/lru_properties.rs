@@ -7,23 +7,23 @@ use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
 enum Op {
-    Get(u8),
-    Insert(u8, u16),
-    Remove(u8),
+    Get(u32),
+    Insert(u32, u16),
+    Remove(u32),
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (0u8..16).prop_map(Op::Get),
-        (0u8..16, 1u16..400).prop_map(|(k, s)| Op::Insert(k, s)),
-        (0u8..16).prop_map(Op::Remove),
+        (0u32..16).prop_map(Op::Get),
+        (0u32..16, 1u16..400).prop_map(|(k, s)| Op::Insert(k, s)),
+        (0u32..16).prop_map(Op::Remove),
     ]
 }
 
 /// Naive reference: a vector in recency order (front = most recent).
 #[derive(Default)]
 struct Reference {
-    entries: Vec<(u8, u64)>, // (key, size), front = MRU
+    entries: Vec<(u32, u64)>, // (key, size), front = MRU
     capacity: u64,
 }
 
@@ -32,7 +32,7 @@ impl Reference {
         self.entries.iter().map(|&(_, s)| s).sum()
     }
 
-    fn get(&mut self, key: u8) -> bool {
+    fn get(&mut self, key: u32) -> bool {
         if let Some(pos) = self.entries.iter().position(|&(k, _)| k == key) {
             let e = self.entries.remove(pos);
             self.entries.insert(0, e);
@@ -42,7 +42,7 @@ impl Reference {
         }
     }
 
-    fn insert(&mut self, key: u8, size: u64) -> bool {
+    fn insert(&mut self, key: u32, size: u64) -> bool {
         if size > self.capacity {
             return false;
         }
@@ -56,7 +56,7 @@ impl Reference {
         true
     }
 
-    fn remove(&mut self, key: u8) -> bool {
+    fn remove(&mut self, key: u32) -> bool {
         match self.entries.iter().position(|&(k, _)| k == key) {
             Some(pos) => {
                 self.entries.remove(pos);
@@ -76,7 +76,7 @@ proptest! {
         // Long TTL so expiry never interferes; time advances per op so
         // recency updates are observable.
         let ttl = SimDuration::from_secs(1 << 30);
-        let mut lru: PolicyCache<u8> = PolicyCache::new(capacity);
+        let mut lru = PolicyCache::new(capacity);
         let mut reference = Reference { capacity, ..Reference::default() };
         for (i, op) in ops.iter().enumerate() {
             let now = SimTime::from_secs(i as u64);
@@ -110,7 +110,7 @@ proptest! {
         ttl_secs in 1u64..100,
         probe_offset in 0u64..200,
     ) {
-        let mut lru: PolicyCache<u8> = PolicyCache::new(1000);
+        let mut lru = PolicyCache::new(1000);
         lru.insert(1, 10, SimDuration::from_secs(ttl_secs), SimTime::ZERO, false);
         let hit = lru.get(1, SimTime::from_secs(probe_offset));
         prop_assert_eq!(hit, probe_offset < ttl_secs);
@@ -128,7 +128,7 @@ proptest! {
     ) {
         let ttl = SimDuration::from_secs(ttl_secs);
         let grace = SimDuration::from_secs(grace_secs);
-        let mut lru: PolicyCache<u8> = PolicyCache::new(1000);
+        let mut lru = PolicyCache::new(1000);
         lru.insert(1, 10, ttl, SimTime::ZERO, false);
         let now = SimTime::from_secs(probe_offset);
         let expected = if probe_offset < ttl_secs {
@@ -168,15 +168,15 @@ proptest! {
     ) {
         let ttl = SimDuration::from_secs(1 << 30);
         let capacity: u64 = sizes.iter().sum();
-        let mut lru: PolicyCache<u8> = PolicyCache::new(capacity);
+        let mut lru = PolicyCache::new(capacity);
         for (i, &s) in sizes.iter().enumerate() {
-            lru.insert(i as u8, s, ttl, SimTime::from_secs(i as u64), false);
+            lru.insert(i as u32, s, ttl, SimTime::from_secs(i as u64), false);
         }
         // Touch a few entries to scramble recency away from insert order.
         let t0 = sizes.len() as u64;
-        let mut order: Vec<u8> = (0..sizes.len() as u8).collect(); // LRU → MRU
+        let mut order: Vec<u32> = (0..sizes.len() as u32).collect(); // LRU → MRU
         for (j, idx) in touched.iter().enumerate() {
-            let k = idx.index(sizes.len()) as u8;
+            let k = idx.index(sizes.len()) as u32;
             lru.get(k, SimTime::from_secs(t0 + j as u64));
             order.retain(|&o| o != k);
             order.push(k);
@@ -216,7 +216,7 @@ proptest! {
         extra_hits in 0usize..5,
     ) {
         let ttl = SimDuration::from_secs(1 << 30);
-        let mut lru: PolicyCache<u8> = PolicyCache::new(1000);
+        let mut lru = PolicyCache::new(1000);
         lru.insert(1, 10, ttl, SimTime::ZERO, prefetched);
         for i in 0..=extra_hits {
             prop_assert!(lru.get(1, SimTime::from_secs(1 + i as u64)));

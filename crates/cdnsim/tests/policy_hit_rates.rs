@@ -130,7 +130,7 @@ fn che_hit_rate(w: &Workload, capacity: u64) -> f64 {
 /// The request hit rate of a `kind` cache of `capacity` bytes that inserts
 /// every miss. Entries outlive the trace, so only eviction removes them.
 fn hit_rate(w: &Workload, capacity: u64, kind: PolicyKind) -> f64 {
-    let mut cache: PolicyCache<u32> = PolicyCache::with_policy(capacity, kind, 0xBE7C);
+    let mut cache = PolicyCache::with_policy(capacity, kind, 0xBE7C);
     let ttl = SimDuration::from_secs(86_400);
     let mut hits = 0u64;
     for (i, &object) in w.requests.iter().enumerate() {

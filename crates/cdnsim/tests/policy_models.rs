@@ -16,25 +16,25 @@ use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
 enum Op {
-    Get(u8),
-    Insert(u8, u16),
-    Remove(u8),
+    Get(u32),
+    Insert(u32, u16),
+    Remove(u32),
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (0u8..16).prop_map(Op::Get),
-        (0u8..16, 1u16..400).prop_map(|(k, s)| Op::Insert(k, s)),
-        (0u8..16).prop_map(Op::Remove),
+        (0u32..16).prop_map(Op::Get),
+        (0u32..16, 1u16..400).prop_map(|(k, s)| Op::Insert(k, s)),
+        (0u32..16).prop_map(Op::Remove),
     ]
 }
 
 /// A reference policy over (key, size) entries.
 trait Reference {
-    fn get(&mut self, key: u8) -> bool;
-    fn insert(&mut self, key: u8, size: u64) -> bool;
-    fn remove(&mut self, key: u8) -> bool;
-    fn residents(&self) -> Vec<u8>;
+    fn get(&mut self, key: u32) -> bool;
+    fn insert(&mut self, key: u32, size: u64) -> bool;
+    fn remove(&mut self, key: u32) -> bool;
+    fn residents(&self) -> Vec<u32>;
     fn used(&self) -> u64;
 }
 
@@ -45,7 +45,7 @@ struct LfuModel {
     capacity: u64,
     clock: u64,
     /// (key, size, frequency, last touch)
-    entries: Vec<(u8, u64, u64, u64)>,
+    entries: Vec<(u32, u64, u64, u64)>,
 }
 
 impl LfuModel {
@@ -57,7 +57,7 @@ impl LfuModel {
         }
     }
 
-    fn touch(&mut self, key: u8) -> Option<&mut (u8, u64, u64, u64)> {
+    fn touch(&mut self, key: u32) -> Option<&mut (u32, u64, u64, u64)> {
         self.clock += 1;
         let clock = self.clock;
         let entry = self.entries.iter_mut().find(|e| e.0 == key)?;
@@ -68,11 +68,11 @@ impl LfuModel {
 }
 
 impl Reference for LfuModel {
-    fn get(&mut self, key: u8) -> bool {
+    fn get(&mut self, key: u32) -> bool {
         self.touch(key).is_some()
     }
 
-    fn insert(&mut self, key: u8, size: u64) -> bool {
+    fn insert(&mut self, key: u32, size: u64) -> bool {
         if size > self.capacity {
             return false;
         }
@@ -89,13 +89,13 @@ impl Reference for LfuModel {
         true
     }
 
-    fn remove(&mut self, key: u8) -> bool {
+    fn remove(&mut self, key: u32) -> bool {
         let before = self.entries.len();
         self.entries.retain(|e| e.0 != key);
         self.entries.len() < before
     }
 
-    fn residents(&self) -> Vec<u8> {
+    fn residents(&self) -> Vec<u32> {
         self.entries.iter().map(|e| e.0).collect()
     }
 
@@ -112,9 +112,9 @@ impl Reference for LfuModel {
 struct SlruModel {
     capacity: u64,
     /// (key, size), most recent first.
-    probation: Vec<(u8, u64)>,
+    probation: Vec<(u32, u64)>,
     /// (key, size), most recent first.
-    protected: Vec<(u8, u64)>,
+    protected: Vec<(u32, u64)>,
 }
 
 impl SlruModel {
@@ -137,7 +137,7 @@ impl SlruModel {
     }
 
     /// A hit on a resident entry, optionally resizing it first.
-    fn hit(&mut self, key: u8, size: Option<u64>) -> bool {
+    fn hit(&mut self, key: u32, size: Option<u64>) -> bool {
         if let Some(pos) = self.protected.iter().position(|e| e.0 == key) {
             let mut entry = self.protected.remove(pos);
             entry.1 = size.unwrap_or(entry.1);
@@ -155,11 +155,11 @@ impl SlruModel {
 }
 
 impl Reference for SlruModel {
-    fn get(&mut self, key: u8) -> bool {
+    fn get(&mut self, key: u32) -> bool {
         self.hit(key, None)
     }
 
-    fn insert(&mut self, key: u8, size: u64) -> bool {
+    fn insert(&mut self, key: u32, size: u64) -> bool {
         if size > self.capacity {
             return false;
         }
@@ -174,14 +174,14 @@ impl Reference for SlruModel {
         true
     }
 
-    fn remove(&mut self, key: u8) -> bool {
+    fn remove(&mut self, key: u32) -> bool {
         let before = self.probation.len() + self.protected.len();
         self.probation.retain(|e| e.0 != key);
         self.protected.retain(|e| e.0 != key);
         self.probation.len() + self.protected.len() < before
     }
 
-    fn residents(&self) -> Vec<u8> {
+    fn residents(&self) -> Vec<u32> {
         self.probation
             .iter()
             .chain(&self.protected)
@@ -212,9 +212,9 @@ impl Reference for SlruModel {
 struct TinyLfuModel {
     capacity: u64,
     /// (key, size), most recent first.
-    lru: Vec<(u8, u64)>,
+    lru: Vec<(u32, u64)>,
     counts: [u8; 16],
-    candidate: Option<u8>,
+    candidate: Option<u32>,
 }
 
 impl TinyLfuModel {
@@ -227,13 +227,13 @@ impl TinyLfuModel {
         }
     }
 
-    fn count(&mut self, key: u8) {
-        let c = &mut self.counts[usize::from(key)];
+    fn count(&mut self, key: u32) {
+        let c = &mut self.counts[key as usize];
         *c = (*c + 1).min(15);
     }
 
     /// A hit on a resident entry, optionally resizing it first.
-    fn hit(&mut self, key: u8, size: Option<u64>) -> bool {
+    fn hit(&mut self, key: u32, size: Option<u64>) -> bool {
         let Some(pos) = self.lru.iter().position(|e| e.0 == key) else {
             return false;
         };
@@ -249,11 +249,11 @@ impl TinyLfuModel {
 }
 
 impl Reference for TinyLfuModel {
-    fn get(&mut self, key: u8) -> bool {
+    fn get(&mut self, key: u32) -> bool {
         self.hit(key, None)
     }
 
-    fn insert(&mut self, key: u8, size: u64) -> bool {
+    fn insert(&mut self, key: u32, size: u64) -> bool {
         if size > self.capacity {
             return false;
         }
@@ -264,7 +264,7 @@ impl Reference for TinyLfuModel {
         }
         while self.used() > self.capacity {
             let (tail, _) = *self.lru.last().expect("over budget with entries");
-            let count = |k: u8| self.counts[usize::from(k)];
+            let count = |k: u32| self.counts[k as usize];
             let victim = match self.candidate {
                 Some(c) if c != tail && count(c) <= count(tail) => c,
                 _ => tail,
@@ -274,7 +274,7 @@ impl Reference for TinyLfuModel {
         true
     }
 
-    fn remove(&mut self, key: u8) -> bool {
+    fn remove(&mut self, key: u32) -> bool {
         if self.candidate == Some(key) {
             self.candidate = None;
         }
@@ -283,7 +283,7 @@ impl Reference for TinyLfuModel {
         self.lru.len() < before
     }
 
-    fn residents(&self) -> Vec<u8> {
+    fn residents(&self) -> Vec<u32> {
         self.lru.iter().map(|e| e.0).collect()
     }
 
@@ -305,11 +305,11 @@ impl Reference for TinyLfuModel {
 struct S3FifoModel {
     capacity: u64,
     /// (key, size, frequency), newest first.
-    small: Vec<(u8, u64, u8)>,
+    small: Vec<(u32, u64, u8)>,
     /// (key, size, frequency), newest first.
-    main: Vec<(u8, u64, u8)>,
+    main: Vec<(u32, u64, u8)>,
     /// Keys evicted from the small queue, oldest first.
-    ghost: VecDeque<u8>,
+    ghost: VecDeque<u32>,
 }
 
 impl S3FifoModel {
@@ -323,7 +323,7 @@ impl S3FifoModel {
     }
 
     /// A hit on a resident entry, optionally resizing it first.
-    fn hit(&mut self, key: u8, size: Option<u64>) -> bool {
+    fn hit(&mut self, key: u32, size: Option<u64>) -> bool {
         let Some(entry) = self
             .small
             .iter_mut()
@@ -363,11 +363,11 @@ impl S3FifoModel {
 }
 
 impl Reference for S3FifoModel {
-    fn get(&mut self, key: u8) -> bool {
+    fn get(&mut self, key: u32) -> bool {
         self.hit(key, None)
     }
 
-    fn insert(&mut self, key: u8, size: u64) -> bool {
+    fn insert(&mut self, key: u32, size: u64) -> bool {
         if size > self.capacity {
             return false;
         }
@@ -384,14 +384,14 @@ impl Reference for S3FifoModel {
         true
     }
 
-    fn remove(&mut self, key: u8) -> bool {
+    fn remove(&mut self, key: u32) -> bool {
         let before = self.small.len() + self.main.len();
         self.small.retain(|e| e.0 != key);
         self.main.retain(|e| e.0 != key);
         self.small.len() + self.main.len() < before
     }
 
-    fn residents(&self) -> Vec<u8> {
+    fn residents(&self) -> Vec<u32> {
         self.small.iter().chain(&self.main).map(|e| e.0).collect()
     }
 
@@ -405,7 +405,7 @@ impl Reference for S3FifoModel {
 fn agrees(kind: PolicyKind, reference: &mut dyn Reference, capacity: u64, ops: &[Op]) {
     // A long TTL keeps expiry out of the way.
     let ttl = SimDuration::from_secs(1 << 30);
-    let mut cache: PolicyCache<u8> = PolicyCache::with_policy(capacity, kind, 7);
+    let mut cache = PolicyCache::with_policy(capacity, kind, 7);
     for (i, op) in ops.iter().enumerate() {
         let now = SimTime::from_secs(i as u64);
         match *op {
@@ -441,7 +441,7 @@ fn agrees(kind: PolicyKind, reference: &mut dyn Reference, capacity: u64, ops: &
         }
         let mut expected = reference.residents();
         expected.sort_unstable();
-        let actual: Vec<u8> = (0..16).filter(|&k| cache.peek(k, now)).collect();
+        let actual: Vec<u32> = (0..16).filter(|&k| cache.peek(k, now)).collect();
         prop_assert_eq!(actual, expected, "residents after step {} ({:?})", i, op);
         prop_assert_eq!(
             cache.used_bytes(),

@@ -172,7 +172,7 @@ fn replay_hierarchy(sharded: &ShardedTrace, h: &jcdn_cdnsim::CacheHierarchy) -> 
     // Recorded traces carry no TTLs, so entries live until evicted.
     let ttl = SimDuration::from_secs(u64::MAX / 4_000_000);
     let specs: Vec<&jcdn_cdnsim::TierSpec> = std::iter::once(&h.edge).chain(&h.shared).collect();
-    let mut caches: Vec<PolicyCache<u32>> = specs
+    let mut caches: Vec<PolicyCache> = specs
         .iter()
         .enumerate()
         .map(|(i, t)| PolicyCache::with_policy(t.capacity, t.policy, 0x007E_91A7 ^ i as u64))

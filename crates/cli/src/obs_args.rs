@@ -89,8 +89,7 @@ impl Obs {
             eprintln!("{}", self.manifest.summary_text(self.level));
         }
         if let Some(path) = &self.out {
-            self.manifest
-                .write(path)
+            std::fs::write(path, jcdn_json::to_string(&self.manifest.to_json()))
                 .map_err(|e| format!("{}: {e}", path.display()))?;
             eprintln!("wrote run manifest to {}", path.display());
         }
@@ -105,8 +104,11 @@ impl Obs {
             eprintln!("wrote Prometheus snapshot to {}", path.display());
         }
         if let Some(path) = &self.trace_out {
-            std::fs::write(path, self.manifest.chrome_trace_json().as_bytes())
-                .map_err(|e| format!("{}: {e}", path.display()))?;
+            std::fs::write(
+                path,
+                jcdn_json::to_string(&self.manifest.chrome_trace_json()),
+            )
+            .map_err(|e| format!("{}: {e}", path.display()))?;
             eprintln!("wrote chrome trace to {}", path.display());
         }
         Ok(())

@@ -5,11 +5,15 @@
 //! split into train/test sets by hash, and a backoff n-gram model is
 //! trained and scored at top-K for the paper's K ∈ {1, 5, 10} and history
 //! N ∈ {1, 5}.
+//!
+//! [`client_corpus`] builds those sequences once for every §5.2 consumer:
+//! Table 3 here, and the lead-time analysis, the sequence anomaly detector
+//! and the n-gram prefetcher in `jcdn-prefetch`.
 
 use jcdn_ngram::eval::{evaluate_sequence, split_client, EvalResult, Split};
 use jcdn_ngram::{NgramModel, Vocab};
 use jcdn_trace::flows::client_sequences;
-use jcdn_trace::{fnv1a, MimeType, Trace};
+use jcdn_trace::{fnv1a, MimeType, RecordStream, SimTime, Trace};
 
 /// Study configuration.
 #[derive(Clone, Debug)]
@@ -69,40 +73,58 @@ pub struct PredictionReport {
     pub test_clients: usize,
 }
 
-/// Token sequences plus the trained model for one URL mode.
-struct ModeData {
-    sequences: Vec<(u64, Vec<u32>)>,
-    model: NgramModel,
+/// One client's JSON requests, in time order: an element of the §5.2
+/// corpus.
+#[derive(Clone, Debug)]
+pub struct ClientSequence {
+    /// Stable client key, FNV-1a over the client's IP hash and UA id: the
+    /// input of the train/test split ([`split_client`]).
+    pub key: u64,
+    /// Request times.
+    pub times: Vec<SimTime>,
+    /// Request URLs as vocabulary tokens, parallel to `times`.
+    pub tokens: Vec<u32>,
 }
 
-fn prepare_mode(trace: &Trace, mut vocab: Vocab, config: &PredictionStudyConfig) -> ModeData {
-    // Canonicalize each distinct URL once.
-    let tokens: Vec<u32> = trace
+/// The §5.2 corpus of a record stream: each client's JSON request
+/// sequence, in client order. `vocab` tokenizes every URL of the stream's
+/// table once, in table order, so token ids do not depend on the traffic.
+pub fn client_corpus(stream: &RecordStream<'_>, vocab: &mut Vocab) -> Vec<ClientSequence> {
+    let tokens: Vec<u32> = stream
+        .interner()
         .url_table()
         .iter()
         .map(|url| vocab.intern(url))
         .collect();
-
-    let stream = trace.stream();
-    let sequences: Vec<(u64, Vec<u32>)> = client_sequences(&stream, |r| r.mime == MimeType::Json)
+    client_sequences(stream, |r| r.mime == MimeType::Json)
         .into_iter()
-        .filter(|(_, seq)| seq.len() >= MIN_SEQUENCE)
         .map(|((client, ua), seq)| {
-            // Stable client key from (ip hash, ua id).
-            let key = fnv1a(&{
-                let mut bytes = client.0.to_le_bytes().to_vec();
-                bytes.extend_from_slice(&ua.map_or(u32::MAX, |u| u.0).to_le_bytes());
-                bytes
-            });
-            let toks: Vec<u32> = seq.iter().map(|&(_, url)| tokens[url.0 as usize]).collect();
-            (key, toks)
+            let mut key = client.0.to_le_bytes().to_vec();
+            key.extend_from_slice(&ua.map_or(u32::MAX, |u| u.0).to_le_bytes());
+            ClientSequence {
+                key: fnv1a(&key),
+                times: seq.iter().map(|&(time, _)| time).collect(),
+                tokens: seq.iter().map(|&(_, url)| tokens[url.0 as usize]).collect(),
+            }
         })
-        .collect();
+        .collect()
+}
+
+/// The corpus's sequences of at least [`MIN_SEQUENCE`] requests plus the
+/// trained model, for one URL mode.
+struct ModeData {
+    sequences: Vec<ClientSequence>,
+    model: NgramModel,
+}
+
+fn prepare_mode(trace: &Trace, mut vocab: Vocab, config: &PredictionStudyConfig) -> ModeData {
+    let mut sequences = client_corpus(&trace.stream(), &mut vocab);
+    sequences.retain(|seq| seq.tokens.len() >= MIN_SEQUENCE);
 
     let mut model = NgramModel::new(config.history);
-    for (client, seq) in &sequences {
-        if split_client(*client, config.train_percent) == Split::Train {
-            model.train_sequence(seq);
+    for seq in &sequences {
+        if split_client(seq.key, config.train_percent) == Split::Train {
+            model.train_sequence(&seq.tokens);
         }
     }
     ModeData { sequences, model }
@@ -110,9 +132,9 @@ fn prepare_mode(trace: &Trace, mut vocab: Vocab, config: &PredictionStudyConfig)
 
 fn evaluate_mode(data: &ModeData, k: usize, train_percent: u8) -> EvalResult {
     let mut result = EvalResult::default();
-    for (client, seq) in &data.sequences {
-        if split_client(*client, train_percent) == Split::Test {
-            result.merge(evaluate_sequence(&data.model, seq, k));
+    for seq in &data.sequences {
+        if split_client(seq.key, train_percent) == Split::Test {
+            result.merge(evaluate_sequence(&data.model, &seq.tokens, k));
         }
     }
     result
@@ -130,9 +152,9 @@ fn evaluate_popularity_baseline(data: &ModeData, k: usize, train_percent: u8) ->
         .map(|p| p.token)
         .collect();
     let mut result = EvalResult::default();
-    for (client, seq) in &data.sequences {
-        if split_client(*client, train_percent) == Split::Test {
-            for &next in &seq[1.min(seq.len())..] {
+    for seq in &data.sequences {
+        if split_client(seq.key, train_percent) == Split::Test {
+            for &next in &seq.tokens[1.min(seq.tokens.len())..] {
                 result.transitions += 1;
                 if top.contains(&next) {
                     result.hits += 1;
@@ -151,7 +173,7 @@ pub fn run_study(trace: &Trace, config: &PredictionStudyConfig) -> PredictionRep
     let train_clients = raw
         .sequences
         .iter()
-        .filter(|(c, _)| split_client(*c, config.train_percent) == Split::Train)
+        .filter(|seq| split_client(seq.key, config.train_percent) == Split::Train)
         .count();
     let test_clients = raw.sequences.len() - train_clients;
 

@@ -24,7 +24,7 @@
 
 use std::collections::BTreeMap;
 
-use jcdn_obs::json;
+use jcdn_json::{Map, Value};
 use jcdn_obs::timeseries::WindowSpec;
 use jcdn_trace::{Interner, LogRecord, Method, MimeType, RecordFlags, RecordStream};
 
@@ -349,56 +349,34 @@ impl SeriesRow {
         self.requests.saturating_mul(1_000_000) / width_us
     }
 
-    /// Serializes as one canonical JSONL line (no trailing newline),
-    /// tagged `"stream":"section4"`.
-    pub(crate) fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        let mut w = json::ObjectWriter::begin(&mut out);
-        w.field_str("stream", "section4");
-        w.field_u64("window", self.window);
-        w.field_u64("start_us", self.start_us);
-        w.field_u64("end_us", self.end_us);
-        w.field_u64("requests", self.requests);
-        w.field_u64("errors", self.errors);
-        w.field_u64("retries", self.retries);
-        w.field_u64("failures", self.failures);
-        w.field_u64("bytes", self.bytes);
-        let mime = json::object_of_u64(
-            MIME_LABELS
-                .iter()
-                .zip(self.mime.iter())
-                .filter(|(_, &n)| n > 0)
-                .map(|(&l, &n)| (l, n)),
-        );
-        w.field_raw("mime", &mime);
-        let method = json::object_of_u64(
-            METHOD_LABELS
-                .iter()
-                .zip(self.method.iter())
-                .filter(|(_, &n)| n > 0)
-                .map(|(&l, &n)| (l, n)),
-        );
-        w.field_raw("method", &method);
-        let mut urls = String::from("[");
-        for (i, (url, count)) in self.top_urls.iter().enumerate() {
-            if i > 0 {
-                urls.push(',');
-            }
-            let mut one = String::new();
-            let mut uw = json::ObjectWriter::begin(&mut one);
-            uw.field_str("url", url);
-            uw.field_u64("requests", *count);
-            uw.end();
-            urls.push_str(&one);
-        }
-        urls.push(']');
-        w.field_raw("top_urls", &urls);
-        match self.churn_pml {
-            Some(pml) => w.field_u64("churn_pml", pml),
-            None => w.field_raw("churn_pml", "null"),
-        }
-        w.end();
-        out
+    /// The row as one canonical JSON object, tagged
+    /// `"stream":"section4"`.
+    pub(crate) fn to_json(&self) -> Value {
+        let tally = |labels: &[&str], counts: &[u64]| -> Value {
+            let nonzero = labels.iter().zip(counts).filter(|&(_, &n)| n > 0);
+            Value::Object(nonzero.map(|(&l, &n)| (l, Value::from(n))).collect())
+        };
+        let urls = self.top_urls.iter().map(|(url, count)| {
+            Value::Object(Map::from_iter([
+                ("url", Value::from(url.as_str())),
+                ("requests", Value::from(*count)),
+            ]))
+        });
+        Value::Object(Map::from_iter([
+            ("stream", Value::from("section4")),
+            ("window", Value::from(self.window)),
+            ("start_us", Value::from(self.start_us)),
+            ("end_us", Value::from(self.end_us)),
+            ("requests", Value::from(self.requests)),
+            ("errors", Value::from(self.errors)),
+            ("retries", Value::from(self.retries)),
+            ("failures", Value::from(self.failures)),
+            ("bytes", Value::from(self.bytes)),
+            ("mime", tally(&MIME_LABELS, &self.mime)),
+            ("method", tally(&METHOD_LABELS, &self.method)),
+            ("top_urls", Value::Array(urls.collect())),
+            ("churn_pml", self.churn_pml.map_or(Value::Null, Value::from)),
+        ]))
     }
 }
 
@@ -435,7 +413,7 @@ impl SeriesReport {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for row in &self.rows {
-            out.push_str(&row.to_jsonl());
+            out.push_str(&jcdn_json::to_string(&row.to_json()));
             out.push('\n');
         }
         out
@@ -609,7 +587,7 @@ mod tests {
     fn jsonl_rows_are_canonical() {
         let trace = sample_trace(10);
         let report = series_of(&trace, 1, "1m");
-        let line = report.rows[0].to_jsonl();
+        let line = jcdn_json::to_string(&report.rows[0].to_json());
         assert!(line.starts_with("{\"stream\":\"section4\",\"window\":0,"));
         assert!(line.contains("\"mime\":{"));
         assert!(line.contains("\"top_urls\":[{\"url\":"));

@@ -75,7 +75,7 @@ fn generate_windowed(seed: u64, threads: usize) -> Dataset {
 #[test]
 fn counter_section_is_byte_identical_across_thread_counts() {
     let baseline = generate(7, 1);
-    let expected = baseline.metrics.counters_json();
+    let expected = jcdn_json::to_string(&baseline.metrics.counters_json());
     assert!(
         expected.contains("sim.requests{edge="),
         "baseline counters populated: {expected}"
@@ -83,7 +83,7 @@ fn counter_section_is_byte_identical_across_thread_counts() {
     for threads in shard_counts() {
         let data = generate(7, threads.max(1));
         assert_eq!(
-            data.metrics.counters_json(),
+            jcdn_json::to_string(&data.metrics.counters_json()),
             expected,
             "{threads} threads diverged"
         );
@@ -156,10 +156,8 @@ fn window_row_totals_match_run_totals() {
     let Some(series) = &data.series else {
         unreachable!("window configured, series must be present");
     };
-    let windowed = series.total().counters_json();
-    let flat: String = data
-        .metrics
-        .counters_json()
+    let windowed = jcdn_json::to_string(&series.total().counters_json());
+    let flat: String = jcdn_json::to_string(&data.metrics.counters_json())
         .split(',')
         .filter(|part| !part.contains("cache.evic"))
         .collect::<Vec<_>>()
@@ -182,6 +180,56 @@ fn manifests_with_identical_counters_may_differ_only_in_perf() {
 
     assert_eq!(first.counters_json(), second.counters_json());
     // The full JSON still embeds the identical counter section verbatim.
-    assert!(first.to_json().contains(&first.counters_json()));
-    assert!(second.to_json().contains(&first.counters_json()));
+    assert_eq!(
+        first.to_json().get("counters"),
+        Some(&first.counters_json())
+    );
+    assert_eq!(
+        second.to_json().get("counters"),
+        Some(&first.counters_json())
+    );
+}
+
+#[test]
+fn section4_rows_are_pinned() {
+    use jcdn_core::series::SeriesRow;
+    let row = |window: u64, churn_pml: Option<u64>| SeriesRow {
+        window,
+        start_us: window * 60_000_000,
+        end_us: (window + 1) * 60_000_000,
+        requests: 12,
+        errors: 2,
+        retries: 1,
+        failures: 1,
+        bytes: 4_096,
+        mime: [9, 0, 0, 1, 2, 0, 0],
+        method: [10, 2, 0, 0, 0],
+        top_urls: vec![
+            ("https://news-0.example/api/v2/stories/0".to_string(), 7),
+            ("https://x.example/q?a=\"1\"&b=\\".to_string(), 3),
+        ],
+        churn_pml,
+    };
+    let report = SeriesReport {
+        spec: window(),
+        rows: vec![row(0, None), row(1, Some(500))],
+    };
+    let line = |window: u64, churn: &str| {
+        format!(
+            concat!(
+                r#"{{"stream":"section4","window":{},"start_us":{},"end_us":{},"#,
+                r#""requests":12,"errors":2,"retries":1,"failures":1,"bytes":4096,"#,
+                r#""mime":{{"json":9,"js":1,"image":2}},"method":{{"GET":10,"POST":2}},"#,
+                r#""top_urls":[{{"url":"https://news-0.example/api/v2/stories/0","requests":7}},"#,
+                r#"{{"url":"https://x.example/q?a=\"1\"&b=\\","requests":3}}],"#,
+                r#""churn_pml":{}}}"#,
+                "\n"
+            ),
+            window,
+            window * 60_000_000,
+            (window + 1) * 60_000_000,
+            churn
+        )
+    };
+    assert_eq!(report.to_jsonl(), line(0, "null") + &line(1, "500"));
 }

@@ -7,6 +7,18 @@
 //! pattern of Table 1) and the prefetcher parses them, so the workspace
 //! carries its own JSON model rather than an external dependency.
 //!
+//! It is the workspace's one JSON writer and one parser. Its users:
+//!
+//! * `jcdn-workload` renders the manifest response bodies;
+//! * `jcdn-trace` writes the JSONL export and the store's shard index, and
+//!   reads the index back;
+//! * `jcdn-obs` builds every observability artifact — run manifests,
+//!   window-series rows, chrome traces — as a [`Value`], and `jcdn-core`
+//!   its windowed §4 rows;
+//! * `jcdn-prefetch` parses response bodies for manifest prefetching;
+//! * the CLI writes the manifest and trace files, and `jcdn obs
+//!   show|diff|bench-diff` parses what they and the benchmark wrote.
+//!
 //! The crate provides:
 //!
 //! * [`Value`] — an owned JSON document tree ([`Value::Object`] preserves

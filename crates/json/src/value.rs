@@ -57,8 +57,8 @@ impl fmt::Debug for Map {
     }
 }
 
-impl FromIterator<(String, Value)> for Map {
-    fn from_iter<T: IntoIterator<Item = (String, Value)>>(iter: T) -> Self {
+impl<K: Into<String>> FromIterator<(K, Value)> for Map {
+    fn from_iter<T: IntoIterator<Item = (K, Value)>>(iter: T) -> Self {
         let mut map = Map::new();
         for (k, v) in iter {
             map.insert(k, v);

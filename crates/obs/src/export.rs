@@ -19,7 +19,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::json;
+use jcdn_json::{Map, Value};
+
 use crate::metrics::MetricsSnapshot;
 use crate::span::SpanRecord;
 
@@ -144,33 +145,24 @@ pub(crate) fn prometheus_text(metrics: &MetricsSnapshot) -> String {
 /// timestamps, with the ring's eviction count in the `otherData` footer
 /// (a ring that wrapped shows `spans_dropped > 0`, so a truncated
 /// timeline is self-describing).
-pub(crate) fn chrome_trace(spans: &[SpanRecord], spans_dropped: u64) -> String {
-    let mut out = String::from("{\"traceEvents\":[");
-    for (i, span) in spans.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let mut event = String::new();
-        let mut w = json::ObjectWriter::begin(&mut event);
-        w.field_str("name", &span.name);
-        w.field_str("cat", "jcdn");
-        w.field_str("ph", "X");
-        w.field_u64("ts", span.start_us);
-        w.field_u64("dur", span.duration_us);
-        w.field_u64("pid", 1);
-        w.field_u64("tid", 1);
-        w.end();
-        out.push_str(&event);
-    }
-    out.push_str("],\"displayTimeUnit\":\"ms\",\"otherData\":{");
-    let mut footer = String::new();
-    let mut w = json::ObjectWriter::begin(&mut footer);
-    w.field_str("spans_dropped", &spans_dropped.to_string());
-    w.end();
-    // ObjectWriter wraps in braces; splice its body into the footer.
-    out.push_str(footer.trim_start_matches('{').trim_end_matches('}'));
-    out.push_str("}}");
-    out
+pub(crate) fn chrome_trace(spans: &[SpanRecord], spans_dropped: u64) -> Value {
+    let events = spans.iter().map(|span| {
+        Value::Object(Map::from_iter([
+            ("name", Value::from(span.name.as_str())),
+            ("cat", Value::from("jcdn")),
+            ("ph", Value::from("X")),
+            ("ts", Value::from(span.start_us)),
+            ("dur", Value::from(span.duration_us)),
+            ("pid", Value::from(1u64)),
+            ("tid", Value::from(1u64)),
+        ]))
+    });
+    let footer = Map::from_iter([("spans_dropped", Value::from(spans_dropped.to_string()))]);
+    Value::Object(Map::from_iter([
+        ("traceEvents", Value::Array(events.collect())),
+        ("displayTimeUnit", Value::from("ms")),
+        ("otherData", Value::Object(footer)),
+    ]))
 }
 
 #[cfg(test)]
@@ -246,13 +238,16 @@ mod tests {
             duration_us: 250,
         }];
         let trace = chrome_trace(&spans, 7);
-        assert!(trace.starts_with("{\"traceEvents\":["));
-        assert!(trace.contains("\"name\":\"simulate.edge{edge=3}\""));
-        assert!(trace.contains("\"ph\":\"X\""));
-        assert!(trace.contains("\"ts\":10"));
-        assert!(trace.contains("\"dur\":250"));
-        assert!(trace.contains("\"otherData\":{\"spans_dropped\":\"7\"}"));
+        let event = |key: &str| trace.pointer(&format!("/traceEvents/0/{key}")).cloned();
+        assert_eq!(event("name"), Some(Value::from("simulate.edge{edge=3}")));
+        assert_eq!(event("ph"), Some(Value::from("X")));
+        assert_eq!(event("ts"), Some(Value::from(10u64)));
+        assert_eq!(event("dur"), Some(Value::from(250u64)));
+        assert_eq!(
+            trace.pointer("/otherData/spans_dropped"),
+            Some(&Value::from("7"))
+        );
         let empty = chrome_trace(&[], 0);
-        assert!(empty.contains("\"traceEvents\":[]"));
+        assert_eq!(empty.get("traceEvents"), Some(&Value::Array(Vec::new())));
     }
 }

@@ -41,8 +41,10 @@
 //! * [`export`] — Prometheus text exposition and chrome-trace dumps of
 //!   the span ring.
 //!
-//! `jcdn-obs` has zero dependencies (it sits below every crate in the hot
-//! path), so JSON emission is hand-rolled in [`json`].
+//! `jcdn-obs` sits below every crate in the hot path, so its one
+//! dependency is `jcdn-json`, which has none: every JSON artifact above is
+//! built as a [`jcdn_json::Value`] and written with
+//! [`jcdn_json::to_string`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, unreachable_pub)]
@@ -51,7 +53,6 @@
 
 pub mod clock;
 pub mod export;
-pub mod json;
 pub mod manifest;
 pub mod metrics;
 pub mod pool;

@@ -15,8 +15,9 @@
 
 use std::collections::BTreeMap;
 
+use jcdn_json::{Map, Value};
+
 use crate::clock::Stopwatch;
-use crate::json;
 use crate::metrics::MetricsSnapshot;
 use crate::pool::PoolReport;
 use crate::span::{self, PhaseStat};
@@ -169,78 +170,65 @@ impl RunManifest {
         crate::export::prometheus_text(&self.metrics)
     }
 
-    /// Renders the captured spans as a chrome-trace JSON object
-    /// (`--obs-trace`), with the ring's eviction count in the footer:
-    /// see `crate::export::chrome_trace`.
-    pub fn chrome_trace_json(&self) -> String {
+    /// The captured spans as a chrome-trace JSON object (`--obs-trace`),
+    /// with the ring's eviction count in the footer: see
+    /// `crate::export::chrome_trace`.
+    pub fn chrome_trace_json(&self) -> Value {
         crate::export::chrome_trace(&self.spans, self.spans_dropped)
     }
 
     /// The deterministic counter section, exactly as embedded in
-    /// [`to_json`][Self::to_json]. Byte-identical across same-seed runs
-    /// for any shard/thread count.
-    pub fn counters_json(&self) -> String {
+    /// [`to_json`][Self::to_json]. Identical across same-seed runs for any
+    /// shard/thread count.
+    pub fn counters_json(&self) -> Value {
         self.metrics.counters_json()
     }
 
-    /// Serializes the whole manifest as JSON: header fields, the
+    /// The whole manifest as a JSON object: header fields, the
     /// deterministic `"counters"` section, then the non-deterministic
-    /// `"perf"` section.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let mut w = json::ObjectWriter::begin(&mut out);
-        w.field_u64("manifest_version", u64::from(MANIFEST_VERSION));
-        w.field_str("command", &self.command);
-        let mut params = String::new();
-        let mut pw = json::ObjectWriter::begin(&mut params);
-        for (key, value) in &self.params {
-            pw.field_str(key, value);
-        }
-        pw.end();
-        w.field_raw("params", &params);
-        w.field_u64("codec_version", u64::from(self.codec_version));
-        match &self.fault_digest {
-            Some(digest) => w.field_str("fault_digest", digest),
-            None => w.field_raw("fault_digest", "null"),
-        }
-        w.field_raw("counters", &self.counters_json());
-
-        let mut perf = String::new();
-        let mut fw = json::ObjectWriter::begin(&mut perf);
-        fw.field_u64("wall_us", self.wall_us);
-        match self.peak_rss_kb {
-            Some(kb) => fw.field_u64("peak_rss_kb", kb),
-            None => fw.field_raw("peak_rss_kb", "null"),
-        }
-        let mut phases = String::new();
-        let mut phw = json::ObjectWriter::begin(&mut phases);
-        for (name, stat) in &self.phases {
-            let mut one = String::new();
-            let mut ow = json::ObjectWriter::begin(&mut one);
-            ow.field_u64("count", stat.count);
-            ow.field_u64("total_us", stat.total_us);
-            ow.field_u64("max_us", stat.max_us);
-            ow.end();
-            phw.field_raw(name, &one);
-        }
-        phw.end();
-        fw.field_raw("phases", &phases);
-        let pools = format!(
-            "[{}]",
-            self.pools
-                .iter()
-                .map(PoolReport::to_json)
-                .collect::<Vec<_>>()
-                .join(",")
-        );
-        fw.field_raw("pools", &pools);
-        fw.field_u64("spans_dropped", self.spans_dropped);
-        fw.field_u64("pools_dropped", self.pools_dropped);
-        fw.field_raw("metrics", &self.metrics.perf_json());
-        fw.end();
-        w.field_raw("perf", &perf);
-        w.end();
-        out
+    /// `"perf"` section. `--obs-out` writes it with `jcdn_json::to_string`.
+    pub fn to_json(&self) -> Value {
+        let params = self
+            .params
+            .iter()
+            .map(|(key, value)| (key.as_str(), Value::from(value.as_str())));
+        let phases = self.phases.iter().map(|(name, stat)| {
+            let stat = Map::from_iter([
+                ("count", Value::from(stat.count)),
+                ("total_us", Value::from(stat.total_us)),
+                ("max_us", Value::from(stat.max_us)),
+            ]);
+            (name.as_str(), Value::Object(stat))
+        });
+        let perf = Map::from_iter([
+            ("wall_us", Value::from(self.wall_us)),
+            (
+                "peak_rss_kb",
+                self.peak_rss_kb.map_or(Value::Null, Value::from),
+            ),
+            ("phases", Value::Object(phases.collect())),
+            (
+                "pools",
+                Value::Array(self.pools.iter().map(PoolReport::to_json).collect()),
+            ),
+            ("spans_dropped", Value::from(self.spans_dropped)),
+            ("pools_dropped", Value::from(self.pools_dropped)),
+            ("metrics", self.metrics.perf_json()),
+        ]);
+        Value::Object(Map::from_iter([
+            ("manifest_version", Value::from(MANIFEST_VERSION)),
+            ("command", Value::from(self.command.as_str())),
+            ("params", Value::Object(params.collect())),
+            ("codec_version", Value::from(u32::from(self.codec_version))),
+            (
+                "fault_digest",
+                self.fault_digest
+                    .as_deref()
+                    .map_or(Value::Null, Value::from),
+            ),
+            ("counters", self.counters_json()),
+            ("perf", Value::Object(perf)),
+        ]))
     }
 
     /// The human summary printed to stderr at `--obs summary|full`.
@@ -281,11 +269,6 @@ impl RunManifest {
         out.truncate(out.trim_end().len());
         out
     }
-
-    /// Writes the JSON manifest to `path`.
-    pub fn write(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
 }
 
 #[cfg(test)]
@@ -308,13 +291,13 @@ mod tests {
         m.metrics.inc("sim.hits{edge=0}", 7);
         m.metrics.gauge_max("pool.x.depth", 3);
         m.finish();
-        let json = m.to_json();
+        let json = jcdn_json::to_string(&m.to_json());
         assert!(
             json.contains("\"counters\":{\"sim.hits{edge=0}\":7}"),
             "{json}"
         );
         // The gauge lives under perf, not counters.
-        assert!(!m.counters_json().contains("pool.x.depth"));
+        assert!(m.counters_json().get("pool.x.depth").is_none());
         assert!(json.contains("\"perf\":{"), "{json}");
         assert!(json.contains("\"params\":{\"seed\":\"42\"}"), "{json}");
     }

@@ -15,7 +15,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::json;
+use jcdn_json::{Map, Value};
 
 /// Number of exponential histogram buckets. Bucket `i` holds values whose
 /// bit length is `i` (`0` lands in bucket 0, `1` in bucket 1, `2..=3` in
@@ -85,8 +85,8 @@ impl Histogram {
     }
 
     /// Iterates every bucket as `(inclusive upper-edge label, count)` in
-    /// edge order, empty buckets included — the raw material for
-    /// cumulative Prometheus exposition ([`crate::export`]).
+    /// edge order, empty buckets included — the raw material for the JSON
+    /// form and for cumulative Prometheus exposition ([`crate::export`]).
     pub(crate) fn buckets(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         self.buckets
             .iter()
@@ -104,28 +104,27 @@ impl Histogram {
         self.max = self.max.max(other.max);
     }
 
-    /// Serializes as a JSON object (count/sum/max plus non-empty buckets).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let mut w = json::ObjectWriter::begin(&mut out);
-        w.field_u64("count", self.count);
-        w.field_u64("sum", self.sum);
-        w.field_u64("max", self.max);
-        let buckets = json::object_of_u64(
-            self.buckets
-                .iter()
-                .enumerate()
-                .filter(|(_, &n)| n > 0)
-                .map(|(i, &n)| (BUCKET_LABELS[i], n)),
-        );
-        w.field_raw("buckets", &buckets);
-        w.end();
-        out
+    /// The histogram as a JSON object (count/sum/max plus non-empty
+    /// buckets).
+    pub fn to_json(&self) -> Value {
+        let buckets = self.buckets().filter(|&(_, n)| n > 0);
+        Value::Object(Map::from_iter([
+            ("count", Value::from(self.count)),
+            ("sum", Value::from(self.sum)),
+            ("max", Value::from(self.max)),
+            ("buckets", u64_object(buckets)),
+        ]))
     }
 }
 
-/// Bucket labels: the inclusive upper edge of each bucket, as a string
-/// (static so JSON emission allocates nothing per bucket).
+/// A JSON object of `(key, integer)` pairs, in iteration order. Callers
+/// pass `BTreeMap` iterators or fixed label tables, so key order is
+/// deterministic.
+fn u64_object<'k>(pairs: impl Iterator<Item = (&'k str, u64)>) -> Value {
+    Value::Object(pairs.map(|(k, v)| (k, Value::from(v))).collect())
+}
+
+/// Bucket labels: the inclusive upper edge of each bucket, as a string.
 const BUCKET_LABELS: [&str; HISTOGRAM_BUCKETS] = [
     "0", "1", "3", "7", "15", "31", "63", "127", "255", "511", "1023", "2047", "4095", "8191",
     "16383", "32767", "65535", "131071", "262143", "524287", "1048575", "2097151", "4194303",
@@ -268,29 +267,22 @@ impl MetricsSnapshot {
         }
     }
 
-    /// The deterministic counter section as canonical JSON: keys in
-    /// BTreeMap order, integers only. Byte-identical across same-seed runs
+    /// The deterministic counter section as a JSON object: keys in
+    /// BTreeMap order, integers only. Identical across same-seed runs
     /// regardless of shard/thread count — the `obs_invariance` suite and
     /// the manifest's `"counters"` section both rest on this.
-    pub fn counters_json(&self) -> String {
-        json::object_of_u64(self.counters())
+    pub fn counters_json(&self) -> Value {
+        u64_object(self.counters())
     }
 
-    /// The non-deterministic perf section (gauges + histograms) as JSON.
-    pub fn perf_json(&self) -> String {
-        let mut out = String::new();
-        let mut w = json::ObjectWriter::begin(&mut out);
-        let gauges = json::object_of_u64(self.gauges.iter().map(|(k, &v)| (k.as_str(), v)));
-        w.field_raw("gauges", &gauges);
-        let mut hists = String::new();
-        let mut hw = json::ObjectWriter::begin(&mut hists);
-        for (name, hist) in &self.histograms {
-            hw.field_raw(name, &hist.to_json());
-        }
-        hw.end();
-        w.field_raw("histograms", &hists);
-        w.end();
-        out
+    /// The non-deterministic perf section (gauges + histograms) as a JSON
+    /// object.
+    pub fn perf_json(&self) -> Value {
+        let histograms = self.histograms().map(|(name, hist)| (name, hist.to_json()));
+        Value::Object(Map::from_iter([
+            ("gauges", u64_object(self.gauges())),
+            ("histograms", Value::Object(histograms.collect())),
+        ]))
     }
 }
 
@@ -306,7 +298,7 @@ mod tests {
         m.inc("b", 0); // no-op: zero increments create no key
         assert_eq!(m.counter("a"), 5);
         assert_eq!(m.counter("b"), 0);
-        assert_eq!(m.counters_json(), "{\"a\":5}");
+        assert_eq!(jcdn_json::to_string(&m.counters_json()), "{\"a\":5}");
     }
 
     #[test]

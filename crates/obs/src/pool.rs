@@ -17,7 +17,8 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-use crate::json;
+use jcdn_json::{Map, Value};
+
 use crate::metrics::{Histogram, MetricsSnapshot};
 
 /// Maximum buffered reports; older reports are dropped (counted) past it.
@@ -95,29 +96,20 @@ impl PoolReport {
         snapshot.merge_histogram(&format!("{prefix}.task_us"), &self.task_latency_us);
     }
 
-    /// Serializes as a JSON object.
-    pub(crate) fn to_json(&self) -> String {
-        let mut out = String::new();
-        let mut w = json::ObjectWriter::begin(&mut out);
-        w.field_str("label", &self.label);
-        w.field_u64("items", self.items);
-        w.field_u64("workers", self.workers);
-        let tasks = format!(
-            "[{}]",
-            self.worker_tasks
-                .iter()
-                .map(|t| t.to_string())
-                .collect::<Vec<_>>()
-                .join(",")
-        );
-        w.field_raw("worker_tasks", &tasks);
-        w.field_u64("starved_workers", self.starved_workers());
-        w.field_u64("busy_us", self.busy_us);
-        w.field_u64("wall_us", self.wall_us);
-        w.field_u64("task_panics", self.task_panics);
-        w.field_raw("task_latency_us", &self.task_latency_us.to_json());
-        w.end();
-        out
+    /// The report as a JSON object.
+    pub(crate) fn to_json(&self) -> Value {
+        let tasks = self.worker_tasks.iter().map(|&t| Value::from(t)).collect();
+        Value::Object(Map::from_iter([
+            ("label", Value::from(self.label.as_str())),
+            ("items", Value::from(self.items)),
+            ("workers", Value::from(self.workers)),
+            ("worker_tasks", Value::Array(tasks)),
+            ("starved_workers", Value::from(self.starved_workers())),
+            ("busy_us", Value::from(self.busy_us)),
+            ("wall_us", Value::from(self.wall_us)),
+            ("task_panics", Value::from(self.task_panics)),
+            ("task_latency_us", self.task_latency_us.to_json()),
+        ]))
     }
 }
 
@@ -214,7 +206,7 @@ mod tests {
 
     #[test]
     fn json_carries_worker_tasks() {
-        let json = sample().to_json();
+        let json = jcdn_json::to_string(&sample().to_json());
         assert!(json.contains("\"worker_tasks\":[3,5,0,0]"), "{json}");
         assert!(json.contains("\"label\":\"test.pool\""), "{json}");
     }

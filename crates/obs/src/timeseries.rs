@@ -28,7 +28,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::json;
+use jcdn_json::{Map, Value};
+
 use crate::metrics::MetricsSnapshot;
 
 /// Microseconds per second, the base of the duration grammar.
@@ -242,20 +243,18 @@ pub struct WindowRow {
 }
 
 impl WindowRow {
-    /// Serializes the row as one canonical JSONL line (no trailing
-    /// newline): fixed key order, integers only, counters in BTreeMap
-    /// order. `stream` tags which series the row belongs to (`"sim"`,
-    /// `"section4"`, `"workload"`), so multiple series can share a file.
-    pub(crate) fn to_jsonl(&self, stream: &str) -> String {
-        let mut out = String::new();
-        let mut w = json::ObjectWriter::begin(&mut out);
-        w.field_str("stream", stream);
-        w.field_u64("window", self.window);
-        w.field_u64("start_us", self.start_us);
-        w.field_u64("end_us", self.end_us);
-        w.field_raw("counters", &self.counters.counters_json());
-        w.end();
-        out
+    /// The row as one canonical JSON object: fixed key order, integers
+    /// only, counters in BTreeMap order. `stream` tags which series the
+    /// row belongs to (`"sim"`, `"section4"`, `"workload"`), so multiple
+    /// series can share a file.
+    pub(crate) fn to_json(&self, stream: &str) -> Value {
+        Value::Object(Map::from_iter([
+            ("stream", Value::from(stream)),
+            ("window", Value::from(self.window)),
+            ("start_us", Value::from(self.start_us)),
+            ("end_us", Value::from(self.end_us)),
+            ("counters", self.counters.counters_json()),
+        ]))
     }
 }
 
@@ -361,7 +360,7 @@ impl WindowedCounters {
     pub fn to_jsonl(&self, stream: &str) -> String {
         let mut out = String::new();
         for row in self.rows() {
-            out.push_str(&row.to_jsonl(stream));
+            out.push_str(&jcdn_json::to_string(&row.to_json(stream)));
             out.push('\n');
         }
         out

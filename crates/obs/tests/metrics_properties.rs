@@ -37,7 +37,7 @@ fn arb_snapshot() -> impl Strategy<Value = MetricsSnapshot> {
 }
 
 /// Full observable state of a snapshot, for equality up to serialization.
-fn fingerprint(s: &MetricsSnapshot) -> (String, String) {
+fn fingerprint(s: &MetricsSnapshot) -> (jcdn_json::Value, jcdn_json::Value) {
     (s.counters_json(), s.perf_json())
 }
 

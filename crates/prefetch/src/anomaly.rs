@@ -8,6 +8,7 @@
 
 use std::collections::HashMap;
 
+use jcdn_core::prediction::client_corpus;
 use jcdn_ngram::{NgramModel, Vocab};
 use jcdn_trace::flows::{client_sequences, FlowClient};
 use jcdn_trace::{MimeType, SimTime, Trace, UrlId};
@@ -51,15 +52,9 @@ impl SequenceAnomalyDetector {
     /// Trains on a reference trace with history length `history`.
     pub fn train(reference: &Trace, history: usize, threshold: f64) -> Self {
         let mut vocab = Vocab::clustered();
-        let tokens: Vec<u32> = reference
-            .url_table()
-            .iter()
-            .map(|u| vocab.intern(u))
-            .collect();
         let mut model = NgramModel::new(history);
-        for (_, seq) in client_sequences(&reference.stream(), |r| r.mime == MimeType::Json) {
-            let toks: Vec<u32> = seq.iter().map(|&(_, u)| tokens[u.0 as usize]).collect();
-            model.train_sequence(&toks);
+        for seq in client_corpus(&reference.stream(), &mut vocab) {
+            model.train_sequence(&seq.tokens);
         }
         SequenceAnomalyDetector {
             model,

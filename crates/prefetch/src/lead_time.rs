@@ -9,11 +9,11 @@
 //! edge has to fetch it). A prediction that arrives after the demand
 //! request is useless; one that arrives days early ages out.
 
+use jcdn_core::prediction::client_corpus;
 use jcdn_ngram::eval::{split_client, Split};
 use jcdn_ngram::{NgramModel, Vocab};
 use jcdn_stats::ExactQuantiles;
-use jcdn_trace::flows::client_sequences;
-use jcdn_trace::{fnv1a, MimeType, Trace};
+use jcdn_trace::Trace;
 
 /// Lead-time distributions for predicted and unpredicted transitions.
 #[derive(Debug, Default)]
@@ -28,21 +28,7 @@ impl LeadTimeReport {
     /// Fraction of *predicted* transitions whose lead time is at least
     /// `seconds` — enough slack for an origin fetch of that duration.
     pub fn predicted_with_lead_of(&mut self, seconds: f64) -> Option<f64> {
-        let total = self.predicted_gaps.count();
-        if total == 0 {
-            return None;
-        }
-        // Quantile inversion through binary search over the CDF.
-        let mut lo = 0.0;
-        let mut hi = 1.0;
-        for _ in 0..40 {
-            let mid = (lo + hi) / 2.0;
-            match self.predicted_gaps.quantile(mid) {
-                Some(v) if v < seconds => lo = mid,
-                _ => hi = mid,
-            }
-        }
-        Some(1.0 - hi)
+        self.predicted_gaps.share_at_least(seconds)
     }
 
     /// Median lead time of predicted transitions.
@@ -61,46 +47,24 @@ const TRAIN_PERCENT: u8 = 70;
 /// Trains an n-gram model on the trace's training clients and measures the
 /// lead-time distribution over held-out clients.
 pub fn analyze(trace: &Trace) -> LeadTimeReport {
-    let mut vocab = Vocab::raw();
-    let tokens: Vec<u32> = trace
-        .url_table()
-        .iter()
-        .map(|url| vocab.intern(url))
-        .collect();
-
-    let sequences: Vec<(u64, Vec<(f64, u32)>)> =
-        client_sequences(&trace.stream(), |r| r.mime == MimeType::Json)
-            .into_iter()
-            .map(|((client, ua), seq)| {
-                let key = fnv1a(&{
-                    let mut bytes = client.0.to_le_bytes().to_vec();
-                    bytes.extend_from_slice(&ua.map_or(u32::MAX, |u| u.0).to_le_bytes());
-                    bytes
-                });
-                let timed: Vec<(f64, u32)> = seq
-                    .iter()
-                    .map(|&(t, url)| (t.as_secs_f64(), tokens[url.0 as usize]))
-                    .collect();
-                (key, timed)
-            })
-            .collect();
-
+    let corpus = client_corpus(&trace.stream(), &mut Vocab::raw());
     let mut model = NgramModel::new(HISTORY);
-    for (client, seq) in &sequences {
-        if split_client(*client, TRAIN_PERCENT) == Split::Train {
-            let toks: Vec<u32> = seq.iter().map(|&(_, t)| t).collect();
-            model.train_sequence(&toks);
+    for seq in &corpus {
+        if split_client(seq.key, TRAIN_PERCENT) == Split::Train {
+            model.train_sequence(&seq.tokens);
         }
     }
 
     let mut report = LeadTimeReport::default();
-    for (client, seq) in &sequences {
-        if split_client(*client, TRAIN_PERCENT) != Split::Test {
+    for seq in &corpus {
+        if split_client(seq.key, TRAIN_PERCENT) != Split::Test {
             continue;
         }
-        let toks: Vec<u32> = seq.iter().map(|&(_, t)| t).collect();
-        for i in 1..seq.len() {
-            let gap = seq[i].0 - seq[i - 1].0;
+        let (times, toks) = (&seq.times, &seq.tokens);
+        for i in 1..toks.len() {
+            // Times are converted to seconds before subtracting: converting
+            // their difference instead can round the gap differently.
+            let gap = times[i].as_secs_f64() - times[i - 1].as_secs_f64();
             let start = i.saturating_sub(HISTORY);
             if model.hit(&toks[start..i], toks[i], K) {
                 report.predicted_gaps.record(gap);
@@ -115,7 +79,7 @@ pub fn analyze(trace: &Trace) -> LeadTimeReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jcdn_trace::{CacheStatus, ClientId, LogRecord, Method, RecordFlags, SimTime};
+    use jcdn_trace::{CacheStatus, ClientId, LogRecord, Method, MimeType, RecordFlags, SimTime};
 
     /// Clients walk a fixed chain with 8-second think times.
     fn chain_trace() -> Trace {
@@ -166,6 +130,20 @@ mod tests {
         // Almost none leaves >= 10 minutes.
         let too_much = report.predicted_with_lead_of(600.0).unwrap();
         assert!(too_much < 0.2, "lead >= 600s for {too_much}");
+    }
+
+    #[test]
+    fn lead_share_counts_the_gaps_directly() {
+        // Interpolating between order statistics would put the share of
+        // {0, 0, 10} at or above 5 s at 0.25; one gap in three is.
+        let mut report = LeadTimeReport::default();
+        for gap in [0.0, 10.0, 0.0] {
+            report.predicted_gaps.record(gap);
+        }
+        assert_eq!(report.predicted_with_lead_of(5.0), Some(1.0 / 3.0));
+        assert_eq!(report.predicted_with_lead_of(10.0), Some(1.0 / 3.0));
+        assert_eq!(report.predicted_with_lead_of(0.0), Some(1.0));
+        assert_eq!(report.predicted_with_lead_of(10.5), Some(0.0));
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use std::collections::HashMap;
 
 use jcdn_cdnsim::{Policy, PolicyOutcome, RequestCtx};
+use jcdn_core::prediction::client_corpus;
 use jcdn_ngram::{NgramModel, Vocab};
 use jcdn_trace::{MimeType, RecordStream};
 
@@ -38,16 +39,9 @@ impl NgramPrefetcher {
     /// request.
     pub fn train(stream: &RecordStream<'_>, history: usize, k: usize) -> Self {
         let mut vocab = Vocab::raw();
-        let tokens: Vec<u32> = stream
-            .interner()
-            .url_table()
-            .iter()
-            .map(|url| vocab.intern(url))
-            .collect();
         let mut model = NgramModel::new(history);
-        for (_, seq) in jcdn_trace::flows::client_sequences(stream, |r| r.mime == MimeType::Json) {
-            let toks: Vec<u32> = seq.iter().map(|&(_, url)| tokens[url.0 as usize]).collect();
-            model.train_sequence(&toks);
+        for seq in client_corpus(stream, &mut vocab) {
+            model.train_sequence(&seq.tokens);
         }
         NgramPrefetcher {
             model,

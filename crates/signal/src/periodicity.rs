@@ -521,24 +521,56 @@ mod tests {
             .collect()
     }
 
-    /// `detect_period` without the early stop: all x permutations run, in
-    /// order, and the thresholds come from all of their maxima.
-    fn detect_period_full(times: &[f64], cfg: &PeriodicityConfig) -> Option<DetectedPeriod> {
-        let (series, sampling) = bin_times(times, cfg)?;
-        if cfg.permutations == 0 {
-            return None;
+    /// A binned flow with all x permutations run, in order: the input of
+    /// `detect_period` without the early stop.
+    struct FullRun {
+        series: Vec<f64>,
+        sampling: f64,
+        plan: FftPlan,
+        /// Every permutation's max power, descending.
+        powers: Vec<f64>,
+        /// Every permutation's max ACF peak, descending.
+        acfs: Vec<f64>,
+    }
+
+    impl FullRun {
+        fn new(times: &[f64], cfg: &PeriodicityConfig) -> Option<FullRun> {
+            let (series, sampling) = bin_times(times, cfg)?;
+            if cfg.permutations == 0 {
+                return None;
+            }
+            let plan = FftPlan::new(padded_len(series.len()));
+            let (mut scratch, mut shuffled) = (Scratch::default(), Vec::new());
+            let (mut powers, mut acfs): (Vec<f64>, Vec<f64>) = (0..cfg.permutations)
+                .map(|i| permutation_maxima(&plan, &series, i, &mut scratch, &mut shuffled))
+                .unzip();
+            powers.sort_by(|a, b| b.total_cmp(a));
+            acfs.sort_by(|a, b| b.total_cmp(a));
+            Some(FullRun {
+                series,
+                sampling,
+                plan,
+                powers,
+                acfs,
+            })
         }
-        let plan = FftPlan::new(padded_len(series.len()));
-        let (periodogram, acf) = analyze(&plan, &series, &mut Scratch::default());
-        let (mut scratch, mut shuffled) = (Scratch::default(), Vec::new());
-        let (mut powers, mut acfs): (Vec<f64>, Vec<f64>) = (0..cfg.permutations)
-            .map(|i| permutation_maxima(&plan, &series, i, &mut scratch, &mut shuffled))
-            .unzip();
-        powers.sort_by(|a, b| b.total_cmp(a));
-        acfs.sort_by(|a, b| b.total_cmp(a));
-        let idx = (((1.0 - SIGNIFICANCE_QUANTILE) * cfg.permutations as f64).floor() as usize)
-            .min(cfg.permutations - 1);
-        line_up(&periodogram, &acf, (powers[idx], acfs[idx]), sampling)
+
+        /// The thresholds, from all x maxima.
+        fn thresholds(&self) -> (f64, f64) {
+            let idx = (((1.0 - SIGNIFICANCE_QUANTILE) * self.powers.len() as f64).floor() as usize)
+                .min(self.powers.len() - 1);
+            (self.powers[idx], self.acfs[idx])
+        }
+
+        fn detect(&self) -> Option<DetectedPeriod> {
+            let (periodogram, acf) = analyze(&self.plan, &self.series, &mut Scratch::default());
+            line_up(&periodogram, &acf, self.thresholds(), self.sampling)
+        }
+    }
+
+    /// `detect_period` without the early stop.
+    fn detect_period_full(times: &[f64], cfg: &PeriodicityConfig) -> Option<DetectedPeriod> {
+        FullRun::new(times, cfg)?.detect()
     }
 
     /// Every field of a detection, floats by bit pattern.
@@ -589,12 +621,32 @@ mod tests {
                 parallel,
                 ..PeriodicityConfig::default()
             };
+            let full = FullRun::new(&times, &c);
             prop_assert_eq!(
                 bits(detect_period(&times, &c)),
-                bits(detect_period_full(&times, &c)),
+                bits(full.as_ref().and_then(FullRun::detect)),
                 "kind {} count {} scale {} blur {} noise {} seed {} x {} parallel {}",
                 kind, count, scale, blur, noise, seed, permutations, parallel
             );
+            // The stop's boundary, built on purpose: at x ≥ 100 a random
+            // flow almost never has exactly `idx` maxima at its peak. So the
+            // stop also gets a peak that only the `idx` largest maxima reach
+            // (none at idx 0), where it must run all x unless a tie lets one
+            // more reach.
+            if let Some(run) = full {
+                let idx = threshold_index(permutations);
+                let peak = match idx {
+                    0 => run.powers[0].next_up(),
+                    _ => run.powers[idx - 1],
+                };
+                let reached = run.powers.iter().filter(|&&p| p >= peak).count();
+                prop_assert_eq!(
+                    permutation_thresholds(&run.plan, &run.series, peak, &c),
+                    (reached <= idx).then(|| run.thresholds()),
+                    "peak reached by {} of x {} maxima, parallel {}",
+                    reached, permutations, parallel
+                );
+            }
         }
     }
 

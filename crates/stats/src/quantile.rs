@@ -72,6 +72,17 @@ impl ExactQuantiles {
     pub fn median(&mut self) -> Option<f64> {
         self.quantile(0.5)
     }
+
+    /// Share of the observations that are at least `x`, counted on the
+    /// sorted samples, or `None` when empty.
+    pub fn share_at_least(&mut self, x: f64) -> Option<f64> {
+        if self.samples.is_empty() {
+            return None;
+        }
+        self.ensure_sorted();
+        let below = self.samples.partition_point(|&s| s < x);
+        Some((self.samples.len() - below) as f64 / self.samples.len() as f64)
+    }
 }
 
 impl FromIterator<f64> for ExactQuantiles {

@@ -111,8 +111,8 @@ fn run(config: &WorkloadConfig, sim: &SimConfig, threads: usize) -> Digests {
     // Retried attempts add records: the log must outnumber the events.
     assert!(data.stats.retries_issued > 0, "config exercises no retries");
     let mut metrics = Fnv::new();
-    metrics.bytes(data.metrics.counters_json().as_bytes());
-    metrics.bytes(data.metrics.perf_json().as_bytes());
+    metrics.bytes(jcdn::json::to_string(&data.metrics.counters_json()).as_bytes());
+    metrics.bytes(jcdn::json::to_string(&data.metrics.perf_json()).as_bytes());
     if let Some(series) = &data.series {
         metrics.bytes(series.to_jsonl("sim").as_bytes());
     }

@@ -120,7 +120,7 @@ pub fn table2(ctx: &Context) -> ExperimentResult {
 
 /// Shared §4 report over the short-term dataset.
 pub fn characterize(ctx: &Context) -> CharacterizationReport {
-    CharacterizationReport::compute(&ctx.short_term.trace.stream(), &TokenCategoryProvider, 1)
+    CharacterizationReport::compute(&ctx.short_term.trace, &TokenCategoryProvider, 1)
 }
 
 /// E3 / Figure 3: categorization by device type.
@@ -549,7 +549,7 @@ pub fn ext_prefetch(ctx: &Context) -> ExperimentResult {
     let workload = &ctx.short_term.workload;
     let sim = SimConfig::default();
 
-    let mut ngram = NgramPrefetcher::train(&ctx.short_term.trace.stream(), 1, 5);
+    let mut ngram = NgramPrefetcher::train(&ctx.short_term.trace, 1, 5);
     ngram.bind_universe(&workload.objects);
     let ngram_cmp = compare_policies(workload, &sim, &mut ngram);
 

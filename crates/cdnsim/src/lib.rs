@@ -19,7 +19,8 @@
 //! * [`hierarchy::CacheHierarchy`] — declarative N-level edge → regional →
 //!   origin-shield topology with per-tier capacity/policy and
 //!   leave-copy-everywhere / copy-down placement,
-//! * [`LatencyModel`] — client↔edge and edge↔origin delays,
+//! * a fixed latency model — client↔edge, edge↔parent and edge↔origin
+//!   round trips plus per-KiB transfer time, each sample jittered ±30%,
 //! * edge service queues with two priority classes, which the
 //!   deprioritization experiment (§5.1's proposed optimization) exercises,
 //! * a pluggable [`Policy`] hook consulted on every request — the prefetch
@@ -62,7 +63,6 @@ pub use fault::{
     EdgeFlap, ErrorBursts, FaultPlan, OriginDegradation, OriginOutage, ResilienceConfig, Window,
 };
 pub use hierarchy::{CacheHierarchy, Placement, TierSpec};
-pub use latency::LatencyModel;
 pub use policy::PolicyKind;
 pub use sim::{
     run, run_default, run_sharded, NoopPolicy, Policy, PolicyOutcome, Priority, RequestCtx,

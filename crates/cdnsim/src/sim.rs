@@ -31,7 +31,9 @@ use crate::fault::{backoff, FaultPlan, FaultState, ResilienceConfig};
 use crate::hierarchy::{
     build_shared_tiers, flush_accesses, AccessKind, CacheHierarchy, Placement, TierAccess,
 };
-use crate::latency::LatencyModel;
+use crate::latency::{
+    hit_latency, miss_latency, origin_fetch, tier_hit_latency, CLIENT_EDGE_RTT, EDGE_ORIGIN_RTT,
+};
 
 /// Simulator configuration.
 #[derive(Clone, Debug)]
@@ -42,8 +44,6 @@ pub struct SimConfig {
     /// Full N-level cache hierarchy; `None` is [`CacheHierarchy::default`],
     /// one LRU edge tier.
     pub hierarchy: Option<CacheHierarchy>,
-    /// Network delays.
-    pub latency: LatencyModel,
     /// Fixed CPU cost of handling one request at the edge.
     pub service_base: SimDuration,
     /// Additional CPU cost per KiB of response ("a large chunk of the total
@@ -70,7 +70,6 @@ impl Default for SimConfig {
         SimConfig {
             edges: 3,
             hierarchy: None,
-            latency: LatencyModel::default(),
             service_base: SimDuration::from_micros(200),
             service_per_kb: SimDuration::from_micros(20),
             fault: FaultPlan::default(),
@@ -556,7 +555,7 @@ impl<'w> Machine<'w> {
         let shared = hierarchy.shared.len();
         let trace = Trace::from_parts(
             table.interner.clone(),
-            Vec::with_capacity(workload.events.len()),
+            vec![Vec::with_capacity(workload.events.len())],
         );
         Machine {
             workload,
@@ -702,8 +701,7 @@ impl<'w> Machine<'w> {
                         tally.prefetch_issued += 1;
                         tally.bytes_origin += size;
                         tally.origin_fetches += 1;
-                        let done = event.time
-                            + config.latency.origin_fetch(size, &mut self.rngs[edge_idx]);
+                        let done = event.time + origin_fetch(size, &mut self.rngs[edge_idx]);
                         self.seq += 1;
                         self.heap.push(Reverse((
                             done,
@@ -1001,10 +999,10 @@ fn merge_outputs(interner: Interner, outputs: Vec<SimOutput>) -> SimOutput {
             (slot @ None, theirs @ Some(_)) => *slot = theirs,
             _ => {}
         }
-        runs.push(out.trace.into_parts().1);
+        runs.extend(out.trace.into_parts().1);
     }
     SimOutput {
-        trace: Trace::from_parts(interner, jcdn_exec::merge_sorted(runs)),
+        trace: Trace::from_parts(interner, vec![jcdn_exec::merge_sorted(runs)]),
         stats,
         metrics,
         series,
@@ -1120,7 +1118,7 @@ fn attempt_origin(
         // Connection refused after one full round trip to the origin.
         return OriginAttempt::Unavailable {
             status: 503,
-            latency: config.latency.client_edge_rtt + config.latency.edge_origin_rtt,
+            latency: CLIENT_EDGE_RTT + EDGE_ORIGIN_RTT,
         };
     }
     match config.fault.degradation_at(domain, now) {
@@ -1130,7 +1128,7 @@ fn attempt_origin(
             if scaled > config.resilience.origin_timeout {
                 OriginAttempt::Unavailable {
                     status: 504,
-                    latency: config.latency.client_edge_rtt + config.resilience.origin_timeout,
+                    latency: CLIENT_EDGE_RTT + config.resilience.origin_timeout,
                 }
             } else {
                 OriginAttempt::Reached { network: scaled }
@@ -1238,7 +1236,7 @@ fn complete_request(
     };
 
     let (cache_status, network, status) = if !object.cacheable {
-        let nominal = config.latency.miss_latency(size, rng);
+        let nominal = miss_latency(size, rng);
         match attempt_origin(config, object.domain, now, nominal) {
             OriginAttempt::Reached { network } => {
                 stats.origin_fetches += 1;
@@ -1259,7 +1257,7 @@ fn complete_request(
         {
             Lookup::Fresh => {
                 stats.bytes_cache += size;
-                let mut network = config.latency.hit_latency(size, rng);
+                let mut network = hit_latency(size, rng);
                 if res.coalesce {
                     // The entry may have been inserted by a fetch that is
                     // still on the wire; this request rides it and waits.
@@ -1299,15 +1297,11 @@ fn complete_request(
                         flags.insert(RecordFlags::SERVED_STALE);
                         stats.stale_serves += 1;
                         stats.bytes_cache += size;
-                        let network = config.latency.hit_latency(size, rng);
+                        let network = hit_latency(size, rng);
                         (CacheStatus::Hit, network, 200)
                     } else {
                         response_bytes = 0;
-                        (
-                            CacheStatus::Miss,
-                            config.latency.client_edge_rtt,
-                            neg_status,
-                        )
+                        (CacheStatus::Miss, CLIENT_EDGE_RTT, neg_status)
                     }
                 } else if let Some(t) = served_tier {
                     // Tier hit: the origin is never involved. Misses at the
@@ -1319,12 +1313,12 @@ fn complete_request(
                     tc.record(now, t, event.object, AccessKind::Touch);
                     // Shared tier t is level t + 1.
                     tc.place(&mut edge.cache, t + 1, event.object, size, object.ttl, now);
-                    let network = config.latency.tier_hit_latency(t, size, rng);
+                    let network = tier_hit_latency(t, size, rng);
                     let status = draw_status(fault_state, stats);
                     (CacheStatus::Miss, network, status)
                 } else {
                     let shared_tiers = tc.tiers.len();
-                    let nominal = config.latency.miss_latency(size, rng);
+                    let nominal = miss_latency(size, rng);
                     match attempt_origin(config, object.domain, now, nominal) {
                         OriginAttempt::Reached { network } => {
                             for miss in &mut stats.tier_misses[..shared_tiers] {
@@ -1359,7 +1353,7 @@ fn complete_request(
                                 flags.insert(RecordFlags::SERVED_STALE);
                                 stats.stale_serves += 1;
                                 stats.bytes_cache += size;
-                                let network = config.latency.hit_latency(size, rng);
+                                let network = hit_latency(size, rng);
                                 (CacheStatus::Hit, network, 200)
                             } else {
                                 for miss in &mut stats.tier_misses[..shared_tiers] {
@@ -1426,6 +1420,11 @@ mod tests {
         run_default(&w, &SimConfig::default())
     }
 
+    /// Every record of `out`'s trace, over all its shards, in order.
+    fn records(out: &SimOutput) -> Vec<LogRecord> {
+        out.trace.records().copied().collect()
+    }
+
     /// The default edge tier plus one shared LRU parent of `bytes`.
     fn with_parent(bytes: u64) -> Option<CacheHierarchy> {
         Some(CacheHierarchy::with_parent(
@@ -1485,9 +1484,10 @@ mod tests {
     #[test]
     fn logs_are_time_sorted_and_carry_strings() {
         let out = tiny_output();
+        assert_eq!(out.trace.shard_count(), 1);
         assert!(out
             .trace
-            .records()
+            .shard_records(0)
             .windows(2)
             .all(|p| p[0].time <= p[1].time));
         let v = out.trace.iter().next().unwrap();
@@ -1536,7 +1536,7 @@ mod tests {
         let w = build(&WorkloadConfig::tiny(5));
         let a = run_default(&w, &SimConfig::default());
         let b = run_default(&w, &SimConfig::default());
-        assert_eq!(a.trace.records(), b.trace.records());
+        assert_eq!(records(&a), records(&b));
         assert_eq!(a.stats.hits, b.stats.hits);
     }
 
@@ -1551,11 +1551,7 @@ mod tests {
         let sequential = run_default(&w, &config);
         for threads in [2, 4] {
             let sharded = run_sharded(&w, &config, threads);
-            assert_eq!(
-                sequential.trace.records(),
-                sharded.trace.records(),
-                "{threads} threads"
-            );
+            assert_eq!(records(&sequential), records(&sharded), "{threads} threads");
             assert_eq!(sequential.stats.requests, sharded.stats.requests);
             assert_eq!(sequential.stats.hits, sharded.stats.hits);
             assert_eq!(sequential.stats.misses, sharded.stats.misses);
@@ -1597,7 +1593,10 @@ mod tests {
             let out = run_sharded(&w, &config, 2);
             let retries = out.stats.retries_issued;
             assert!(retries > 0, "retried attempts outnumber the events");
-            let records = out.trace.into_parts().1;
+            let (_, shards) = out.trace.into_parts();
+            let [records] = &shards[..] else {
+                unreachable!("a simulated trace is one shard, not {}", shards.len());
+            };
             assert_eq!(records.len() as u64, w.events.len() as u64 + retries);
             assert_eq!(records.capacity(), records.len(), "shared tier: {shared}");
         }
@@ -1748,11 +1747,7 @@ mod tests {
         assert!(sequential.stats.parent_hits() > 0, "parent sees traffic");
         for threads in [2, 4] {
             let sharded = run_sharded(&w, &config, threads);
-            assert_eq!(
-                sequential.trace.records(),
-                sharded.trace.records(),
-                "{threads} threads"
-            );
+            assert_eq!(records(&sequential), records(&sharded), "{threads} threads");
             assert_eq!(sequential.stats.parent_hits(), sharded.stats.parent_hits());
             assert_eq!(sequential.stats.tier_hits, sharded.stats.tier_hits);
             assert_eq!(sequential.stats.tier_misses, sharded.stats.tier_misses);
@@ -1775,11 +1770,7 @@ mod tests {
             };
             let sequential = run_default(&w, &config);
             let sharded = run_sharded(&w, &config, 4);
-            assert_eq!(
-                sequential.trace.records(),
-                sharded.trace.records(),
-                "{policy}"
-            );
+            assert_eq!(records(&sequential), records(&sharded), "{policy}");
             assert_eq!(
                 sequential.metrics.counters_json(),
                 sharded.metrics.counters_json(),
@@ -1961,12 +1952,7 @@ mod tests {
                 ..SimConfig::default()
             },
         );
-        let errors = out
-            .trace
-            .records()
-            .iter()
-            .filter(|r| r.status == 500)
-            .count();
+        let errors = out.trace.records().filter(|r| r.status == 500).count();
         let share = errors as f64 / out.trace.len() as f64;
         assert!((0.03..0.07).contains(&share), "error share {share}");
     }

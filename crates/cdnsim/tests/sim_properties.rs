@@ -126,7 +126,7 @@ proptest! {
                 prop_assert!(r.status >= 500);
             }
         }
-        let max_seen = out.trace.records().iter().map(|r| r.retries).max().unwrap_or(0);
+        let max_seen = out.trace.records().map(|r| r.retries).max().unwrap_or(0);
         prop_assert!(u64::from(max_seen) <= out.stats.retries_issued);
     }
 
@@ -139,7 +139,7 @@ proptest! {
         };
         let a = run_default(&workload, &config);
         let b = run_default(&workload, &config);
-        prop_assert_eq!(encode(&a.trace.stream(), 1), encode(&b.trace.stream(), 1));
+        prop_assert_eq!(encode(&a.trace, 1), encode(&b.trace, 1));
         prop_assert_eq!(a.stats.requests, b.stats.requests);
         prop_assert_eq!(a.stats.end_user_failures, b.stats.end_user_failures);
         prop_assert_eq!(a.stats.stale_serves, b.stats.stale_serves);

@@ -14,7 +14,7 @@ use jcdn_core::characterize::TokenCategoryProvider;
 use jcdn_core::pipeline::{CharacterizationReport, ExecHealth};
 use jcdn_core::report::{availability_section, pct, TextTable};
 use jcdn_trace::codec::DecodeStats;
-use jcdn_trace::ShardedTrace;
+use jcdn_trace::Trace;
 use jcdn_ua::DeviceType;
 use jcdn_workload::IndustryCategory;
 
@@ -32,25 +32,22 @@ pub fn run(args: &Args) -> Result<Outcome, String> {
     // re-partitions (e.g. a v1/v2 single-frame file analyzed on 8 threads).
     // The read is tolerant: a damaged file analyzes what survived, with
     // the loss counted and surfaced instead of silently aborting the run.
-    let (mut sharded, decode_stats, shards_missing) =
+    let (mut trace, decode_stats, shards_missing) =
         read_input(path, args.switch("resume"), threads)?;
     let shards: usize = args.number("shards")?; // 0 = keep the file's framing
-    if shards > 0 && shards != sharded.shard_count() {
-        sharded = ShardedTrace::from_trace(sharded.into_trace(), shards);
+    if shards > 0 && shards != trace.shard_count() {
+        trace = Trace::from_trace(trace, shards);
     }
     obs.manifest.param("trace", path);
-    obs.manifest.param("shards", sharded.shard_count());
+    obs.manifest.param("shards", trace.shard_count());
     obs.manifest.param("threads", threads);
     obs.manifest.codec_version = jcdn_trace::codec::VERSION;
     record_decode_stats(&mut obs.manifest.metrics, &decode_stats);
     obs.manifest
         .metrics
         .inc("store.shards_missing", shards_missing);
-    let (report, health) = CharacterizationReport::compute_isolated(
-        &sharded.stream(),
-        &TokenCategoryProvider,
-        threads,
-    );
+    let (report, health) =
+        CharacterizationReport::compute_isolated(&trace, &TokenCategoryProvider, threads);
     obs.manifest
         .metrics
         .inc("exec.task_panics", health.task_panics);
@@ -118,7 +115,7 @@ pub fn run(args: &Args) -> Result<Outcome, String> {
     // the simulated timeline. Deterministic — the JSONL stream and the
     // ts.* counters are part of the manifest's counter section.
     if let Some(spec) = obs.window {
-        let series = jcdn_core::series::SeriesReport::compute(&sharded.stream(), threads, spec);
+        let series = jcdn_core::series::SeriesReport::compute(&trace, threads, spec);
         obs.manifest.param("window", spec);
         obs.manifest
             .metrics
@@ -148,7 +145,7 @@ pub fn run(args: &Args) -> Result<Outcome, String> {
     if let Some(h) = cache_args::hierarchy(args)? {
         obs.manifest.param("cache", cache_args::describe(&h));
         println!("what-if cache hierarchy: {}", cache_args::describe(&h));
-        print!("{}", replay_hierarchy(&sharded, &h));
+        print!("{}", replay_hierarchy(&trace, &h));
     }
     let salvage = print_salvage_footer(&decode_stats, shards_missing, &health);
     obs.finish()?;
@@ -162,10 +159,10 @@ pub fn run(args: &Args) -> Result<Outcome, String> {
 /// Replays the trace's cacheable requests through a hypothetical cache
 /// hierarchy (a single logical edge in front of the shared tiers) and
 /// renders where each request would have been served. The trace's shards
-/// are contiguous time partitions, so walking them in order preserves
+/// are contiguous time partitions, so reading them in order preserves
 /// request order; the replay is fully deterministic (policy seeds are
 /// fixed, no RNG streams are involved).
-fn replay_hierarchy(sharded: &ShardedTrace, h: &jcdn_cdnsim::CacheHierarchy) -> String {
+fn replay_hierarchy(trace: &Trace, h: &jcdn_cdnsim::CacheHierarchy) -> String {
     use jcdn_cdnsim::cache::PolicyCache;
     use jcdn_trace::{CacheStatus, SimDuration};
 
@@ -182,30 +179,28 @@ fn replay_hierarchy(sharded: &ShardedTrace, h: &jcdn_cdnsim::CacheHierarchy) -> 
     let mut hits = vec![0u64; levels];
     let mut origin = 0u64;
     let mut cacheable = 0u64;
-    for shard in 0..sharded.shard_count() {
-        for record in sharded.shard_records(shard) {
-            if record.cache == CacheStatus::NotCacheable {
-                continue;
-            }
-            cacheable += 1;
-            let now = record.time;
-            let object = record.url.0;
-            let size = record.response_bytes.max(1);
-            // Level `levels` is the origin.
-            let served = (0..levels)
-                .find(|&level| {
-                    lookups[level] += 1;
-                    let hit = caches[level].get(object, now);
-                    hits[level] += u64::from(hit);
-                    hit
-                })
-                .unwrap_or_else(|| {
-                    origin += 1;
-                    levels
-                });
-            for level in h.placement.fill(served) {
-                caches[level].insert(object, size, ttl, now, false);
-            }
+    for record in trace.records() {
+        if record.cache == CacheStatus::NotCacheable {
+            continue;
+        }
+        cacheable += 1;
+        let now = record.time;
+        let object = record.url.0;
+        let size = record.response_bytes.max(1);
+        // Level `levels` is the origin.
+        let served = (0..levels)
+            .find(|&level| {
+                lookups[level] += 1;
+                let hit = caches[level].get(object, now);
+                hits[level] += u64::from(hit);
+                hit
+            })
+            .unwrap_or_else(|| {
+                origin += 1;
+                levels
+            });
+        for level in h.placement.fill(served) {
+            caches[level].insert(object, size, ttl, now, false);
         }
     }
 
@@ -236,16 +231,16 @@ fn replay_hierarchy(sharded: &ShardedTrace, h: &jcdn_cdnsim::CacheHierarchy) -> 
 
 /// Loads the input: the final trace file, or — with `--resume`, when the
 /// final file is absent — whatever an unfinished `generate` run staged.
-/// Returns the sharded trace, the decode tallies, and the count of shard
-/// slots with no usable data.
+/// Returns the trace, the decode tallies, and the count of shard slots
+/// with no usable data.
 fn read_input(
     path: &str,
     resume: bool,
     threads: usize,
-) -> Result<(ShardedTrace, DecodeStats, u64), String> {
+) -> Result<(Trace, DecodeStats, u64), String> {
     let p = Path::new(path);
     if resume && !p.exists() {
-        let (sharded, stats) = jcdn_trace::store::read_staged(p).map_err(|e| {
+        let (trace, stats) = jcdn_trace::store::read_staged(p).map_err(|e| {
             format!("{path}: {e} (no final file, and the staging area is unusable)")
         })?;
         eprintln!(
@@ -253,10 +248,10 @@ fn read_input(
             stats.shard_count as u64 - stats.shards_missing,
             stats.shard_count
         );
-        return Ok((sharded, stats.decode, stats.shards_missing));
+        return Ok((trace, stats.decode, stats.shards_missing));
     }
-    let (sharded, stats) = load_trace_tolerant(path, threads)?;
-    Ok((sharded, stats, 0))
+    let (trace, stats) = load_trace_tolerant(path, threads)?;
+    Ok((trace, stats, 0))
 }
 
 /// Prints the explicit partial-result footer when anything was lost on

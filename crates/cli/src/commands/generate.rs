@@ -13,7 +13,7 @@ use std::path::Path;
 use jcdn_cdnsim::SimConfig;
 use jcdn_core::dataset::simulate_workload_parallel;
 use jcdn_trace::store::StoreWriter;
-use jcdn_trace::ShardedTrace;
+use jcdn_trace::Trace;
 use jcdn_workload::{build_parallel, WorkloadConfig};
 
 use crate::args::{self, Args};
@@ -127,17 +127,18 @@ pub fn run(args: &Args) -> Result<Outcome, String> {
         data.trace.ua_count(),
     );
     let summary_row = data.summary().table_row();
-    // One frame per shard. A single shard is the trace's own record order,
-    // borrowed — byte-identical to `codec::write_file` of the trace.
-    let sharded;
-    let (stream, frames) = if shards > 1 {
-        sharded = ShardedTrace::from_trace(data.trace, shards);
-        (sharded.stream(), format!(" in {shards} shard frames"))
+    // One frame per shard. A single shard is the simulated trace as it
+    // is — byte-identical to `codec::write_file` of the trace.
+    let (trace, frames) = if shards > 1 {
+        (
+            Trace::from_trace(data.trace, shards),
+            format!(" in {shards} shard frames"),
+        )
     } else {
-        (data.trace.stream(), String::new())
+        (data.trace, String::new())
     };
     writer
-        .write(&stream, threads)
+        .write(&trace, threads)
         .map_err(|e| format!("{out}: {e}"))?;
     eprintln!("wrote {records} records{frames} ({urls} distinct URLs, {uas} UAs) to {out}");
     obs.manifest

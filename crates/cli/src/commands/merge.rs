@@ -29,10 +29,10 @@ pub fn run(args: &Args) -> Result<Outcome, String> {
         if !stats.is_clean() {
             damaged.push((path, stats));
         }
-        merged.merge(&next.into_trace());
+        merged.merge(&next);
     }
     merged.sort_canonical();
-    codec::write_file(&merged.stream(), Path::new(out)).map_err(|e| format!("{out}: {e}"))?;
+    codec::write_file(&merged, Path::new(out)).map_err(|e| format!("{out}: {e}"))?;
     eprintln!(
         "merged {} traces into {out} ({} records, {} URLs)",
         inputs.len(),

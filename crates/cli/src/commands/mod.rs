@@ -12,7 +12,7 @@ pub mod trend;
 
 use jcdn_obs::MetricsSnapshot;
 use jcdn_trace::codec::{self, DecodeStats};
-use jcdn_trace::{ShardedTrace, Trace};
+use jcdn_trace::Trace;
 
 /// How a command finished. `Clean` maps to exit code 0; `Salvaged` maps
 /// to exit code 3 — the command completed and printed a report, but part
@@ -27,21 +27,17 @@ pub enum Outcome {
 }
 
 /// Loads a binary trace file with a readable error, decoding shard
-/// frames on up to `threads` workers. Any damage is an error.
+/// frames on up to `threads` workers into one shard each. Any damage is
+/// an error.
 pub fn load_trace(path: &str, threads: usize) -> Result<Trace, String> {
     let data = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
-    codec::decode(&data, threads)
-        .map(ShardedTrace::into_trace)
-        .map_err(|e| format!("{path}: {e}"))
+    codec::decode(&data, threads).map_err(|e| format!("{path}: {e}"))
 }
 
 /// Loads a binary trace file tolerantly: a damaged payload yields what
 /// could be salvaged plus the drop tallies (see
 /// [`jcdn_trace::codec::decode_tolerant`]).
-pub fn load_trace_tolerant(
-    path: &str,
-    threads: usize,
-) -> Result<(ShardedTrace, DecodeStats), String> {
+pub fn load_trace_tolerant(path: &str, threads: usize) -> Result<(Trace, DecodeStats), String> {
     let data = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
     codec::decode_tolerant(&data, threads).map_err(|e| format!("{path}: {e}"))
 }

@@ -86,10 +86,14 @@ fn show(argv: &[String]) -> Result<Outcome, String> {
             }
         }
         if let Some(phases) = perf.get("phases").and_then(Value::as_object) {
-            for (phase, us) in phases.iter() {
-                if let Some(us) = us.as_u64() {
-                    println!("  phase {phase:<34} {us} us");
-                }
+            for (phase, stat) in phases.iter() {
+                let field = |key| stat.get(key).and_then(Value::as_u64).unwrap_or(0);
+                println!(
+                    "  phase {phase:<34} {} us over {} span(s), max {} us",
+                    field("total_us"),
+                    field("count"),
+                    field("max_us")
+                );
             }
         }
     }

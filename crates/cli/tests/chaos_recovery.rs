@@ -390,15 +390,13 @@ fn corrupted_final_file_salvages_with_exit_code_3() {
 /// depend only on its records, so encoding the last shard alone (minus the
 /// same encode with no frames) gives its length.
 fn last_frame_offset(bytes: &[u8]) -> usize {
-    let sharded = jcdn_trace::codec::decode(bytes, 1).expect("clean trace decodes");
-    let last = sharded.shard_records(sharded.shard_count() - 1);
-    let encoded_len = |slices| {
-        let stream = jcdn_trace::RecordStream::new(sharded.interner(), slices);
-        jcdn_trace::codec::encode(&stream, 1)
-            .expect("encodes")
-            .len()
+    let decoded = jcdn_trace::codec::decode(bytes, 1).expect("clean trace decodes");
+    let last = decoded.shard_records(decoded.shard_count() - 1);
+    let encoded_len = |shards| {
+        let trace = jcdn_trace::Trace::from_parts(decoded.interner().clone(), shards);
+        jcdn_trace::codec::encode(&trace, 1).expect("encodes").len()
     };
-    bytes.len() - (encoded_len(vec![last]) - encoded_len(vec![]))
+    bytes.len() - (encoded_len(vec![last.to_vec()]) - encoded_len(vec![]))
 }
 
 #[test]

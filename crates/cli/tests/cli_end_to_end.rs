@@ -5,7 +5,7 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-use jcdn_trace::ShardedTrace;
+use jcdn_trace::Trace;
 
 fn jcdn(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_jcdn"))
@@ -21,7 +21,7 @@ fn tempdir(tag: &str) -> PathBuf {
 }
 
 /// Decodes a trace file strictly, keeping its shard frames.
-fn read(path: &Path, threads: usize) -> ShardedTrace {
+fn read(path: &Path, threads: usize) -> Trace {
     let data = std::fs::read(path).expect("trace file reads");
     jcdn_trace::codec::decode(&data, threads).expect("trace file decodes")
 }
@@ -148,6 +148,61 @@ fn predict_export_and_merge() {
     // The merged trace must contain both inputs' records.
     let [ta, tb, tm] = [&a, &b, &merged].map(|path| read(path, 1));
     assert_eq!(tm.len(), ta.len() + tb.len());
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `inspect`, `predict`, `export` and `merge` read every shard of a file
+/// as it is, so the same trace written as 1 or 8 shard frames gives the
+/// same bytes from each.
+#[test]
+fn whole_trace_commands_read_a_sharded_file_as_it_is() {
+    let dir = tempdir("shards");
+    let outputs = ["1", "8"].map(|shards| {
+        let trace = dir.join(format!("t{shards}.jcdn"));
+        let trace_str = trace.to_str().unwrap();
+        let out = jcdn(&[
+            "generate", "--preset", "tiny", "--seed", "11", "--scale", "0.2", "--shards", shards,
+            "--out", trace_str,
+        ]);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(read(&trace, 1).shard_count().to_string(), shards);
+        let stdout = |args: &[&str]| {
+            let out = jcdn(args);
+            assert!(
+                out.status.success(),
+                "{args:?}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            out.stdout
+        };
+        let inspect = stdout(&["inspect", trace_str]);
+        let predict = stdout(&["predict", trace_str]);
+        let jsonl = dir.join(format!("t{shards}.jsonl"));
+        stdout(&["export", trace_str, "--jsonl", jsonl.to_str().unwrap()]);
+        let merged = dir.join(format!("m{shards}.jcdn"));
+        stdout(&[
+            "merge",
+            trace_str,
+            trace_str,
+            "--out",
+            merged.to_str().unwrap(),
+        ]);
+        let file = |path: &PathBuf| std::fs::read(path).expect("output reads");
+        [inspect, predict, file(&jsonl), file(&merged)]
+    });
+    let [one, eight] = &outputs;
+    for (what, (a, b)) in ["inspect", "predict", "export", "merge"]
+        .iter()
+        .zip(one.iter().zip(eight))
+    {
+        assert!(!a.is_empty(), "{what} wrote nothing");
+        assert!(a == b, "{what} differs between 1 and 8 shards");
+    }
 
     std::fs::remove_dir_all(&dir).ok();
 }

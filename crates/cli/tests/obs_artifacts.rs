@@ -241,6 +241,59 @@ fn obs_diff_exit_codes_follow_the_determinism_contract() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn obs_show_prints_every_phase_of_the_manifest() {
+    let dir = tempdir("show");
+    let trace = dir.join("t.jcdn");
+    let manifest = dir.join("m.json");
+    let out = jcdn(&[
+        "generate",
+        "--preset",
+        "tiny",
+        "--seed",
+        "31",
+        "--scale",
+        "0.2",
+        "--threads",
+        "2",
+        "--cache-tier",
+        "edge:256K,regional:1M",
+        "--out",
+        trace.to_str().unwrap(),
+        "--obs-out",
+        manifest.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let parsed = jcdn_json::parse(&read(&manifest)).expect("manifest parses");
+    let phases = parsed
+        .get("perf")
+        .and_then(|perf| perf.get("phases"))
+        .and_then(jcdn_json::Value::as_object)
+        .expect("perf.phases");
+    assert!(phases.iter().count() > 1, "the run records several phases");
+
+    let out = jcdn(&["obs", "show", manifest.to_str().unwrap()]);
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    for (phase, stat) in phases.iter() {
+        let total = stat
+            .get("total_us")
+            .and_then(jcdn_json::Value::as_u64)
+            .expect("total_us");
+        let line = stdout
+            .lines()
+            .find(|line| line.split_whitespace().take(2).eq(["phase", phase]))
+            .unwrap_or_else(|| panic!("no line for phase {phase}:\n{stdout}"));
+        assert!(line.contains(&format!(" {total} us over ")), "{line}");
+    }
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The repository's benchmark declaration, which `bench-diff` reads.
 fn benchmark_json() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCHMARK.json")

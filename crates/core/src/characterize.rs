@@ -557,12 +557,11 @@ mod tests {
     use super::*;
     use crate::pipeline::{CharacterizationReport, PartialReport};
     use jcdn_trace::{
-        CacheStatus, ClientId, LogRecord, Method, MimeType, RecordFlags, ShardedTrace, SimTime,
-        Trace, UaId,
+        CacheStatus, ClientId, LogRecord, Method, MimeType, RecordFlags, SimTime, Trace, UaId,
     };
 
     fn report(trace: &Trace) -> CharacterizationReport {
-        CharacterizationReport::compute(&trace.stream(), &TokenCategoryProvider, 1)
+        CharacterizationReport::compute(trace, &TokenCategoryProvider, 1)
     }
 
     fn push(
@@ -930,19 +929,19 @@ mod tests {
     }
 
     #[test]
-    fn sharded_accumulation_merges_to_the_one_slice_result() {
+    fn sharded_accumulation_merges_to_the_one_shard_result() {
         let single = report(&varied_trace());
 
         for shard_count in [1usize, 2, 3, 8] {
             // The manual route: one partial per shard, merged in shard
             // order, finalized once against the shared tables.
-            let sharded = ShardedTrace::from_trace(varied_trace(), shard_count);
+            let sharded = Trace::from_trace(varied_trace(), shard_count);
             let classes = UaClassTable::build(sharded.interner());
             let hosts = HostCategoryTable::build(sharded.interner(), &TokenCategoryProvider);
             let mut total = PartialReport::default();
-            for shard in sharded.stream().slices() {
+            for i in 0..sharded.shard_count() {
                 let mut partial = PartialReport::default();
-                partial.accumulate(&shard, &classes, &hosts);
+                partial.accumulate(sharded.shard_records(i), &classes, &hosts);
                 total.merge(&partial);
             }
             let merged = total.finalize(&classes, &hosts);

@@ -13,18 +13,17 @@
 //! * [`prediction`] — §5.2: backoff n-gram next-request prediction on raw
 //!   and clustered URLs (Table 3),
 //! * [`pipeline`] — the scatter–gather characterization pipeline:
-//!   per-slice partial reports merged exactly into one
+//!   per-shard partial reports merged exactly into one
 //!   [`pipeline::CharacterizationReport`],
 //! * [`dataset`] — glue that generates a synthetic dataset (workload →
 //!   CDN simulation → trace) in one call,
 //! * [`report`] — plain-text table/figure rendering used by the `repro`
 //!   harness and the examples.
 //!
-//! The input is a [`jcdn_trace::Trace`] or a [`jcdn_trace::RecordStream`]
-//! over one — whether it came from the bundled simulator or (in principle)
-//! from real edge logs decoded via `jcdn-trace`'s codecs. The §4 report
-//! and its series read a stream, one partial per slice: `trace.stream()`
-//! is one slice, a sharded trace's stream one per shard.
+//! The input is a [`jcdn_trace::Trace`], whether it came from the bundled
+//! simulator (one shard) or (in principle) from real edge logs decoded via
+//! `jcdn-trace`'s codecs (one shard per frame). The §4 report and its
+//! series accumulate one partial per shard.
 //!
 //! ## Example: characterize a small synthetic dataset
 //!
@@ -35,7 +34,7 @@
 //! use jcdn_workload::WorkloadConfig;
 //!
 //! let data = dataset::simulate(&WorkloadConfig::tiny(1).scaled(0.2));
-//! let report = CharacterizationReport::compute(&data.trace.stream(), &TokenCategoryProvider, 1);
+//! let report = CharacterizationReport::compute(&data.trace, &TokenCategoryProvider, 1);
 //! // Mobile dominates JSON traffic, as in Figure 3.
 //! assert!(report.sources.request_share(jcdn_ua::DeviceType::Mobile) > 0.3);
 //! ```

@@ -138,11 +138,7 @@ impl PeriodicityReport {
 
 /// Runs the full §5.1 study over a trace.
 pub fn run_study(trace: &Trace, config: &PeriodicityStudyConfig) -> PeriodicityReport {
-    let total_json_requests = trace
-        .records()
-        .iter()
-        .filter(|r| r.mime == MimeType::Json)
-        .count() as u64;
+    let total_json_requests = trace.records().filter(|r| r.mime == MimeType::Json).count() as u64;
     let mut report = PeriodicityReport {
         total_json_requests,
         ..PeriodicityReport::default()

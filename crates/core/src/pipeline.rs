@@ -1,13 +1,12 @@
-//! The characterization pipeline: scatter per-slice accumulation over
+//! The characterization pipeline: scatter per-shard accumulation over
 //! a worker pool, gather, and merge into one exact report.
 //!
 //! [`CharacterizationReport`] bundles every §4 breakdown.
-//! [`CharacterizationReport::compute`] reads a [`RecordStream`]: one
-//! partial per slice, accumulated on a
-//! [`jcdn_exec::scatter_gather_labeled`] pool and merged in slice order.
-//! `trace.stream()` is one slice, `sharded.stream()` one per shard.
+//! [`CharacterizationReport::compute`] reads a [`Trace`]: one partial per
+//! shard, accumulated on a [`jcdn_exec::scatter_gather_labeled`] pool and
+//! merged in shard order.
 //! [`compute_isolated`](CharacterizationReport::compute_isolated) is the
-//! same route with panicking slices quarantined.
+//! same route with panicking shards quarantined.
 //!
 //! Both routes first build the report's shared tables once: the
 //! [`UaClassTable`] and the [`HostCategoryTable`]. Each
@@ -15,10 +14,10 @@
 //! and per host in plain arrays. Because every accumulator merge is exact
 //! (integer counts, pooled order statistics, per-domain counts bucketed
 //! only at finalize), both routes yield identical reports for the same
-//! records — for any slicing and thread count. The `shard_invariance` and
+//! records — for any shard cut and thread count. The `shard_invariance` and
 //! `characterize_reference` integration tests hold the pipeline to that.
 
-use jcdn_trace::{MimeType, RecordFlags, RecordStream, ShardedTrace};
+use jcdn_trace::{LogRecord, MimeType, RecordFlags, Trace};
 
 use crate::characterize::{
     AvailabilityBreakdown, CacheabilityHeatmap, CategoryProvider, ContentMix, DomainCacheability,
@@ -47,14 +46,14 @@ pub struct PartialReport {
 }
 
 impl PartialReport {
-    /// Folds one record stream into every accumulator in a single pass.
+    /// Folds one shard's records into every accumulator in a single pass.
     /// JSON requests are tallied per UA slot and logical requests per host
     /// id in plain arrays; those tallies reach the breakdowns' maps once
-    /// per call, not once per record. Size samples are recorded in stream
+    /// per call, not once per record. Size samples are recorded in record
     /// order.
     pub(crate) fn accumulate(
         &mut self,
-        stream: &RecordStream<'_>,
+        records: &[LogRecord],
         classes: &UaClassTable,
         hosts: &HostCategoryTable<'_>,
     ) {
@@ -64,7 +63,7 @@ impl PartialReport {
         let domains = &mut self.domains.per_domain;
         domains.resize(hosts.host_count(), (0, 0));
         let availability = &mut self.availability;
-        for r in stream.iter() {
+        for r in records {
             let host = hosts.host_id(r.url);
             let failed = r.status >= 500;
             availability.attempts += 1;
@@ -149,8 +148,8 @@ impl PartialReport {
     }
 }
 
-/// Every §4 breakdown of one record stream, merged from per-slice
-/// partials — identically for any slicing.
+/// Every §4 breakdown of one trace, merged from per-shard partials —
+/// identically for any shard cut.
 #[derive(Clone, Debug)]
 pub struct CharacterizationReport {
     /// Figure 3: JSON traffic by device type / browser share.
@@ -168,40 +167,39 @@ pub struct CharacterizationReport {
 }
 
 impl CharacterizationReport {
-    /// Characterizes a record stream: one partial per slice, accumulated
-    /// on a `threads`-wide [`jcdn_exec::scatter_gather_labeled`] pool,
-    /// merged in slice order, finalized once. `threads <= 1` runs
-    /// sequentially.
+    /// Characterizes a trace: one partial per shard, accumulated on a
+    /// `threads`-wide [`jcdn_exec::scatter_gather_labeled`] pool, merged in
+    /// shard order, finalized once. `threads <= 1` runs sequentially.
     pub fn compute(
-        records: &RecordStream<'_>,
+        trace: &Trace,
         provider: &(dyn CategoryProvider + Sync),
         threads: usize,
     ) -> Self {
-        Self::compute_slices(records, provider, |slices, accumulate| {
-            jcdn_exec::scatter_gather_labeled("characterize.shards", slices, threads, accumulate)
+        Self::compute_shards(trace, provider, |shards, accumulate| {
+            jcdn_exec::scatter_gather_labeled("characterize.shards", shards, threads, accumulate)
                 .into_iter()
                 .map(Some)
                 .collect()
         })
     }
 
-    /// Like [`compute`][Self::compute] but panic-isolated: a slice whose
+    /// Like [`compute`][Self::compute] but panic-isolated: a shard whose
     /// accumulation panics (after the pool's one sequential retry) is
     /// dropped from the merge instead of aborting the process, and its
     /// index is reported in [`ExecHealth::quarantined`]. With no
-    /// quarantined slices the report is bit-identical to `compute`'s; with
-    /// some it is the exact report of the surviving slices — callers must
+    /// quarantined shards the report is bit-identical to `compute`'s; with
+    /// some it is the exact report of the surviving shards — callers must
     /// surface the partial-result fact.
     pub fn compute_isolated(
-        records: &RecordStream<'_>,
+        trace: &Trace,
         provider: &(dyn CategoryProvider + Sync),
         threads: usize,
     ) -> (Self, ExecHealth) {
         let mut health = ExecHealth::default();
-        let report = Self::compute_slices(records, provider, |slices, accumulate| {
+        let report = Self::compute_shards(trace, provider, |shards, accumulate| {
             let gathered = jcdn_exec::scatter_gather_isolated(
                 "characterize.shards",
-                slices,
+                shards,
                 threads,
                 accumulate,
             );
@@ -214,36 +212,34 @@ impl CharacterizationReport {
         (report, health)
     }
 
-    /// [`compute`][Self::compute] over a sharded trace's stream. It exists
-    /// because the repository benchmark (`perfbench`) calls it by this
-    /// name.
+    /// [`compute`][Self::compute]. It exists because the repository
+    /// benchmark (`perfbench`) calls it by this name.
     pub fn compute_sharded(
-        sharded: &ShardedTrace,
+        trace: &Trace,
         provider: &(dyn CategoryProvider + Sync),
         threads: usize,
     ) -> Self {
-        Self::compute(&sharded.stream(), provider, threads)
+        Self::compute(trace, provider, threads)
     }
 
-    /// The shared route: `gather` fans `accumulate` (one slice index to
-    /// its [`PartialReport`]) out over the stream's slices; the partials
-    /// it returns merge in slice order, skipping `None` (quarantined)
+    /// The shared route: `gather` fans `accumulate` (one shard index to
+    /// its [`PartialReport`]) out over the trace's shards; the partials
+    /// it returns merge in shard order, skipping `None` (quarantined)
     /// slots, and finalize once.
-    fn compute_slices(
-        records: &RecordStream<'_>,
+    fn compute_shards(
+        trace: &Trace,
         provider: &(dyn CategoryProvider + Sync),
         gather: impl FnOnce(
             usize,
             &(dyn Fn(usize) -> PartialReport + Sync),
         ) -> Vec<Option<PartialReport>>,
     ) -> Self {
-        let classes = UaClassTable::build(records.interner());
-        let hosts = HostCategoryTable::build(records.interner(), provider);
-        let slices = records.slices();
+        let classes = UaClassTable::build(trace.interner());
+        let hosts = HostCategoryTable::build(trace.interner(), provider);
         let accumulate_span = jcdn_obs::span!("characterize.accumulate");
-        let partials = gather(slices.len(), &|i| {
+        let partials = gather(trace.shard_count(), &|i| {
             let mut partial = PartialReport::default();
-            partial.accumulate(&slices[i], &classes, &hosts);
+            partial.accumulate(trace.shard_records(i), &classes, &hosts);
             partial
         });
         drop(accumulate_span);
@@ -257,19 +253,18 @@ impl CharacterizationReport {
 }
 
 /// Worker-pool health from a panic-isolated characterization: how many
-/// task panics were caught, and which slices (if any) contributed nothing
+/// task panics were caught, and which shards (if any) contributed nothing
 /// to the report because they failed both attempts.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExecHealth {
     /// Panics caught at the pool's unwind boundary (recovered or not).
     pub task_panics: u64,
-    /// Slice indices (shard indices, for a sharded trace's stream)
-    /// excluded from the merged report.
+    /// Shard indices excluded from the merged report.
     pub quarantined: Vec<usize>,
 }
 
 impl ExecHealth {
-    /// Whether every slice contributed to the report.
+    /// Whether every shard contributed to the report.
     pub fn is_complete(&self) -> bool {
         self.quarantined.is_empty()
     }
@@ -279,7 +274,6 @@ impl ExecHealth {
 mod tests {
     use super::*;
     use crate::characterize::TokenCategoryProvider;
-    use jcdn_trace::Trace;
     use jcdn_workload::WorkloadConfig;
 
     fn sample_trace() -> Trace {
@@ -288,18 +282,15 @@ mod tests {
     }
 
     #[test]
-    fn sharded_report_matches_one_slice_for_any_shard_and_thread_count() {
+    fn sharded_report_matches_one_shard_for_any_shard_and_thread_count() {
         let whole = sample_trace();
-        let single = CharacterizationReport::compute(&whole.stream(), &TokenCategoryProvider, 1);
+        let single = CharacterizationReport::compute(&whole, &TokenCategoryProvider, 1);
 
         for shard_count in [1usize, 2, 8] {
             for threads in [1usize, 4] {
-                let sharded = ShardedTrace::from_trace(sample_trace(), shard_count);
-                let report = CharacterizationReport::compute(
-                    &sharded.stream(),
-                    &TokenCategoryProvider,
-                    threads,
-                );
+                let sharded = Trace::from_trace(sample_trace(), shard_count);
+                let report =
+                    CharacterizationReport::compute(&sharded, &TokenCategoryProvider, threads);
 
                 assert_eq!(report.sources, single.sources, "{shard_count}x{threads}");
                 assert_eq!(report.requests, single.requests, "{shard_count}x{threads}");
@@ -327,10 +318,10 @@ mod tests {
     fn isolated_route_matches_plain_sharded_route() {
         // With no panics in play the isolated pool must be a drop-in:
         // same partials, same merge order, same report.
-        let sharded = ShardedTrace::from_trace(sample_trace(), 4);
-        let plain = CharacterizationReport::compute(&sharded.stream(), &TokenCategoryProvider, 2);
+        let sharded = Trace::from_trace(sample_trace(), 4);
+        let plain = CharacterizationReport::compute(&sharded, &TokenCategoryProvider, 2);
         let (isolated, health) =
-            CharacterizationReport::compute_isolated(&sharded.stream(), &TokenCategoryProvider, 2);
+            CharacterizationReport::compute_isolated(&sharded, &TokenCategoryProvider, 2);
         assert!(health.is_complete());
         assert_eq!(health.task_panics, 0);
         assert_eq!(isolated.sources, plain.sources);
@@ -342,8 +333,7 @@ mod tests {
 
     #[test]
     fn empty_trace_reports_cleanly() {
-        let report =
-            CharacterizationReport::compute(&Trace::new().stream(), &TokenCategoryProvider, 1);
+        let report = CharacterizationReport::compute(&Trace::new(), &TokenCategoryProvider, 1);
         assert_eq!(report.sources.total, 0);
         assert_eq!(report.requests.total(), 0);
         assert!(report.mix.ratio().is_none());

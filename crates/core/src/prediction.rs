@@ -13,7 +13,7 @@
 use jcdn_ngram::eval::{evaluate_sequence, split_client, EvalResult, Split};
 use jcdn_ngram::{NgramModel, Vocab};
 use jcdn_trace::flows::client_sequences;
-use jcdn_trace::{fnv1a, MimeType, RecordStream, SimTime, Trace};
+use jcdn_trace::{fnv1a, MimeType, SimTime, Trace};
 
 /// Study configuration.
 #[derive(Clone, Debug)]
@@ -86,17 +86,16 @@ pub struct ClientSequence {
     pub tokens: Vec<u32>,
 }
 
-/// The §5.2 corpus of a record stream: each client's JSON request
-/// sequence, in client order. `vocab` tokenizes every URL of the stream's
-/// table once, in table order, so token ids do not depend on the traffic.
-pub fn client_corpus(stream: &RecordStream<'_>, vocab: &mut Vocab) -> Vec<ClientSequence> {
-    let tokens: Vec<u32> = stream
-        .interner()
+/// The §5.2 corpus of a trace: each client's JSON request sequence, in
+/// client order. `vocab` tokenizes every URL of the trace's table once,
+/// in table order, so token ids do not depend on the traffic.
+pub fn client_corpus(trace: &Trace, vocab: &mut Vocab) -> Vec<ClientSequence> {
+    let tokens: Vec<u32> = trace
         .url_table()
         .iter()
         .map(|url| vocab.intern(url))
         .collect();
-    client_sequences(stream, |r| r.mime == MimeType::Json)
+    client_sequences(trace, |r| r.mime == MimeType::Json)
         .into_iter()
         .map(|((client, ua), seq)| {
             let mut key = client.0.to_le_bytes().to_vec();
@@ -118,7 +117,7 @@ struct ModeData {
 }
 
 fn prepare_mode(trace: &Trace, mut vocab: Vocab, config: &PredictionStudyConfig) -> ModeData {
-    let mut sequences = client_corpus(&trace.stream(), &mut vocab);
+    let mut sequences = client_corpus(trace, &mut vocab);
     sequences.retain(|seq| seq.tokens.len() >= MIN_SEQUENCE);
 
     let mut model = NgramModel::new(config.history);

@@ -5,17 +5,17 @@
 //! The design mirrors the sharded pipeline's mergeable-partials
 //! discipline, with one addition: **interior-window retirement**. A
 //! [`SeriesPartial`] accumulates per-bucket tallies (including a
-//! URL-count map, the expensive part) for one slice's records, then
-//! closes every window that lies strictly inside the slice's time range:
-//! the URL map collapses to its top-K list and is dropped. The slices of
-//! a time-sorted stream (the shards of a `ShardedTrace`, say) are
-//! contiguous time partitions, so an interior window can never receive
-//! records from another slice — closing it early is exact. Only the
-//! boundary windows (first and last touched by the slice) stay live,
-//! carrying full URL maps into the merge, where neighbor slices' boundary
-//! maps union exactly. The result: per-window rows byte-identical across
-//! slicings and thread counts, with per-slice memory bounded by the
-//! boundary windows instead of the whole run.
+//! URL-count map, the expensive part) for one shard's records, then
+//! closes every window that lies strictly inside the shard's time range:
+//! the URL map collapses to its top-K list and is dropped. The shards of
+//! a time-sorted trace are contiguous time partitions, so an interior
+//! window can never receive records from another shard — closing it
+//! early is exact. Only the boundary windows (first and last touched by
+//! the shard) stay live, carrying full URL maps into the merge, where
+//! neighbor shards' boundary maps union exactly. The result: per-window
+//! rows byte-identical across shard cuts and thread counts, with
+//! per-shard memory bounded by the boundary windows instead of the whole
+//! run.
 //!
 //! Churn is the share of a window's top URLs absent from the previous
 //! window's top list, in per-mille (integer arithmetic, so the output
@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 
 use jcdn_json::{Map, Value};
 use jcdn_obs::timeseries::WindowSpec;
-use jcdn_trace::{Interner, LogRecord, Method, MimeType, RecordFlags, RecordStream};
+use jcdn_trace::{Interner, LogRecord, Method, MimeType, RecordFlags, Trace};
 
 /// Number of top URLs tracked per window.
 pub const TOP_URLS: usize = 5;
@@ -139,8 +139,8 @@ fn top_k(urls: &BTreeMap<u32, u64>, k: usize) -> Vec<(u64, u32)> {
     entries
 }
 
-/// Per-slice windowed §4 state. Accumulate one slice's stream, let the
-/// pipeline merge partials in slice order, then
+/// Per-shard windowed §4 state. Accumulate one shard's records, let the
+/// pipeline merge partials in shard order, then
 /// `finalize` into a [`SeriesReport`].
 #[derive(Clone, Debug)]
 pub struct SeriesPartial {
@@ -162,11 +162,11 @@ impl SeriesPartial {
         }
     }
 
-    /// Folds one record stream into the per-bucket tallies, then retires
-    /// every window strictly interior to the stream's time range (exact
+    /// Folds one shard's records into the per-bucket tallies, then retires
+    /// every window strictly interior to the shard's time range (exact
     /// for contiguous time partitions — see the module docs).
-    pub(crate) fn accumulate(&mut self, stream: &RecordStream<'_>) {
-        for record in stream.iter() {
+    pub(crate) fn accumulate(&mut self, records: &[LogRecord]) {
+        for record in records {
             let bucket = self.spec.bucket_of(record.time.as_micros());
             let tally = self.live.entry(bucket).or_default();
             tally.stats.observe(record);
@@ -227,8 +227,8 @@ impl SeriesPartial {
         })
     }
 
-    /// Merges another slice's partial: closed windows land on disjoint
-    /// indexes for contiguous slices (defensively, a collision merges
+    /// Merges another shard's partial: closed windows land on disjoint
+    /// indexes for contiguous shards (defensively, a collision merges
     /// stats and re-merges top lists deterministically); live boundary
     /// buckets union exactly.
     pub(crate) fn merge(&mut self, other: &SeriesPartial) {
@@ -390,23 +390,23 @@ pub struct SeriesReport {
 }
 
 impl SeriesReport {
-    /// The series of a record stream: one [`SeriesPartial`] per slice on
-    /// a `threads`-wide pool, merged in slice order. Several slices must
-    /// be cut from time-sorted records, as a sharded trace's shards are;
-    /// the rows are then byte-identical for any slicing and thread count.
-    pub fn compute(records: &RecordStream<'_>, threads: usize, spec: WindowSpec) -> SeriesReport {
-        let slices = records.slices();
+    /// The series of a trace: one [`SeriesPartial`] per shard on a
+    /// `threads`-wide pool, merged in shard order. Several shards must be
+    /// cut from time-sorted records, as [`Trace::from_trace`] and a
+    /// decoded file's frames are; the rows are then byte-identical for
+    /// any shard cut and thread count.
+    pub fn compute(trace: &Trace, threads: usize, spec: WindowSpec) -> SeriesReport {
         let partials =
-            jcdn_exec::scatter_gather_labeled("series.shards", slices.len(), threads, |i| {
+            jcdn_exec::scatter_gather_labeled("series.shards", trace.shard_count(), threads, |i| {
                 let mut partial = SeriesPartial::new(spec);
-                partial.accumulate(&slices[i]);
+                partial.accumulate(trace.shard_records(i));
                 partial
             });
         let mut total = SeriesPartial::new(spec);
         for partial in &partials {
             total.merge(partial);
         }
-        total.finalize(records.interner())
+        total.finalize(trace.interner())
     }
 
     /// Serializes every row as canonical JSONL, newline-terminated.
@@ -443,7 +443,7 @@ impl SeriesReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jcdn_trace::{CacheStatus, ClientId, ShardedTrace, SimTime, Trace};
+    use jcdn_trace::{CacheStatus, ClientId, SimTime};
 
     fn spec(s: &str) -> WindowSpec {
         match WindowSpec::parse(s) {
@@ -484,8 +484,8 @@ mod tests {
     }
 
     fn series_of(trace: &Trace, shards: usize, s: &str) -> SeriesReport {
-        let sharded = ShardedTrace::from_trace(trace.clone(), shards);
-        SeriesReport::compute(&sharded.stream(), 1, spec(s))
+        let sharded = Trace::from_trace(trace.clone(), shards);
+        SeriesReport::compute(&sharded, 1, spec(s))
     }
 
     #[test]
@@ -520,7 +520,7 @@ mod tests {
     fn interior_retirement_drops_buckets() {
         let trace = sample_trace(300);
         let mut partial = SeriesPartial::new(spec("1m"));
-        partial.accumulate(&trace.stream());
+        partial.accumulate(trace.shard_records(0));
         assert!(
             !partial.closed.is_empty(),
             "interior windows must close and retire their URL maps"

@@ -5,7 +5,7 @@
 //! looks up the industry of each final attempt, and tallies in maps keyed
 //! by host string, device and category. `CharacterizationReport::compute`
 //! and `compute_isolated` count through shared id tables instead; for
-//! every slicing of the stream and every thread count they must equal the
+//! every shard cut of the trace and every thread count they must equal the
 //! oracle field for field, size samples included, in order.
 
 use std::collections::BTreeMap;
@@ -17,15 +17,12 @@ use jcdn_core::characterize::{
 };
 use jcdn_core::pipeline::CharacterizationReport;
 use jcdn_core::taxonomy::RequestType;
-use jcdn_trace::{
-    CacheStatus, ClientId, LogRecord, Method, MimeType, RecordFlags, RecordStream, ShardedTrace,
-    SimTime, Trace,
-};
+use jcdn_trace::{CacheStatus, ClientId, LogRecord, Method, MimeType, RecordFlags, SimTime, Trace};
 use jcdn_ua::{classify, DeviceType};
 use jcdn_workload::{build, IndustryCategory, WorkloadConfig};
 
 /// The report as defined record by record, with no shared tables.
-fn oracle(stream: &RecordStream<'_>, provider: &dyn CategoryProvider) -> CharacterizationReport {
+fn oracle(trace: &Trace, provider: &dyn CategoryProvider) -> CharacterizationReport {
     let mut sources = TrafficSourceBreakdown::default();
     let mut requests = RequestTypeBreakdown::default();
     let mut responses = ResponseTypeBreakdown::default();
@@ -34,9 +31,9 @@ fn oracle(stream: &RecordStream<'_>, provider: &dyn CategoryProvider) -> Charact
     // host → (cacheable JSON requests, JSON requests)
     let mut per_domain: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
 
-    for view in stream.views() {
+    for view in trace.iter() {
         let r = view.record;
-        let host = stream.interner().host_of(r.url);
+        let host = trace.interner().host_of(r.url);
         let retried = r.flags.contains(RecordFlags::RETRIED);
         let failed = r.status >= 500;
         availability.attempts += 1;
@@ -108,7 +105,7 @@ fn oracle(stream: &RecordStream<'_>, provider: &dyn CategoryProvider) -> Charact
         }
     }
 
-    for ua in stream.interner().ua_table() {
+    for ua in trace.ua_table() {
         let device = classify(Some(ua)).device;
         *sources.ua_strings_by_device.entry(device).or_default() += 1;
     }
@@ -155,46 +152,48 @@ fn assert_matches(what: &str, report: &CharacterizationReport, expected: &Charac
     );
 }
 
-/// Checks `compute` and `compute_isolated` over `stream` against
+/// Checks `compute` and `compute_isolated` over `trace` against
 /// `expected`.
-fn assert_stream_matches(
+fn assert_trace_matches(
     what: &str,
-    stream: &RecordStream<'_>,
+    trace: &Trace,
     threads: usize,
     expected: &CharacterizationReport,
 ) {
-    let report = CharacterizationReport::compute(stream, &TokenCategoryProvider, threads);
+    let report = CharacterizationReport::compute(trace, &TokenCategoryProvider, threads);
     assert_matches(what, &report, expected);
     let (isolated, health) =
-        CharacterizationReport::compute_isolated(stream, &TokenCategoryProvider, threads);
-    assert!(health.is_complete(), "{what}: no slice quarantined");
+        CharacterizationReport::compute_isolated(trace, &TokenCategoryProvider, threads);
+    assert!(health.is_complete(), "{what}: no shard quarantined");
     assert_matches(&format!("{what}, isolated"), &isolated, expected);
 }
 
-/// Checks the whole trace as one slice, the same records cut at uneven
-/// points (one slice empty), and every shards × threads combination
+/// Checks the whole trace as one shard, the same records cut at uneven
+/// points (one shard empty), and every shards × threads combination
 /// against the oracle over the same records in the same order.
 fn assert_routes_match_oracle(name: &str, trace: &Trace) {
-    let records = trace.records();
+    let records: Vec<LogRecord> = trace.records().copied().collect();
     let (a, b) = (records.len() / 7, records.len() * 3 / 5);
-    let uneven = RecordStream::new(
-        trace.interner(),
-        vec![&records[..a], &records[a..a], &records[a..b], &records[b..]],
+    let uneven = Trace::from_parts(
+        trace.interner().clone(),
+        [&records[..a], &records[a..a], &records[a..b], &records[b..]]
+            .map(<[LogRecord]>::to_vec)
+            .to_vec(),
     );
-    let expected = oracle(&trace.stream(), &TokenCategoryProvider);
-    for (slicing, stream) in [("one slice", trace.stream()), ("uneven slices", uneven)] {
+    let expected = oracle(trace, &TokenCategoryProvider);
+    for (cut, trace) in [("one shard", trace), ("uneven shards", &uneven)] {
         for threads in [1usize, 4] {
-            let what = format!("{name}, {slicing} x {threads} threads");
-            assert_stream_matches(&what, &stream, threads, &expected);
+            let what = format!("{name}, {cut} x {threads} threads");
+            assert_trace_matches(&what, trace, threads, &expected);
         }
     }
 
     for shards in [1usize, 2, 8] {
-        let sharded = ShardedTrace::from_trace(trace.clone(), shards);
-        let expected = oracle(&sharded.stream(), &TokenCategoryProvider);
+        let sharded = Trace::from_trace(trace.clone(), shards);
+        let expected = oracle(&sharded, &TokenCategoryProvider);
         for threads in [1usize, 4] {
             let what = format!("{name}, {shards} shards x {threads} threads");
-            assert_stream_matches(&what, &sharded.stream(), threads, &expected);
+            assert_trace_matches(&what, &sharded, threads, &expected);
         }
     }
 }
@@ -219,7 +218,7 @@ fn simulated_trace_matches_the_reference_model() {
     };
     let trace = run_default(&workload, &sim).trace;
 
-    let expected = oracle(&trace.stream(), &TokenCategoryProvider);
+    let expected = oracle(&trace, &TokenCategoryProvider);
     assert!(
         expected.availability.retried_attempts > 0,
         "outages must bite"
@@ -297,7 +296,7 @@ fn edge_case_trace() -> Trace {
 #[test]
 fn edge_case_hosts_match_the_reference_model() {
     let trace = edge_case_trace();
-    let expected = oracle(&trace.stream(), &TokenCategoryProvider);
+    let expected = oracle(&trace, &TokenCategoryProvider);
 
     // The trace covers what it claims, as the oracle sees it.
     let heatmap = &expected.heatmap;

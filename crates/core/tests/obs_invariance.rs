@@ -12,7 +12,7 @@ use jcdn_core::dataset::{simulate_workload_parallel, Dataset};
 use jcdn_core::series::SeriesReport;
 use jcdn_obs::timeseries::WindowSpec;
 use jcdn_obs::RunManifest;
-use jcdn_trace::{RecordStream, ShardedTrace};
+use jcdn_trace::{LogRecord, Trace};
 use jcdn_workload::{build_parallel, WorkloadConfig};
 
 /// Shard counts under test: `JCDN_TEST_SHARDS` (comma-separated) when the
@@ -121,26 +121,28 @@ fn windowed_sim_series_is_byte_identical_across_thread_counts() {
 #[test]
 fn windowed_section4_series_is_byte_identical_across_shard_and_thread_counts() {
     let trace = generate(7, 2).trace;
-    let expected = SeriesReport::compute(&trace.stream(), 1, window()).to_jsonl();
+    let expected = SeriesReport::compute(&trace, 1, window()).to_jsonl();
     assert!(
         expected.contains("\"stream\":\"section4\""),
         "baseline rows populated"
     );
-    // The same time-sorted records cut at uneven points, one slice empty.
-    let records = trace.records();
+    // The same time-sorted records cut at uneven points, one shard empty.
+    let records: Vec<LogRecord> = trace.records().copied().collect();
     let (a, b) = (records.len() / 7, records.len() * 3 / 5);
-    let uneven = RecordStream::new(
-        trace.interner(),
-        vec![&records[..a], &records[a..a], &records[a..b], &records[b..]],
+    let uneven = Trace::from_parts(
+        trace.interner().clone(),
+        [&records[..a], &records[a..a], &records[a..b], &records[b..]]
+            .map(<[LogRecord]>::to_vec)
+            .to_vec(),
     );
     for threads in [1usize, 4] {
         let rendered = SeriesReport::compute(&uneven, threads, window()).to_jsonl();
-        assert_eq!(rendered, expected, "uneven slices x {threads} threads");
+        assert_eq!(rendered, expected, "uneven shards x {threads} threads");
     }
     for shards in shard_counts() {
         for threads in [1usize, 4] {
-            let sharded = ShardedTrace::from_trace(trace.clone(), shards.max(1));
-            let rendered = SeriesReport::compute(&sharded.stream(), threads, window()).to_jsonl();
+            let sharded = Trace::from_trace(trace.clone(), shards.max(1));
+            let rendered = SeriesReport::compute(&sharded, threads, window()).to_jsonl();
             assert_eq!(rendered, expected, "{shards} shards x {threads} threads");
         }
     }

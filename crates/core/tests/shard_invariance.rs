@@ -11,7 +11,7 @@ use jcdn_core::characterize::TokenCategoryProvider;
 use jcdn_core::dataset::{simulate_workload_parallel, Dataset};
 use jcdn_core::pipeline::CharacterizationReport;
 use jcdn_trace::codec::{decode, encode};
-use jcdn_trace::ShardedTrace;
+use jcdn_trace::{LogRecord, Trace};
 use jcdn_workload::{build_parallel, WorkloadConfig};
 use proptest::prelude::*;
 
@@ -37,9 +37,14 @@ fn generate(seed: u64, threads: usize) -> Dataset {
     simulate_workload_parallel(workload, &sim, threads)
 }
 
-/// Reference report: single trace, one slice, one thread.
+/// Every record of `data`'s trace, over all its shards, in order.
+fn records(data: &Dataset) -> Vec<LogRecord> {
+    data.trace.records().copied().collect()
+}
+
+/// Reference report: the simulated trace, one shard, one thread.
 fn baseline_report(data: &Dataset) -> CharacterizationReport {
-    CharacterizationReport::compute(&data.trace.stream(), &TokenCategoryProvider, 1)
+    CharacterizationReport::compute(&data.trace, &TokenCategoryProvider, 1)
 }
 
 fn assert_reports_equal(
@@ -89,21 +94,18 @@ proptest! {
             for threads in [1usize, 4] {
                 let data = generate(seed, threads);
                 prop_assert_eq!(
-                    data.trace.records(),
-                    baseline.trace.records(),
+                    records(&data),
+                    records(&baseline),
                     "trace diverged at seed {} with {} threads",
                     seed,
                     threads
                 );
-                let sharded = ShardedTrace::from_trace(data.trace, shards);
-                let bytes = encode(&sharded.stream(), threads).expect("traces are canonical-sorted");
+                let sharded = Trace::from_trace(data.trace, shards);
+                let bytes = encode(&sharded, threads).expect("traces are canonical-sorted");
                 let decoded = decode(&bytes, threads).expect("own encoding decodes");
                 prop_assert_eq!(decoded.shard_count(), sharded.shard_count());
-                let report = CharacterizationReport::compute(
-                    &decoded.stream(),
-                    &TokenCategoryProvider,
-                    threads,
-                );
+                let report =
+                    CharacterizationReport::compute(&decoded, &TokenCategoryProvider, threads);
                 assert_reports_equal(seed, shards, &report, &expected);
             }
         }
@@ -143,8 +145,8 @@ fn ci_matrix_hierarchy_agrees_with_sequential() {
     for threads in shard_counts() {
         let data = simulate_workload_parallel(workload.clone(), &sim, threads);
         assert_eq!(
-            data.trace.records(),
-            baseline.trace.records(),
+            records(&data),
+            records(&baseline),
             "hierarchy trace diverged at {threads} thread(s)"
         );
         assert_eq!(
@@ -170,8 +172,8 @@ fn ci_matrix_shard_counts_agree_with_baseline() {
     let data = generate(99, 2);
     let expected = baseline_report(&data);
     for shards in shard_counts() {
-        let sharded = ShardedTrace::from_trace(data.trace.clone(), shards);
-        let report = CharacterizationReport::compute(&sharded.stream(), &TokenCategoryProvider, 2);
+        let sharded = Trace::from_trace(data.trace.clone(), shards);
+        let report = CharacterizationReport::compute(&sharded, &TokenCategoryProvider, 2);
         assert_reports_equal(99, shards, &report, &expected);
     }
 }

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use jcdn_core::prediction::client_corpus;
 use jcdn_ngram::{NgramModel, Vocab};
 use jcdn_trace::flows::{client_sequences, FlowClient};
-use jcdn_trace::{MimeType, SimTime, Trace, UrlId};
+use jcdn_trace::{LogRecord, MimeType, SimTime, Trace, UrlId};
 
 /// One flagged request.
 #[derive(Clone, Debug, PartialEq)]
@@ -53,7 +53,7 @@ impl SequenceAnomalyDetector {
     pub fn train(reference: &Trace, history: usize, threshold: f64) -> Self {
         let mut vocab = Vocab::clustered();
         let mut model = NgramModel::new(history);
-        for seq in client_corpus(&reference.stream(), &mut vocab) {
+        for seq in client_corpus(reference, &mut vocab) {
             model.train_sequence(&seq.tokens);
         }
         SequenceAnomalyDetector {
@@ -66,7 +66,7 @@ impl SequenceAnomalyDetector {
     /// Scans a trace; returns flagged records in time order per client.
     pub fn scan(&self, trace: &Trace) -> Vec<Anomaly> {
         let mut anomalies = Vec::new();
-        for (client, seq) in client_sequences(&trace.stream(), |r| r.mime == MimeType::Json) {
+        for (client, seq) in client_sequences(trace, |r| r.mime == MimeType::Json) {
             let tokens: Vec<Option<u32>> = seq
                 .iter()
                 .map(|&(_, url)| self.vocab.get(trace.url(url)))
@@ -131,10 +131,9 @@ impl PeriodAnomalyDetector {
         let mut last_seen: HashMap<(FlowClient, UrlId), SimTime> = HashMap::new();
         let mut anomalies = Vec::new();
         // Records must be visited in time order.
-        let mut order: Vec<usize> = (0..trace.records().len()).collect();
-        order.sort_by_key(|&i| trace.records()[i].time);
-        for i in order {
-            let r = &trace.records()[i];
+        let mut order: Vec<&LogRecord> = trace.records().collect();
+        order.sort_by_key(|r| r.time);
+        for r in order {
             let key = ((r.client, r.ua), r.url);
             let Some(&period) = self.expected.get(&key) else {
                 continue;

@@ -47,7 +47,7 @@ const TRAIN_PERCENT: u8 = 70;
 /// Trains an n-gram model on the trace's training clients and measures the
 /// lead-time distribution over held-out clients.
 pub fn analyze(trace: &Trace) -> LeadTimeReport {
-    let corpus = client_corpus(&trace.stream(), &mut Vocab::raw());
+    let corpus = client_corpus(trace, &mut Vocab::raw());
     let mut model = NgramModel::new(HISTORY);
     for seq in &corpus {
         if split_client(seq.key, TRAIN_PERCENT) == Split::Train {

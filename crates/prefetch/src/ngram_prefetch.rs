@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use jcdn_cdnsim::{Policy, PolicyOutcome, RequestCtx};
 use jcdn_core::prediction::client_corpus;
 use jcdn_ngram::{NgramModel, Vocab};
-use jcdn_trace::{MimeType, RecordStream};
+use jcdn_trace::{MimeType, Trace};
 
 /// A [`Policy`] that predicts each client's next requests with a backoff
 /// n-gram model and prefetches the top-K predictions.
@@ -32,15 +32,14 @@ pub struct NgramPrefetcher {
 }
 
 impl NgramPrefetcher {
-    /// Trains a prefetcher from a record stream (typically a previous
-    /// capture of the same traffic): `trace.stream()`, or a sharded
-    /// trace's stream without materializing a combined trace. `history` is
-    /// the n-gram order N, `k` the number of predictions prefetched per
+    /// Trains a prefetcher from a trace (typically a previous capture of
+    /// the same traffic), reading every shard in order. `history` is the
+    /// n-gram order N, `k` the number of predictions prefetched per
     /// request.
-    pub fn train(stream: &RecordStream<'_>, history: usize, k: usize) -> Self {
+    pub fn train(trace: &Trace, history: usize, k: usize) -> Self {
         let mut vocab = Vocab::raw();
         let mut model = NgramModel::new(history);
-        for seq in client_corpus(stream, &mut vocab) {
+        for seq in client_corpus(trace, &mut vocab) {
             model.train_sequence(&seq.tokens);
         }
         NgramPrefetcher {
@@ -109,7 +108,7 @@ mod tests {
     #[test]
     fn trains_and_binds_against_a_real_universe() {
         let data = simulate(&WorkloadConfig::tiny(21).scaled(0.3));
-        let mut p = NgramPrefetcher::train(&data.trace.stream(), 1, 5);
+        let mut p = NgramPrefetcher::train(&data.trace, 1, 5);
         p.bind_universe(&data.workload.objects);
         assert!(
             !p.token_to_object.is_empty(),
@@ -118,12 +117,12 @@ mod tests {
     }
 
     #[test]
-    fn stream_training_over_shards_matches_whole_trace_training() {
+    fn training_over_shards_matches_one_shard_training() {
         let data = simulate(&WorkloadConfig::tiny(21).scaled(0.3));
-        let sharded = jcdn_trace::ShardedTrace::from_trace(data.trace, 4);
-        let from_shards = NgramPrefetcher::train(&sharded.stream(), 1, 5);
-        let whole = sharded.into_trace();
-        let from_trace = NgramPrefetcher::train(&whole.stream(), 1, 5);
+        let whole = Trace::from_trace(data.trace.clone(), 1);
+        let from_trace = NgramPrefetcher::train(&whole, 1, 5);
+        let sharded = Trace::from_trace(data.trace, 4);
+        let from_shards = NgramPrefetcher::train(&sharded, 1, 5);
         assert_eq!(from_shards.model, from_trace.model);
         assert_eq!(from_shards.vocab.len(), from_trace.vocab.len());
     }
@@ -136,7 +135,7 @@ mod tests {
         let deploy = jcdn_workload::build(&WorkloadConfig::tiny(31));
 
         let base = run_default(&deploy, &SimConfig::default());
-        let mut policy = NgramPrefetcher::train(&train.trace.stream(), 1, 5);
+        let mut policy = NgramPrefetcher::train(&train.trace, 1, 5);
         policy.bind_universe(&deploy.objects);
         let boosted = run(&deploy, &SimConfig::default(), &mut policy);
 
@@ -156,7 +155,7 @@ mod tests {
     #[test]
     fn unseen_urls_produce_no_prefetch() {
         let data = simulate(&WorkloadConfig::tiny(41).scaled(0.2));
-        let mut p = NgramPrefetcher::train(&data.trace.stream(), 1, 5);
+        let mut p = NgramPrefetcher::train(&data.trace, 1, 5);
         // Bind against a *different* universe: URLs differ, so almost
         // nothing resolves and the policy stays quiet rather than wrong.
         let other = jcdn_workload::build(&WorkloadConfig::tiny(999).scaled(0.2));

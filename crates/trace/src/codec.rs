@@ -49,17 +49,18 @@
 //! inflated count could silently skew salvage accounting), and per-column
 //! CRCs localize payload damage. Length-prefixed frames let a reader hand
 //! whole shards to worker threads without parsing records; [`encode`]
-//! writes one frame per slice of its [`RecordStream`], and both it and
-//! [`decode`] / [`decode_tolerant`] fan frames out on the `jcdn-exec`
-//! pool, with output identical at any thread count.
+//! writes one frame per shard of its [`Trace`], [`decode`] /
+//! [`decode_tolerant`] give back one shard per frame, and all three fan
+//! frames out on the `jcdn-exec` pool, with output identical at any
+//! thread count.
 //!
 //! Older payloads still decode: version 3 (framed, per-record
 //! interleaved fields), version 2 (unframed record stream) and version 1
 //! (v2 minus the retry/flags bytes) — the last two into a single shard.
 //! Frozen encoders for those versions live in [`crate::compat`].
 //!
-//! Time is delta-encoded, so **streams must be time-sorted before
-//! encoding**, across slices as well as within them; [`encode`] returns
+//! Time is delta-encoded, so **traces must be time-sorted before
+//! encoding**, across shards as well as within them; [`encode`] returns
 //! [`EncodeError::OutOfOrder`] on a record whose timestamp precedes its
 //! predecessor's.
 
@@ -77,8 +78,6 @@ use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::interner::Interner;
 use crate::record::{CacheStatus, ClientId, LogRecord, Method, MimeType, RecordFlags, UaId, UrlId};
-use crate::sharded::ShardedTrace;
-use crate::stream::RecordStream;
 use crate::time::SimTime;
 use crate::trace::Trace;
 
@@ -900,35 +899,36 @@ pub(crate) fn encode_frame(
     })
 }
 
-/// Encodes the frames of `slices` named by `indices` (ascending), fanning
-/// out on the exec pool; the result holds one frame per index, in order.
-/// Every frame's cross-slice ordering check is seeded as if all earlier
-/// slices had been encoded first — from the global index of the slice's
-/// first record and the last timestamp of the nearest preceding non-empty
-/// slice — so independent per-slice encodes behave exactly like one
+/// Encodes the frames of `trace`'s shards named by `indices` (ascending),
+/// fanning out on the exec pool; the result holds one frame per index, in
+/// order. Every frame's cross-shard ordering check is seeded as if all
+/// earlier shards had been encoded first — from the global index of the
+/// shard's first record and the last timestamp of the nearest preceding
+/// non-empty shard — so independent per-shard encodes behave exactly like one
 /// sequential pass: same bytes, and the lowest-indexed ordering error is
 /// the one a sequential encoder would have hit first. Taking indices lets
 /// a resumed store run encode only the shards it has not committed.
 #[expect(
     clippy::arithmetic_side_effects,
-    reason = "a running sum of in-memory slice lengths cannot overflow usize"
+    reason = "a running sum of in-memory shard lengths cannot overflow usize"
 )]
 pub(crate) fn encode_frames(
-    slices: &[&[LogRecord]],
+    trace: &Trace,
     indices: &[usize],
     threads: usize,
 ) -> Result<Vec<EncodedFrame>, EncodeError> {
-    let mut seeds = Vec::with_capacity(slices.len());
+    let mut seeds = Vec::with_capacity(trace.shard_count());
     let (mut base, mut last) = (0usize, None::<SimTime>);
-    for slice in slices {
+    for i in 0..trace.shard_count() {
+        let shard = trace.shard_records(i);
         seeds.push((base, last));
-        base += slice.len();
-        last = slice.last().map_or(last, |r| Some(r.time));
+        base += shard.len();
+        last = shard.last().map_or(last, |r| Some(r.time));
     }
     jcdn_exec::scatter_gather_labeled("codec.encode", indices.len(), threads, |k| {
         let i = indices[k];
         let (index_base, mut last_time) = seeds[i];
-        encode_frame(slices[i], index_base, &mut last_time, i)
+        encode_frame(trace.shard_records(i), index_base, &mut last_time, i)
     })
     .into_iter()
     .collect()
@@ -956,28 +956,27 @@ pub(crate) fn assemble<F: AsRef<[u8]>>(tables: &[u8], frames: &[F]) -> Vec<u8> {
     out
 }
 
-/// Encodes a record stream into the binary format, one frame per slice:
-/// `trace.stream()` gives a single frame, `sharded.stream()` one frame per
-/// shard. Frames are encoded on `threads` workers of the exec pool; the
-/// output is byte-identical for any thread count.
+/// Encodes a trace into the binary format, one frame per shard (a built
+/// or simulated trace is one frame). Frames are encoded on `threads`
+/// workers of the exec pool; the output is byte-identical for any thread
+/// count.
 ///
-/// The stream must be time-sorted across its slices (the format
+/// The trace must be time-sorted across its shards (the format
 /// delta-encodes time); an out-of-order record yields
 /// [`EncodeError::OutOfOrder`].
-pub fn encode(records: &RecordStream<'_>, threads: usize) -> Result<Bytes, EncodeError> {
-    let slices = records.raw_slices();
-    let all: Vec<usize> = (0..slices.len()).collect();
-    let frames = encode_frames(slices, &all, threads)?;
+pub fn encode(trace: &Trace, threads: usize) -> Result<Bytes, EncodeError> {
+    let all: Vec<usize> = (0..trace.shard_count()).collect();
+    let frames = encode_frames(trace, &all, threads)?;
     Ok(Bytes::from(assemble(
-        &encode_tables(records.interner()),
+        &encode_tables(trace.interner()),
         &frames,
     )))
 }
 
-/// [`encode`] of a sharded trace's stream, one frame per shard. It exists
-/// because the repository benchmark (`perfbench`) calls it by this name.
-pub fn encode_sharded_parallel(trace: &ShardedTrace, threads: usize) -> Result<Bytes, EncodeError> {
-    encode(&trace.stream(), threads)
+/// [`encode`]. It exists because the repository benchmark (`perfbench`)
+/// calls it by this name.
+pub fn encode_sharded_parallel(trace: &Trace, threads: usize) -> Result<Bytes, EncodeError> {
+    encode(trace, threads)
 }
 
 /// Tallies from a tolerant decode: how much of the payload survived, and
@@ -1064,18 +1063,18 @@ impl DecodeStats {
     }
 }
 
-/// Decodes a binary trace, preserving its shard frames (version 1 and 2
-/// payloads, which predate framing, decode into a single shard; call
-/// [`ShardedTrace::into_trace`] for a flat trace). Frames decode on
-/// `threads` workers of the exec pool; the result is identical for any
-/// thread count. Any damage is an error (see [`decode_tolerant`]).
-pub fn decode(buf: &[u8], threads: usize) -> Result<ShardedTrace, DecodeError> {
+/// Decodes a binary trace into one shard per frame, each frame's records
+/// in a vector of their own (version 1 and 2 payloads, which predate
+/// framing, decode into a single shard). Frames decode on `threads`
+/// workers of the exec pool; the result is identical for any thread
+/// count. Any damage is an error (see [`decode_tolerant`]).
+pub fn decode(buf: &[u8], threads: usize) -> Result<Trace, DecodeError> {
     decode_sharded_impl(buf, false, threads).map(|(trace, _)| trace)
 }
 
 /// [`decode`]. It exists because the repository benchmark (`perfbench`)
 /// calls it by this name.
-pub fn decode_sharded_parallel(buf: &[u8], threads: usize) -> Result<ShardedTrace, DecodeError> {
+pub fn decode_sharded_parallel(buf: &[u8], threads: usize) -> Result<Trace, DecodeError> {
     decode(buf, threads)
 }
 
@@ -1092,10 +1091,7 @@ pub fn decode_sharded_parallel(buf: &[u8], threads: usize) -> Result<ShardedTrac
 /// keeps everything already decoded. The returned [`DecodeStats`] says
 /// exactly what was lost, so callers can surface the damage instead of
 /// hiding it. Salvage results and tallies are identical for any `threads`.
-pub fn decode_tolerant(
-    buf: &[u8],
-    threads: usize,
-) -> Result<(ShardedTrace, DecodeStats), DecodeError> {
+pub fn decode_tolerant(buf: &[u8], threads: usize) -> Result<(Trace, DecodeStats), DecodeError> {
     decode_sharded_impl(buf, true, threads)
 }
 
@@ -1164,7 +1160,7 @@ fn decode_sharded_impl(
     buf: &[u8],
     tolerate: bool,
     threads: usize,
-) -> Result<(ShardedTrace, DecodeStats), DecodeError> {
+) -> Result<(Trace, DecodeStats), DecodeError> {
     let mut cur = Cursor::new(buf);
     if cur.remaining() < 6 {
         return Err(DecodeError::Truncated);
@@ -1233,7 +1229,7 @@ fn decode_sharded_impl(
                 }
             }
             stats.records_decoded = count_u64(records.len());
-            return Ok((ShardedTrace::from_parts(interner, vec![records]), stats));
+            return Ok((Trace::from_parts(interner, vec![records]), stats));
         }
         // Framed formats fall through to the shared slice-then-fan-out path.
         Version::V3 | Version::V4 => {}
@@ -1317,7 +1313,7 @@ fn decode_sharded_impl(
             ..DecodeStats::default()
         });
     }
-    Ok((ShardedTrace::from_parts(interner, shards), stats))
+    Ok((Trace::from_parts(interner, shards), stats))
 }
 
 /// Clamps a count that no CRC covers to the `fit` items its bytes could
@@ -1653,15 +1649,15 @@ pub(crate) fn encode_io_error(e: EncodeError) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string())
 }
 
-/// Writes a record stream to a file in the binary format, one frame per
-/// slice (see [`encode`]). The stream must be time-sorted; an unsorted
-/// one fails with `InvalidInput`.
+/// Writes a trace to a file in the binary format, one frame per shard
+/// (see [`encode`]). The trace must be time-sorted; an unsorted one fails
+/// with `InvalidInput`.
 ///
 /// The write is durable (write-temp, fsync, rename — see
 /// `crate::store::durable_write`): a crash mid-write leaves either the
 /// previous file or the new one, never a torn hybrid.
-pub fn write_file(records: &RecordStream<'_>, path: &std::path::Path) -> std::io::Result<()> {
-    let bytes = encode(records, 1).map_err(encode_io_error)?;
+pub fn write_file(trace: &Trace, path: &std::path::Path) -> std::io::Result<()> {
+    let bytes = encode(trace, 1).map_err(encode_io_error)?;
     crate::store::durable_write(path, bytes.to_vec(), "codec.write", jcdn_chaos::handle())
 }
 
@@ -1672,7 +1668,7 @@ pub fn record_to_json(trace: &Trace, record: &LogRecord) -> jcdn_json::Value {
     obj.insert("time_us", jcdn_json::Value::from(record.time.as_micros()));
     obj.insert("client", jcdn_json::Value::from(record.client.0));
     match record.ua {
-        Some(ua) => obj.insert("ua", jcdn_json::Value::from(trace.ua(ua))),
+        Some(ua) => obj.insert("ua", jcdn_json::Value::from(trace.interner().ua(ua))),
         None => obj.insert("ua", jcdn_json::Value::Null),
     };
     obj.insert("url", jcdn_json::Value::from(trace.url(record.url)));
@@ -1791,34 +1787,34 @@ mod tests {
     #[test]
     fn binary_round_trip() {
         let t = sample_trace();
-        let encoded = encode(&t.stream(), 1).unwrap();
-        let decoded = decode(&encoded, 1).unwrap().into_trace();
+        let encoded = encode(&t, 1).unwrap();
+        let decoded = decode(&encoded, 1).unwrap();
+        assert_eq!(decoded.shard_count(), 1);
         assert_eq!(decoded.len(), t.len());
         assert_eq!(decoded.url_table(), t.url_table());
         assert_eq!(decoded.ua_table(), t.ua_table());
-        assert_eq!(decoded.records(), t.records());
+        assert!(decoded.records().eq(t.records()));
     }
 
     #[test]
     fn sharded_round_trip_preserves_frames() {
-        let sharded = ShardedTrace::from_trace(sample_trace(), 4);
-        let encoded = encode(&sharded.stream(), 1).unwrap();
+        let sharded = Trace::from_trace(sample_trace(), 4);
+        let encoded = encode(&sharded, 1).unwrap();
         let decoded = decode(&encoded, 1).unwrap();
         assert_eq!(decoded.shard_count(), 4);
         for i in 0..4 {
             assert_eq!(decoded.shard_records(i), sharded.shard_records(i));
         }
-        // Flattening matches the flattened input.
-        let flat = decoded.into_trace();
-        assert_eq!(flat.records(), sharded.clone().into_trace().records());
+        // Every record, shard by shard, matches the input's.
+        assert!(decoded.records().eq(sharded.records()));
     }
 
     #[test]
     fn parallel_encode_and_decode_match_sequential() {
-        let sharded = ShardedTrace::from_trace(sample_trace(), 4);
-        let seq = encode(&sharded.stream(), 1).unwrap();
+        let sharded = Trace::from_trace(sample_trace(), 4);
+        let seq = encode(&sharded, 1).unwrap();
         for threads in [1, 2, 4, 8] {
-            let par = encode(&sharded.stream(), threads).unwrap();
+            let par = encode(&sharded, threads).unwrap();
             assert_eq!(&par[..], &seq[..], "threads={threads}");
             let decoded = decode(&seq, threads).unwrap();
             assert_eq!(decoded.shard_count(), 4);
@@ -1851,23 +1847,23 @@ mod tests {
             });
         }
         let (interner, records) = t.into_parts();
-        let shards: Vec<Vec<LogRecord>> = records.chunks(2).map(<[_]>::to_vec).collect();
-        let sharded = ShardedTrace::from_parts(interner, shards);
-        let seq = encode(&sharded.stream(), 1).unwrap_err();
+        let shards: Vec<Vec<LogRecord>> = records[0].chunks(2).map(<[_]>::to_vec).collect();
+        let sharded = Trace::from_parts(interner, shards);
+        let seq = encode(&sharded, 1).unwrap_err();
         for threads in [2, 4] {
-            assert_eq!(encode(&sharded.stream(), threads).unwrap_err(), seq);
+            assert_eq!(encode(&sharded, threads).unwrap_err(), seq);
         }
     }
 
     #[test]
     fn empty_trace_round_trips() {
         let t = Trace::new();
-        let decoded = decode(&encode(&t.stream(), 1).unwrap(), 1).unwrap();
+        let decoded = decode(&encode(&t, 1).unwrap(), 1).unwrap();
         assert!(decoded.is_empty());
         assert_eq!(
             decoded.shard_count(),
             1,
-            "an empty slice is one empty frame"
+            "an empty trace is one empty frame"
         );
         assert_eq!(decoded.interner().url_count(), 0);
     }
@@ -1913,8 +1909,8 @@ mod tests {
 
     #[test]
     fn tolerant_decode_of_clean_payload_is_clean() {
-        let sharded = ShardedTrace::from_trace(sample_trace(), 4);
-        let encoded = encode(&sharded.stream(), 1).unwrap();
+        let sharded = Trace::from_trace(sample_trace(), 4);
+        let encoded = encode(&sharded, 1).unwrap();
         let (decoded, stats) = decode_tolerant(&encoded, 1).unwrap();
         assert!(stats.is_clean(), "{stats:?}");
         assert_eq!(stats.records_decoded, 100);
@@ -1926,8 +1922,8 @@ mod tests {
 
     #[test]
     fn tolerant_decode_salvages_frames_around_a_bad_checksum() {
-        let sharded = ShardedTrace::from_trace(sample_trace(), 4);
-        let encoded = encode(&sharded.stream(), 1).unwrap();
+        let sharded = Trace::from_trace(sample_trace(), 4);
+        let encoded = encode(&sharded, 1).unwrap();
         let corrupted = corrupt_first_frame_payload(&encoded);
 
         // Strict decode refuses the whole file.
@@ -1961,8 +1957,8 @@ mod tests {
         // Flip the record-count byte at the start of frame 0's descriptor:
         // the descriptor CRC catches it, so the count is untrusted and the
         // drop tally must not echo the corrupted claim.
-        let sharded = ShardedTrace::from_trace(sample_trace(), 4);
-        let encoded = encode(&sharded.stream(), 1).unwrap();
+        let sharded = Trace::from_trace(sample_trace(), 4);
+        let encoded = encode(&sharded, 1).unwrap();
         let frame_at = first_frame_offset(&encoded);
         let mut corrupted = encoded.to_vec();
         corrupted[frame_at + 8] ^= 0x7F; // record-count varint byte
@@ -1986,8 +1982,8 @@ mod tests {
 
     #[test]
     fn tolerant_decode_keeps_prefix_of_a_truncated_file() {
-        let sharded = ShardedTrace::from_trace(sample_trace(), 4);
-        let encoded = encode(&sharded.stream(), 1).unwrap();
+        let sharded = Trace::from_trace(sample_trace(), 4);
+        let encoded = encode(&sharded, 1).unwrap();
         // Cut into the last frame's body.
         let truncated = &encoded[..encoded.len() - 5];
 
@@ -2032,9 +2028,8 @@ mod tests {
         assert_eq!(stats.records_dropped, 0);
         assert_eq!(stats.frames_header_damaged, 1);
         assert!(!stats.is_clean());
-        let trace = decoded.into_trace();
-        assert_eq!(trace.len(), 1);
-        assert_eq!(trace.records()[0].client, ClientId(7));
+        assert_eq!(decoded.len(), 1);
+        assert_eq!(decoded.shard_records(0)[0].client, ClientId(7));
     }
 
     #[test]
@@ -2057,11 +2052,10 @@ mod tests {
         buf.put_u8(1); // cache = Miss
         put_varint(&mut buf, 503); // status
         put_varint(&mut buf, 2048); // bytes
-        let decoded = decode(&buf.freeze(), 1)
-            .expect("v1 payload decodes")
-            .into_trace();
+        let decoded = decode(&buf.freeze(), 1).expect("v1 payload decodes");
+        assert_eq!(decoded.shard_count(), 1);
         assert_eq!(decoded.len(), 1);
-        let r = decoded.records()[0];
+        let r = decoded.shard_records(0)[0];
         assert_eq!(r.time, SimTime::from_micros(1_500_000));
         assert_eq!(r.client, ClientId(42));
         assert_eq!(r.status, 503);
@@ -2124,7 +2118,7 @@ mod tests {
             retries: 0,
             flags: RecordFlags::NONE,
         });
-        let data = encode(&t.stream(), 1).unwrap().to_vec();
+        let data = encode(&t, 1).unwrap().to_vec();
         let frame_at = first_frame_offset(&data);
         assert_eq!(frame_at, 29, "layout drifted; update this helper");
         (data, frame_at)
@@ -2221,7 +2215,7 @@ mod tests {
 
     #[test]
     fn rejects_truncation_anywhere() {
-        let full = encode(&sample_trace().stream(), 1).unwrap();
+        let full = encode(&sample_trace(), 1).unwrap();
         // Chop at a few byte positions spread across the buffer; every
         // prefix must fail cleanly, never panic.
         for cut in [7, 20, full.len() / 2, full.len() - 1] {
@@ -2311,21 +2305,21 @@ mod tests {
         let dir = std::env::temp_dir().join("jcdn-codec-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("trace.jcdn");
-        write_file(&t.stream(), &path).unwrap();
+        write_file(&t, &path).unwrap();
         let back = decode(&std::fs::read(&path).unwrap(), 1).unwrap();
-        assert_eq!(back.into_trace().records(), t.records());
-        // A sharded stream is written one frame per shard.
-        let sharded = ShardedTrace::from_trace(t, 3);
-        write_file(&sharded.stream(), &path).unwrap();
+        assert!(back.records().eq(t.records()));
+        // A sharded trace is written one frame per shard.
+        let sharded = Trace::from_trace(t, 3);
+        write_file(&sharded, &path).unwrap();
         let back = decode(&std::fs::read(&path).unwrap(), 1).unwrap();
         assert_eq!(back.shard_count(), 3);
         assert_eq!(back.len(), sharded.len());
         std::fs::remove_file(&path).ok();
-        // An unsorted stream fails with InvalidInput and writes nothing.
-        let (interner, mut records) = sharded.into_trace().into_parts();
+        // An unsorted trace fails with InvalidInput and writes nothing.
+        let mut records: Vec<LogRecord> = sharded.records().copied().collect();
         records.reverse();
-        let unsorted = Trace::from_parts(interner, records);
-        let err = write_file(&unsorted.stream(), &path).unwrap_err();
+        let unsorted = Trace::from_parts(sharded.into_parts().0, vec![records]);
+        let err = write_file(&unsorted, &path).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
         assert!(!path.exists());
     }
@@ -2350,7 +2344,7 @@ mod tests {
             });
         }
         assert_eq!(
-            encode(&t.stream(), 1).unwrap_err(),
+            encode(&t, 1).unwrap_err(),
             EncodeError::OutOfOrder {
                 index: 1,
                 prev: SimTime::from_secs(50),
@@ -2359,8 +2353,8 @@ mod tests {
         );
         // Sorting repairs the trace and it round-trips.
         t.sort_by_time();
-        let decoded = decode(&encode(&t.stream(), 1).unwrap(), 1).unwrap();
-        assert_eq!(decoded.into_trace().records(), t.records());
+        let decoded = decode(&encode(&t, 1).unwrap(), 1).unwrap();
+        assert!(decoded.records().eq(t.records()));
     }
 
     proptest! {

@@ -31,7 +31,6 @@ use crate::codec::{
     EncodeError, Version,
 };
 use crate::record::LogRecord;
-use crate::sharded::ShardedTrace;
 use crate::trace::Trace;
 use bytes::{BufMut, Bytes, BytesMut};
 
@@ -65,19 +64,17 @@ fn put_record(buf: &mut BytesMut, r: &LogRecord, prev_time: &mut i64, version: V
 
 /// Rejects out-of-order records exactly like the live encoder, so legacy
 /// payloads satisfy the same sortedness contract.
-#[expect(
-    clippy::arithmetic_side_effects,
-    reason = "a window index is below the slice length"
-)]
-fn check_sorted(records: &[LogRecord]) -> Result<(), EncodeError> {
-    for (index, pair) in records.windows(2).enumerate() {
-        if pair[1].time < pair[0].time {
+fn check_sorted(trace: &Trace) -> Result<(), EncodeError> {
+    let mut prev = None;
+    for (index, r) in trace.records().enumerate() {
+        if let Some(prev) = prev.filter(|&prev| r.time < prev) {
             return Err(EncodeError::OutOfOrder {
-                index: index + 1,
-                prev: pair[0].time,
-                next: pair[1].time,
+                index,
+                prev,
+                next: r.time,
             });
         }
+        prev = Some(r.time);
     }
     Ok(())
 }
@@ -88,7 +85,7 @@ fn check_sorted(records: &[LogRecord]) -> Result<(), EncodeError> {
     reason = "a capacity hint from an in-memory record count"
 )]
 fn encode_stream(trace: &Trace, version: Version) -> Result<Bytes, EncodeError> {
-    check_sorted(trace.records())?;
+    check_sorted(trace)?;
     let mut buf = BytesMut::with_capacity(trace.len() * 16 + 1024);
     buf.put_slice(&encode_tables_versioned(trace.interner(), version));
     put_varint(&mut buf, len_u64(trace.len()));
@@ -111,39 +108,22 @@ pub fn encode_v2(trace: &Trace) -> Result<Bytes, EncodeError> {
     encode_stream(trace, Version::V2)
 }
 
-/// Encodes a sharded trace in the retired version-3 framed layout.
+/// Encodes a trace in the retired version-3 framed layout, one frame per
+/// shard.
 #[expect(
     clippy::arithmetic_side_effects,
-    reason = "capacity hints and record indices from in-memory shard lengths"
+    reason = "capacity hints from in-memory shard lengths"
 )]
-pub fn encode_sharded_v3(sharded: &ShardedTrace) -> Result<Bytes, EncodeError> {
-    let shards: Vec<&[LogRecord]> = (0..sharded.shard_count())
-        .map(|i| sharded.shard_records(i))
-        .collect();
-    let total: usize = shards.iter().map(|s| s.len()).sum();
-    let mut buf = BytesMut::with_capacity(total * 16 + 1024);
-    buf.put_slice(&encode_tables_versioned(sharded.interner(), Version::V3));
-    put_varint(&mut buf, len_u64(shards.len()));
-    let mut index = 0usize;
-    let mut last_time = None;
-    for (shard_idx, shard) in shards.iter().enumerate() {
-        // The cross-shard ordering check matches the live encoder's.
-        for (offset, r) in shard.iter().enumerate() {
-            if let Some(prev) = last_time {
-                if r.time < prev {
-                    return Err(EncodeError::OutOfOrder {
-                        index: index + offset,
-                        prev,
-                        next: r.time,
-                    });
-                }
-            }
-            last_time = Some(r.time);
-        }
-        index += shard.len();
+pub fn encode_v3(trace: &Trace) -> Result<Bytes, EncodeError> {
+    check_sorted(trace)?;
+    let mut buf = BytesMut::with_capacity(trace.len() * 16 + 1024);
+    buf.put_slice(&encode_tables_versioned(trace.interner(), Version::V3));
+    put_varint(&mut buf, len_u64(trace.shard_count()));
+    for shard_idx in 0..trace.shard_count() {
+        let shard = trace.shard_records(shard_idx);
         let mut payload = BytesMut::with_capacity(shard.len() * 16 + 16);
         let mut prev_time = 0i64;
-        for r in *shard {
+        for r in shard {
             put_record(&mut payload, r, &mut prev_time, Version::V3);
         }
         let payload = payload.freeze();
@@ -167,15 +147,6 @@ pub fn encode_sharded_v3(sharded: &ShardedTrace) -> Result<Bytes, EncodeError> {
 mod tests {
     use super::*;
     use crate::codec::{decode, decode_tolerant};
-
-    /// Encodes a trace in the retired version-3 layout as a single frame,
-    /// in record order.
-    fn encode_v3(trace: &Trace) -> Result<Bytes, EncodeError> {
-        encode_sharded_v3(&ShardedTrace::from_parts(
-            trace.interner().clone(),
-            vec![trace.records().to_vec()],
-        ))
-    }
     use crate::record::RecordFlags;
     use crate::time::SimTime;
     use crate::{CacheStatus, ClientId, Method, MimeType};
@@ -209,25 +180,25 @@ mod tests {
     #[test]
     fn legacy_encodes_decode_to_the_same_records() {
         let t = sample(40);
-        let flat = |bytes: Bytes| decode(&bytes, 1).unwrap().into_trace();
-        let v2 = flat(encode_v2(&t).unwrap());
-        assert_eq!(v2.records(), t.records());
-        let v3 = flat(encode_v3(&t).unwrap());
-        assert_eq!(v3.records(), t.records());
+        let records = |bytes: Bytes| -> Vec<LogRecord> {
+            decode(&bytes, 1).unwrap().records().copied().collect()
+        };
+        let expect: Vec<LogRecord> = t.records().copied().collect();
+        assert_eq!(records(encode_v2(&t).unwrap()), expect);
+        assert_eq!(records(encode_v3(&t).unwrap()), expect);
         // v1 loses the resilience fields; everything else survives.
-        let v1 = flat(encode_v1(&t).unwrap());
-        let mut expect = t.records().to_vec();
+        let mut expect = expect;
         for r in &mut expect {
             r.retries = 0;
             r.flags = RecordFlags::NONE;
         }
-        assert_eq!(v1.records(), expect.as_slice());
+        assert_eq!(records(encode_v1(&t).unwrap()), expect);
     }
 
     #[test]
     fn sharded_v3_preserves_shard_boundaries() {
-        let sharded = ShardedTrace::from_trace(sample(40), 4);
-        let decoded = decode(&encode_sharded_v3(&sharded).unwrap(), 1).unwrap();
+        let sharded = Trace::from_trace(sample(40), 4);
+        let decoded = decode(&encode_v3(&sharded).unwrap(), 1).unwrap();
         assert_eq!(decoded.shard_count(), 4);
         for i in 0..4 {
             assert_eq!(decoded.shard_records(i), sharded.shard_records(i));
@@ -268,8 +239,8 @@ mod tests {
         // the frame CRC, so the tolerant decoder must clamp the claimed
         // loss to what the payload could physically hold instead of
         // echoing the inflated number.
-        let sharded = ShardedTrace::from_trace(sample(10), 2);
-        let encoded = encode_sharded_v3(&sharded).unwrap();
+        let sharded = Trace::from_trace(sample(10), 2);
+        let encoded = encode_v3(&sharded).unwrap();
         let mut data = encoded.to_vec();
         // tables: 4 magic + 2 version + 1 url count + 1 len + 19 url
         //         + 1 ua count + 1 len + 8 ua = 37; shard varint at 37;

@@ -13,7 +13,6 @@
 use std::collections::HashMap;
 
 use crate::record::{ClientId, LogRecord, UaId, UrlId};
-use crate::stream::RecordStream;
 use crate::time::SimTime;
 use crate::trace::Trace;
 
@@ -80,18 +79,9 @@ impl FlowSet {
     ///
     /// Within each flow, client subsequences are time-sorted; flow order
     /// follows `UrlId` so results are deterministic.
-    pub fn build(trace: &Trace, filter: impl FnMut(&LogRecord) -> bool) -> FlowSet {
-        Self::build_stream(&trace.stream(), filter)
-    }
-
-    /// [`build`][Self::build] over any record stream (a whole trace, one
-    /// shard of a [`crate::ShardedTrace`], or several shards chained).
-    pub(crate) fn build_stream(
-        stream: &RecordStream<'_>,
-        mut filter: impl FnMut(&LogRecord) -> bool,
-    ) -> FlowSet {
+    pub fn build(trace: &Trace, mut filter: impl FnMut(&LogRecord) -> bool) -> FlowSet {
         let mut by_object: HashMap<UrlId, HashMap<FlowClient, Vec<SimTime>>> = HashMap::new();
-        for r in stream.iter() {
+        for r in trace.records() {
             if !filter(r) {
                 continue;
             }
@@ -141,14 +131,14 @@ impl FlowSet {
 /// training format of the n-gram model (§5.2: "requests are split into
 /// client request flows").
 ///
-/// Reads any record stream (`trace.stream()`, `sharded.stream()`), and
-/// returns (client, [(time, url)]) pairs sorted by client for determinism.
+/// Reads every shard of the trace, and returns (client, [(time, url)])
+/// pairs sorted by client for determinism.
 pub fn client_sequences(
-    stream: &RecordStream<'_>,
+    trace: &Trace,
     mut filter: impl FnMut(&LogRecord) -> bool,
 ) -> Vec<(FlowClient, Vec<(SimTime, UrlId)>)> {
     let mut by_client: HashMap<FlowClient, Vec<(SimTime, UrlId)>> = HashMap::new();
-    for r in stream.iter() {
+    for r in trace.records() {
         if !filter(r) {
             continue;
         }
@@ -273,7 +263,7 @@ mod tests {
         push(&mut t, 5, 1, "https://a.example/b");
         push(&mut t, 1, 1, "https://a.example/a");
         push(&mut t, 3, 2, "https://a.example/c");
-        let seqs = client_sequences(&t.stream(), |_| true);
+        let seqs = client_sequences(&t, |_| true);
         assert_eq!(seqs.len(), 2);
         let (client, seq) = &seqs[0];
         assert_eq!(client.0, ClientId(1));

@@ -1,7 +1,7 @@
 //! Shared string interner for URL and user-agent tables.
 //!
-//! [`Trace`](crate::Trace) and [`ShardedTrace`](crate::ShardedTrace) both
-//! resolve [`UrlId`]/[`UaId`] through an `Interner`. Strings are stored as
+//! Every shard of a [`Trace`](crate::Trace) resolves [`UrlId`]/[`UaId`]
+//! through the trace's one `Interner`. Strings are stored as
 //! `Arc<str>` so the id→string table and the string→id index share one
 //! allocation per distinct string (a miss costs exactly one copy of the
 //! input plus a refcount bump).

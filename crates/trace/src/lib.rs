@@ -10,15 +10,14 @@
 //! * [`SimTime`] / [`SimDuration`] — explicit simulated time in
 //!   microseconds. No wall clock anywhere (smoltcp-style): the simulator
 //!   advances time, the analysis reads it.
-//! * [`LogRecord`] — one request log line; [`Trace`] — a container that
-//!   interns user-agent and URL strings so multi-million-record traces stay
-//!   compact.
+//! * [`LogRecord`] — one request log line; [`Trace`] — the one trace
+//!   container: records in time-partitioned shards behind one
+//!   [`Interner`], which interns user-agent and URL strings so
+//!   multi-million-record traces stay compact. A built or simulated trace
+//!   is one shard, a decoded file keeps one shard per frame, and
+//!   analyses fan out over the shards and merge without id remapping.
 //! * [`Interner`] — the shared string tables, with [`HostTable`] resolving
-//!   each URL's host once; [`ShardedTrace`] — the same records split into
-//!   time-partitioned shards behind one interner, so per-shard analyses
-//!   run in parallel and merge without id remapping.
-//! * [`RecordStream`] — a borrowed record view that lets analyses consume
-//!   a whole trace, one shard, or any record subset through one API.
+//!   each URL's host once.
 //! * [`codec`] — a versioned binary codec (via `bytes`) with per-shard
 //!   CRC-protected frames, and a JSONL exporter for interop.
 //! * [`summary::DatasetSummary`] — the Table 2 roll-up (log count,
@@ -41,19 +40,19 @@ pub mod compat;
 pub mod flows;
 mod interner;
 mod record;
-mod sharded;
 pub mod store;
-mod stream;
 pub mod summary;
 mod time;
 mod trace;
 
 pub use interner::{HostTable, InternError, Interner};
 pub use record::{CacheStatus, ClientId, LogRecord, Method, MimeType, RecordFlags, UaId, UrlId};
-pub use sharded::ShardedTrace;
-pub use stream::RecordStream;
 pub use time::{SimDuration, SimTime};
 pub use trace::{RecordView, Trace};
+
+/// [`Trace`], under the name the repository benchmark (`perfbench`) uses
+/// for a trace cut into shards.
+pub type ShardedTrace = Trace;
 
 /// Stable 64-bit FNV-1a hash, used to anonymize client IPs and to split
 /// clients into train/test sets deterministically.

@@ -46,8 +46,7 @@ use jcdn_chaos::Chaos;
 
 use crate::codec::{self, DecodeStats};
 use crate::record::LogRecord;
-use crate::sharded::ShardedTrace;
-use crate::stream::RecordStream;
+use crate::trace::Trace;
 
 /// Writes `bytes` to `path` atomically and durably: the data goes to a
 /// sibling `*.tmp` file, is fsynced, and is renamed over `path`; the
@@ -345,7 +344,7 @@ impl<'c> StoreWriter<'c> {
         self.reused
     }
 
-    /// Writes `records` durably, one shard frame per stream slice: first
+    /// Writes `trace` durably, one frame per shard: first
     /// the table prologue (idempotent — a verified staged copy with the
     /// same bytes is kept as-is), then every shard not yet committed, in
     /// shard order. Shards a resumed run already committed are reused, not
@@ -357,17 +356,15 @@ impl<'c> StoreWriter<'c> {
     /// keep the sequential write order the crash-safety contract (and the
     /// chaos harness) observes — index, prologue, index, then frame and
     /// index for each shard — so the output is byte-identical for any
-    /// thread count. A stream whose slice count differs from the store's
-    /// shard count is rejected with `InvalidInput` before anything is
-    /// written.
-    pub fn write(&mut self, records: &RecordStream<'_>, threads: usize) -> io::Result<()> {
-        let slices = records.raw_slices();
-        if slices.len() != self.index.shard_count {
+    /// thread count. A trace whose shard count differs from the store's is
+    /// rejected with `InvalidInput` before anything is written.
+    pub fn write(&mut self, trace: &Trace, threads: usize) -> io::Result<()> {
+        let shards = trace.shard_count();
+        if shards != self.index.shard_count {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 format!(
-                    "the stream has {} slice(s) but the store writes {} shard(s)",
-                    slices.len(),
+                    "the trace has {shards} shard(s) but the store writes {}",
                     self.index.shard_count
                 ),
             ));
@@ -381,7 +378,7 @@ impl<'c> StoreWriter<'c> {
         self.clear_staging = false;
         std::fs::create_dir_all(&self.staging)?;
         self.index.save(&self.index_path, self.chaos)?;
-        let tables = codec::encode_tables(records.interner());
+        let tables = codec::encode_tables(trace.interner());
         if !self
             .index
             .tables
@@ -391,12 +388,9 @@ impl<'c> StoreWriter<'c> {
                 Some(self.stage(&tables_file(&self.staging), &tables, 0, "store.tables")?);
             self.index.save(&self.index_path, self.chaos)?;
         }
-        let todo: Vec<usize> = (0..slices.len())
-            .filter(|&i| !self.shard_committed(i))
-            .collect();
-        self.reused += codec::len_u64(slices.len() - todo.len());
-        let frames =
-            codec::encode_frames(slices, &todo, threads).map_err(codec::encode_io_error)?;
+        let todo: Vec<usize> = (0..shards).filter(|&i| !self.shard_committed(i)).collect();
+        self.reused += codec::len_u64(shards - todo.len());
+        let frames = codec::encode_frames(trace, &todo, threads).map_err(codec::encode_io_error)?;
         for (i, frame) in todo.into_iter().zip(frames) {
             let entry = self.stage(
                 &shard_file(&self.staging, i),
@@ -498,7 +492,7 @@ pub struct StoreReadStats {
 /// This is what `characterize --resume` falls back to when the final file
 /// does not exist: analyze the surviving shards now, report exactly what
 /// is missing.
-pub fn read_staged(final_path: &Path) -> io::Result<(ShardedTrace, StoreReadStats)> {
+pub fn read_staged(final_path: &Path) -> io::Result<(Trace, StoreReadStats)> {
     let index = ShardIndex::load(&index_path(final_path)).ok_or_else(|| {
         io::Error::new(
             io::ErrorKind::NotFound,
@@ -520,7 +514,6 @@ pub fn read_staged(final_path: &Path) -> io::Result<(ShardedTrace, StoreReadStat
     // The interner comes from decoding the prologue as a zero-shard file.
     let interner = codec::decode(&codec::assemble::<&[u8]>(&tables, &[]), 1)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?
-        .into_trace()
         .into_parts()
         .0;
 
@@ -544,8 +537,9 @@ pub fn read_staged(final_path: &Path) -> io::Result<(ShardedTrace, StoreReadStat
             Ok((decoded, shard_stats)) => {
                 stats.decode.merge(&shard_stats);
                 // The synthetic buffer shares the prologue, so ids line up
-                // with `interner` by construction.
-                shards.push(decoded.into_trace().into_parts().1);
+                // with `interner` by construction. Its one frame decodes
+                // to one shard, or to none when the frame is lost.
+                shards.push(decoded.into_parts().1.pop().unwrap_or_default());
             }
             Err(_) => {
                 stats.shards_missing += 1;
@@ -553,7 +547,7 @@ pub fn read_staged(final_path: &Path) -> io::Result<(ShardedTrace, StoreReadStat
             }
         }
     }
-    Ok((ShardedTrace::from_parts(interner, shards), stats))
+    Ok((Trace::from_parts(interner, shards), stats))
 }
 
 #[cfg(test)]
@@ -562,9 +556,8 @@ mod tests {
     use crate::codec::encode;
     use crate::record::{CacheStatus, ClientId, Method, MimeType, RecordFlags};
     use crate::time::SimTime;
-    use crate::trace::Trace;
 
-    fn sample_sharded(n: u64, shards: usize) -> ShardedTrace {
+    fn sample_sharded(n: u64, shards: usize) -> Trace {
         let mut t = Trace::new();
         let ua = t.intern_ua("agent/1.0");
         for i in 0..n {
@@ -583,7 +576,7 @@ mod tests {
                 flags: RecordFlags::NONE,
             });
         }
-        ShardedTrace::from_trace(t, shards)
+        Trace::from_trace(t, shards)
     }
 
     fn tmp_store(name: &str) -> PathBuf {
@@ -594,18 +587,18 @@ mod tests {
     }
 
     /// The bytes an uninterrupted store run must publish.
-    fn direct(sharded: &ShardedTrace) -> Vec<u8> {
-        encode(&sharded.stream(), 1).unwrap().to_vec()
+    fn direct(sharded: &Trace) -> Vec<u8> {
+        encode(sharded, 1).unwrap().to_vec()
     }
 
     /// A 4-shard run killed by an injected failure of durable write
     /// `ordinal`: writes go 1 index, 2 tables, 3 index, then frame
     /// and index per shard (shard `i`'s frame is write `2i + 4`), so
     /// failing write `2k + 4` leaves shards `0..k` committed.
-    fn killed_run(out: &Path, sharded: &ShardedTrace, ordinal: usize) {
+    fn killed_run(out: &Path, sharded: &Trace, ordinal: usize) {
         let plan = jcdn_chaos::FailPlan::parse(&format!("write-error:{ordinal}")).unwrap();
         let mut writer = StoreWriter::open(out, 4, 7, false, &plan);
-        let err = writer.write(&sharded.stream(), 1).unwrap_err();
+        let err = writer.write(sharded, 1).unwrap_err();
         assert!(err.to_string().contains("injected"), "{err}");
     }
 
@@ -615,7 +608,7 @@ mod tests {
         for threads in [1, 2, 8] {
             let out = tmp_store(&format!("parwrite{threads}"));
             let mut writer = StoreWriter::open(&out, 4, 7, false, &jcdn_chaos::Quiet);
-            writer.write(&sharded.stream(), threads).unwrap();
+            writer.write(&sharded, threads).unwrap();
             writer.finalize().unwrap();
             assert_eq!(
                 std::fs::read(&out).unwrap(),
@@ -633,7 +626,7 @@ mod tests {
                                        // The resumed run fills in the rest in parallel; bytes match a
                                        // clean end-to-end encode.
         let mut writer = StoreWriter::open(&out, 4, 7, true, &jcdn_chaos::Quiet);
-        writer.write(&sharded.stream(), 4).unwrap();
+        writer.write(&sharded, 4).unwrap();
         assert_eq!(writer.shards_reused(), 2);
         writer.finalize().unwrap();
         assert_eq!(std::fs::read(&out).unwrap(), direct(&sharded));
@@ -644,7 +637,7 @@ mod tests {
         let out = tmp_store("direct");
         let sharded = sample_sharded(100, 4);
         let mut writer = StoreWriter::open(&out, 4, 7, false, &jcdn_chaos::Quiet);
-        writer.write(&sharded.stream(), 1).unwrap();
+        writer.write(&sharded, 1).unwrap();
         writer.finalize().unwrap();
         assert_eq!(std::fs::read(&out).unwrap(), direct(&sharded));
         assert!(!staging_dir(&out).exists(), "staging cleaned up");
@@ -654,14 +647,14 @@ mod tests {
     }
 
     #[test]
-    fn write_rejects_a_stream_with_the_wrong_slice_count() {
-        let out = tmp_store("slices");
+    fn write_rejects_a_trace_with_the_wrong_shard_count() {
+        let out = tmp_store("shards");
         let sharded = sample_sharded(100, 4);
         for shards in [3, 5] {
             let mut writer = StoreWriter::open(&out, shards, 7, false, &jcdn_chaos::Quiet);
-            let err = writer.write(&sharded.stream(), 1).unwrap_err();
+            let err = writer.write(&sharded, 1).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{shards}: {err}");
-            assert!(err.to_string().contains("4 slice(s)"), "{err}");
+            assert!(err.to_string().contains("4 shard(s)"), "{err}");
             assert!(
                 !index_path(&out).exists(),
                 "nothing written before the check"
@@ -680,7 +673,7 @@ mod tests {
         let mut writer = StoreWriter::open(&out, 4, 7, true, &jcdn_chaos::Quiet);
         assert!(writer.shard_committed(0) && writer.shard_committed(1));
         assert!(!writer.shard_committed(2));
-        writer.write(&sharded.stream(), 1).unwrap();
+        writer.write(&sharded, 1).unwrap();
         assert_eq!(writer.shards_reused(), 2);
         writer.finalize().unwrap();
         assert_eq!(
@@ -695,7 +688,7 @@ mod tests {
         let out = tmp_store("params");
         let sharded = sample_sharded(40, 2);
         let mut writer = StoreWriter::open(&out, 2, 7, false, &jcdn_chaos::Quiet);
-        writer.write(&sharded.stream(), 1).unwrap();
+        writer.write(&sharded, 1).unwrap();
         drop(writer);
         let writer = StoreWriter::open(&out, 2, 8, true, &jcdn_chaos::Quiet);
         assert!(
@@ -709,7 +702,7 @@ mod tests {
         let out = tmp_store("damaged");
         let sharded = sample_sharded(100, 4);
         let mut writer = StoreWriter::open(&out, 4, 7, false, &jcdn_chaos::Quiet);
-        writer.write(&sharded.stream(), 1).unwrap();
+        writer.write(&sharded, 1).unwrap();
         drop(writer); // killed before finalize
 
         // Corrupt one committed staged shard behind the index's back.
@@ -722,7 +715,7 @@ mod tests {
         let mut writer = StoreWriter::open(&out, 4, 7, true, &jcdn_chaos::Quiet);
         assert!(!writer.shard_committed(2), "damage detected at open");
         assert!(writer.shard_committed(1));
-        writer.write(&sharded.stream(), 1).unwrap();
+        writer.write(&sharded, 1).unwrap();
         assert_eq!(writer.shards_reused(), 3);
         writer.finalize().unwrap();
         assert_eq!(std::fs::read(&out).unwrap(), direct(&sharded));
@@ -733,7 +726,7 @@ mod tests {
         let out = tmp_store("late-damage");
         let sharded = sample_sharded(60, 3);
         let mut writer = StoreWriter::open(&out, 3, 7, false, &jcdn_chaos::Quiet);
-        writer.write(&sharded.stream(), 1).unwrap();
+        writer.write(&sharded, 1).unwrap();
         // Damage after commit, before finalize: the re-verify must catch it.
         let victim = shard_file(&staging_dir(&out), 1);
         std::fs::write(&victim, b"garbage").unwrap();
@@ -757,7 +750,7 @@ mod tests {
         let mut writer = StoreWriter::open(&out, 4, 7, true, &jcdn_chaos::Quiet);
         assert!(writer.shard_committed(0), "shard 0 survived");
         assert!(!writer.shard_committed(1), "failed write left no entry");
-        writer.write(&sharded.stream(), 1).unwrap();
+        writer.write(&sharded, 1).unwrap();
         writer.finalize().unwrap();
         assert_eq!(std::fs::read(&out).unwrap(), direct(&sharded));
     }
@@ -771,14 +764,14 @@ mod tests {
         let mut writer = StoreWriter::open(&out, 4, 7, false, &plan);
         // The torn write goes unnoticed at commit time (as a real torn
         // write would)…
-        writer.write(&sharded.stream(), 1).unwrap();
+        writer.write(&sharded, 1).unwrap();
         // …but finalize's re-verification refuses to publish it.
         let err = writer.finalize().unwrap_err();
         assert!(err.to_string().contains("shard 0"), "{err}");
 
         let mut writer = StoreWriter::open(&out, 4, 7, true, &jcdn_chaos::Quiet);
         assert!(!writer.shard_committed(0));
-        writer.write(&sharded.stream(), 1).unwrap();
+        writer.write(&sharded, 1).unwrap();
         writer.finalize().unwrap();
         assert_eq!(std::fs::read(&out).unwrap(), direct(&sharded));
     }

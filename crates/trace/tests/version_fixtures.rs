@@ -20,8 +20,7 @@ use std::path::PathBuf;
 use bytes::Bytes;
 use jcdn_trace::codec::{decode, encode};
 use jcdn_trace::{
-    compat, CacheStatus, ClientId, LogRecord, Method, MimeType, RecordFlags, ShardedTrace, SimTime,
-    Trace,
+    compat, CacheStatus, ClientId, LogRecord, Method, MimeType, RecordFlags, SimTime, Trace,
 };
 
 /// The fixture trace: deterministic, covers every method/mime/cache
@@ -109,29 +108,29 @@ fn check_fixture(name: &str, encoded: &Bytes) -> Bytes {
 #[test]
 fn fixtures_are_byte_stable_and_decode_equivalently() {
     let t = fixture_trace();
-    let sharded = ShardedTrace::from_trace(t.clone(), 4);
+    let sharded = Trace::from_trace(t.clone(), 4);
 
     let v1 = check_fixture("v1.jcdn", &compat::encode_v1(&t).unwrap());
     let v2 = check_fixture("v2.jcdn", &compat::encode_v2(&t).unwrap());
-    let v3 = check_fixture("v3.jcdn", &compat::encode_sharded_v3(&sharded).unwrap());
-    let v4 = check_fixture("v4.jcdn", &encode(&sharded.stream(), 1).unwrap());
+    let v3 = check_fixture("v3.jcdn", &compat::encode_v3(&sharded).unwrap());
+    let v4 = check_fixture("v4.jcdn", &encode(&sharded, 1).unwrap());
 
     // v1 lacks retry/flags; everything else must match field for field.
-    let mut v1_expect = t.records().to_vec();
+    let mut v1_expect: Vec<LogRecord> = t.records().copied().collect();
     for r in &mut v1_expect {
         r.retries = 0;
         r.flags = RecordFlags::NONE;
     }
     let d1 = decode(&v1, 1).unwrap();
     assert_eq!(d1.shard_count(), 1);
-    assert_eq!(d1.into_trace().records(), v1_expect.as_slice());
+    assert_eq!(d1.shard_records(0), v1_expect.as_slice());
 
     let d2 = decode(&v2, 1).unwrap();
     assert_eq!(d2.shard_count(), 1);
-    assert_eq!(d2.into_trace().records(), t.records());
+    assert!(d2.records().eq(t.records()));
 
     // v3 and v4 carry shard boundaries; both must reproduce them and
-    // decode to identical ShardedTraces.
+    // decode to identical traces.
     let d3 = decode(&v3, 1).unwrap();
     let d4 = decode(&v4, 1).unwrap();
     for d in [&d3, &d4] {

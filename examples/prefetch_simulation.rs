@@ -26,7 +26,7 @@ fn main() {
     let mut table = TextTable::new(&["Policy", "Hit ratio", "Uplift", "Prefetches", "Precision"]);
 
     // Baseline numbers come from any comparison's baseline half.
-    let mut ngram = NgramPrefetcher::train(&yesterday.trace.stream(), 1, 5);
+    let mut ngram = NgramPrefetcher::train(&yesterday.trace, 1, 5);
     ngram.bind_universe(&today.objects);
     let ngram_cmp = compare_policies(&today, &sim, &mut ngram);
 

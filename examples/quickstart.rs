@@ -22,7 +22,7 @@ fn main() {
     let data = dataset::simulate(&config);
     println!("{}\n", data.summary().table_row());
     // Every §4 breakdown comes from one pass over the trace.
-    let report = CharacterizationReport::compute(&data.trace.stream(), &TokenCategoryProvider, 1);
+    let report = CharacterizationReport::compute(&data.trace, &TokenCategoryProvider, 1);
 
     // --- Traffic source (Figure 3) -------------------------------------
     let sources = &report.sources;

@@ -1,5 +1,5 @@
 //! Pins the exact output of the generate path — `build_parallel` →
-//! `simulate_workload_parallel` → `ShardedTrace::from_trace` → codec v4 —
+//! `simulate_workload_parallel` → `Trace::from_trace` → codec v4 —
 //! to fixed digests, at several thread counts.
 //!
 //! The shard-invariance suites compare thread counts with each other, so a
@@ -16,8 +16,8 @@ use jcdn::cdnsim::{
 };
 use jcdn::core::dataset::simulate_workload_parallel;
 use jcdn::obs::timeseries::WindowSpec;
-use jcdn::trace::codec::encode_sharded_parallel;
-use jcdn::trace::ShardedTrace;
+use jcdn::trace::codec::encode;
+use jcdn::trace::Trace;
 use jcdn::workload::{build_parallel, Workload, WorkloadConfig};
 
 /// FNV-1a, 64-bit: a stable digest that does not depend on std's hasher.
@@ -117,8 +117,8 @@ fn run(config: &WorkloadConfig, sim: &SimConfig, threads: usize) -> Digests {
         metrics.bytes(series.to_jsonl("sim").as_bytes());
     }
     let stats = stats_digest(&data.stats);
-    let sharded = ShardedTrace::from_trace(data.trace, 8);
-    let encoded = encode_sharded_parallel(&sharded, threads).expect("own trace encodes");
+    let sharded = Trace::from_trace(data.trace, 8);
+    let encoded = encode(&sharded, threads).expect("own trace encodes");
     let mut v4 = Fnv::new();
     v4.bytes(&encoded);
     Digests {

@@ -15,7 +15,7 @@ fn dataset() -> jcdn::core::dataset::Dataset {
 }
 
 fn characterize(data: &jcdn::core::dataset::Dataset) -> CharacterizationReport {
-    CharacterizationReport::compute(&data.trace.stream(), &TokenCategoryProvider, 1)
+    CharacterizationReport::compute(&data.trace, &TokenCategoryProvider, 1)
 }
 
 #[test]
@@ -89,9 +89,10 @@ fn heatmap_separates_content_from_personalized_industries() {
 #[test]
 fn trace_round_trips_through_the_binary_codec() {
     let data = dataset();
-    let encoded = encode(&data.trace.stream(), 1).expect("simulator traces are sorted");
-    let decoded = decode(&encoded, 1).expect("decode").into_trace();
-    assert_eq!(decoded.records(), data.trace.records());
+    let encoded = encode(&data.trace, 1).expect("simulator traces are sorted");
+    let decoded = decode(&encoded, 1).expect("decode");
+    assert_eq!(decoded.shard_count(), 1);
+    assert!(decoded.records().eq(data.trace.records()));
     assert_eq!(decoded.url_table(), data.trace.url_table());
     // Summaries agree as well.
     let a = DatasetSummary::compute("x", &data.trace);

@@ -69,8 +69,7 @@ fn resilience_strictly_lowers_end_user_error_rate() {
     // The trace-level availability analysis agrees with the simulator's
     // own counters.
     let availability =
-        CharacterizationReport::compute(&with.trace.stream(), &TokenCategoryProvider, 1)
-            .availability;
+        CharacterizationReport::compute(&with.trace, &TokenCategoryProvider, 1).availability;
     assert_eq!(availability.attempts, with.stats.requests);
     assert_eq!(availability.end_user_failures, with.stats.end_user_failures);
     assert_eq!(availability.stale_serves, with.stats.stale_serves);
@@ -83,7 +82,7 @@ fn outage_scenario_is_deterministic() {
     let config = outage_config(&workload, true);
     let a = run_default(&workload, &config);
     let b = run_default(&workload, &config);
-    assert_eq!(encode(&a.trace.stream(), 1), encode(&b.trace.stream(), 1));
+    assert_eq!(encode(&a.trace, 1), encode(&b.trace, 1));
     assert_eq!(a.stats.end_user_failures, b.stats.end_user_failures);
     assert_eq!(a.stats.retries_issued, b.stats.retries_issued);
 }
